@@ -2,8 +2,8 @@
 //!
 //! One module per experiment of EXPERIMENTS.md (E1–E12). Each module
 //! exposes a `run(…) -> Table` that regenerates the experiment's table;
-//! the `report` binary prints them all, and the Criterion benches time
-//! the hot operation of each experiment.
+//! the `report` binary prints them all. Wall-clock lives in the
+//! performance ledger (`ledger/`), not here.
 
 pub mod ablations;
 pub mod baseline;
@@ -26,7 +26,6 @@ pub mod e6_protocols;
 pub mod e7_toolkit;
 pub mod e8_fhe_cost;
 pub mod e9_detection;
-pub mod harness;
 pub mod table;
 
 pub use table::Table;

@@ -12,31 +12,22 @@ use std::collections::BTreeMap;
 use pds_crypto::SymmetricKey;
 use pds_db::mvcc::{kind, DOC_STORE};
 use pds_db::value::Value;
-use pds_db::{Database, DatabaseManifest, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
-use pds_flash::{BlackBox, BlockId, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
-use pds_mcu::{Token, TokenId, TokenSleep};
+use pds_db::{Database, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
+use pds_flash::{BlackBox, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
+use pds_mcu::{Token, TokenId};
 use pds_obs::flight::{self, code, subsystem, Severity};
-use pds_search::{DfStrategy, EngineManifest, SearchEngine, SearchHit};
+use pds_search::{DfStrategy, SearchEngine, SearchHit};
 
 use crate::audit::{AuditLog, Decision};
+use crate::data::{
+    bank_schema, email_schema, health_schema, BANK_TABLE, EMAIL_TABLE, HEALTH_TABLE,
+};
+use crate::error::PdsError;
 use crate::forensics::ForensicsReport;
+use crate::policy::{Action, Collection, PolicySet, Purpose, Rule};
 
-/// What [`Pds::reopen`] recovered after a power loss.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReopenReport {
-    /// Documents intact after the crash.
-    pub docs_recovered: u32,
-    /// Documents lost (never fully reached flash).
-    pub docs_lost: u32,
-    /// Deletions re-applied from the durable tombstone log.
-    pub tombstones_applied: u64,
-    /// Per-table `(name, rows_lost)`.
-    pub rows_lost: Vec<(String, u32)>,
-    /// Change records dropped from the HLC log because the rows they
-    /// stamped did not survive (`changes_since` never names an entity
-    /// the recovered stores cannot serve).
-    pub changes_dropped: u64,
-}
+mod boot;
+pub use boot::{PdsHibernation, ReopenReport};
 
 /// A standing query on one table: its predicate is re-evaluated against
 /// every commit after `cursor`, so a poller observes each committed
@@ -50,47 +41,23 @@ pub struct Subscription {
     /// Stamp of the newest commit already delivered.
     pub cursor: Hlc,
 }
-use crate::data::{
-    bank_schema, email_schema, health_schema, BANK_TABLE, EMAIL_TABLE, HEALTH_TABLE,
-};
 
-/// A powered-down PDS: the token's persistent silicon plus the recovery
-/// manifests and RAM-carried metadata [`Pds::hibernate`] captured. Holds
-/// no `Rc` flash handle and no live engine state — plain data a
-/// scheduler can park by the hundred thousand and revive with
-/// [`Pds::wake`].
-pub struct PdsHibernation {
-    sleep: TokenSleep,
+/// Gateway metadata that crosses a power cycle in RAM. On real hardware
+/// it lives in small dedicated logs recovered the same way as the data
+/// logs; the simulation carries it — a live [`Pds`] holds it once and
+/// moves it whole into its [`PdsHibernation`] and back.
+struct Carried {
     owner: String,
-    engine_manifest: EngineManifest,
-    db_manifest: DatabaseManifest,
     policy: PolicySet,
     audit: AuditLog,
     owner_key: SymmetricKey,
     protocol_key: Option<SymmetricKey>,
+    /// Logical "today" in days, for retention checks.
     clock_day: u64,
+    /// Standing queries, by subscription id.
     subs: BTreeMap<u32, Subscription>,
     next_sub: u32,
-    /// The flight-recorder ring's durable identity (a hibernation holds
-    /// no flash handle; the ring is recovered from its blocks on wake).
-    blackbox_blocks: Vec<BlockId>,
-    blackbox_cap: usize,
 }
-
-impl PdsHibernation {
-    /// The hibernated token's identity.
-    pub fn id(&self) -> TokenId {
-        self.sleep.id()
-    }
-
-    /// Approximate parked footprint: bytes of the sparse chip snapshot
-    /// (the manifests and metadata are small next to it).
-    pub fn resident_bytes(&self) -> usize {
-        self.sleep.resident_bytes()
-    }
-}
-use crate::error::PdsError;
-use crate::policy::{Action, Collection, PolicySet, Purpose, Rule};
 
 /// Who is asking, and why.
 #[derive(Debug, Clone)]
@@ -114,18 +81,9 @@ impl AccessContext {
 /// A Personal Data Server.
 pub struct Pds {
     token: Token,
-    owner: String,
+    meta: Carried,
     engine: SearchEngine,
     db: Database,
-    policy: PolicySet,
-    audit: AuditLog,
-    owner_key: SymmetricKey,
-    protocol_key: Option<SymmetricKey>,
-    /// Logical "today" in days, for retention checks.
-    clock_day: u64,
-    /// Standing queries, by subscription id.
-    subs: BTreeMap<u32, Subscription>,
-    next_sub: u32,
     /// The durable flight-recorder ring (black box) of this token.
     blackbox: BlackBox,
     /// Post-mortem of the most recent reopen/wake, if any.
@@ -165,16 +123,18 @@ impl Pds {
         let blackbox = BlackBox::new(&flash, DEFAULT_FRAME_CAP);
         Ok(Pds {
             token,
-            owner: owner.to_string(),
+            meta: Carried {
+                owner: owner.to_string(),
+                policy: PolicySet::owner_default(owner),
+                audit: AuditLog::new(),
+                owner_key,
+                protocol_key: None,
+                clock_day: 0,
+                subs: BTreeMap::new(),
+                next_sub: 0,
+            },
             engine,
             db,
-            policy: PolicySet::owner_default(owner),
-            audit: AuditLog::new(),
-            owner_key,
-            protocol_key: None,
-            clock_day: 0,
-            subs: BTreeMap::new(),
-            next_sub: 0,
             blackbox,
             last_forensics: None,
         })
@@ -213,7 +173,7 @@ impl Pds {
 
     /// The owning individual.
     pub fn owner(&self) -> &str {
-        &self.owner
+        &self.meta.owner
     }
 
     /// The underlying token (flash stats, tamper state …).
@@ -228,38 +188,38 @@ impl Pds {
 
     /// The owner's archive key.
     pub fn owner_key(&self) -> &SymmetricKey {
-        &self.owner_key
+        &self.meta.owner_key
     }
 
     /// Enroll into a token population: install the shared protocol key
     /// (issued by the trusted manufacturer, never seen by the SSI).
     pub fn enroll(&mut self, protocol_key: SymmetricKey) {
-        self.protocol_key = Some(protocol_key);
+        self.meta.protocol_key = Some(protocol_key);
     }
 
     /// The shared protocol key, if enrolled.
     pub fn protocol_key(&self) -> Option<&SymmetricKey> {
-        self.protocol_key.as_ref()
+        self.meta.protocol_key.as_ref()
     }
 
     /// Advance the logical clock (days since epoch).
     pub fn set_clock(&mut self, day: u64) {
-        self.clock_day = day;
+        self.meta.clock_day = day;
     }
 
     /// Add a policy rule (the user editing her privacy settings).
     pub fn grant(&mut self, rule: Rule) {
-        self.policy.add(rule);
+        self.meta.policy.add(rule);
     }
 
     /// Revoke every rule naming `subject`.
     pub fn revoke(&mut self, subject: &str) {
-        self.policy.revoke_subject(subject);
+        self.meta.policy.revoke_subject(subject);
     }
 
     /// The audit trail.
     pub fn audit(&self) -> &AuditLog {
-        &self.audit
+        &self.meta.audit
     }
 
     /// Durably flush every buffered structure (documents, tombstones,
@@ -270,157 +230,6 @@ impl Pds {
         self.note(Severity::Info, code::CORE_SYNC, [0, 0]);
         self.blackbox.flush()?;
         Ok(())
-    }
-
-    /// Simulate a power cycle and recover: the token reboots (flash
-    /// controller state rebuilt by cell scan, RAM lost), every record log
-    /// recovers its durable prefix, derived structures (inverted index,
-    /// selection indexes) are rebuilt or dropped, and the losses are
-    /// reported honestly instead of surfacing later as corruption.
-    ///
-    /// Policy, audit trail and keys are carried over in RAM here; on real
-    /// hardware they live in small dedicated logs recovered the same way
-    /// as the data logs.
-    pub fn reopen(self) -> Result<(Pds, ReopenReport), PdsError> {
-        let _span = pds_obs::span!("pds.reopen", "pds.owner" => self.owner.as_str());
-        // Frames staged by the operation the power loss killed never
-        // reached flash — discard them so the rebuilt ring cannot
-        // contain phantom events the durable timeline never saw.
-        let _ = flight::drain();
-        let engine_manifest = self.engine.manifest();
-        let db_manifest = self.db.manifest();
-        let bb_blocks = self.blackbox.blocks();
-        let bb_cap = self.blackbox.capacity();
-        let token = self.token.reopen();
-        let flash = token.flash().clone();
-        let ram = token.ram().clone();
-        let (engine, er) = SearchEngine::recover(&flash, &ram, &engine_manifest)?;
-        let (db, rows_lost, mr) =
-            Database::recover(&flash, &ram, &db_manifest, Some(er.docs_recovered))?;
-        let (mut blackbox, scan) = BlackBox::recover(&flash, &bb_blocks, bb_cap)?;
-        let report = ReopenReport {
-            docs_recovered: er.docs_recovered,
-            docs_lost: er.docs_lost,
-            tombstones_applied: er.tombstones_applied,
-            rows_lost,
-            changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
-        };
-        // The pre-crash timeline is captured before any new frame is
-        // absorbed: it is exactly what the durable ring preserved.
-        let forensics = ForensicsReport::correlate(
-            token.id().0,
-            blackbox.frames().to_vec(),
-            &scan,
-            report.clone(),
-        );
-        flight::record(
-            Severity::Info,
-            subsystem::RECOVERY,
-            code::RECOVERY_REOPEN,
-            [u64::from(report.docs_recovered), report.changes_dropped],
-        );
-        let _ = blackbox.absorb(flight::drain());
-        let subs = clamp_cursors(self.subs, &db);
-        Ok((
-            Pds {
-                token,
-                owner: self.owner,
-                engine,
-                db,
-                policy: self.policy,
-                audit: self.audit,
-                owner_key: self.owner_key,
-                protocol_key: self.protocol_key,
-                clock_day: self.clock_day,
-                subs,
-                next_sub: self.next_sub,
-                blackbox,
-                last_forensics: Some(forensics),
-            },
-            report,
-        ))
-    }
-
-    /// Power this PDS down to its persistent state: flush every buffered
-    /// structure to flash, then capture the token's silicon plus the
-    /// recovery manifests and the RAM-carried metadata (policy, audit,
-    /// keys, clock). The returned [`PdsHibernation`] is a fraction of the
-    /// live footprint — no search engine, no table buffers, no flash
-    /// handle — which is what lets a fleet scheduler keep hundreds of
-    /// thousands of idle tokens parked. [`Pds::wake`] is the inverse;
-    /// because [`Pds::sync`] ran first, the wake is lossless.
-    pub fn hibernate(mut self) -> Result<PdsHibernation, PdsError> {
-        self.note(Severity::Info, code::CORE_HIBERNATE, [0, 0]);
-        self.sync()?;
-        Ok(PdsHibernation {
-            sleep: self.token.hibernate(),
-            owner: self.owner,
-            engine_manifest: self.engine.manifest(),
-            db_manifest: self.db.manifest(),
-            policy: self.policy,
-            audit: self.audit,
-            owner_key: self.owner_key,
-            protocol_key: self.protocol_key,
-            clock_day: self.clock_day,
-            subs: self.subs,
-            next_sub: self.next_sub,
-            blackbox_blocks: self.blackbox.blocks(),
-            blackbox_cap: self.blackbox.capacity(),
-        })
-    }
-
-    /// Boot a PDS back from hibernation: the token wakes from its chip
-    /// snapshot and every durable structure recovers exactly as after a
-    /// power cycle ([`Pds::reopen`]). A clean hibernation reports zero
-    /// losses.
-    pub fn wake(h: PdsHibernation) -> Result<(Pds, ReopenReport), PdsError> {
-        let _ = flight::drain();
-        let token = Token::wake(h.sleep);
-        let flash = token.flash().clone();
-        let ram = token.ram().clone();
-        let (engine, er) = SearchEngine::recover(&flash, &ram, &h.engine_manifest)?;
-        let (db, rows_lost, mr) =
-            Database::recover(&flash, &ram, &h.db_manifest, Some(er.docs_recovered))?;
-        let (mut blackbox, scan) = BlackBox::recover(&flash, &h.blackbox_blocks, h.blackbox_cap)?;
-        let report = ReopenReport {
-            docs_recovered: er.docs_recovered,
-            docs_lost: er.docs_lost,
-            tombstones_applied: er.tombstones_applied,
-            rows_lost,
-            changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
-        };
-        let forensics = ForensicsReport::correlate(
-            token.id().0,
-            blackbox.frames().to_vec(),
-            &scan,
-            report.clone(),
-        );
-        flight::record(
-            Severity::Info,
-            subsystem::RECOVERY,
-            code::RECOVERY_REOPEN,
-            [u64::from(report.docs_recovered), report.changes_dropped],
-        );
-        let _ = blackbox.absorb(flight::drain());
-        let subs = clamp_cursors(h.subs, &db);
-        Ok((
-            Pds {
-                token,
-                owner: h.owner,
-                engine,
-                db,
-                policy: h.policy,
-                audit: h.audit,
-                owner_key: h.owner_key,
-                protocol_key: h.protocol_key,
-                clock_day: h.clock_day,
-                subs,
-                next_sub: h.next_sub,
-                blackbox,
-                last_forensics: Some(forensics),
-            },
-            report,
-        ))
     }
 
     // ---- ingestion -----------------------------------------------------
@@ -501,7 +310,7 @@ impl Pds {
         f: impl FnOnce(&mut Self) -> Result<T, PdsError>,
     ) -> Result<T, PdsError> {
         let span =
-            pds_obs::span!("pds.request", "pds.op" => op, "pds.owner" => self.owner.as_str());
+            pds_obs::span!("pds.request", "pds.op" => op, "pds.owner" => self.meta.owner.as_str());
         let ram = self.token.ram().clone();
         ram.reset_high_water();
         let io_before = self.token.flash().stats();
@@ -526,6 +335,7 @@ impl Pds {
             Collection::All => "all".to_string(),
         };
         let ok = self
+            .meta
             .policy
             .permits(&ctx.subject, &collection, action, ctx.purpose, age_days);
         pds_obs::histogram("policy.decision_ns").observe(started.elapsed().as_nanos() as u64);
@@ -536,7 +346,7 @@ impl Pds {
             "policy.denials"
         })
         .inc();
-        self.audit.record(
+        self.meta.audit.record(
             &ctx.subject,
             action.label(),
             &target,
@@ -556,6 +366,97 @@ impl Pds {
         }
     }
 
+    /// The document prefix a read may see: everything for a live read
+    /// (`None`), the docids committed at or before `snap` for a pinned
+    /// one (docids are dense and increasing, so a snapshot's view of
+    /// the corpus is a prefix).
+    fn visible_docs(&self, snap: Option<&Snapshot>) -> Result<Option<u32>, PdsError> {
+        let Some(snap) = snap else { return Ok(None) };
+        let mvcc = self.db.mvcc().ok_or(pds_db::DbError::MvccDisabled)?;
+        Ok(Some(mvcc.visible_at(snap, DOC_STORE)))
+    }
+
+    /// The one search path: live (`snap: None`) or pinned.
+    fn search_in(
+        &mut self,
+        ctx: &AccessContext,
+        snap: Option<&Snapshot>,
+        keywords: &[&str],
+        n: usize,
+    ) -> Result<Vec<SearchHit>, PdsError> {
+        let op = if snap.is_some() {
+            "search_at"
+        } else {
+            "search"
+        };
+        self.traced_request(op, |pds| {
+            pds.check(ctx, Collection::Documents, Action::Search, 0)?;
+            Ok(match pds.visible_docs(snap)? {
+                Some(visible) => pds.engine.search_visible(keywords, n, visible)?,
+                None => pds.engine.search(keywords, n)?,
+            })
+        })
+    }
+
+    /// The one document-fetch path: live (`snap: None`) or pinned.
+    fn get_document_in(
+        &mut self,
+        ctx: &AccessContext,
+        snap: Option<&Snapshot>,
+        docid: u32,
+    ) -> Result<Vec<u8>, PdsError> {
+        let op = if snap.is_some() {
+            "get_document_at"
+        } else {
+            "get_document"
+        };
+        self.traced_request(op, |pds| {
+            pds.check(ctx, Collection::Documents, Action::Read, 0)?;
+            if pds
+                .visible_docs(snap)?
+                .is_some_and(|visible| docid >= visible)
+            {
+                return Err(PdsError::Flash(FlashError::BadRecordAddr));
+            }
+            Ok(pds.engine.get_document(docid)?)
+        })
+    }
+
+    /// The one selection path: live (`snap: None`) or pinned — the gate,
+    /// the audit record and the per-row retention filter exist here once.
+    fn select_in(
+        &mut self,
+        ctx: &AccessContext,
+        snap: Option<&Snapshot>,
+        table: &str,
+        pred: &Predicate,
+    ) -> Result<Vec<Row>, PdsError> {
+        let op = if snap.is_some() {
+            "select_at"
+        } else {
+            "select"
+        };
+        self.traced_request(op, |pds| {
+            let coll = Collection::Table(table.to_string());
+            pds.check(ctx, coll.clone(), Action::Read, 0)?;
+            let rows = match snap {
+                Some(snap) => pds.db.select_at(snap, table, pred)?,
+                None => pds.db.select(table, pred)?,
+            };
+            let meta = &pds.meta;
+            Ok(rows
+                .into_iter()
+                .map(|(_, row)| row)
+                .filter(|row| {
+                    let day = row[0].as_u64().unwrap_or(0);
+                    let age = meta.clock_day.saturating_sub(day) as u32;
+                    meta.policy
+                        .permits(&ctx.subject, &coll, Action::Read, ctx.purpose, age)
+                })
+                .collect())
+        })
+    }
+
     /// Policy-gated full-text search.
     pub fn search(
         &mut self,
@@ -563,10 +464,7 @@ impl Pds {
         keywords: &[&str],
         n: usize,
     ) -> Result<Vec<SearchHit>, PdsError> {
-        self.traced_request("search", |pds| {
-            pds.check(ctx, Collection::Documents, Action::Search, 0)?;
-            Ok(pds.engine.search(keywords, n)?)
-        })
+        self.search_in(ctx, None, keywords, n)
     }
 
     /// [`search`](Self::search) plus the full [`pds_obs::QueryTrace`] of
@@ -584,10 +482,7 @@ impl Pds {
 
     /// Policy-gated document fetch.
     pub fn get_document(&mut self, ctx: &AccessContext, docid: u32) -> Result<Vec<u8>, PdsError> {
-        self.traced_request("get_document", |pds| {
-            pds.check(ctx, Collection::Documents, Action::Read, 0)?;
-            Ok(pds.engine.get_document(docid)?)
-        })
+        self.get_document_in(ctx, None, docid)
     }
 
     /// Policy-gated relational selection. Retention is enforced per row:
@@ -599,22 +494,7 @@ impl Pds {
         table: &str,
         pred: &Predicate,
     ) -> Result<Vec<Row>, PdsError> {
-        self.traced_request("select", |pds| {
-            pds.check(ctx, Collection::Table(table.to_string()), Action::Read, 0)?;
-            let rows = pds.db.select(table, pred)?;
-            let clock = pds.clock_day;
-            let policy = &pds.policy;
-            let coll = Collection::Table(table.to_string());
-            Ok(rows
-                .into_iter()
-                .map(|(_, row)| row)
-                .filter(|row| {
-                    let day = row[0].as_u64().unwrap_or(0);
-                    let age = clock.saturating_sub(day) as u32;
-                    policy.permits(&ctx.subject, &coll, Action::Read, ctx.purpose, age)
-                })
-                .collect())
-        })
+        self.select_in(ctx, None, table, pred)
     }
 
     /// Owner-only maintenance: build a PBFilter summary index over
@@ -627,7 +507,7 @@ impl Pds {
         column: &str,
     ) -> Result<(), PdsError> {
         self.traced_request("create_index", |pds| {
-            if ctx.subject != pds.owner {
+            if ctx.subject != pds.meta.owner {
                 return Err(PdsError::Denied {
                     subject: ctx.subject.clone(),
                     action: format!("create_index on {table}"),
@@ -666,13 +546,7 @@ impl Pds {
                 0,
             )?;
             let t = pds.db.table(table)?;
-            let c =
-                t.schema()
-                    .column_index(column)
-                    .ok_or_else(|| pds_db::DbError::UnknownColumn {
-                        table: table.to_string(),
-                        column: column.to_string(),
-                    })?;
+            let c = t.column(column)?;
             let mut sum = 0u64;
             match pred {
                 None => {
@@ -690,17 +564,17 @@ impl Pds {
         })
     }
 
-    /// Value of one attribute for the global GROUP BY protocols: the
-    /// grouping key and the aggregated measure of this individual.
-    /// Policy-gated as an `Aggregate` action.
-    pub fn group_contribution(
+    /// One scan folding `table` by `group_column`: each row adds its
+    /// `measure_column` value to its group, or 1 when counting.
+    fn group_fold(
         &mut self,
+        op: &str,
         ctx: &AccessContext,
         table: &str,
         group_column: &str,
-        measure_column: &str,
+        measure_column: Option<&str>,
     ) -> Result<Vec<(String, u64)>, PdsError> {
-        self.traced_request("group_contribution", |pds| {
+        self.traced_request(op, |pds| {
             pds.check(
                 ctx,
                 Collection::Table(table.to_string()),
@@ -708,22 +582,12 @@ impl Pds {
                 0,
             )?;
             let t = pds.db.table(table)?;
-            let g = t.schema().column_index(group_column).ok_or_else(|| {
-                pds_db::DbError::UnknownColumn {
-                    table: table.to_string(),
-                    column: group_column.to_string(),
-                }
-            })?;
-            let m = t.schema().column_index(measure_column).ok_or_else(|| {
-                pds_db::DbError::UnknownColumn {
-                    table: table.to_string(),
-                    column: measure_column.to_string(),
-                }
-            })?;
-            let mut groups: std::collections::BTreeMap<String, u64> = Default::default();
+            let g = t.column(group_column)?;
+            let m = measure_column.map(|c| t.column(c)).transpose()?;
+            let mut groups: BTreeMap<String, u64> = BTreeMap::new();
             t.scan(|_, row| {
-                let key = row[g].to_string();
-                *groups.entry(key).or_insert(0) += row[m].as_u64().unwrap_or(0);
+                let add = m.map_or(1, |m| row[m].as_u64().unwrap_or(0));
+                *groups.entry(row[g].to_string()).or_insert(0) += add;
             })?;
             pds.note(
                 Severity::Info,
@@ -734,6 +598,25 @@ impl Pds {
         })
     }
 
+    /// Value of one attribute for the global GROUP BY protocols: the
+    /// grouping key and the aggregated measure of this individual.
+    /// Policy-gated as an `Aggregate` action.
+    pub fn group_contribution(
+        &mut self,
+        ctx: &AccessContext,
+        table: &str,
+        group_column: &str,
+        measure_column: &str,
+    ) -> Result<Vec<(String, u64)>, PdsError> {
+        self.group_fold(
+            "group_contribution",
+            ctx,
+            table,
+            group_column,
+            Some(measure_column),
+        )
+    }
+
     /// Per-group record counts for global COUNT queries — same gate as
     /// [`group_contribution`](Self::group_contribution).
     pub fn group_count(
@@ -742,31 +625,7 @@ impl Pds {
         table: &str,
         group_column: &str,
     ) -> Result<Vec<(String, u64)>, PdsError> {
-        self.traced_request("group_count", |pds| {
-            pds.check(
-                ctx,
-                Collection::Table(table.to_string()),
-                Action::Aggregate,
-                0,
-            )?;
-            let t = pds.db.table(table)?;
-            let g = t.schema().column_index(group_column).ok_or_else(|| {
-                pds_db::DbError::UnknownColumn {
-                    table: table.to_string(),
-                    column: group_column.to_string(),
-                }
-            })?;
-            let mut groups: std::collections::BTreeMap<String, u64> = Default::default();
-            t.scan(|_, row| {
-                *groups.entry(row[g].to_string()).or_insert(0) += 1;
-            })?;
-            pds.note(
-                Severity::Info,
-                code::CORE_CONTRIBUTION,
-                [groups.len() as u64, 0],
-            );
-            Ok(groups.into_iter().collect())
-        })
+        self.group_fold("group_count", ctx, table, group_column, None)
     }
 
     /// Snapshot the whole PDS content (documents + tables) as plaintext
@@ -798,9 +657,10 @@ impl Pds {
     }
 
     /// Rebuild a PDS from a snapshot (disaster recovery onto a fresh
-    /// token).
+    /// secure token — the profile every archive a `Pds` can produce
+    /// fits, whatever hardware wrote it).
     pub fn restore(id: u64, owner: &str, snapshot: &[u8]) -> Result<Pds, PdsError> {
-        let mut pds = Pds::for_tests(id, owner)?;
+        let mut pds = Pds::new(id, owner)?;
         let mut off = 0usize;
         let read_u32 = |buf: &[u8], off: &mut usize| -> Result<u32, PdsError> {
             let b: [u8; 4] = buf
@@ -877,22 +737,7 @@ impl Pds {
         table: &str,
         pred: &Predicate,
     ) -> Result<Vec<Row>, PdsError> {
-        self.traced_request("select_at", |pds| {
-            pds.check(ctx, Collection::Table(table.to_string()), Action::Read, 0)?;
-            let rows = pds.db.select_at(snap, table, pred)?;
-            let clock = pds.clock_day;
-            let policy = &pds.policy;
-            let coll = Collection::Table(table.to_string());
-            Ok(rows
-                .into_iter()
-                .map(|(_, row)| row)
-                .filter(|row| {
-                    let day = row[0].as_u64().unwrap_or(0);
-                    let age = clock.saturating_sub(day) as u32;
-                    policy.permits(&ctx.subject, &coll, Action::Read, ctx.purpose, age)
-                })
-                .collect())
-        })
+        self.select_in(ctx, Some(snap), table, pred)
     }
 
     /// [`search`](Self::search) pinned to a snapshot: only documents
@@ -905,12 +750,7 @@ impl Pds {
         keywords: &[&str],
         n: usize,
     ) -> Result<Vec<SearchHit>, PdsError> {
-        self.traced_request("search_at", |pds| {
-            pds.check(ctx, Collection::Documents, Action::Search, 0)?;
-            let mvcc = pds.db.mvcc().ok_or(pds_db::DbError::MvccDisabled)?;
-            let visible = mvcc.visible_at(snap, DOC_STORE);
-            Ok(pds.engine.search_visible(keywords, n, visible)?)
-        })
+        self.search_in(ctx, Some(snap), keywords, n)
     }
 
     /// [`get_document`](Self::get_document) pinned to a snapshot: a
@@ -922,14 +762,7 @@ impl Pds {
         snap: &Snapshot,
         docid: u32,
     ) -> Result<Vec<u8>, PdsError> {
-        self.traced_request("get_document_at", |pds| {
-            pds.check(ctx, Collection::Documents, Action::Read, 0)?;
-            let mvcc = pds.db.mvcc().ok_or(pds_db::DbError::MvccDisabled)?;
-            if docid >= mvcc.visible_at(snap, DOC_STORE) {
-                return Err(PdsError::Flash(FlashError::BadRecordAddr));
-            }
-            Ok(pds.engine.get_document(docid)?)
-        })
+        self.get_document_in(ctx, Some(snap), docid)
     }
 
     /// Change records strictly after `since`, from the durable HLC log —
@@ -944,9 +777,9 @@ impl Pds {
     pub fn subscribe(&mut self, table: &str, pred: Predicate) -> Result<u32, PdsError> {
         self.db.store_id(table)?;
         let cursor = self.db.mvcc().ok_or(pds_db::DbError::MvccDisabled)?.now();
-        let id = self.next_sub;
-        self.next_sub += 1;
-        self.subs.insert(
+        let id = self.meta.next_sub;
+        self.meta.next_sub += 1;
+        self.meta.subs.insert(
             id,
             Subscription {
                 table: table.to_string(),
@@ -964,6 +797,7 @@ impl Pds {
     /// cursor moves in whole commits, never mid-commit.
     pub fn poll_subscription(&mut self, id: u32) -> Result<Vec<(RowId, Row)>, PdsError> {
         let sub = self
+            .meta
             .subs
             .get(&id)
             .ok_or(PdsError::UnknownSubscription(id))?;
@@ -976,12 +810,7 @@ impl Pds {
         };
         let store = self.db.store_id(&table)?;
         let t = self.db.table(&table)?;
-        let c = t.schema().column_index(pred.column()).ok_or_else(|| {
-            pds_db::DbError::UnknownColumn {
-                table: table.clone(),
-                column: pred.column().to_string(),
-            }
-        })?;
+        let c = t.column(pred.column())?;
         let mut out = Vec::new();
         for rec in recs {
             if rec.store != store || rec.kind != kind::ROW_INSERT {
@@ -992,7 +821,7 @@ impl Pds {
                 out.push((rec.entity, row));
             }
         }
-        if let Some(s) = self.subs.get_mut(&id) {
+        if let Some(s) = self.meta.subs.get_mut(&id) {
             s.cursor = last;
         }
         if !out.is_empty() {
@@ -1004,7 +833,7 @@ impl Pds {
 
     /// The registered subscriptions, by id.
     pub fn subscriptions(&self) -> &BTreeMap<u32, Subscription> {
-        &self.subs
+        &self.meta.subs
     }
 
     /// Reclaim version history: collapse marks and compact the change
@@ -1012,26 +841,9 @@ impl Pds {
     /// subscription cursor (a subscriber must still be able to read
     /// every change it has not yet observed).
     pub fn gc_versions(&mut self) -> Result<GcReport, PdsError> {
-        let keep = self.subs.values().map(|s| s.cursor).min();
+        let keep = self.meta.subs.values().map(|s| s.cursor).min();
         Ok(self.db.gc_versions(keep)?)
     }
-}
-
-/// After a power loss the HLC log recovers its durable prefix; a cursor
-/// stamped beyond that prefix points at history that no longer exists.
-/// Clamp it to the recovered frontier so the subscription resumes from
-/// what actually survived.
-fn clamp_cursors(
-    mut subs: BTreeMap<u32, Subscription>,
-    db: &Database,
-) -> BTreeMap<u32, Subscription> {
-    let now = db.mvcc().map_or(Hlc::ZERO, |m| m.now());
-    for s in subs.values_mut() {
-        if s.cursor > now {
-            s.cursor = now;
-        }
-    }
-    subs
 }
 
 #[cfg(test)]

@@ -1,0 +1,170 @@
+//! The one boot path of a [`Pds`]: `power_off → wake`.
+//!
+//! A clean [`Pds::hibernate`] and a power loss ([`Pds::reopen`]) differ
+//! only in whether [`Pds::sync`] ran before the power went; both leave a
+//! [`PdsHibernation`] and both come back through [`Pds::wake`], the only
+//! code that recovers the stores, the recorder ring and the
+//! subscription cursors.
+
+use std::collections::BTreeMap;
+
+use pds_db::{Database, DatabaseManifest, Hlc};
+use pds_flash::{BlackBox, BlockId};
+use pds_mcu::{Token, TokenId, TokenSleep};
+use pds_obs::flight::{self, code, subsystem, Severity};
+use pds_search::{EngineManifest, SearchEngine};
+
+use super::{Carried, Pds, Subscription};
+use crate::error::PdsError;
+use crate::forensics::ForensicsReport;
+
+/// What [`Pds::reopen`] recovered after a power loss.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReopenReport {
+    /// Documents intact after the crash.
+    pub docs_recovered: u32,
+    /// Documents lost (never fully reached flash).
+    pub docs_lost: u32,
+    /// Deletions re-applied from the durable tombstone log.
+    pub tombstones_applied: u64,
+    /// Per-table `(name, rows_lost)`.
+    pub rows_lost: Vec<(String, u32)>,
+    /// Change records dropped from the HLC log because the rows they
+    /// stamped did not survive (`changes_since` never names an entity
+    /// the recovered stores cannot serve).
+    pub changes_dropped: u64,
+}
+
+/// A powered-down PDS: the token's persistent silicon plus the recovery
+/// manifests and RAM-carried metadata captured at power-off. Holds no
+/// `Rc` flash handle and no live engine state — plain data a scheduler
+/// can park by the hundred thousand and revive with [`Pds::wake`].
+pub struct PdsHibernation {
+    sleep: TokenSleep,
+    meta: Carried,
+    engine_manifest: EngineManifest,
+    db_manifest: DatabaseManifest,
+    /// The flight-recorder ring's durable identity (a hibernation holds
+    /// no flash handle; the ring is recovered from its blocks on wake).
+    blackbox_blocks: Vec<BlockId>,
+    blackbox_cap: usize,
+}
+
+impl PdsHibernation {
+    /// The hibernated token's identity.
+    pub fn id(&self) -> TokenId {
+        self.sleep.id()
+    }
+
+    /// Approximate parked footprint: bytes of the sparse chip snapshot
+    /// (the manifests and metadata are small next to it).
+    pub fn resident_bytes(&self) -> usize {
+        self.sleep.resident_bytes()
+    }
+}
+
+impl Pds {
+    /// Cut the power: keep the token's silicon, the recovery manifests
+    /// and the RAM-carried metadata, *without* flushing — whatever was
+    /// still buffered dies here, exactly as in a real power loss.
+    fn power_off(self) -> PdsHibernation {
+        PdsHibernation {
+            sleep: self.token.hibernate(),
+            meta: self.meta,
+            engine_manifest: self.engine.manifest(),
+            db_manifest: self.db.manifest(),
+            blackbox_blocks: self.blackbox.blocks(),
+            blackbox_cap: self.blackbox.capacity(),
+        }
+    }
+
+    /// Simulate a power cycle and recover: power off with nothing
+    /// flushed, then boot through [`Pds::wake`] — the flash controller
+    /// state is rebuilt by cell scan, RAM is lost, every record log
+    /// recovers its durable prefix, derived structures (inverted index,
+    /// selection indexes) are rebuilt or dropped, and the losses are
+    /// reported honestly instead of surfacing later as corruption.
+    pub fn reopen(self) -> Result<(Pds, ReopenReport), PdsError> {
+        let _span = pds_obs::span!("pds.reopen", "pds.owner" => self.meta.owner.as_str());
+        Pds::wake(self.power_off())
+    }
+
+    /// Power this PDS down to its persistent state: flush every buffered
+    /// structure to flash, then capture the token's silicon plus the
+    /// recovery manifests and the RAM-carried metadata (policy, audit,
+    /// keys, clock). The returned [`PdsHibernation`] is a fraction of the
+    /// live footprint — no search engine, no table buffers, no flash
+    /// handle — which is what lets a fleet scheduler keep hundreds of
+    /// thousands of idle tokens parked. [`Pds::wake`] is the inverse;
+    /// because [`Pds::sync`] ran first, the wake is lossless.
+    pub fn hibernate(mut self) -> Result<PdsHibernation, PdsError> {
+        self.note(Severity::Info, code::CORE_HIBERNATE, [0, 0]);
+        self.sync()?;
+        Ok(self.power_off())
+    }
+
+    /// Boot a PDS from its persistent state — the only boot path, taken
+    /// after a clean hibernation and after a power loss alike: the token
+    /// wakes from its chip snapshot, every durable structure recovers
+    /// its durable prefix, and the recorder ring yields the post-mortem.
+    /// A clean hibernation reports zero losses.
+    pub fn wake(h: PdsHibernation) -> Result<(Pds, ReopenReport), PdsError> {
+        // Frames staged by the operation the power loss killed never
+        // reached flash — discard them so the rebuilt ring cannot
+        // contain phantom events the durable timeline never saw.
+        let _ = flight::drain();
+        let token = Token::wake(h.sleep);
+        let flash = token.flash().clone();
+        let ram = token.ram().clone();
+        let (engine, er) = SearchEngine::recover(&flash, &ram, &h.engine_manifest)?;
+        let (db, rows_lost, mr) =
+            Database::recover(&flash, &ram, &h.db_manifest, Some(er.docs_recovered))?;
+        let (mut blackbox, scan) = BlackBox::recover(&flash, &h.blackbox_blocks, h.blackbox_cap)?;
+        let report = ReopenReport {
+            docs_recovered: er.docs_recovered,
+            docs_lost: er.docs_lost,
+            tombstones_applied: er.tombstones_applied,
+            rows_lost,
+            changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
+        };
+        // The pre-crash timeline is captured before any new frame is
+        // absorbed: it is exactly what the durable ring preserved.
+        let forensics = ForensicsReport::correlate(
+            token.id().0,
+            blackbox.frames().to_vec(),
+            &scan,
+            report.clone(),
+        );
+        flight::record(
+            Severity::Info,
+            subsystem::RECOVERY,
+            code::RECOVERY_REOPEN,
+            [u64::from(report.docs_recovered), report.changes_dropped],
+        );
+        let _ = blackbox.absorb(flight::drain());
+        let mut meta = h.meta;
+        clamp_cursors(&mut meta.subs, &db);
+        let pds = Pds {
+            token,
+            meta,
+            engine,
+            db,
+            blackbox,
+            last_forensics: Some(forensics),
+        };
+        Ok((pds, report))
+    }
+}
+
+/// After a power loss the HLC log recovers its durable prefix; a cursor
+/// stamped beyond that prefix points at history that no longer exists.
+/// Clamp it to the recovered frontier so the subscription resumes from
+/// what actually survived.
+fn clamp_cursors(subs: &mut BTreeMap<u32, Subscription>, db: &Database) {
+    let now = db.mvcc().map_or(Hlc::ZERO, |m| m.now());
+    for s in subs.values_mut() {
+        if s.cursor > now {
+            s.cursor = now;
+        }
+    }
+}

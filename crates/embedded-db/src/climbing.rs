@@ -126,13 +126,7 @@ impl SchemaTreeBuilder {
         for (from, col, to) in &self.references {
             let f = find(from)?;
             let t = find(to)?;
-            let c = tables[f]
-                .schema()
-                .column_index(col)
-                .ok_or_else(|| DbError::UnknownColumn {
-                    table: from.clone(),
-                    column: col.clone(),
-                })?;
+            let c = tables[f].column(col)?;
             refs[f].push((c, t));
         }
         // DFS from the root.
@@ -265,13 +259,7 @@ impl TselectIndex {
         let t = tree
             .table_index(table_name)
             .ok_or_else(|| DbError::UnknownTable(table_name.to_string()))?;
-        let c = tables[t]
-            .schema()
-            .column_index(column)
-            .ok_or_else(|| DbError::UnknownColumn {
-                table: table_name.to_string(),
-                column: column.to_string(),
-            })?;
+        let c = tables[t].column(column)?;
         let pos_in_order = tree
             .order()
             .iter()

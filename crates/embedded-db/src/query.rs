@@ -174,16 +174,6 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    fn column_idx(&self, t: usize, column: &str) -> Result<usize, DbError> {
-        self.tables[t]
-            .schema()
-            .column_index(column)
-            .ok_or_else(|| DbError::UnknownColumn {
-                table: self.tables[t].name().to_string(),
-                column: column.to_string(),
-            })
-    }
-
     /// Borrow a table.
     pub fn table(&self, name: &str) -> Result<&Table, DbError> {
         Ok(&self.tables[self.table_idx(name)?])
@@ -419,7 +409,7 @@ impl Database {
         let span = pds_obs::span!("db.create_index", "db.table" => table, "db.column" => column);
         let before = self.flash.stats();
         let t = self.table_idx(table)?;
-        let c = self.column_idx(t, column)?;
+        let c = self.tables[t].column(column)?;
         let mut pbf = PBFilter::new(&self.flash);
         self.tables[t].scan(|rowid, row| {
             // Scan is infallible on well-formed tables; surface flash
@@ -438,7 +428,7 @@ impl Database {
             pds_obs::span!("db.reorganize_index", "db.table" => table, "db.column" => column);
         let before = self.flash.stats();
         let t = self.table_idx(table)?;
-        let c = self.column_idx(t, column)?;
+        let c = self.tables[t].column(column)?;
         let Some(ColumnIndex::PBFilter(pbf)) = self.indexes.get(&(t, c)) else {
             return Err(DbError::Corrupt("no PBFilter to reorganize"));
         };
@@ -460,7 +450,7 @@ impl Database {
     /// fall back to a scan until the column is reorganized.
     pub fn explain(&self, table: &str, pred: &Predicate) -> Result<QueryPlan, DbError> {
         let t = self.table_idx(table)?;
-        let c = self.column_idx(t, pred.column())?;
+        let c = self.tables[t].column(pred.column())?;
         Ok(match (self.indexes.get(&(t, c)), pred) {
             (Some(ColumnIndex::Tree(_)), _) => QueryPlan::TreeLookup,
             (Some(ColumnIndex::PBFilter(_)), Predicate::Eq { .. }) => QueryPlan::SummaryScan,
@@ -474,7 +464,7 @@ impl Database {
         let span = pds_obs::span!("db.select", "db.table" => table);
         let before = self.flash.stats();
         let t = self.table_idx(table)?;
-        let c = self.column_idx(t, pred.column())?;
+        let c = self.tables[t].column(pred.column())?;
         let plan = self.explain(table, pred)?;
         span.set("db.plan", plan.name());
         let result: Vec<(RowId, Row)> = match (self.indexes.get(&(t, c)), pred) {

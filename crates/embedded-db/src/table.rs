@@ -8,6 +8,7 @@
 
 use pds_flash::{BlockId, Flash, FlashError, LogWriter, RecordAddr};
 
+use crate::error::DbError;
 use crate::value::{decode_row, encode_row, Row, Schema};
 
 /// Durable identity of a [`Table`] across a power cycle: name, schema,
@@ -59,6 +60,17 @@ impl Table {
     /// Table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// Position of `column` in the schema, or the typed
+    /// [`DbError::UnknownColumn`] naming this table.
+    pub fn column(&self, column: &str) -> Result<usize, DbError> {
+        self.schema
+            .column_index(column)
+            .ok_or_else(|| DbError::UnknownColumn {
+                table: self.name.clone(),
+                column: column.to_string(),
+            })
     }
 
     /// Number of rows.
@@ -122,10 +134,7 @@ impl Table {
         let keep = m
             .directory
             .iter()
-            .take_while(|a| {
-                (a.page as usize) < report.slots_per_page.len()
-                    && a.slot < report.slots_per_page[a.page as usize]
-            })
+            .take_while(|a| report.survived(**a))
             .count();
         let lost = (m.directory.len() - keep) as u32;
         pds_obs::counter("recovery.rows_lost").add(lost as u64);

@@ -5,8 +5,8 @@
 //! [`EventFrame`]s (`{tick, severity, subsystem, code, args}` — codes
 //! and ids only, never payload bytes) through the same fault-injectable
 //! NAND layer as the data it describes. Frames ride ordinary
-//! [`LogWriter`] record pages, so they inherit the whole flash
-//! contract: strictly sequential programs, per-page CRCs, and a
+//! [`LogWriter`](crate::LogWriter) record pages, so they inherit the
+//! whole flash contract: strictly sequential programs, per-page CRCs, and a
 //! recovery scan that truncates a torn tail to the durable prefix —
 //! torn frames are *dropped*, never decoded.
 //!
@@ -19,10 +19,11 @@
 //! a fresh log (whole-log rewrite — partial GC never occurs on this
 //! flash) whose blocks come from the allocator's normal wear rotation.
 //!
-//! The recorder sits *outside* the MVCC/changelog machinery on purpose:
-//! it must stay appendable while those structures are mid-recovery, and
-//! its loss must never imply data loss (see DESIGN.md, "Flight
-//! recorder").
+//! The recorder sits *outside* the MVCC/changelog machinery on purpose
+//! — its own log instance, though the same mirrored-log implementation
+//! as the change log: it must stay appendable while those structures
+//! are mid-recovery, and its loss must never imply data loss (see
+//! DESIGN.md, "Flight recorder").
 //!
 //! Counters: `blackbox.frames_written`, `blackbox.frames_dropped`,
 //! `blackbox.compactions`, `blackbox.pages_flushed`,
@@ -32,7 +33,7 @@ use pds_obs::flight::EventFrame;
 
 use crate::error::Result;
 use crate::geometry::BlockId;
-use crate::log::LogWriter;
+use crate::mirrored::MirroredLog;
 use crate::Flash;
 
 /// Default bounded capacity of one token's ring, in frames.
@@ -59,12 +60,11 @@ impl BlackboxRecovery {
 }
 
 /// A bounded, durably recoverable ring of [`EventFrame`]s with a RAM
-/// mirror (28 B per frame) serving timeline reads without page I/O.
+/// mirror (28 B per frame) serving timeline reads without page I/O —
+/// the tick-stamped, capacity-bounded front of the crate's one mirrored
+/// log.
 pub struct BlackBox {
-    flash: Flash,
-    log: LogWriter,
-    /// RAM mirror of every exposed frame, in tick order.
-    frames: Vec<EventFrame>,
+    log: MirroredLog<EventFrame>,
     cap: usize,
     next_tick: u64,
 }
@@ -73,9 +73,7 @@ impl BlackBox {
     /// An empty ring; no flash block is held until the first flush.
     pub fn new(flash: &Flash, cap: usize) -> Self {
         BlackBox {
-            flash: flash.clone(),
-            log: flash.new_log(),
-            frames: Vec::new(),
+            log: MirroredLog::new(flash),
             cap: cap.max(8),
             next_tick: 0,
         }
@@ -83,12 +81,12 @@ impl BlackBox {
 
     /// Frames currently exposed (flushed + buffered), in tick order.
     pub fn frames(&self) -> &[EventFrame] {
-        &self.frames
+        self.log.records()
     }
 
     /// Exposed frame count.
     pub fn num_frames(&self) -> u64 {
-        self.frames.len() as u64
+        self.frames().len() as u64
     }
 
     /// The bounded ring capacity, in frames.
@@ -98,13 +96,13 @@ impl BlackBox {
 
     /// Tick of the newest frame, if any.
     pub fn last_tick(&self) -> Option<u64> {
-        self.frames.last().map(|f| f.tick)
+        self.frames().last().map(|f| f.tick)
     }
 
     /// The erase blocks the ring occupies — its durable identity, to be
     /// carried by the layer above and handed to [`BlackBox::recover`].
     pub fn blocks(&self) -> Vec<BlockId> {
-        self.log.blocks().to_vec()
+        self.log.blocks()
     }
 
     /// Stamp one staged frame with the next tick and append it. When
@@ -112,11 +110,10 @@ impl BlackBox {
     /// away ([`BlackBox::compact`]).
     pub fn record(&mut self, mut frame: EventFrame) -> Result<()> {
         frame.tick = self.next_tick;
-        self.log.append(&frame.encode())?;
+        self.log.append(frame, &frame.encode())?;
         self.next_tick += 1;
-        self.frames.push(frame);
         pds_obs::counter("blackbox.frames_written").inc();
-        if self.frames.len() > self.cap {
+        if self.frames().len() > self.cap {
             self.compact()?;
         }
         Ok(())
@@ -135,9 +132,7 @@ impl BlackBox {
 
     /// Durably flush buffered frames to flash.
     pub fn flush(&mut self) -> Result<()> {
-        let before = self.log.num_pages();
-        self.log.flush()?;
-        let pages = u64::from(self.log.num_pages() - before);
+        let pages = u64::from(self.log.flush()?);
         if pages > 0 {
             pds_obs::counter("blackbox.pages_flushed").add(pages);
         }
@@ -147,85 +142,54 @@ impl BlackBox {
     /// Every frame with a tick at or after `from`, in tick order — the
     /// timeline read forensics is built on.
     pub fn frames_since(&self, from: u64) -> &[EventFrame] {
-        let at = self.frames.partition_point(|f| f.tick < from);
-        &self.frames[at..]
+        let at = self.frames().partition_point(|f| f.tick < from);
+        &self.frames()[at..]
     }
 
     /// Drop the oldest half of the ring by rewriting the newest half
-    /// into a fresh log and returning the old blocks to the pool
-    /// (append-only structures compact by whole-log rewrite; the fresh
-    /// blocks come from the allocator's wear rotation, so a chatty
-    /// recorder cannot pin one block until it dies). The survivors are
-    /// made durable before the old blocks are freed — compaction never
-    /// narrows durable history.
+    /// into a fresh log (the fresh blocks come from the allocator's
+    /// wear rotation, so a chatty recorder cannot pin one block until
+    /// it dies).
     fn compact(&mut self) -> Result<()> {
-        let keep_from = self.frames.len() / 2;
-        let mut fresh = self.flash.new_log();
-        for f in &self.frames[keep_from..] {
-            fresh.append(&f.encode())?;
-        }
-        fresh.flush()?;
-        pds_obs::counter("blackbox.pages_flushed").add(u64::from(fresh.num_pages()));
-        let old = std::mem::replace(&mut self.log, fresh);
-        old.discard();
-        let dropped = keep_from as u64;
-        self.frames.drain(..keep_from);
+        let dropped = self.frames().len() / 2;
+        let pages = self.log.rewrite_from(dropped, EventFrame::encode)?;
+        pds_obs::counter("blackbox.pages_flushed").add(u64::from(pages));
         pds_obs::counter("blackbox.compactions").inc();
-        pds_obs::counter("blackbox.frames_dropped").add(dropped);
+        pds_obs::counter("blackbox.frames_dropped").add(dropped as u64);
         Ok(())
     }
 
-    /// Rebuild a ring after a power loss from its block list. The page
-    /// scan is [`LogWriter::recover`] (CRC-checked, torn tail
-    /// truncated); on top of it, any frame that fails to decode or
-    /// breaks strict tick monotonicity cuts the ring there — the
-    /// recovered timeline is always a causal prefix of the pre-crash
-    /// history, and torn bytes are never decoded into phantom events.
+    /// Rebuild a ring after a power loss from its block list: the
+    /// recovered timeline is the durable causal prefix of the pre-crash
+    /// history (torn tail truncated, cut at the first frame that fails
+    /// to decode or breaks strict tick monotonicity), and torn bytes are
+    /// never decoded into phantom events.
     pub fn recover(
         flash: &Flash,
         blocks: &[BlockId],
         cap: usize,
     ) -> Result<(BlackBox, BlackboxRecovery)> {
-        let (log, rep) = LogWriter::recover(flash, blocks)?;
-        let mut frames: Vec<EventFrame> = Vec::new();
-        let mut malformed = 0u64;
-        'pages: for page in 0..log.num_pages() {
-            for bytes in log.read_page_records(page)? {
-                let parsed = EventFrame::decode(&bytes);
-                let monotone = match (&parsed, frames.last()) {
-                    (Some(f), Some(last)) => f.tick > last.tick,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                match parsed {
-                    Some(f) if monotone => frames.push(f),
-                    _ => {
-                        malformed = 1;
-                        break 'pages;
-                    }
-                }
-            }
-        }
+        // Ticks are a strict per-token sequence.
+        let (log, torn_pages_discarded, cut) =
+            MirroredLog::recover(flash, blocks, EventFrame::decode, |f, last| {
+                f.tick > last.tick
+            })?;
         let report = BlackboxRecovery {
-            frames_recovered: frames.len() as u64,
-            torn_pages_discarded: rep.torn_pages_discarded,
-            malformed_dropped: malformed,
+            frames_recovered: log.records().len() as u64,
+            torn_pages_discarded,
+            malformed_dropped: u64::from(cut),
         };
         pds_obs::counter("blackbox.frames_recovered").add(report.frames_recovered);
         if report.truncated() {
             pds_obs::counter("blackbox.torn_tails_truncated").inc();
         }
-        let next_tick = frames.last().map_or(0, |f| f.tick + 1);
-        Ok((
-            BlackBox {
-                flash: flash.clone(),
-                log,
-                frames,
-                cap: cap.max(8),
-                next_tick,
-            },
-            report,
-        ))
+        let next_tick = log.records().last().map_or(0, |f| f.tick + 1);
+        let ring = BlackBox {
+            log,
+            cap: cap.max(8),
+            next_tick,
+        };
+        Ok((ring, report))
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Every committed write batch of a personal data server is described by
 //! a run of [`ChangeRec`]s stamped with the commit's hybrid logical
-//! clock. The records ride ordinary [`LogWriter`] record pages, so they
-//! inherit the whole flash contract for free: strictly sequential
-//! programs, per-page CRCs, and a recovery scan that truncates a torn
-//! tail to the durable prefix ([`ChangeLog::recover`]).
+//! clock. The records ride ordinary [`LogWriter`](crate::LogWriter)
+//! record pages, so they inherit the whole flash contract for free:
+//! strictly sequential programs, per-page CRCs, and a recovery scan that
+//! truncates a torn tail to the durable prefix ([`ChangeLog::recover`]).
 //!
 //! The log answers one question — `changes_since(h)` — which is what
 //! both consumers of the subsystem are built on: continuous queries
@@ -21,7 +21,7 @@
 
 use crate::error::{FlashError, Result};
 use crate::geometry::BlockId;
-use crate::log::LogWriter;
+use crate::mirrored::MirroredLog;
 use crate::Flash;
 
 /// One committed change: "entity `entity` of store `store` changed at
@@ -76,6 +76,12 @@ impl ChangeRec {
     }
 }
 
+/// Log order: all records of one commit share its stamp, and later
+/// commits stamp strictly higher.
+fn follows(rec: &ChangeRec, last: &ChangeRec) -> bool {
+    rec.stamp() >= last.stamp()
+}
+
 /// What a [`ChangeLog::recover`] scan found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChangeLogRecovery {
@@ -90,44 +96,40 @@ pub struct ChangeLogRecovery {
 }
 
 /// An appendable, durably recoverable log of [`ChangeRec`]s with a RAM
-/// mirror (19 B per record) serving `changes_since` without page I/O.
+/// mirror (19 B per record) serving `changes_since` without page I/O —
+/// the HLC-stamped front of the crate's one mirrored log.
 pub struct ChangeLog {
-    flash: Flash,
-    log: LogWriter,
-    /// RAM mirror of every exposed record, in stamp order.
-    records: Vec<ChangeRec>,
+    log: MirroredLog<ChangeRec>,
 }
 
 impl ChangeLog {
     /// An empty change log; no flash block is held until the first flush.
     pub fn new(flash: &Flash) -> Self {
         ChangeLog {
-            flash: flash.clone(),
-            log: flash.new_log(),
-            records: Vec::new(),
+            log: MirroredLog::new(flash),
         }
     }
 
     /// Records currently exposed (flushed + buffered).
     pub fn num_records(&self) -> u64 {
-        self.records.len() as u64
+        self.records().len() as u64
     }
 
     /// Stamp of the newest record, if any.
     pub fn last_stamp(&self) -> Option<(u64, u32)> {
-        self.records.last().map(ChangeRec::stamp)
+        self.records().last().map(ChangeRec::stamp)
     }
 
     /// Every exposed record, in stamp order (the RAM mirror). Replay
     /// input for layers rebuilding their version marks after recovery.
     pub fn records(&self) -> &[ChangeRec] {
-        &self.records
+        self.log.records()
     }
 
     /// The erase blocks the log occupies — its durable identity, to be
     /// persisted by the layer above and handed to [`ChangeLog::recover`].
     pub fn blocks(&self) -> Vec<BlockId> {
-        self.log.blocks().to_vec()
+        self.log.blocks()
     }
 
     /// Append one record. Stamps must be non-decreasing — all records of
@@ -135,20 +137,26 @@ impl ChangeLog {
     /// higher. Appending below [`last_stamp`](Self::last_stamp) is
     /// refused with [`FlashError::OutOfOrderChange`].
     pub fn append(&mut self, rec: ChangeRec) -> Result<()> {
-        if let Some(last) = self.last_stamp() {
-            if rec.stamp() < last {
-                return Err(FlashError::OutOfOrderChange);
-            }
+        if self
+            .records()
+            .last()
+            .is_some_and(|last| !follows(&rec, last))
+        {
+            return Err(FlashError::OutOfOrderChange);
         }
-        self.log.append(&rec.encode())?;
-        self.records.push(rec);
+        self.log.append(rec, &rec.encode())?;
         pds_obs::counter("mvcc.changes_logged").inc();
         Ok(())
     }
 
     /// Durably flush buffered records to flash.
     pub fn flush(&mut self) -> Result<()> {
-        self.log.flush()
+        self.log.flush().map(|_| ())
+    }
+
+    /// Index of the first record stamped strictly after `(hlc, node)`.
+    fn first_after(&self, hlc: u64, node: u32) -> usize {
+        self.records().partition_point(|r| r.stamp() <= (hlc, node))
     }
 
     /// Every record with a stamp strictly greater than `(hlc, node)`, in
@@ -156,8 +164,7 @@ impl ChangeLog {
     /// consumers keep a cursor stamp and receive each committed change
     /// exactly once.
     pub fn changes_since(&self, hlc: u64, node: u32) -> Vec<ChangeRec> {
-        let from = self.records.partition_point(|r| r.stamp() <= (hlc, node));
-        self.records[from..].to_vec()
+        self.records()[self.first_after(hlc, node)..].to_vec()
     }
 
     /// Drop the suffix of records starting at the first one `keep`
@@ -168,81 +175,39 @@ impl ChangeLog {
     /// still hold the dropped bytes; the next [`compact`](Self::compact)
     /// rewrites them away.
     pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> u64 {
-        let cut = self
-            .records
-            .iter()
-            .position(|r| !keep(r))
-            .unwrap_or(self.records.len());
-        let dropped = (self.records.len() - cut) as u64;
-        self.records.truncate(cut);
-        dropped
+        let all = self.records().len();
+        let cut = self.records().iter().position(|r| !keep(r)).unwrap_or(all);
+        self.log.truncate(cut);
+        (all - cut) as u64
     }
 
     /// Compact against a GC floor: rewrite every record with a stamp
     /// strictly greater than `(hlc, node)` into a fresh log and return
-    /// the old blocks to the pool (append-only structures compact by
-    /// whole-log rewrite — partial GC never occurs on this flash).
-    /// Returns the number of records dropped.
+    /// the old blocks to the pool. Returns the number of records dropped.
     pub fn compact(&mut self, hlc: u64, node: u32) -> Result<u64> {
-        let keep = self.records.partition_point(|r| r.stamp() <= (hlc, node));
-        let dropped = keep as u64;
-        let mut fresh = self.flash.new_log();
-        for rec in &self.records[keep..] {
-            fresh.append(&rec.encode())?;
-        }
-        // Make the survivors durable before the old blocks go back to the
-        // pool — compaction must never narrow the durable history.
-        fresh.flush()?;
-        let old = std::mem::replace(&mut self.log, fresh);
-        old.discard();
-        self.records.drain(..keep);
-        pds_obs::counter("mvcc.changes_compacted").add(dropped);
-        Ok(dropped)
+        let dropped = self.first_after(hlc, node);
+        self.log.rewrite_from(dropped, ChangeRec::encode)?;
+        pds_obs::counter("mvcc.changes_compacted").add(dropped as u64);
+        Ok(dropped as u64)
     }
 
-    /// Rebuild a change log after a power loss from its block list. The
-    /// page scan is [`LogWriter::recover`] (CRC-checked, torn tail
-    /// truncated); on top of it, any record that fails to decode or
-    /// breaks stamp monotonicity cuts the log there — the recovered log
-    /// is always a causal prefix of the pre-crash history, so
-    /// `changes_since` can never return a record the durable stores have
-    /// no data for (phantoms from *lost data rows* are the caller's cut,
-    /// via [`retain_prefix`](Self::retain_prefix)).
+    /// Rebuild a change log after a power loss from its block list: the
+    /// recovered log is the durable causal prefix of the pre-crash
+    /// history (torn tail truncated, cut at the first record that fails
+    /// to decode or breaks stamp monotonicity), so `changes_since` can
+    /// never return a record the durable stores have no data for
+    /// (phantoms from *lost data rows* are the caller's cut, via
+    /// [`retain_prefix`](Self::retain_prefix)).
     pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(ChangeLog, ChangeLogRecovery)> {
-        let (log, rep) = LogWriter::recover(flash, blocks)?;
-        let mut records: Vec<ChangeRec> = Vec::new();
-        let mut malformed = 0u64;
-        'pages: for page in 0..log.num_pages() {
-            for bytes in log.read_page_records(page)? {
-                let parsed = ChangeRec::decode(&bytes);
-                let monotone = match (&parsed, records.last()) {
-                    (Some(rec), Some(last)) => rec.stamp() >= last.stamp(),
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                match parsed {
-                    Some(rec) if monotone => records.push(rec),
-                    _ => {
-                        malformed = 1;
-                        break 'pages;
-                    }
-                }
-            }
-        }
+        let (log, torn_pages_discarded, cut) =
+            MirroredLog::recover(flash, blocks, ChangeRec::decode, follows)?;
         let report = ChangeLogRecovery {
-            records_recovered: records.len() as u64,
-            torn_pages_discarded: rep.torn_pages_discarded,
-            malformed_dropped: malformed,
+            records_recovered: log.records().len() as u64,
+            torn_pages_discarded,
+            malformed_dropped: u64::from(cut),
         };
         pds_obs::counter("recovery.changes_recovered").add(report.records_recovered);
-        Ok((
-            ChangeLog {
-                flash: flash.clone(),
-                log,
-                records,
-            },
-            report,
-        ))
+        Ok((ChangeLog { log }, report))
     }
 }
 

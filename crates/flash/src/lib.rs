@@ -38,6 +38,7 @@ pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod log;
+mod mirrored;
 pub mod nand;
 mod proptests;
 pub mod stats;

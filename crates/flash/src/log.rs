@@ -375,6 +375,16 @@ pub struct RecoveryReport {
     pub slots_per_page: Vec<u16>,
 }
 
+impl RecoveryReport {
+    /// Did the record at `at` survive? True iff its page was recovered
+    /// and its slot lies inside that page's recovered record count.
+    pub fn survived(&self, at: RecordAddr) -> bool {
+        self.slots_per_page
+            .get(at.page as usize)
+            .is_some_and(|&slots| at.slot < slots)
+    }
+}
+
 /// An immutable, sealed log.
 pub struct Log {
     flash: Flash,

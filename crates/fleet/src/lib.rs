@@ -8,7 +8,7 @@
 //! and all, with the SSI doing the only thing it is trusted to do —
 //! store and forward.
 //!
-//! Four layers:
+//! The layers:
 //!
 //! * [`bus`] — the **store-and-forward mailbox bus**: per-endpoint
 //!   mailboxes, a seeded connectivity model (each token is online only a
@@ -24,7 +24,8 @@
 //!   snapshots so resident RAM stays bounded at 100k+ tokens.
 //! * [`pool`] — the simpler **token worker pool** (phase barriers over
 //!   an always-resident fleet), still hosting the Trusted-Cells sync
-//!   network.
+//!   network. Both runtimes sit on one private shard-thread substrate
+//!   (`shards.rs`): spawn, job channel, trace context, join on drop.
 //! * [`agg`] / [`cellnet`] — the [TNP14] secure-aggregation /
 //!   global-query protocols and the Trusted-Cells sync pass re-hosted as
 //!   **phased fleet jobs** (collection → SSI shuffle/compute → result
@@ -62,6 +63,7 @@ pub mod bus;
 pub mod cellnet;
 pub mod pool;
 pub mod sched;
+mod shards;
 pub mod subs;
 pub mod telemetry;
 pub mod trace;

@@ -15,17 +15,14 @@
 //! shared mutable state — then `map(f)` at 1, 2, and 8 workers is
 //! bit-for-bit identical.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::sync::mpsc::channel;
 
 use crate::sched::FleetError;
-
-type Job<T> = Box<dyn FnOnce(&mut Vec<(usize, T)>) + Send>;
+use crate::shards::{in_trace, ShardThreads};
 
 /// A pool of worker threads, each owning one shard of tokens.
 pub struct TokenPool<T> {
-    txs: Vec<Sender<Job<T>>>,
-    handles: Vec<JoinHandle<()>>,
+    shards: ShardThreads<Vec<(usize, T)>>,
     n_tokens: usize,
 }
 
@@ -36,49 +33,18 @@ impl<T: 'static> TokenPool<T> {
     /// computation is a pure function of the token index, the shard
     /// layout is unobservable in any result.
     ///
-    /// A refused thread spawn (rlimits on a big fleet) surfaces as
-    /// [`FleetError::SpawnFailed`] instead of aborting the process; the
-    /// workers already started are hung up and joined before returning.
+    /// A refused thread spawn surfaces as [`FleetError::SpawnFailed`].
     pub fn build<F>(n_tokens: usize, workers: usize, factory: F) -> Result<Self, FleetError>
     where
         F: Fn(usize) -> T + Send + Clone + 'static,
     {
         let workers = workers.max(1).min(n_tokens.max(1));
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(workers);
         let chunk = n_tokens.div_ceil(workers);
-        for w in 0..workers {
-            let lo = w * chunk;
+        let shards = ShardThreads::spawn(workers, "fleet-worker", move |w| {
             let hi = ((w + 1) * chunk).min(n_tokens);
-            let factory = factory.clone();
-            let (tx, rx): (Sender<Job<T>>, Receiver<Job<T>>) = channel();
-            let spawned = std::thread::Builder::new()
-                .name(format!("fleet-worker-{w}"))
-                .spawn(move || {
-                    let mut shard: Vec<(usize, T)> = (lo..hi).map(|i| (i, factory(i))).collect();
-                    for job in rx {
-                        job(&mut shard);
-                    }
-                });
-            match spawned {
-                Ok(handle) => {
-                    txs.push(tx);
-                    handles.push(handle);
-                }
-                Err(source) => {
-                    txs.clear();
-                    for h in handles.drain(..) {
-                        let _ = h.join();
-                    }
-                    return Err(FleetError::SpawnFailed { worker: w, source });
-                }
-            }
-        }
-        Ok(TokenPool {
-            txs,
-            handles,
-            n_tokens,
-        })
+            (w * chunk..hi).map(|i| (i, factory(i))).collect()
+        })?;
+        Ok(TokenPool { shards, n_tokens })
     }
 
     /// Number of tokens hosted.
@@ -93,7 +59,7 @@ impl<T: 'static> TokenPool<T> {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.txs.len()
+        self.shards.len()
     }
 
     /// Phase barrier: run `f` on every token in parallel, then return
@@ -107,35 +73,27 @@ impl<T: 'static> TokenPool<T> {
     }
 
     /// [`TokenPool::map`] inside a distributed-trace phase: each worker
-    /// sets `ctx` as its thread's trace context for the duration of the
-    /// shard, so root spans the phase closure opens (and every
-    /// instrumented layer underneath) are contributed to the shared
-    /// trace sink, then flushed *before* the barrier releases — by the
-    /// time this returns, the driver can drain the whole phase. With
-    /// `ctx: None` this is exactly `map`.
+    /// runs its shard under `ctx` as the thread's trace context, so the
+    /// phase's spans are in the shared trace sink *before* the barrier
+    /// releases. With `ctx: None` this is exactly `map`.
     pub fn map_in_trace<R, F>(&self, ctx: Option<pds_obs::TraceContext>, f: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(usize, &mut T) -> R + Send + Clone + 'static,
     {
         let (out_tx, out_rx) = channel::<Vec<(usize, R)>>();
-        for tx in &self.txs {
+        for w in 0..self.shards.len() {
             let f = f.clone();
             let out_tx = out_tx.clone();
-            let job: Job<T> = Box::new(move |shard| {
-                if ctx.is_some() {
-                    pds_obs::trace::set_context(ctx);
-                }
-                let results = shard.iter_mut().map(|(i, t)| (*i, f(*i, t))).collect();
-                if ctx.is_some() {
-                    pds_obs::trace::set_context(None);
-                    pds_obs::trace::flush_contributions();
-                }
+            let alive = self.shards.send(w, move |shard| {
+                let results = in_trace(ctx, || {
+                    shard.iter_mut().map(|(i, t)| (*i, f(*i, t))).collect()
+                });
                 // The driver only hangs up after every send; ignore its
                 // early death (a panic elsewhere already unwinds us).
                 let _ = out_tx.send(results);
             });
-            tx.send(job).expect("fleet worker alive");
+            assert!(alive, "a fleet worker died");
         }
         drop(out_tx);
         let mut merged: Vec<(usize, R)> = Vec::with_capacity(self.n_tokens);
@@ -145,15 +103,6 @@ impl<T: 'static> TokenPool<T> {
         assert_eq!(merged.len(), self.n_tokens, "a fleet worker panicked");
         merged.sort_by_key(|(i, _)| *i);
         merged.into_iter().map(|(_, r)| r).collect()
-    }
-}
-
-impl<T> Drop for TokenPool<T> {
-    fn drop(&mut self) {
-        self.txs.clear(); // hang up: workers drain and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 

@@ -34,12 +34,12 @@
 //! bit-identical at any worker count, exactly like the pool it replaces.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::sync::mpsc::channel;
 
 use pds_obs::TraceContext;
 
 use crate::bus::{BusMsg, MailboxBus};
+use crate::shards::{in_trace, ShardThreads};
 
 /// A typed fleet-runtime failure. Thread exhaustion on a big fleet
 /// degrades into an error the caller can handle instead of a panic.
@@ -166,12 +166,9 @@ struct Shard<H: TokenHost> {
     slots: BTreeMap<usize, Slot<H>>,
 }
 
-type Job<H> = Box<dyn FnOnce(&mut Shard<H>) + Send>;
-
 /// The event-driven fleet scheduler (see module docs).
 pub struct FleetScheduler<H: TokenHost> {
-    txs: Vec<Sender<Job<H>>>,
-    handles: Vec<JoinHandle<()>>,
+    shards: ShardThreads<Shard<H>>,
     n_tokens: usize,
     chunk: usize,
     cap: usize,
@@ -196,40 +193,12 @@ impl<H: TokenHost> FleetScheduler<H> {
     ) -> Result<Self, FleetError> {
         let workers = workers.max(1).min(n_tokens.max(1));
         let chunk = n_tokens.max(1).div_ceil(workers);
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let host = host.clone();
-            let (tx, rx): (Sender<Job<H>>, Receiver<Job<H>>) = channel();
-            let spawned = std::thread::Builder::new()
-                .name(format!("fleet-shard-{w}"))
-                .spawn(move || {
-                    let mut shard = Shard {
-                        host,
-                        slots: BTreeMap::new(),
-                    };
-                    for job in rx {
-                        job(&mut shard);
-                    }
-                });
-            match spawned {
-                Ok(handle) => {
-                    txs.push(tx);
-                    handles.push(handle);
-                }
-                Err(source) => {
-                    // Hang up the shards we did start so they exit.
-                    txs.clear();
-                    for h in handles.drain(..) {
-                        let _ = h.join();
-                    }
-                    return Err(FleetError::SpawnFailed { worker: w, source });
-                }
-            }
-        }
+        let shards = ShardThreads::spawn(workers, "fleet-shard", move |_| Shard {
+            host,
+            slots: BTreeMap::new(),
+        })?;
         Ok(FleetScheduler {
-            txs,
-            handles,
+            shards,
             n_tokens,
             chunk,
             cap: resident_cap.max(1),
@@ -253,7 +222,7 @@ impl<H: TokenHost> FleetScheduler<H> {
 
     /// Number of shard worker threads.
     pub fn workers(&self) -> usize {
-        self.txs.len()
+        self.shards.len()
     }
 
     /// The resident-token ceiling.
@@ -289,16 +258,15 @@ impl<H: TokenHost> FleetScheduler<H> {
         };
         self.lru.remove(&stamp);
         self.stats.evictions += 1;
-        let job: Job<H> = Box::new(move |shard| {
+        // A dead worker already fails the run's phase dispatch loudly;
+        // an eviction racing that teardown can only be dropped.
+        let _ = self.shards.send(self.shard_of(victim), move |shard| {
             if let Some(Slot::Live(t)) = shard.slots.remove(&victim) {
                 if let Some(sleep) = shard.host.hibernate(victim, t) {
                     shard.slots.insert(victim, Slot::Asleep(sleep));
                 }
             }
         });
-        // A dead worker already fails the run's phase dispatch loudly;
-        // an eviction racing that teardown can only be dropped.
-        let _ = self.txs[self.shard_of(victim)].send(job);
     }
 
     /// Dispatch `f` over `items` — `(token, mail)` pairs ordered by
@@ -414,7 +382,7 @@ impl<H: TokenHost> FleetScheduler<H> {
             expect += batch.len();
             let f = f.clone();
             let out_tx = out_tx.clone();
-            let job: Job<H> = Box::new(move |shard| {
+            let alive = self.shards.send(shard_idx, move |shard: &mut Shard<H>| {
                 // Residency fix-up first, outside the trace context, so
                 // build/revive spans never pollute a phase's trace.
                 let mut created = 0u64;
@@ -434,24 +402,20 @@ impl<H: TokenHost> FleetScheduler<H> {
                         shard.slots.insert(*i, Slot::Live(token));
                     }
                 }
-                if ctx.is_some() {
-                    pds_obs::trace::set_context(ctx);
-                }
-                let mut results = Vec::with_capacity(batch.len());
-                for (i, mail) in batch {
-                    if let Some(Slot::Live(t)) = shard.slots.get_mut(&i) {
-                        results.push((i, f(i, t, mail)));
+                let results = in_trace(ctx, || {
+                    let mut results = Vec::with_capacity(batch.len());
+                    for (i, mail) in batch {
+                        if let Some(Slot::Live(t)) = shard.slots.get_mut(&i) {
+                            results.push((i, f(i, t, mail)));
+                        }
                     }
-                }
-                if ctx.is_some() {
-                    pds_obs::trace::set_context(None);
-                    pds_obs::trace::flush_contributions();
-                }
+                    results
+                });
                 // The driver only hangs up after every send; ignore its
                 // early death (a panic elsewhere already unwinds us).
                 let _ = out_tx.send((results, created, woke));
             });
-            self.txs[shard_idx].send(job).expect("fleet shard alive");
+            assert!(alive, "a fleet shard died");
         }
         drop(out_tx);
         self.stats.batches += 1;
@@ -468,15 +432,6 @@ impl<H: TokenHost> FleetScheduler<H> {
         assert_eq!(merged.len(), expect, "a fleet shard panicked");
         merged.sort_by_key(|(i, _)| *i);
         merged
-    }
-}
-
-impl<H: TokenHost> Drop for FleetScheduler<H> {
-    fn drop(&mut self) {
-        self.txs.clear(); // hang up: shards drain and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 

@@ -1,0 +1,95 @@
+//! The shard-thread substrate under both hosting runtimes.
+//!
+//! A [`pds_core::Pds`] is `!Send`, so fleet state never moves between
+//! threads: `N` long-lived threads each *build and own* one shard state
+//! `S` (the init closure runs inside the thread), and work is shipped
+//! to a shard as a boxed job. [`TokenPool`](crate::TokenPool) hosts
+//! `S = Vec<(usize, T)>`, [`FleetScheduler`](crate::FleetScheduler) its
+//! slot map; what they share — spawn, hang-up-and-join, the trace
+//! context around a shard closure — lives here once.
+
+use std::sync::mpsc::{channel, Sender};
+use std::thread::JoinHandle;
+
+use pds_obs::TraceContext;
+
+use crate::sched::FleetError;
+
+type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
+
+/// `N` threads, each owning one `S`; dropped ⇒ hung up and joined.
+pub(crate) struct ShardThreads<S> {
+    txs: Vec<Sender<Job<S>>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl<S: 'static> ShardThreads<S> {
+    /// Spawn `workers` threads named `{name}-{w}`; thread `w` builds its
+    /// state with `init(w)` and then runs jobs until hung up.
+    ///
+    /// A refused spawn (rlimits on a big fleet) surfaces as
+    /// [`FleetError::SpawnFailed`] instead of aborting the process; the
+    /// threads already started are hung up and joined (by `Drop`) before
+    /// returning.
+    pub fn spawn<I>(workers: usize, name: &str, init: I) -> Result<Self, FleetError>
+    where
+        I: FnOnce(usize) -> S + Send + Clone + 'static,
+    {
+        let mut shards = ShardThreads {
+            txs: Vec::with_capacity(workers),
+            handles: Vec::with_capacity(workers),
+        };
+        for w in 0..workers {
+            let init = init.clone();
+            let (tx, rx) = channel::<Job<S>>();
+            let handle = std::thread::Builder::new()
+                .name(format!("{name}-{w}"))
+                .spawn(move || {
+                    let mut state = init(w);
+                    for job in rx {
+                        job(&mut state);
+                    }
+                })
+                .map_err(|source| FleetError::SpawnFailed { worker: w, source })?;
+            shards.txs.push(tx);
+            shards.handles.push(handle);
+        }
+        Ok(shards)
+    }
+
+    /// Number of shard threads.
+    pub fn len(&self) -> usize {
+        self.txs.len()
+    }
+
+    /// Queue `job` on `shard`; false if that thread is gone (it panicked).
+    pub fn send(&self, shard: usize, job: impl FnOnce(&mut S) + Send + 'static) -> bool {
+        self.txs[shard].send(Box::new(job)).is_ok()
+    }
+}
+
+impl<S> Drop for ShardThreads<S> {
+    fn drop(&mut self) {
+        self.txs.clear(); // hang up: threads drain their queue and exit
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Run `f` with `ctx` as this thread's trace context, so root spans it
+/// opens (and every instrumented layer underneath) are contributed to
+/// the shared trace sink, then flushed *before* returning — by the time
+/// the shard reports back, the driver can drain the whole phase. With
+/// `ctx: None` this is exactly `f()`.
+pub(crate) fn in_trace<R>(ctx: Option<TraceContext>, f: impl FnOnce() -> R) -> R {
+    if ctx.is_some() {
+        pds_obs::trace::set_context(ctx);
+    }
+    let out = f();
+    if ctx.is_some() {
+        pds_obs::trace::set_context(None);
+        pds_obs::trace::flush_contributions();
+    }
+    out
+}

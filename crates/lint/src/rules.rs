@@ -151,7 +151,11 @@ pub const CRATES: &[CrateConfig] = &[
         // The change log is the fleet's causal history: its stamp
         // ordering and recovery cuts feed baseline-checked counters and
         // must replay identically on every machine.
-        det_files: &["flash/src/changelog.rs", "flash/src/blackbox.rs"],
+        det_files: &[
+            "flash/src/changelog.rs",
+            "flash/src/blackbox.rs",
+            "flash/src/mirrored.rs",
+        ],
         allowed_deps: &["pds_obs"],
     },
     CrateConfig {

@@ -104,17 +104,11 @@ impl Token {
     }
 
     /// Simulate a power cycle: same identity, same silicon, but the flash
-    /// controller rebuilds its state by cell scan ([`Flash::reboot`]) and
-    /// the RAM budget starts empty — everything RAM-resident died with
-    /// the power. Tamper state is physical and survives.
+    /// controller rebuilds its state by cell scan and the RAM budget
+    /// starts empty — everything RAM-resident died with the power.
+    /// Tamper state is physical and survives.
     pub fn reopen(&self) -> Token {
-        Token {
-            id: self.id,
-            profile: self.profile,
-            flash: self.flash.reboot(),
-            ram: RamBudget::new(self.profile.ram_bytes),
-            tamper: self.tamper,
-        }
+        Token::wake(self.hibernate())
     }
 
     /// Power the token down to its persistent state: identity, hardware
@@ -131,9 +125,9 @@ impl Token {
         }
     }
 
-    /// Boot a token back from hibernated silicon: the flash controller
-    /// rebuilds its state by cell scan and the RAM budget starts empty,
-    /// exactly like [`Token::reopen`] after a power cycle.
+    /// Boot a token from persistent silicon — the only boot path: the
+    /// flash controller rebuilds its state by cell scan
+    /// ([`Flash::reopen`]) and the RAM budget starts empty.
     pub fn wake(sleep: TokenSleep) -> Token {
         Token {
             id: sleep.id,

@@ -98,13 +98,9 @@ impl DocStore {
         directory: &[Vec<RecordAddr>],
     ) -> Result<(Self, u32), FlashError> {
         let (log, report) = LogWriter::recover(flash, blocks)?;
-        let chunk_ok = |a: &RecordAddr| {
-            (a.page as usize) < report.slots_per_page.len()
-                && a.slot < report.slots_per_page[a.page as usize]
-        };
         let keep = directory
             .iter()
-            .take_while(|addrs| addrs.iter().all(chunk_ok))
+            .take_while(|addrs| addrs.iter().all(|a| report.survived(*a)))
             .count();
         let lost = (directory.len() - keep) as u32;
         pds_obs::counter("recovery.docs_lost").add(lost as u64);

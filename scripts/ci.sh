@@ -18,6 +18,10 @@ cargo run --release -q -p pds-lint -- --json > target/lint/findings.json || {
 }
 cargo build --workspace --release
 cargo test --workspace -q
+# The performance ledger is its own workspace, so nothing above compiles
+# it: build every workload against crates/* (an API break shows here,
+# not in the benchmark driver) and run its BENCHMARK.json manifest test.
+cargo test --offline -q --manifest-path ledger/Cargo.toml
 # Widened seeded crash-recovery sweep: a fixed, larger seed set than the
 # default 48 so every gate run exercises the fault paths broadly.
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q seeded_crash_recovery_sweep

@@ -86,6 +86,34 @@ fn full_life_cycle_with_archive_recovery() {
 }
 
 #[test]
+fn restore_fits_whatever_a_secure_token_archived() {
+    // A 1 KB subject makes an EMAIL row that fits the secure token's
+    // 2 KB pages but not the 512-byte pages of the unit-test profile.
+    let mut pds = Pds::new(7, "alice").unwrap();
+    let me = AccessContext::new("alice", Purpose::PersonalUse);
+    let subject = "quarterly ".repeat(100);
+    pds.ingest_email(3, "bank", &subject, "statement attached")
+        .unwrap();
+    pds.ingest_bank(3, "salary", 250_000, "employer").unwrap();
+    let snapshot = pds.snapshot(&me).unwrap();
+
+    let mut restored = Pds::restore(8, "alice", &snapshot).unwrap();
+    let from_bank = Predicate::eq("sender", Value::str("bank"));
+    assert_eq!(
+        restored.select(&me, "EMAIL", &from_bank).unwrap(),
+        pds.select(&me, "EMAIL", &from_bank).unwrap()
+    );
+    assert_eq!(
+        restored.search(&me, &["statement"], 5).unwrap(),
+        pds.search(&me, &["statement"], 5).unwrap()
+    );
+    assert_eq!(
+        restored.get_document(&me, 0).unwrap(),
+        pds.get_document(&me, 0).unwrap()
+    );
+}
+
+#[test]
 fn cross_subject_policy_isolation() {
     let mut pds = populated();
     pds.grant(Rule::allow(

@@ -3,14 +3,17 @@
 //! change-log consumers (delta cell sync, continuous queries) running as
 //! fleets.
 
-use pds::core::{AccessContext, CloudStore, Pds, Purpose};
+use pds::core::{
+    AccessContext, Action, CloudStore, Collection, Pds, PdsError, Policy, Purpose, Rule,
+    SubjectPattern,
+};
 use pds::db::{Predicate, Value};
 use pds::fleet::{CellNet, CellNetConfig, SubNet, SubNetConfig};
 use pds::sync::{serve_cloud, CellMsg, TrustedCell};
 use pds_obs::rng::{SeedableRng, StdRng};
 
 /// Ingest one synthetic day across all three collections.
-fn ingest_day(pds: &mut Pds, day: u64) -> Result<(), pds::core::PdsError> {
+fn ingest_day(pds: &mut Pds, day: u64) -> Result<(), PdsError> {
     pds.ingest_email(
         day,
         "dr.martin",
@@ -86,6 +89,54 @@ fn gc_never_collapses_under_an_open_snapshot() {
         pds.select_at(&me, &snap, "BANK", &groceries).unwrap().len(),
         1
     );
+    pds.release_snapshot(&snap);
+}
+
+#[test]
+fn pinned_reads_obey_the_live_gate() {
+    let mut pds = Pds::for_tests(33, "gina").unwrap();
+    let groceries = Predicate::eq("category", Value::str("groceries"));
+    for day in 0..10 {
+        ingest_day(&mut pds, day).unwrap();
+    }
+    pds.commit().unwrap();
+    let snap = pds.open_snapshot().unwrap(); // pinned at the head
+
+    // Retention: on day 100 the auditor may read BANK rows at most 95
+    // days old — days 5..=9 — through the live and the pinned path alike.
+    pds.set_clock(100);
+    pds.grant(Rule {
+        subject: SubjectPattern::Exact("auditor".into()),
+        collection: Collection::Table("BANK".into()),
+        action: Action::Read,
+        purpose: Some(Purpose::Care),
+        policy: Policy::Allow,
+        max_age_days: Some(95),
+    });
+    let auditor = AccessContext::new("auditor", Purpose::Care);
+    let live = pds.select(&auditor, "BANK", &groceries).unwrap();
+    let pinned = pds.select_at(&auditor, &snap, "BANK", &groceries).unwrap();
+    assert_eq!(live.len(), 5, "days 5..=9 are inside the grant");
+    assert_eq!(live, pinned);
+
+    // An ungranted subject is denied — and the denial audited — on every
+    // pinned read exactly as on its live twin.
+    let stranger = AccessContext::new("insurer-x", Purpose::Marketing);
+    let before = pds.audit().denials();
+    let denied = [
+        pds.select(&stranger, "BANK", &groceries).map(drop),
+        pds.select_at(&stranger, &snap, "BANK", &groceries)
+            .map(drop),
+        pds.search(&stranger, &["marker"], 5).map(drop),
+        pds.search_at(&stranger, &snap, &["marker"], 5).map(drop),
+        pds.get_document(&stranger, 0).map(drop),
+        pds.get_document_at(&stranger, &snap, 0).map(drop),
+    ];
+    for (k, r) in denied.iter().enumerate() {
+        assert!(matches!(r, Err(PdsError::Denied { .. })), "read {k}: {r:?}");
+    }
+    assert_eq!(pds.audit().denials(), before + denied.len());
+    assert!(pds.audit().verify());
     pds.release_snapshot(&snap);
 }
 
