@@ -1,29 +1,40 @@
 //! [TNP14] secure aggregation re-hosted as an event-driven fleet job.
 //!
-//! The single-threaded reference (`pds_global::secure_agg`) iterates a
-//! `Population` in one loop. Here the same protocol runs the way the
-//! tutorial describes the ecosystem: N tokens sharded over the
-//! event-driven [`FleetScheduler`](crate::sched::FleetScheduler), every
-//! token↔SSI exchange carried by the store-and-forward
-//! [`MailboxBus`](crate::bus::MailboxBus), and the run organized as
-//! three phases driven by one logical tick loop:
+//! The protocol itself — seal, fold a partition, the SSI's
+//! [`Reduction`] plan between rounds — lives once, transport-free, in
+//! `pds_global::secure_agg`, which also drives it in one in-process
+//! loop. This module is the other driver and holds only what is the
+//! fleet's own: N tokens sharded over the event-driven
+//! [`FleetScheduler`](crate::sched::FleetScheduler), every token↔SSI
+//! hand-off a message on the store-and-forward
+//! [`MailboxBus`](crate::bus::MailboxBus) (with a wire framing for a
+//! partition), derived per-token / per-partition RNG streams, the
+//! telemetry plane and the stitched trace. The run is three phases
+//! driven by one logical tick loop:
 //!
 //! 1. **Collection** — a whole-fleet phase obligation: every token is
 //!    woken (in bounded waves under the resident cap), computes its
-//!    policy-gated contributions, encrypts them probabilistically and
-//!    uploads the ciphertexts (one bus message per tuple). The SSI
-//!    ingests whatever arrives through `Ssi::collect_tagged`, keyed by
-//!    the bus message ids, so a weakly-malicious SSI's drop verdicts
-//!    are per-message and thread-count independent.
-//! 2. **Reduction** — the SSI partitions the opaque ciphertext set and
-//!    mails each partition to whichever token the round-robin schedule
-//!    picks ("whichever token happens to connect"); the tick loop wakes
-//!    *only* the serving tokens, each as its partition mail lands —
-//!    decrypt, partially aggregate, re-encrypt, mail the partials back
-//!    within the same loop — shrinking the set geometrically until one
-//!    partition remains.
+//!    policy-gated contributions, seals them and uploads the ciphertexts
+//!    (one bus message per tuple). The SSI ingests whatever arrives
+//!    through `Ssi::collect_tagged`, keyed by the bus message ids, so a
+//!    weakly-malicious SSI's drop verdicts are per-message and
+//!    thread-count independent.
+//! 2. **Reduction** — each round the plan partitions the opaque
+//!    ciphertext set and names a round-robin serving token per
+//!    partition ("whichever token happens to connect"); the driver
+//!    mails the partitions and the tick loop wakes *only* the serving
+//!    tokens, each as its partition mail lands — fold, re-seal, mail
+//!    the partials back within the same loop — shrinking the set
+//!    geometrically until one partition remains.
 //! 3. **Distribution** — the final released result is mailed to every
 //!    token; tokens wake batch-by-batch as the weak fabric delivers.
+//!
+//! A lost protocol message aborts: when the bus spends its attempt
+//! budget on a collection upload, a partition or a partial, the run ends
+//! in `GlobalError::Protocol` instead of releasing an aggregate that
+//! silently misses contributions (uploads are counted here, partitions
+//! and partials by the plan's verify step). Only result *distribution*
+//! tolerates loss — it lowers [`FleetAggReport::result_coverage`].
 //!
 //! Between wakes a token's state can be evicted to a sparse flash
 //! snapshot (or dropped and deterministically rebuilt), so resident RAM
@@ -42,12 +53,12 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use pds_core::{Pds, PdsHibernation};
-use pds_crypto::{Ciphertext, SymmetricKey};
-use pds_global::query::Measure;
+use pds_crypto::SymmetricKey;
+use pds_global::query::synthetic_token;
+use pds_global::secure_agg::{fold_partition, seal_groups, Reduction};
 use pds_global::ssi::{Leakage, Ssi, SsiThreat};
-use pds_global::tuple::{ProtocolTuple, TupleKind};
 use pds_global::{GlobalError, GroupByQuery, ProtocolStats};
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::rng::{SeedableRng, StdRng};
 
 use pds_obs::{FleetTrace, MetricsDelta};
 
@@ -56,12 +67,19 @@ use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost};
 use crate::telemetry::{
     Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryConfig, TelemetryMsg,
 };
-use crate::trace::FleetTraceBuilder;
+use crate::trace::{token_span, FleetTraceBuilder};
 pub use pds_global::secure_agg::OnTamper;
 
 const TAG_TOKEN: u64 = 0x464C_5454_4F4B_4E01; // per-token data stream
 const TAG_ENC: u64 = 0x464C_5445_4E43_5202; // per-token encryption stream
 const TAG_REDUCE: u64 = 0x464C_5452_4544_5503; // per-partition re-encryption
+
+/// Safety valve for bus draining (virtual ticks per phase).
+const MAX_BUS_TICKS: u64 = 1_000_000;
+/// Ticks the event loop accumulates deliveries before dispatching a wake
+/// batch (1 would wake the moment mail lands; a few ticks amortize shard
+/// round-trips on a slow fabric).
+const BATCH_TICKS: u64 = 4;
 
 /// An RNG stream derived from `(seed, tag, index)` — statistically
 /// independent per index, identical across runs and worker counts.
@@ -100,8 +118,6 @@ pub struct FleetConfig {
     /// overlapped across workers, which is where fleet speedup comes
     /// from).
     pub link_latency_us: u64,
-    /// Safety valve for bus draining (virtual ticks per phase).
-    pub max_bus_ticks: u64,
     /// Most tokens live at once; `None` keeps the whole fleet resident
     /// (the pool-era behavior). A bounded cap is what lets a 100k–1M
     /// fleet run in bounded RAM — watch the `fleet.resident_tokens`
@@ -110,10 +126,6 @@ pub struct FleetConfig {
     /// What eviction does to a token's state (ignored while the fleet
     /// fits under the cap).
     pub evict: EvictPolicy,
-    /// Ticks the event loop accumulates deliveries before dispatching a
-    /// wake batch (1 = wake the moment mail lands; larger values
-    /// amortize shard round-trips on a slow fabric).
-    pub batch_ticks: u64,
     /// Stitch a causal [`FleetTrace`] of the run (per-token spans, per
     /// message hop histories, critical path in bus ticks).
     pub trace: bool,
@@ -136,10 +148,8 @@ impl FleetConfig {
             seed,
             partition_size: 64,
             link_latency_us: 0,
-            max_bus_ticks: 1_000_000,
             resident_cap: None,
             evict: EvictPolicy::Hibernate,
-            batch_ticks: 4,
             trace: false,
             telemetry: None,
             bus: BusConfig {
@@ -161,22 +171,11 @@ impl FleetConfig {
     }
 }
 
-/// Build token `i` of the fleet: a slim PDS with 1–3 synthetic bank
-/// records whose categories follow the same skewed draw as
-/// `Population::synthetic`, from a per-token derived stream.
+/// Build token `i` of the fleet: `Population::synthetic`'s token recipe
+/// ([`synthetic_token`]) drawn from a per-token derived stream.
 pub fn build_token(cfg: &FleetConfig, domain: &[String], i: usize) -> Pds {
     let mut rng = derived_rng(cfg.seed, TAG_TOKEN, i as u64);
-    let mut pds = Pds::slim(i as u64, &format!("user-{i}")).expect("slim token");
-    let records = rng.gen_range(1..=3);
-    for day in 0..records {
-        let a = rng.gen_range(0..domain.len());
-        let b = rng.gen_range(0..domain.len());
-        let cat = &domain[a.min(b)];
-        pds.ingest_bank(day, cat, rng.gen_range(100..10_000), "shop")
-            .expect("synthetic ingest");
-    }
-    pds.enroll(cfg.protocol_key());
-    pds
+    synthetic_token(i, domain, &cfg.protocol_key(), &mut rng).expect("synthetic token")
 }
 
 /// The [`TokenHost`] of a [TNP14] fleet: builds tokens from the derived
@@ -356,26 +355,14 @@ impl FleetAggReport {
     }
 }
 
-/// One token's collection-phase output:
-/// `(plaintext contributions, ciphertexts, crypto ops)`.
-type CollectOut = Result<(Vec<(String, u64)>, Vec<Vec<u8>>, u64), GlobalError>;
+/// One token's collection-phase output: its plaintext contributions
+/// (never mailed — they feed the oracle) and one ciphertext for each.
+type CollectOut = Result<(Vec<(String, u64)>, Vec<Vec<u8>>), GlobalError>;
 
 fn sleep_link(us: u64) {
     if us > 0 {
         std::thread::sleep(Duration::from_micros(us));
     }
-}
-
-/// Open this token's phase-work span — only when the worker is inside a
-/// traced phase, so untraced runs pay nothing. Instrumented layers the
-/// closure calls into (flash IO counters, RAM high-water) attach their
-/// spans underneath it.
-fn token_span(i: usize) -> Option<pds_obs::SpanGuard> {
-    pds_obs::trace::context().is_some().then(|| {
-        let g = pds_obs::trace::span(&format!("token.{i}"));
-        g.set("token", i);
-        g
-    })
 }
 
 /// What a serving token mails back for one partition.
@@ -429,10 +416,10 @@ pub fn fleet_secure_aggregation(
     threat: SsiThreat,
     on_tamper: OnTamper,
 ) -> Result<FleetAggReport, GlobalError> {
-    assert!(cfg.partition_size >= 2);
     assert_eq!(fleet.len(), cfg.tokens);
     let key = cfg.protocol_key();
     let ssi = Ssi::new(threat, cfg.seed);
+    let mut plan = Reduction::new(cfg.partition_size, cfg.tokens);
     let mut bus = MailboxBus::new(cfg.bus);
     let mut tele = cfg.telemetry.map(TelemetryDriver::new);
     let mut stats = ProtocolStats::default();
@@ -469,22 +456,20 @@ pub fn fleet_secure_aggregation(
         let _span = token_span(i);
         sleep_link(latency);
         let mut rng = derived_rng(seed, TAG_ENC, i as u64);
-        let groups = contributions_of(pds, &q)?;
-        let mut cts = Vec::with_capacity(groups.len());
-        let mut ops = 0u64;
-        for (k, (g, v)) in groups.iter().enumerate() {
-            let t = ProtocolTuple::real(g, *v, ((i as u64) << 24) | k as u64);
-            cts.push(enc_key.encrypt_prob(&t.encode(), &mut rng).0);
-            ops += 1;
-        }
-        Ok((groups, cts, ops))
+        let groups = q.contributions_of(pds)?;
+        let seq_of = |k: usize| ((i as u64) << 24) | k as u64;
+        let cts = seal_groups(&enc_key, &groups, seq_of, &mut rng);
+        Ok((groups, cts))
     });
     let mut reference: BTreeMap<String, u64> = BTreeMap::new();
+    let mut uploads = 0usize;
     for (i, r) in collected {
-        let (groups, cts, ops) = r?;
+        let (groups, cts) = r?;
         for (g, v) in groups {
             *reference.entry(g).or_insert(0) += v;
         }
+        let ops = cts.len() as u64;
+        uploads += cts.len();
         stats.token_crypto_ops += ops;
         let mut delta = tele.as_ref().map(|_| MetricsDelta::new());
         for ct in cts {
@@ -502,7 +487,7 @@ pub fn fleet_secure_aggregation(
         }
     }
     let expected: Vec<(String, u64)> = reference.into_iter().collect();
-    bus.run_until_quiet(cfg.max_bus_ticks);
+    bus.run_until_quiet(MAX_BUS_TICKS);
     if let Some(td) = tele.as_mut() {
         td.observe_phase(&mut bus);
     }
@@ -515,45 +500,40 @@ pub fn fleet_secure_aggregation(
         .into_iter()
         .map(|m| (m.id, m.payload))
         .collect();
+    // A contribution the fabric gave up on would silently bias the
+    // released aggregate — exactly what an honest run must never do.
+    if arrived.len() != uploads {
+        return Err(GlobalError::Protocol(
+            "collection upload expired on the bus",
+        ));
+    }
     let mut tuples = ssi.collect_tagged(arrived);
     stats.ssi_bytes += tuples.iter().map(|t| t.len() as u64).sum::<u64>();
     pds_obs::histogram("fleet.phase.collect_us").observe(phase0.elapsed().as_micros() as u64);
 
-    // Phase 2: reduction tree, partitions mailed to round-robin serving
-    // tokens. The tick loop wakes each serving token as its partition
-    // mail lands and its partials re-enter the bus inside the same
-    // loop; a round ends when nothing is in flight. Same convergence
-    // guard as the reference implementation: when a round fails to
-    // shrink the set, the SSI doubles the partition size.
+    // Phase 2: reduction tree — `plan` decides each round's partitions
+    // and serving tokens, the bus carries them. The tick loop wakes each
+    // serving token as its partition mail lands and its partials
+    // re-enter the bus inside the same loop; a round ends when nothing
+    // is in flight, and `plan.end_round` then refuses to go on if a
+    // partition or a partial expired on the way.
     // pds-lint: allow(det.time) — stats-only phase timing (pds-obs histogram)
     let phase0 = Instant::now();
-    let mut partition_size = cfg.partition_size;
-    let mut next_token = 0usize;
-    let mut round = 0u32;
-    let result = 'reduce: loop {
-        let before_round = tuples.len();
-        let parts = ssi.partition(std::mem::take(&mut tuples), partition_size);
-        if parts.is_empty() {
+    let result = loop {
+        let Some(round) = plan.begin_round(&ssi, std::mem::take(&mut tuples)) else {
             break Vec::new(); // population contributed nothing at all
-        }
+        };
         let tick0 = bus.now();
         let ctx = ftb
             .as_mut()
-            .map(|b| b.begin_phase(&format!("phase.reduce.{round}"), &bus));
-        let last_round = parts.len() <= 1;
-        for (pi, part) in parts.iter().enumerate() {
-            next_token = (next_token + 1) % cfg.tokens.max(1);
-            stats.rounds += 1;
-            bus.send_in(
-                Addr::Ssi,
-                Addr::Token(next_token),
-                encode_partition(round, pi as u32, part),
-                ctx,
-            );
+            .map(|b| b.begin_phase(&format!("phase.reduce.{}", round.index), &bus));
+        for (pi, (token, chunks)) in round.partitions.iter().enumerate() {
+            let mail = encode_partition(round.index, pi as u32, chunks);
+            bus.send_in(Addr::Ssi, Addr::Token(*token), mail, ctx);
         }
         let red_key = key.clone();
         let seed = cfg.seed;
-        let this_round = round;
+        let (this_round, last_round) = (round.index, round.last);
         let reduce_f = move |i: usize,
                              _pds: &mut Pds,
                              mail: Vec<crate::bus::BusMsg>|
@@ -572,45 +552,22 @@ pub fn fleet_secure_aggregation(
                     continue;
                 }
                 sleep_link(latency); // one connection per served partition
-                let mut groups: BTreeMap<String, u64> = BTreeMap::new();
-                for ct in &chunks {
-                    out.tuples += 1;
-                    out.crypto_ops += 1;
-                    let Some(plain) = red_key.decrypt(&Ciphertext(ct.clone())) else {
-                        match on_tamper {
-                            OnTamper::Abort => {
-                                return Err(GlobalError::TamperingDetected(
-                                    "unauthentic ciphertext in partition",
-                                ))
-                            }
-                            OnTamper::Skip => continue,
-                        }
-                    };
-                    let t = ProtocolTuple::decode(&plain)
-                        .ok_or(GlobalError::Protocol("undecodable tuple"))?;
-                    if t.kind == TupleKind::Real {
-                        *groups.entry(t.group).or_insert(0) += t.value;
-                    }
-                }
+                out.tuples += chunks.len() as u64;
+                out.crypto_ops += chunks.len() as u64;
+                let groups = fold_partition(&red_key, chunks, on_tamper)?;
                 if last_round {
-                    out.parts
-                        .push((pi, ReduceOut::Final(groups.into_iter().collect())));
+                    out.parts.push((pi, ReduceOut::Final(groups)));
                 } else {
-                    let mut rng = derived_rng(
-                        seed,
-                        TAG_REDUCE,
-                        (u64::from(this_round) << 32) | u64::from(pi),
-                    );
-                    let mut partials = Vec::with_capacity(groups.len());
-                    for (k, (g, v)) in groups.into_iter().enumerate() {
-                        let seq = (1u64 << 60)
+                    let stream = (u64::from(this_round) << 32) | u64::from(pi);
+                    let mut rng = derived_rng(seed, TAG_REDUCE, stream);
+                    let seq_of = |k: usize| {
+                        (1u64 << 60)
                             | (u64::from(this_round) << 40)
                             | (u64::from(pi) << 20)
-                            | k as u64;
-                        let t = ProtocolTuple::real(&g, v, seq);
-                        out.crypto_ops += 1;
-                        partials.push(red_key.encrypt_prob(&t.encode(), &mut rng).0);
-                    }
+                            | k as u64
+                    };
+                    let partials = seal_groups(&red_key, &groups, seq_of, &mut rng);
+                    out.crypto_ops += partials.len() as u64;
                     out.parts.push((pi, ReduceOut::Partials(partials)));
                 }
             }
@@ -625,8 +582,8 @@ pub fn fleet_secure_aggregation(
             &mut bus,
             fleet,
             ctx,
-            cfg.max_bus_ticks,
-            cfg.batch_ticks,
+            MAX_BUS_TICKS,
+            BATCH_TICKS,
             reduce_f,
             |bus,
              outs: Vec<(usize, Result<TokenReduce, GlobalError>)>|
@@ -657,9 +614,11 @@ pub fn fleet_secure_aggregation(
                 for (_, t, o) in merged {
                     match o {
                         ReduceOut::Final(groups) => {
+                            plan.returned(0)?;
                             final_groups = Some(groups);
                         }
                         ReduceOut::Partials(cts) => {
+                            plan.returned(cts.len())?;
                             for ct in cts {
                                 stats.ssi_bytes += ct.len() as u64;
                                 bus.send_in(Addr::Token(t), Addr::Ssi, ct, ctx);
@@ -676,12 +635,9 @@ pub fn fleet_secure_aggregation(
         if let Some(td) = tele.as_mut() {
             td.observe_phase(&mut bus);
         }
-        phase_ticks.push((format!("reduce.{round}"), bus.now() - tick0));
-        if let Some(groups) = final_groups {
-            break 'reduce groups;
-        }
+        phase_ticks.push((format!("reduce.{this_round}"), bus.now() - tick0));
         // Reduction partials bypass `collect_tagged` (parity with the
-        // reference implementation: the threat behavior applies to the
+        // in-process driver: the threat behavior applies to the
         // collection phase; afterwards the SSI must keep the reduction
         // moving or be caught by the missing result).
         tuples = bus
@@ -689,14 +645,12 @@ pub fn fleet_secure_aggregation(
             .into_iter()
             .map(|m| m.payload)
             .collect();
-        if tuples.is_empty() && !last_round {
-            break Vec::new();
+        plan.end_round(tuples.len())?;
+        if let Some(groups) = final_groups {
+            break groups;
         }
-        if tuples.len() >= before_round {
-            partition_size *= 2;
-        }
-        round += 1;
     };
+    stats.rounds = plan.rounds();
     pds_obs::histogram("fleet.phase.reduce_us").observe(phase0.elapsed().as_micros() as u64);
 
     // Phase 3: result distribution — the released aggregate is mailed
@@ -725,8 +679,8 @@ pub fn fleet_secure_aggregation(
         &mut bus,
         fleet,
         ctx,
-        cfg.max_bus_ticks,
-        cfg.batch_ticks,
+        MAX_BUS_TICKS,
+        BATCH_TICKS,
         move |i, _pds: &mut Pds, mail: Vec<crate::bus::BusMsg>| {
             let _span = token_span(i);
             if mail.is_empty() {
@@ -761,7 +715,7 @@ pub fn fleet_secure_aggregation(
     // the standard SLO set is evaluated over the rollup.
     let mut telemetry = None;
     if let Some(mut td) = tele.take() {
-        let convergence_ticks = bus.run_until_quiet(cfg.max_bus_ticks);
+        let convergence_ticks = bus.run_until_quiet(MAX_BUS_TICKS);
         td.observe_phase(&mut bus);
         let mut selfd = MetricsDelta::new();
         selfd.add("telemetry.msgs", td.msgs);
@@ -820,24 +774,6 @@ pub fn fleet_secure_aggregation(
         telemetry,
         elapsed,
     })
-}
-
-/// One token's policy-gated contributions to `query`.
-fn contributions_of(
-    pds: &mut Pds,
-    query: &GroupByQuery,
-) -> Result<Vec<(String, u64)>, GlobalError> {
-    let ctx = query.context();
-    let groups = match query.measure {
-        Measure::Sum => pds.group_contribution(
-            &ctx,
-            &query.table,
-            &query.group_column,
-            &query.measure_column,
-        )?,
-        Measure::Count => pds.group_count(&ctx, &query.table, &query.group_column)?,
-    };
-    Ok(groups)
 }
 
 #[cfg(test)]

@@ -27,19 +27,13 @@ use pds_sync::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 use crate::agg::derived_rng;
 use crate::bus::{Addr, BusConfig, BusStats, MailboxBus};
 use crate::pool::TokenPool;
-use crate::trace::FleetTraceBuilder;
+use crate::trace::{token_span, FleetTraceBuilder};
 
 const TAG_CELL: u64 = 0x464C_5443_454C_4C04; // per-(round, cell) push stream
 
-/// Open this cell's phase-work span when inside a traced phase (same
-/// shape as the aggregation driver's token spans).
-fn cell_span(i: usize) -> Option<pds_obs::SpanGuard> {
-    pds_obs::trace::context().is_some().then(|| {
-        let g = pds_obs::trace::span(&format!("token.{i}"));
-        g.set("token", i);
-        g
-    })
-}
+/// Bus ticks granted per phase; traffic still in flight afterwards
+/// (e.g. to a forced-offline cell) carries over to later rounds.
+const TICKS_PER_PHASE: u64 = 2_000;
 
 /// One cell's reconcile-phase output: `(pushes, outcome tallies)`.
 type ReconcileOut = Result<(Vec<Vec<u8>>, CellSyncReport), PdsError>;
@@ -53,9 +47,6 @@ pub struct CellNetConfig {
     pub workers: usize,
     /// Master seed (bus schedule + push encryption streams).
     pub seed: u64,
-    /// Bus ticks granted per phase; traffic still in flight afterwards
-    /// (e.g. to a forced-offline cell) carries over to later rounds.
-    pub ticks_per_phase: u64,
     /// Fabric profile.
     pub bus: BusConfig,
     /// Delta reconcile: cells ask "changes since version v"
@@ -73,7 +64,6 @@ impl CellNetConfig {
             cells,
             workers,
             seed,
-            ticks_per_phase: 2_000,
             bus: BusConfig {
                 seed,
                 ..BusConfig::default()
@@ -195,7 +185,7 @@ impl CellNet {
         let directory = self.directory.clone();
         let use_delta = self.cfg.delta;
         let requests: Vec<Vec<Vec<u8>>> = self.pool.map_in_trace(ctx, move |i, c| {
-            let _span = cell_span(i);
+            let _span = token_span(i);
             let reqs = if use_delta {
                 c.sync_requests_since(&directory)
             } else {
@@ -208,7 +198,7 @@ impl CellNet {
                 self.bus.send_in(Addr::Token(i), Addr::Ssi, r, ctx);
             }
         }
-        self.bus.run_until_quiet(self.cfg.ticks_per_phase);
+        self.bus.run_until_quiet(TICKS_PER_PHASE);
         if let Some(b) = ftb.as_mut() {
             b.end_phase(&mut self.bus);
         }
@@ -226,7 +216,7 @@ impl CellNet {
                 self.bus.send_in(Addr::Ssi, m.from, resp.to_bytes(), ctx);
             }
         }
-        self.bus.run_until_quiet(self.cfg.ticks_per_phase);
+        self.bus.run_until_quiet(TICKS_PER_PHASE);
         if let Some(b) = ftb.as_mut() {
             b.end_phase(&mut self.bus);
         }
@@ -245,7 +235,7 @@ impl CellNet {
         let mail = Arc::new(mail);
         let seed = self.cfg.seed;
         let handled: Vec<ReconcileOut> = self.pool.map_in_trace(ctx, move |i, c| {
-            let _span = cell_span(i);
+            let _span = token_span(i);
             let mut pushes = Vec::new();
             let mut rep = CellSyncReport::default();
             let Some(mine) = mail.get(&i) else {
@@ -273,7 +263,7 @@ impl CellNet {
                 self.bus.send_in(Addr::Token(i), Addr::Ssi, p, ctx);
             }
         }
-        self.bus.run_until_quiet(self.cfg.ticks_per_phase);
+        self.bus.run_until_quiet(TICKS_PER_PHASE);
         if let Some(b) = ftb.as_mut() {
             b.end_phase(&mut self.bus);
         }

@@ -26,10 +26,15 @@
 //!   an always-resident fleet), still hosting the Trusted-Cells sync
 //!   network. Both runtimes sit on one private shard-thread substrate
 //!   (`shards.rs`): spawn, job channel, trace context, join on drop.
-//! * [`agg`] / [`cellnet`] — the [TNP14] secure-aggregation /
-//!   global-query protocols and the Trusted-Cells sync pass re-hosted as
-//!   **phased fleet jobs** (collection → SSI shuffle/compute → result
-//!   distribution) on top of the two.
+//! * [`agg`] / [`cellnet`] — [TNP14] secure aggregation and the
+//!   Trusted-Cells sync pass re-hosted as **phased fleet jobs**
+//!   (collection → SSI shuffle/compute → result distribution) on top of
+//!   the two. Neither owns its protocol: `agg` is the bus/scheduler
+//!   driver of the protocol core in `pds_global::secure_agg` (seal,
+//!   fold, the SSI's `Reduction` plan and its verify step), exactly as
+//!   `cellnet` drives `pds_sync`'s `CellMsg` protocol — each also has a
+//!   direct in-process driver (`secure_aggregation`,
+//!   `TrustedCell::sync`) the bus run is tested against.
 //! * [`subs`] — **continuous queries as a fleet workload**: every token
 //!   holds a standing predicate on its own PDS (MVCC change-log
 //!   cursors), polls it after each commit round and mails the result

@@ -35,6 +35,10 @@ use crate::trace::FleetTraceBuilder;
 
 const TAG_SUB: u64 = 0x464C_5453_5542_0001; // per-(round, token) write stream
 
+/// Bus ticks granted per delivery phase; deltas still in flight (e.g.
+/// from a forced-offline token) carry over to later rounds.
+const TICKS_PER_PHASE: u64 = 2_000;
+
 /// Shape of one subscription network.
 #[derive(Debug, Clone)]
 pub struct SubNetConfig {
@@ -42,9 +46,6 @@ pub struct SubNetConfig {
     pub tokens: usize,
     /// Master seed (write streams + bus schedule).
     pub seed: u64,
-    /// Bus ticks granted per delivery phase; deltas still in flight
-    /// (e.g. from a forced-offline token) carry over to later rounds.
-    pub ticks_per_phase: u64,
     /// Fabric profile.
     pub bus: BusConfig,
 }
@@ -62,7 +63,6 @@ impl SubNetConfig {
         SubNetConfig {
             tokens,
             seed,
-            ticks_per_phase: 2_000,
             bus: BusConfig {
                 seed,
                 ..BusConfig::default()
@@ -216,7 +216,7 @@ impl SubNet {
             self.bus
                 .send_in(Addr::Token(i), Addr::Collector, payload, ctx);
         }
-        self.bus.run_until_quiet(self.cfg.ticks_per_phase);
+        self.bus.run_until_quiet(TICKS_PER_PHASE);
         if let Some(b) = ftb.as_mut() {
             b.end_phase(&mut self.bus);
         }

@@ -31,6 +31,18 @@ use crate::bus::{HopRecord, MailboxBus};
 /// Process-unique trace ids (0 is reserved / never issued).
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Open token (or cell) `i`'s phase-work span — only when the worker is
+/// inside a traced phase, so untraced runs pay nothing. Instrumented
+/// layers the closure calls into (flash IO counters, RAM high-water)
+/// attach their spans underneath it.
+pub(crate) fn token_span(i: usize) -> Option<pds_obs::SpanGuard> {
+    pds_obs::trace::context().is_some().then(|| {
+        let g = pds_obs::trace::span(&format!("token.{i}"));
+        g.set("token", i);
+        g
+    })
+}
+
 struct OpenPhase {
     name: String,
     id: u64,

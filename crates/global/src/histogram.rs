@@ -97,9 +97,9 @@ pub fn histogram_based(
     for (_, g, v) in population.contributions(query)? {
         let t = ProtocolTuple::real(&g, v, seq);
         seq += 1;
-        let ct = key.encrypt_prob(&t.encode(), rng);
+        let ct = t.seal(&key, rng);
         stats.token_crypto_ops += 1;
-        wire.push((map.bucket_of(&g), ct.0));
+        wire.push((map.bucket_of(&g), ct));
     }
 
     // SSI buckets the tuples; the bucket histogram is its leakage.
@@ -118,11 +118,8 @@ pub fn histogram_based(
         for ct in members {
             stats.token_tuples += 1;
             stats.token_crypto_ops += 1;
-            let plain = key
-                .decrypt(&pds_crypto::Ciphertext(ct))
+            let t = ProtocolTuple::open(&key, ct)?
                 .ok_or(GlobalError::TamperingDetected("unauthentic payload"))?;
-            let t =
-                ProtocolTuple::decode(&plain).ok_or(GlobalError::Protocol("undecodable tuple"))?;
             if t.kind == TupleKind::Real {
                 *result.entry(t.group).or_insert(0) += t.value;
             }

@@ -37,9 +37,9 @@ fn emit(
     rng: &mut impl Rng,
 ) {
     let det = key.encrypt_det(t.group.as_bytes());
-    let payload = key.encrypt_prob(&t.encode(), rng);
+    let payload = t.seal(key, rng);
     stats.token_crypto_ops += 2;
-    wire.push((det.0, payload.0));
+    wire.push((det.0, payload));
 }
 
 /// Which fake-tuple strategy to run.
@@ -139,11 +139,8 @@ pub fn noise_based(
         for ct in payloads {
             stats.token_tuples += 1;
             stats.token_crypto_ops += 1;
-            let plain = key
-                .decrypt(&pds_crypto::Ciphertext(ct))
+            let t = ProtocolTuple::open(&key, ct)?
                 .ok_or(GlobalError::TamperingDetected("unauthentic payload"))?;
-            let t =
-                ProtocolTuple::decode(&plain).ok_or(GlobalError::Protocol("undecodable tuple"))?;
             if group.as_deref().is_some_and(|g| g != t.group) {
                 return Err(GlobalError::TamperingDetected(
                     "class mixes groups: SSI mis-grouped",

@@ -83,6 +83,44 @@ impl GroupByQuery {
     pub fn context(&self) -> AccessContext {
         AccessContext::new("global-query", Purpose::Statistics)
     }
+
+    /// One token's policy-gated `(group, value)` contributions to this
+    /// query — the collection-phase input of every [TNP14\] protocol,
+    /// whichever runtime hosts the token.
+    pub fn contributions_of(&self, pds: &mut Pds) -> Result<Vec<(String, u64)>, GlobalError> {
+        let ctx = self.context();
+        Ok(match self.measure {
+            Measure::Sum => {
+                pds.group_contribution(&ctx, &self.table, &self.group_column, &self.measure_column)?
+            }
+            Measure::Count => pds.group_count(&ctx, &self.table, &self.group_column)?,
+        })
+    }
+}
+
+/// Manufacture synthetic token `i`: a slim PDS holding 1–3 bank records
+/// whose categories are drawn from `domain` with a skew (earlier entries
+/// are more frequent), enrolled under `protocol_key`. The draw order on
+/// `rng` is part of every seeded experiment's identity — both
+/// [`Population::synthetic`] (one shared stream) and the fleet's
+/// per-token derived streams go through here.
+pub fn synthetic_token(
+    i: usize,
+    domain: &[String],
+    protocol_key: &SymmetricKey,
+    rng: &mut impl Rng,
+) -> Result<Pds, GlobalError> {
+    let mut pds = Pds::slim(i as u64, &format!("user-{i}"))?;
+    let records = rng.gen_range(1..=3);
+    for day in 0..records {
+        // Skewed category choice: index ~ min of two uniforms.
+        let a = rng.gen_range(0..domain.len());
+        let b = rng.gen_range(0..domain.len());
+        let cat = &domain[a.min(b)];
+        pds.ingest_bank(day, cat, rng.gen_range(100..10_000), "shop")?;
+    }
+    pds.enroll(protocol_key.clone());
+    Ok(pds)
 }
 
 /// A population of enrolled PDSs sharing one protocol key.
@@ -94,29 +132,17 @@ pub struct Population {
 }
 
 impl Population {
-    /// Build `n` slim PDSs, each holding a few synthetic bank records
-    /// with categories drawn (with a skew: earlier domain entries are
-    /// more frequent) from `domain`.
+    /// Build `n` [`synthetic_token`]s under one fresh protocol key, all
+    /// drawn from the one shared `rng`.
     pub fn synthetic(
         n: usize,
         domain: &[String],
         rng: &mut impl Rng,
     ) -> Result<Population, GlobalError> {
         let protocol_key = SymmetricKey::random(rng);
-        let mut tokens = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut pds = Pds::slim(i as u64, &format!("user-{i}"))?;
-            let records = rng.gen_range(1..=3);
-            for day in 0..records {
-                // Skewed category choice: index ~ min of two uniforms.
-                let a = rng.gen_range(0..domain.len());
-                let b = rng.gen_range(0..domain.len());
-                let cat = &domain[a.min(b)];
-                pds.ingest_bank(day, cat, rng.gen_range(100..10_000), "shop")?;
-            }
-            pds.enroll(protocol_key.clone());
-            tokens.push(pds);
-        }
+        let tokens = (0..n)
+            .map(|i| synthetic_token(i, domain, &protocol_key, rng))
+            .collect::<Result<_, _>>()?;
         Ok(Population {
             tokens,
             protocol_key,
@@ -139,19 +165,9 @@ impl Population {
         &mut self,
         query: &GroupByQuery,
     ) -> Result<Vec<(usize, String, u64)>, GlobalError> {
-        let ctx = query.context();
         let mut out = Vec::new();
         for (i, pds) in self.tokens.iter_mut().enumerate() {
-            let groups = match query.measure {
-                Measure::Sum => pds.group_contribution(
-                    &ctx,
-                    &query.table,
-                    &query.group_column,
-                    &query.measure_column,
-                )?,
-                Measure::Count => pds.group_count(&ctx, &query.table, &query.group_column)?,
-            };
-            for (g, v) in groups {
+            for (g, v) in query.contributions_of(pds)? {
                 out.push((i, g, v));
             }
         }

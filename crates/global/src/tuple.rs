@@ -5,6 +5,17 @@
 //! (real vs fake — the noise protocols drown frequencies in fakes that
 //! only tokens can recognize) and a sequence number (the handle of the
 //! spot-checking defense against a weakly malicious SSI).
+//!
+//! [`ProtocolTuple::seal`] and [`ProtocolTuple::open`] are the only
+//! places in the workspace where a tuple crosses the token boundary:
+//! every protocol and every driver (the in-process loops here, the bus
+//! job in `pds-fleet`) seals and opens through them, so the plaintext
+//! form never exists outside a token.
+
+use pds_crypto::{Ciphertext, SymmetricKey};
+use pds_obs::rng::Rng;
+
+use crate::error::GlobalError;
 
 /// Real contribution or protocol-generated noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +94,26 @@ impl ProtocolTuple {
             kind,
             seq,
         })
+    }
+
+    /// Seal for the trip through the SSI: probabilistic authenticated
+    /// encryption of the wire form under the shared protocol key. Equal
+    /// tuples yield unlinkable ciphertexts.
+    pub fn seal(&self, key: &SymmetricKey, rng: &mut impl Rng) -> Vec<u8> {
+        key.encrypt_prob(&self.encode(), rng).0
+    }
+
+    /// Open one ciphertext inside a token. `Ok(None)` is a ciphertext
+    /// that failed authentication (forged or tampered — the caller's
+    /// tolerance policy decides whether that aborts the run); an
+    /// authentic but malformed payload is a protocol error.
+    pub fn open(key: &SymmetricKey, ct: Vec<u8>) -> Result<Option<ProtocolTuple>, GlobalError> {
+        let Some(plain) = key.decrypt(&Ciphertext(ct)) else {
+            return Ok(None);
+        };
+        ProtocolTuple::decode(&plain)
+            .map(Some)
+            .ok_or(GlobalError::Protocol("undecodable tuple"))
     }
 }
 

@@ -15,8 +15,11 @@
 //! *returns* source taint taints its callers, and one that passes a
 //! parameter into a sink pulls the violation up to the call site. A
 //! sanitizer call anywhere in the evaluated expression clears taint —
-//! the cleansed value is ciphertext. Every finding carries the full
-//! source→sink call chain.
+//! the cleansed value is ciphertext — and so does a call to a *derived*
+//! sanitizer: a straight-line function whose returned expression itself
+//! passes through one (`ProtocolTuple::seal` wrapping `encrypt_prob`),
+//! so a seal helper in one crate covers the sink in another. Every
+//! finding carries the full source→sink call chain.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,6 +155,10 @@ struct Summary {
     /// Parameters that flow into a sink inside this function:
     /// index -> (chain suffix down to the sink, sink note).
     param_sinks: BTreeMap<usize, (Vec<String>, String)>,
+    /// Derived sanitizer: the body is straight-line (no nested block a
+    /// branch could use to return around the cipher) and the returned
+    /// expression passes through a sanitizer.
+    cleanses: bool,
 }
 
 /// Precomputed per-function analysis context (resolution and pattern
@@ -383,7 +390,52 @@ fn analyze(
         summary = Summary::default();
         hits.clear();
     }
+    summary.cleanses = returns_ciphertext(ws, ctx, summaries);
     (summary, hits)
+}
+
+/// Does a sanitizer — declared, or derived per [`Summary::cleanses`] —
+/// get called inside the token range?
+fn cleansed(
+    ws: &Workspace,
+    ctx: &FnCtx,
+    summaries: &BTreeMap<FnId, Summary>,
+    start: usize,
+    end: usize,
+) -> bool {
+    let syn = &ws.files[ctx.id.0].syntax;
+    ctx.call_ids
+        .iter()
+        .filter(|&&ci| (start..end).contains(&syn.calls[ci].name_idx))
+        .any(|ci| {
+            ctx.sanitizer_at.contains(ci)
+                || ctx.targets.get(ci).is_some_and(|ts| {
+                    !ts.is_empty()
+                        && ts
+                            .iter()
+                            .all(|t| summaries.get(t).is_some_and(|s| s.cleanses))
+                })
+        })
+}
+
+/// [`Summary::cleanses`] for one function.
+fn returns_ciphertext(ws: &Workspace, ctx: &FnCtx, summaries: &BTreeMap<FnId, Summary>) -> bool {
+    let toks = &ws.files[ctx.id.0].syntax.toks;
+    let brace = |i: usize| toks[i].is_punct("{") || toks[i].is_punct("}");
+    let stmts: Vec<(usize, (usize, usize))> = ctx
+        .chunks
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, (a, b))| !(a..b).all(brace))
+        .collect();
+    let Some(&(k, (a, b))) = stmts.last() else {
+        return false;
+    };
+    stmts.iter().all(|&(_, (_, e))| !toks[e - 1].is_punct("{"))
+        && ctx.tails[k]
+        && !toks[a].is_ident("let")
+        && cleansed(ws, ctx, summaries, a, b)
 }
 
 /// Check every sink (direct or via callee param summaries) in a chunk.
@@ -686,7 +738,7 @@ fn eval(
 ) -> Option<Taint> {
     let syn = &ws.files[ctx.id.0].syntax;
     let in_range = |ci: &usize| syn.calls[*ci].name_idx >= start && syn.calls[*ci].name_idx < end;
-    if ctx.sanitizer_at.iter().any(in_range) {
+    if cleansed(ws, ctx, summaries, start, end) {
         return None;
     }
     let mut best: Option<Taint> = None;
@@ -848,6 +900,25 @@ panic-kind unwrap
              }",
         );
         assert!(h.is_empty(), "{h:?}");
+    }
+
+    #[test]
+    fn only_a_straight_line_wrapper_is_a_derived_sanitizer() {
+        let prelude = "pub struct DocStore; impl DocStore { pub fn get(&self, d: u32) -> Vec<u8> { Vec::new() } }\n\
+             pub struct Key; impl Key { pub fn encrypt_det(&self, p: &[u8]) -> Vec<u8> { Vec::new() } }\n\
+             pub struct MailboxBus; impl MailboxBus { pub fn send(&mut self, p: Vec<u8>) {} }\n\
+             pub fn mail(bus: &mut MailboxBus, store: &DocStore, k: &Key) {\n\
+                 let row = store.get(1);\n\
+                 let ct = seal(k, &row);\n\
+                 bus.send(ct);\n\
+             }\n";
+        let wrapped = "fn seal(k: &Key, p: &[u8]) -> Vec<u8> { k.encrypt_det(p) }";
+        assert!(hits("fleet", &format!("{prelude}{wrapped}")).is_empty());
+        // A branch can return around the cipher: not derived, so the
+        // tainted mention at the call site stands.
+        let branchy =
+            "fn seal(k: &Key, p: &[u8]) -> Vec<u8> { if p.is_empty() { p.to_vec() } else { k.encrypt_det(p) } }";
+        assert_eq!(hits("fleet", &format!("{prelude}{branchy}")).len(), 1);
     }
 
     #[test]

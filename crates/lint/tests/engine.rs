@@ -19,7 +19,7 @@ fn run(name: &str) -> pds_lint::LintReport {
 #[test]
 fn egress_bad_names_the_full_chain() {
     let report = run("ws_egress_bad");
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     let f = &report.findings[0];
     assert_eq!(f.rule, "flow.plaintext_egress");
     assert!(f.file.ends_with("crates/fleet/src/lib.rs"));
@@ -33,13 +33,30 @@ fn egress_bad_names_the_full_chain() {
     assert!(chain.contains("DocStore::get"), "{chain}");
     assert!(chain.contains("read_row"), "{chain}");
     assert!(chain.contains("MailboxBus::send"), "{chain}");
+
+    // The cross-crate shape: the `global` helper crate reads the
+    // contribution, the `fleet` driver mails the tuple's unsealed wire
+    // form — the chain spans the crate seam.
+    let f = &report.findings[1];
+    assert_eq!(f.rule, "flow.plaintext_egress");
+    assert!(f.file.ends_with("crates/fleet/src/lib.rs"));
+    assert!(f.message.contains("per-group private contribution"));
+    let chain = f.chain.join(" → ");
+    assert!(
+        chain.contains("Pds::group_contribution (crates/global/src/lib.rs"),
+        "{chain}"
+    );
+    assert!(chain.contains("contributions_of"), "{chain}");
+    assert!(chain.contains("MailboxBus::send"), "{chain}");
 }
 
 #[test]
 fn egress_ok_twin_is_clean_with_one_waiver() {
     let report = run("ws_egress_ok");
     assert!(report.is_clean(), "{:?}", report.findings);
-    // The sealed path is silent; the released path is waived, not unseen.
+    // The sealed paths — `encrypt_det` in place, and `encrypt_prob`
+    // behind `ProtocolTuple::seal` one crate away (a derived sanitizer)
+    // — are silent; the released path is waived, not unseen.
     assert_eq!(report.waived.len(), 1, "{:?}", report.waived);
     assert_eq!(report.waived[0].rule, "flow.plaintext_egress");
 }

@@ -55,3 +55,12 @@ pub fn mail_row_released(bus: &mut MailboxBus, store: &DocStore, doc: u32) -> u6
     // pds-lint: allow(flow.plaintext_egress) — released aggregate: this fixture models the protocol's declared declassification point
     bus.send(Addr(0), Addr(1), row)
 }
+
+/// Cross-crate seal: the contribution is read and sealed by the `global`
+/// helper crate (`ProtocolTuple::seal` → `encrypt_prob`); only this
+/// driver touches the bus. The sanitizer must survive the crate seam.
+pub fn mail_contribution_sealed(bus: &mut MailboxBus, pds: &Pds, key: &ProtocolKey) -> u64 {
+    let groups = contributions_of(pds);
+    let ct = ProtocolTuple::real(&groups).seal(key);
+    bus.send(Addr(0), Addr(1), ct)
+}

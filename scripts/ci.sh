@@ -61,6 +61,6 @@ PDS_E19_TOKENS=24 PDS_E19_MAX_THREADS=4 \
 # IO, bus delivery, recovery, RAM high-water, lint posture) exactly.
 # Fails naming each drifted metric; regenerate intentionally with
 #   cargo run --release -p pds-bench --bin report -- \
-#     --baseline BENCH_BASELINE.json e1 e3 e13 e14 e15 e16 e17 e18 e19
+#     --baseline BENCH_BASELINE.json e1 e3 e6 e13 e14 e15 e16 e17 e18 e19
 # (env knobs as recorded) and commit the diff.
 cargo run --release -q -p pds-bench --bin report -- --check BENCH_BASELINE.json

@@ -10,11 +10,13 @@
 //! soon as it comes back online.
 
 use pds::fleet::{
-    build_fleet, fleet_secure_aggregation, CellNet, CellNetConfig, FleetAggReport, FleetConfig,
-    OnTamper,
+    build_fleet, build_token, fleet_secure_aggregation, CellNet, CellNetConfig, FleetAggReport,
+    FleetConfig, OnTamper,
 };
-use pds::global::ssi::SsiThreat;
-use pds::global::GroupByQuery;
+use pds::global::secure_agg::secure_aggregation;
+use pds::global::ssi::{Ssi, SsiThreat};
+use pds::global::{plaintext_groupby, GlobalError, GroupByQuery, Population};
+use pds::obs::rng::{SeedableRng, StdRng};
 use pds::sync::TrustedCell;
 
 fn run_fleet(workers: usize, threat: SsiThreat, on_tamper: OnTamper) -> FleetAggReport {
@@ -191,6 +193,109 @@ fn weak_connectivity_changes_schedule_but_not_result() {
     assert!(a.bus.retries > 0 && a.bus.duplicates > 0);
     assert!(a.bus.ticks > b.bus.ticks, "weak connectivity costs time");
     assert_eq!(a.result, b.result, "…but never correctness");
+}
+
+#[test]
+fn a_lost_protocol_message_aborts_instead_of_shortening_the_result() {
+    // One transmission attempt per hop on the default lossy fabric:
+    // collection uploads, partitions and partials expire. With an
+    // honest SSI the run used to return `Ok` with a result well short
+    // of `expected` (or empty, when the last partition's mail expired).
+    let mut cfg = FleetConfig::new(48, 2, 77);
+    cfg.partition_size = 16;
+    cfg.bus.max_attempts = 1;
+    let query = GroupByQuery::bank_by_category();
+    let mut fleet = build_fleet(&cfg, &query).unwrap();
+    let out = fleet_secure_aggregation(
+        &cfg,
+        &query,
+        &mut fleet,
+        SsiThreat::HonestButCurious,
+        OnTamper::Abort,
+    );
+    assert!(
+        matches!(out, Err(GlobalError::Protocol(_))),
+        "expired protocol mail must abort cleanly, got {:?}",
+        out.map(|r| (r.bus.expired, r.result == r.expected))
+    );
+
+    // The invariant behind it, over a seed sweep at two attempts per
+    // hop: a run is exact or cleanly aborted, never short — and the
+    // sweep loses each kind of protocol mail (a collection upload, a
+    // partition, a partial) at least once.
+    let mut aborts = std::collections::BTreeSet::new();
+    let mut exact = 0;
+    for seed in 0..12 {
+        let mut cfg = FleetConfig::new(24, 2, seed);
+        cfg.partition_size = 8;
+        cfg.bus.max_attempts = 2;
+        let mut fleet = build_fleet(&cfg, &query).unwrap();
+        match fleet_secure_aggregation(
+            &cfg,
+            &query,
+            &mut fleet,
+            SsiThreat::HonestButCurious,
+            OnTamper::Abort,
+        ) {
+            Ok(rep) => {
+                assert_eq!(rep.result, rep.expected, "seed {seed}: released short");
+                exact += 1;
+            }
+            Err(GlobalError::Protocol(why)) => {
+                aborts.insert(why);
+            }
+            Err(other) => panic!("seed {seed}: {other}"),
+        }
+    }
+    assert!(exact > 0, "some runs lose nothing that matters");
+    assert_eq!(aborts.len(), 3, "{aborts:?}");
+}
+
+#[test]
+fn in_process_and_fleet_drivers_agree() {
+    // The same tokens (the fleet's derived per-token streams) under the
+    // same key, through both drivers of the one protocol core. Which
+    // groups share a partition differs (bus delivery order), so the
+    // reduction-phase cost counters may differ; the result and what the
+    // SSI gets to observe in the collection phase may not.
+    let mut cfg = FleetConfig::new(40, 2, 0xD21F);
+    cfg.partition_size = 8;
+    let query = GroupByQuery::bank_by_category();
+    let mut population = Population {
+        tokens: (0..cfg.tokens)
+            .map(|i| build_token(&cfg, &query.domain, i))
+            .collect(),
+        protocol_key: cfg.protocol_key(),
+    };
+    let expected = plaintext_groupby(&mut population, &query).unwrap();
+    let ssi = Ssi::honest(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let (in_process, _) = secure_aggregation(
+        &mut population,
+        &query,
+        &ssi,
+        cfg.partition_size,
+        OnTamper::Abort,
+        &mut rng,
+    )
+    .unwrap();
+
+    let mut fleet = build_fleet(&cfg, &query).unwrap();
+    let rep = fleet_secure_aggregation(
+        &cfg,
+        &query,
+        &mut fleet,
+        SsiThreat::HonestButCurious,
+        OnTamper::Abort,
+    )
+    .unwrap();
+
+    assert!(!expected.is_empty());
+    assert_eq!(in_process, expected);
+    assert_eq!(rep.result, expected);
+    assert_eq!(rep.expected, expected);
+    assert_eq!(rep.leakage, ssi.leakage());
+    assert!(rep.leakage.tuples_seen > 0 && rep.leakage.equality_class_sizes.is_empty());
 }
 
 fn cell_net(workers: usize, seed: u64) -> CellNet {
