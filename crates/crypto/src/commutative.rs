@@ -132,6 +132,16 @@ mod tests {
     }
 
     #[test]
+    fn test_params_are_pinned() {
+        // Captured before the Montgomery kernel: the safe-prime search
+        // still visits the same candidates with the same witnesses.
+        assert_eq!(
+            CommutativeGroup::test_params().p.to_hex(),
+            "b6cbb74177499c565f880eb5a50b65745eb6bef331178f646a39de5e33eaa587"
+        );
+    }
+
+    #[test]
     fn encryption_commutes() {
         let (g, a, b) = setup();
         let x = g.hash_to_group(b"diagnosis:flu");

@@ -7,9 +7,10 @@
 //! requires *working implementations* of every primitive involved, built
 //! from scratch on the sanctioned dependency set:
 //!
-//! * [`BigUint`] — arbitrary-precision unsigned arithmetic (schoolbook and
-//!   Knuth-D division, modular exponentiation, Miller–Rabin, extended
-//!   Euclid) sized for 1024–2048-bit moduli.
+//! * [`BigUint`] — arbitrary-precision unsigned arithmetic (schoolbook
+//!   multiplication, Knuth-D division, Montgomery windowed modular
+//!   exponentiation for odd moduli, Miller–Rabin, extended Euclid) sized
+//!   for 1024–2048-bit moduli.
 //! * [`paillier`] — the additively homomorphic cryptosystem the tutorial
 //!   uses as its homomorphic-encryption exemplar
 //!   (`E(p1)·E(p2) = E(p1+p2)`).
@@ -38,6 +39,7 @@ pub mod commutative;
 pub mod hash;
 pub mod mac;
 pub mod merkle;
+mod mont;
 pub mod num;
 pub mod paillier;
 pub mod sym;

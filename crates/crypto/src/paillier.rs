@@ -42,7 +42,7 @@ pub struct PaillierCiphertext(BigUint);
 impl PaillierCiphertext {
     /// Serialized size in bytes (for communication-cost accounting).
     pub fn byte_len(&self) -> usize {
-        self.0.to_bytes_be().len()
+        self.0.bits().div_ceil(8)
     }
 }
 
@@ -179,6 +179,23 @@ mod tests {
             let c = pk.encrypt_u64(m, &mut rng);
             assert_eq!(sk.decrypt_u64(&c), m);
         }
+    }
+
+    #[test]
+    fn keygen_and_encrypt_draw_the_pinned_stream() {
+        // Captured before the Montgomery kernel: any RNG draw added,
+        // removed or reordered in keygen/encrypt changes these.
+        let (pk, _) = keys();
+        assert_eq!(
+            pk.modulus().to_hex(),
+            "7d8ebe39dfe67731ac126848fba40662f60827c3ef77344449ce0dab04ee282d"
+        );
+        let c = pk.encrypt_u64(7, &mut StdRng::seed_from_u64(1));
+        assert_eq!(
+            c.0.to_hex(),
+            "2759454810daa428228c9afc67b062b56ddb9c74012b842c1ad09b82ce62496c\
+             4d70e682a55f384b6c6a8d2c2a0c3524db7ca240f6cb0b07742ef355fc19a315"
+        );
     }
 
     #[test]

@@ -38,17 +38,45 @@ pub struct ToolkitStats {
 pub fn secure_sum(values: &[u64], modulus: u64, rng: &mut impl Rng) -> (u64, ToolkitStats) {
     assert!(!values.is_empty() && modulus > 0);
     let mut stats = ToolkitStats::default();
+    // Two residues can sum past u64 once the modulus exceeds 2⁶³.
+    let add = |a: u64, b: u64| ((a as u128 + b as u128) % modulus as u128) as u64;
     let r = rng.gen_range(0..modulus);
     // Initiator starts the ring with value + R.
-    let mut running = (r + values[0] % modulus) % modulus;
+    let mut running = add(r, values[0] % modulus);
     stats.messages += 1;
     for &v in &values[1..] {
-        running = (running + v % modulus) % modulus;
+        running = add(running, v % modulus);
         stats.messages += 1; // pass to the next party
     }
     // Back at the initiator: remove the mask.
-    let total = (running + modulus - r) % modulus;
+    let total = add(running, modulus - r);
     (total, stats)
+}
+
+/// Party `owner` encrypts its own items once, then the batch circulates
+/// through every other party for the remaining layers (one message per
+/// hop, one group exponentiation per item per key).
+fn encrypt_under_every_key(
+    set: &[Vec<u8>],
+    owner: usize,
+    keys: &[CommutativeKey],
+    stats: &mut ToolkitStats,
+) -> Vec<BigUint> {
+    let mut batch: Vec<BigUint> = set
+        .iter()
+        .map(|item| keys[owner].encrypt_value(item))
+        .collect();
+    for (j, key) in keys.iter().enumerate() {
+        if j == owner {
+            continue;
+        }
+        stats.messages += 1;
+        for x in &mut batch {
+            *x = key.encrypt(x);
+        }
+    }
+    stats.crypto_ops += (set.len() * keys.len()) as u64;
+    batch
 }
 
 /// Secure set union: each party holds a set of byte-string items; the
@@ -64,29 +92,10 @@ pub fn secure_set_union(
         .iter()
         .map(|_| CommutativeKey::random(group, rng))
         .collect();
-    // Each party encrypts its own items once, then the batch circulates
-    // through every other party for the remaining layers.
     let mut all: Vec<BigUint> = Vec::new();
     for (i, set) in sets.iter().enumerate() {
-        let mut batch: Vec<BigUint> = set
-            .iter()
-            .map(|item| {
-                stats.crypto_ops += 1;
-                keys[i].encrypt_value(item)
-            })
-            .collect();
-        for (j, key) in keys.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            stats.messages += 1;
-            for x in &mut batch {
-                stats.crypto_ops += 1;
-                *x = key.encrypt(x);
-            }
-        }
+        all.extend(encrypt_under_every_key(set, i, &keys, &mut stats));
         stats.messages += 1; // hand the fully-encrypted batch to the combiner
-        all.extend(batch);
     }
     // Fully-encrypted equal items are identical: dedupe blindly.
     all.sort();
@@ -120,26 +129,9 @@ pub fn secure_intersection_size(
         .iter()
         .map(|_| CommutativeKey::random(group, rng))
         .collect();
-    // Fully encrypt every set under all keys.
     let mut encrypted_sets: Vec<Vec<BigUint>> = Vec::with_capacity(sets.len());
     for (i, set) in sets.iter().enumerate() {
-        let mut batch: Vec<BigUint> = set
-            .iter()
-            .map(|item| {
-                stats.crypto_ops += 1;
-                keys[i].encrypt_value(item)
-            })
-            .collect();
-        for (j, key) in keys.iter().enumerate() {
-            if j == i {
-                continue;
-            }
-            stats.messages += 1;
-            for x in &mut batch {
-                stats.crypto_ops += 1;
-                *x = key.encrypt(x);
-            }
-        }
+        let mut batch = encrypt_under_every_key(set, i, &keys, &mut stats);
         batch.sort();
         batch.dedup();
         encrypted_sets.push(batch);
@@ -202,6 +194,15 @@ mod tests {
             assert_eq!(sum, values.iter().sum::<u64>() % m);
             assert_eq!(stats.messages, values.len() as u64);
         }
+    }
+
+    #[test]
+    fn secure_sum_is_exact_for_moduli_above_2_pow_63() {
+        let m = u64::MAX;
+        let values = [u64::MAX - 1, u64::MAX - 2, 5];
+        let expected = values.iter().map(|&v| v as u128).sum::<u128>() % m as u128;
+        let (sum, _) = secure_sum(&values, m, &mut StdRng::seed_from_u64(7));
+        assert_eq!(sum as u128, expected);
     }
 
     #[test]

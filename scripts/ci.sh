@@ -22,6 +22,11 @@ cargo test --workspace -q
 # it: build every workload against crates/* (an API break shows here,
 # not in the benchmark driver) and run its BENCHMARK.json manifest test.
 cargo test --offline -q --manifest-path ledger/Cargo.toml
+# The bignum's end-to-end oracle: the four [CKV+02] protocols against
+# plain arithmetic on two seeds, exact counts repeating between blocks
+# and runs (under 2 s).
+cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
+  selfcheck --workload global_toolkit
 # Widened seeded crash-recovery sweep: a fixed, larger seed set than the
 # default 48 so every gate run exercises the fault paths broadly.
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q seeded_crash_recovery_sweep
