@@ -3,37 +3,78 @@
 //!
 //! The cited state of the art (SkimpyStash, SILT, LogBase) keeps "an
 //! index in RAM to index that log (~1 B per key-value pair)" — which the
-//! tutorial rules "incompatible with small RAM". This store applies the
-//! PBFilter recipe instead:
+//! tutorial rules "incompatible with small RAM". This store is the
+//! summarised-log recipe (`summary_log.rs`) instead, with versions
+//! as entries and one Bloom filter per data page:
 //!
-//! * puts (and deletes, as tombstones) append to a sequential **data
-//!   log**; the *latest* version of a key wins;
-//! * a **Bloom summary log** holds one filter per data page;
-//! * `get` scans the summaries **backward** (recent pages first) and
-//!   probes only positive pages, stopping at the first version found —
-//!   RAM stays at one page no matter how many keys live in the store;
+//! * puts (and deletes, as tombstones) append; the *latest* version of a
+//!   key wins;
+//! * `get` probes positive pages **newest first** and stops at the first
+//!   version found — RAM stays at one page no matter how many keys live
+//!   in the store;
 //! * a **compaction** (the reorganization of this model) rewrites only
 //!   live versions into a fresh log and reclaims the old one wholesale.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use pds_crypto::BloomFilter;
-use pds_flash::{Flash, FlashError, LogWriter};
+use pds_flash::{Flash, FlashError};
 
-const PAGE_HEADER: usize = 2;
+use crate::summary_log::{put_prefixed, Front, Reader, SummaryLog};
 
 /// Entry kinds in the data log.
 const KIND_PUT: u8 = 0;
 const KIND_DELETE: u8 = 1;
 
+/// One version in the data log: `kind u8 ‖ klen u16 ‖ key ‖ vlen u16 ‖
+/// value`.
+#[derive(Clone)]
+struct Version {
+    kind: u8,
+    key: Vec<u8>,
+    value: Vec<u8>,
+}
+
+/// Entry codec and summary of the store: one Bloom filter over the keys
+/// of each page.
+struct VersionsFront;
+
+impl Front for VersionsFront {
+    type Entry = Version;
+    type Summary = BloomFilter;
+
+    fn encode(v: &Version, out: &mut Vec<u8>) {
+        out.push(v.kind);
+        put_prefixed(out, &v.key);
+        put_prefixed(out, &v.value);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Version> {
+        let [kind] = r.array()?;
+        Some(Version {
+            kind,
+            key: r.prefixed()?.to_vec(),
+            value: r.prefixed()?.to_vec(),
+        })
+    }
+
+    fn summarise(&self, page: &[Version]) -> Vec<u8> {
+        let mut bf = BloomFilter::per_key_16bits(page.len());
+        for v in page {
+            bf.insert(&v.key);
+        }
+        bf.to_bytes()
+    }
+
+    fn summary(rec: &[u8]) -> Option<BloomFilter> {
+        BloomFilter::from_bytes(rec)
+    }
+}
+
 /// A log-structured key-value store with Bloom page summaries.
 pub struct KvStore {
     flash: Flash,
-    data: LogWriter,
-    summaries: LogWriter,
-    /// Entries of the page being filled: (kind, key, value).
-    pending: Vec<(u8, Vec<u8>, Vec<u8>)>,
-    pending_bytes: usize,
+    log: SummaryLog<VersionsFront>,
     /// Live-key estimate for compaction decisions.
     puts: u64,
     deletes: u64,
@@ -44,22 +85,15 @@ impl KvStore {
     pub fn new(flash: &Flash) -> Self {
         KvStore {
             flash: flash.clone(),
-            data: flash.new_log(),
-            summaries: flash.new_log(),
-            pending: Vec::new(),
-            pending_bytes: PAGE_HEADER,
+            log: SummaryLog::new(flash, VersionsFront),
             puts: 0,
             deletes: 0,
         }
     }
 
-    fn entry_bytes(key: &[u8], value: &[u8]) -> usize {
-        1 + 2 + key.len() + 2 + value.len()
-    }
-
     /// Data pages written.
     pub fn num_data_pages(&self) -> u32 {
-        self.data.num_pages()
+        self.log.num_data_pages()
     }
 
     /// Versions appended (puts + deletes), live or stale.
@@ -69,88 +103,29 @@ impl KvStore {
 
     /// Store `key → value` (a new version shadows any older one).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), FlashError> {
-        self.append_entry(KIND_PUT, key, value)?;
+        self.append_version(KIND_PUT, key, value)?;
         self.puts += 1;
         Ok(())
     }
 
     /// Delete `key` (a tombstone shadows older versions).
     pub fn delete(&mut self, key: &[u8]) -> Result<(), FlashError> {
-        self.append_entry(KIND_DELETE, key, &[])?;
+        self.append_version(KIND_DELETE, key, &[])?;
         self.deletes += 1;
         Ok(())
     }
 
-    fn append_entry(&mut self, kind: u8, key: &[u8], value: &[u8]) -> Result<(), FlashError> {
-        let page_size = self.flash.geometry().page_size;
-        let sz = Self::entry_bytes(key, value);
-        if sz + PAGE_HEADER > page_size {
-            return Err(FlashError::RecordTooLarge {
-                len: sz,
-                max: page_size - PAGE_HEADER,
-            });
-        }
-        if self.pending_bytes + sz > page_size {
-            self.flush_page()?;
-        }
-        self.pending.push((kind, key.to_vec(), value.to_vec()));
-        self.pending_bytes += sz;
-        Ok(())
-    }
-
-    fn flush_page(&mut self) -> Result<(), FlashError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut page = vec![0xFFu8; page_size];
-        page[0..2].copy_from_slice(&(self.pending.len() as u16).to_le_bytes());
-        let mut off = PAGE_HEADER;
-        let mut bf = BloomFilter::per_key_16bits(self.pending.len());
-        for (kind, key, value) in &self.pending {
-            page[off] = *kind;
-            off += 1;
-            page[off..off + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-            off += 2;
-            page[off..off + key.len()].copy_from_slice(key);
-            off += key.len();
-            page[off..off + 2].copy_from_slice(&(value.len() as u16).to_le_bytes());
-            off += 2;
-            page[off..off + value.len()].copy_from_slice(value);
-            off += value.len();
-            bf.insert(key);
-        }
-        self.data.append_raw_page(&page)?;
-        self.summaries.append(&bf.to_bytes())?;
-        self.pending.clear();
-        self.pending_bytes = PAGE_HEADER;
-        Ok(())
+    fn append_version(&mut self, kind: u8, key: &[u8], value: &[u8]) -> Result<(), FlashError> {
+        self.log.push(Version {
+            kind,
+            key: key.to_vec(),
+            value: value.to_vec(),
+        })
     }
 
     /// Force buffered entries to flash.
     pub fn flush(&mut self) -> Result<(), FlashError> {
-        self.flush_page()?;
-        self.summaries.flush()
-    }
-
-    fn decode_page(buf: &[u8]) -> Vec<(u8, Vec<u8>, Vec<u8>)> {
-        let count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-        let mut off = PAGE_HEADER;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let kind = buf[off];
-            off += 1;
-            let klen = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-            off += 2;
-            let key = buf[off..off + klen].to_vec();
-            off += klen;
-            let vlen = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-            off += 2;
-            let value = buf[off..off + vlen].to_vec();
-            off += vlen;
-            out.push((kind, key, value));
-        }
-        out
+        self.log.flush()
     }
 
     /// Latest value of `key`, `None` if absent or deleted.
@@ -159,37 +134,23 @@ impl KvStore {
     /// stops at the first page that actually contains the key.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, FlashError> {
         // Most recent first: the RAM-pending entries.
-        for (kind, k, v) in self.pending.iter().rev() {
-            if k == key {
-                return Ok((*kind == KIND_PUT).then(|| v.clone()));
-            }
+        if let Some(v) = self.log.open_entries().iter().rfind(|v| v.key == key) {
+            return Ok((v.kind == KIND_PUT).then(|| v.value.clone()));
         }
-        // Collect summaries (they are small records; the scan below reads
-        // summary pages sequentially, newest data probed first).
+        // Summaries are small records: collect them in one sequential
+        // scan, then probe the newest data first.
         let mut filters: Vec<BloomFilter> = Vec::new();
-        for p in 0..self.summaries.num_pages() {
-            for rec in self.summaries.read_page_records(p)? {
-                filters.push(
-                    BloomFilter::from_bytes(&rec)
-                        .ok_or(FlashError::CorruptPage(pds_flash::PageAddr(p)))?,
-                );
-            }
-        }
-        for rec in self.summaries.buffered_records() {
-            filters.push(BloomFilter::from_bytes(&rec).ok_or(FlashError::BadRecordAddr)?);
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        for (idx, bf) in filters.iter().enumerate().rev() {
+        self.log.for_each_summary(|_, bf| {
+            filters.push(bf);
+            Ok(())
+        })?;
+        for (page, bf) in filters.iter().enumerate().rev() {
             if !bf.maybe_contains(key) {
                 continue;
             }
-            let addr = self.data.page_addr(idx as u32)?;
-            self.flash.read_page(addr, &mut buf)?;
-            for (kind, k, v) in Self::decode_page(&buf).into_iter().rev() {
-                if k == key {
-                    return Ok((kind == KIND_PUT).then_some(v));
-                }
+            let versions = self.log.read_page(page as u32)?;
+            if let Some(v) = versions.into_iter().rfind(|v| v.key == key) {
+                return Ok((v.kind == KIND_PUT).then_some(v.value));
             }
             // False positive: keep scanning older pages.
         }
@@ -213,33 +174,27 @@ impl KvStore {
     /// a full deployment; bounded by the live-key count).
     pub fn compact(self) -> Result<KvStore, FlashError> {
         let mut new = KvStore::new(&self.flash);
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
+        let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
         // Newest → oldest: first version of a key seen is the live one.
-        let mut live: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (kind, k, v) in self.pending.iter().rev() {
-            if seen.insert(k.clone()) && *kind == KIND_PUT {
-                live.push((k.clone(), v.clone()));
-            }
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        for idx in (0..self.data.num_pages()).rev() {
-            let addr = self.data.page_addr(idx)?;
-            self.flash.read_page(addr, &mut buf)?;
-            for (kind, k, v) in Self::decode_page(&buf).into_iter().rev() {
-                if seen.insert(k.clone()) && kind == KIND_PUT {
-                    live.push((k, v));
+        let mut live: Vec<Version> = Vec::new();
+        let mut keep_newest = |page: Vec<Version>| {
+            for v in page.into_iter().rev() {
+                if seen.insert(v.key.clone()) && v.kind == KIND_PUT {
+                    live.push(v);
                 }
             }
+        };
+        keep_newest(self.log.open_entries().to_vec());
+        for page in (0..self.log.num_data_pages()).rev() {
+            keep_newest(self.log.read_page(page)?);
         }
         // Rewrite live pairs (oldest-first for stable ordering).
-        for (k, v) in live.into_iter().rev() {
-            new.put(&k, &v)?;
+        for v in live.into_iter().rev() {
+            new.put(&v.key, &v.value)?;
         }
         new.flush()?;
         // Reclaim the old logs at block grain.
-        self.data.discard();
-        self.summaries.discard();
+        self.log.discard();
         Ok(new)
     }
 }
@@ -336,6 +291,42 @@ mod tests {
         kv.put(b"a", b"1").unwrap();
         kv.delete(b"a").unwrap();
         assert!(kv.estimated_garbage_ratio() > 0.5);
+    }
+
+    #[test]
+    fn damaged_data_pages_fail_the_query_and_never_panic() {
+        use pds_flash::FaultPlan;
+        // Raw data pages carry no CRC: a flipped bit in a count or length
+        // field must come back as CorruptPage, not as an out-of-bounds
+        // index. Every read flips one bit, so each seed damages each page
+        // it reads somewhere else.
+        let (mut corrupt_gets, mut corrupt_compactions) = (0, 0);
+        for seed in 0..48u64 {
+            let f = flash();
+            let mut kv = KvStore::new(&f);
+            for i in 0..400u32 {
+                kv.put(format!("key-{}", i % 60).as_bytes(), &i.to_le_bytes())
+                    .unwrap();
+            }
+            kv.flush().unwrap();
+            // Half the reads flip: a `get` must pass its summary pages'
+            // CRC before it reaches a data page.
+            f.inject_faults(FaultPlan::new(seed).read_flips(0.5));
+            for k in 0..60u32 {
+                match kv.get(format!("key-{k}").as_bytes()) {
+                    Ok(_) => {}
+                    Err(FlashError::CorruptPage(_)) => corrupt_gets += 1,
+                    Err(e) => panic!("seed {seed}: {e:?}"),
+                }
+            }
+            f.inject_faults(FaultPlan::new(seed).read_flips(1.0));
+            match kv.compact() {
+                Ok(_) => {}
+                Err(FlashError::CorruptPage(_)) => corrupt_compactions += 1,
+                Err(e) => panic!("seed {seed}: {e:?}"),
+            }
+        }
+        assert!(corrupt_gets > 0 && corrupt_compactions > 0);
     }
 
     #[test]

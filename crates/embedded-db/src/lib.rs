@@ -6,12 +6,18 @@
 //! reorganization*. This crate is a faithful reproduction of the
 //! PBFilter / MILo-DB lineage the tutorial presents:
 //!
+//! * `summary_log` (private) — the recipe everything below repeats,
+//!   stated once: entries append to a **data log**, every data page gets
+//!   one small record in a **summary log**, and a lookup scans the
+//!   compact summary log and probes only the data pages it cannot rule
+//!   out: "|Log2| I/O + 1 IO/result" — the slide's *Summary Scan, 17
+//!   IOs* against a *Table Scan, 640 IOs*. It owns the page format, the
+//!   closing order, the summary walk and the checked page reader; each
+//!   store built on it is an *entry codec + summary type + probe rule*.
 //! * [`pbfilter`] — the sequential selection index: a **Keys log**
-//!   (vertical partition of the indexed column, filled at insertion) and a
-//!   **Bloom-filter summary log** (one ~2 B/key filter per Keys page).
-//!   A lookup scans the compact summary log and probes only the Keys
-//!   pages whose filter answers positive: "|Log2| I/O + 1 IO/result" —
-//!   the slide's *Summary Scan, 17 IOs* against a *Table Scan, 640 IOs*.
+//!   (vertical partition of the indexed column, filled at insertion)
+//!   summarised by one ~2 B/key **Bloom filter** per Keys page; probes
+//!   every positive page.
 //! * [`sort`] — external merge sort built exclusively from log structures
 //!   (sorted runs are logs; the merge output is a log), the engine of
 //!   reorganization.
@@ -31,22 +37,24 @@
 //! * [`tpcd`] — the TPC-D-like dataset of the tutorial's example
 //!   (CUSTOMER, ORDERS, LINEITEM, PARTSUPP, SUPPLIER) at configurable
 //!   scale.
-//!
-//! The tutorial's closing "remaining challenges" ask for the framework to
-//! be extended "to other data models: … time series, noSQL & key-value
-//! stores"; both are built here with the same recipe:
-//!
 //! * [`hlc`] / [`mvcc`] — snapshot isolation over the append-only
 //!   stores: hybrid-logical-clock commit stamps, prefix-length version
 //!   marks, epoch-based GC, and a durable change log answering
 //!   "changes since HLC h" (the primitive continuous queries and
 //!   delta-based Trusted-Cells sync build on).
-//! * [`timeseries`] — a log-structured time series with pre-aggregated
-//!   page summaries (range aggregates at summary-scan cost).
-//! * [`kv`] — a log-structured key-value store with Bloom page summaries,
-//!   version shadowing, tombstones and block-grain compaction.
-//! * [`spatial`] — a spatio-temporal trace with per-page MBR summaries
-//!   (window queries at summary-scan cost).
+//!
+//! The tutorial's closing "remaining challenges" ask for the framework to
+//! be extended "to other data models: … time series, spatial-temporal
+//! data, noSQL & key-value stores"; each is one more front of
+//! `summary_log`:
+//!
+//! * [`timeseries`] — samples summarised by time range + pre-aggregates:
+//!   skip disjoint pages, use the summary of covered ones, probe only the
+//!   range boundaries.
+//! * [`kv`] — versions (puts and tombstones) summarised by Bloom filters:
+//!   probe newest-first and stop at the first hit; block-grain compaction.
+//! * [`spatial`] — points summarised by MBR + time range: probe the pages
+//!   whose rectangle meets the window.
 
 pub mod climbing;
 pub mod error;
@@ -58,6 +66,7 @@ pub mod query;
 pub mod reorg;
 pub mod sort;
 pub mod spatial;
+mod summary_log;
 pub mod table;
 pub mod timeseries;
 pub mod tpcd;

@@ -4,37 +4,59 @@
 //! tuple insertion. Log2: «Bloom Filters», 1 BF built for each page in
 //! «Keys»; BF is a probabilistic summary (~2 B/key)."
 //!
-//! Lookup (`CUSTOMER.CITY = 'Lyon'`): scan the summary log; for each
-//! filter that answers *positive*, read the corresponding Keys page and
-//! collect the matching rowids. Cost: `|Log2| I/O + 1 I/O per (true or
-//! false) positive page` — compared to scanning the table itself, the
-//! slide's 640-IO table scan collapses to a 17-IO summary scan.
-//!
-//! Both logs are strictly append-only: the index is *filled at tuple
-//! insertion* with zero random writes.
+//! The summarised-log recipe (`summary_log.rs`) with `(key, rowid)`
+//! entries and one Bloom filter per Keys page. Lookup
+//! (`CUSTOMER.CITY = 'Lyon'`) probes every page whose filter answers
+//! *positive*: `|Log2| I/O + 1 I/O per (true or false) positive page` —
+//! the slide's 640-IO table scan collapses to a 17-IO summary scan.
 
 use pds_crypto::BloomFilter;
-use pds_flash::{Flash, FlashError, LogWriter};
+use pds_flash::{Flash, FlashError};
 
+use crate::sort::{read_entry, write_entry, SortEntry};
+use crate::summary_log::{Front, Reader, SummaryLog};
 use crate::table::RowId;
 
-/// Keys-page header: entry count.
-const PAGE_HEADER: usize = 2;
-
-/// The two-log selection index.
-pub struct PBFilter {
-    flash: Flash,
-    /// Log1 «Keys»: raw pages of (key, rowid) entries.
-    keys: LogWriter,
-    /// Log2 «Bloom Filters»: one record per Keys page.
-    summaries: LogWriter,
-    /// Entries of the Keys page currently being filled (RAM).
-    pending: Vec<(Vec<u8>, RowId)>,
-    pending_bytes: usize,
-    total_keys: u64,
+/// Entry codec and summary of the index: `(key, rowid)` entries (the
+/// layout the sort and the tree share), one Bloom filter per page.
+struct KeysFront {
     /// Bloom-filter budget in bits per key (the tutorial's figure is 16,
     /// i.e. ~2 bytes/key; exposed as a dial for the A1 ablation).
     bits_per_key: usize,
+}
+
+impl Front for KeysFront {
+    type Entry = SortEntry;
+    type Summary = BloomFilter;
+
+    fn encode((key, rowid): &SortEntry, out: &mut Vec<u8>) {
+        write_entry(out, key, *rowid);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<SortEntry> {
+        read_entry(r)
+    }
+
+    fn summarise(&self, page: &[SortEntry]) -> Vec<u8> {
+        let num_bits = (page.len() * self.bits_per_key).max(8);
+        let hashes = ((self.bits_per_key as f64 * 0.693).round() as u32).max(1);
+        let mut bf = BloomFilter::new(num_bits, hashes);
+        for (key, _) in page {
+            bf.insert(key);
+        }
+        bf.to_bytes()
+    }
+
+    fn summary(rec: &[u8]) -> Option<BloomFilter> {
+        BloomFilter::from_bytes(rec)
+    }
+}
+
+/// The two-log selection index.
+pub struct PBFilter {
+    /// Log1 «Keys» + Log2 «Bloom Filters».
+    log: SummaryLog<KeysFront>,
+    total_keys: u64,
 }
 
 impl PBFilter {
@@ -49,13 +71,8 @@ impl PBFilter {
         // caller-chosen constant (Bloom budget dial); not data-dependent.
         assert!(bits_per_key >= 1);
         PBFilter {
-            flash: flash.clone(),
-            keys: flash.new_log(),
-            summaries: flash.new_log(),
-            pending: Vec::new(),
-            pending_bytes: PAGE_HEADER,
+            log: SummaryLog::new(flash, KeysFront { bits_per_key }),
             total_keys: 0,
-            bits_per_key,
         }
     }
 
@@ -66,139 +83,54 @@ impl PBFilter {
 
     /// Pages in the Keys log (flushed).
     pub fn num_key_pages(&self) -> u32 {
-        self.keys.num_pages()
+        self.log.num_data_pages()
     }
 
     /// Pages in the summary log (flushed).
     pub fn num_summary_pages(&self) -> u32 {
-        self.summaries.num_pages()
-    }
-
-    fn entry_bytes(key: &[u8]) -> usize {
-        2 + key.len() + 4
+        self.log.num_summary_pages()
     }
 
     /// Index one `(key, rowid)` pair, appending a Keys page (and its
-    /// summary) whenever the current page fills.
+    /// summary) whenever the current page fills. A key no page can hold
+    /// is [`FlashError::RecordTooLarge`].
     pub fn insert(&mut self, key: &[u8], rowid: RowId) -> Result<(), FlashError> {
-        let page_size = self.flash.geometry().page_size;
-        if self.pending_bytes + Self::entry_bytes(key) > page_size {
-            self.flush_page()?;
-        }
-        self.pending_bytes += Self::entry_bytes(key);
-        self.pending.push((key.to_vec(), rowid));
+        self.log.push((key.to_vec(), rowid))?;
         self.total_keys += 1;
-        Ok(())
-    }
-
-    fn flush_page(&mut self) -> Result<(), FlashError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut page = vec![0xFFu8; page_size];
-        page[0..2].copy_from_slice(&(self.pending.len() as u16).to_le_bytes());
-        let mut off = PAGE_HEADER;
-        let num_bits = (self.pending.len() * self.bits_per_key).max(8);
-        let hashes = ((self.bits_per_key as f64 * 0.693).round() as u32).max(1);
-        let mut bf = BloomFilter::new(num_bits, hashes);
-        for (key, rowid) in &self.pending {
-            page[off..off + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-            off += 2;
-            page[off..off + key.len()].copy_from_slice(key);
-            off += key.len();
-            page[off..off + 4].copy_from_slice(&rowid.to_le_bytes());
-            off += 4;
-            bf.insert(key);
-        }
-        self.keys.append_raw_page(&page)?;
-        self.summaries.append(&bf.to_bytes())?;
-        self.pending.clear();
-        self.pending_bytes = PAGE_HEADER;
         Ok(())
     }
 
     /// Force pending entries to flash (end of an insertion batch).
     pub fn flush(&mut self) -> Result<(), FlashError> {
-        self.flush_page()?;
-        self.summaries.flush()
+        self.log.flush()
     }
 
     /// Erase blocks of both logs — what crash recovery frees before
     /// rebuilding the index from its base table (a PBFilter is derived
     /// state; its RAM-buffered tail makes page-level recovery moot).
     pub fn blocks(&self) -> Vec<pds_flash::BlockId> {
-        let mut blocks = self.keys.blocks().to_vec();
-        blocks.extend_from_slice(self.summaries.blocks());
-        blocks
+        self.log.blocks()
     }
 
     /// All rowids whose key equals `key`, in ascending rowid order.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<RowId>, FlashError> {
         let mut hits = Vec::new();
-        // 1. Summary scan: flushed summary pages + the RAM-buffered tail.
-        let mut positive_pages = Vec::new();
-        let mut summary_idx: u32 = 0;
-        for p in 0..self.summaries.num_pages() {
-            for rec in self.summaries.read_page_records(p)? {
-                if Self::summary_positive(&rec, key, summary_idx)? {
-                    positive_pages.push(summary_idx);
-                }
-                summary_idx += 1;
-            }
-        }
-        for rec in self.summaries.buffered_records() {
-            if Self::summary_positive(&rec, key, summary_idx)? {
-                positive_pages.push(summary_idx);
-            }
-            summary_idx += 1;
-        }
-        // 2. Probe each positive Keys page.
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        for page_idx in positive_pages {
-            let addr = self.keys.page_addr(page_idx)?;
-            self.flash.read_page(addr, &mut buf)?;
-            let entries = decode_keys_page(&buf).ok_or(FlashError::CorruptPage(addr))?;
+        let matching = |entries: &[SortEntry], hits: &mut Vec<RowId>| {
             hits.extend(
                 entries
-                    .into_iter()
+                    .iter()
                     .filter(|(k, _)| k.as_slice() == key)
-                    .map(|(_, rowid)| rowid),
+                    .map(|(_, rowid)| *rowid),
             );
-        }
-        // 3. The pending RAM page.
-        for (k, rowid) in &self.pending {
-            if k == key {
-                hits.push(*rowid);
+        };
+        self.log.for_each_summary(|page, bf| {
+            if bf.maybe_contains(key) {
+                matching(&self.log.read_page(page)?, &mut hits);
             }
-        }
+            Ok(())
+        })?;
+        matching(self.log.open_entries(), &mut hits);
         Ok(hits)
-    }
-
-    fn summary_positive(rec: &[u8], key: &[u8], idx: u32) -> Result<bool, FlashError> {
-        let bf = BloomFilter::from_bytes(rec)
-            .ok_or(FlashError::CorruptPage(pds_flash::PageAddr(idx)))?;
-        Ok(bf.maybe_contains(key))
-    }
-
-    /// Iterate every `(key, rowid)` entry in insertion order — the input
-    /// stream of a reorganization.
-    pub fn for_each_entry(&self, mut f: impl FnMut(&[u8], RowId)) -> Result<(), FlashError> {
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        for p in 0..self.keys.num_pages() {
-            let addr = self.keys.page_addr(p)?;
-            self.flash.read_page(addr, &mut buf)?;
-            let entries = decode_keys_page(&buf).ok_or(FlashError::CorruptPage(addr))?;
-            for (key, rowid) in entries {
-                f(&key, rowid);
-            }
-        }
-        for (k, rowid) in &self.pending {
-            f(k, *rowid);
-        }
-        Ok(())
     }
 
     /// Lazy iterator over every `(key, rowid)` entry in insertion order,
@@ -207,16 +139,13 @@ impl PBFilter {
         PBFilterEntries {
             idx: self,
             next_page: 0,
-            current: Vec::new(),
-            pos: 0,
-            pending_done: false,
+            current: Vec::new().into_iter(),
         }
     }
 
     /// Discard the index, reclaiming its blocks.
     pub fn discard(self) {
-        self.keys.discard();
-        self.summaries.discard();
+        self.log.discard();
     }
 }
 
@@ -224,69 +153,33 @@ impl PBFilter {
 /// [`PBFilter::entries`]).
 pub struct PBFilterEntries<'a> {
     idx: &'a PBFilter,
+    /// Next Keys page to load; one past the flushed pages once the
+    /// RAM-pending page has been served too.
     next_page: u32,
-    current: Vec<(Vec<u8>, RowId)>,
-    pos: usize,
-    pending_done: bool,
+    current: std::vec::IntoIter<SortEntry>,
 }
 
 impl Iterator for PBFilterEntries<'_> {
-    type Item = Result<(Vec<u8>, RowId), FlashError>;
+    type Item = Result<SortEntry, FlashError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.pos < self.current.len() {
-                let item = std::mem::take(&mut self.current[self.pos]);
-                self.pos += 1;
-                return Some(Ok(item));
+            if let Some(entry) = self.current.next() {
+                return Some(Ok(entry));
             }
-            if self.next_page < self.idx.keys.num_pages() {
-                let page = self.next_page;
-                self.next_page += 1;
-                let addr = match self.idx.keys.page_addr(page) {
-                    Ok(a) => a,
-                    Err(e) => return Some(Err(e)),
-                };
-                let mut buf = vec![0u8; self.idx.flash.geometry().page_size];
-                if let Err(e) = self.idx.flash.read_page(addr, &mut buf) {
-                    return Some(Err(e));
-                }
-                self.current = match decode_keys_page(&buf) {
-                    Some(entries) => entries,
-                    None => return Some(Err(FlashError::CorruptPage(addr))),
-                };
-                self.pos = 0;
-                continue;
+            let log = &self.idx.log;
+            let loaded = match self.next_page.cmp(&log.num_data_pages()) {
+                std::cmp::Ordering::Less => log.read_page(self.next_page),
+                std::cmp::Ordering::Equal => Ok(log.open_entries().to_vec()),
+                std::cmp::Ordering::Greater => return None,
+            };
+            self.next_page += 1;
+            match loaded {
+                Ok(entries) => self.current = entries.into_iter(),
+                Err(e) => return Some(Err(e)),
             }
-            if !self.pending_done {
-                self.pending_done = true;
-                self.current = self.idx.pending.clone();
-                self.pos = 0;
-                continue;
-            }
-            return None;
         }
     }
-}
-
-/// Decode one Keys page. `None` means the page bytes do not form a
-/// well-formed entry list (truncated length prefix, key running past the
-/// page end): the caller maps it to [`FlashError::CorruptPage`] so a
-/// damaged flash page degrades into a failed query, never a panic.
-fn decode_keys_page(buf: &[u8]) -> Option<Vec<(Vec<u8>, RowId)>> {
-    let count = u16::from_le_bytes([*buf.first()?, *buf.get(1)?]) as usize;
-    let mut off = PAGE_HEADER;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let klen = u16::from_le_bytes([*buf.get(off)?, *buf.get(off + 1)?]) as usize;
-        off += 2;
-        let key = buf.get(off..off + klen)?.to_vec();
-        off += klen;
-        let rowid = u32::from_le_bytes(buf.get(off..off + 4)?.try_into().ok()?);
-        off += 4;
-        out.push((key, rowid));
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -359,16 +252,35 @@ mod tests {
     }
 
     #[test]
-    fn for_each_entry_streams_everything_in_insertion_order() {
+    fn entries_stream_everything_in_insertion_order() {
+        // 300 keys: flushed Keys pages, then the RAM-pending page.
         let (_f, idx) = build(300, 7);
+        assert!(idx.num_key_pages() > 0 && !idx.log.open_entries().is_empty());
         let mut n = 0u32;
-        idx.for_each_entry(|key, rowid| {
+        for entry in idx.entries() {
+            let (key, rowid) = entry.unwrap();
             assert_eq!(key, format!("C{}", rowid % 7).as_bytes());
             assert_eq!(rowid, n);
             n += 1;
-        })
-        .unwrap();
+        }
         assert_eq!(n, 300);
+    }
+
+    #[test]
+    fn oversized_key_is_a_typed_error_not_a_torn_page() {
+        // 512-byte pages: 2 count + 2 klen + key + 4 rowid must fit one.
+        let f = flash();
+        let mut idx = PBFilter::new(&f);
+        idx.insert(b"Lyon", 1).unwrap();
+        assert_eq!(
+            idx.insert(&[7u8; 505], 2),
+            Err(FlashError::RecordTooLarge { len: 511, max: 510 })
+        );
+        idx.insert(&[7u8; 504], 3).unwrap();
+        idx.flush().unwrap();
+        assert_eq!(idx.num_keys(), 2, "the refused key was not counted");
+        assert_eq!(idx.lookup(b"Lyon").unwrap(), vec![1]);
+        assert_eq!(idx.lookup(&[7u8; 504]).unwrap(), vec![3]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! a **tree lookup** — each step an order of magnitude cheaper, which is
 //! what the E1/E2 experiments measure.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pds_flash::{BlockId, ChangeRec, Flash};
 use pds_mcu::RamBudget;
@@ -132,9 +132,11 @@ pub struct Database {
     flash: Flash,
     ram: RamBudget,
     tables: Vec<Table>,
-    by_name: HashMap<String, usize>,
-    /// (table, column) → index.
-    indexes: HashMap<(usize, usize), ColumnIndex>,
+    by_name: BTreeMap<String, usize>,
+    /// (table, column) → index. Ordered: `insert` and `manifest` walk
+    /// it, so with two indexes on a table the interleaving of their page
+    /// programs must not vary per process.
+    indexes: BTreeMap<(usize, usize), ColumnIndex>,
     /// Version state (snapshots + change log), when enabled.
     mvcc: Option<MvccState>,
 }
@@ -146,8 +148,8 @@ impl Database {
             flash: flash.clone(),
             ram: ram.clone(),
             tables: Vec::new(),
-            by_name: HashMap::new(),
-            indexes: HashMap::new(),
+            by_name: BTreeMap::new(),
+            indexes: BTreeMap::new(),
             mvcc: None,
         }
     }
@@ -335,7 +337,7 @@ impl Database {
         docs_recovered: Option<u32>,
     ) -> Result<DbRecovery, DbError> {
         let mut tables = Vec::new();
-        let mut by_name = HashMap::new();
+        let mut by_name = BTreeMap::new();
         let mut losses = Vec::new();
         for tm in &m.tables {
             let (table, lost) = Table::recover(flash, tm)?;
@@ -370,7 +372,7 @@ impl Database {
                 ram: ram.clone(),
                 tables,
                 by_name,
-                indexes: HashMap::new(),
+                indexes: BTreeMap::new(),
                 mvcc,
             },
             losses,
@@ -411,12 +413,14 @@ impl Database {
         let t = self.table_idx(table)?;
         let c = self.tables[t].column(column)?;
         let mut pbf = PBFilter::new(&self.flash);
-        self.tables[t].scan(|rowid, row| {
-            // Scan is infallible on well-formed tables; surface flash
-            // exhaustion via the post-check below.
-            let _ = pbf.insert(&row[c].to_key_bytes(), rowid);
-        })?;
-        pbf.flush()?;
+        let built = self.tables[t]
+            .try_scan(|rowid, row| pbf.insert(&row[c].to_key_bytes(), rowid))
+            .and_then(|()| pbf.flush());
+        if let Err(e) = built {
+            // A partial index answers wrongly: give its blocks back.
+            pbf.discard();
+            return Err(e.into());
+        }
         self.indexes.insert((t, c), ColumnIndex::PBFilter(pbf));
         (self.flash.stats() - before).attach_to_span(&span);
         Ok(())
@@ -527,9 +531,12 @@ mod tests {
     use crate::value::ColumnType;
 
     fn db_with_customers(n: u64) -> Database {
-        let f = Flash::small(2048);
+        customers_on(&Flash::small(2048), n)
+    }
+
+    fn customers_on(f: &Flash, n: u64) -> Database {
         let ram = RamBudget::new(64 * 1024);
-        let mut db = Database::new(&f, &ram);
+        let mut db = Database::new(f, &ram);
         db.create_table(
             "CUSTOMER",
             Schema::new(&[
@@ -763,6 +770,31 @@ mod tests {
             db.changes_since(Hlc::ZERO),
             Err(DbError::MvccDisabled)
         ));
+    }
+
+    #[test]
+    fn index_build_on_a_full_chip_is_an_error_and_leaks_nothing() {
+        // The table leaves one free block; a PBFilter needs two (Keys +
+        // summaries). The build must stop at the first failed insert —
+        // not carry on and hope the final flush fails too — and hand
+        // back the block it took.
+        let f = Flash::small(6);
+        let mut db = customers_on(&f, 0);
+        let mut id = 0u64;
+        while f.free_blocks() > 1 {
+            let row = vec![Value::U64(id), Value::str("Lyon"), Value::str("AUTO")];
+            db.insert("CUSTOMER", row).unwrap();
+            id += 1;
+        }
+        let err = db.create_index("CUSTOMER", "id").unwrap_err();
+        assert!(
+            matches!(err, DbError::Flash(pds_flash::FlashError::OutOfBlocks)),
+            "{err:?}"
+        );
+        assert_eq!(f.free_blocks(), 1, "the partial index was discarded");
+        let pred = Predicate::eq("id", Value::U64(7));
+        assert_eq!(db.explain("CUSTOMER", &pred).unwrap(), QueryPlan::FullScan);
+        assert_eq!(db.select("CUSTOMER", &pred).unwrap().len(), 1);
     }
 
     #[test]

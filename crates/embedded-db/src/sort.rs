@@ -15,25 +15,34 @@ use pds_flash::{Flash, Log};
 use pds_mcu::RamBudget;
 
 use crate::error::DbError;
+use crate::summary_log::{put_prefixed, Reader};
 use crate::table::RowId;
 
 /// One sortable entry: an order-preserving key and a rowid payload.
 pub type SortEntry = (Vec<u8>, RowId);
 
-fn encode_entry(key: &[u8], rowid: RowId) -> Vec<u8> {
+/// Append one entry as `klen u16 ‖ key ‖ rowid u32` — the layout shared
+/// by sort records, PBFilter Keys pages and tree pages.
+pub(crate) fn write_entry(out: &mut Vec<u8>, key: &[u8], rowid: RowId) {
+    put_prefixed(out, key);
+    out.extend_from_slice(&rowid.to_le_bytes());
+}
+
+/// Read one entry laid out by [`write_entry`].
+pub(crate) fn read_entry(r: &mut Reader<'_>) -> Option<SortEntry> {
+    let key = r.prefixed()?.to_vec();
+    Some((key, u32::from_le_bytes(r.array()?)))
+}
+
+pub(crate) fn encode_entry(key: &[u8], rowid: RowId) -> Vec<u8> {
     let mut rec = Vec::with_capacity(2 + key.len() + 4);
-    rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    rec.extend_from_slice(key);
-    rec.extend_from_slice(&rowid.to_le_bytes());
+    write_entry(&mut rec, key, rowid);
     rec
 }
 
 /// Decode an entry record written by a run or output log.
 pub fn decode_entry(rec: &[u8]) -> Option<SortEntry> {
-    let klen = u16::from_le_bytes(rec.get(0..2)?.try_into().ok()?) as usize;
-    let key = rec.get(2..2 + klen)?.to_vec();
-    let rowid = u32::from_le_bytes(rec.get(2 + klen..2 + klen + 4)?.try_into().ok()?);
-    Some((key, rowid))
+    read_entry(&mut Reader::new(rec))
 }
 
 /// Sort `entries` by `(key, rowid)` into a sealed output log.

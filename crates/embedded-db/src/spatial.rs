@@ -3,21 +3,22 @@
 //! noSQL & key-value stores").
 //!
 //! The motivating device class is the tutorial's GPS-enabled personal
-//! tokens (transport passes, vehicle trackers): points `(x, y, ts)`
-//! arrive in time order and append to a sequential **data log**; a
-//! **summary log** keeps, per data page, the *minimum bounding rectangle*
-//! (MBR) and time range of its points — the R-tree idea flattened into
-//! the tutorial's log+summary shape. Spatio-temporal window queries scan
-//! the compact summaries and probe only pages whose MBR intersects the
-//! window.
+//! tokens (transport passes, vehicle trackers). This is the
+//! summarised-log recipe (`summary_log.rs`) with points
+//! `(x, y, ts)` in time order as entries and, per data page, the
+//! *minimum bounding rectangle* (MBR) and time range of its points — the
+//! R-tree idea flattened into the tutorial's log+summary shape. A
+//! spatio-temporal window query probes only pages whose MBR intersects
+//! the window.
 //!
 //! Movement traces have strong spatial locality in time (consecutive
 //! points are near each other), so page MBRs are tight and the summary
 //! scan prunes aggressively — the property the tests assert.
 
-use pds_flash::{Flash, FlashError, LogWriter};
+use pds_flash::{Flash, FlashError};
 
 use crate::error::DbError;
+use crate::summary_log::{Front, Reader, SummaryLog};
 
 /// One spatio-temporal point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +54,8 @@ impl Window {
     }
 }
 
+/// On-flash point: `x i32 ‖ y i32 ‖ ts u64`.
 const POINT_LEN: usize = 16;
-const PAGE_HEADER: usize = 2;
 
 /// Per-page summary: MBR + time range.
 #[derive(Debug, Clone, Copy)]
@@ -90,42 +91,60 @@ impl Mbr {
             && self.t.0 <= w.t.1
             && self.t.1 >= w.t.0
     }
+}
 
-    fn encode(&self) -> Vec<u8> {
+/// Entry codec and summary of the trace.
+struct PointsFront;
+
+impl Front for PointsFront {
+    type Entry = Point;
+    type Summary = Mbr;
+
+    fn encode(p: &Point, out: &mut Vec<u8>) {
+        out.extend_from_slice(&p.x.to_le_bytes());
+        out.extend_from_slice(&p.y.to_le_bytes());
+        out.extend_from_slice(&p.ts.to_le_bytes());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Point> {
+        Some(Point {
+            x: i32::from_le_bytes(r.array()?),
+            y: i32::from_le_bytes(r.array()?),
+            ts: u64::from_le_bytes(r.array()?),
+        })
+    }
+
+    fn summarise(&self, page: &[Point]) -> Vec<u8> {
+        let m = Mbr::of(page);
         let mut out = Vec::with_capacity(32);
-        for v in [self.x.0, self.x.1, self.y.0, self.y.1] {
+        for v in [m.x.0, m.x.1, m.y.0, m.y.1] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out.extend_from_slice(&self.t.0.to_le_bytes());
-        out.extend_from_slice(&self.t.1.to_le_bytes());
+        for v in [m.t.0, m.t.1] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
         out
     }
 
-    fn decode(rec: &[u8]) -> Option<Mbr> {
+    fn summary(rec: &[u8]) -> Option<Mbr> {
         if rec.len() != 32 {
             return None;
         }
-        let i = |a: usize| -> Option<i32> {
-            Some(i32::from_le_bytes(rec.get(a..a + 4)?.try_into().ok()?))
-        };
-        let t = |a: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(rec.get(a..a + 8)?.try_into().ok()?))
-        };
+        let mut r = Reader::new(rec);
+        let mut i = || r.array().map(i32::from_le_bytes);
+        let (x, y) = ((i()?, i()?), (i()?, i()?));
+        let mut t = || r.array().map(u64::from_le_bytes);
         Some(Mbr {
-            x: (i(0)?, i(4)?),
-            y: (i(8)?, i(12)?),
-            t: (t(16)?, t(24)?),
+            x,
+            y,
+            t: (t()?, t()?),
         })
     }
 }
 
 /// A log-structured spatio-temporal trace with MBR page summaries.
 pub struct SpatialTrace {
-    flash: Flash,
-    data: LogWriter,
-    summaries: LogWriter,
-    pending: Vec<Point>,
-    points_per_page: usize,
+    log: SummaryLog<PointsFront>,
     last_ts: Option<u64>,
     total: u64,
 }
@@ -133,13 +152,8 @@ pub struct SpatialTrace {
 impl SpatialTrace {
     /// An empty trace on `flash`.
     pub fn new(flash: &Flash) -> Self {
-        let points_per_page = (flash.geometry().page_size - PAGE_HEADER) / POINT_LEN;
         SpatialTrace {
-            flash: flash.clone(),
-            data: flash.new_log(),
-            summaries: flash.new_log(),
-            pending: Vec::new(),
-            points_per_page,
+            log: SummaryLog::new(flash, PointsFront),
             last_ts: None,
             total: 0,
         }
@@ -157,7 +171,7 @@ impl SpatialTrace {
 
     /// Data pages programmed.
     pub fn num_data_pages(&self) -> u32 {
-        self.data.num_pages()
+        self.log.num_data_pages()
     }
 
     /// Record one point. Timestamps must be non-decreasing; an older point
@@ -168,86 +182,31 @@ impl SpatialTrace {
                 return Err(DbError::OutOfOrderTimestamp { last, got: ts });
             }
         }
+        self.log.push(Point { x, y, ts })?;
         self.last_ts = Some(ts);
-        self.pending.push(Point { x, y, ts });
         self.total += 1;
-        if self.pending.len() == self.points_per_page {
-            self.flush_page()?;
-        }
-        Ok(())
-    }
-
-    fn flush_page(&mut self) -> Result<(), FlashError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut page = vec![0xFFu8; page_size];
-        page[0..2].copy_from_slice(&(self.pending.len() as u16).to_le_bytes());
-        for (i, p) in self.pending.iter().enumerate() {
-            let off = PAGE_HEADER + i * POINT_LEN;
-            page[off..off + 4].copy_from_slice(&p.x.to_le_bytes());
-            page[off + 4..off + 8].copy_from_slice(&p.y.to_le_bytes());
-            page[off + 8..off + 16].copy_from_slice(&p.ts.to_le_bytes());
-        }
-        self.data.append_raw_page(&page)?;
-        self.summaries.append(&Mbr::of(&self.pending).encode())?;
-        self.pending.clear();
+        self.log.close_if_full(POINT_LEN)?;
         Ok(())
     }
 
     /// Force pending points to flash.
     pub fn flush(&mut self) -> Result<(), FlashError> {
-        self.flush_page()?;
-        self.summaries.flush()
-    }
-
-    /// Decode a data page; `None` when the point array runs past the page
-    /// end (corrupt header) — callers surface [`FlashError::CorruptPage`].
-    fn decode_data_page(buf: &[u8]) -> Option<Vec<Point>> {
-        let count = u16::from_le_bytes([*buf.first()?, *buf.get(1)?]) as usize;
-        (0..count)
-            .map(|i| {
-                let off = PAGE_HEADER + i * POINT_LEN;
-                let word = |a: usize| buf.get(a..a + 4)?.try_into().ok();
-                Some(Point {
-                    x: i32::from_le_bytes(word(off)?),
-                    y: i32::from_le_bytes(word(off + 4)?),
-                    ts: u64::from_le_bytes(buf.get(off + 8..off + 16)?.try_into().ok()?),
-                })
-            })
-            .collect()
+        self.log.flush()
     }
 
     /// All points inside the window, in time order. RAM: one page buffer;
     /// I/O: summary scan + only the intersecting data pages.
     pub fn window_query(&self, w: &Window) -> Result<Vec<Point>, FlashError> {
         let mut hits = Vec::new();
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        let mut page_idx: u32 = 0;
-        let mut handle = |rec: &[u8], hits: &mut Vec<Point>, idx: u32| -> Result<(), FlashError> {
-            let mbr = Mbr::decode(rec).ok_or(FlashError::CorruptPage(pds_flash::PageAddr(idx)))?;
-            if !mbr.intersects(w) {
-                return Ok(());
+        self.log.for_each_summary(|page, mbr| {
+            if mbr.intersects(w) {
+                let points = self.log.read_page(page)?;
+                hits.extend(points.into_iter().filter(|p| w.contains(p)));
             }
-            let addr = self.data.page_addr(idx)?;
-            self.flash.read_page(addr, &mut buf)?;
-            let points = Self::decode_data_page(&buf).ok_or(FlashError::CorruptPage(addr))?;
-            hits.extend(points.into_iter().filter(|p| w.contains(p)));
             Ok(())
-        };
-        for p in 0..self.summaries.num_pages() {
-            for rec in self.summaries.read_page_records(p)? {
-                handle(&rec, &mut hits, page_idx)?;
-                page_idx += 1;
-            }
-        }
-        for rec in self.summaries.buffered_records() {
-            handle(&rec, &mut hits, page_idx)?;
-            page_idx += 1;
-        }
-        hits.extend(self.pending.iter().copied().filter(|p| w.contains(p)));
+        })?;
+        let open = self.log.open_entries();
+        hits.extend(open.iter().copied().filter(|p| w.contains(p)));
         Ok(hits)
     }
 }

@@ -1,0 +1,418 @@
+//! The summarised log — the tutorial's "data log + summary log" recipe,
+//! stated once.
+//!
+//! Part II is one framework applied repeatedly: entries append to a
+//! sequential **data log**; every data page gets one small **summary**
+//! record in a second log; a query scans the summaries and probes only
+//! the data pages its summaries cannot rule out — `|Log2| I/O + 1 I/O
+//! per positive page`, the slide's *Summary Scan 17 IOs* against *Table
+//! Scan 640*. [`PBFilter`](crate::PBFilter), [`KvStore`](crate::KvStore),
+//! [`TimeSeries`](crate::TimeSeries) and
+//! [`SpatialTrace`](crate::SpatialTrace) are typed fronts over this
+//! module: each brings an entry codec and a summary type (a [`Front`])
+//! and keeps its own skip / use / probe rule; the page format, the
+//! closing order, the summary walk and the checked page reader live
+//! here and nowhere else in the crate.
+//!
+//! ## On flash
+//!
+//! ```text
+//! data log:     raw pages     [count u16] count × entry ... padding (0xFF)
+//! summary log:  record pages  one record per data page, in data-page order
+//! ```
+//!
+//! Closing a page programs the data page and *then* appends its summary,
+//! so the n-th summary always describes data page n. Summaries are small
+//! and buffer in the record log's RAM page: a walk visits the flushed
+//! summary pages, then that RAM tail; the entries of the page still
+//! under construction are served from RAM by the front itself.
+
+use pds_flash::{BlockId, Flash, FlashError, LogWriter};
+
+/// Bytes of the entry count that precedes a page's entries.
+const COUNT_LEN: usize = 2;
+
+/// What a front brings to the recipe: how one entry is laid out in a
+/// data page, and what summarises a page.
+pub(crate) trait Front {
+    /// One entry of the data log.
+    type Entry;
+    /// The decoded per-page summary.
+    type Summary;
+
+    /// Append the on-flash form of `entry` to `out`.
+    fn encode(entry: &Self::Entry, out: &mut Vec<u8>);
+
+    /// Read one entry back; `None` when the bytes run out.
+    fn decode(r: &mut Reader<'_>) -> Option<Self::Entry>;
+
+    /// The summary record of a closing page.
+    fn summarise(&self, page: &[Self::Entry]) -> Vec<u8>;
+
+    /// Parse a summary record; `None` when it is malformed.
+    fn summary(rec: &[u8]) -> Option<Self::Summary>;
+}
+
+/// A bounds-checked cursor over bytes read from flash. Every accessor
+/// returns `None` instead of indexing past the end, so a damaged page
+/// fails the query and never panics the token.
+pub(crate) struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { rest: bytes }
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.rest.len() {
+            return None;
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Some(head)
+    }
+
+    /// The next `N` bytes, for `from_le_bytes`.
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.bytes(N)?.try_into().ok()
+    }
+
+    /// A little-endian `u16` (entry counts, length prefixes).
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A byte string behind a `u16` length (see [`put_prefixed`]).
+    pub fn prefixed(&mut self) -> Option<&'a [u8]> {
+        let len = self.u16()?;
+        self.bytes(len as usize)
+    }
+}
+
+/// Append `bytes` behind a `u16` length — keys and values of the
+/// variable-size fronts. Lengths are bounded by the page size, which
+/// [`PagePacker::push`] enforces before anything reaches flash.
+pub(crate) fn put_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Packs entries into one raw page image: `prefix ‖ count u16 ‖ entries`,
+/// erased-cell padding after. The summarised log packs with an empty
+/// prefix; the tree index puts its page-kind byte there.
+pub(crate) struct PagePacker {
+    image: Vec<u8>,
+    page_size: usize,
+    /// Offset of the count (= length of the prefix).
+    count_at: usize,
+    count: u16,
+}
+
+impl PagePacker {
+    pub fn new(page_size: usize, prefix: &[u8]) -> Self {
+        let mut image = Vec::with_capacity(page_size);
+        image.extend_from_slice(prefix);
+        image.extend_from_slice(&[0; COUNT_LEN]);
+        PagePacker {
+            image,
+            page_size,
+            count_at: prefix.len(),
+            count: 0,
+        }
+    }
+
+    fn header(&self) -> usize {
+        self.count_at + COUNT_LEN
+    }
+
+    /// Would an entry of `len` bytes still fit?
+    pub fn fits(&self, len: usize) -> bool {
+        self.image.len() + len <= self.page_size
+    }
+
+    /// Pack the entry `encode` writes. `Ok(false)` leaves the page
+    /// untouched because the entry does not fit *this* page — put the
+    /// page on flash, [`clear`](Self::clear), push again. An entry no
+    /// empty page could hold is [`FlashError::RecordTooLarge`].
+    pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<bool, FlashError> {
+        let start = self.image.len();
+        encode(&mut self.image);
+        let len = self.image.len() - start;
+        if self.image.len() > self.page_size {
+            self.image.truncate(start);
+            let max = self.page_size - self.header();
+            return if len > max {
+                Err(FlashError::RecordTooLarge { len, max })
+            } else {
+                Ok(false)
+            };
+        }
+        self.count += 1;
+        Ok(true)
+    }
+
+    /// Hand the finished page image to `program`; the packer keeps its
+    /// entries until [`clear`](Self::clear), so a failed program can be
+    /// retried.
+    pub fn with_image<T>(&mut self, program: impl FnOnce(&[u8]) -> T) -> T {
+        let used = self.image.len();
+        self.image[self.count_at..self.count_at + COUNT_LEN]
+            .copy_from_slice(&self.count.to_le_bytes());
+        self.image.resize(self.page_size, 0xFF);
+        let out = program(&self.image);
+        self.image.truncate(used);
+        out
+    }
+
+    /// Start the next page.
+    pub fn clear(&mut self) {
+        self.image.truncate(self.header());
+        self.count = 0;
+    }
+}
+
+/// A data log with one summary record per data page.
+pub(crate) struct SummaryLog<F: Front> {
+    front: F,
+    data: LogWriter,
+    summaries: LogWriter,
+    /// The data page under construction: its entries, and their image.
+    open: Vec<F::Entry>,
+    packer: PagePacker,
+}
+
+impl<F: Front> SummaryLog<F> {
+    /// An empty log pair on `flash`.
+    pub fn new(flash: &Flash, front: F) -> Self {
+        SummaryLog {
+            front,
+            data: flash.new_log(),
+            summaries: flash.new_log(),
+            open: Vec::new(),
+            packer: PagePacker::new(flash.geometry().page_size, &[]),
+        }
+    }
+
+    /// Data pages on flash.
+    pub fn num_data_pages(&self) -> u32 {
+        self.data.num_pages()
+    }
+
+    /// Summary pages on flash — what a summary scan reads.
+    pub fn num_summary_pages(&self) -> u32 {
+        self.summaries.num_pages()
+    }
+
+    /// Entries of the page under construction (RAM), oldest first.
+    pub fn open_entries(&self) -> &[F::Entry] {
+        &self.open
+    }
+
+    /// Append one entry, closing the open page first when it is full.
+    pub fn push(&mut self, entry: F::Entry) -> Result<(), FlashError> {
+        if !self.packer.push(|out| F::encode(&entry, out))? {
+            self.close_page()?;
+            self.packer.push(|out| F::encode(&entry, out))?;
+        }
+        self.open.push(entry);
+        Ok(())
+    }
+
+    /// Close the open page now if an entry of `next_len` bytes would not
+    /// fit. Fronts with fixed-size entries call this after every
+    /// [`push`](Self::push), so a full page reaches flash with its last
+    /// entry rather than with the next one.
+    pub fn close_if_full(&mut self, next_len: usize) -> Result<(), FlashError> {
+        if self.packer.fits(next_len) {
+            return Ok(());
+        }
+        self.close_page()
+    }
+
+    fn close_page(&mut self) -> Result<(), FlashError> {
+        if self.open.is_empty() {
+            return Ok(());
+        }
+        let summary = self.front.summarise(&self.open);
+        let data = &mut self.data;
+        self.packer.with_image(|page| data.append_raw_page(page))?;
+        self.summaries.append(&summary)?;
+        self.open.clear();
+        self.packer.clear();
+        Ok(())
+    }
+
+    /// Force the open page and the buffered summaries to flash.
+    pub fn flush(&mut self) -> Result<(), FlashError> {
+        self.close_page()?;
+        self.summaries.flush()
+    }
+
+    /// Erase blocks of both logs, data log first.
+    pub fn blocks(&self) -> Vec<BlockId> {
+        [self.data.blocks(), self.summaries.blocks()].concat()
+    }
+
+    /// Drop both logs, returning their blocks to the pool.
+    pub fn discard(self) {
+        self.data.discard();
+        self.summaries.discard();
+    }
+
+    /// The summary scan: visit every page summary exactly once, in data
+    /// page order — flushed summary pages (one read each), then the
+    /// buffered tail — as `f(data page ordinal, summary)`. A record that
+    /// does not parse is [`FlashError::CorruptPage`] at the real flash
+    /// address of its summary page.
+    pub fn for_each_summary(
+        &self,
+        mut f: impl FnMut(u32, F::Summary) -> Result<(), FlashError>,
+    ) -> Result<(), FlashError> {
+        let mut ordinal = 0u32;
+        self.summaries.for_each_record(|page, rec| {
+            let Some(summary) = F::summary(rec) else {
+                return Err(FlashError::CorruptPage(self.summaries.page_addr(page)?));
+            };
+            f(ordinal, summary)?;
+            ordinal += 1;
+            Ok(())
+        })
+    }
+
+    /// Probe data page `ordinal` (one read) and decode its entries;
+    /// bytes that do not form `count` whole entries are
+    /// [`FlashError::CorruptPage`] at the page's flash address.
+    pub fn read_page(&self, ordinal: u32) -> Result<Vec<F::Entry>, FlashError> {
+        let addr = self.data.page_addr(ordinal)?;
+        let flash = self.data.flash();
+        let mut buf = vec![0u8; flash.geometry().page_size];
+        flash.read_page(addr, &mut buf)?;
+        decode_page::<F>(&buf).ok_or(FlashError::CorruptPage(addr))
+    }
+}
+
+fn decode_page<F: Front>(buf: &[u8]) -> Option<Vec<F::Entry>> {
+    let mut r = Reader::new(buf);
+    let count = r.u16()? as usize;
+    // An entry takes at least a byte, so a count beyond the page is
+    // damage — no reason to allocate for it.
+    let mut entries = Vec::with_capacity(count.min(buf.len()));
+    for _ in 0..count {
+        entries.push(F::decode(&mut r)?);
+    }
+    Some(entries)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The smallest front: one-byte entries, summary = the entry count.
+    struct Bytes;
+
+    impl Front for Bytes {
+        type Entry = u8;
+        type Summary = u8;
+
+        fn encode(entry: &u8, out: &mut Vec<u8>) {
+            out.push(*entry);
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Option<u8> {
+            r.array::<1>().map(|[b]| b)
+        }
+
+        fn summarise(&self, page: &[u8]) -> Vec<u8> {
+            vec![page.len() as u8]
+        }
+
+        fn summary(rec: &[u8]) -> Option<u8> {
+            match rec {
+                [n] => Some(*n),
+                _ => None,
+            }
+        }
+    }
+
+    fn summaries(log: &SummaryLog<Bytes>) -> Result<Vec<(u32, u8)>, FlashError> {
+        let mut seen = Vec::new();
+        log.for_each_summary(|ordinal, n| {
+            seen.push((ordinal, n));
+            Ok(())
+        })?;
+        Ok(seen)
+    }
+
+    #[test]
+    fn closes_data_page_then_summary_and_walks_flushed_then_buffered() {
+        let f = Flash::small(8);
+        let mut log = SummaryLog::new(&f, Bytes);
+        for i in 0..700u32 {
+            log.push(i as u8).unwrap();
+        }
+        // 510 one-byte entries fill a 512-byte page; 190 stay open.
+        assert_eq!((log.num_data_pages(), log.num_summary_pages()), (1, 0));
+        assert_eq!(summaries(&log).unwrap(), vec![(0, 254)], "510 as u8");
+        assert_eq!(log.open_entries().len(), 190);
+        assert_eq!(f.stats().page_reads, 0, "the buffered tail is RAM");
+        log.flush().unwrap();
+        log.push(7).unwrap();
+        log.flush().unwrap();
+        assert_eq!((log.num_data_pages(), log.num_summary_pages()), (3, 2));
+        assert_eq!(summaries(&log).unwrap(), vec![(0, 254), (1, 190), (2, 1)]);
+        assert_eq!(f.stats().page_reads, 2);
+        assert_eq!(log.read_page(2).unwrap(), vec![7]);
+        let first: Vec<u8> = (0..510u32).map(|i| i as u8).collect();
+        assert_eq!(log.read_page(0).unwrap(), first);
+        let free = f.free_blocks();
+        assert_eq!(log.blocks().len(), 2);
+        log.discard();
+        assert_eq!(f.free_blocks(), free + 2);
+    }
+
+    #[test]
+    fn damaged_bytes_are_corrupt_page_at_the_real_address() {
+        let f = Flash::small(8);
+        let mut log = SummaryLog::new(&f, Bytes);
+        log.push(1).unwrap();
+        log.flush().unwrap();
+        // Data page 1 claims 600 entries in 510 bytes; its summary and
+        // the next one are two bytes long where this front writes one.
+        let mut garbage = vec![0u8; 512];
+        garbage[..2].copy_from_slice(&600u16.to_le_bytes());
+        log.data.append_raw_page(&garbage).unwrap();
+        log.summaries.append(&[9, 9]).unwrap();
+        let data_addr = log.data.page_addr(1).unwrap();
+        assert_eq!(log.read_page(1), Err(FlashError::CorruptPage(data_addr)));
+        assert_eq!(log.read_page(0).unwrap(), vec![1]);
+        // Still buffered: no flash page to name.
+        assert_eq!(summaries(&log), Err(FlashError::BadRecordAddr));
+        log.summaries.flush().unwrap();
+        let summary_addr = log.summaries.page_addr(1).unwrap();
+        assert_ne!(summary_addr.0, 1, "an address, not an ordinal");
+        assert_eq!(summaries(&log), Err(FlashError::CorruptPage(summary_addr)));
+    }
+
+    #[test]
+    fn packer_refuses_what_no_page_can_hold_and_retries_a_failed_program() {
+        let mut packer = PagePacker::new(16, &[7]);
+        let fill = |n: usize| move |out: &mut Vec<u8>| out.resize(out.len() + n, 1);
+        assert_eq!(
+            packer.push(fill(14)),
+            Err(FlashError::RecordTooLarge { len: 14, max: 13 })
+        );
+        assert_eq!(packer.push(fill(10)), Ok(true));
+        assert_eq!(packer.push(fill(4)), Ok(false), "full: page untouched");
+        assert!(packer.fits(3) && !packer.fits(4));
+        let mut want = vec![7, 1, 0];
+        want.extend([1; 10]);
+        want.extend([0xFF; 3]);
+        assert_eq!(packer.with_image(<[u8]>::to_vec), want);
+        assert_eq!(packer.with_image(<[u8]>::to_vec), want, "kept for a retry");
+        packer.clear();
+        assert_eq!(packer.push(fill(13)), Ok(true));
+    }
+}

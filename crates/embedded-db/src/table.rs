@@ -152,20 +152,24 @@ impl Table {
     /// Full sequential scan (page-buffered): calls `f(rowid, row)` for
     /// every row.
     pub fn scan(&self, mut f: impl FnMut(RowId, Row)) -> Result<(), FlashError> {
-        let mut rowid: RowId = 0;
-        for page in 0..self.log.num_pages() {
-            for rec in self.log.read_page_records(page)? {
-                let row = decode_row(&rec).ok_or(FlashError::BadRecordAddr)?;
-                f(rowid, row);
-                rowid += 1;
-            }
-        }
-        for rec in self.log.buffered_records() {
-            let row = decode_row(&rec).ok_or(FlashError::BadRecordAddr)?;
+        self.try_scan(|rowid, row| {
             f(rowid, row);
+            Ok(())
+        })
+    }
+
+    /// [`scan`](Self::scan) that stops at, and returns, `f`'s first error.
+    pub(crate) fn try_scan(
+        &self,
+        mut f: impl FnMut(RowId, Row) -> Result<(), FlashError>,
+    ) -> Result<(), FlashError> {
+        let mut rowid: RowId = 0;
+        self.log.for_each_record(|_, rec| {
+            let row = decode_row(rec).ok_or(FlashError::BadRecordAddr)?;
+            f(rowid, row)?;
             rowid += 1;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

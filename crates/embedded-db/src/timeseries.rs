@@ -3,21 +3,19 @@
 //!
 //! Part II closes with: "Extend the principles to other data models:
 //! XML, **time series**, spatial-temporal data, noSQL & key-value
-//! stores." This module applies the exact same framework to time series:
-//!
-//! 1. samples `(timestamp, value)` append to a sequential **data log**
-//!    (timestamps arrive non-decreasing — sensors and life-logging
-//!    produce them in order);
-//! 2. a **summary log** holds one record per data page: its time range
-//!    and pre-aggregates (count / sum / min / max) — the Bloom-filter
-//!    idea transposed to ranges;
-//! 3. range aggregates are answered by a summary scan that reads *data*
-//!    pages only at the two range boundaries — `|summary| I/O + O(1)`
-//!    instead of scanning the series.
+//! stores." This is the summarised-log recipe (`summary_log.rs`)
+//! with `(timestamp, value)` samples as entries (timestamps arrive
+//! non-decreasing — sensors and life-logging produce them in order) and,
+//! per data page, its time range and pre-aggregates (count / sum / min /
+//! max) — the Bloom-filter idea transposed to ranges. A range aggregate
+//! *skips* disjoint pages, *uses the summary* of covered pages and reads
+//! *data* pages only at the two range boundaries: `|summary| I/O + O(1)`
+//! instead of scanning the series.
 
-use pds_flash::{Flash, FlashError, LogWriter};
+use pds_flash::{Flash, FlashError};
 
 use crate::error::DbError;
+use crate::summary_log::{Front, Reader, SummaryLog};
 
 /// One sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +26,8 @@ pub struct Sample {
     pub value: i64,
 }
 
+/// On-flash sample: `ts u64 ‖ value i64`.
 const SAMPLE_LEN: usize = 16;
-const PAGE_HEADER: usize = 2;
 
 /// Aggregate of a set of samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,30 +88,58 @@ struct PageSummary {
     agg: Aggregate,
 }
 
-impl PageSummary {
-    fn encode(&self) -> Vec<u8> {
+/// Entry codec and summary of the series.
+struct SamplesFront;
+
+impl Front for SamplesFront {
+    type Entry = Sample;
+    type Summary = PageSummary;
+
+    fn encode(s: &Sample, out: &mut Vec<u8>) {
+        out.extend_from_slice(&s.ts.to_le_bytes());
+        out.extend_from_slice(&s.value.to_le_bytes());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Sample> {
+        Some(Sample {
+            ts: u64::from_le_bytes(r.array()?),
+            value: i64::from_le_bytes(r.array()?),
+        })
+    }
+
+    fn summarise(&self, page: &[Sample]) -> Vec<u8> {
+        let mut agg = Aggregate::empty();
+        for s in page {
+            agg.add(s.value);
+        }
+        // Samples arrive in time order: the ends of the page bound it.
+        let (ts_min, ts_max) = match (page.first(), page.last()) {
+            (Some(first), Some(last)) => (first.ts, last.ts),
+            _ => (u64::MAX, u64::MIN),
+        };
         let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(&self.ts_min.to_le_bytes());
-        out.extend_from_slice(&self.ts_max.to_le_bytes());
-        out.extend_from_slice(&self.agg.count.to_le_bytes());
-        out.extend_from_slice(&self.agg.sum.to_le_bytes());
-        out.extend_from_slice(&self.agg.min.to_le_bytes());
-        out.extend_from_slice(&self.agg.max.to_le_bytes());
+        out.extend_from_slice(&ts_min.to_le_bytes());
+        out.extend_from_slice(&ts_max.to_le_bytes());
+        out.extend_from_slice(&agg.count.to_le_bytes());
+        out.extend_from_slice(&agg.sum.to_le_bytes());
+        out.extend_from_slice(&agg.min.to_le_bytes());
+        out.extend_from_slice(&agg.max.to_le_bytes());
         out
     }
 
-    fn decode(rec: &[u8]) -> Option<PageSummary> {
+    fn summary(rec: &[u8]) -> Option<PageSummary> {
         if rec.len() != 48 {
             return None;
         }
+        let mut r = Reader::new(rec);
         Some(PageSummary {
-            ts_min: u64::from_le_bytes(rec[0..8].try_into().ok()?),
-            ts_max: u64::from_le_bytes(rec[8..16].try_into().ok()?),
+            ts_min: u64::from_le_bytes(r.array()?),
+            ts_max: u64::from_le_bytes(r.array()?),
             agg: Aggregate {
-                count: u64::from_le_bytes(rec[16..24].try_into().ok()?),
-                sum: i64::from_le_bytes(rec[24..32].try_into().ok()?),
-                min: i64::from_le_bytes(rec[32..40].try_into().ok()?),
-                max: i64::from_le_bytes(rec[40..48].try_into().ok()?),
+                count: u64::from_le_bytes(r.array()?),
+                sum: i64::from_le_bytes(r.array()?),
+                min: i64::from_le_bytes(r.array()?),
+                max: i64::from_le_bytes(r.array()?),
             },
         })
     }
@@ -121,14 +147,7 @@ impl PageSummary {
 
 /// A log-structured time series with pre-aggregated page summaries.
 pub struct TimeSeries {
-    flash: Flash,
-    /// Raw data pages of packed samples.
-    data: LogWriter,
-    /// One summary record per data page.
-    summaries: LogWriter,
-    /// Samples of the page being filled (RAM, one page worth).
-    pending: Vec<Sample>,
-    samples_per_page: usize,
+    log: SummaryLog<SamplesFront>,
     last_ts: Option<u64>,
     total: u64,
 }
@@ -136,13 +155,8 @@ pub struct TimeSeries {
 impl TimeSeries {
     /// An empty series on `flash`.
     pub fn new(flash: &Flash) -> Self {
-        let samples_per_page = (flash.geometry().page_size - PAGE_HEADER) / SAMPLE_LEN;
         TimeSeries {
-            flash: flash.clone(),
-            data: flash.new_log(),
-            summaries: flash.new_log(),
-            pending: Vec::new(),
-            samples_per_page,
+            log: SummaryLog::new(flash, SamplesFront),
             last_ts: None,
             total: 0,
         }
@@ -160,7 +174,7 @@ impl TimeSeries {
 
     /// Data pages on flash.
     pub fn num_data_pages(&self) -> u32 {
-        self.data.num_pages()
+        self.log.num_data_pages()
     }
 
     /// Append one sample. Timestamps must be non-decreasing (out-of-order
@@ -172,107 +186,39 @@ impl TimeSeries {
                 return Err(DbError::OutOfOrderTimestamp { last, got: ts });
             }
         }
+        self.log.push(Sample { ts, value })?;
         self.last_ts = Some(ts);
-        self.pending.push(Sample { ts, value });
         self.total += 1;
-        if self.pending.len() == self.samples_per_page {
-            self.flush_page()?;
-        }
-        Ok(())
-    }
-
-    fn flush_page(&mut self) -> Result<(), FlashError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let page_size = self.flash.geometry().page_size;
-        let mut page = vec![0xFFu8; page_size];
-        page[0..2].copy_from_slice(&(self.pending.len() as u16).to_le_bytes());
-        let mut agg = Aggregate::empty();
-        for (i, s) in self.pending.iter().enumerate() {
-            let off = PAGE_HEADER + i * SAMPLE_LEN;
-            page[off..off + 8].copy_from_slice(&s.ts.to_le_bytes());
-            page[off + 8..off + 16].copy_from_slice(&s.value.to_le_bytes());
-            agg.add(s.value);
-        }
-        let summary = PageSummary {
-            ts_min: self.pending[0].ts,
-            ts_max: self.pending[self.pending.len() - 1].ts,
-            agg,
-        };
-        self.data.append_raw_page(&page)?;
-        self.summaries.append(&summary.encode())?;
-        self.pending.clear();
+        self.log.close_if_full(SAMPLE_LEN)?;
         Ok(())
     }
 
     /// Force pending samples to flash.
     pub fn flush(&mut self) -> Result<(), FlashError> {
-        self.flush_page()?;
-        self.summaries.flush()
-    }
-
-    /// Decode a data page; `None` when the sample array runs past the page
-    /// end (corrupt header) — callers surface [`FlashError::CorruptPage`].
-    fn decode_data_page(buf: &[u8]) -> Option<Vec<Sample>> {
-        let count = u16::from_le_bytes([*buf.first()?, *buf.get(1)?]) as usize;
-        (0..count)
-            .map(|i| {
-                let off = PAGE_HEADER + i * SAMPLE_LEN;
-                let word = |a: usize| buf.get(a..a + 8)?.try_into().ok();
-                Some(Sample {
-                    ts: u64::from_le_bytes(word(off)?),
-                    value: i64::from_le_bytes(word(off + 8)?),
-                })
-            })
-            .collect()
+        self.log.flush()
     }
 
     /// Aggregate over `[from, to]` (inclusive): summary scan + boundary
     /// data-page probes. RAM: one page buffer.
     pub fn range_aggregate(&self, from: u64, to: u64) -> Result<Aggregate, FlashError> {
         let mut agg = Aggregate::empty();
-        let page_size = self.flash.geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        // Walk summaries (flushed pages + buffered tail records).
-        let mut page_idx: u32 = 0;
-        let mut handle = |rec: &[u8], agg: &mut Aggregate, idx: u32| -> Result<(), FlashError> {
-            let s = PageSummary::decode(rec)
-                .ok_or(FlashError::CorruptPage(pds_flash::PageAddr(idx)))?;
-            if s.ts_max < from || s.ts_min > to {
-                return Ok(()); // disjoint: skip without touching data
-            }
-            if s.ts_min >= from && s.ts_max <= to {
-                *agg = agg.merge(&s.agg); // fully covered: use the summary
-                return Ok(());
-            }
-            // Boundary page: probe the data page.
-            let addr = self.data.page_addr(idx)?;
-            self.flash.read_page(addr, &mut buf)?;
-            let samples = Self::decode_data_page(&buf).ok_or(FlashError::CorruptPage(addr))?;
-            for sample in samples {
-                if sample.ts >= from && sample.ts <= to {
-                    agg.add(sample.value);
-                }
-            }
-            Ok(())
-        };
-        for p in 0..self.summaries.num_pages() {
-            for rec in self.summaries.read_page_records(p)? {
-                handle(&rec, &mut agg, page_idx)?;
-                page_idx += 1;
-            }
-        }
-        for rec in self.summaries.buffered_records() {
-            handle(&rec, &mut agg, page_idx)?;
-            page_idx += 1;
-        }
-        // The RAM-pending samples.
-        for s in &self.pending {
-            if s.ts >= from && s.ts <= to {
+        let add_in_range = |samples: &[Sample], agg: &mut Aggregate| {
+            for s in samples.iter().filter(|s| s.ts >= from && s.ts <= to) {
                 agg.add(s.value);
             }
-        }
+        };
+        self.log.for_each_summary(|page, s| {
+            if s.ts_max < from || s.ts_min > to {
+                // Disjoint: skip without touching data.
+            } else if s.ts_min >= from && s.ts_max <= to {
+                agg = agg.merge(&s.agg); // fully covered: use the summary
+            } else {
+                // Boundary page: probe the data page.
+                add_in_range(&self.log.read_page(page)?, &mut agg);
+            }
+            Ok(())
+        })?;
+        add_in_range(self.log.open_entries(), &mut agg);
         Ok(agg)
     }
 }
@@ -331,7 +277,7 @@ mod tests {
         ts.range_aggregate(10_000, 40_000).unwrap();
         let reads = f.stats().page_reads;
         // Summary pages + at most 2 boundary data pages.
-        let summary_pages = ts.summaries.num_pages() as u64;
+        let summary_pages = ts.log.num_summary_pages() as u64;
         assert!(
             reads <= summary_pages + 3,
             "reads {reads} vs summaries {summary_pages}"

@@ -19,13 +19,16 @@
 //! internal: [1u8][count u16] count × ([klen u16][key][child_page u32])
 //! ```
 
-use pds_flash::{Flash, Log};
+use pds_flash::{Flash, Log, LogWriter};
 
 use crate::error::DbError;
-use crate::sort::SortEntry;
+use crate::sort::{decode_entry, encode_entry, read_entry, write_entry, SortEntry};
+use crate::summary_log::{PagePacker, Reader};
 use crate::table::RowId;
 
-const HEADER: usize = 3;
+/// Page kinds: the byte in front of the entry count.
+const LEAF: u8 = 0;
+const INTERNAL: u8 = 1;
 
 /// A sealed, read-only tree index.
 pub struct TreeIndex {
@@ -36,73 +39,55 @@ pub struct TreeIndex {
     num_entries: u64,
 }
 
-struct PagePacker {
-    page: Vec<u8>,
-    count: u16,
-    off: usize,
-    kind: u8,
-}
-
-impl PagePacker {
-    fn new(page_size: usize, kind: u8) -> Self {
-        let mut page = vec![0xFFu8; page_size];
-        page[0] = kind;
-        PagePacker {
-            page,
-            count: 0,
-            off: HEADER,
-            kind,
-        }
-    }
-
-    fn fits(&self, key: &[u8]) -> bool {
-        self.off + 2 + key.len() + 4 <= self.page.len()
-    }
-
-    fn push(&mut self, key: &[u8], val: u32) {
-        self.page[self.off..self.off + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-        self.off += 2;
-        self.page[self.off..self.off + key.len()].copy_from_slice(key);
-        self.off += key.len();
-        self.page[self.off..self.off + 4].copy_from_slice(&val.to_le_bytes());
-        self.off += 4;
-        self.count += 1;
-        self.page[1..3].copy_from_slice(&self.count.to_le_bytes());
-    }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    fn reset(&mut self) -> Vec<u8> {
-        let page_size = self.page.len();
-        let done = std::mem::replace(&mut self.page, vec![0xFFu8; page_size]);
-        self.page[0] = self.kind;
-        self.count = 0;
-        self.off = HEADER;
-        done
-    }
-}
-
 /// Decode a tree page. `None` when the entry array runs past the page end
 /// (corrupt header / truncated key) — callers surface [`DbError::Corrupt`]
 /// so a damaged page fails the query instead of panicking the token.
-#[allow(clippy::type_complexity)] // (kind, entries) pair mirrors the page layout
-fn decode_entries(page: &[u8]) -> Option<(u8, Vec<(Vec<u8>, u32)>)> {
-    let kind = *page.first()?;
-    let count = u16::from_le_bytes([*page.get(1)?, *page.get(2)?]) as usize;
-    let mut off = HEADER;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let klen = u16::from_le_bytes([*page.get(off)?, *page.get(off + 1)?]) as usize;
-        off += 2;
-        let key = page.get(off..off + klen)?.to_vec();
-        off += klen;
-        let val = u32::from_le_bytes(page.get(off..off + 4)?.try_into().ok()?);
-        off += 4;
-        entries.push((key, val));
-    }
+fn decode_entries(page: &[u8]) -> Option<(u8, Vec<SortEntry>)> {
+    let mut r = Reader::new(page);
+    let [kind] = r.array()?;
+    let count = r.u16()?;
+    let entries = (0..count)
+        .map(|_| read_entry(&mut r))
+        .collect::<Option<_>>()?;
     Some((kind, entries))
+}
+
+/// Builds one level of the tree: packs `(key, pointer)` entries into
+/// pages of `tree`, and records each page's `(first key, page index)`
+/// separator in `above`, the level log the next level is built from.
+struct LevelBuilder {
+    packer: PagePacker,
+    first_key: Option<Vec<u8>>,
+    above: LogWriter,
+}
+
+impl LevelBuilder {
+    fn new(flash: &Flash, kind: u8) -> Self {
+        LevelBuilder {
+            packer: PagePacker::new(flash.geometry().page_size, &[kind]),
+            first_key: None,
+            above: flash.new_log(),
+        }
+    }
+
+    fn push(&mut self, tree: &mut LogWriter, key: Vec<u8>, ptr: u32) -> Result<(), DbError> {
+        if !self.packer.push(|out| write_entry(out, &key, ptr))? {
+            self.close_page(tree)?;
+            self.packer.push(|out| write_entry(out, &key, ptr))?;
+        }
+        self.first_key.get_or_insert(key);
+        Ok(())
+    }
+
+    fn close_page(&mut self, tree: &mut LogWriter) -> Result<(), DbError> {
+        let Some(first_key) = self.first_key.take() else {
+            return Ok(()); // nothing packed since the last page
+        };
+        let page = self.packer.with_image(|page| tree.append_raw_page(page))?;
+        self.packer.clear();
+        self.above.append(&encode_entry(&first_key, page))?;
+        Ok(())
+    }
 }
 
 impl TreeIndex {
@@ -116,36 +101,18 @@ impl TreeIndex {
         flash: &Flash,
         entries: impl Iterator<Item = SortEntry>,
     ) -> Result<TreeIndex, DbError> {
-        let page_size = flash.geometry().page_size;
         let mut log = flash.new_log();
         let mut num_entries = 0u64;
 
         // Level 0: leaves. The separators of the level above go to a
         // level log.
-        let mut level_log = flash.new_log();
-        let mut packer = PagePacker::new(page_size, 0);
-        let mut first_key: Option<Vec<u8>> = None;
+        let mut leaves = LevelBuilder::new(flash, LEAF);
         for (key, rowid) in entries {
             num_entries += 1;
-            if !packer.fits(&key) {
-                let page_idx = log.append_raw_page(&packer.reset())?;
-                let sep = first_key
-                    .take()
-                    .ok_or(DbError::Corrupt("tree build: page without a first key"))?;
-                push_separator(&mut level_log, sep, page_idx)?;
-            }
-            if first_key.is_none() {
-                first_key = Some(key.clone());
-            }
-            packer.push(&key, rowid);
+            leaves.push(&mut log, key, rowid)?;
         }
-        if !packer.is_empty() {
-            let page_idx = log.append_raw_page(&packer.reset())?;
-            let sep = first_key
-                .take()
-                .ok_or(DbError::Corrupt("tree build: page without a first key"))?;
-            push_separator(&mut level_log, sep, page_idx)?;
-        }
+        leaves.close_page(&mut log)?;
+        let mut level = leaves.above.seal()?;
         let num_leaves = log.num_pages();
         if num_leaves == 0 {
             return Ok(TreeIndex {
@@ -159,36 +126,16 @@ impl TreeIndex {
 
         // Upper levels: consume the previous level log, emit the next.
         let mut height = 1u32;
-        let mut level = level_log.seal()?;
         while level.num_records() > 1 {
             height += 1;
-            let mut next_level = flash.new_log();
-            let mut packer = PagePacker::new(page_size, 1);
-            let mut first_key: Option<Vec<u8>> = None;
+            let mut internals = LevelBuilder::new(flash, INTERNAL);
             for rec in level.reader() {
-                let (key, child) =
-                    crate::sort::decode_entry(&rec?).ok_or(DbError::Corrupt("level log"))?;
-                if !packer.fits(&key) {
-                    let page_idx = log.append_raw_page(&packer.reset())?;
-                    let sep = first_key
-                        .take()
-                        .ok_or(DbError::Corrupt("tree build: page without a first key"))?;
-                    push_separator(&mut next_level, sep, page_idx)?;
-                }
-                if first_key.is_none() {
-                    first_key = Some(key.clone());
-                }
-                packer.push(&key, child);
+                let (key, child) = decode_entry(&rec?).ok_or(DbError::Corrupt("level log"))?;
+                internals.push(&mut log, key, child)?;
             }
-            if !packer.is_empty() {
-                let page_idx = log.append_raw_page(&packer.reset())?;
-                let sep = first_key
-                    .take()
-                    .ok_or(DbError::Corrupt("tree build: page without a first key"))?;
-                push_separator(&mut next_level, sep, page_idx)?;
-            }
+            internals.close_page(&mut log)?;
             level.reclaim();
-            level = next_level.seal()?;
+            level = internals.above.seal()?;
         }
         // The single record of the last level points at the root page.
         let root_page = {
@@ -196,7 +143,7 @@ impl TreeIndex {
                 .reader()
                 .next()
                 .ok_or(DbError::Corrupt("tree level log ended without a root"))??;
-            let (_, page) = crate::sort::decode_entry(&rec).ok_or(DbError::Corrupt("level log"))?;
+            let (_, page) = decode_entry(&rec).ok_or(DbError::Corrupt("level log"))?;
             page
         };
         level.reclaim();
@@ -244,7 +191,7 @@ impl TreeIndex {
         loop {
             self.log.read_raw_page(page, &mut buf)?;
             let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            if kind == 0 {
+            if kind == LEAF {
                 leaf_entries = entries;
                 break;
             }
@@ -283,7 +230,7 @@ impl TreeIndex {
             }
             self.log.read_raw_page(leaf, &mut buf)?;
             let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            debug_assert_eq!(kind, 0);
+            debug_assert_eq!(kind, LEAF);
             leaf_entries = entries;
         }
         Ok(hits)
@@ -303,7 +250,7 @@ impl TreeIndex {
         loop {
             self.log.read_raw_page(page, &mut buf)?;
             let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            if kind == 0 {
+            if kind == LEAF {
                 leaf_entries = entries;
                 break;
             }
@@ -332,7 +279,7 @@ impl TreeIndex {
             }
             self.log.read_raw_page(leaf, &mut buf)?;
             let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            debug_assert_eq!(kind, 0);
+            debug_assert_eq!(kind, LEAF);
             leaf_entries = entries;
         }
         Ok(out)
@@ -349,19 +296,6 @@ impl TreeIndex {
     pub fn reclaim(self) {
         self.log.reclaim();
     }
-}
-
-fn push_separator(
-    level_log: &mut pds_flash::LogWriter,
-    key: Vec<u8>,
-    page: u32,
-) -> Result<(), DbError> {
-    let mut rec = Vec::with_capacity(2 + key.len() + 4);
-    rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    rec.extend_from_slice(&key);
-    rec.extend_from_slice(&page.to_le_bytes());
-    level_log.append(&rec)?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -221,8 +221,26 @@ impl LogWriter {
 
     /// Read all records of programmed page `i` (one page I/O).
     pub fn read_page_records(&self, i: u32) -> Result<Vec<Vec<u8>>> {
-        let addr = self.page_addr(i)?;
-        read_records_at(&self.flash, addr, i)
+        read_records_at(&self.flash, self.page_addr(i)?)
+    }
+
+    /// Visit every record in append order: the programmed pages (one page
+    /// I/O each), then the RAM tail. `f` also gets the index of the log
+    /// page that holds the record — `num_pages()` for the tail, the page
+    /// it will occupy once flushed. Stops at the first error, whether a
+    /// page read's or `f`'s.
+    pub fn for_each_record(&self, mut f: impl FnMut(u32, &[u8]) -> Result<()>) -> Result<()> {
+        for page in 0..=self.pages {
+            let records = if page < self.pages {
+                self.read_page_records(page)?
+            } else {
+                self.buffered_records()
+            };
+            for rec in &records {
+                f(page, rec)?;
+            }
+        }
+        Ok(())
     }
 
     /// Fetch one record by address (one page I/O; buffered records are
@@ -285,11 +303,11 @@ impl LogWriter {
         let mut records = 0u64;
         let mut valid_pages = 0u32;
         let mut torn = false;
-        'scan: for (bi, bid) in blocks.iter().enumerate() {
+        'scan: for bid in blocks {
             for off in 0..per {
                 let addr = geo.page_in_block(*bid, off as usize);
                 report.pages_scanned += 1;
-                match read_records_at(flash, addr, bi as u32 * per + off) {
+                match read_records_at(flash, addr) {
                     Ok(recs) => {
                         records += recs.len() as u64;
                         report.slots_per_page.push(recs.len() as u16);
@@ -449,8 +467,7 @@ impl Log {
 
     /// Read all records of page `i` (one page I/O).
     pub fn read_page_records(&self, i: u32) -> Result<Vec<Vec<u8>>> {
-        let addr = self.page_addr(i)?;
-        read_records_at(&self.flash, addr, i)
+        read_records_at(&self.flash, self.page_addr(i)?)
     }
 
     /// Fetch one record by address (one page I/O).
@@ -512,7 +529,9 @@ impl Iterator for LogReader<'_> {
     }
 }
 
-fn read_records_at(flash: &Flash, addr: PageAddr, page_index: u32) -> Result<Vec<Vec<u8>>> {
+/// Read and verify the record page at `addr`; a failure names `addr`, the
+/// page's real flash address.
+fn read_records_at(flash: &Flash, addr: PageAddr) -> Result<Vec<Vec<u8>>> {
     let mut buf = vec![0u8; flash.geometry().page_size];
     flash.read_page(addr, &mut buf)?;
     let n = u16::from_le_bytes([buf[0], buf[1]]);
@@ -520,7 +539,7 @@ fn read_records_at(flash: &Flash, addr: PageAddr, page_index: u32) -> Result<Vec
     // 65535 records, which is *not* corruption — it is the unwritten log
     // tail a recovery scan must stop at.
     if n == 0xFFFF && buf.iter().all(|&b| b == 0xFF) {
-        return Err(FlashError::ErasedPage(PageAddr(page_index)));
+        return Err(FlashError::ErasedPage(addr));
     }
     // Verify the page CRC before trusting the framing. This is what
     // catches a torn write whose prefix ends *inside* a record body: the
@@ -528,9 +547,9 @@ fn read_records_at(flash: &Flash, addr: PageAddr, page_index: u32) -> Result<Vec
     // was computed over the full page image and cannot match the prefix.
     let stored = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]);
     if stored != page_crc(&buf) {
-        return Err(FlashError::CorruptPage(PageAddr(page_index)));
+        return Err(FlashError::CorruptPage(addr));
     }
-    decode_records(&buf, n).ok_or(FlashError::CorruptPage(PageAddr(page_index)))
+    decode_records(&buf, n).ok_or(FlashError::CorruptPage(addr))
 }
 
 fn decode_records(buf: &[u8], n: u16) -> Option<Vec<Vec<u8>>> {
@@ -676,19 +695,16 @@ mod tests {
         let b = f.alloc_block().unwrap();
         // Never-programmed page: ErasedPage, not CorruptPage.
         let addr = geo.first_page_of(b);
-        assert!(matches!(
-            read_records_at(&f, addr, 0),
-            Err(FlashError::ErasedPage(PageAddr(0)))
-        ));
+        assert_eq!(read_records_at(&f, addr), Err(FlashError::ErasedPage(addr)));
         // A page with a plausible-looking header but garbage layout is
         // corruption proper.
         let mut page = vec![0xFF; geo.page_size];
         page[0..2].copy_from_slice(&3u16.to_le_bytes()); // claims 3 records
         f.program_page(addr, &page).unwrap();
-        assert!(matches!(
-            read_records_at(&f, addr, 0),
-            Err(FlashError::CorruptPage(PageAddr(0)))
-        ));
+        assert_eq!(
+            read_records_at(&f, addr),
+            Err(FlashError::CorruptPage(addr))
+        );
     }
 
     #[test]

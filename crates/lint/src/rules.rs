@@ -186,7 +186,17 @@ pub const CRATES: &[CrateConfig] = &[
         // HLC stamps and MVCC version marks are replayed byte-for-byte
         // from the durable change log at recovery: any wall-clock or
         // hash-order dependence would fork the fleet's causal history.
-        det_files: &["embedded-db/src/hlc.rs", "embedded-db/src/mvcc.rs"],
+        // The summarised log, its two Bloom fronts and the catalog
+        // decide which flash page is programmed next: hash-order
+        // iteration there would vary page addresses per process.
+        det_files: &[
+            "embedded-db/src/hlc.rs",
+            "embedded-db/src/mvcc.rs",
+            "embedded-db/src/summary_log.rs",
+            "embedded-db/src/pbfilter.rs",
+            "embedded-db/src/kv.rs",
+            "embedded-db/src/query.rs",
+        ],
         allowed_deps: &["pds_obs", "pds_flash", "pds_mcu", "pds_crypto"],
     },
     CrateConfig {

@@ -4,14 +4,15 @@
 //! restored through the untrusted cloud.
 
 use pds::core::CloudStore;
-use pds::crypto::SymmetricKey;
+use pds::crypto::{BloomFilter, Sha256, SymmetricKey};
+use pds::db::spatial::{Point, Window};
+use pds::db::timeseries::Aggregate;
 use pds::db::value::{ColumnType, Schema};
-use pds::db::{Database, KvStore, Predicate, TimeSeries, Value};
-use pds::flash::{Flash, FlashGeometry};
+use pds::db::{Database, KvStore, PBFilter, Predicate, SpatialTrace, TimeSeries, Value};
+use pds::flash::{BlockId, FaultPlan, Flash, FlashError, FlashGeometry, PageAddr};
 use pds::mcu::codesign::{max_search_keywords, search_residents};
 use pds::mcu::{HardwareProfile, RamBudget};
-use pds_obs::rng::SeedableRng;
-use pds_obs::rng::StdRng;
+use pds_obs::rng::{Rng, RngCore, SeedableRng, StdRng};
 
 #[test]
 fn three_data_models_share_one_chip() {
@@ -125,4 +126,483 @@ fn codesign_predictions_hold_for_the_real_search_engine() {
         );
     }
     let _ = too_many;
+}
+
+// ---- the summarised-log recipe, seen from outside pds-db -------------------
+//
+// PBFilter, KvStore, TimeSeries and SpatialTrace are one recipe — a data
+// log of count-prefixed raw pages plus a record log holding one summary
+// per data page. The sweep below drives each front through its public
+// API against a model that knows only that recipe (which entries share
+// a page, how many summary pages are on flash, which pages a query must
+// probe) and checks every answer and every read count; the golden test
+// pins the bytes the same scripts leave on flash.
+
+/// Page size of the sweep chip (the 512-byte unit-test profile).
+const PAGE: usize = 512;
+
+fn sweep_chip() -> Flash {
+    Flash::new(FlashGeometry::new(PAGE, 16, 64))
+}
+
+/// Which entries share a data page, and how many summary pages are on
+/// flash: a data page closes when the next entry would not fit (or on
+/// `flush`), and closing appends one length-prefixed summary record to
+/// a record page with a 6-byte header.
+struct PageModel<E> {
+    closed: Vec<Vec<E>>,
+    open: Vec<E>,
+    open_bytes: usize,
+    summary_len: fn(&[E]) -> usize,
+    summary_bytes: usize,
+    summary_pages: u64,
+}
+
+impl<E> PageModel<E> {
+    fn new(summary_len: fn(&[E]) -> usize) -> Self {
+        PageModel {
+            closed: Vec::new(),
+            open: Vec::new(),
+            open_bytes: 2,
+            summary_len,
+            summary_bytes: 6,
+            summary_pages: 0,
+        }
+    }
+
+    /// Variable-size fronts: the page closes when `entry` does not fit.
+    fn push(&mut self, entry: E, len: usize) {
+        if self.open_bytes + len > PAGE {
+            self.close();
+        }
+        self.open.push(entry);
+        self.open_bytes += len;
+    }
+
+    /// Fixed-size fronts close eagerly: as soon as no further entry fits.
+    fn push_fixed(&mut self, entry: E, len: usize) {
+        self.push(entry, len);
+        if self.open_bytes + len > PAGE {
+            self.close();
+        }
+    }
+
+    fn close(&mut self) {
+        if self.open.is_empty() {
+            return;
+        }
+        let rec = 2 + (self.summary_len)(&self.open);
+        if self.summary_bytes + rec > PAGE {
+            self.summary_pages += 1;
+            self.summary_bytes = 6;
+        }
+        self.summary_bytes += rec;
+        self.closed.push(std::mem::take(&mut self.open));
+        self.open_bytes = 2;
+    }
+
+    fn flush(&mut self) {
+        self.close();
+        if self.summary_bytes > 6 {
+            self.summary_pages += 1;
+            self.summary_bytes = 6;
+        }
+    }
+}
+
+/// `f`'s result and the page reads it cost.
+fn reads_of<T>(flash: &Flash, f: impl FnOnce() -> T) -> (T, u64) {
+    let before = flash.stats().page_reads;
+    let out = f();
+    (out, flash.stats().page_reads - before)
+}
+
+/// The ~2 B/key filter both Bloom fronts build over a page's keys.
+fn bloom_of<'a>(keys: impl ExactSizeIterator<Item = &'a Vec<u8>>) -> BloomFilter {
+    let mut bf = BloomFilter::per_key_16bits(keys.len());
+    for k in keys {
+        bf.insert(k);
+    }
+    bf
+}
+
+fn bloom_len(keys: usize) -> usize {
+    BloomFilter::per_key_16bits(keys).to_bytes().len()
+}
+
+/// Key `k` of a small domain, with lengths from 5 to 16 bytes.
+fn sweep_key(k: u32) -> Vec<u8> {
+    format!("key-{k:0w$}", w = 1 + (k % 12) as usize).into_bytes()
+}
+
+fn drive_pbfilter(seed: u64) -> Flash {
+    type Entry = (Vec<u8>, u32);
+    let flash = sweep_chip();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx = PBFilter::new(&flash);
+    let mut model: PageModel<Entry> = PageModel::new(|page| bloom_len(page.len()));
+    let check = |idx: &PBFilter, model: &PageModel<Entry>, key: &Vec<u8>| {
+        let positives = model
+            .closed
+            .iter()
+            .filter(|page| bloom_of(page.iter().map(|(k, _)| k)).maybe_contains(key))
+            .count() as u64;
+        let expected: Vec<u32> = (model.closed.iter().flatten())
+            .chain(&model.open)
+            .filter(|(k, _)| k == key)
+            .map(|(_, rowid)| *rowid)
+            .collect();
+        let (hits, reads) = reads_of(&flash, || idx.lookup(key).unwrap());
+        assert_eq!(hits, expected, "seed {seed}");
+        assert_eq!(reads, model.summary_pages + positives, "seed {seed}");
+        assert_eq!(idx.num_key_pages() as usize, model.closed.len());
+        assert_eq!(idx.num_summary_pages() as u64, model.summary_pages);
+    };
+    for rowid in 0..600u32 {
+        let key = sweep_key(rng.gen_range(0u32..40));
+        idx.insert(&key, rowid).unwrap();
+        model.push((key.clone(), rowid), 2 + key.len() + 4);
+        match rng.gen_range(0u32..40) {
+            0 => {
+                idx.flush().unwrap();
+                model.flush();
+                check(&idx, &model, &key);
+            }
+            1..=3 => check(&idx, &model, &sweep_key(rng.gen_range(0u32..44))),
+            _ => {}
+        }
+    }
+    idx.flush().unwrap();
+    model.flush();
+    for k in 0..44 {
+        check(&idx, &model, &sweep_key(k));
+    }
+    assert_eq!(
+        idx.entries().collect::<Result<Vec<_>, _>>().unwrap(),
+        model.closed.concat(),
+        "the reorganisation stream is the insertion order"
+    );
+    flash
+}
+
+fn drive_kv(seed: u64) -> Flash {
+    /// `(key, Some(value))` is a put, `(key, None)` a tombstone.
+    type Entry = (Vec<u8>, Option<Vec<u8>>);
+    let flash = sweep_chip();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut kv = KvStore::new(&flash);
+    let mut model: PageModel<Entry> = PageModel::new(|page| bloom_len(page.len()));
+    let check = |kv: &KvStore, model: &PageModel<Entry>, key: &Vec<u8>| {
+        // Newest first: the open page costs nothing; otherwise every
+        // summary page, then positive pages back to the first real hit.
+        let newest_in = |page: &[Entry]| page.iter().rev().find(|(k, _)| k == key).cloned();
+        let (mut expected, mut expected_reads) = (newest_in(&model.open), 0);
+        if expected.is_none() {
+            expected_reads = model.summary_pages;
+            for page in model.closed.iter().rev() {
+                if bloom_of(page.iter().map(|(k, _)| k)).maybe_contains(key) {
+                    expected_reads += 1;
+                    expected = newest_in(page);
+                    if expected.is_some() {
+                        break;
+                    }
+                }
+            }
+        }
+        let (got, reads) = reads_of(&flash, || kv.get(key).unwrap());
+        assert_eq!(got, expected.and_then(|(_, v)| v), "seed {seed}");
+        assert_eq!(reads, expected_reads, "seed {seed}");
+        assert_eq!(kv.num_data_pages() as usize, model.closed.len());
+    };
+    for _ in 0..600 {
+        let key = sweep_key(rng.gen_range(0u32..30));
+        let value = (rng.gen_range(0u32..4) > 0).then(|| {
+            let mut v = vec![0u8; rng.gen_range(0usize..40)];
+            rng.fill_bytes(&mut v);
+            v
+        });
+        match &value {
+            Some(v) => kv.put(&key, v).unwrap(),
+            None => kv.delete(&key).unwrap(),
+        }
+        let len = 1 + 2 + key.len() + 2 + value.as_ref().map_or(0, Vec::len);
+        model.push((key.clone(), value), len);
+        match rng.gen_range(0u32..40) {
+            0 => {
+                kv.flush().unwrap();
+                model.flush();
+                check(&kv, &model, &key);
+            }
+            1..=3 => check(&kv, &model, &sweep_key(rng.gen_range(0u32..33))),
+            _ => {}
+        }
+    }
+    kv.flush().unwrap();
+    model.flush();
+    for k in 0..33 {
+        check(&kv, &model, &sweep_key(k));
+    }
+    flash
+}
+
+fn drive_timeseries(seed: u64) -> Flash {
+    type Entry = (u64, i64);
+    let flash = sweep_chip();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut series = TimeSeries::new(&flash);
+    let mut model: PageModel<Entry> = PageModel::new(|_| 48);
+    let check = |series: &TimeSeries, model: &PageModel<Entry>, from: u64, to: u64| {
+        // A page is probed only when its time range straddles a bound.
+        let boundary = |page: &&Vec<Entry>| {
+            let (lo, hi) = (page[0].0, page[page.len() - 1].0);
+            let (disjoint, covered) = (hi < from || lo > to, lo >= from && hi <= to);
+            !disjoint && !covered
+        };
+        let probes = model.closed.iter().filter(boundary).count() as u64;
+        let mut expected = Aggregate::empty();
+        for (_, v) in (model.closed.iter().flatten())
+            .chain(&model.open)
+            .filter(|(ts, _)| (from..=to).contains(ts))
+        {
+            expected = expected.merge(&Aggregate {
+                count: 1,
+                sum: *v,
+                min: *v,
+                max: *v,
+            });
+        }
+        let (got, reads) = reads_of(&flash, || series.range_aggregate(from, to).unwrap());
+        assert_eq!(got, expected, "seed {seed} [{from},{to}]");
+        assert_eq!(reads, model.summary_pages + probes, "seed {seed}");
+        assert_eq!(series.num_data_pages() as usize, model.closed.len());
+    };
+    let mut now = 0u64;
+    for _ in 0..1500 {
+        now += rng.gen_range(0u64..5);
+        let value = rng.gen_range(-1000i64..1000);
+        series.append(now, value).unwrap();
+        model.push_fixed((now, value), 16);
+        let (a, b) = (rng.gen_range(0..=now + 5), rng.gen_range(0..=now + 5));
+        match rng.gen_range(0u32..100) {
+            0 => {
+                series.flush().unwrap();
+                model.flush();
+                check(&series, &model, a.min(b), now);
+            }
+            1..=5 => check(&series, &model, a.min(b), a.max(b)),
+            _ => {}
+        }
+    }
+    series.flush().unwrap();
+    model.flush();
+    check(&series, &model, 0, u64::MAX);
+    check(&series, &model, now / 3, now / 2);
+    flash
+}
+
+fn drive_spatial(seed: u64) -> Flash {
+    let flash = sweep_chip();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trace = SpatialTrace::new(&flash);
+    let mut model: PageModel<Point> = PageModel::new(|_| 32);
+    let check = |trace: &SpatialTrace, model: &PageModel<Point>, w: &Window| {
+        // A page is probed when its bounding box meets the window.
+        let meets = |page: &&Vec<Point>| {
+            let span = |f: fn(&Point) -> i64| {
+                let vals = page.iter().map(f);
+                (vals.clone().min().unwrap(), vals.max().unwrap())
+            };
+            let (x, y, t) = (
+                span(|p| p.x as i64),
+                span(|p| p.y as i64),
+                (page[0].ts, page[page.len() - 1].ts),
+            );
+            x.0 <= w.x.1 as i64
+                && x.1 >= w.x.0 as i64
+                && y.0 <= w.y.1 as i64
+                && y.1 >= w.y.0 as i64
+                && t.0 <= w.t.1
+                && t.1 >= w.t.0
+        };
+        let probes = model.closed.iter().filter(meets).count() as u64;
+        let expected: Vec<Point> = (model.closed.iter().flatten())
+            .chain(&model.open)
+            .copied()
+            .filter(|p| w.contains(p))
+            .collect();
+        let (got, reads) = reads_of(&flash, || trace.window_query(w).unwrap());
+        assert_eq!(got, expected, "seed {seed} {w:?}");
+        assert_eq!(reads, model.summary_pages + probes, "seed {seed}");
+        assert_eq!(trace.num_data_pages() as usize, model.closed.len());
+    };
+    let (mut x, mut y, mut now) = (0i32, 0i32, 0u64);
+    for _ in 0..1500 {
+        x += rng.gen_range(-20i32..=20);
+        y += rng.gen_range(-20i32..=20);
+        now += rng.gen_range(0u64..3);
+        trace.record(x, y, now).unwrap();
+        model.push_fixed(Point { x, y, ts: now }, 16);
+        let (cx, cy) = (
+            x + rng.gen_range(-200i32..=200),
+            y + rng.gen_range(-200i32..=200),
+        );
+        let w = Window {
+            x: (cx - 80, cx + 80),
+            y: (cy - 80, cy + 80),
+            t: (rng.gen_range(0..=now), now + 1),
+        };
+        match rng.gen_range(0u32..100) {
+            0 => {
+                trace.flush().unwrap();
+                model.flush();
+                check(&trace, &model, &w);
+            }
+            1..=5 => check(&trace, &model, &w),
+            _ => {}
+        }
+    }
+    trace.flush().unwrap();
+    model.flush();
+    let everything = Window {
+        x: (i32::MIN, i32::MAX),
+        y: (i32::MIN, i32::MAX),
+        t: (0, u64::MAX),
+    };
+    check(&trace, &model, &everything);
+    flash
+}
+
+/// The reorganisation of a seeded PBFilter into the tree index, whose
+/// pages share the fronts' packer and entry layout: sort runs, level
+/// logs and tree pages all land on the returned chip.
+fn drive_reorganisation(seed: u64) -> Flash {
+    let flash = sweep_chip();
+    let ram = RamBudget::new(64 * 1024);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx = PBFilter::new(&flash);
+    for rowid in 0..4000u32 {
+        idx.insert(&sweep_key(rng.gen_range(0u32..300)), rowid)
+            .unwrap();
+    }
+    idx.flush().unwrap();
+    let tree = pds::db::reorg::reorganize(&flash, &ram, &idx).unwrap();
+    assert!(tree.height() >= 2, "internal pages are pinned too");
+    for k in 0..300 {
+        let mut from_index = idx.lookup(&sweep_key(k)).unwrap();
+        from_index.sort_unstable();
+        assert_eq!(tree.lookup(&sweep_key(k)).unwrap(), from_index);
+    }
+    flash
+}
+
+/// A seeded script over one front, returning the chip it wrote.
+type Drive = fn(u64) -> Flash;
+
+const FRONTS: [(&str, Drive); 4] = [
+    ("pbfilter", drive_pbfilter),
+    ("kv", drive_kv),
+    ("timeseries", drive_timeseries),
+    ("spatial", drive_spatial),
+];
+
+#[test]
+fn summarised_log_sweep_matches_the_model_and_the_io_formula() {
+    // Per query: page reads = |summary log| + one per probed data page,
+    // with random flush points so the unflushed-tail and just-flushed
+    // boundaries are both hit on every front.
+    for (_, drive) in FRONTS {
+        for seed in 0..6 {
+            drive(seed);
+        }
+    }
+}
+
+/// SHA-256 over every page image of the chip, in address order.
+fn chip_digest(flash: &Flash) -> String {
+    let geo = flash.geometry();
+    let mut hash = Sha256::new();
+    let mut buf = vec![0u8; geo.page_size];
+    for p in 0..geo.num_pages() as u32 {
+        flash.read_page(PageAddr(p), &mut buf).unwrap();
+        hash.update(&buf);
+    }
+    hash.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn page_images_match_the_format_pinned_at_pr15() {
+    // Captured at commit d147914 (before the four fronts shared one
+    // summarised log): the same scripts must leave the same bytes at the
+    // same addresses.
+    let golden = [
+        (
+            "pbfilter",
+            "ad9c7800795c96bdf5b90e77ff6fc39b8758617edfda9ca7d6f8a88a13c2ac3e",
+        ),
+        (
+            "kv",
+            "ac5b6ef259f54a48767c4254eb2f9d55ee95d4066d896d298381e01063bba1b5",
+        ),
+        (
+            "timeseries",
+            "e051260e46ea2d164549b78fc4bd6b73f013f3f6237d2c3b251d1b5ff56466f0",
+        ),
+        (
+            "spatial",
+            "7d52ce957868e22b8ade09e30de5e22b8dbd15cdb7a5e098613a9bb5b0c543bf",
+        ),
+    ]
+    .map(|(front, hex)| (front, hex.to_string()));
+    let digests = FRONTS.map(|(front, drive)| (front, chip_digest(&drive(0xA11CE))));
+    assert_eq!(digests, golden);
+    assert_eq!(
+        chip_digest(&drive_reorganisation(0xA11CE)),
+        "ed4e0883c278f9c011099d2fa28ddef68014bf5f3c691c8c85cdef0968737367",
+        "sort runs + tree"
+    );
+}
+
+#[test]
+fn a_corrupt_summary_page_reports_its_real_flash_address() {
+    // On a fresh chip the data log takes block 0 and the summary log
+    // block 1. Every read flips a bit, so the first summary page fails
+    // its CRC — and the error must name that page, not its ordinal.
+    fn corrupt_read<T: std::fmt::Debug>(
+        build: impl FnOnce(&Flash) -> Box<dyn FnOnce() -> Result<T, FlashError>>,
+    ) {
+        let flash = Flash::small(8);
+        let query = build(&flash);
+        flash.inject_faults(FaultPlan::new(1).read_flips(1.0));
+        let summary_page = flash.geometry().first_page_of(BlockId(1));
+        assert_eq!(query().unwrap_err(), FlashError::CorruptPage(summary_page));
+    }
+    corrupt_read(|f| {
+        let mut idx = PBFilter::new(f);
+        idx.insert(b"Lyon", 1).unwrap();
+        idx.flush().unwrap();
+        Box::new(move || idx.lookup(b"Lyon"))
+    });
+    corrupt_read(|f| {
+        let mut kv = KvStore::new(f);
+        kv.put(b"city", b"Lyon").unwrap();
+        kv.flush().unwrap();
+        Box::new(move || kv.get(b"city"))
+    });
+    corrupt_read(|f| {
+        let mut series = TimeSeries::new(f);
+        series.append(10, 1).unwrap();
+        series.flush().unwrap();
+        Box::new(move || series.range_aggregate(0, 100))
+    });
+    corrupt_read(|f| {
+        let mut trace = SpatialTrace::new(f);
+        trace.record(1, 1, 10).unwrap();
+        trace.flush().unwrap();
+        let all = Window {
+            x: (0, 10),
+            y: (0, 10),
+            t: (0, 100),
+        };
+        Box::new(move || trace.window_query(&all))
+    });
 }
