@@ -223,6 +223,30 @@ pub fn measure(tokens: usize, workers: usize, evict: EvictPolicy) -> E19Point {
     }
 }
 
+/// The sweep's cells: `Rebuild` at 1, 2 and `max_threads` workers, then
+/// `Hibernate` at up to 2.
+fn cells(max_threads: usize) -> Vec<(EvictPolicy, usize)> {
+    let mut cells: Vec<(EvictPolicy, usize)> = Vec::new();
+    for w in [1, 2, max_threads] {
+        if !cells.iter().any(|&(_, cw)| cw == w) {
+            cells.push((EvictPolicy::Rebuild, w));
+        }
+    }
+    cells.push((EvictPolicy::Hibernate, max_threads.min(2)));
+    cells
+}
+
+/// Baseline gauge of one cell. Keyed by policy *and* workers: the
+/// `Hibernate` cell runs at a worker count a `Rebuild` cell also uses,
+/// and keyed by workers alone it overwrote that cell's gauges.
+fn gauge_name(metric: &str, evict: EvictPolicy, workers: usize) -> String {
+    let policy = match evict {
+        EvictPolicy::Rebuild => "rebuild",
+        EvictPolicy::Hibernate => "hibernate",
+    };
+    format!("fleet.e19.{metric}.{policy}.w{workers}")
+}
+
 /// Regenerate the E19 table.
 pub fn run() -> Table {
     let tokens = env_u64("PDS_E19_TOKENS", 96) as usize;
@@ -247,17 +271,9 @@ pub fn run() -> Table {
         ],
     );
 
-    let mut cells: Vec<(EvictPolicy, usize)> = Vec::new();
-    for w in [1, 2, max_threads] {
-        if !cells.iter().any(|&(_, cw)| cw == w) {
-            cells.push((EvictPolicy::Rebuild, w));
-        }
-    }
-    cells.push((EvictPolicy::Hibernate, max_threads.min(2)));
-
     let mut reference_fp: Option<String> = None;
     let mut last_summary = String::new();
-    for (evict, workers) in cells {
+    for (evict, workers) in cells(max_threads) {
         let p = measure(tokens, workers, evict);
         let identical = match &reference_fp {
             None => {
@@ -266,12 +282,14 @@ pub fn run() -> Table {
             }
             Some(fp) => *fp == p.forensics_fp,
         };
-        pds_obs::metrics::gauge(&format!("fleet.e19.crashed.w{workers}")).set(p.crashed as u64);
-        pds_obs::metrics::gauge(&format!("fleet.e19.digests.w{workers}")).set(p.digests);
-        pds_obs::metrics::gauge(&format!("fleet.e19.frames_recovered.w{workers}"))
-            .set(p.frames_recovered);
-        pds_obs::metrics::gauge(&format!("fleet.e19.write_amp_x1000.w{workers}"))
-            .set((p.write_amp * 1000.0) as u64);
+        for (metric, value) in [
+            ("crashed", p.crashed as u64),
+            ("digests", p.digests),
+            ("frames_recovered", p.frames_recovered),
+            ("write_amp_x1000", (p.write_amp * 1000.0) as u64),
+        ] {
+            pds_obs::metrics::gauge(&gauge_name(metric, evict, workers)).set(value);
+        }
         last_summary = p.summary.clone();
         t.row(vec![
             format!("{:?}", p.evict),
@@ -308,6 +326,18 @@ pub fn run() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn no_two_cells_share_a_gauge_name() {
+        for max_threads in 1..=8 {
+            let names: Vec<String> = cells(max_threads)
+                .into_iter()
+                .map(|(evict, workers)| gauge_name("write_amp_x1000", evict, workers))
+                .collect();
+            let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
+            assert_eq!(distinct.len(), names.len(), "{max_threads}: {names:?}");
+        }
+    }
 
     #[test]
     fn forensics_are_bit_identical_across_workers_and_policies() {

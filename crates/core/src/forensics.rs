@@ -220,6 +220,8 @@ mod tests {
             docs_recovered: 5,
             docs_lost: 0,
             tombstones_applied: 0,
+            docs_replayed: 0,
+            index_pages_kept: 3,
             rows_lost: vec![("email".into(), 0)],
             changes_dropped: 0,
         }

@@ -27,6 +27,11 @@ pub struct ReopenReport {
     pub docs_lost: u32,
     /// Deletions re-applied from the durable tombstone log.
     pub tombstones_applied: u64,
+    /// Documents re-indexed: the tail past the last index checkpoint, or
+    /// every document when the index could not be kept.
+    pub docs_replayed: u32,
+    /// Index pages kept as they were across the power cycle.
+    pub index_pages_kept: u32,
     /// Per-table `(name, rows_lost)`.
     pub rows_lost: Vec<(String, u32)>,
     /// Change records dropped from the HLC log because the rows they
@@ -61,13 +66,22 @@ impl PdsHibernation {
     pub fn resident_bytes(&self) -> usize {
         self.sleep.resident_bytes()
     }
+
+    /// The same parked token with its search-index checkpoint withheld:
+    /// [`Pds::wake`] then re-indexes every document on a fresh index log.
+    /// That full rebuild is what recovery falls back to, and what the
+    /// differential tests hold the kept index against.
+    pub fn without_index_checkpoint(mut self) -> Self {
+        self.engine_manifest.checkpoint_blocks.clear();
+        self
+    }
 }
 
 impl Pds {
     /// Cut the power: keep the token's silicon, the recovery manifests
     /// and the RAM-carried metadata, *without* flushing — whatever was
     /// still buffered dies here, exactly as in a real power loss.
-    fn power_off(self) -> PdsHibernation {
+    pub fn power_off(self) -> PdsHibernation {
         PdsHibernation {
             sleep: self.token.hibernate(),
             meta: self.meta,
@@ -81,12 +95,19 @@ impl Pds {
     /// Simulate a power cycle and recover: power off with nothing
     /// flushed, then boot through [`Pds::wake`] — the flash controller
     /// state is rebuilt by cell scan, RAM is lost, every record log
-    /// recovers its durable prefix, derived structures (inverted index,
-    /// selection indexes) are rebuilt or dropped, and the losses are
-    /// reported honestly instead of surfacing later as corruption.
+    /// recovers its durable prefix, the inverted index is kept up to its
+    /// last checkpoint and only the documents past it are re-indexed,
+    /// the selection indexes are dropped, and the losses are reported
+    /// honestly instead of surfacing later as corruption.
     pub fn reopen(self) -> Result<(Pds, ReopenReport), PdsError> {
-        let _span = pds_obs::span!("pds.reopen", "pds.owner" => self.meta.owner.as_str());
-        Pds::wake(self.power_off())
+        let span = pds_obs::span!("pds.reopen", "pds.owner" => self.meta.owner.as_str());
+        let (pds, report) = Pds::wake(self.power_off())?;
+        span.set("recovery.docs_replayed", u64::from(report.docs_replayed));
+        span.set(
+            "recovery.index_pages_kept",
+            u64::from(report.index_pages_kept),
+        );
+        Ok((pds, report))
     }
 
     /// Power this PDS down to its persistent state: flush every buffered
@@ -124,6 +145,8 @@ impl Pds {
             docs_recovered: er.docs_recovered,
             docs_lost: er.docs_lost,
             tombstones_applied: er.tombstones_applied,
+            docs_replayed: er.docs_replayed,
+            index_pages_kept: er.index_pages_kept,
             rows_lost,
             changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
         };

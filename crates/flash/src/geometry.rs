@@ -92,6 +92,14 @@ impl FlashGeometry {
         PageAddr(bid.0 * self.pages_per_block as u32 + offset as u32)
     }
 
+    /// Address of the `i`-th page of a log laid out over `blocks` in
+    /// order; `None` past the last block.
+    pub fn log_page(&self, blocks: &[BlockId], i: u32) -> Option<PageAddr> {
+        let per = self.pages_per_block as u32;
+        let bid = blocks.get((i / per) as usize)?;
+        Some(self.page_in_block(*bid, (i % per) as usize))
+    }
+
     /// True if `addr` is a valid page on this chip.
     pub fn contains(&self, addr: PageAddr) -> bool {
         (addr.0 as usize) < self.num_pages()

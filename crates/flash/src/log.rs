@@ -47,19 +47,37 @@ const PAGE_HEADER: usize = 6;
 /// Header bytes per record (length prefix).
 const REC_HEADER: usize = 2;
 
-/// The page CRC: CRC-32 (IEEE, reflected) over the count bytes and the
-/// payload region — the CRC field itself is excluded. Bitwise, no table;
-/// page-sized inputs on a simulated chip don't warrant one.
-fn page_crc(buf: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in buf[..2].iter().chain(&buf[PAGE_HEADER..]) {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Byte-at-a-time table of CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB88320`), built at compile time: entry `i` is the bitwise
+/// remainder of byte `i`.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// Fold `bytes` into a running (pre-inverted) CRC-32 state.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
+    })
+}
+
+/// The page CRC: CRC-32 (IEEE, reflected) over the count bytes and the
+/// payload region — the CRC field itself is excluded. Every page read
+/// verifies it, so a reopen's log scans and every `get` pay for it.
+fn page_crc(buf: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &buf[..2]), &buf[PAGE_HEADER..])
 }
 
 /// An appendable, strictly sequential log.
@@ -132,12 +150,9 @@ impl LogWriter {
     /// Physical address of the `i`-th page of the log.
     pub fn page_addr(&self, i: u32) -> Result<PageAddr> {
         let geo = self.flash.geometry();
-        let per = geo.pages_per_block as u32;
-        let bi = (i / per) as usize;
-        if i >= self.pages || bi >= self.blocks.len() {
-            return Err(FlashError::BadRecordAddr);
-        }
-        Ok(geo.page_in_block(self.blocks[bi], (i % per) as usize))
+        geo.log_page(&self.blocks, i)
+            .filter(|_| i < self.pages)
+            .ok_or(FlashError::BadRecordAddr)
     }
 
     /// Append one record; flushes the RAM buffer to flash when full.
@@ -277,6 +292,22 @@ impl LogWriter {
         }
     }
 
+    /// Return the log's first `n` blocks to the pool — block-grain
+    /// reclamation from the *head*, for a log whose old records are
+    /// superseded by newer ones (a checkpoint log only ever needs its
+    /// last entry). Page indices shift down by `n × pages_per_block`, so
+    /// record addresses handed out before the call are void. Only fully
+    /// programmed blocks can go: `n` is clamped to keep the append point
+    /// inside the log.
+    pub fn release_head(&mut self, n: usize) {
+        let per = self.flash.geometry().pages_per_block as u32;
+        let n = n.min((self.pages / per) as usize);
+        for b in self.blocks.drain(..n) {
+            self.flash.free_block(b);
+        }
+        self.pages -= n as u32 * per;
+    }
+
     /// Rebuild a record log after a crash from its block list (the
     /// durable identity persisted by the layer above — see
     /// [`LogWriter::blocks`]).
@@ -327,11 +358,73 @@ impl LogWriter {
         pds_obs::counter("recovery.pages_scanned").add(report.pages_scanned);
         pds_obs::counter("recovery.records_recovered").add(records);
         pds_obs::counter("recovery.torn_pages_discarded").add(report.torn_pages_discarded);
+        let mut writer = Self::resume_at(flash, blocks, valid_pages, torn, &mut report)?;
+        writer.records = records;
+        Ok((writer, report))
+    }
 
-        // Rebuild ownership: keep blocks up to the append point, free the
-        // rest. The reboot scan marked erased blocks free, so re-claim
-        // kept ones defensively (an all-erased tail block is "free" until
-        // its log re-adopts it).
+    /// Re-adopt a *raw* log — caller-laid-out pages from
+    /// [`append_raw_page`](Self::append_raw_page), no record framing and
+    /// no CRC to scan by — up to a page frontier the caller made durable
+    /// elsewhere (the search engine's index checkpoint). The first
+    /// `pages` pages are kept as they are; whatever was programmed past
+    /// the frontier is unreachable garbage, treated exactly like
+    /// [`recover`](Self::recover)'s torn tail: the boundary block's
+    /// prefix is relocated so appending can resume, and blocks past the
+    /// frontier go back to the pool. One page read (is the frontier page
+    /// still erased?) and, only after a cut, at most one block of
+    /// relocation — never a scan of the log.
+    ///
+    /// A frontier beyond what `blocks` can hold is
+    /// [`FlashError::BadRecordAddr`] with no block touched.
+    pub fn recover_raw(
+        flash: &Flash,
+        blocks: &[BlockId],
+        pages: u32,
+    ) -> Result<(LogWriter, RecoveryReport)> {
+        let geo = flash.geometry();
+        let per = geo.pages_per_block as u32;
+        if u64::from(pages) > blocks.len() as u64 * u64::from(per) {
+            return Err(FlashError::BadRecordAddr);
+        }
+        let mut report = RecoveryReport::default();
+        // In-order programming makes the programmed pages of a block a
+        // prefix, so the frontier page alone tells whether anything
+        // lies past it.
+        let dirty = match geo.log_page(blocks, pages) {
+            Some(frontier) => {
+                let mut buf = vec![0u8; geo.page_size];
+                flash.read_page(frontier, &mut buf)?;
+                report.pages_scanned = 1;
+                pds_obs::counter("recovery.pages_scanned").inc();
+                buf.iter().any(|&b| b != 0xFF)
+            }
+            None => false,
+        };
+        let writer = Self::resume_at(flash, blocks, pages, dirty, &mut report)?;
+        Ok((writer, report))
+    }
+
+    /// The ownership half of a recovery, shared by the record scan and
+    /// the raw frontier: a writer over the first `valid_pages` pages of
+    /// `blocks`, ready to append. `dirty` says the page right after them
+    /// is programmed (torn, or past a checkpointed frontier) — NAND
+    /// cannot reprogram it, so the valid prefix of its block moves to a
+    /// fresh one. Every block of `blocks` ends up owned by the writer or
+    /// back in the pool exactly once.
+    fn resume_at(
+        flash: &Flash,
+        blocks: &[BlockId],
+        valid_pages: u32,
+        dirty: bool,
+        report: &mut RecoveryReport,
+    ) -> Result<LogWriter> {
+        let geo = flash.geometry();
+        let per = geo.pages_per_block as u32;
+        // Keep blocks up to the append point, free the rest. The reboot
+        // scan marked erased blocks free, so re-claim kept ones
+        // defensively (an all-erased tail block is "free" until its log
+        // re-adopts it).
         let tail_bi = (valid_pages / per) as usize;
         let keep = (tail_bi + 1).min(blocks.len());
         let mut kept: Vec<BlockId> = blocks[..keep].to_vec();
@@ -345,12 +438,12 @@ impl LogWriter {
             let _ = flash.claim_block(*b);
             flash.free_block(*b);
         }
-        // A torn page implies at least one kept block; the `if let` makes
-        // the (unreachable) empty case a no-op instead of a panic.
-        if torn {
+        // A dirty page implies at least one kept block; the `if let`
+        // makes the (unreachable) empty case a no-op instead of a panic.
+        if dirty {
             if let Some(old) = kept.pop() {
-                // The torn page sits at offset `valid_pages % per` of the
-                // last kept block; that block cannot accept further
+                // The dirty page sits at offset `valid_pages % per` of
+                // the last kept block; that block cannot accept further
                 // programs. Relocate its valid prefix to a fresh block
                 // (legal NAND: a strictly sequential program of an erased
                 // block).
@@ -371,8 +464,7 @@ impl LogWriter {
         let mut writer = LogWriter::new(flash.clone());
         writer.blocks = kept;
         writer.pages = valid_pages;
-        writer.records = records;
-        Ok((writer, report))
+        Ok(writer)
     }
 }
 
@@ -451,12 +543,9 @@ impl Log {
     /// Physical address of the `i`-th page.
     pub fn page_addr(&self, i: u32) -> Result<PageAddr> {
         let geo = self.flash.geometry();
-        let per = geo.pages_per_block as u32;
-        let bi = (i / per) as usize;
-        if i >= self.pages || bi >= self.blocks.len() {
-            return Err(FlashError::BadRecordAddr);
-        }
-        Ok(geo.page_in_block(self.blocks[bi], (i % per) as usize))
+        geo.log_page(&self.blocks, i)
+            .filter(|_| i < self.pages)
+            .ok_or(FlashError::BadRecordAddr)
     }
 
     /// Read the raw bytes of page `i` (one page I/O).
@@ -688,6 +777,37 @@ mod tests {
         assert_eq!(log.read_page_records(0).unwrap(), vec![b"rec0".to_vec()]);
     }
 
+    /// The bit-at-a-time CRC the table replaced, kept as the reference.
+    fn page_crc_bitwise(buf: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in buf[..2].iter().chain(&buf[PAGE_HEADER..]) {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_reference() {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        // The IEEE 802.3 check value.
+        assert_eq!(!crc32_update(!0, b"123456789"), 0xCBF4_3926);
+        let mut rng = StdRng::seed_from_u64(0xC8C_0032);
+        for page_size in [512usize, 2048] {
+            for _ in 0..64 {
+                let page: Vec<u8> = (0..page_size).map(|_| rng.gen()).collect();
+                assert_eq!(page_crc(&page), page_crc_bitwise(&page));
+            }
+            assert_eq!(
+                page_crc(&vec![0xFF; page_size]),
+                page_crc_bitwise(&vec![0xFF; page_size])
+            );
+        }
+    }
+
     #[test]
     fn erased_page_is_distinguished_from_corruption() {
         let f = flash();
@@ -773,6 +893,89 @@ mod tests {
             .map(|r| u64::from_le_bytes(r.unwrap().try_into().unwrap()))
             .collect();
         assert_eq!(vals, (0..recovered).collect::<Vec<u64>>());
+    }
+
+    /// A raw log of `n` pages, page `i` filled with byte `i`.
+    fn raw_log(f: &Flash, n: u32) -> LogWriter {
+        let mut w = f.new_log();
+        for i in 0..n {
+            w.append_raw_page(&vec![i as u8; f.geometry().page_size])
+                .unwrap();
+        }
+        w
+    }
+
+    fn raw_page(w: &LogWriter, i: u32) -> Vec<u8> {
+        let mut buf = vec![0u8; w.flash().geometry().page_size];
+        w.flash()
+            .read_page(w.page_addr(i).unwrap(), &mut buf)
+            .unwrap();
+        buf
+    }
+
+    #[test]
+    fn recover_raw_keeps_the_frontier_and_frees_what_lies_past_it() {
+        // 16 pages per block: 40 pages sit in three blocks.
+        for (frontier, relocated) in [(40u32, 0u32), (37, 5), (32, 0), (20, 4), (0, 0)] {
+            let f = flash();
+            let w = raw_log(&f, 40);
+            let blocks = w.blocks().to_vec();
+            let f2 = f.reboot();
+            let free_before = f2.free_blocks();
+            let (mut rec, report) = LogWriter::recover_raw(&f2, &blocks, frontier).unwrap();
+            assert_eq!(rec.num_pages(), frontier);
+            assert_eq!(report.pages_relocated, relocated, "frontier {frontier}");
+            // One probe of the frontier page, never a scan.
+            assert_eq!(report.pages_scanned, 1);
+            assert_eq!(f2.stats().page_reads, 1 + u64::from(relocated));
+            assert_eq!(f2.stats().page_programs, u64::from(relocated));
+            for i in 0..frontier {
+                assert_eq!(raw_page(&rec, i), vec![i as u8; 512], "page {i}");
+            }
+            // Blocks past the frontier went back exactly once (a double
+            // insert trips the allocator's debug assertion).
+            let held = rec.blocks().len();
+            assert_eq!(held, (frontier as usize).div_ceil(16));
+            assert_eq!(f2.free_blocks(), free_before + blocks.len() - held);
+            // And the writer appends where the frontier was.
+            assert_eq!(rec.append_raw_page(&[0xAB; 512]).unwrap(), frontier);
+        }
+    }
+
+    #[test]
+    fn recover_raw_resumes_in_place_after_a_clean_stop() {
+        let f = flash();
+        let w = raw_log(&f, 21);
+        let blocks = w.blocks().to_vec();
+        let f2 = f.reboot();
+        let (mut rec, report) = LogWriter::recover_raw(&f2, &blocks, 21).unwrap();
+        assert_eq!(report.pages_relocated, 0);
+        assert_eq!(f2.stats().page_programs, 0);
+        assert_eq!(rec.blocks(), &blocks[..]);
+        assert_eq!(rec.append_raw_page(&[7; 512]).unwrap(), 21);
+        // A frontier the blocks cannot hold touches nothing.
+        let free = f2.free_blocks();
+        assert_eq!(
+            LogWriter::recover_raw(&f2, &blocks, 33).err(),
+            Some(FlashError::BadRecordAddr)
+        );
+        assert_eq!(f2.free_blocks(), free);
+    }
+
+    #[test]
+    fn release_head_reclaims_whole_blocks_and_shifts_pages() {
+        let f = flash();
+        let before = f.free_blocks();
+        let mut w = raw_log(&f, 40);
+        w.release_head(1);
+        assert_eq!((w.num_pages(), w.blocks().len()), (24, 2));
+        assert_eq!(raw_page(&w, 0), vec![16u8; 512]);
+        // Clamped: the block holding the append point stays.
+        w.release_head(5);
+        assert_eq!((w.num_pages(), w.blocks().len()), (8, 1));
+        assert_eq!(raw_page(&w, 7), vec![39u8; 512]);
+        assert_eq!(w.append_raw_page(&[1; 512]).unwrap(), 8);
+        assert_eq!(f.free_blocks(), before - 1);
     }
 
     #[test]

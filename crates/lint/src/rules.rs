@@ -150,11 +150,13 @@ pub const CRATES: &[CrateConfig] = &[
         families: &[Family::Panic],
         // The change log is the fleet's causal history: its stamp
         // ordering and recovery cuts feed baseline-checked counters and
-        // must replay identically on every machine.
+        // must replay identically on every machine. The log layer
+        // decides which block a recovery keeps, relocates or frees.
         det_files: &[
             "flash/src/changelog.rs",
             "flash/src/blackbox.rs",
             "flash/src/mirrored.rs",
+            "flash/src/log.rs",
         ],
         allowed_deps: &["pds_obs"],
     },
@@ -176,7 +178,10 @@ pub const CRATES: &[CrateConfig] = &[
         dir: "search",
         lib: "pds_search",
         families: &[Family::Panic],
-        det_files: &[],
+        // Index checkpoints and recovery decide which pages are kept,
+        // replayed and programmed across a power cycle; the counts they
+        // produce are baseline-checked (E13).
+        det_files: &["search/src/engine/recovery.rs"],
         allowed_deps: &["pds_obs", "pds_flash", "pds_mcu", "pds_crypto"],
     },
     CrateConfig {

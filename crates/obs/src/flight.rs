@@ -106,6 +106,10 @@ pub mod code {
     pub const RECOVERY_TORN_TAIL: u16 = 0x0501;
     /// A reopen completed; `args` = (docs recovered, changes dropped).
     pub const RECOVERY_REOPEN: u16 = 0x0502;
+    /// The search index was not kept across the power cycle and every
+    /// document was re-indexed; `args` = (reason — see
+    /// `pds_search::RebuildReason::code`, documents re-indexed).
+    pub const RECOVERY_INDEX_REBUILD: u16 = 0x0503;
     /// One record ingested; `args` = (table id, logical day).
     pub const CORE_INGEST: u16 = 0x0401;
     /// A write batch committed; `args[0]` = HLC counter.
@@ -124,6 +128,7 @@ pub mod code {
             FLASH_FAULTS_ARMED => "faults_armed",
             RECOVERY_TORN_TAIL => "torn_tail",
             RECOVERY_REOPEN => "reopen",
+            RECOVERY_INDEX_REBUILD => "index_rebuild",
             CORE_INGEST => "ingest",
             CORE_COMMIT => "commit",
             CORE_SYNC => "sync",

@@ -12,6 +12,10 @@ use std::collections::HashMap;
 use pds_flash::{Flash, FlashError, LogWriter};
 use pds_mcu::{RamBudget, RamError, TopN};
 
+mod recovery;
+
+pub use recovery::{EngineManifest, EngineRecovery, RebuildReason};
+
 use crate::docs::DocStore;
 use crate::tokenize::{term_hash, tokenize};
 use crate::triple::{decode_page, encode_page, triples_per_page, DocId, Triple, NO_PREV};
@@ -122,6 +126,13 @@ pub struct SearchEngine {
     heads: Vec<u32>,
     /// The index log (raw bucket pages, append-only).
     index: LogWriter,
+    /// Identity of `index`: bumped whenever a fresh log replaces it, so
+    /// a checkpoint can say which log it describes.
+    epoch: u32,
+    /// The index-checkpoint log (see [`recovery`]).
+    checkpoints: LogWriter,
+    /// Frontier of the last durable checkpoint.
+    durable: recovery::Frontier,
     /// Per-bucket RAM insertion buffers.
     pending: Vec<Vec<Triple>>,
     pending_total: usize,
@@ -168,6 +179,9 @@ impl SearchEngine {
             num_buckets,
             heads: vec![NO_PREV; num_buckets],
             index: flash.new_log(),
+            epoch: 0,
+            checkpoints: flash.new_log(),
+            durable: recovery::Frontier::origin(0),
             pending: vec![Vec::new(); num_buckets],
             pending_total: 0,
             pending_cap: buffer_triples,
@@ -262,9 +276,10 @@ impl SearchEngine {
     }
 
     /// Build index triples for an already-stored document — the indexing
-    /// half of [`index_document`](Self::index_document), reused by crash
-    /// recovery to re-derive the inverted index from recovered documents
-    /// without re-appending their content.
+    /// half of [`index_document`](Self::index_document), reused by
+    /// [`recover`](Self::recover) for the documents past the last index
+    /// checkpoint (every document when there is none), whose content is
+    /// already in the document log.
     fn index_text(&mut self, doc: DocId, text: &str) -> Result<(), SearchError> {
         // Per-document term-frequency aggregation: transient RAM
         // proportional to the document's distinct terms. BTreeMap, not
@@ -331,7 +346,8 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// Flush every pending triple and document chunk to flash.
+    /// Flush every pending triple and document chunk to flash, then
+    /// checkpoint the index so the next power cycle keeps it.
     pub fn flush(&mut self) -> Result<(), SearchError> {
         for b in 0..self.num_buckets {
             self.flush_bucket(b)?;
@@ -340,7 +356,8 @@ impl SearchEngine {
         // Tombstones too — a deletion the user was told about must not
         // evaporate in a crash.
         self.tombstones.flush()?;
-        Ok(())
+        // Last: a checkpoint may only name pages already on flash.
+        self.write_checkpoint()
     }
 
     /// Document frequency of one term (two-pass strategy): walk the chain
@@ -569,115 +586,11 @@ impl SearchEngine {
         let old = std::mem::replace(&mut self.index, new_log);
         old.discard();
         self.heads = new_heads;
-        Ok(())
+        // A new log: the old one's checkpoints must stop matching before
+        // this one has its own.
+        self.epoch = self.epoch.wrapping_add(1);
+        self.write_checkpoint()
     }
-
-    /// The engine's durable identity, to be persisted by the layer above
-    /// (a real token keeps it in a catalog log) and handed to
-    /// [`recover`](Self::recover) after a power loss.
-    pub fn manifest(&self) -> EngineManifest {
-        EngineManifest {
-            doc_blocks: self.docs.blocks(),
-            doc_directory: self.docs.directory().to_vec(),
-            tombstone_blocks: self.tombstones.blocks().to_vec(),
-            index_blocks: self.index.blocks().to_vec(),
-            num_buckets: self.num_buckets,
-            buffer_triples: self.pending_cap,
-            df_strategy: self.df_strategy,
-        }
-    }
-
-    /// Rebuild an engine after a power loss.
-    ///
-    /// The document store and the tombstone log are record logs and
-    /// recover via [`LogWriter::recover`] — every document durably on
-    /// flash before the cut comes back. The inverted index is *derived*
-    /// state: its bucket heads lived in controller RAM and died with the
-    /// power, and its chain pages are raw (no record framing), so the old
-    /// index blocks are returned to the pool and the index is re-derived
-    /// by replaying every recovered document through the indexing path.
-    /// Tombstones are re-applied last, so deletions survive the crash.
-    pub fn recover(
-        flash: &Flash,
-        ram: &RamBudget,
-        m: &EngineManifest,
-    ) -> Result<(SearchEngine, EngineRecovery), SearchError> {
-        let (docs, docs_lost) = DocStore::recover(flash, &m.doc_blocks, &m.doc_directory)?;
-        let (tombstones, _) = LogWriter::recover(flash, &m.tombstone_blocks)?;
-        let mut tombstoned: Vec<DocId> = Vec::new();
-        for page in 0..tombstones.num_pages() {
-            for rec in tombstones.read_page_records(page)? {
-                if let Ok(b) = <[u8; 4]>::try_from(rec.as_slice()) {
-                    tombstoned.push(DocId::from_le_bytes(b));
-                }
-            }
-        }
-        // Drop the stale index blocks (claim first so a block the reboot
-        // scan classified as free is not double-inserted).
-        for b in &m.index_blocks {
-            let _ = flash.claim_block(*b);
-            flash.free_block(*b);
-        }
-        let mut engine =
-            SearchEngine::new(flash, ram, m.num_buckets, m.buffer_triples, m.df_strategy)?;
-        engine.docs = docs;
-        engine.tombstones = tombstones;
-        for doc in 0..engine.docs.len() as DocId {
-            let text = String::from_utf8_lossy(&engine.docs.get(doc)?).into_owned();
-            engine.index_text(doc, &text)?;
-        }
-        let mut tombstones_applied = 0u64;
-        for doc in tombstoned {
-            // Tombstones for documents the crash destroyed are moot, and
-            // duplicates (recovery after recovery) apply once.
-            if (doc as usize) < engine.docs.len() && !engine.deleted.contains(&doc) {
-                engine.note_deleted(doc)?;
-                tombstones_applied += 1;
-            }
-        }
-        let report = EngineRecovery {
-            docs_recovered: engine.docs.len() as u32,
-            docs_lost,
-            tombstones_applied,
-            index_blocks_dropped: m.index_blocks.len(),
-        };
-        Ok((engine, report))
-    }
-}
-
-/// Durable identity of a [`SearchEngine`] across a power cycle: block
-/// lists of its three logs, the chunk directory, and the sizing knobs.
-/// A real token persists this in a catalog log; the simulation carries it
-/// across the reboot in RAM.
-#[derive(Debug, Clone)]
-pub struct EngineManifest {
-    /// Blocks of the document log.
-    pub doc_blocks: Vec<pds_flash::BlockId>,
-    /// docid → chunk addresses.
-    pub doc_directory: Vec<Vec<pds_flash::RecordAddr>>,
-    /// Blocks of the tombstone log.
-    pub tombstone_blocks: Vec<pds_flash::BlockId>,
-    /// Blocks of the (derived, rebuilt-on-recovery) index log.
-    pub index_blocks: Vec<pds_flash::BlockId>,
-    /// Hash bucket count.
-    pub num_buckets: usize,
-    /// RAM insertion-buffer capacity in triples.
-    pub buffer_triples: usize,
-    /// df strategy.
-    pub df_strategy: DfStrategy,
-}
-
-/// What [`SearchEngine::recover`] found and did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineRecovery {
-    /// Documents intact after the crash.
-    pub docs_recovered: u32,
-    /// Documents lost to the crash (suffix of the docid space).
-    pub docs_lost: u32,
-    /// Tombstones re-applied from the recovered tombstone log.
-    pub tombstones_applied: u64,
-    /// Stale index blocks returned to the pool before the rebuild.
-    pub index_blocks_dropped: usize,
 }
 
 /// Backward cursor over one term's bucket chain, holding exactly one

@@ -1,0 +1,447 @@
+//! Power cycles: the engine's durable identity, the index checkpoint and
+//! [`SearchEngine::recover`].
+//!
+//! The tutorial's tokens are portable — power is whatever port the token
+//! is plugged into — so a reopen is an ordinary event and must cost what
+//! changed since the last sync, not what the token has accumulated over
+//! its life. The documents and tombstones are record logs and recover by
+//! their page CRCs. The inverted index is a log of *raw* bucket pages
+//! whose chain heads live in RAM; what lets recovery keep it is the
+//! **index checkpoint**: at the end of every [`SearchEngine::flush`] —
+//! when every pending triple, document chunk and tombstone is on flash —
+//! one record `(epoch, docid frontier D, index page frontier P, chain
+//! heads)` goes to a small CRC-framed record log of its own. Write
+//! ordering is the whole correctness argument: a checkpoint becomes
+//! durable only after every page it names, and the index log is
+//! append-only, so pages below `P` are exactly what they were when the
+//! checkpoint was taken, whatever was programmed — or torn — after it.
+//!
+//! ## Checkpoint record layout
+//!
+//! ```text
+//! body:   [epoch: u32][D: u32][P: u32] num_buckets × [head: u32]
+//! record: [part: u16][parts: u16] slice of the body
+//! ```
+//!
+//! A body larger than one record (128 buckets on 512-byte pages) is cut
+//! into consecutive parts; only a checkpoint whose parts are all present,
+//! in order, counts. A torn or partial one is ignored and its
+//! predecessor — still valid, for the reason above — is used instead.
+
+use pds_flash::{BlockId, Flash, FlashError, LogWriter, RecordAddr};
+use pds_mcu::RamBudget;
+use pds_obs::flight::{code, subsystem, Severity};
+
+use super::{DfStrategy, SearchEngine, SearchError};
+use crate::docs::DocStore;
+use crate::triple::{decode_page, DocId, NO_PREV};
+
+/// Bytes of `[part][parts]` in front of every checkpoint record.
+const PART_HEADER: usize = 4;
+/// Bytes of `[epoch][D][P]` in front of the chain heads.
+const BODY_HEADER: usize = 12;
+
+/// What a checkpoint pins: which index log (`epoch` — bumped whenever a
+/// fresh log replaces the index), how many documents its pages cover and
+/// how many pages it has. The origin `(epoch, 0, 0)` — an empty log —
+/// needs no record to be true.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Frontier {
+    epoch: u32,
+    docs: DocId,
+    pages: u32,
+}
+
+impl Frontier {
+    pub(super) fn origin(epoch: u32) -> Self {
+        Frontier {
+            epoch,
+            docs: 0,
+            pages: 0,
+        }
+    }
+}
+
+/// A decoded checkpoint: the frontier and the chain heads at it.
+struct Checkpoint {
+    at: Frontier,
+    heads: Vec<u32>,
+}
+
+impl Checkpoint {
+    fn encode(at: Frontier, heads: &[u32]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(BODY_HEADER + 4 * heads.len());
+        for word in [at.epoch, at.docs, at.pages].iter().chain(heads) {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        body
+    }
+
+    /// `None` unless `body` is exactly a header and `num_buckets` heads —
+    /// flash-sourced bytes, so every access is checked.
+    fn decode(body: &[u8], num_buckets: usize) -> Option<Checkpoint> {
+        if body.len() != BODY_HEADER + 4 * num_buckets {
+            return None;
+        }
+        let mut words = body
+            .chunks_exact(4)
+            .filter_map(|w| Some(u32::from_le_bytes(w.try_into().ok()?)));
+        let at = Frontier {
+            epoch: words.next()?,
+            docs: words.next()?,
+            pages: words.next()?,
+        };
+        Some(Checkpoint {
+            at,
+            heads: words.collect(),
+        })
+    }
+
+    /// The last complete checkpoint in `log`, if any.
+    fn last_in(log: &LogWriter, num_buckets: usize) -> Result<Option<Checkpoint>, FlashError> {
+        let mut last = None;
+        let mut body: Vec<u8> = Vec::new();
+        let mut next_part = 0u16;
+        log.for_each_record(|_, rec| {
+            let field = |at: usize| {
+                let bytes = rec.get(at..at + 2)?;
+                Some(u16::from_le_bytes(bytes.try_into().ok()?))
+            };
+            let (Some(part), Some(parts), Some(slice)) =
+                (field(0), field(2), rec.get(PART_HEADER..))
+            else {
+                next_part = 0;
+                return Ok(());
+            };
+            if part == 0 {
+                body.clear();
+                next_part = 0;
+            }
+            if part != next_part {
+                // A part without its predecessors: the start of this
+                // checkpoint was lost, so it can never complete.
+                next_part = 0;
+                return Ok(());
+            }
+            body.extend_from_slice(slice);
+            next_part = next_part.saturating_add(1);
+            if next_part == parts {
+                last = Checkpoint::decode(&body, num_buckets).or(last.take());
+                next_part = 0;
+            }
+            Ok(())
+        })?;
+        Ok(last)
+    }
+}
+
+/// Why a recovery re-indexed every document instead of keeping the
+/// index log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// No complete checkpoint on flash: the engine never synced.
+    NoCheckpoint,
+    /// [`DfStrategy::RamDictionary`]: the df dictionary is RAM-only
+    /// state that only a replay of every document re-derives.
+    RamDictionary,
+    /// The last checkpoint describes an index log that has since been
+    /// replaced (a cut between a reorganization's swap and its
+    /// checkpoint).
+    StaleEpoch,
+    /// The checkpoint covers more documents than the document log
+    /// recovered.
+    DocsMissing,
+    /// The checkpoint names pages beyond the manifest's index blocks.
+    PagesMissing,
+    /// The chain heads did not pass the structural check against the
+    /// pages they name.
+    ChainMismatch,
+}
+
+impl RebuildReason {
+    /// The reason as carried by the `RECOVERY_INDEX_REBUILD` flight
+    /// event (`args[0]`).
+    pub fn code(self) -> u64 {
+        match self {
+            RebuildReason::NoCheckpoint => 1,
+            RebuildReason::RamDictionary => 2,
+            RebuildReason::StaleEpoch => 3,
+            RebuildReason::DocsMissing => 4,
+            RebuildReason::PagesMissing => 5,
+            RebuildReason::ChainMismatch => 6,
+        }
+    }
+}
+
+/// Durable identity of a [`SearchEngine`] across a power cycle: the
+/// block lists of its four logs, the chunk directory, and the sizing
+/// knobs. A real token persists this in a catalog log; the simulation
+/// carries it across the reboot in RAM.
+#[derive(Debug, Clone)]
+pub struct EngineManifest {
+    /// Blocks of the document log.
+    pub doc_blocks: Vec<BlockId>,
+    /// docid → chunk addresses.
+    pub doc_directory: Vec<Vec<RecordAddr>>,
+    /// Blocks of the tombstone log.
+    pub tombstone_blocks: Vec<BlockId>,
+    /// Blocks of the index log (raw bucket pages). Kept across the power
+    /// cycle up to the page frontier of the last checkpoint.
+    pub index_blocks: Vec<BlockId>,
+    /// Identity of the index log `index_blocks` holds; a checkpoint
+    /// written for another epoch describes a log that no longer exists.
+    pub index_epoch: u32,
+    /// Blocks of the index-checkpoint log. Emptied, recovery finds no
+    /// checkpoint and re-indexes every document — what the differential
+    /// tests compare the kept index against.
+    pub checkpoint_blocks: Vec<BlockId>,
+    /// Hash bucket count.
+    pub num_buckets: usize,
+    /// RAM insertion-buffer capacity in triples.
+    pub buffer_triples: usize,
+    /// df strategy.
+    pub df_strategy: DfStrategy,
+}
+
+/// What [`SearchEngine::recover`] found and did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineRecovery {
+    /// Documents intact after the crash.
+    pub docs_recovered: u32,
+    /// Documents lost to the crash (suffix of the docid space).
+    pub docs_lost: u32,
+    /// Tombstones re-applied from the recovered tombstone log.
+    pub tombstones_applied: u64,
+    /// Index blocks of the manifest returned to the pool: everything
+    /// past the kept frontier, or all of them on a rebuild.
+    pub index_blocks_dropped: usize,
+    /// Index pages kept as they were (the checkpoint's page frontier; 0
+    /// on a rebuild).
+    pub index_pages_kept: u32,
+    /// Documents pushed through the indexing path again: the tail past
+    /// the checkpoint's docid frontier, or every document on a rebuild.
+    pub docs_replayed: u32,
+    /// `Some` when the index log was not kept, with the reason.
+    pub index_rebuild: Option<RebuildReason>,
+}
+
+impl SearchEngine {
+    /// The engine's durable identity, to be persisted by the layer above
+    /// (a real token keeps it in a catalog log) and handed to
+    /// [`recover`](Self::recover) after a power loss.
+    pub fn manifest(&self) -> EngineManifest {
+        EngineManifest {
+            doc_blocks: self.docs.blocks(),
+            doc_directory: self.docs.directory().to_vec(),
+            tombstone_blocks: self.tombstones.blocks().to_vec(),
+            index_blocks: self.index.blocks().to_vec(),
+            index_epoch: self.epoch,
+            checkpoint_blocks: self.checkpoints.blocks().to_vec(),
+            num_buckets: self.num_buckets,
+            buffer_triples: self.pending_cap,
+            df_strategy: self.df_strategy,
+        }
+    }
+
+    /// Append an index checkpoint if the frontier moved since the last
+    /// durable one. Called with nothing pending (end of `flush`), so the
+    /// chain heads describe every document below the docid frontier. An
+    /// engine whose frontier never moves — a token holding no documents
+    /// — never programs a page here, and a `RamDictionary` engine, which
+    /// could not use a checkpoint, writes none.
+    pub(super) fn write_checkpoint(&mut self) -> Result<(), SearchError> {
+        let now = Frontier {
+            epoch: self.epoch,
+            docs: self.num_docs(),
+            pages: self.index.num_pages(),
+        };
+        if now == self.durable || self.df_strategy == DfStrategy::RamDictionary {
+            return Ok(());
+        }
+        let body = Checkpoint::encode(now, &self.heads);
+        let _guard = self.ram.reserve(body.len())?;
+        let first_page = self.checkpoints.num_pages();
+        let room = self.checkpoints.max_record_len() - PART_HEADER;
+        let parts = body.len().div_ceil(room) as u16;
+        for (part, slice) in body.chunks(room).enumerate() {
+            let mut rec = Vec::with_capacity(PART_HEADER + slice.len());
+            rec.extend_from_slice(&(part as u16).to_le_bytes());
+            rec.extend_from_slice(&parts.to_le_bytes());
+            rec.extend_from_slice(slice);
+            self.checkpoints.append(&rec)?;
+        }
+        self.checkpoints.flush()?;
+        // Only the newest checkpoint is ever read: blocks wholly before
+        // it go back to the pool, which bounds the log — and the scan a
+        // recovery pays for it — at about two blocks.
+        let per = self.flash.geometry().pages_per_block as u32;
+        self.checkpoints.release_head((first_page / per) as usize);
+        self.durable = now;
+        Ok(())
+    }
+
+    /// Choose the frontier recovery resumes from: the last checkpoint if
+    /// it is usable for this manifest and these documents, else the
+    /// reason it is not. Reads at most one page per bucket.
+    fn usable_checkpoint(
+        &self,
+        m: &EngineManifest,
+    ) -> Result<Result<Checkpoint, RebuildReason>, SearchError> {
+        if self.df_strategy == DfStrategy::RamDictionary {
+            return Ok(Err(RebuildReason::RamDictionary));
+        }
+        let geo = self.flash.geometry();
+        let _guard = self
+            .ram
+            .reserve(geo.page_size + BODY_HEADER + 4 * self.num_buckets)?;
+        let Some(ckpt) = Checkpoint::last_in(&self.checkpoints, self.num_buckets)? else {
+            return Ok(Err(RebuildReason::NoCheckpoint));
+        };
+        let Frontier { epoch, docs, pages } = ckpt.at;
+        if epoch != m.index_epoch {
+            return Ok(Err(RebuildReason::StaleEpoch));
+        }
+        if docs > self.num_docs() {
+            return Ok(Err(RebuildReason::DocsMissing));
+        }
+        if pages > 0 && geo.log_page(&m.index_blocks, pages - 1).is_none() {
+            return Ok(Err(RebuildReason::PagesMissing));
+        }
+        // Pages below the frontier are intact by write ordering; what
+        // this catches is a checkpoint that does not belong to this log.
+        let mut buf = vec![0u8; geo.page_size];
+        for (bucket, &head) in ckpt.heads.iter().enumerate() {
+            if head == NO_PREV {
+                continue;
+            }
+            let Some(addr) = geo.log_page(&m.index_blocks, head).filter(|_| head < pages) else {
+                return Ok(Err(RebuildReason::ChainMismatch));
+            };
+            self.flash.read_page(addr, &mut buf)?;
+            let sound = decode_page(&buf).is_some_and(|(prev, triples)| {
+                (prev == NO_PREV || prev < head)
+                    && triples
+                        .iter()
+                        .all(|t| t.doc < docs && self.bucket_of(t.term) == bucket)
+            });
+            if !sound {
+                return Ok(Err(RebuildReason::ChainMismatch));
+            }
+        }
+        Ok(Ok(ckpt))
+    }
+
+    /// Bring an engine back after a power cycle.
+    ///
+    /// The document store and the tombstone log are record logs and
+    /// recover via [`LogWriter::recover`] — every document durably on
+    /// flash before the cut comes back. The inverted index is *kept*: the
+    /// last complete index checkpoint (module docs) gives the docid
+    /// frontier `D`, the page frontier `P` and the chain heads; the index
+    /// log is re-adopted up to `P` ([`LogWriter::recover_raw`] — pages
+    /// past `P` are garbage the cut left behind), and only documents
+    /// `D..` go through the indexing path again. Work is proportional to
+    /// what was ingested since the last sync, plus one page read per
+    /// bucket to check the heads against the pages they name.
+    ///
+    /// When there is no usable checkpoint ([`RebuildReason`]) the same
+    /// replay runs from the origin instead — document 0 on an empty log
+    /// — which re-derives the whole index. Tombstones are re-applied
+    /// last, so deletions survive either way.
+    pub fn recover(
+        flash: &Flash,
+        ram: &RamBudget,
+        m: &EngineManifest,
+    ) -> Result<(SearchEngine, EngineRecovery), SearchError> {
+        let (docs, docs_lost) = DocStore::recover(flash, &m.doc_blocks, &m.doc_directory)?;
+        let (tombstones, _) = LogWriter::recover(flash, &m.tombstone_blocks)?;
+        let mut tombstoned: Vec<DocId> = Vec::new();
+        tombstones.for_each_record(|_, rec| {
+            if let Ok(b) = <[u8; 4]>::try_from(rec) {
+                tombstoned.push(DocId::from_le_bytes(b));
+            }
+            Ok(())
+        })?;
+        let (checkpoints, _) = LogWriter::recover(flash, &m.checkpoint_blocks)?;
+        let mut engine =
+            SearchEngine::new(flash, ram, m.num_buckets, m.buffer_triples, m.df_strategy)?;
+        engine.docs = docs;
+        engine.tombstones = tombstones;
+        engine.checkpoints = checkpoints;
+
+        let (from, index_rebuild) = match engine.usable_checkpoint(m)? {
+            Ok(ckpt) => {
+                engine.heads = ckpt.heads;
+                (ckpt.at, None)
+            }
+            // A fresh log under a new epoch: whatever checkpoints the
+            // old one left behind can never match it.
+            Err(why) => (Frontier::origin(m.index_epoch.wrapping_add(1)), Some(why)),
+        };
+        let (index, _) = LogWriter::recover_raw(flash, &m.index_blocks, from.pages)?;
+        let index_blocks_dropped = m
+            .index_blocks
+            .iter()
+            .filter(|b| !index.blocks().contains(b))
+            .count();
+        engine.index = index;
+        engine.epoch = from.epoch;
+        engine.durable = from;
+
+        let docs_recovered = engine.num_docs();
+        for doc in from.docs..docs_recovered {
+            let text = String::from_utf8_lossy(&engine.docs.get(doc)?).into_owned();
+            engine.index_text(doc, &text)?;
+        }
+        let mut tombstones_applied = 0u64;
+        for doc in tombstoned {
+            // Tombstones for documents the crash destroyed are moot, and
+            // duplicates (recovery after recovery) apply once.
+            if doc < docs_recovered && !engine.deleted.contains(&doc) {
+                engine.note_deleted(doc)?;
+                tombstones_applied += 1;
+            }
+        }
+        let report = EngineRecovery {
+            docs_recovered,
+            docs_lost,
+            tombstones_applied,
+            index_blocks_dropped,
+            index_pages_kept: from.pages,
+            docs_replayed: docs_recovered - from.docs,
+            index_rebuild,
+        };
+        report.publish(!m.checkpoint_blocks.is_empty());
+        Ok((engine, report))
+    }
+}
+
+impl EngineRecovery {
+    /// Export which path ran: `recovery.*` counters, and for a rebuild
+    /// that had something to rebuild a flight event naming the reason —
+    /// a `Warn` when the token did have a checkpoint log, because then
+    /// the O(corpus) reopen is a surprise a post-mortem should show.
+    fn publish(&self, had_checkpoints: bool) {
+        pds_obs::counter("recovery.index_pages_kept").add(u64::from(self.index_pages_kept));
+        pds_obs::counter("recovery.docs_replayed").add(u64::from(self.docs_replayed));
+        let Some(why) = self.index_rebuild else {
+            return;
+        };
+        if self.docs_replayed == 0 && !had_checkpoints {
+            return;
+        }
+        pds_obs::counter("recovery.index_rebuilds").inc();
+        let severity = if had_checkpoints {
+            Severity::Warn
+        } else {
+            Severity::Info
+        };
+        pds_obs::event!(
+            severity,
+            subsystem::RECOVERY,
+            code::RECOVERY_INDEX_REBUILD,
+            why.code(),
+            self.docs_replayed
+        );
+    }
+}

@@ -26,6 +26,7 @@
 //! RAM-resident term dictionary (1× I/O, RAM grows with the vocabulary —
 //! exactly the trade-off that rules it out on the smallest devices).
 
+mod crash_sweep;
 pub mod docs;
 pub mod engine;
 pub mod gen;
@@ -35,7 +36,8 @@ pub mod triple;
 
 pub use docs::DocStore;
 pub use engine::{
-    DfStrategy, EngineManifest, EngineRecovery, SearchEngine, SearchError, SearchHit, SearchMode,
+    DfStrategy, EngineManifest, EngineRecovery, RebuildReason, SearchEngine, SearchError,
+    SearchHit, SearchMode,
 };
 pub use oracle::NaiveSearch;
 pub use tokenize::tokenize;

@@ -27,9 +27,18 @@ cargo test --offline -q --manifest-path ledger/Cargo.toml
 # and runs (under 2 s).
 cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload global_toolkit
-# Widened seeded crash-recovery sweep: a fixed, larger seed set than the
-# default 48 so every gate run exercises the fault paths broadly.
+# The reopen path's end-to-end oracle: a token's life of ingest, sync,
+# clean reopens and a seeded power cut on two seeds — every synced row
+# and document survives, exact counts repeat between blocks and runs
+# (about 4 s now that a reopen keeps the search index).
+cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
+  selfcheck --workload token_ingest_reopen
+# Widened seeded crash-recovery sweeps: a fixed, larger seed set than the
+# default 48 so every gate run exercises the fault paths broadly — the
+# record log's, and the search engine's checkpointed recovery against a
+# full re-index of the same chip.
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q seeded_crash_recovery_sweep
+PDS_CRASH_SEEDS=256 cargo test -p pds-search -q checkpointed_recovery_equals_full_rebuild_sweep
 # Fleet smoke sweep: a small tokens × threads × connectivity run of the
 # phased secure-aggregation job, with the pds-obs registry exported so
 # the fleet.* counters are visible in the gate log.

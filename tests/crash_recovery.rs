@@ -496,3 +496,96 @@ fn a_crash_digest_is_folded_exactly_once_across_a_power_cycle_mid_mail() {
         );
     }
 }
+
+/// What a requester can see of the search side: ranked hits (scores bit
+/// for bit) for a fixed query set, and every document's bytes.
+fn search_view(pds: &mut Pds, me: &AccessContext, docs: u32) -> Vec<Vec<u8>> {
+    let mut view = Vec::new();
+    for query in [&["marker"][..], &["m3", "results"], &["subject", "routine"]] {
+        for hit in pds.search(me, query, 30).unwrap() {
+            view.push(format!("{}:{:016x}", hit.doc, hit.score.to_bits()).into_bytes());
+        }
+        view.push(Vec::new());
+    }
+    view.extend((0..docs).map(|d| pds.get_document(me, d).unwrap_or_default()));
+    view
+}
+
+#[test]
+fn a_kept_index_answers_like_a_rebuilt_one_after_reopen_and_after_wake() {
+    let me = AccessContext::new("ivan", Purpose::PersonalUse);
+    // A token's state is a pure function of what it was fed, so building
+    // it twice yields the same chip twice: one twin wakes with its index
+    // checkpoint, the other with the checkpoint withheld — the full
+    // re-index recovery falls back to.
+    let both_ways = |park: &dyn Fn() -> pds::core::PdsHibernation, ctx: &str| {
+        let (mut kept, kr) = Pds::wake(park()).unwrap();
+        let (mut full, fr) = Pds::wake(park().without_index_checkpoint()).unwrap();
+        assert!(kr.index_pages_kept > 0, "{ctx}: index not kept ({kr:?})");
+        assert!(kr.docs_replayed < kr.docs_recovered, "{ctx}: {kr:?}");
+        assert_eq!(fr.index_pages_kept, 0, "{ctx}: oracle kept pages");
+        assert_eq!(fr.docs_replayed, fr.docs_recovered, "{ctx}");
+        assert_eq!(
+            (kr.docs_recovered, kr.docs_lost, kr.tombstones_applied),
+            (fr.docs_recovered, fr.docs_lost, fr.tombstones_applied),
+            "{ctx}: document counts"
+        );
+        assert_eq!(kr.rows_lost, fr.rows_lost, "{ctx}");
+        assert_eq!(kr.changes_dropped, fr.changes_dropped, "{ctx}");
+        assert_eq!(
+            search_view(&mut kept, &me, kr.docs_recovered),
+            search_view(&mut full, &me, fr.docs_recovered),
+            "{ctx}: search side differs"
+        );
+        // Both keep working, and keep agreeing.
+        for pds in [&mut kept, &mut full] {
+            for day in 300..305 {
+                ingest_day(pds, day).unwrap();
+            }
+        }
+        let docs = kr.docs_recovered + 10;
+        assert_eq!(
+            search_view(&mut kept, &me, docs),
+            search_view(&mut full, &me, docs),
+            "{ctx}: diverged after more ingests"
+        );
+        kr
+    };
+
+    // `reopen` after a power cut: the tail past the last sync is replayed.
+    for case in 0..6u64 {
+        let seed = 0x1D_C4A5 + case;
+        let crashed = || {
+            let mut pds = Pds::for_tests(6, "ivan").unwrap();
+            for day in 0..10 {
+                ingest_day(&mut pds, day).unwrap();
+            }
+            pds.sync().unwrap();
+            let cut_after = StdRng::seed_from_u64(seed).gen_range(1u64..60);
+            pds.token()
+                .flash()
+                .inject_faults(FaultPlan::new(seed).power_loss_after(cut_after));
+            let mut day = 10;
+            while ingest_day(&mut pds, day).is_ok() {
+                day += 1;
+                assert!(day < 200, "case {case}: cut never fired");
+            }
+            pds.power_off()
+        };
+        both_ways(&crashed, &format!("reopen case {case}"));
+    }
+
+    // `hibernate → wake`: synced first, so nothing is replayed and the
+    // wake programs no page at all.
+    let parked = || {
+        let mut pds = Pds::for_tests(6, "ivan").unwrap();
+        for day in 0..25 {
+            ingest_day(&mut pds, day).unwrap();
+        }
+        pds.hibernate().unwrap()
+    };
+    let report = both_ways(&parked, "hibernate");
+    assert_eq!((report.docs_lost, report.docs_replayed), (0, 0));
+    let (woken, _) = Pds::wake(parked()).unwrap();
+    assert_eq!(woken.token().flash().stats().page_programs, 0);
+}
