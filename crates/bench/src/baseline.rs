@@ -7,9 +7,9 @@
 //! substring — flash page IO, search pages-per-keyword, `mcu.ram`
 //! high-water marks, `bus.*` delivery/redelivery tallies, `recovery.*`,
 //! `lint.*` — plus every histogram's *count* (how many observations
-//! happened is control flow; what they measured may be time). Events are
-//! skipped; the `obs.events_dropped` counter stands in for ring
-//! overflow. Wall-clock values are machine-dependent and never
+//! happened is control flow; what they measured may be time). The
+//! `obs.events_dropped` counter stands for flight frames lost to a full
+//! staging buffer. Wall-clock values are machine-dependent and never
 //! baselined.
 //!
 //! A baseline also records which experiments ran ([`Baseline::scope`])

@@ -123,15 +123,15 @@ fn main() {
         println!("-- pds-obs registry (JSONL) --");
         print!("{}", pds_obs::metrics::global().export_jsonl());
     }
-    // An overflowed event ring means the JSONL export above (and any
-    // later one) is an *incomplete* view of the event stream — say so
-    // loudly instead of letting a truncated export pass as complete.
+    // An overflowed flight staging buffer means the durable rings (and
+    // every forensics report cut from them) hold an *incomplete* view of
+    // the event stream — say so loudly instead of letting a truncated
+    // stream pass as complete.
     let dropped = pds_obs::metrics::global().events_dropped();
     if dropped > 0 {
         eprintln!(
-            "WARNING: obs.events_dropped = {dropped} — the event ring overflowed; \
-             the exported event stream is incomplete (raise the ring capacity \
-             with Registry::set_event_capacity)"
+            "WARNING: obs.events_dropped = {dropped} — a flight staging buffer overflowed \
+             (its owner never drained it); the event stream is incomplete"
         );
     }
 

@@ -23,14 +23,8 @@ use pds_fleet::{build_fleet, fleet_secure_aggregation, FleetConfig, OnTamper, Te
 use pds_global::ssi::SsiThreat;
 use pds_global::GroupByQuery;
 
+use crate::env_u64;
 use crate::table::Table;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One sweep cell.
 pub struct E16Point {

@@ -23,14 +23,8 @@
 use pds_fleet::{CellNet, CellNetConfig, SubNet, SubNetConfig};
 use pds_sync::TrustedCell;
 
+use crate::env_u64;
 use crate::table::Table;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Convergence witness and idle-round payload bytes of one cell network.
 pub struct E18CellPoint {

@@ -40,14 +40,8 @@ use pds_global::GroupByQuery;
 use pds_obs::rng::Rng;
 use pds_obs::DeltaTracker;
 
+use crate::env_u64;
 use crate::table::Table;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Derivation tag for the crash-storm fault plans (disjoint from the
 /// protocol's TAG_* space).

@@ -1,9 +1,10 @@
 //! # pds-bench — the experiment harness
 //!
-//! One module per experiment of EXPERIMENTS.md (E1–E12). Each module
-//! exposes a `run(…) -> Table` that regenerates the experiment's table;
-//! the `report` binary prints them all. Wall-clock lives in the
-//! performance ledger (`ledger/`), not here.
+//! One module per experiment of EXPERIMENTS.md (E1–E19) plus the
+//! ablations (A1–A4). Each module exposes a `run(…) -> Table` that
+//! regenerates the experiment's table; the `report` binary prints them
+//! all. Wall-clock lives in the performance ledger (`ledger/`), not
+//! here.
 
 pub mod ablations;
 pub mod baseline;
@@ -29,3 +30,12 @@ pub mod e9_detection;
 pub mod table;
 
 pub use table::Table;
+
+/// The `u64` in environment variable `name` — the `PDS_E*` scale knobs
+/// of the fleet experiments — or `default` when unset or unparsable.
+pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}

@@ -60,14 +60,6 @@ impl CloudStore {
             }
         }
     }
-
-    /// What the provider can observe: total ciphertext bytes (and nothing
-    /// else — measured by the privacy tests).
-    pub fn observable_bytes(&self, name: &str) -> usize {
-        self.blobs
-            .get(name)
-            .map_or(0, |c| c.iter().map(Vec::len).sum())
-    }
 }
 
 /// An encrypted, integrity-committed archive of one PDS.

@@ -123,7 +123,8 @@ impl QueryPlan {
 }
 
 enum ColumnIndex {
-    PBFilter(PBFilter),
+    /// Boxed: two open logs make it several times a sealed tree's size.
+    PBFilter(Box<PBFilter>),
     Tree(TreeIndex),
 }
 
@@ -219,11 +220,6 @@ impl Database {
         self.mvcc.as_ref()
     }
 
-    /// Mutable version state, when enabled (causal merges, GC tuning).
-    pub fn mvcc_mut(&mut self) -> Option<&mut MvccState> {
-        self.mvcc.as_mut()
-    }
-
     fn mvcc_ref(&self) -> Result<&MvccState, DbError> {
         self.mvcc.as_ref().ok_or(DbError::MvccDisabled)
     }
@@ -280,12 +276,6 @@ impl Database {
         let mut rows = self.select(table, pred)?;
         rows.retain(|&(rowid, _)| rowid < visible);
         Ok(rows)
-    }
-
-    /// The visible prefix length of `table` under `snap`.
-    pub fn visible_rows(&self, snap: &Snapshot, table: &str) -> Result<u32, DbError> {
-        let t = self.table_idx(table)?;
-        Ok(self.mvcc_ref()?.visible_at(snap, t as u16))
     }
 
     /// Every change record committed strictly after `since`, in stamp
@@ -421,7 +411,8 @@ impl Database {
             pbf.discard();
             return Err(e.into());
         }
-        self.indexes.insert((t, c), ColumnIndex::PBFilter(pbf));
+        self.indexes
+            .insert((t, c), ColumnIndex::PBFilter(Box::new(pbf)));
         (self.flash.stats() - before).attach_to_span(&span);
         Ok(())
     }

@@ -4,17 +4,18 @@
 //! versions; the personal-data workloads of the tutorial are
 //! insert-dominant: interaction histories, bills, records). Rowids are
 //! dense and increasing — the property every climbing index and pipeline
-//! merge of this crate relies on.
+//! merge of this crate relies on — because a rowid *is* the row's
+//! ordinal in the log: the table keeps no directory beside it.
 
-use pds_flash::{BlockId, Flash, FlashError, LogWriter, RecordAddr};
+use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 
 use crate::error::DbError;
 use crate::value::{decode_row, encode_row, Row, Schema};
 
-/// Durable identity of a [`Table`] across a power cycle: name, schema,
-/// the row log's erase blocks, and the rowid directory. A real token
-/// persists this in a catalog log; the simulation carries it across the
-/// reboot in RAM.
+/// Durable identity of a [`Table`] across a power cycle: name, schema
+/// and the row log's erase blocks — its size does not depend on how many
+/// rows the table holds. A real token persists this in a catalog log;
+/// the simulation carries it across the reboot in RAM.
 #[derive(Debug, Clone)]
 pub struct TableManifest {
     /// Table name.
@@ -23,22 +24,19 @@ pub struct TableManifest {
     pub schema: Schema,
     /// Erase blocks of the row log.
     pub blocks: Vec<BlockId>,
-    /// rowid → record address.
-    pub directory: Vec<RecordAddr>,
+    /// Rows held at power-off, flushed or not — recovery needs it only
+    /// to report how many were lost.
+    pub rows: u32,
 }
 
 /// Dense row identifier within one table.
 pub type RowId = u32;
 
-/// One table: schema + row log + rowid directory.
+/// One table: schema + row log.
 pub struct Table {
     name: String,
     schema: Schema,
     log: LogWriter,
-    /// rowid → record address. ~6 B per row; the RAM mirror of a
-    /// flash-resident directory log (its page I/Os are dominated by the
-    /// data pages and omitted from the accounting).
-    directory: Vec<RecordAddr>,
 }
 
 impl Table {
@@ -48,7 +46,6 @@ impl Table {
             name: name.to_string(),
             schema,
             log: flash.new_log(),
-            directory: Vec::new(),
         }
     }
 
@@ -75,7 +72,7 @@ impl Table {
 
     /// Number of rows.
     pub fn num_rows(&self) -> u32 {
-        self.directory.len() as u32
+        self.log.num_records() as u32
     }
 
     /// Number of data pages currently programmed.
@@ -93,19 +90,12 @@ impl Table {
             "row does not match schema of {}",
             self.name
         );
-        let addr = self.log.append(&encode_row(row))?;
-        self.directory.push(addr);
-        Ok(self.directory.len() as RowId - 1)
+        self.log.append(&encode_row(row))
     }
 
     /// Fetch one row (one page I/O).
     pub fn get(&self, id: RowId) -> Result<Row, FlashError> {
-        let addr = *self
-            .directory
-            .get(id as usize)
-            .ok_or(FlashError::BadRecordAddr)?;
-        let bytes = self.log.get(addr)?;
-        decode_row(&bytes).ok_or(FlashError::BadRecordAddr)
+        decode_row(&self.log.get(id)?).ok_or(FlashError::BadRecordAddr)
     }
 
     /// Flush buffered rows to flash.
@@ -120,33 +110,23 @@ impl Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             blocks: self.log.blocks().to_vec(),
-            directory: self.directory.clone(),
+            rows: self.num_rows(),
         }
     }
 
-    /// Rebuild a table after a power loss. Rows are appended in rowid
-    /// order, so whatever the crash destroyed is a *suffix*: the
-    /// directory is truncated at the first row whose record lies beyond
-    /// the recovered pages. Returns the table and the number of rows
-    /// lost.
+    /// Rebuild a table after a power loss. The log's recovery scan
+    /// re-derives every rowid, and whatever the crash destroyed is a
+    /// *suffix* of them. Returns the table and the number of rows lost.
     pub fn recover(flash: &Flash, m: &TableManifest) -> Result<(Self, u32), FlashError> {
-        let (log, report) = LogWriter::recover(flash, &m.blocks)?;
-        let keep = m
-            .directory
-            .iter()
-            .take_while(|a| report.survived(**a))
-            .count();
-        let lost = (m.directory.len() - keep) as u32;
+        let (log, _) = LogWriter::recover(flash, &m.blocks)?;
+        let table = Table {
+            name: m.name.clone(),
+            schema: m.schema.clone(),
+            log,
+        };
+        let lost = m.rows.saturating_sub(table.num_rows());
         pds_obs::counter("recovery.rows_lost").add(lost as u64);
-        Ok((
-            Table {
-                name: m.name.clone(),
-                schema: m.schema.clone(),
-                log,
-                directory: m.directory[..keep].to_vec(),
-            },
-            lost,
-        ))
+        Ok((table, lost))
     }
 
     /// Full sequential scan (page-buffered): calls `f(rowid, row)` for

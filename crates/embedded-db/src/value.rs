@@ -180,11 +180,6 @@ impl Schema {
         &self.columns[i].0
     }
 
-    /// Type of column `i`.
-    pub fn column_type(&self, i: usize) -> ColumnType {
-        self.columns[i].1
-    }
-
     /// Check a row against the schema.
     pub fn validate(&self, row: &Row) -> bool {
         row.len() == self.columns.len()

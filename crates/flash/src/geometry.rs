@@ -36,11 +36,19 @@ pub struct FlashGeometry {
 }
 
 impl FlashGeometry {
-    /// Build a geometry; all dimensions must be non-zero.
+    /// Largest page: a record page's 16-bit length prefixes keep their
+    /// two high bits for the chunk flags (see [`crate::log`]).
+    pub const MAX_PAGE_SIZE: usize = 16 * 1024;
+
+    /// Build a geometry; all dimensions must be non-zero and a page at
+    /// most [`MAX_PAGE_SIZE`](Self::MAX_PAGE_SIZE).
     pub fn new(page_size: usize, pages_per_block: usize, blocks: usize) -> Self {
         // pds-lint: allow(panic.assert) — chip geometry is a construction-time
         // constant chosen by the experimenter, never derived from stored data.
-        assert!(page_size > 0 && pages_per_block > 0 && blocks > 0);
+        assert!(
+            (1..=Self::MAX_PAGE_SIZE).contains(&page_size) && pages_per_block > 0 && blocks > 0,
+            "dimensions must be non-zero and a page at most 16 KiB"
+        );
         FlashGeometry {
             page_size,
             pages_per_block,
@@ -136,6 +144,12 @@ mod tests {
         assert!(!PageAddr(0).is_null());
         let geo = FlashGeometry::new(512, 16, 8);
         assert!(!geo.contains(PageAddr::NULL));
+    }
+
+    #[test]
+    #[should_panic(expected = "16 KiB")]
+    fn pages_beyond_the_chunk_length_bits_are_rejected() {
+        FlashGeometry::new(FlashGeometry::MAX_PAGE_SIZE + 1, 4, 4);
     }
 
     #[test]

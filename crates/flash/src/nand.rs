@@ -197,11 +197,6 @@ impl NandFlash {
         self.geo
     }
 
-    /// The latency model this chip was built with.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
     /// Cumulative I/O counters.
     pub fn stats(&self) -> IoStats {
         self.stats

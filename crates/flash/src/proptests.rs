@@ -218,3 +218,210 @@ fn reclaimed_blocks_are_fully_reusable() {
         }
     }
 }
+
+/// One step of a record-log script.
+#[derive(Debug, Clone)]
+enum LogOp {
+    Append(Vec<u8>),
+    Flush,
+}
+
+/// `n` steps with record lengths at every edge of the chunking — empty,
+/// one byte, just under / exactly / just over one page's payload, and
+/// several pages — and a flush every fifth step or so.
+fn record_script(rng: &mut StdRng, max: usize, n: usize) -> Vec<LogOp> {
+    let lens = [0, 1, max - 1, max, max + 1, 3 * max + 7];
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0u32..5) == 0 {
+                return LogOp::Flush;
+            }
+            let len = lens[rng.gen_range(0..lens.len())];
+            LogOp::Append((0..len).map(|_| rng.gen()).collect())
+        })
+        .collect()
+}
+
+/// Run `ops` until one fails, mirroring every successful append into
+/// `oracle`. Returns how many records a successful flush has covered
+/// (at least `flushed` on entry) and the step the power died on.
+fn drive(
+    w: &mut LogWriter,
+    ops: &[LogOp],
+    oracle: &mut Vec<Vec<u8>>,
+    mut flushed: usize,
+) -> (usize, Option<usize>) {
+    for (step, op) in ops.iter().enumerate() {
+        let done = match op {
+            LogOp::Append(rec) => w.append(rec).map(|ordinal| {
+                assert_eq!(ordinal as usize, oracle.len(), "ordinals are dense");
+                oracle.push(rec.clone());
+            }),
+            LogOp::Flush => w.flush().map(|()| flushed = oracle.len()),
+        };
+        match done {
+            Ok(()) => {}
+            Err(FlashError::PowerLoss) => return (flushed, Some(step)),
+            Err(e) => panic!("step {step}: unexpected error {e}"),
+        }
+    }
+    (flushed, None)
+}
+
+/// `w` holds exactly `oracle`: by ordinal, by scan, and nothing beyond.
+fn assert_log_is(w: &LogWriter, oracle: &[Vec<u8>], ctx: &str) {
+    assert_eq!(w.num_records(), oracle.len() as u64, "{ctx}");
+    for (i, rec) in oracle.iter().enumerate() {
+        assert_eq!(&w.get(i as u32).unwrap(), rec, "{ctx}: record {i}");
+    }
+    let past = w.get(oracle.len() as u32);
+    assert_eq!(past, Err(FlashError::BadRecordAddr), "{ctx}");
+    let mut scanned = Vec::new();
+    w.for_each_record(|_, rec| {
+        scanned.push(rec.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(scanned, oracle, "{ctx}: scan");
+}
+
+/// Reboot after a cut and recover: what comes back is a prefix of what
+/// was appended, holds everything a flush covered, and reads back by
+/// ordinal. Truncates `oracle` to it.
+fn recover_prefix(
+    flash: &Flash,
+    w: &LogWriter,
+    oracle: &mut Vec<Vec<u8>>,
+    flushed: usize,
+    ctx: &str,
+) -> (Flash, LogWriter) {
+    let rebooted = flash.reboot();
+    let (rec, report) = LogWriter::recover(&rebooted, w.blocks()).unwrap();
+    let n = rec.num_records() as usize;
+    assert!(
+        n >= flushed,
+        "{ctx}: lost a flushed record ({n} < {flushed})"
+    );
+    assert!(n <= oracle.len(), "{ctx}: fabricated a record");
+    assert_eq!(report.records_recovered, n as u64, "{ctx}");
+    oracle.truncate(n);
+    assert_log_is(&rec, oracle, ctx);
+    (rebooted, rec)
+}
+
+/// Records of any length against a `Vec<Vec<u8>>` oracle: the power is
+/// cut on every page program of a record that spans four pages (and at
+/// one random program elsewhere), the log recovered, more appended, the
+/// power cut again. A record cut between its pages is never returned,
+/// never merged into the next one, and costs no record before it.
+#[test]
+fn record_log_sweep_over_lengths_flushes_and_cuts() {
+    let geo = FlashGeometry::new(256, 8, 64);
+    let max = geo.page_size - 8;
+    let mut runs_left_behind = 0;
+    for case in 0..crash_seed_count() {
+        let seed = 0xC4A5_7000 + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let steps = rng.gen_range(10usize..40);
+        let mut ops = record_script(&mut rng, max, steps);
+        let big = rng.gen_range(0..ops.len());
+        ops[big] = LogOp::Append((0..3 * max + 7).map(|_| rng.gen()).collect());
+        let more = record_script(&mut rng, max, 20);
+
+        // Fault-free dry run: cumulative programs after each step.
+        let programs: Vec<u64> = {
+            let flash = Flash::new(geo);
+            let (mut w, mut oracle) = (flash.new_log(), Vec::new());
+            let step = |op| {
+                drive(&mut w, std::slice::from_ref(op), &mut oracle, 0);
+                flash.stats().page_programs
+            };
+            ops.iter().map(step).collect()
+        };
+        let inside_big = if big == 0 { 0 } else { programs[big - 1] }..programs[big];
+        assert!(inside_big.end - inside_big.start >= 3, "case {case}");
+        let elsewhere = rng.gen_range(0..programs[ops.len() - 1]);
+
+        for cut in inside_big.chain([elsewhere]) {
+            let ctx = format!("case {case} cut {cut}");
+            let flash = Flash::new(geo);
+            flash.inject_faults(FaultPlan::new(seed ^ cut).power_loss_after(cut));
+            let mut w = flash.new_log();
+            let mut oracle = Vec::new();
+            let (flushed, died) = drive(&mut w, &ops, &mut oracle, 0);
+            assert!(died.is_some(), "{ctx}: the cut lies inside the script");
+            let (flash, mut w) = recover_prefix(&flash, &w, &mut oracle, flushed, &ctx);
+            // Did the cut leave the first pages of a record on flash? Then
+            // the last page is one full chunk that is no record's end (no
+            // length in the script is a larger multiple of `max`).
+            if let Some(page) = w.num_pages().checked_sub(1) {
+                let chunks = w.read_page_records(page).unwrap();
+                let run = |c: &Vec<u8>| c.len() == max && Some(c) != oracle.last();
+                runs_left_behind += usize::from(chunks.last().is_some_and(run));
+            }
+
+            // The next record — itself spanning pages — takes the next
+            // ordinal and reads back intact, whatever run the cut left.
+            let next: Vec<u8> = (0..=max).map(|_| rng.gen()).collect();
+            let resumed = [LogOp::Append(next), LogOp::Flush];
+            assert_eq!(drive(&mut w, &resumed, &mut oracle, 0).1, None);
+            assert_log_is(&w, &oracle, &format!("{ctx}: resumed"));
+
+            // More of the same, and a second cut.
+            let again = rng.gen_range(0u64..16);
+            flash.inject_faults(FaultPlan::new(seed ^ again).power_loss_after(again));
+            let durable = oracle.len();
+            let (flushed, died) = drive(&mut w, &more, &mut oracle, durable);
+            let ctx = format!("{ctx}, then {again}");
+            let mut w = match died {
+                Some(_) => recover_prefix(&flash, &w, &mut oracle, flushed, &ctx).1,
+                None => {
+                    // The cut lay past the script: call it off.
+                    flash.inject_faults(FaultPlan::new(0));
+                    w
+                }
+            };
+            let last: Vec<u8> = (0..2 * max).map(|_| rng.gen()).collect();
+            assert_eq!(
+                drive(&mut w, &[LogOp::Append(last)], &mut oracle, 0).1,
+                None
+            );
+            assert_log_is(&w, &oracle, &format!("{ctx}: tail in RAM"));
+            let sealed: Vec<Vec<u8>> = w.seal().unwrap().reader().map(|r| r.unwrap()).collect();
+            assert_eq!(sealed, oracle, "{ctx}: sealed");
+        }
+    }
+    assert!(runs_left_behind > 0, "no cut fell between a record's pages");
+}
+
+/// Running out of blocks in the middle of a record that spans pages is
+/// the same non-event as a power cut there: the record is absent, the
+/// records before it are untouched, the next one reads back intact.
+#[test]
+fn an_append_that_runs_out_of_blocks_midway_leaves_no_record() {
+    let flash = Flash::new(FlashGeometry::new(256, 4, 4));
+    let ballast: Vec<_> = (0..3).map(|_| flash.alloc_block().unwrap()).collect();
+    let mut w = flash.new_log();
+    let max = w.max_record_len();
+    let mut oracle = vec![b"before".to_vec()];
+    w.append(&oracle[0]).unwrap();
+    w.flush().unwrap();
+    // Page 0 is taken; chunks 1–3 fill the block, chunk 5 needs chunk 4
+    // programmed into a second block the chip does not have.
+    let too_much = vec![0xAB; 4 * max + 9];
+    assert_eq!(w.append(&too_much), Err(FlashError::OutOfBlocks));
+    assert_eq!(w.num_pages(), 4, "three chunks did reach flash");
+    assert!(w.buffered_records().is_empty(), "the fourth is dropped");
+    assert_log_is(&w, &oracle, "after the failed append");
+
+    for b in ballast {
+        flash.free_block(b);
+    }
+    oracle.push(vec![0xCD; max + 5]);
+    assert_eq!(w.append(&oracle[1]).unwrap(), 1);
+    assert_log_is(&w, &oracle, "tail in RAM");
+    w.flush().unwrap();
+    assert_log_is(&w, &oracle, "flushed");
+    let (rec, _) = LogWriter::recover(&flash.reboot(), w.blocks()).unwrap();
+    assert_log_is(&rec, &oracle, "recovered");
+}

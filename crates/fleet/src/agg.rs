@@ -753,7 +753,7 @@ pub fn fleet_secure_aggregation(
 
     let elapsed = t0.elapsed();
     let sched = fleet.stats().since(&sched0);
-    stats.publish("fleet_secure_aggregation");
+    stats.publish();
     bus.publish();
     sched.publish();
     pds_obs::counter("fleet.runs").inc();

@@ -380,14 +380,6 @@ impl Collector {
     pub fn health(&self, engine: &HealthEngine) -> FleetHealth {
         engine.evaluate(&self.total())
     }
-
-    /// Evaluate `engine` per live tick bucket: `(bucket, verdict)`.
-    pub fn health_per_bucket(&self, engine: &HealthEngine) -> Vec<(u64, FleetHealth)> {
-        self.ring
-            .iter()
-            .map(|(b, d)| (*b, engine.evaluate(d)))
-            .collect()
-    }
 }
 
 /// The left-hand side of one health rule.

@@ -125,7 +125,7 @@ pub fn histogram_based(
             }
         }
     }
-    stats.publish("histogram_based");
+    stats.publish();
     Ok((result.into_iter().collect(), stats))
 }
 

@@ -157,7 +157,7 @@ pub fn noise_based(
         }
     }
     result.sort();
-    stats.publish("noise_based");
+    stats.publish();
     Ok((result, stats))
 }
 

@@ -271,7 +271,7 @@ pub fn secure_aggregation(
         }
     };
     stats.rounds = plan.rounds();
-    stats.publish("secure_aggregation");
+    stats.publish();
     Ok((result, stats))
 }
 

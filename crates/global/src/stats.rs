@@ -18,10 +18,10 @@ pub struct ProtocolStats {
 }
 
 impl ProtocolStats {
-    /// Mirror one finished run into the process-wide `global.*` metrics
-    /// and record a per-run event, so protocol traffic shows up in the
-    /// same registry export as flash I/O and RAM accounting.
-    pub fn publish(&self, protocol: &str) {
+    /// Mirror one finished run into the process-wide `global.*` metrics,
+    /// so protocol traffic shows up in the same registry export as flash
+    /// I/O and RAM accounting.
+    pub fn publish(&self) {
         pds_obs::counter("global.protocol_runs").inc();
         pds_obs::counter("global.token_tuples").add(self.token_tuples);
         pds_obs::counter("global.token_crypto_ops").add(self.token_crypto_ops);
@@ -33,16 +33,6 @@ impl ProtocolStats {
         } else {
             self.ssi_bytes / u64::from(self.rounds)
         });
-        pds_obs::event(
-            &format!("global.protocol_run.{protocol}"),
-            &[
-                ("rounds", u64::from(self.rounds)),
-                ("ssi_bytes", self.ssi_bytes),
-                ("token_tuples", self.token_tuples),
-                ("token_crypto_ops", self.token_crypto_ops),
-                ("fake_tuples", self.fake_tuples),
-            ],
-        );
     }
 
     /// Attach this run's traffic to a tracing span as `global.*` attrs.

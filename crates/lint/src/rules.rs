@@ -180,8 +180,9 @@ pub const CRATES: &[CrateConfig] = &[
         families: &[Family::Panic],
         // Index checkpoints and recovery decide which pages are kept,
         // replayed and programmed across a power cycle; the counts they
-        // produce are baseline-checked (E13).
-        det_files: &["search/src/engine/recovery.rs"],
+        // produce are baseline-checked (E13). A docid is the document's
+        // position in the store's log, so the store is in too.
+        det_files: &["search/src/engine/recovery.rs", "search/src/docs.rs"],
         allowed_deps: &["pds_obs", "pds_flash", "pds_mcu", "pds_crypto"],
     },
     CrateConfig {
@@ -193,8 +194,10 @@ pub const CRATES: &[CrateConfig] = &[
         // hash-order dependence would fork the fleet's causal history.
         // The summarised log, its two Bloom fronts and the catalog
         // decide which flash page is programmed next: hash-order
-        // iteration there would vary page addresses per process.
+        // iteration there would vary page addresses per process. A
+        // rowid is the row's position in the table's log.
         det_files: &[
+            "embedded-db/src/table.rs",
             "embedded-db/src/hlc.rs",
             "embedded-db/src/mvcc.rs",
             "embedded-db/src/summary_log.rs",

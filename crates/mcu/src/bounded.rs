@@ -60,11 +60,6 @@ impl<T> BoundedVec<T> {
         &self.items
     }
 
-    /// Mutable access to the contents (size cannot change through this).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.items
-    }
-
     /// Drop all elements, releasing their charge.
     pub fn clear(&mut self) {
         self.reservation.shrink(self.items.len() * Self::unit());

@@ -227,33 +227,6 @@ impl MetricsDelta {
         }
     }
 
-    /// Fold this delta into a live [`Registry`], each metric name
-    /// prefixed with `prefix` — how a collector surfaces its rollup in
-    /// the ordinary `report --metrics` export.
-    pub fn publish_into(&self, reg: &Registry, prefix: &str) {
-        for (k, v) in &self.counters {
-            reg.counter(&format!("{prefix}{k}")).add(*v);
-        }
-        for (k, cell) in &self.gauges {
-            let g = reg.gauge(&format!("{prefix}{k}"));
-            match cell.policy {
-                GaugePolicy::Max => g.record_max(cell.value),
-                GaugePolicy::Sum => g.add(cell.value),
-            }
-        }
-        for (k, h) in &self.hists {
-            let hist = reg.histogram(&format!("{prefix}{k}"));
-            for (&b, &c) in &h.buckets {
-                // Re-observe one representative value per bucket: the
-                // bucket's lower bound keeps the count and shape.
-                let v = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                for _ in 0..c {
-                    hist.observe(v);
-                }
-            }
-        }
-    }
-
     /// Binary wire form (the bus envelope payload). Stable and
     /// versioned; [`decode`](MetricsDelta::decode) inverts it.
     pub fn encode(&self) -> Vec<u8> {

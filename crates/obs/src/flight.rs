@@ -221,8 +221,10 @@ impl EventFrame {
 static FLOOR: AtomicU8 = AtomicU8::new(Severity::Info as u8);
 
 /// Staged frames awaiting their owning token's drain. Bounded so a
-/// recording layer whose owner never drains cannot grow without limit.
-const STAGE_CAP: usize = 4096;
+/// recording layer whose owner never drains cannot grow without limit;
+/// each frame past the bound evicts the oldest and is counted in
+/// `obs.events_dropped`.
+pub const STAGE_CAP: usize = 4096;
 
 thread_local! {
     static STAGED: RefCell<Vec<EventFrame>> = const { RefCell::new(Vec::new()) };
@@ -232,11 +234,6 @@ thread_local! {
 /// dropped at the record site — one atomic load, no allocation.
 pub fn set_severity_floor(s: Severity) {
     FLOOR.store(s as u8, Ordering::Relaxed);
-}
-
-/// The current severity floor.
-pub fn severity_floor() -> Severity {
-    Severity::from_u8(FLOOR.load(Ordering::Relaxed)).unwrap_or(Severity::Info)
 }
 
 /// Record one structured event into this thread's staging buffer. The
@@ -250,7 +247,7 @@ pub fn record(severity: Severity, subsystem: u8, code: u16, args: [u64; 2]) {
         let mut s = s.borrow_mut();
         if s.len() >= STAGE_CAP {
             s.remove(0);
-            crate::metrics::counter("obs.flight_staged_dropped").inc();
+            crate::metrics::global().note_event_dropped();
         }
         s.push(EventFrame::new(severity, subsystem, code, args));
     });

@@ -7,8 +7,10 @@
 //! just in bench harnesses:
 //!
 //! * [`metrics`] — a thread-safe registry of atomic counters, gauges and
-//!   log2-bucket histograms, a ring buffer of recent events, and a
-//!   hand-rolled [JSON-lines exporter](metrics::Registry::export_jsonl).
+//!   log2-bucket histograms, and a hand-rolled
+//!   [JSON-lines exporter](metrics::Registry::export_jsonl).
+//! * [`flight`] — the event system: fixed-width severity-tagged frames
+//!   staged per thread and absorbed into each token's durable ring.
 //! * [`trace`] — hierarchical span guards ([`trace::span`] /
 //!   [`span!`]) that instrumented layers annotate with I/O deltas, RAM
 //!   peaks and policy decisions, and [`trace::QueryTrace`], the per-query
@@ -35,7 +37,7 @@ pub mod trace;
 
 pub use delta::{DeltaTracker, GaugePolicy, HistDelta, MetricsDelta};
 pub use flight::{EventFrame, Severity};
-pub use metrics::{counter, event, gauge, histogram, Counter, Gauge, Histogram, Registry};
+pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, Registry};
 pub use trace::{
     take_last_root, AttrValue, BudgetCheck, CriticalHop, FinishedSpan, FleetTrace, QueryTrace,
     SpanGuard, TraceContext,

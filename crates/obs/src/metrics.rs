@@ -1,14 +1,15 @@
-//! Thread-safe metrics: counters, gauges, log2-bucket histograms, and a
-//! ring buffer of recent events — all registered by name in a global
-//! registry and exportable as JSON lines.
+//! Thread-safe metrics: counters, gauges and log2-bucket histograms —
+//! all registered by name in a global registry and exportable as JSON
+//! lines. Events are not kept here: the [`flight`](crate::flight)
+//! frames are the event system, and this registry only counts the
+//! frames that system had to drop.
 //!
 //! Hot paths hold an `Arc` to their instrument, so recording is one
 //! relaxed atomic op; the registry lock is touched only at registration
 //! and export time.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::ObjWriter;
@@ -216,31 +217,13 @@ impl Histogram {
     }
 }
 
-/// One structured event in the ring buffer.
-#[derive(Debug, Clone)]
-pub struct Event {
-    /// Global sequence number (monotonic across the process).
-    pub seq: u64,
-    /// Event name (dot-scoped like metric names).
-    pub name: String,
-    /// Named integer fields.
-    pub fields: Vec<(String, u64)>,
-}
-
 /// The global metrics registry.
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    events: Mutex<VecDeque<Event>>,
-    event_seq: AtomicU64,
-    event_cap: AtomicUsize,
     events_dropped: AtomicU64,
 }
-
-/// Default event-ring capacity (overridable per registry with
-/// [`Registry::set_event_capacity`]).
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 impl Default for Registry {
     fn default() -> Self {
@@ -259,39 +242,22 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(VecDeque::new()),
-            event_seq: AtomicU64::new(0),
-            event_cap: AtomicUsize::new(DEFAULT_EVENT_CAPACITY),
             events_dropped: AtomicU64::new(0),
         }
     }
 
-    /// Resize the event ring. Shrinking drops (and counts) the oldest
-    /// entries; a capacity of 0 keeps nothing and counts every event as
-    /// dropped.
-    pub fn set_event_capacity(&self, cap: usize) {
-        self.event_cap.store(cap, Ordering::Relaxed);
-        let mut ring = self
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while ring.len() > cap {
-            ring.pop_front();
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current event-ring capacity.
-    pub fn event_capacity(&self) -> usize {
-        self.event_cap.load(Ordering::Relaxed)
-    }
-
-    /// Events silently evicted from the ring so far — nonzero means
-    /// [`Registry::recent_events`] and the JSONL export are *incomplete*
-    /// views of the event stream (also exported as the
-    /// `obs.events_dropped` counter line).
+    /// Flight frames dropped so far from a full staging buffer
+    /// ([`flight::record`](crate::flight::record) counts them on the
+    /// [`global`] registry) — nonzero means the durable rings downstream
+    /// hold an *incomplete* view of the event stream. Also exported as
+    /// the `obs.events_dropped` counter line.
     pub fn events_dropped(&self) -> u64 {
         self.events_dropped.load(Ordering::Relaxed)
+    }
+
+    /// Count one dropped flight frame.
+    pub(crate) fn note_event_dropped(&self) {
+        self.events_dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The counter named `name`, created on first use.
@@ -351,42 +317,7 @@ impl Registry {
             .collect()
     }
 
-    /// Append an event to the ring buffer. At capacity the oldest entry
-    /// is evicted and the eviction is *counted* (`obs.events_dropped`),
-    /// so a truncated export can never masquerade as complete.
-    pub fn event(&self, name: &str, fields: &[(&str, u64)]) {
-        let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
-        let cap = self.event_cap.load(Ordering::Relaxed);
-        let mut ring = self
-            .events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while ring.len() >= cap.max(1) {
-            ring.pop_front();
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        if cap == 0 {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        ring.push_back(Event {
-            seq,
-            name: name.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        });
-    }
-
-    /// Snapshot of the event ring, oldest first.
-    pub fn recent_events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Reset every registered instrument to zero and clear the event ring.
+    /// Reset every registered instrument, and the drop count, to zero.
     /// Existing `Arc` handles stay valid. Intended for tests and for
     /// scoping a measurement window.
     pub fn reset(&self) {
@@ -419,15 +350,11 @@ impl Registry {
                 b.store(0, Ordering::Relaxed);
             }
         }
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
         self.events_dropped.store(0, Ordering::Relaxed);
     }
 
-    /// Export every instrument and recent event as JSON lines — the one
-    /// data path shared by live observability and experiment regeneration.
+    /// Export every instrument as JSON lines — the one data path shared
+    /// by live observability and experiment regeneration.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, c) in self
@@ -445,8 +372,8 @@ impl Registry {
             );
             out.push('\n');
         }
-        // The drop count rides along as a synthetic counter so truncated
-        // event exports are self-describing.
+        // The drop count rides along as a synthetic counter so an
+        // incomplete event stream is self-describing.
         out.push_str(
             &ObjWriter::new()
                 .str("type", "counter")
@@ -500,17 +427,6 @@ impl Registry {
             );
             out.push('\n');
         }
-        for ev in self.recent_events() {
-            let mut w = ObjWriter::new()
-                .str("type", "event")
-                .u64("seq", ev.seq)
-                .str("name", &ev.name);
-            for (k, v) in &ev.fields {
-                w = w.u64(k, *v);
-            }
-            out.push_str(&w.finish());
-            out.push('\n');
-        }
         out
     }
 }
@@ -534,11 +450,6 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
 /// Shorthand for `global().histogram(name)`.
 pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
-}
-
-/// Shorthand for `global().event(name, fields)`.
-pub fn event(name: &str, fields: &[(&str, u64)]) {
-    global().event(name, fields)
 }
 
 #[cfg(test)]
@@ -579,24 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_caps_and_orders() {
-        let r = Registry::new();
-        for i in 0..2000u64 {
-            r.event("e", &[("i", i)]);
-        }
-        let evs = r.recent_events();
-        assert_eq!(evs.len(), 1024);
-        assert_eq!(evs.first().unwrap().fields[0].1, 2000 - 1024);
-        assert_eq!(evs.last().unwrap().fields[0].1, 1999);
-    }
-
-    #[test]
     fn export_round_trips_through_parser() {
         let r = Registry::new();
         r.counter("flash.page_reads").add(640);
         r.gauge("mcu.ram.high_water_bytes").set(4096);
         r.histogram("pds.request_ns").observe(123456);
-        r.event("pds.request", &[("granted", 1)]);
         let jsonl = r.export_jsonl();
         let mut kinds = Vec::new();
         for line in jsonl.lines() {
@@ -609,7 +507,7 @@ mod tests {
             );
         }
         // The synthetic obs.events_dropped counter rides after the real ones.
-        assert_eq!(kinds, ["counter", "counter", "gauge", "histogram", "event"]);
+        assert_eq!(kinds, ["counter", "counter", "gauge", "histogram"]);
         let hist_line = jsonl
             .lines()
             .find(|l| l.contains("\"histogram\""))
@@ -637,26 +535,6 @@ mod tests {
         let one = Histogram::default();
         one.observe(7);
         assert_eq!(one.quantile(0.99), 7.0, "single sample clamps to max");
-    }
-
-    #[test]
-    fn event_ring_counts_drops_and_resizes() {
-        let r = Registry::new();
-        for i in 0..10u64 {
-            r.event("e", &[("i", i)]);
-        }
-        assert_eq!(r.events_dropped(), 0);
-        r.set_event_capacity(4);
-        assert_eq!(r.events_dropped(), 6, "shrink evictions are counted");
-        assert_eq!(r.recent_events().len(), 4);
-        for i in 0..3u64 {
-            r.event("e2", &[("i", i)]);
-        }
-        assert_eq!(r.events_dropped(), 9);
-        assert!(r.export_jsonl().contains("obs.events_dropped"));
-        r.reset();
-        assert_eq!(r.events_dropped(), 0);
-        assert_eq!(r.event_capacity(), 4, "reset keeps the capacity");
     }
 
     #[test]

@@ -604,7 +604,8 @@ fn ram_dictionary_engines_rebuild_and_keep_exact_df() {
 #[test]
 fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
     let mut rng = StdRng::seed_from_u64(0xF7);
-    let mut ops = index_ops(&mut rng, 40);
+    // Enough documents for a second block of the document log.
+    let mut ops = index_ops(&mut rng, 200);
     ops.push(Op::Flush);
     let (snap, m) = crash(&ops, SMALL, None, 0xF7);
     // Keeping the index is silent; never having had a checkpoint is an
@@ -618,8 +619,9 @@ fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
     // A manifest that does not fit the checkpoint: another epoch, fewer
     // documents than the checkpoint covers, fewer index blocks than it
     // names, and the blocks of some other log under the same frontier.
+    assert!(m.doc_blocks.len() > 1);
     let fewer_docs = EngineManifest {
-        doc_directory: m.doc_directory[..10].to_vec(),
+        doc_blocks: m.doc_blocks[..1].to_vec(),
         ..m.clone()
     };
     let mut shuffled = m.index_blocks.clone();

@@ -1,21 +1,20 @@
 //! Document store: raw document bytes in an append-only log.
 //!
-//! Documents (emails, notes, records of interactions with e-services) are
-//! chunked to fit log records; a compact directory maps each docid to its
-//! chunk addresses. The directory costs ~10 bytes per document and lives
-//! with the RAM hash table of the engine (on real hardware it is paged
-//! from a directory log; the I/O accounting here charges the data pages,
-//! which dominate).
+//! Documents (emails, notes, records of interactions with e-services) go
+//! into a record log one record each; a docid *is* the record's ordinal,
+//! so the store keeps no directory, and a document larger than a page is
+//! chunked and put back together by the log itself
+//! ([`pds_flash::log`]). Fetching a document costs one page I/O per
+//! page it occupies.
 
-use pds_flash::{BlockId, Flash, FlashError, LogWriter, RecordAddr};
+use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 
 use crate::triple::DocId;
 
-/// Append-only store of documents on flash.
+/// Append-only store of documents on flash: the typed front of a record
+/// log whose ordinals are the docids.
 pub struct DocStore {
     log: LogWriter,
-    /// chunks[docid] = record addresses of the document's chunks.
-    directory: Vec<Vec<RecordAddr>>,
 }
 
 impl DocStore {
@@ -23,94 +22,61 @@ impl DocStore {
     pub fn new(flash: &Flash) -> Self {
         DocStore {
             log: flash.new_log(),
-            directory: Vec::new(),
         }
     }
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        self.directory.len()
+        self.log.num_records() as usize
     }
 
     /// True if no document is stored.
     pub fn is_empty(&self) -> bool {
-        self.directory.is_empty()
+        self.len() == 0
     }
 
     /// Append a document, returning its docid. Docids are dense and
     /// strictly increasing — the invariant the pipeline merge of the
     /// search engine relies on.
     pub fn append(&mut self, content: &[u8]) -> Result<DocId, FlashError> {
-        let chunk_size = self.log.max_record_len();
-        let mut addrs = Vec::new();
-        if content.is_empty() {
-            addrs.push(self.log.append(&[])?);
-        } else {
-            for chunk in content.chunks(chunk_size) {
-                addrs.push(self.log.append(chunk)?);
-            }
-        }
-        self.directory.push(addrs);
-        Ok(self.directory.len() as DocId - 1)
+        self.log.append(content)
     }
 
-    /// Fetch a document (one page I/O per chunk).
+    /// Fetch a document (one page I/O per page it occupies).
     pub fn get(&self, doc: DocId) -> Result<Vec<u8>, FlashError> {
-        let addrs = self
-            .directory
-            .get(doc as usize)
-            .ok_or(FlashError::BadRecordAddr)?;
-        let mut out = Vec::new();
-        for a in addrs {
-            out.extend_from_slice(&self.log.get(*a)?);
-        }
-        Ok(out)
+        self.log.get(doc)
     }
 
-    /// Durably flush pending chunks.
+    /// Durably flush pending documents.
     pub fn flush(&mut self) -> Result<(), FlashError> {
         self.log.flush()
     }
 
-    /// The store's erase blocks — half of its durable identity (see
+    /// The store's erase blocks — its whole durable identity (see
     /// [`recover`](Self::recover)).
     pub fn blocks(&self) -> Vec<BlockId> {
         self.log.blocks().to_vec()
     }
 
-    /// The chunk directory — the other half of the durable identity.
-    pub fn directory(&self) -> &[Vec<RecordAddr>] {
-        &self.directory
-    }
-
-    /// Rebuild a store after a power loss from its durable identity
-    /// (block list + chunk directory; a real token persists both in a
-    /// catalog log — the simulation carries them across the reboot in
-    /// RAM). Returns the store and the number of documents lost.
+    /// Rebuild a store after a power loss from its block list (a real
+    /// token persists it in a catalog log — the simulation carries it
+    /// across the reboot in RAM). `held` is the number of documents the
+    /// store had at power-off; returns the store and how many of them
+    /// are lost.
     ///
-    /// Docids are dense and chunks are appended in docid order, so
-    /// whatever the crash destroyed is a *suffix*: the directory is
-    /// truncated at the first document with a chunk beyond the recovered
-    /// pages, and every earlier document is intact.
+    /// Docids are dense and documents are appended in docid order, so
+    /// whatever the crash destroyed is a *suffix*: every document the
+    /// log's recovery scan finds is intact and keeps its docid.
     pub fn recover(
         flash: &Flash,
         blocks: &[BlockId],
-        directory: &[Vec<RecordAddr>],
+        held: u32,
     ) -> Result<(Self, u32), FlashError> {
-        let (log, report) = LogWriter::recover(flash, blocks)?;
-        let keep = directory
-            .iter()
-            .take_while(|addrs| addrs.iter().all(|a| report.survived(*a)))
-            .count();
-        let lost = (directory.len() - keep) as u32;
+        let (log, _) = LogWriter::recover(flash, blocks)?;
+        let store = DocStore { log };
+        let lost = held.saturating_sub(store.len() as u32);
         pds_obs::counter("recovery.docs_lost").add(lost as u64);
-        Ok((
-            DocStore {
-                log,
-                directory: directory[..keep].to_vec(),
-            },
-            lost,
-        ))
+        Ok((store, lost))
     }
 }
 

@@ -19,16 +19,16 @@
 //! ## Checkpoint record layout
 //!
 //! ```text
-//! body:   [epoch: u32][D: u32][P: u32] num_buckets × [head: u32]
-//! record: [part: u16][parts: u16] slice of the body
+//! [epoch: u32][D: u32][P: u32] num_buckets × [head: u32]
 //! ```
 //!
-//! A body larger than one record (128 buckets on 512-byte pages) is cut
-//! into consecutive parts; only a checkpoint whose parts are all present,
-//! in order, counts. A torn or partial one is ignored and its
-//! predecessor — still valid, for the reason above — is used instead.
+//! A checkpoint is one record. One larger than a page (128 buckets on
+//! 512-byte pages) spans pages like any large record of the log, and
+//! like any record it exists only once its last page is durable: a torn
+//! or partial checkpoint is simply not there, and its predecessor —
+//! still valid, for the reason above — is used instead.
 
-use pds_flash::{BlockId, Flash, FlashError, LogWriter, RecordAddr};
+use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 use pds_mcu::RamBudget;
 use pds_obs::flight::{code, subsystem, Severity};
 
@@ -36,8 +36,6 @@ use super::{DfStrategy, SearchEngine, SearchError};
 use crate::docs::DocStore;
 use crate::triple::{decode_page, DocId, NO_PREV};
 
-/// Bytes of `[part][parts]` in front of every checkpoint record.
-const PART_HEADER: usize = 4;
 /// Bytes of `[epoch][D][P]` in front of the chain heads.
 const BODY_HEADER: usize = 12;
 
@@ -97,38 +95,11 @@ impl Checkpoint {
         })
     }
 
-    /// The last complete checkpoint in `log`, if any.
+    /// The last checkpoint in `log`, if any.
     fn last_in(log: &LogWriter, num_buckets: usize) -> Result<Option<Checkpoint>, FlashError> {
         let mut last = None;
-        let mut body: Vec<u8> = Vec::new();
-        let mut next_part = 0u16;
         log.for_each_record(|_, rec| {
-            let field = |at: usize| {
-                let bytes = rec.get(at..at + 2)?;
-                Some(u16::from_le_bytes(bytes.try_into().ok()?))
-            };
-            let (Some(part), Some(parts), Some(slice)) =
-                (field(0), field(2), rec.get(PART_HEADER..))
-            else {
-                next_part = 0;
-                return Ok(());
-            };
-            if part == 0 {
-                body.clear();
-                next_part = 0;
-            }
-            if part != next_part {
-                // A part without its predecessors: the start of this
-                // checkpoint was lost, so it can never complete.
-                next_part = 0;
-                return Ok(());
-            }
-            body.extend_from_slice(slice);
-            next_part = next_part.saturating_add(1);
-            if next_part == parts {
-                last = Checkpoint::decode(&body, num_buckets).or(last.take());
-                next_part = 0;
-            }
+            last = Checkpoint::decode(rec, num_buckets).or(last.take());
             Ok(())
         })?;
         Ok(last)
@@ -174,15 +145,16 @@ impl RebuildReason {
 }
 
 /// Durable identity of a [`SearchEngine`] across a power cycle: the
-/// block lists of its four logs, the chunk directory, and the sizing
-/// knobs. A real token persists this in a catalog log; the simulation
-/// carries it across the reboot in RAM.
+/// block lists of its four logs and the sizing knobs — nothing whose
+/// size grows with the documents held. A real token persists this in a
+/// catalog log; the simulation carries it across the reboot in RAM.
 #[derive(Debug, Clone)]
 pub struct EngineManifest {
     /// Blocks of the document log.
     pub doc_blocks: Vec<BlockId>,
-    /// docid → chunk addresses.
-    pub doc_directory: Vec<Vec<RecordAddr>>,
+    /// Documents held at power-off, flushed or not — recovery needs it
+    /// only to report how many were lost.
+    pub docs: u32,
     /// Blocks of the tombstone log.
     pub tombstone_blocks: Vec<BlockId>,
     /// Blocks of the index log (raw bucket pages). Kept across the power
@@ -232,7 +204,7 @@ impl SearchEngine {
     pub fn manifest(&self) -> EngineManifest {
         EngineManifest {
             doc_blocks: self.docs.blocks(),
-            doc_directory: self.docs.directory().to_vec(),
+            docs: self.num_docs(),
             tombstone_blocks: self.tombstones.blocks().to_vec(),
             index_blocks: self.index.blocks().to_vec(),
             index_epoch: self.epoch,
@@ -261,15 +233,7 @@ impl SearchEngine {
         let body = Checkpoint::encode(now, &self.heads);
         let _guard = self.ram.reserve(body.len())?;
         let first_page = self.checkpoints.num_pages();
-        let room = self.checkpoints.max_record_len() - PART_HEADER;
-        let parts = body.len().div_ceil(room) as u16;
-        for (part, slice) in body.chunks(room).enumerate() {
-            let mut rec = Vec::with_capacity(PART_HEADER + slice.len());
-            rec.extend_from_slice(&(part as u16).to_le_bytes());
-            rec.extend_from_slice(&parts.to_le_bytes());
-            rec.extend_from_slice(slice);
-            self.checkpoints.append(&rec)?;
-        }
+        self.checkpoints.append(&body)?;
         self.checkpoints.flush()?;
         // Only the newest checkpoint is ever read: blocks wholly before
         // it go back to the pool, which bounds the log — and the scan a
@@ -353,7 +317,7 @@ impl SearchEngine {
         ram: &RamBudget,
         m: &EngineManifest,
     ) -> Result<(SearchEngine, EngineRecovery), SearchError> {
-        let (docs, docs_lost) = DocStore::recover(flash, &m.doc_blocks, &m.doc_directory)?;
+        let (docs, docs_lost) = DocStore::recover(flash, &m.doc_blocks, m.docs)?;
         let (tombstones, _) = LogWriter::recover(flash, &m.tombstone_blocks)?;
         let mut tombstoned: Vec<DocId> = Vec::new();
         tombstones.for_each_record(|_, rec| {

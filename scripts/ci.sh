@@ -33,11 +33,18 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # (about 4 s now that a reopen keeps the search index).
 cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload token_ingest_reopen
+# The read path's end-to-end oracle: indexed selects fetch rows by rowid
+# and `get_document` fetches by docid — the two reads whose addressing
+# is the record log's ordinals — checked against the in-benchmark model
+# on two seeds (about 11 s).
+cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
+  selfcheck --workload token_query
 # Widened seeded crash-recovery sweeps: a fixed, larger seed set than the
 # default 48 so every gate run exercises the fault paths broadly — the
-# record log's, and the search engine's checkpointed recovery against a
-# full re-index of the same chip.
-PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q seeded_crash_recovery_sweep
+# record log's (single-page records, and records of every length cut
+# between their pages), and the search engine's checkpointed recovery
+# against a full re-index of the same chip.
+PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- seeded_crash_recovery_sweep record_log_sweep
 PDS_CRASH_SEEDS=256 cargo test -p pds-search -q checkpointed_recovery_equals_full_rebuild_sweep
 # Fleet smoke sweep: a small tokens × threads × connectivity run of the
 # phased secure-aggregation job, with the pds-obs registry exported so

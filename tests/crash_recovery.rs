@@ -589,3 +589,114 @@ fn a_kept_index_answers_like_a_rebuilt_one_after_reopen_and_after_wake() {
     let (woken, _) = Pds::wake(parked()).unwrap();
     assert_eq!(woken.token().flash().stats().page_programs, 0);
 }
+
+/// Bytes of a [`pds::db::DatabaseManifest`] that are not block ids, and
+/// the number of block ids. Every struct is destructured in full, so a
+/// new field does not compile until it is weighed here.
+fn db_manifest_weight(m: &pds::db::DatabaseManifest) -> (usize, usize) {
+    use pds::db::{DatabaseManifest, MvccManifest, TableManifest};
+    use std::mem::{size_of, size_of_val};
+    let DatabaseManifest {
+        tables,
+        index_blocks,
+        mvcc,
+    } = m;
+    let (mut fixed, mut block_ids) = (0, index_blocks.len());
+    for table in tables {
+        let TableManifest {
+            name,
+            schema,
+            blocks,
+            rows,
+        } = table;
+        fixed += name.len() + format!("{schema:?}").len() + size_of_val(rows);
+        block_ids += blocks.len();
+    }
+    if let Some(mvcc) = mvcc {
+        let MvccManifest {
+            node,
+            blocks,
+            epoch,
+            floor,
+            base,
+        } = mvcc;
+        fixed += size_of_val(node) + size_of_val(epoch) + size_of_val(floor);
+        fixed += base.len() * size_of::<(u16, Hlc, u32)>();
+        block_ids += blocks.len();
+    }
+    (fixed, block_ids)
+}
+
+/// The same for an [`pds::search::EngineManifest`].
+fn engine_manifest_weight(m: &pds::search::EngineManifest) -> (usize, usize) {
+    use std::mem::size_of_val;
+    let pds::search::EngineManifest {
+        doc_blocks,
+        docs,
+        tombstone_blocks,
+        index_blocks,
+        index_epoch,
+        checkpoint_blocks,
+        num_buckets,
+        buffer_triples,
+        df_strategy,
+    } = m;
+    let fixed = size_of_val(docs)
+        + size_of_val(index_epoch)
+        + size_of_val(num_buckets)
+        + size_of_val(buffer_triples)
+        + size_of_val(df_strategy);
+    let lists = [
+        doc_blocks,
+        tombstone_blocks,
+        index_blocks,
+        checkpoint_blocks,
+    ];
+    (fixed, lists.iter().map(|l| l.len()).sum())
+}
+
+#[test]
+fn manifests_are_block_lists_whatever_the_corpus() {
+    use pds::db::value::{ColumnType, Schema};
+    use pds::db::Database;
+    use pds::flash::{Flash, FlashGeometry};
+    use pds::mcu::RamBudget;
+    use pds::search::{DfStrategy, SearchEngine};
+
+    // What a power-off carries for a token that ingested `n` rows and
+    // documents: both manifests, weighed.
+    let weigh = |n: u64| {
+        let flash = Flash::new(FlashGeometry::new(512, 8, 2048));
+        let ram = RamBudget::new(64 * 1024);
+        let mut db = Database::new(&flash, &ram);
+        let schema = Schema::new(&[("day", ColumnType::U64), ("what", ColumnType::Str)]);
+        db.create_table("A", schema.clone()).unwrap();
+        db.create_table("B", schema).unwrap();
+        db.enable_mvcc(1);
+        let mut engine = SearchEngine::new(&flash, &ram, 16, 64, DfStrategy::TwoPass).unwrap();
+        for i in 0..n {
+            let table = if i % 3 == 0 { "A" } else { "B" };
+            db.insert(table, vec![Value::U64(i), Value::Str(format!("row {i}"))])
+                .unwrap();
+            engine
+                .index_document(&format!("document {i} marker m{}", i % 11))
+                .unwrap();
+            if i % 50 == 49 {
+                db.commit().unwrap();
+                engine.flush().unwrap();
+            }
+        }
+        (
+            db_manifest_weight(&db.manifest()),
+            engine_manifest_weight(&engine.manifest()),
+        )
+    };
+    let ((db_fixed, db_blocks), (engine_fixed, engine_blocks)) = weigh(400);
+    let ((db_fixed_4n, db_blocks_4n), (engine_fixed_4n, engine_blocks_4n)) = weigh(1600);
+    // Four times the rows and documents: more blocks, and not a byte of
+    // anything else — no per-row or per-document state rides along.
+    assert_eq!(db_fixed, db_fixed_4n);
+    assert_eq!(engine_fixed, engine_fixed_4n);
+    assert!(db_blocks_4n > db_blocks && engine_blocks_4n > engine_blocks);
+    assert!(db_blocks_4n + engine_blocks_4n < 200, "block ids, not rows");
+}

@@ -131,12 +131,10 @@ fn registry_export_round_trips_through_the_json_parser() {
         &Predicate::eq("category", Value::str("salary")),
     )
     .unwrap();
-    pds_obs::event("obs.selftest", &[("answer", 42)]);
 
     let jsonl = pds_obs::metrics::global().export_jsonl();
     assert!(!jsonl.is_empty());
     let mut saw_counter = false;
-    let mut saw_selftest_event = false;
     for line in jsonl.lines() {
         let doc =
             pds_obs::json::parse(line).unwrap_or_else(|| panic!("unparseable export line: {line}"));
@@ -154,55 +152,40 @@ fn registry_export_round_trips_through_the_json_parser() {
                 assert!(doc.get("count").and_then(|v| v.as_u64()).is_some());
                 assert!(doc.get("buckets").and_then(|v| v.as_arr()).is_some());
             }
-            "event" => {
-                if doc.get("name").and_then(|v| v.as_str()) == Some("obs.selftest") {
-                    saw_selftest_event = true;
-                    assert_eq!(doc.get("answer").and_then(|v| v.as_u64()), Some(42));
-                }
-            }
             other => panic!("unknown line type {other}: {line}"),
         }
     }
     assert!(saw_counter, "flash counters must appear in the export");
-    assert!(saw_selftest_event, "events must appear in the export");
 }
 
 #[test]
-fn saturated_event_ring_counts_drops_instead_of_silently_truncating() {
-    // Regression: when the bounded event ring overflows, the registry
-    // must say so — `obs.events_dropped` climbs and the export carries
-    // the counter — rather than quietly exporting a truncated stream.
-    let reg = pds_obs::metrics::Registry::new();
-    reg.set_event_capacity(8);
-    for i in 0..20u64 {
-        reg.event("obs.flood", &[("i", i)]);
+fn a_full_flight_stage_counts_drops_instead_of_silently_truncating() {
+    use pds_obs::flight::{self, code, subsystem, Severity};
+    // Regression: when a thread's bounded staging buffer overflows — an
+    // owner that never drains — the registry must say so:
+    // `obs.events_dropped` climbs and the export carries the counter,
+    // rather than a durable ring quietly absorbing a truncated stream.
+    const STAGE_CAP: u64 = flight::STAGE_CAP as u64;
+    let reg = pds_obs::metrics::global();
+    flight::drain();
+    let before = reg.events_dropped();
+    for i in 0..STAGE_CAP + 12 {
+        flight::record(Severity::Info, subsystem::CORE, code::CORE_INGEST, [i, 0]);
     }
-    assert_eq!(reg.events_dropped(), 12, "20 events into an 8-slot ring");
+    assert_eq!(reg.events_dropped() - before, 12, "12 frames past the cap");
 
-    let jsonl = reg.export_jsonl();
-    let events = jsonl
-        .lines()
-        .filter(|l| l.contains("\"event\"") && l.contains("obs.flood"))
-        .count();
-    assert_eq!(events, 8, "the ring keeps the newest events");
-    let dropped_line = jsonl
+    let dropped_line = reg
+        .export_jsonl()
         .lines()
         .find(|l| l.contains("obs.events_dropped"))
+        .map(str::to_string)
         .expect("the drop counter must appear in the export");
-    let doc = pds_obs::json::parse(dropped_line).unwrap();
-    assert_eq!(doc.get("value").and_then(|v| v.as_u64()), Some(12));
+    let doc = pds_obs::json::parse(&dropped_line).unwrap();
+    assert!(doc.get("value").and_then(|v| v.as_u64()) >= Some(12));
 
     // The surviving window is the *tail* of the stream, in order.
-    let newest: Vec<u64> = jsonl
-        .lines()
-        .filter(|l| l.contains("obs.flood"))
-        .map(|l| {
-            pds_obs::json::parse(l)
-                .and_then(|d| d.get("i").and_then(|v| v.as_u64()))
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(newest, (12..20).collect::<Vec<_>>());
+    let newest: Vec<u64> = flight::drain().iter().map(|f| f.args[0]).collect();
+    assert_eq!(newest, (12..STAGE_CAP + 12).collect::<Vec<_>>());
 }
 
 #[test]
