@@ -19,11 +19,13 @@
 //!   protocol result, bus schedule and the *entire* scheduler
 //!   accounting must be bit-identical.
 //!
-//! At scale the sweep parks tokens with the drop-and-rebuild policy
-//! (every fleet token is a pure function of `(seed, index)`); the
-//! smallest cell also re-runs with flash-snapshot hibernation and must
-//! produce the identical protocol result — the two eviction policies
-//! are observationally equivalent where it matters.
+//! Every cell runs under both eviction policies — drop-and-rebuild
+//! (every fleet token is a pure function of `(seed, index)`) and
+//! flash-snapshot hibernation — and the two must produce the identical
+//! protocol result on the identical causal schedule: they are
+//! observationally equivalent where it matters. What hibernation keeps
+//! for a parked token is the pages it programmed (`parked KB/token`), a
+//! few KB, so it scales with the fleet like rebuilding does.
 //!
 //! Environment knobs: `PDS_E17_TOKENS` (default 10_000; the acceptance
 //! run uses 100_000), `PDS_E17_MAX_THREADS` (default 4), `PDS_E17_CAP`
@@ -54,6 +56,10 @@ pub struct E17Point {
     pub causal_ticks: u64,
     /// Scheduler accounting for the run.
     pub sched: SchedStats,
+    /// Mean [`PdsHibernation::resident_bytes`](pds_core::PdsHibernation::resident_bytes)
+    /// over the tokens parked asleep when the run ended (0 under
+    /// [`EvictPolicy::Rebuild`], which keeps nothing).
+    pub parked_bytes_per_token: u64,
     /// Protocol result matched the plaintext reference.
     pub exact: bool,
     /// `(result, bus, sched)` fingerprint for cross-thread checks.
@@ -76,6 +82,7 @@ pub fn measure(tokens: usize, workers: usize, cap: usize, evict: EvictPolicy) ->
         OnTamper::Abort,
     )
     .expect("fleet aggregation");
+    let (asleep, bytes) = fleet.parked(|h| h.resident_bytes() as u64);
     E17Point {
         tokens,
         cap,
@@ -84,6 +91,7 @@ pub fn measure(tokens: usize, workers: usize, cap: usize, evict: EvictPolicy) ->
         elapsed_s: rep.elapsed.as_secs_f64(),
         causal_ticks: rep.causal_ticks(),
         sched: rep.sched,
+        parked_bytes_per_token: bytes.checked_div(asleep).unwrap_or(0),
         exact: rep.result == rep.expected,
         fingerprint: (
             rep.result.clone(),
@@ -114,6 +122,7 @@ pub fn run() -> Table {
             "wakes",
             "evictions",
             "parked",
+            "parked KB/token",
             "peak res",
             "exact",
             "determ",
@@ -121,18 +130,10 @@ pub fn run() -> Table {
     );
 
     for &n in &sizes {
-        // The smallest cell proves the two eviction policies agree;
-        // scale runs drop-and-rebuild only (a million sparse flash
-        // snapshots is exactly the footprint the cap exists to avoid).
-        let policies: &[EvictPolicy] = if n == *sizes.first().unwrap() {
-            &[EvictPolicy::Rebuild, EvictPolicy::Hibernate]
-        } else {
-            &[EvictPolicy::Rebuild]
-        };
         // Keep the cap biting at every size (a 1k-token warm-up cell
         // under a 2k cap would never evict and prove nothing).
         let cell_cap = cap.min((n / 2).max(1));
-        for &evict in policies {
+        for evict in [EvictPolicy::Rebuild, EvictPolicy::Hibernate] {
             let p = measure(n, workers, cell_cap, evict);
             // The determinism contract, re-proven per cell: result, bus
             // schedule and scheduler accounting bit-identical at 1
@@ -154,6 +155,7 @@ pub fn run() -> Table {
                 p.sched.wakes.to_string(),
                 p.sched.evictions.to_string(),
                 parked.to_string(),
+                format!("{:.1}", p.parked_bytes_per_token as f64 / 1024.0),
                 p.sched.peak_resident.to_string(),
                 if p.exact { "yes" } else { "NO" }.to_string(),
                 if deterministic { "yes" } else { "NO" }.to_string(),
@@ -167,6 +169,10 @@ pub fn run() -> Table {
     t.note(
         "parked = factory rebuilds (Rebuild) or sleep-state revivals (Hibernate) \
          after an eviction; ticks = causal run length on the virtual fabric",
+    );
+    t.note(
+        "parked KB/token = mean flash-snapshot bytes held per token asleep at the end of the \
+         run: the pages it programmed (Rebuild keeps nothing)",
     );
     t.note(
         "determ = result, bus schedule and full scheduler accounting bit-identical \

@@ -5,6 +5,13 @@
 //! [`PdsHibernation`] and both come back through [`Pds::wake`], the only
 //! code that recovers the stores, the recorder ring and the
 //! subscription cursors.
+//!
+//! A power cycle costs what the token wrote, not what its chip could
+//! hold: [`Pds::power_off`] throws the switch — the chip's cells *move*
+//! into the hibernation, a page at a time as they were programmed, and
+//! nothing is copied (the copying photograph, `Token::hibernate`, is for
+//! callers that keep using the token) — and the wake reads each log's
+//! pages once.
 
 use std::collections::BTreeMap;
 
@@ -61,8 +68,10 @@ impl PdsHibernation {
         self.sleep.id()
     }
 
-    /// Approximate parked footprint: bytes of the sparse chip snapshot
-    /// (the manifests and metadata are small next to it).
+    /// The chip's share of the parked footprint: bytes of the sparse
+    /// chip snapshot, i.e. the pages the token programmed. The manifests
+    /// and the carried metadata (policy, audit chain, schemas) are not
+    /// counted, and on a token that wrote little they weigh more.
     pub fn resident_bytes(&self) -> usize {
         self.sleep.resident_bytes()
     }
@@ -80,15 +89,19 @@ impl PdsHibernation {
 impl Pds {
     /// Cut the power: keep the token's silicon, the recovery manifests
     /// and the RAM-carried metadata, *without* flushing — whatever was
-    /// still buffered dies here, exactly as in a real power loss.
+    /// still buffered dies here, exactly as in a real power loss. The
+    /// manifests are read first, then the switch is thrown
+    /// ([`Token::power_off`]): the chip's cells move into the
+    /// hibernation, never copied — a page an injected power loss tore
+    /// rides along — and the stores die holding handles on a dead chip.
     pub fn power_off(self) -> PdsHibernation {
         PdsHibernation {
-            sleep: self.token.hibernate(),
-            meta: self.meta,
             engine_manifest: self.engine.manifest(),
             db_manifest: self.db.manifest(),
             blackbox_blocks: self.blackbox.blocks(),
             blackbox_cap: self.blackbox.capacity(),
+            meta: self.meta,
+            sleep: self.token.power_off(),
         }
     }
 

@@ -270,8 +270,8 @@ impl MvccState {
         }
         let compacted = self.changelog.compact(floor.counter, floor.node)?;
         self.floor = floor;
-        pds_obs::counter("mvcc.gc_runs").inc();
-        pds_obs::counter("mvcc.versions_collapsed").add(collapsed);
+        pds_obs::counter!("mvcc.gc_runs").inc();
+        pds_obs::counter!("mvcc.versions_collapsed").add(collapsed);
         Ok(GcReport {
             versions_collapsed: collapsed,
             changes_compacted: compacted,
@@ -385,7 +385,7 @@ impl MvccState {
             changes_dropped: dropped,
             entities_restamped: restamped,
         };
-        pds_obs::counter("recovery.changes_dropped").add(dropped);
+        pds_obs::counter!("recovery.changes_dropped").add(dropped);
         Ok((state, report))
     }
 }

@@ -125,7 +125,7 @@ impl Table {
             log,
         };
         let lost = m.rows.saturating_sub(table.num_rows());
-        pds_obs::counter("recovery.rows_lost").add(lost as u64);
+        pds_obs::counter!("recovery.rows_lost").add(lost as u64);
         Ok((table, lost))
     }
 

@@ -14,7 +14,9 @@
 //! the recovered ring is always a causal prefix of the pre-crash
 //! timeline: [`BlackBox::recover`] cuts at the first frame that fails
 //! to decode or breaks tick monotonicity, and everything after the cut
-//! is discarded with it. The ring is bounded ([`BlackBox::capacity`])
+//! is discarded with it — on flash too: the survivors are rewritten
+//! into a fresh log, so what is recorded next is not cut off again at
+//! the next power cycle. The ring is bounded ([`BlackBox::capacity`])
 //! and wear-aware: when it overflows, the newest half is rewritten into
 //! a fresh log (whole-log rewrite — partial GC never occurs on this
 //! flash) whose blocks come from the allocator's normal wear rotation.
@@ -112,7 +114,7 @@ impl BlackBox {
         frame.tick = self.next_tick;
         self.log.append(frame, &frame.encode())?;
         self.next_tick += 1;
-        pds_obs::counter("blackbox.frames_written").inc();
+        pds_obs::counter!("blackbox.frames_written").inc();
         if self.frames().len() > self.cap {
             self.compact()?;
         }
@@ -134,7 +136,7 @@ impl BlackBox {
     pub fn flush(&mut self) -> Result<()> {
         let pages = u64::from(self.log.flush()?);
         if pages > 0 {
-            pds_obs::counter("blackbox.pages_flushed").add(pages);
+            pds_obs::counter!("blackbox.pages_flushed").add(pages);
         }
         Ok(())
     }
@@ -153,9 +155,9 @@ impl BlackBox {
     fn compact(&mut self) -> Result<()> {
         let dropped = self.frames().len() / 2;
         let pages = self.log.rewrite_from(dropped, EventFrame::encode)?;
-        pds_obs::counter("blackbox.pages_flushed").add(u64::from(pages));
-        pds_obs::counter("blackbox.compactions").inc();
-        pds_obs::counter("blackbox.frames_dropped").add(dropped as u64);
+        pds_obs::counter!("blackbox.pages_flushed").add(u64::from(pages));
+        pds_obs::counter!("blackbox.compactions").inc();
+        pds_obs::counter!("blackbox.frames_dropped").add(dropped as u64);
         Ok(())
     }
 
@@ -170,18 +172,24 @@ impl BlackBox {
         cap: usize,
     ) -> Result<(BlackBox, BlackboxRecovery)> {
         // Ticks are a strict per-token sequence.
-        let (log, torn_pages_discarded, cut) =
-            MirroredLog::recover(flash, blocks, EventFrame::decode, |f, last| {
-                f.tick > last.tick
-            })?;
+        let (log, torn_pages_discarded, rewritten) = MirroredLog::recover(
+            flash,
+            blocks,
+            EventFrame::encode,
+            EventFrame::decode,
+            |f, last| f.tick > last.tick,
+        )?;
         let report = BlackboxRecovery {
             frames_recovered: log.records().len() as u64,
             torn_pages_discarded,
-            malformed_dropped: u64::from(cut),
+            malformed_dropped: u64::from(rewritten.is_some()),
         };
-        pds_obs::counter("blackbox.frames_recovered").add(report.frames_recovered);
+        if let Some(pages) = rewritten {
+            pds_obs::counter!("blackbox.pages_flushed").add(u64::from(pages));
+        }
+        pds_obs::counter!("blackbox.frames_recovered").add(report.frames_recovered);
         if report.truncated() {
-            pds_obs::counter("blackbox.torn_tails_truncated").inc();
+            pds_obs::counter!("blackbox.torn_tails_truncated").inc();
         }
         let next_tick = log.records().last().map_or(0, |f| f.tick + 1);
         let ring = BlackBox {

@@ -145,7 +145,7 @@ impl ChangeLog {
             return Err(FlashError::OutOfOrderChange);
         }
         self.log.append(rec, &rec.encode())?;
-        pds_obs::counter("mvcc.changes_logged").inc();
+        pds_obs::counter!("mvcc.changes_logged").inc();
         Ok(())
     }
 
@@ -173,7 +173,10 @@ impl ChangeLog {
     /// the crash but whose data rows did not — so `changes_since` never
     /// names an entity newer than the recovered store. The flash pages
     /// still hold the dropped bytes; the next [`compact`](Self::compact)
-    /// rewrites them away.
+    /// rewrites them away — and until it does, a power cycle recovers
+    /// them again, by then under ids the regrown store has given to
+    /// other entities (ROADMAP item 3; the ignored test below is the
+    /// schedule).
     pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> u64 {
         let all = self.records().len();
         let cut = self.records().iter().position(|r| !keep(r)).unwrap_or(all);
@@ -187,7 +190,7 @@ impl ChangeLog {
     pub fn compact(&mut self, hlc: u64, node: u32) -> Result<u64> {
         let dropped = self.first_after(hlc, node);
         self.log.rewrite_from(dropped, ChangeRec::encode)?;
-        pds_obs::counter("mvcc.changes_compacted").add(dropped as u64);
+        pds_obs::counter!("mvcc.changes_compacted").add(dropped as u64);
         Ok(dropped as u64)
     }
 
@@ -199,14 +202,14 @@ impl ChangeLog {
     /// (phantoms from *lost data rows* are the caller's cut, via
     /// [`retain_prefix`](Self::retain_prefix)).
     pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(ChangeLog, ChangeLogRecovery)> {
-        let (log, torn_pages_discarded, cut) =
-            MirroredLog::recover(flash, blocks, ChangeRec::decode, follows)?;
+        let (log, torn_pages_discarded, rewritten) =
+            MirroredLog::recover(flash, blocks, ChangeRec::encode, ChangeRec::decode, follows)?;
         let report = ChangeLogRecovery {
             records_recovered: log.records().len() as u64,
             torn_pages_discarded,
-            malformed_dropped: u64::from(cut),
+            malformed_dropped: u64::from(rewritten.is_some()),
         };
-        pds_obs::counter("recovery.changes_recovered").add(report.records_recovered);
+        pds_obs::counter!("recovery.changes_recovered").add(report.records_recovered);
         Ok((ChangeLog { log }, report))
     }
 }
@@ -295,6 +298,22 @@ mod tests {
     }
 
     #[test]
+    fn recover_reads_each_page_once_and_the_page_that_ends_the_scan() {
+        let f = Flash::small(16);
+        let mut log = ChangeLog::new(&f);
+        for i in 1..=200u64 {
+            log.append(rec(i, 1, i as u32)).unwrap();
+        }
+        log.flush().unwrap();
+        let pages = f.stats().page_programs;
+        assert!(pages > 1 && !pages.is_multiple_of(16), "{pages} pages");
+        let f2 = f.reboot();
+        let (rec2, _) = ChangeLog::recover(&f2, &log.blocks()).unwrap();
+        assert_eq!(rec2.records(), log.records());
+        assert_eq!(f2.stats().page_reads, pages + 1);
+    }
+
+    #[test]
     fn compact_drops_old_records_and_frees_blocks() {
         let f = Flash::small(64);
         let before = f.free_blocks();
@@ -328,5 +347,35 @@ mod tests {
         let dropped = log.retain_prefix(|r| r.entity <= 6);
         assert_eq!(dropped, 4);
         assert_eq!(log.last_stamp(), Some((6, 7)));
+    }
+
+    /// Fails today — the schedule ROADMAP item 3 records: `retain_prefix`
+    /// cuts the mirror only, so the phantoms' bytes wait on flash in
+    /// front of the append point and the next recovery returns them,
+    /// under ids the regrown store has since given to other rows.
+    #[test]
+    #[ignore = "known failure, ROADMAP item 3: retain_prefix leaves its phantoms on flash"]
+    fn phantoms_cut_by_retain_prefix_stay_cut_after_the_store_regrows() {
+        let f = Flash::small(16);
+        let mut log = ChangeLog::new(&f);
+        for e in 0..10u32 {
+            log.append(rec(1 + u64::from(e), 0, e)).unwrap();
+        }
+        log.flush().unwrap();
+        // Power cycle 1: rows 6.. never reached flash; their records go.
+        let f = f.reboot();
+        let (mut log, _) = ChangeLog::recover(&f, &log.blocks()).unwrap();
+        assert_eq!(log.retain_prefix(|r| r.entity < 6), 4);
+        // The store grows past the phantoms' ids under later stamps.
+        for e in 6..12u32 {
+            log.append(rec(20 + u64::from(e), 0, e)).unwrap();
+        }
+        log.flush().unwrap();
+        // Power cycle 2: every row is there, so the caller's cut keeps
+        // everything — and each entity must be named once.
+        let (mut log, _) = ChangeLog::recover(&f.reboot(), &log.blocks()).unwrap();
+        assert_eq!(log.retain_prefix(|r| r.entity < 12), 0);
+        let entities: Vec<u32> = log.records().iter().map(|r| r.entity).collect();
+        assert_eq!(entities, (0..12).collect::<Vec<_>>());
     }
 }

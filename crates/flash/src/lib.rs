@@ -205,9 +205,19 @@ impl Flash {
         self.inner.borrow().nand.is_powered()
     }
 
-    /// Capture the persistent chip content (survives power loss).
+    /// Photograph the persistent chip content (what survives power
+    /// loss): a deep copy of the cells; the chip carries on untouched.
     pub fn snapshot(&self) -> ChipSnapshot {
         self.inner.borrow().nand.snapshot()
+    }
+
+    /// Switch the power off: the chip's cells leave in the returned
+    /// snapshot, moved and not copied, and every handle still sharing
+    /// the chip answers [`FlashError::PowerLoss`] from here on — which is
+    /// what a dead chip is ([`NandFlash::power_off`]). The way back is
+    /// [`Flash::reopen`].
+    pub fn power_off(&self) -> ChipSnapshot {
+        self.inner.borrow_mut().nand.power_off()
     }
 
     /// Boot a fresh handle from persistent content: the chip state is
@@ -216,20 +226,21 @@ impl Flash {
     /// allocated-to-nobody; each recovered structure re-adopts its own
     /// via [`LogWriter::recover`], which also frees what it truncates.
     pub fn reopen(snap: ChipSnapshot) -> Flash {
-        let geo = snap.geometry();
-        let free: Vec<BlockId> = (0..geo.num_blocks() as u32)
-            .map(BlockId)
-            .filter(|b| snap.block_is_erased(*b))
-            .collect();
         let nand = NandFlash::reopen(snap);
-        let alloc = BlockAllocator::with_free(geo.num_blocks(), free);
+        let blocks = nand.geometry().num_blocks();
+        let free: Vec<BlockId> = (0..blocks as u32)
+            .map(BlockId)
+            .filter(|b| nand.block_is_erased(*b))
+            .collect();
+        let alloc = BlockAllocator::with_free(blocks, free);
         Flash {
             inner: Rc::new(RefCell::new(FlashInner { nand, alloc })),
         }
     }
 
-    /// Simulate a full power cycle: snapshot the cells and boot a new
-    /// handle from them. The old handle keeps pointing at the dead chip.
+    /// Simulate a full power cycle on a copy: photograph the cells and
+    /// boot a new handle from them. The old handle and its chip carry on
+    /// as they were — a crash test recovers, and may recover again.
     pub fn reboot(&self) -> Flash {
         Flash::reopen(self.snapshot())
     }

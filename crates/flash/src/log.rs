@@ -71,11 +71,12 @@ const MORE: u16 = 0x4000;
 /// [`FlashGeometry::new`](crate::FlashGeometry::new) accepts.
 const LEN_MASK: u16 = 0x3FFF;
 
-/// Byte-at-a-time table of CRC-32 (IEEE 802.3, reflected polynomial
-/// `0xEDB88320`), built at compile time: entry `i` is the bitwise
-/// remainder of byte `i`.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables of CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB88320`), built at compile time: `CRC_TABLES[0][i]` is the
+/// bitwise remainder of byte `i` — the classic byte-at-a-time table —
+/// and `CRC_TABLES[k][i]` that of byte `i` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -84,16 +85,42 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let shorter = tables[k - 1][i];
+            tables[k][i] = (shorter >> 8) ^ tables[0][(shorter & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Fold `bytes` into a running (pre-inverted) CRC-32 state.
+/// Fold `bytes` into a running (pre-inverted) CRC-32 state, eight bytes
+/// a step: their eight look-ups are independent of one another, where a
+/// byte-at-a-time loop waits on each table load before it can start the
+/// next — and every page read and page program pays for a whole page of
+/// this.
 fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    bytes.iter().fold(crc, |crc, &b| {
-        (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize]
+    let mut words = bytes.chunks_exact(8);
+    let crc = words.by_ref().fold(crc, |crc, w| {
+        let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        CRC_TABLES[7][a as usize]
+            ^ CRC_TABLES[6][b as usize]
+            ^ CRC_TABLES[5][c as usize]
+            ^ CRC_TABLES[4][d as usize]
+            ^ CRC_TABLES[3][w[4] as usize]
+            ^ CRC_TABLES[2][w[5] as usize]
+            ^ CRC_TABLES[1][w[6] as usize]
+            ^ CRC_TABLES[0][w[7] as usize]
+    });
+    words.remainder().iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
     })
 }
 
@@ -573,20 +600,47 @@ impl LogWriter {
     /// recovered. Blocks past the truncation point are returned to the
     /// pool. Progress is exported under the `recovery.*` counters.
     pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(LogWriter, RecoveryReport)> {
+        Self::recover_with(flash, blocks, |_| ())
+    }
+
+    /// [`recover`](Self::recover), handing every recovered record, in
+    /// ordinal order, to `visit` as the scan passes it — so a layer that
+    /// mirrors its log in RAM rebuilds the mirror from the one read each
+    /// page gets anyway (pages + the terminator; no second pass). A
+    /// record is handed over only from a page whose CRC *and* whole
+    /// framing verified; one whose start went with a released head keeps
+    /// its ordinal but is not visited, as in
+    /// [`for_each_record`](Self::for_each_record).
+    pub fn recover_with(
+        flash: &Flash,
+        blocks: &[BlockId],
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<(LogWriter, RecoveryReport)> {
         let geo = flash.geometry();
         let per = geo.pages_per_block as u32;
         let mut report = RecoveryReport::default();
         let mut starts = Vec::new();
         let mut records = 0u32;
         let mut torn = false;
-        let mut buf = vec![0u8; geo.page_size];
+        let mut buf = Vec::new();
+        let mut assembler = Assembler::default();
         'scan: for bid in blocks {
             for off in 0..per {
                 let addr = geo.page_in_block(*bid, off as usize);
                 report.pages_scanned += 1;
+                buf.resize(geo.page_size, 0); // sized on first use: most logs of a boot are empty
                 let ended = read_page(flash, addr, &mut buf).and_then(|count| {
-                    Chunks::new(&buf, count, addr)
-                        .try_fold(0u32, |ended, c| Ok(ended + u32::from(!c?.more)))
+                    // Framing first, over the whole page: records are
+                    // handed over only from a page that stands.
+                    Chunks::new(&buf, count, addr).try_for_each(|c| c.map(drop))?;
+                    let mut ended = 0u32;
+                    for chunk in Chunks::new(&buf, count, addr).flatten() {
+                        ended += u32::from(!chunk.more);
+                        if let Some(rec) = assembler.feed(chunk) {
+                            visit(rec);
+                        }
+                    }
+                    Ok(ended)
                 });
                 match ended {
                     Ok(ended) => {
@@ -604,9 +658,9 @@ impl LogWriter {
             }
         }
         report.records_recovered = u64::from(records);
-        pds_obs::counter("recovery.pages_scanned").add(report.pages_scanned);
-        pds_obs::counter("recovery.records_recovered").add(report.records_recovered);
-        pds_obs::counter("recovery.torn_pages_discarded").add(report.torn_pages_discarded);
+        pds_obs::counter!("recovery.pages_scanned").add(report.pages_scanned);
+        pds_obs::counter!("recovery.records_recovered").add(report.records_recovered);
+        pds_obs::counter!("recovery.torn_pages_discarded").add(report.torn_pages_discarded);
         let mut writer = Self::resume_at(flash, blocks, starts.len() as u32, torn, &mut report)?;
         writer.starts = starts;
         writer.durable = records;
@@ -647,7 +701,7 @@ impl LogWriter {
                 let mut buf = vec![0u8; geo.page_size];
                 flash.read_page(frontier, &mut buf)?;
                 report.pages_scanned = 1;
-                pds_obs::counter("recovery.pages_scanned").inc();
+                pds_obs::counter!("recovery.pages_scanned").inc();
                 buf.iter().any(|&b| b != 0xFF)
             }
             None => false,

@@ -7,6 +7,12 @@
 //! records must keep (`>=` for change records — one commit shares a
 //! stamp; `>` for recorder ticks); framing, compaction and recovery
 //! live here once.
+//!
+//! Recovery is one pass: the mirror is rebuilt from the records the
+//! page scan hands over as it goes (a log of `k` pages is read `k + 1`
+//! times — its pages and the erased page that ends the scan), and flash
+//! and mirror leave it equal: a record that cuts the mirror is rewritten
+//! away before anything is appended behind it.
 
 use crate::error::Result;
 use crate::geometry::BlockId;
@@ -81,41 +87,46 @@ impl<R: Copy> MirroredLog<R> {
         Ok(pages)
     }
 
-    /// Rebuild after a power loss from the block list. The page scan is
-    /// [`LogWriter::recover`] (CRC-checked, torn tail truncated); on top
-    /// of it, the first record that fails to `decode` or does not
-    /// `follow(record, previous)` cuts the log there, dropping everything
-    /// after it — what is recovered is always a causal prefix of the
-    /// pre-crash history, and torn bytes never decode into phantoms.
-    /// Returns the log, the torn pages discarded, and whether it cut.
-    pub fn recover(
+    /// Rebuild after a power loss from the block list, in one pass: the
+    /// page scan is [`LogWriter::recover_with`] (CRC-checked, torn tail
+    /// truncated) and the mirror is built from the records it hands over
+    /// — pages + the terminator are read, once each. The first record
+    /// that fails to `decode` or does not `follow(record, previous)` cuts
+    /// the log there, dropping everything after it — what is recovered
+    /// is always a causal prefix of the pre-crash history, and torn bytes
+    /// never decode into phantoms. A cut also rewrites the survivors
+    /// into a fresh log before returning, so flash equals the mirror:
+    /// left in front of the append point, the bad record would cut off
+    /// again, at the next power cycle, everything appended after this
+    /// recovery. Returns the log, the torn pages discarded, and the pages
+    /// a cut rewrote (`None` ⇔ no cut).
+    pub fn recover<W: AsRef<[u8]>>(
         flash: &Flash,
         blocks: &[BlockId],
+        encode: impl Fn(&R) -> W,
         decode: impl Fn(&[u8]) -> Option<R>,
         follows: impl Fn(&R, &R) -> bool,
-    ) -> Result<(Self, u64, bool)> {
-        let (log, rep) = LogWriter::recover(flash, blocks)?;
+    ) -> Result<(Self, u64, Option<u32>)> {
         let mut records: Vec<R> = Vec::new();
         let mut cut = false;
-        'pages: for page in 0..log.num_pages() {
-            for bytes in log.read_page_records(page)? {
-                match decode(&bytes) {
-                    Some(rec) if records.last().is_none_or(|last| follows(&rec, last)) => {
-                        records.push(rec);
-                    }
-                    _ => {
-                        cut = true;
-                        break 'pages;
-                    }
-                }
+        let (log, rep) = LogWriter::recover_with(flash, blocks, |bytes| {
+            if cut {
+                return;
             }
-        }
-        let log = MirroredLog {
+            match decode(bytes) {
+                Some(rec) if records.last().is_none_or(|last| follows(&rec, last)) => {
+                    records.push(rec);
+                }
+                _ => cut = true,
+            }
+        })?;
+        let mut log = MirroredLog {
             flash: flash.clone(),
             log,
             records,
         };
-        Ok((log, rep.torn_pages_discarded, cut))
+        let rewritten = cut.then(|| log.rewrite_from(0, encode)).transpose()?;
+        Ok((log, rep.torn_pages_discarded, rewritten))
     }
 }
 
@@ -204,5 +215,36 @@ mod tests {
         for (kept, _) in recover_both(&f.reboot(), &changes.blocks(), &frames.blocks()) {
             assert!((40..=next + 1).contains(&kept), "kept {kept} of {next}");
         }
+    }
+
+    #[test]
+    fn a_log_that_cuts_in_ram_cuts_on_flash() {
+        // Both fronts recover 1, 2, 3, 9 and cut at the 4.
+        let f = Flash::small(16);
+        let (mut changes, mut frames) = (f.new_log(), f.new_log());
+        for s in [1, 2, 3, 9, 4, 10] {
+            changes.append(&change(s).encode()).unwrap();
+            frames.append(&frame(s).encode()).unwrap();
+        }
+        changes.flush().unwrap();
+        frames.flush().unwrap();
+        let f = f.reboot();
+        let free = f.free_blocks();
+        let (mut changes, cr) = ChangeLog::recover(&f, changes.blocks()).unwrap();
+        let (mut frames, br) = BlackBox::recover(&f, frames.blocks(), 64).unwrap();
+        assert_eq!((changes.num_records(), cr.malformed_dropped), (4, 1));
+        assert_eq!((frames.num_frames(), br.malformed_dropped), (4, 1));
+        // The survivors sit in fresh logs of their own; the blocks with
+        // the bad records went back to the pool.
+        assert_eq!(f.free_blocks(), free);
+        // What is appended and flushed from here on lies behind the
+        // survivors, not behind the record that cut: the next power
+        // cycle returns it, and finds nothing to cut.
+        changes.append(change(11)).unwrap();
+        changes.flush().unwrap();
+        frames.record(frame(0)).unwrap();
+        frames.flush().unwrap();
+        let got = recover_both(&f.reboot(), &changes.blocks(), &frames.blocks());
+        assert_eq!(got, [(5, false), (5, false)]);
     }
 }

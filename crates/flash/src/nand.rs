@@ -4,8 +4,29 @@
 //! reprogramming a page without erasing its whole block, and programming
 //! pages of a block out of order. Data structures that run on this model
 //! are legal by construction on the tutorial's target hardware.
+//!
+//! ## Cells at page grain
+//!
+//! In-order programming makes the programmed pages of a block a prefix,
+//! so a block stores exactly that prefix: its cells grow by one page per
+//! program and everything past them reads as the erased 0xFF fill. The
+//! stored extent *is* the block's write cursor — page `k` is programmed
+//! iff `k` lies below it — so the controller keeps no per-page state and
+//! a chip costs host memory for what was written to it, not for what it
+//! could hold.
+//!
+//! ## The photograph and the power switch
+//!
+//! [`NandFlash::snapshot`] photographs a chip: a deep copy of the cells,
+//! after which the chip carries on (crash sweeps recover one photograph
+//! twice; probes photograph live tokens). [`NandFlash::power_off`] is
+//! the switch: the cells themselves leave in the [`ChipSnapshot`], no
+//! byte copied, and the handle left behind is a dead chip. Both come
+//! back through [`NandFlash::reopen`]. Either way the snapshot lists the
+//! blocks that were ever used and nothing for the rest: a parked chip
+//! weighs what was written to it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::cost::CostModel;
 use crate::error::{FlashError, Result};
@@ -25,60 +46,63 @@ struct ObsCounters {
 }
 
 impl ObsCounters {
-    fn new() -> Self {
-        ObsCounters {
+    /// The one set of handles: a fleet boots chips by the ten thousand,
+    /// and each would otherwise look the four names up again. All four
+    /// register when the first chip of the process is made — exports and
+    /// the cost baseline list `flash.block_erases` at 0 for a run that
+    /// never erased — which is why these are not per-site `counter!`s.
+    fn shared() -> &'static Self {
+        static SHARED: OnceLock<ObsCounters> = OnceLock::new();
+        SHARED.get_or_init(|| ObsCounters {
             reads: pds_obs::counter("flash.page_reads"),
             programs: pds_obs::counter("flash.page_programs"),
             erases: pds_obs::counter("flash.block_erases"),
             non_seq_programs: pds_obs::counter("flash.non_seq_programs"),
-        }
+        })
     }
-}
-
-/// Program state of one page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageState {
-    Erased,
-    Programmed,
 }
 
 /// One simulated NAND chip.
 pub struct NandFlash {
     geo: FlashGeometry,
     cost: CostModel,
-    /// Per-block storage, allocated lazily on first program so that large
-    /// chips (and large simulated populations of tokens) cost host memory
-    /// only for the blocks actually written. `None` ⇒ the block is fully
-    /// erased and reads as 0xFF.
-    data: Vec<Option<Vec<u8>>>,
-    state: Vec<PageState>,
-    /// Next programmable page offset within each block (in-order rule).
-    write_cursor: Vec<u32>,
+    /// Per-block cells: the programmed prefix of each block, a whole
+    /// number of pages (module docs). Empty ⇒ the block is erased; a
+    /// torn program stores its page 0xFF-padded.
+    data: Vec<Vec<u8>>,
     /// Erase cycles per block (endurance accounting).
     erase_counts: Vec<u64>,
     /// Last globally programmed page, to classify sequential vs random
     /// writes.
     last_programmed: Option<PageAddr>,
     stats: IoStats,
-    obs: ObsCounters,
+    obs: &'static ObsCounters,
     /// Scripted hardware faults (power cuts, stuck blocks, bit flips).
     fault: Option<FaultPlan>,
-    /// False after an injected power loss: every primitive fails with
+    /// False after a power loss, injected or switched
+    /// ([`NandFlash::power_off`]): every primitive fails with
     /// [`FlashError::PowerLoss`] until the chip is rebuilt via
     /// [`NandFlash::reopen`].
     powered: bool,
 }
 
 /// The power-loss-surviving content of a chip: programmed cells and
-/// per-block wear. Everything else ([`IoStats`], write cursors, the
-/// program-state bitmap) is volatile controller state that a reboot
-/// rebuilds by scanning the cells.
+/// per-block wear. Everything else ([`IoStats`], the write cursors) is
+/// volatile controller state that a reboot rebuilds by scanning the
+/// cells. Sparse: only the blocks ever used are listed.
 #[derive(Clone)]
 pub struct ChipSnapshot {
     geo: FlashGeometry,
     cost: CostModel,
-    data: Vec<Option<Vec<u8>>>,
-    erase_counts: Vec<u64>,
+    used: Vec<UsedBlock>,
+}
+
+/// A block that is not factory-fresh: it holds cells, wear, or both.
+#[derive(Clone)]
+struct UsedBlock {
+    block: usize,
+    erase_count: u64,
+    cells: Vec<u8>,
 }
 
 impl ChipSnapshot {
@@ -87,23 +111,13 @@ impl ChipSnapshot {
         self.geo
     }
 
-    /// True if every page of `bid` reads erased (all 0xFF).
-    pub fn block_is_erased(&self, bid: BlockId) -> bool {
-        match &self.data[bid.0 as usize] {
-            None => true,
-            Some(bytes) => bytes.iter().all(|&b| b == 0xFF),
-        }
-    }
-
-    /// Bytes this snapshot actually holds: blocks are lazily allocated,
-    /// so a mostly-erased chip snapshots to a small fraction of its
-    /// capacity — the number a scheduler parking hibernated tokens
-    /// budgets against.
+    /// Bytes this snapshot actually holds: the pages that were
+    /// programmed and an entry per used block, so a mostly-erased chip
+    /// snapshots to a small fraction of its capacity — the number a
+    /// scheduler parking hibernated tokens budgets against.
     pub fn resident_bytes(&self) -> usize {
-        self.data
-            .iter()
-            .map(|b| b.as_ref().map_or(0, Vec::len))
-            .sum()
+        let cells: usize = self.used.iter().map(|b| b.cells.len()).sum();
+        cells + std::mem::size_of_val(&self.used[..])
     }
 }
 
@@ -113,13 +127,11 @@ impl NandFlash {
         NandFlash {
             geo,
             cost,
-            data: vec![None; geo.num_blocks()],
-            state: vec![PageState::Erased; geo.num_pages()],
-            write_cursor: vec![0; geo.num_blocks()],
+            data: vec![Vec::new(); geo.num_blocks()],
             erase_counts: vec![0; geo.num_blocks()],
             last_programmed: None,
             stats: IoStats::default(),
-            obs: ObsCounters::new(),
+            obs: ObsCounters::shared(),
             fault: None,
             powered: true,
         }
@@ -130,18 +142,53 @@ impl NandFlash {
         self.fault = Some(plan);
     }
 
-    /// True unless an injected power loss took the chip offline.
+    /// True unless a power loss, injected or switched, took the chip
+    /// offline.
     pub fn is_powered(&self) -> bool {
         self.powered
     }
 
-    /// Capture the persistent content (what survives a power cut).
+    /// Photograph the persistent content (what survives a power cut): a
+    /// deep copy of the cells. The chip is untouched and carries on.
     pub fn snapshot(&self) -> ChipSnapshot {
+        let blocks = self
+            .data
+            .iter()
+            .cloned()
+            .zip(self.erase_counts.iter().copied());
+        self.snapshot_of(blocks)
+    }
+
+    /// Switch the power off: the cells and wear counters leave in the
+    /// returned snapshot — moved, not copied — and this chip is dead. It
+    /// answers [`FlashError::PowerLoss`] from here on, holds no cells (a
+    /// later photograph of it shows a blank chip), and the only way back
+    /// is [`NandFlash::reopen`] on what this returned. A chip an injected
+    /// power loss already took offline is switched off the same way: its
+    /// torn page rides along.
+    pub fn power_off(&mut self) -> ChipSnapshot {
+        self.powered = false;
+        let data = std::mem::take(&mut self.data);
+        let erase_counts = std::mem::take(&mut self.erase_counts);
+        self.snapshot_of(data.into_iter().zip(erase_counts))
+    }
+
+    /// A snapshot of the used ones among `blocks`: every block's cells
+    /// and erase count, in block order.
+    fn snapshot_of(&self, blocks: impl Iterator<Item = (Vec<u8>, u64)>) -> ChipSnapshot {
+        let used = blocks
+            .enumerate()
+            .filter_map(|(block, (cells, erase_count))| {
+                (erase_count > 0 || !cells.is_empty()).then_some(UsedBlock {
+                    block,
+                    erase_count,
+                    cells,
+                })
+            });
         ChipSnapshot {
             geo: self.geo,
             cost: self.cost,
-            data: self.data.clone(),
-            erase_counts: self.erase_counts.clone(),
+            used: used.collect(),
         }
     }
 
@@ -151,35 +198,28 @@ impl NandFlash {
     /// scanning the cells: a page is *programmed* iff any of its bytes
     /// differs from the erased 0xFF fill, and each block's write cursor
     /// resumes after its last programmed page (in-order programming makes
-    /// programmed pages a prefix of every block). A torn page with a
-    /// written prefix therefore counts as programmed — it is unusable
-    /// until its block is erased, exactly like real NAND. The one
-    /// ambiguity is inherent to the medium: a page legitimately
-    /// programmed with all-0xFF bytes is indistinguishable from an
-    /// erased one (the log layer never writes such pages — record pages
-    /// carry a non-0xFF header).
+    /// programmed pages a prefix of every block). The scan walks a
+    /// block's stored pages from the back, so it normally ends at the
+    /// first page it looks at. A torn page with a written prefix
+    /// therefore counts as programmed — it is unusable until its block
+    /// is erased, exactly like real NAND. The one ambiguity is inherent
+    /// to the medium: a page legitimately programmed with all-0xFF bytes
+    /// (or torn before its first non-0xFF byte) is indistinguishable
+    /// from an erased one (the log layer never writes such pages —
+    /// record pages carry a non-0xFF header).
     pub fn reopen(snap: ChipSnapshot) -> Self {
         let geo = snap.geo;
         let mut chip = NandFlash::new(geo, snap.cost);
-        chip.data = snap.data;
-        chip.erase_counts = snap.erase_counts;
-        for b in 0..geo.num_blocks() {
-            let Some(block) = &chip.data[b] else { continue };
-            let mut cursor = 0u32;
-            for off in (0..geo.pages_per_block).rev() {
-                let start = off * geo.page_size;
-                if block[start..start + geo.page_size]
-                    .iter()
-                    .any(|&x| x != 0xFF)
-                {
-                    cursor = off as u32 + 1;
-                    break;
-                }
-            }
-            for off in 0..cursor as usize {
-                chip.state[b * geo.pages_per_block + off] = PageState::Programmed;
-            }
-            chip.write_cursor[b] = cursor;
+        for mut used in snap.used {
+            let erased_tail = used
+                .cells
+                .rchunks(geo.page_size)
+                .take_while(|page| page.iter().all(|&x| x == 0xFF))
+                .count();
+            used.cells
+                .truncate(used.cells.len() - erased_tail * geo.page_size);
+            chip.data[used.block] = used.cells;
+            chip.erase_counts[used.block] = used.erase_count;
         }
         chip
     }
@@ -214,13 +254,20 @@ impl NandFlash {
 
     /// Erase cycles a block has endured.
     pub fn erase_count(&self, bid: BlockId) -> u64 {
-        self.erase_counts[bid.0 as usize]
+        self.erase_counts.get(bid.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Pages of `bid` programmed since its last erase — its write cursor:
+    /// the next (and only) offset the in-order rule lets a program take.
+    fn write_cursor(&self, bid: BlockId) -> usize {
+        self.data
+            .get(bid.0 as usize)
+            .map_or(0, |cells| cells.len() / self.geo.page_size)
     }
 
     /// True if every page of the block is erased.
     pub fn block_is_erased(&self, bid: BlockId) -> bool {
-        let first = self.geo.first_page_of(bid).0 as usize;
-        (first..first + self.geo.pages_per_block).all(|p| self.state[p] == PageState::Erased)
+        self.data.get(bid.0 as usize).is_none_or(Vec::is_empty)
     }
 
     fn check_addr(&self, addr: PageAddr) -> Result<()> {
@@ -242,12 +289,11 @@ impl NandFlash {
             });
         }
         let bid = self.geo.block_of(addr);
-        match &self.data[bid.0 as usize] {
-            None => buf.fill(0xFF),
-            Some(block) => {
-                let start = self.geo.offset_in_block(addr) * self.geo.page_size;
-                buf.copy_from_slice(&block[start..start + self.geo.page_size]);
-            }
+        let start = self.geo.offset_in_block(addr) * self.geo.page_size;
+        let cells = self.data.get(bid.0 as usize);
+        match cells.and_then(|c| c.get(start..start + self.geo.page_size)) {
+            Some(page) => buf.copy_from_slice(page),
+            None => buf.fill(0xFF), // past the programmed prefix: erased
         }
         if let Some(plan) = self.fault.as_mut() {
             plan.on_read(buf); // transient bit flip; stored cells intact
@@ -272,19 +318,19 @@ impl NandFlash {
                 expected: self.geo.page_size,
             });
         }
-        let idx = addr.0 as usize;
-        if self.state[idx] == PageState::Programmed {
+        let bid = self.geo.block_of(addr);
+        let cursor = self.write_cursor(bid);
+        let off = self.geo.offset_in_block(addr);
+        if off < cursor {
             return Err(FlashError::WriteToProgrammed(addr));
         }
-        let bid = self.geo.block_of(addr);
-        let expected_off = self.write_cursor[bid.0 as usize];
-        let off = self.geo.offset_in_block(addr) as u32;
-        if off != expected_off {
+        if off > cursor {
             return Err(FlashError::OutOfOrderProgram {
                 requested: addr,
-                expected: self.geo.page_in_block(bid, expected_off as usize),
+                expected: self.geo.page_in_block(bid, cursor),
             });
         }
+        let mut reached = data;
         if let Some(plan) = self.fault.as_mut() {
             match plan.on_program(self.geo.page_size) {
                 ProgramFault::None => {}
@@ -292,15 +338,8 @@ impl NandFlash {
                     // A random prefix reached the cells before power
                     // died; the page now holds garbage and is unusable
                     // until a block erase, like real NAND.
-                    let block = self.data[bid.0 as usize].get_or_insert_with(|| {
-                        vec![0xFF; self.geo.pages_per_block * self.geo.page_size]
-                    });
-                    let start = self.geo.offset_in_block(addr) * self.geo.page_size;
-                    block[start..start + prefix].copy_from_slice(&data[..prefix]);
-                    self.state[idx] = PageState::Programmed;
-                    self.write_cursor[bid.0 as usize] = off + 1;
+                    reached = &data[..prefix];
                     self.powered = false;
-                    return Err(FlashError::PowerLoss);
                 }
                 ProgramFault::Dropped => {
                     // Power died before any cell was touched.
@@ -309,12 +348,14 @@ impl NandFlash {
                 }
             }
         }
-        let block = self.data[bid.0 as usize]
-            .get_or_insert_with(|| vec![0xFF; self.geo.pages_per_block * self.geo.page_size]);
-        let start = self.geo.offset_in_block(addr) * self.geo.page_size;
-        block[start..start + self.geo.page_size].copy_from_slice(data);
-        self.state[idx] = PageState::Programmed;
-        self.write_cursor[bid.0 as usize] = off + 1;
+        // The block's cells grow by this page: what reached them, and
+        // the erased fill where a tear stopped short.
+        let cells = &mut self.data[bid.0 as usize];
+        cells.extend_from_slice(reached);
+        cells.resize((off + 1) * self.geo.page_size, 0xFF);
+        if !self.powered {
+            return Err(FlashError::PowerLoss);
+        }
         // Classify the write: sequential iff it immediately follows the
         // last program on the whole chip.
         match self.last_programmed {
@@ -342,12 +383,7 @@ impl NandFlash {
                 return Err(FlashError::StuckBlock(bid));
             }
         }
-        let first = self.geo.first_page_of(bid).0 as usize;
-        for p in first..first + self.geo.pages_per_block {
-            self.state[p] = PageState::Erased;
-        }
-        self.data[bid.0 as usize] = None; // storage released, reads as 0xFF
-        self.write_cursor[bid.0 as usize] = 0;
+        self.data[bid.0 as usize] = Vec::new(); // storage released, reads as 0xFF
         self.erase_counts[bid.0 as usize] += 1;
         self.stats.block_erases += 1;
         self.obs.erases.inc();
@@ -458,6 +494,37 @@ mod tests {
         assert_eq!(buf, vec![1; 64]);
         c.read_page(PageAddr(1), &mut buf).unwrap();
         assert_eq!(buf, vec![2; 64]);
+    }
+
+    #[test]
+    fn power_off_takes_the_cells_and_leaves_a_dead_chip() {
+        let mut c = chip();
+        c.program_page(PageAddr(0), &[7; 64]).unwrap();
+        c.erase_block(BlockId(1)).unwrap();
+        let snap = c.power_off();
+        // One page, not one block (256 B); an entry for each used block.
+        assert_eq!(
+            snap.resident_bytes(),
+            64 + 2 * std::mem::size_of::<UsedBlock>()
+        );
+        assert!(!c.is_powered());
+        let mut buf = vec![0; 64];
+        assert_eq!(
+            c.read_page(PageAddr(0), &mut buf),
+            Err(FlashError::PowerLoss)
+        );
+        // The cells left with the snapshot: a photograph of what stayed
+        // behind shows a blank chip.
+        let mut blank = NandFlash::reopen(c.snapshot());
+        assert!(blank.block_is_erased(BlockId(0)));
+        assert_eq!(blank.erase_count(BlockId(1)), 0);
+        blank.program_page(PageAddr(0), &[1; 64]).unwrap();
+        // And came back whole, wear included.
+        let mut r = NandFlash::reopen(snap);
+        r.read_page(PageAddr(0), &mut buf).unwrap();
+        assert_eq!(buf, vec![7; 64]);
+        assert_eq!(r.erase_count(BlockId(1)), 1);
+        r.program_page(PageAddr(1), &[8; 64]).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
-use crate::{FaultPlan, Flash, FlashError, FlashGeometry, LogWriter};
+use crate::{BlockId, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter, ProgramFault};
 
 /// Arbitrary interleavings of appends/flushes/new-logs never violate the
 /// chip rules (the simulator would reject them) and always read back
@@ -424,4 +424,211 @@ fn an_append_that_runs_out_of_blocks_midway_leaves_no_record() {
     assert_log_is(&w, &oracle, "flushed");
     let (rec, _) = LogWriter::recover(&flash.reboot(), w.blocks()).unwrap();
     assert_log_is(&rec, &oracle, "recovered");
+}
+
+/// The chip as the parent commit stored it — every block a full image of
+/// 0xFF — and the boot scan as it ran there: the reference the page-grain
+/// cell store is held against.
+struct BlockModel {
+    geo: FlashGeometry,
+    cells: Vec<Vec<u8>>,
+    erases: Vec<u64>,
+    /// The live controller's next programmable offset per block; a boot
+    /// forgets it and [`BlockModel::scan`] is all it gets back.
+    cursor: Vec<usize>,
+}
+
+impl BlockModel {
+    fn new(geo: FlashGeometry) -> Self {
+        BlockModel {
+            geo,
+            cells: vec![vec![0xFF; geo.pages_per_block * geo.page_size]; geo.num_blocks()],
+            erases: vec![0; geo.num_blocks()],
+            cursor: vec![0; geo.num_blocks()],
+        }
+    }
+
+    fn page(&self, b: usize, off: usize) -> &[u8] {
+        &self.cells[b][off * self.geo.page_size..(off + 1) * self.geo.page_size]
+    }
+
+    /// The first `reached` bytes of `page` get to the cells; the page
+    /// counts as programmed however few they are.
+    fn program(&mut self, b: usize, page: &[u8], reached: usize) {
+        let start = self.cursor[b] * self.geo.page_size;
+        self.cells[b][start..start + reached].copy_from_slice(&page[..reached]);
+        self.cursor[b] += 1;
+    }
+
+    fn erase(&mut self, b: usize) {
+        self.cells[b].fill(0xFF);
+        self.erases[b] += 1;
+        self.cursor[b] = 0;
+    }
+
+    /// The boot scan: the cursor resumes after the last page holding a
+    /// non-0xFF byte.
+    fn scan(&self, b: usize) -> usize {
+        (0..self.geo.pages_per_block)
+            .rev()
+            .find(|&off| self.page(b, off).iter().any(|&x| x != 0xFF))
+            .map_or(0, |off| off + 1)
+    }
+}
+
+/// A chip just booted from `model`'s cells is the chip the full-block
+/// scan describes: every page reads alike, every block takes its next
+/// program exactly where the scan says, the free list is the erased
+/// blocks, the wear counters came along. Programs nothing that sticks
+/// unless `consume` (then every block's next page is programmed, which
+/// spoils the chip for further comparison).
+fn assert_booted_chip_is(flash: &Flash, model: &BlockModel, consume: bool, ctx: &str) {
+    let geo = model.geo;
+    let mut buf = vec![0u8; geo.page_size];
+    let page = vec![0x5A; geo.page_size];
+    let mut erased = 0;
+    for b in 0..geo.num_blocks() {
+        let bid = BlockId(b as u32);
+        for off in 0..geo.pages_per_block {
+            flash
+                .read_page(geo.page_in_block(bid, off), &mut buf)
+                .unwrap();
+            assert_eq!(buf, model.page(b, off), "{ctx}: block {b} page {off}");
+        }
+        let next = model.scan(b);
+        erased += usize::from(next == 0);
+        if let Some(below) = next.checked_sub(1) {
+            let addr = geo.page_in_block(bid, below);
+            let got = flash.program_page(addr, &page);
+            assert_eq!(
+                got,
+                Err(FlashError::WriteToProgrammed(addr)),
+                "{ctx}: block {b}"
+            );
+        }
+        if next + 1 < geo.pages_per_block {
+            let got = flash.program_page(geo.page_in_block(bid, next + 1), &page);
+            let expected = geo.page_in_block(bid, next);
+            assert!(
+                matches!(got, Err(FlashError::OutOfOrderProgram { expected: e, .. }) if e == expected),
+                "{ctx}: block {b} takes its next program at {next}, got {got:?}"
+            );
+        }
+        if consume && next < geo.pages_per_block {
+            flash
+                .program_page(geo.page_in_block(bid, next), &page)
+                .unwrap();
+        }
+        let wear = flash.inner.borrow().nand.erase_count(bid);
+        assert_eq!(wear, model.erases[b], "{ctx}: block {b} wear");
+    }
+    assert_eq!(flash.free_blocks(), erased, "{ctx}: free ⇔ erased");
+}
+
+/// The page-grain cell store against the full-block model, swept over
+/// seeds and two geometries: a script of programs, erases, block frees
+/// and reallocations runs into a seeded power cut (torn or dropped), the
+/// chip is booted twice — from a *photograph* (`snapshot`) and from the
+/// cells themselves (`power_off`) — and the script carries on on the
+/// moved chip into the next cut. Both boots must be the chip the model's
+/// scan describes, and the handle the cells left must be a dead chip.
+#[test]
+fn cell_store_sweep_against_a_full_block_model() {
+    let geos = [
+        FlashGeometry::new(512, 16, 8),
+        FlashGeometry::new(2048, 64, 4),
+    ];
+    // The medium's two ambiguities, which the sweep must have crossed.
+    let (mut torn_before_a_mark, mut blank_last_page) = (0, 0);
+    for (g, geo) in geos.into_iter().enumerate() {
+        for case in 0..crash_seed_count() {
+            let seed = 0xCE11_0000 + ((g as u64) << 12) + case;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut flash = Flash::new(geo);
+            let mut model = BlockModel::new(geo);
+            for life in 0..3u64 {
+                let ctx = format!("geo {g} case {case} life {life}");
+                // What the cut will do to the program it lands on.
+                let plan = FaultPlan::new(seed ^ life).power_loss_after(0);
+                let fate = plan.clone().on_program(geo.page_size);
+                let mut programs_left = rng.gen_range(0u64..3 * geo.pages_per_block as u64);
+                flash.inject_faults(plan.power_loss_after(programs_left));
+                // A boot hands every non-erased block to whoever
+                // recovers it: here, the script.
+                let mut held: Vec<usize> = (0..geo.num_blocks())
+                    .filter(|&b| model.cursor[b] > 0)
+                    .collect();
+                'life: for _ in 0..6 * geo.pages_per_block {
+                    let pick = rng.gen_range(0..held.len().max(1));
+                    match (rng.gen_range(0u32..16), held.get(pick).copied()) {
+                        (0, Some(b)) => {
+                            flash.erase_block(BlockId(b as u32)).unwrap();
+                            model.erase(b);
+                        }
+                        (1, Some(b)) => {
+                            flash.free_block(BlockId(b as u32));
+                            held.swap_remove(pick);
+                        }
+                        (2 | 3, _) | (_, None) => {
+                            // A reclaimed block is erased on its way out.
+                            let Ok(bid) = flash.alloc_block() else {
+                                continue;
+                            };
+                            let b = bid.0 as usize;
+                            if model.cursor[b] > 0 {
+                                model.erase(b);
+                            }
+                            held.push(b);
+                        }
+                        (_, Some(b)) if model.cursor[b] == geo.pages_per_block => {}
+                        (kind, Some(b)) => {
+                            // Random bytes, sometimes behind a blank
+                            // first half, sometimes a wholly blank page.
+                            let mut page: Vec<u8> = (0..geo.page_size).map(|_| rng.gen()).collect();
+                            let blank = [0, 0, geo.page_size / 2, geo.page_size];
+                            page[..blank[kind as usize % 4]].fill(0xFF);
+                            let addr = geo.page_in_block(BlockId(b as u32), model.cursor[b]);
+                            let done = flash.program_page(addr, &page);
+                            if programs_left > 0 {
+                                programs_left -= 1;
+                                assert_eq!(done, Ok(()), "{ctx}");
+                                model.program(b, &page, geo.page_size);
+                                continue;
+                            }
+                            assert_eq!(done, Err(FlashError::PowerLoss), "{ctx}");
+                            if let ProgramFault::Torn { prefix } = fate {
+                                let blank = page[..prefix].iter().all(|&x| x == 0xFF);
+                                torn_before_a_mark += usize::from(blank);
+                                model.program(b, &page, prefix);
+                            }
+                            break 'life;
+                        }
+                    }
+                }
+                blank_last_page += (0..geo.num_blocks())
+                    .filter(|&b| model.scan(b) < model.cursor[b])
+                    .count();
+                // The boot forgets the live cursors; the scan is all
+                // either reboot has.
+                for b in 0..geo.num_blocks() {
+                    model.cursor[b] = model.scan(b);
+                }
+                let copied = Flash::reopen(flash.snapshot());
+                assert_booted_chip_is(&copied, &model, true, &format!("{ctx}, copied"));
+                let dead = flash.clone();
+                flash = Flash::reopen(flash.power_off());
+                assert_booted_chip_is(&flash, &model, false, &format!("{ctx}, moved"));
+                let addr = geo.page_in_block(BlockId(0), 0);
+                let mut buf = vec![0u8; geo.page_size];
+                assert_eq!(dead.read_page(addr, &mut buf), Err(FlashError::PowerLoss));
+                assert_eq!(dead.program_page(addr, &buf), Err(FlashError::PowerLoss));
+                assert_eq!(dead.erase_block(BlockId(0)), Err(FlashError::PowerLoss));
+            }
+        }
+    }
+    assert!(
+        torn_before_a_mark > 0,
+        "no tear stopped inside a blank prefix"
+    );
+    assert!(blank_last_page > 0, "no block ended on an all-0xFF page");
 }

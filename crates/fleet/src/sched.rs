@@ -246,6 +246,27 @@ impl<H: TokenHost> FleetScheduler<H> {
         self.stats.publish();
     }
 
+    /// The tokens parked with a sleep state right now — evictions queued
+    /// so far included — as `(how many, the sum of weigh(sleep))`: what
+    /// a hibernating fleet keeps for the tokens it is not running.
+    /// Tokens dropped for a factory rebuild hold nothing and count for
+    /// nothing.
+    pub fn parked(&self, weigh: fn(&H::Sleep) -> u64) -> (u64, u64) {
+        let (tx, rx) = channel();
+        for shard in 0..self.shards.len() {
+            let tx = tx.clone();
+            self.shards.send(shard, move |shard: &mut Shard<H>| {
+                let asleep = shard.slots.values().filter_map(|slot| match slot {
+                    Slot::Asleep(sleep) => Some(weigh(sleep)),
+                    Slot::Live(_) => None,
+                });
+                let _ = tx.send(asleep.fold((0, 0), |(n, sum), w| (n + 1, sum + w)));
+            });
+        }
+        drop(tx);
+        rx.iter().fold((0, 0), |(n, sum), (m, w)| (n + m, sum + w))
+    }
+
     fn shard_of(&self, token: usize) -> usize {
         token / self.chunk.max(1)
     }
@@ -577,6 +598,18 @@ mod tests {
         assert_eq!(st.rebuilds, 0);
         assert!(st.peak_resident <= 4);
         assert!(s.resident() <= 4);
+    }
+
+    #[test]
+    fn parked_weighs_the_tokens_asleep_and_no_others() {
+        let mut s = sched(12, 3, 4, false);
+        touch_all(&mut s);
+        touch_all(&mut s);
+        // The last wave of four is resident; eight sleep on two hits each.
+        assert_eq!(s.parked(|hits| *hits), (8, 16));
+        let mut dropped = sched(12, 3, 4, true);
+        touch_all(&mut dropped);
+        assert_eq!(dropped.parked(|hits| *hits), (0, 0));
     }
 
     #[test]

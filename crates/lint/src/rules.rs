@@ -151,12 +151,14 @@ pub const CRATES: &[CrateConfig] = &[
         // The change log is the fleet's causal history: its stamp
         // ordering and recovery cuts feed baseline-checked counters and
         // must replay identically on every machine. The log layer
-        // decides which block a recovery keeps, relocates or frees.
+        // decides which block a recovery keeps, relocates or frees, and
+        // the chip model's boot scan decides which blocks are free.
         det_files: &[
             "flash/src/changelog.rs",
             "flash/src/blackbox.rs",
             "flash/src/mirrored.rs",
             "flash/src/log.rs",
+            "flash/src/nand.rs",
         ],
         allowed_deps: &["pds_obs"],
     },

@@ -10,6 +10,12 @@
 //! role in the tutorial's protocols is the **threat-model assumption**
 //! (`Unbreakable` vs `Broken`), which Part III's adversary simulations set
 //! explicitly per token.
+//!
+//! Two ways lead to a [`TokenSleep`], the token's persistent state:
+//! [`Token::hibernate`] *photographs* it (the chip is copied, the token
+//! carries on — probes and crash tests) and [`Token::power_off`] is the
+//! *power switch* (the chip's cells move into the sleep, nothing is
+//! copied, the token is gone). [`Token::wake`] is the one way back.
 
 use crate::profile::HardwareProfile;
 use crate::ram::RamBudget;
@@ -103,25 +109,39 @@ impl Token {
         self.tamper = TamperState::Broken;
     }
 
-    /// Simulate a power cycle: same identity, same silicon, but the flash
-    /// controller rebuilds its state by cell scan and the RAM budget
-    /// starts empty — everything RAM-resident died with the power.
-    /// Tamper state is physical and survives.
+    /// Simulate a power cycle on a copy: same identity, same silicon, but
+    /// the flash controller rebuilds its state by cell scan and the RAM
+    /// budget starts empty — everything RAM-resident died with the power.
+    /// Tamper state is physical and survives. `self` carries on untouched.
     pub fn reopen(&self) -> Token {
         Token::wake(self.hibernate())
     }
 
-    /// Power the token down to its persistent state: identity, hardware
-    /// class, tamper state, and a sparse [`ChipSnapshot`] of the NAND
-    /// cells. The returned [`TokenSleep`] is plain data (no `Rc` flash
+    /// Photograph the token's persistent state: identity, hardware
+    /// class, tamper state, and a [`ChipSnapshot`](pds_flash::ChipSnapshot)
+    /// holding a copy of the programmed NAND pages. The token carries on
+    /// untouched; the power switch is [`Token::power_off`].
+    pub fn hibernate(&self) -> TokenSleep {
+        self.sleep_with(self.flash.snapshot())
+    }
+
+    /// Power the token down to its persistent state — the same
+    /// [`TokenSleep`] a [`hibernate`](Self::hibernate) photographs, but
+    /// the NAND cells themselves move into it ([`Flash::power_off`]):
+    /// nothing is copied, and any flash handle that outlives the token
+    /// answers `PowerLoss`. The sleep is plain data (no `Rc` flash
     /// handle), so a scheduler can park thousands of idle tokens in a
     /// fraction of their live footprint. [`Token::wake`] is the inverse.
-    pub fn hibernate(&self) -> TokenSleep {
+    pub fn power_off(self) -> TokenSleep {
+        self.sleep_with(self.flash.power_off())
+    }
+
+    fn sleep_with(&self, chip: pds_flash::ChipSnapshot) -> TokenSleep {
         TokenSleep {
             id: self.id,
             profile: self.profile,
             tamper: self.tamper,
-            chip: self.flash.snapshot(),
+            chip,
         }
     }
 
@@ -155,7 +175,7 @@ impl TokenSleep {
     }
 
     /// Approximate persistent footprint: bytes the sparse chip snapshot
-    /// holds (programmed blocks only).
+    /// holds (programmed pages only).
     pub fn resident_bytes(&self) -> usize {
         self.chip.resident_bytes()
     }

@@ -76,6 +76,21 @@ macro_rules! event {
     };
 }
 
+/// The [`global`](metrics::global) registry's counter named by a
+/// literal, looked up once per call site: `counter!("flash.page_reads").inc()`.
+/// [`counter`] locks the registry and walks its map on every call; a
+/// path that touches its counters on every page or every power cycle
+/// keeps the handle it found the first time instead — the same handle,
+/// since the registry never drops an instrument.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+            ::std::sync::OnceLock::new();
+        &**HANDLE.get_or_init(|| $crate::counter($name))
+    }};
+}
+
 /// Open a span: `span!("db.select")`, optionally with initial attributes:
 /// `span!("db.select", "db.table" => table, "db.plan" => "FullScan")`.
 /// Returns a [`trace::SpanGuard`]; the span finishes when the guard drops.
@@ -93,6 +108,14 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn counter_macro_is_the_registry_s_counter() {
+        for _ in 0..3 {
+            counter!("lib.tests.counter_macro").inc();
+        }
+        assert_eq!(crate::counter("lib.tests.counter_macro").get(), 3);
+    }
+
     #[test]
     fn span_macro_sets_initial_attrs() {
         {

@@ -225,6 +225,19 @@ pub struct Registry {
     events_dropped: AtomicU64,
 }
 
+/// The instrument named `name`, created on first use. Looked up before
+/// anything is allocated: hot paths fetch their counters by name on
+/// every touch, and only the first touch may pay for the key `String`.
+fn instrument<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut m = map
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let Some(found) = m.get(name) {
+        return found.clone();
+    }
+    m.entry(name.to_string()).or_default().clone()
+}
+
 impl Default for Registry {
     fn default() -> Self {
         Registry::new()
@@ -262,29 +275,17 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        m.entry(name.to_string()).or_default().clone()
+        instrument(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        m.entry(name.to_string()).or_default().clone()
+        instrument(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        m.entry(name.to_string()).or_default().clone()
+        instrument(&self.histograms, name)
     }
 
     /// Every counter as `(name, value)`, name-ordered.

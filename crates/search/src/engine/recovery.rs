@@ -386,15 +386,15 @@ impl EngineRecovery {
     /// a `Warn` when the token did have a checkpoint log, because then
     /// the O(corpus) reopen is a surprise a post-mortem should show.
     fn publish(&self, had_checkpoints: bool) {
-        pds_obs::counter("recovery.index_pages_kept").add(u64::from(self.index_pages_kept));
-        pds_obs::counter("recovery.docs_replayed").add(u64::from(self.docs_replayed));
+        pds_obs::counter!("recovery.index_pages_kept").add(u64::from(self.index_pages_kept));
+        pds_obs::counter!("recovery.docs_replayed").add(u64::from(self.docs_replayed));
         let Some(why) = self.index_rebuild else {
             return;
         };
         if self.docs_replayed == 0 && !had_checkpoints {
             return;
         }
-        pds_obs::counter("recovery.index_rebuilds").inc();
+        pds_obs::counter!("recovery.index_rebuilds").inc();
         let severity = if had_checkpoints {
             Severity::Warn
         } else {

@@ -39,12 +39,22 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # on two seeds (about 11 s).
 cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload token_query
+# The power cycle's end-to-end oracle: [TNP14] rounds on a hibernating
+# fleet — every token parked and revived between its turns — equal the
+# plaintext reference on two seeds, and the 18 exact counts (flash reads
+# and programs, bus, scheduler, recorder pages) repeat between blocks
+# and runs (about 5 s).
+cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
+  selfcheck --workload fleet_agg
 # Widened seeded crash-recovery sweeps: a fixed, larger seed set than the
 # default 48 so every gate run exercises the fault paths broadly — the
 # record log's (single-page records, and records of every length cut
-# between their pages), and the search engine's checkpointed recovery
-# against a full re-index of the same chip.
-PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- seeded_crash_recovery_sweep record_log_sweep
+# between their pages), the chip's page-grain cell store against a
+# full-block model across moved and copied power cycles, and the search
+# engine's checkpointed recovery against a full re-index of the same
+# chip.
+PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- \
+  seeded_crash_recovery_sweep record_log_sweep cell_store_sweep
 PDS_CRASH_SEEDS=256 cargo test -p pds-search -q checkpointed_recovery_equals_full_rebuild_sweep
 # Fleet smoke sweep: a small tokens × threads × connectivity run of the
 # phased secure-aggregation job, with the pds-obs registry exported so

@@ -700,3 +700,33 @@ fn manifests_are_block_lists_whatever_the_corpus() {
     assert!(db_blocks_4n > db_blocks && engine_blocks_4n > engine_blocks);
     assert!(db_blocks_4n + engine_blocks_4n < 200, "block ids, not rows");
 }
+
+#[test]
+fn a_wake_reads_each_ring_page_once_and_the_page_that_ends_the_scan() {
+    // A token holding nothing but its flight recorder: every page a
+    // wake reads is a ring page, and each park flushes one more — 16 to
+    // the ring's block, so the 16th wake finds the block exactly full
+    // and the 17th crosses into a second one.
+    let mut pds = Pds::for_tests(11, "dora").unwrap();
+    let mut frames = 0;
+    for k in 1..=17u64 {
+        let (woken, _) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+        pds = woken;
+        // k pages once each, then the erased page the scan stops at —
+        // which a block that is exactly full does not have.
+        let stats = pds.token().flash().stats();
+        assert_eq!(
+            stats.page_reads,
+            k + u64::from(!k.is_multiple_of(16)),
+            "wake {k}"
+        );
+        assert_eq!(stats.page_programs, 0, "wake {k}");
+        // And the timeline is whole: every park's frames came back.
+        let timeline = pds.forensics().unwrap().timeline.len();
+        assert!(
+            timeline > frames,
+            "wake {k}: {timeline} frames after {frames}"
+        );
+        frames = timeline;
+    }
+}
