@@ -47,7 +47,7 @@ pub mod sym;
 pub use bloom::BloomFilter;
 pub use commutative::{CommutativeGroup, CommutativeKey};
 pub use hash::{sha256, Sha256};
-pub use mac::{hmac_sha256, verify_hmac};
+pub use mac::{hmac_sha256, verify_hmac, HmacKey};
 pub use merkle::{HashChain, MerkleTree};
 pub use num::BigUint;
 pub use paillier::{Paillier, PaillierCiphertext, PaillierPrivateKey, PaillierPublicKey};

@@ -326,8 +326,8 @@ impl MvccState {
             .iter()
             .map(|&(store, _, len)| (store, len))
             .collect();
-        let dropped =
-            changelog.retain_prefix(|rec| lens.get(&rec.store).is_none_or(|&len| rec.entity < len));
+        let dropped = changelog
+            .retain_prefix(|rec| lens.get(&rec.store).is_none_or(|&len| rec.entity < len))?;
 
         let mut marks: BTreeMap<u16, Vec<(Hlc, u32)>> = BTreeMap::new();
         for &(store, hlc, count) in &m.base {

@@ -171,17 +171,19 @@ impl ChangeLog {
     /// rejects; returns how many were dropped. Used after recovery to
     /// discard *phantom* records — records whose commit stamp survived
     /// the crash but whose data rows did not — so `changes_since` never
-    /// names an entity newer than the recovered store. The flash pages
-    /// still hold the dropped bytes; the next [`compact`](Self::compact)
-    /// rewrites them away — and until it does, a power cycle recovers
-    /// them again, by then under ids the regrown store has given to
-    /// other entities (ROADMAP item 3; the ignored test below is the
-    /// schedule).
-    pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> u64 {
+    /// names an entity newer than the recovered store. A cut rewrites
+    /// the survivors into a fresh log before returning, so flash equals
+    /// the mirror: left in front of the append point, the phantoms would
+    /// come back at the next power cycle, by then under ids the regrown
+    /// store has given to other entities.
+    pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> Result<u64> {
         let all = self.records().len();
         let cut = self.records().iter().position(|r| !keep(r)).unwrap_or(all);
-        self.log.truncate(cut);
-        (all - cut) as u64
+        if cut < all {
+            self.log.truncate(cut);
+            self.log.rewrite_from(0, ChangeRec::encode)?;
+        }
+        Ok((all - cut) as u64)
     }
 
     /// Compact against a GC floor: rewrite every record with a stamp
@@ -344,17 +346,16 @@ mod tests {
             log.append(rec(i, 0, i as u32)).unwrap();
         }
         // Entities 1..=6 survived the crash; 7 and everything after is cut.
-        let dropped = log.retain_prefix(|r| r.entity <= 6);
+        let dropped = log.retain_prefix(|r| r.entity <= 6).unwrap();
         assert_eq!(dropped, 4);
         assert_eq!(log.last_stamp(), Some((6, 7)));
     }
 
-    /// Fails today — the schedule ROADMAP item 3 records: `retain_prefix`
-    /// cuts the mirror only, so the phantoms' bytes wait on flash in
-    /// front of the append point and the next recovery returns them,
-    /// under ids the regrown store has since given to other rows.
+    /// `retain_prefix` must cut flash as well as the mirror: left on
+    /// flash in front of the append point, the phantoms' bytes would be
+    /// recovered at the next power cycle, under ids the regrown store
+    /// has since given to other rows.
     #[test]
-    #[ignore = "known failure, ROADMAP item 3: retain_prefix leaves its phantoms on flash"]
     fn phantoms_cut_by_retain_prefix_stay_cut_after_the_store_regrows() {
         let f = Flash::small(16);
         let mut log = ChangeLog::new(&f);
@@ -365,7 +366,7 @@ mod tests {
         // Power cycle 1: rows 6.. never reached flash; their records go.
         let f = f.reboot();
         let (mut log, _) = ChangeLog::recover(&f, &log.blocks()).unwrap();
-        assert_eq!(log.retain_prefix(|r| r.entity < 6), 4);
+        assert_eq!(log.retain_prefix(|r| r.entity < 6).unwrap(), 4);
         // The store grows past the phantoms' ids under later stamps.
         for e in 6..12u32 {
             log.append(rec(20 + u64::from(e), 0, e)).unwrap();
@@ -374,7 +375,7 @@ mod tests {
         // Power cycle 2: every row is there, so the caller's cut keeps
         // everything — and each entity must be named once.
         let (mut log, _) = ChangeLog::recover(&f.reboot(), &log.blocks()).unwrap();
-        assert_eq!(log.retain_prefix(|r| r.entity < 12), 0);
+        assert_eq!(log.retain_prefix(|r| r.entity < 12).unwrap(), 0);
         let entities: Vec<u32> = log.records().iter().map(|r| r.entity).collect();
         assert_eq!(entities, (0..12).collect::<Vec<_>>());
     }

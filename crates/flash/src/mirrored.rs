@@ -60,8 +60,9 @@ impl<R: Copy> MirroredLog<R> {
         Ok(self.log.num_pages() - before)
     }
 
-    /// Forget the mirror's suffix from `len` on (the flash pages keep
-    /// the bytes until the next rewrite).
+    /// Forget the mirror's suffix from `len` on. The flash pages keep
+    /// the bytes, so the caller follows with
+    /// [`rewrite_from`](Self::rewrite_from) before anything is appended.
     pub fn truncate(&mut self, len: usize) {
         self.records.truncate(len);
     }

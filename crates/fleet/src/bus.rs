@@ -30,6 +30,12 @@
 //!   schedule depends only on the seed and the send sequence — never on
 //!   worker-thread interleaving.
 //!
+//! * **What a tick costs** — the flights that are due, stepped where
+//!   they lie; one connectivity hash per endpoint that has a due flight
+//!   (every flight gated on it shares the answer); a delivered payload
+//!   is moved to the inbox, never copied. The receiver's dedup set is
+//!   its own and grows by one id per message for the life of the bus.
+//!
 //! Message ids are `sender code << 24 | per-sender sequence`, globally
 //! unique and stable across runs; the SSI threat model keys its
 //! drop/forge verdicts off these same ids (`Ssi::collect_tagged`).
@@ -283,6 +289,13 @@ pub struct MailboxBus {
     seen: BTreeMap<u64, BTreeSet<u64>>,
     next_seq: BTreeMap<u64, u64>,
     forced_offline: BTreeSet<usize>,
+    /// Per token index, the last tick its connectivity was decided at
+    /// and the answer: every flight gated on one endpoint in one tick
+    /// shares one `online` call. Grown to the highest token a due
+    /// flight has waited on; never cleared — `force_offline` runs
+    /// between ticks, and a stamp is only read in the tick that wrote
+    /// it.
+    online_at: Vec<(u64, bool)>,
     stats: BusStats,
     hops: BTreeMap<u64, HopRecord>,
 }
@@ -299,6 +312,7 @@ impl MailboxBus {
             seen: BTreeMap::new(),
             next_seq: BTreeMap::new(),
             forced_offline: BTreeSet::new(),
+            online_at: Vec::new(),
             stats: BusStats::default(),
             hops: BTreeMap::new(),
         }
@@ -414,96 +428,114 @@ impl MailboxBus {
     }
 
     /// Advance one virtual tick: every due flight whose gating endpoint
-    /// is online makes a transmission attempt.
+    /// is online makes a transmission attempt. Flights are stepped where
+    /// they lie, in send order.
     pub fn tick(&mut self) {
         self.tick += 1;
         self.stats.ticks += 1;
+        let mut flights = std::mem::take(&mut self.flights);
+        flights.retain_mut(|f| self.step(f));
+        self.flights = flights;
+    }
+
+    /// [`online`](Self::online) at the current tick, asked of the hash
+    /// once per endpoint per tick.
+    fn online_now(&mut self, addr: Addr) -> bool {
+        let Addr::Token(i) = addr else {
+            return true;
+        };
+        if i >= self.online_at.len() {
+            self.online_at.resize(i + 1, (0, false));
+        }
+        if self.online_at[i].0 != self.tick {
+            self.online_at[i] = (self.tick, self.online(addr, self.tick));
+        }
+        self.online_at[i].1
+    }
+
+    /// One flight's turn in the current tick; `false` once it has left
+    /// the bus (delivered and acknowledged, evaporated, or expired).
+    fn step(&mut self, f: &mut Flight) -> bool {
         let tick = self.tick;
-        let mut still = Vec::with_capacity(self.flights.len());
-        for mut f in std::mem::take(&mut self.flights) {
-            if f.next_try > tick {
-                still.push(f);
-                continue;
+        if f.next_try > tick {
+            return true;
+        }
+        let gate = match f.hop {
+            Hop::Upload => f.msg.from,
+            Hop::Download | Hop::Redeliver => f.msg.to,
+        };
+        if !self.online_now(gate) {
+            // Endpoint unreachable: wait, don't burn an attempt.
+            f.next_try = tick + 1;
+            return true;
+        }
+        f.attempts += 1;
+        if let Some(rec) = self.hops.get_mut(&f.msg.id) {
+            rec.attempts += 1;
+        }
+        let lost = unit(mix(
+            self.cfg.seed,
+            TAG_LOSS,
+            f.msg.id ^ ((f.hop as u64) << 62),
+            u64::from(f.attempts),
+        )) < self.cfg.loss_rate;
+        if lost {
+            self.stats.retries += 1;
+            if f.hop == Hop::Redeliver {
+                // The original was already delivered; a lost
+                // re-delivery simply evaporates.
+                return false;
             }
-            let gate = match f.hop {
-                Hop::Upload => f.msg.from,
-                Hop::Download | Hop::Redeliver => f.msg.to,
-            };
-            if !self.online(gate, tick) {
-                // Endpoint unreachable: wait, don't burn an attempt.
-                f.next_try = tick + 1;
-                still.push(f);
-                continue;
+            if f.attempts >= self.cfg.max_attempts {
+                self.stats.expired += 1;
+                if let Some(rec) = self.hops.get_mut(&f.msg.id) {
+                    rec.expired = true;
+                }
+                return false;
             }
-            f.attempts += 1;
+            self.stats.backoff_events += 1;
+            f.next_try = tick + self.backoff(f.attempts);
+            return true;
+        }
+        if f.hop == Hop::Upload {
+            // Now parked at the SSI store; fresh attempt budget for the
+            // second hop.
+            f.hop = Hop::Download;
+            f.attempts = 0;
+            f.next_try = tick + 1;
+            return true;
+        }
+        let dedup = self.seen.entry(f.msg.to.code()).or_default();
+        if dedup.insert(f.msg.id) {
+            self.stats.delivered += 1;
             if let Some(rec) = self.hops.get_mut(&f.msg.id) {
-                rec.attempts += 1;
+                rec.deliver_tick = tick;
             }
-            let lost = unit(mix(
-                self.cfg.seed,
-                TAG_LOSS,
-                f.msg.id ^ ((f.hop as u64) << 62),
-                u64::from(f.attempts),
-            )) < self.cfg.loss_rate;
-            if lost {
-                self.stats.retries += 1;
-                if f.hop == Hop::Redeliver {
-                    // The original was already delivered; a lost
-                    // re-delivery simply evaporates.
-                    continue;
-                }
-                if f.attempts >= self.cfg.max_attempts {
-                    self.stats.expired += 1;
-                    if let Some(rec) = self.hops.get_mut(&f.msg.id) {
-                        rec.expired = true;
-                    }
-                    continue;
-                }
-                self.stats.backoff_events += 1;
-                f.next_try = tick + self.backoff(f.attempts);
-                still.push(f);
-                continue;
-            }
-            match f.hop {
-                Hop::Upload => {
-                    // Now parked at the SSI store; fresh attempt budget
-                    // for the second hop.
-                    f.hop = Hop::Download;
-                    f.attempts = 0;
-                    f.next_try = tick + 1;
-                    still.push(f);
-                }
-                Hop::Download | Hop::Redeliver => {
-                    let dedup = self.seen.entry(f.msg.to.code()).or_default();
-                    if dedup.insert(f.msg.id) {
-                        self.stats.delivered += 1;
-                        if let Some(rec) = self.hops.get_mut(&f.msg.id) {
-                            rec.deliver_tick = tick;
-                        }
-                        self.inboxes
-                            .entry(f.msg.to.code())
-                            .or_default()
-                            .push(f.msg.clone());
-                    } else {
-                        self.stats.duplicates += 1;
-                        if let Some(rec) = self.hops.get_mut(&f.msg.id) {
-                            rec.redeliveries += 1;
-                        }
-                    }
-                    // Lost ack ⇒ the store re-delivers exactly once more.
-                    if f.hop == Hop::Download
-                        && unit(mix(self.cfg.seed, TAG_ACK, f.msg.id, 0)) < self.cfg.dup_rate
-                    {
-                        self.stats.redeliveries += 1;
-                        f.hop = Hop::Redeliver;
-                        f.attempts = 0;
-                        f.next_try = tick + self.backoff(1);
-                        still.push(f);
-                    }
-                }
+            // The payload moves to the receiver. Should the flight stay
+            // on as a re-delivery it carries none: a re-delivery can only
+            // ever meet the dedup set.
+            let payload = std::mem::take(&mut f.msg.payload);
+            self.inboxes
+                .entry(f.msg.to.code())
+                .or_default()
+                .push(BusMsg { payload, ..f.msg });
+        } else {
+            self.stats.duplicates += 1;
+            if let Some(rec) = self.hops.get_mut(&f.msg.id) {
+                rec.redeliveries += 1;
             }
         }
-        self.flights = still;
+        // Lost ack ⇒ the store re-delivers exactly once more.
+        if f.hop == Hop::Download
+            && unit(mix(self.cfg.seed, TAG_ACK, f.msg.id, 0)) < self.cfg.dup_rate
+        {
+            self.stats.redeliveries += 1;
+            f.hop = Hop::Redeliver;
+            f.attempts = 0;
+            f.next_try = tick + self.backoff(1);
+            return true;
+        }
+        false
     }
 
     /// Tick until no message is in flight, or `max_ticks` elapse.
@@ -790,5 +822,182 @@ mod tests {
         assert_eq!(s.expired, 1);
         assert_eq!(s.retries, 4);
         assert_eq!(bus.in_flight(), 0);
+    }
+
+    /// `tick` as it stood before flights were stepped in place: every
+    /// flight moved through a fresh `Vec`, `online` asked per flight,
+    /// the payload cloned into the inbox. The reference the stepped
+    /// loop is compared against.
+    fn reference_tick(bus: &mut MailboxBus) {
+        bus.tick += 1;
+        bus.stats.ticks += 1;
+        let tick = bus.tick;
+        let mut still = Vec::with_capacity(bus.flights.len());
+        for mut f in std::mem::take(&mut bus.flights) {
+            if f.next_try > tick {
+                still.push(f);
+                continue;
+            }
+            let gate = match f.hop {
+                Hop::Upload => f.msg.from,
+                Hop::Download | Hop::Redeliver => f.msg.to,
+            };
+            if !bus.online(gate, tick) {
+                f.next_try = tick + 1;
+                still.push(f);
+                continue;
+            }
+            f.attempts += 1;
+            if let Some(rec) = bus.hops.get_mut(&f.msg.id) {
+                rec.attempts += 1;
+            }
+            let lost = unit(mix(
+                bus.cfg.seed,
+                TAG_LOSS,
+                f.msg.id ^ ((f.hop as u64) << 62),
+                u64::from(f.attempts),
+            )) < bus.cfg.loss_rate;
+            if lost {
+                bus.stats.retries += 1;
+                if f.hop == Hop::Redeliver {
+                    continue;
+                }
+                if f.attempts >= bus.cfg.max_attempts {
+                    bus.stats.expired += 1;
+                    if let Some(rec) = bus.hops.get_mut(&f.msg.id) {
+                        rec.expired = true;
+                    }
+                    continue;
+                }
+                bus.stats.backoff_events += 1;
+                f.next_try = tick + bus.backoff(f.attempts);
+                still.push(f);
+                continue;
+            }
+            match f.hop {
+                Hop::Upload => {
+                    f.hop = Hop::Download;
+                    f.attempts = 0;
+                    f.next_try = tick + 1;
+                    still.push(f);
+                }
+                Hop::Download | Hop::Redeliver => {
+                    let dedup = bus.seen.entry(f.msg.to.code()).or_default();
+                    if dedup.insert(f.msg.id) {
+                        bus.stats.delivered += 1;
+                        if let Some(rec) = bus.hops.get_mut(&f.msg.id) {
+                            rec.deliver_tick = tick;
+                        }
+                        bus.inboxes
+                            .entry(f.msg.to.code())
+                            .or_default()
+                            .push(f.msg.clone());
+                    } else {
+                        bus.stats.duplicates += 1;
+                        if let Some(rec) = bus.hops.get_mut(&f.msg.id) {
+                            rec.redeliveries += 1;
+                        }
+                    }
+                    if f.hop == Hop::Download
+                        && unit(mix(bus.cfg.seed, TAG_ACK, f.msg.id, 0)) < bus.cfg.dup_rate
+                    {
+                        bus.stats.redeliveries += 1;
+                        f.hop = Hop::Redeliver;
+                        f.attempts = 0;
+                        f.next_try = tick + bus.backoff(1);
+                        still.push(f);
+                    }
+                }
+            }
+        }
+        bus.flights = still;
+    }
+
+    #[test]
+    fn stepped_tick_equals_the_reference_tick() {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        const TOKENS: usize = 12;
+        let ctx = TraceContext {
+            trace_id: 0xB05,
+            parent_span: 1,
+        };
+        let lossy = |seed, connectivity, max_attempts| BusConfig {
+            seed,
+            connectivity,
+            loss_rate: 0.3,
+            dup_rate: 0.3,
+            max_attempts,
+            ..Default::default()
+        };
+        let configs = [
+            BusConfig::reliable(21),
+            lossy(22, 1.0, 24),
+            // Expiry at `max_attempts`: most lossy hops run out.
+            lossy(23, 1.0, 2),
+            lossy(24, 0.3, 24),
+            lossy(25, 0.15, 3),
+        ];
+        for cfg in configs {
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let (mut bus, mut reference) = (MailboxBus::new(cfg), MailboxBus::new(cfg));
+            let mut offline = [false; TOKENS];
+            for tick in 0..400 {
+                // Between ticks: sends from every kind of endpoint,
+                // traced and not, and tokens pinned offline and released.
+                for _ in 0..rng.gen_range(0..4) {
+                    let token = Addr::Token(rng.gen_range(0..TOKENS));
+                    let (from, to) = match rng.gen_range(0..5) {
+                        0 => (token, Addr::Ssi),
+                        1 => (Addr::Ssi, token),
+                        2 => (token, Addr::Collector),
+                        3 => (Addr::Collector, token),
+                        _ => (token, Addr::Token(rng.gen_range(0..TOKENS))),
+                    };
+                    let mut payload = vec![0u8; rng.gen_range(0..40)];
+                    rng.fill(&mut payload[..]);
+                    let ctx = rng.gen_bool(0.5).then_some(ctx);
+                    let id = bus.send_in(from, to, payload.clone(), ctx);
+                    assert_eq!(reference.send_in(from, to, payload, ctx), id);
+                }
+                if rng.gen_bool(0.05) {
+                    let t = rng.gen_range(0..TOKENS);
+                    offline[t] = !offline[t];
+                    bus.force_offline(t, offline[t]);
+                    reference.force_offline(t, offline[t]);
+                }
+                bus.tick();
+                reference_tick(&mut reference);
+                assert_eq!(bus.stats(), reference.stats(), "tick {tick}");
+                assert_eq!(bus.in_flight(), reference.in_flight(), "tick {tick}");
+                let endpoints = (0..TOKENS)
+                    .map(Addr::Token)
+                    .chain([Addr::Ssi, Addr::Collector]);
+                for addr in endpoints {
+                    let (got, want) = (bus.drain_inbox(addr), reference.drain_inbox(addr));
+                    assert_eq!(got, want, "tick {tick}, inbox of {addr:?}");
+                }
+                if tick % 7 == 0 {
+                    assert_eq!(bus.take_hops(), reference.take_hops(), "tick {tick}");
+                }
+            }
+            for t in 0..TOKENS {
+                bus.force_offline(t, false);
+                reference.force_offline(t, false);
+            }
+            bus.run_until_quiet(100_000);
+            while reference.in_flight() > 0 {
+                reference_tick(&mut reference);
+            }
+            assert_eq!(bus.stats(), reference.stats());
+            assert_eq!(bus.take_hops(), reference.take_hops());
+            let s = bus.stats();
+            assert!(s.delivered > 0 && s.sent == s.delivered + s.expired);
+            if cfg.loss_rate > 0.0 {
+                assert!(s.retries > 0 && s.duplicates > 0 && s.redeliveries > 0);
+            }
+            if cfg.max_attempts < 24 {
+                assert!(s.expired > 0, "seed {}: nothing expired", cfg.seed);
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@ use pds_obs::FleetTrace;
 use pds_sync::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 
 use crate::agg::derived_rng;
-use crate::bus::{Addr, BusConfig, BusStats, MailboxBus};
+use crate::bus::{Addr, BusConfig, BusMsg, BusStats, MailboxBus};
 use crate::pool::TokenPool;
 use crate::trace::{token_span, FleetTraceBuilder};
 
@@ -86,8 +86,10 @@ pub struct CellNet {
     bus: MailboxBus,
     cloud: CloudStore,
     /// Public slice-name directory (slice names are cloud metadata the
-    /// cells use to discover slices they have never written).
-    directory: Vec<String>,
+    /// cells use to discover slices they have never written). Shared
+    /// with each request phase, copied only when a write names a new
+    /// slice.
+    directory: Arc<Vec<String>>,
     round: u32,
     report: CellSyncReport,
 }
@@ -106,7 +108,7 @@ impl CellNet {
             pool,
             bus,
             cloud: CloudStore::new(),
-            directory: Vec::new(),
+            directory: Arc::default(),
             round: 0,
             report: CellSyncReport::default(),
         })
@@ -140,7 +142,7 @@ impl CellNet {
     /// Local write on one cell (bumps the slice version there).
     pub fn write(&mut self, cell: usize, slice: &str, data: &[u8]) {
         if !self.directory.iter().any(|s| s == slice) {
-            self.directory.push(slice.to_string());
+            Arc::make_mut(&mut self.directory).push(slice.to_string());
         }
         let slice = slice.to_string();
         let data = data.to_vec();
@@ -182,7 +184,7 @@ impl CellNet {
         let ctx = ftb
             .as_mut()
             .map(|b| b.begin_phase("phase.request", &self.bus));
-        let directory = self.directory.clone();
+        let directory = Arc::clone(&self.directory);
         let use_delta = self.cfg.delta;
         let requests: Vec<Vec<Vec<u8>>> = self.pool.map_in_trace(ctx, move |i, c| {
             let _span = token_span(i);
@@ -225,14 +227,8 @@ impl CellNet {
         let ctx = ftb
             .as_mut()
             .map(|b| b.begin_phase("phase.reconcile", &self.bus));
-        let mut mail: BTreeMap<usize, Vec<Vec<u8>>> = BTreeMap::new();
-        for i in 0..self.cfg.cells {
-            let msgs = self.bus.drain_inbox(Addr::Token(i));
-            if !msgs.is_empty() {
-                mail.insert(i, msgs.into_iter().map(|m| m.payload).collect());
-            }
-        }
-        let mail = Arc::new(mail);
+        let mail: Arc<BTreeMap<usize, Vec<BusMsg>>> =
+            Arc::new(self.bus.take_token_mail().into_iter().collect());
         let seed = self.cfg.seed;
         let handled: Vec<ReconcileOut> = self.pool.map_in_trace(ctx, move |i, c| {
             let _span = token_span(i);
@@ -242,8 +238,8 @@ impl CellNet {
                 return Ok((pushes, rep));
             };
             let mut rng = derived_rng(seed, TAG_CELL, (u64::from(round) << 32) | i as u64);
-            for bytes in mine {
-                let Some(resp) = CellMsg::from_bytes(bytes) else {
+            for m in mine {
+                let Some(resp) = CellMsg::from_bytes(&m.payload) else {
                     continue;
                 };
                 let (push, outcome) = c.handle_response(&resp, &mut rng)?;

@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use pds_crypto::{hmac_sha256, verify_hmac, SymmetricKey};
+use pds_crypto::SymmetricKey;
 use pds_obs::rng::Rng;
 
 /// One spot-check trial outcome.
@@ -49,7 +49,7 @@ impl CheckedChannel {
             let body = format!("contribution-{seq}").into_bytes();
             let mut msg = seq.to_le_bytes().to_vec();
             msg.extend_from_slice(&body);
-            let tag = hmac_sha256(key.mac_key_bytes(), &msg);
+            let tag = key.mac_key().tag(&msg);
             let mut wire = msg;
             wire.extend_from_slice(&tag);
             tuples.insert(seq, wire);
@@ -111,7 +111,7 @@ impl CheckedChannel {
                         return CheckOutcome::Detected;
                     }
                     let (msg, tag) = wire.split_at(wire.len() - 32);
-                    if !verify_hmac(key.mac_key_bytes(), msg, tag) {
+                    if !key.mac_key().verify(msg, tag) {
                         return CheckOutcome::Detected; // altered/forged
                     }
                 }

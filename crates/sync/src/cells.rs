@@ -20,6 +20,12 @@
 //! [`CloudStore`] — one protocol, two transports. Messages have a compact
 //! wire form ([`CellMsg::to_bytes`]) because bus payloads are opaque
 //! byte strings.
+//!
+//! The message path does only what the message in hand determines: the
+//! cloud reads a stored blob's eight version bytes in place and copies
+//! the blob only into the [`CellMsg::PullResp`] that carries it, a
+//! message is serialised in one allocation of its wire length, and both
+//! request builders are one walk over the cell's slices.
 
 use std::collections::BTreeMap;
 
@@ -92,43 +98,41 @@ impl CellMsg {
         }
     }
 
-    /// Compact wire form (bus payloads are opaque bytes).
+    /// Compact wire form (bus payloads are opaque bytes), allocated once
+    /// at its wire length.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn put(out: &mut Vec<u8>, bytes: &[u8]) {
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
         }
-        let mut out = Vec::new();
+        let (tag, body_len) = match self {
+            CellMsg::PullReq { .. } => (Self::TAG_PULL_REQ, 0),
+            CellMsg::PullResp { blob, .. } => (
+                Self::TAG_PULL_RESP,
+                1 + blob.as_ref().map_or(0, |b| 4 + b.len()),
+            ),
+            CellMsg::Push { blob, .. } => (Self::TAG_PUSH, 4 + blob.len()),
+            CellMsg::PullSince { .. } => (Self::TAG_PULL_SINCE, 8),
+            CellMsg::NotModified { .. } => (Self::TAG_NOT_MODIFIED, 8),
+        };
+        let slice = self.slice().as_bytes();
+        let mut out = Vec::with_capacity(1 + 4 + slice.len() + body_len);
+        out.push(tag);
+        put(&mut out, slice);
         match self {
-            CellMsg::PullReq { slice } => {
-                out.push(Self::TAG_PULL_REQ);
-                put(&mut out, slice.as_bytes());
-            }
-            CellMsg::PullResp { slice, blob } => {
-                out.push(Self::TAG_PULL_RESP);
-                put(&mut out, slice.as_bytes());
+            CellMsg::PullReq { .. } => {}
+            CellMsg::PullResp { blob, .. } => {
                 out.push(u8::from(blob.is_some()));
                 if let Some(b) = blob {
                     put(&mut out, b);
                 }
             }
-            CellMsg::Push { slice, blob } => {
-                out.push(Self::TAG_PUSH);
-                put(&mut out, slice.as_bytes());
-                put(&mut out, blob);
-            }
-            CellMsg::PullSince { slice, since } => {
-                out.push(Self::TAG_PULL_SINCE);
-                put(&mut out, slice.as_bytes());
-                out.extend_from_slice(&since.to_le_bytes());
-            }
-            CellMsg::NotModified { slice, version } => {
-                out.push(Self::TAG_NOT_MODIFIED);
-                put(&mut out, slice.as_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
+            CellMsg::Push { blob, .. } => put(&mut out, blob),
+            CellMsg::PullSince { since: v, .. } | CellMsg::NotModified { version: v, .. } => {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        pds_obs::counter("sync.bytes_sent").add(out.len() as u64);
+        pds_obs::counter!("sync.bytes_sent").add(out.len() as u64);
         out
     }
 
@@ -179,7 +183,7 @@ impl CellMsg {
             _ => None,
         };
         if msg.is_some() {
-            pds_obs::counter("sync.bytes_received").add(bytes.len() as u64);
+            pds_obs::counter!("sync.bytes_received").add(bytes.len() as u64);
         }
         msg
     }
@@ -205,26 +209,25 @@ pub enum CellSyncOutcome {
 /// slice to the same number): the cloud deterministically keeps what it
 /// has and counts `sync.conflicts` — first-writer-wins at equal
 /// version, so every replica converges on the copy that landed first.
+///
+/// Versions are read and pushes compared on the stored blob where it
+/// lies; it is copied only into a [`CellMsg::PullResp`] that carries it.
 pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
+    fn stored<'a>(cloud: &'a CloudStore, name: &str) -> Option<&'a [u8]> {
+        cloud.get(name)?.first().map(Vec::as_slice)
+    }
     match msg {
-        CellMsg::PullReq { slice } => {
-            let blob = cloud
-                .get(&TrustedCell::blob_name(slice))
-                .and_then(|chunks| chunks.first().cloned());
-            Some(CellMsg::PullResp {
-                slice: slice.clone(),
-                blob,
-            })
-        }
+        CellMsg::PullReq { slice } => Some(CellMsg::PullResp {
+            slice: slice.clone(),
+            blob: stored(cloud, &TrustedCell::blob_name(slice)).map(<[u8]>::to_vec),
+        }),
         CellMsg::PullSince { slice, since } => {
-            let stored = cloud
-                .get(&TrustedCell::blob_name(slice))
-                .and_then(|chunks| chunks.first().cloned());
-            let version = stored.as_deref().map_or(0, blob_version);
+            let stored = stored(cloud, &TrustedCell::blob_name(slice));
+            let version = stored.map_or(0, blob_version);
             if version > *since {
                 Some(CellMsg::PullResp {
                     slice: slice.clone(),
-                    blob: stored,
+                    blob: stored.map(<[u8]>::to_vec),
                 })
             } else {
                 Some(CellMsg::NotModified {
@@ -236,11 +239,11 @@ pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
         CellMsg::Push { slice, blob } => {
             let name = TrustedCell::blob_name(slice);
             let incoming = blob_version(blob);
-            let stored = cloud.get(&name).and_then(|chunks| chunks.first().cloned());
-            let stored_v = stored.as_deref().map_or(0, blob_version);
+            let stored = stored(cloud, &name);
+            let stored_v = stored.map_or(0, blob_version);
             if incoming > stored_v {
                 cloud.put(&name, vec![blob.clone()]);
-            } else if incoming == stored_v && stored.as_deref() != Some(blob.as_slice()) {
+            } else if incoming == stored_v && stored != Some(blob.as_slice()) {
                 pds_obs::counter("sync.conflicts").inc();
             }
             None
@@ -323,23 +326,33 @@ impl TrustedCell {
 
     /// Cloud blob name of a slice.
     pub fn blob_name(owner_slice: &str) -> String {
-        format!("cell-slice:{owner_slice}")
+        ["cell-slice:", owner_slice].concat()
+    }
+
+    /// One request per slice this cell should reconcile, built by `msg`
+    /// from the slice name and the version held (0 for a slice it has
+    /// never seen): the tracked slices in name order, then the `extra`
+    /// names it does not track, each once, in `extra`'s order.
+    fn requests(&self, extra: &[String], msg: impl Fn(String, u64) -> CellMsg) -> Vec<CellMsg> {
+        let mut out: Vec<CellMsg> = self
+            .slices
+            .iter()
+            .map(|(slice, (v, _))| msg(slice.clone(), *v))
+            .collect();
+        let tracked = out.len();
+        for e in extra {
+            if !self.slices.contains_key(e) && !out[tracked..].iter().any(|m| m.slice() == e) {
+                out.push(msg(e.clone(), 0));
+            }
+        }
+        out
     }
 
     /// One [`CellMsg::PullReq`] per slice this cell should reconcile:
     /// everything it tracks plus any `extra` slice names it has learned
     /// about (slice names are public cloud metadata).
     pub fn sync_requests(&self, extra: &[String]) -> Vec<CellMsg> {
-        let mut names = self.slice_names();
-        for e in extra {
-            if !names.contains(e) {
-                names.push(e.clone());
-            }
-        }
-        names
-            .into_iter()
-            .map(|slice| CellMsg::PullReq { slice })
-            .collect()
+        self.requests(extra, |slice, _| CellMsg::PullReq { slice })
     }
 
     /// Delta form of [`sync_requests`](Self::sync_requests): one
@@ -349,19 +362,7 @@ impl TrustedCell {
     /// version number is already public cloud metadata, so stating it in
     /// the request leaks nothing new.
     pub fn sync_requests_since(&self, extra: &[String]) -> Vec<CellMsg> {
-        let mut names = self.slice_names();
-        for e in extra {
-            if !names.contains(e) {
-                names.push(e.clone());
-            }
-        }
-        names
-            .into_iter()
-            .map(|slice| {
-                let since = self.version(&slice);
-                CellMsg::PullSince { slice, since }
-            })
-            .collect()
+        self.requests(extra, |slice, since| CellMsg::PullSince { slice, since })
     }
 
     /// Apply one [`CellMsg::PullResp`]: adopt the remote snapshot when the

@@ -46,6 +46,13 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # and runs (about 5 s).
 cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload fleet_agg
+# The message path's end-to-end oracle, the fifth and last workload:
+# Trusted-Cells reconciles over the bus converge with every slice read
+# back on a cell that did not write it, on two seeds, and the 7 exact
+# counts (the bus's, rounds per reconcile) repeat between blocks and
+# runs (a few seconds).
+cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
+  selfcheck --workload cell_sync
 # Widened seeded crash-recovery sweeps: a fixed, larger seed set than the
 # default 48 so every gate run exercises the fault paths broadly — the
 # record log's (single-page records, and records of every length cut

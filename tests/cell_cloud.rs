@@ -1,0 +1,155 @@
+//! Differential: the Trusted-Cells message path against its bodies as
+//! they stood before the cloud stopped copying what it only compares
+//! and the two request builders were folded into one walk. The only
+//! test binary that raises `sync.conflicts` on purpose message by
+//! message, which is why it is one of its own: the counter is global.
+
+use pds::core::CloudStore;
+use pds::sync::{serve_cloud, CellMsg, TrustedCell};
+use pds_obs::rng::{Rng, SeedableRng, StdRng};
+
+fn blob_version(blob: &[u8]) -> u64 {
+    blob.get(0..8)
+        .and_then(|b| b.try_into().ok())
+        .map_or(0, u64::from_le_bytes)
+}
+
+/// `serve_cloud` as it stood: the stored blob cloned out of the cloud
+/// for every message that looks at it. Returns the reply and whether a
+/// conflict was counted.
+fn reference_serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> (Option<CellMsg>, bool) {
+    match msg {
+        CellMsg::PullReq { slice } => {
+            let blob = cloud
+                .get(&TrustedCell::blob_name(slice))
+                .and_then(|chunks| chunks.first().cloned());
+            let resp = CellMsg::PullResp {
+                slice: slice.clone(),
+                blob,
+            };
+            (Some(resp), false)
+        }
+        CellMsg::PullSince { slice, since } => {
+            let stored = cloud
+                .get(&TrustedCell::blob_name(slice))
+                .and_then(|chunks| chunks.first().cloned());
+            let version = stored.as_deref().map_or(0, blob_version);
+            let resp = if version > *since {
+                CellMsg::PullResp {
+                    slice: slice.clone(),
+                    blob: stored,
+                }
+            } else {
+                CellMsg::NotModified {
+                    slice: slice.clone(),
+                    version,
+                }
+            };
+            (Some(resp), false)
+        }
+        CellMsg::Push { slice, blob } => {
+            let name = TrustedCell::blob_name(slice);
+            let incoming = blob_version(blob);
+            let stored = cloud.get(&name).and_then(|chunks| chunks.first().cloned());
+            let stored_v = stored.as_deref().map_or(0, blob_version);
+            let mut conflict = false;
+            if incoming > stored_v {
+                cloud.put(&name, vec![blob.clone()]);
+            } else if incoming == stored_v && stored.as_deref() != Some(blob.as_slice()) {
+                conflict = true;
+            }
+            (None, conflict)
+        }
+        CellMsg::PullResp { .. } | CellMsg::NotModified { .. } => (None, false),
+    }
+}
+
+#[test]
+fn serve_cloud_equals_its_reference_on_a_seeded_stream() {
+    let mut rng = StdRng::seed_from_u64(0xC10D);
+    let (mut cloud, mut reference) = (CloudStore::new(), CloudStore::new());
+    let conflicts = pds_obs::counter("sync.conflicts");
+    let (mut replies, mut seen_conflicts, mut not_modified) = (0, 0, 0);
+    for step in 0..4_000 {
+        let slice = format!("slice-{}", rng.gen_range(0..6));
+        let msg = match rng.gen_range(0..8) {
+            0 => CellMsg::PullReq { slice },
+            1..=3 => CellMsg::PullSince {
+                slice,
+                since: rng.gen_range(0..5),
+            },
+            4..=6 => {
+                // Versions and bodies from small pools: stale pushes,
+                // byte-identical duplicates and equal-version races all
+                // occur; one push in eight is too short to carry a version.
+                let mut blob = rng.gen_range(0..5u64).to_le_bytes().to_vec();
+                blob.extend_from_slice(&[rng.gen_range(0..3u8); 12]);
+                if rng.gen_bool(0.125) {
+                    blob.truncate(rng.gen_range(0..8));
+                }
+                CellMsg::Push { slice, blob }
+            }
+            _ => CellMsg::NotModified { slice, version: 1 },
+        };
+        let before = conflicts.get();
+        let got = serve_cloud(&mut cloud, &msg);
+        let counted = conflicts.get() - before;
+        let (want, conflict) = reference_serve_cloud(&mut reference, &msg);
+        assert_eq!(got, want, "step {step}: {msg:?}");
+        assert_eq!(counted, u64::from(conflict), "step {step}: {msg:?}");
+        let name = TrustedCell::blob_name(msg.slice());
+        assert_eq!(cloud.get(&name), reference.get(&name), "step {step}");
+        replies += usize::from(got.is_some());
+        seen_conflicts += counted;
+        not_modified += usize::from(matches!(got, Some(CellMsg::NotModified { .. })));
+    }
+    assert!(replies > 1_000 && not_modified > 100 && seen_conflicts > 100);
+}
+
+/// `sync_requests` / `sync_requests_since` as they stood: every tracked
+/// name cloned, then `Vec::contains` per `extra` entry.
+fn reference_names(cell: &TrustedCell, extra: &[String]) -> Vec<String> {
+    let mut names = cell.slice_names();
+    for e in extra {
+        if !names.contains(e) {
+            names.push(e.clone());
+        }
+    }
+    names
+}
+
+#[test]
+fn sync_requests_keep_their_order_under_duplicated_and_tracked_extras() {
+    let mut cell = TrustedCell::new("home", b"owner");
+    for (slice, writes) in [("m", 1), ("b", 3), ("x", 2)] {
+        for _ in 0..writes {
+            cell.write(slice, b"data");
+        }
+    }
+    let extras: [&[&str]; 5] = [
+        &[],
+        &["b", "m", "x"],
+        &["z", "a", "z", "b", "a", "q"],
+        &["x", "x", "c"],
+        &["n", "m", "n"],
+    ];
+    for extra in extras {
+        let extra: Vec<String> = extra.iter().map(|s| s.to_string()).collect();
+        let names = reference_names(&cell, &extra);
+        let full: Vec<CellMsg> = names
+            .iter()
+            .map(|slice| CellMsg::PullReq {
+                slice: slice.clone(),
+            })
+            .collect();
+        let delta: Vec<CellMsg> = names
+            .iter()
+            .map(|slice| CellMsg::PullSince {
+                slice: slice.clone(),
+                since: cell.version(slice),
+            })
+            .collect();
+        assert_eq!(cell.sync_requests(&extra), full, "extra {extra:?}");
+        assert_eq!(cell.sync_requests_since(&extra), delta, "extra {extra:?}");
+    }
+}
