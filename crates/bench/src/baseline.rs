@@ -6,11 +6,12 @@
 //! no wall-clock unit suffix (`_ns`/`_us`/`_ms`) and no `elapsed`
 //! substring — flash page IO, search pages-per-keyword, `mcu.ram`
 //! high-water marks, `bus.*` delivery/redelivery tallies, `recovery.*`,
-//! `lint.*` — plus every histogram's *count* (how many observations
-//! happened is control flow; what they measured may be time). The
-//! `obs.events_dropped` counter stands for flight frames lost to a full
-//! staging buffer. Wall-clock values are machine-dependent and never
-//! baselined.
+//! the lint's posture (`lint.findings*`, `lint.waivers*`) — plus every
+//! histogram's *count* (how many observations happened is control flow;
+//! what they measured may be time). The `obs.events_dropped` counter
+//! stands for flight frames lost to a full staging buffer. Wall-clock
+//! values are machine-dependent and never baselined, and neither are the
+//! counts that only measure how much source there is ([`SOURCE_SIZE`]).
 //!
 //! A baseline also records which experiments ran ([`Baseline::scope`])
 //! and the environment knobs that shaped them ([`ENV_KNOBS`]), so a
@@ -39,12 +40,24 @@ pub const ENV_KNOBS: &[&str] = &[
     "PDS_E19_MAX_THREADS",
 ];
 
-/// Is this metric name safe to compare exactly across machines?
+/// Deterministic, but a measure of the source tree rather than of what
+/// it does: every honest change moves them, so freezing them only makes
+/// the gate cry drift. The lint's posture — findings and waivers — stays
+/// frozen.
+const SOURCE_SIZE: &[&str] = &[
+    "lint.files_scanned",
+    "lint.graph.functions",
+    "lint.graph.edges",
+];
+
+/// Is this metric name safe to compare exactly across machines, and
+/// worth comparing?
 fn deterministic(name: &str) -> bool {
     !(name.ends_with("_ns")
         || name.ends_with("_us")
         || name.ends_with("_ms")
-        || name.contains("elapsed"))
+        || name.contains("elapsed")
+        || SOURCE_SIZE.contains(&name))
 }
 
 /// A committed cost baseline: which experiments ran, under which env
@@ -239,6 +252,9 @@ mod tests {
         assert!(!deterministic("policy.decision_ns"));
         assert!(!deterministic("sync.round_us"));
         assert!(!deterministic("e2.elapsed_total"));
+        // The lint's posture is frozen, the size of the source is not.
+        assert!(deterministic("lint.findings.panic") && deterministic("lint.waivers"));
+        assert!(!SOURCE_SIZE.iter().any(|name| deterministic(name)));
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl CloudStore {
             }
         }
     }
-
-    /// Adversary action: drop a chunk (truncation attack).
-    pub fn drop_chunk(&mut self, name: &str, chunk: usize) {
-        if let Some(chunks) = self.blobs.get_mut(name) {
-            if chunk < chunks.len() {
-                chunks.remove(chunk);
-            }
-        }
-    }
 }
 
 /// An encrypted, integrity-committed archive of one PDS.
@@ -181,7 +172,10 @@ mod tests {
         let (mut cloud, key, mut rng) = setup();
         let data = vec![7u8; 4000];
         let archive = EncryptedArchive::publish(&mut cloud, "alice", &key, &data, &mut rng);
-        cloud.drop_chunk("alice", 3);
+        // Adversary action: drop a chunk (truncation attack).
+        let mut chunks = cloud.get("alice").unwrap().clone();
+        chunks.remove(3);
+        cloud.put("alice", chunks);
         assert!(matches!(
             archive.restore(&cloud, &key),
             Err(PdsError::ArchiveCorrupt(_))

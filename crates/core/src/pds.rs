@@ -16,6 +16,7 @@ use pds_db::{Database, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
 use pds_flash::{BlackBox, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
 use pds_mcu::{Token, TokenId};
 use pds_obs::flight::{self, code, subsystem, Severity};
+use pds_obs::wire::{put_prefixed32, Reader};
 use pds_search::{DfStrategy, SearchEngine, SearchHit};
 
 use crate::audit::{AuditLog, Decision};
@@ -320,6 +321,7 @@ impl Pds {
         result
     }
 
+    /// Decide a request against the policy set and record the decision.
     fn check(
         &mut self,
         ctx: &AccessContext,
@@ -327,17 +329,32 @@ impl Pds {
         action: Action,
         age_days: u32,
     ) -> Result<(), PdsError> {
+        let target = match &collection {
+            Collection::Documents => "documents",
+            Collection::Table(t) => t,
+            Collection::All => "all",
+        };
+        self.gate(ctx, action.label(), target, |meta| {
+            meta.policy
+                .permits(&ctx.subject, &collection, action, ctx.purpose, age_days)
+        })
+    }
+
+    /// The one recorder of access decisions. However `decide` reaches its
+    /// verdict — the policy set, or plain ownership — the `pds.policy`
+    /// span, the grant/denial counters, the audit chain and the `Denied`
+    /// a refusal becomes are written here and nowhere else: every access
+    /// decision is audited, grants and denials alike.
+    fn gate(
+        &mut self,
+        ctx: &AccessContext,
+        action: &str,
+        target: &str,
+        decide: impl FnOnce(&Carried) -> bool,
+    ) -> Result<(), PdsError> {
         let span = pds_obs::span!("pds.policy", "pds.subject" => ctx.subject.as_str());
         let started = std::time::Instant::now();
-        let target = match &collection {
-            Collection::Documents => "documents".to_string(),
-            Collection::Table(t) => t.clone(),
-            Collection::All => "all".to_string(),
-        };
-        let ok = self
-            .meta
-            .policy
-            .permits(&ctx.subject, &collection, action, ctx.purpose, age_days);
+        let ok = decide(&self.meta);
         pds_obs::histogram("policy.decision_ns").observe(started.elapsed().as_nanos() as u64);
         span.set("policy.decision", if ok { "granted" } else { "denied" });
         pds_obs::counter(if ok {
@@ -348,8 +365,8 @@ impl Pds {
         .inc();
         self.meta.audit.record(
             &ctx.subject,
-            action.label(),
-            &target,
+            action,
+            target,
             if ok {
                 Decision::Granted
             } else {
@@ -361,7 +378,7 @@ impl Pds {
         } else {
             Err(PdsError::Denied {
                 subject: ctx.subject.clone(),
-                action: format!("{} on {target}", action.label()),
+                action: format!("{action} on {target}"),
             })
         }
     }
@@ -507,12 +524,7 @@ impl Pds {
         column: &str,
     ) -> Result<(), PdsError> {
         self.traced_request("create_index", |pds| {
-            if ctx.subject != pds.meta.owner {
-                return Err(PdsError::Denied {
-                    subject: ctx.subject.clone(),
-                    action: format!("create_index on {table}"),
-                });
-            }
+            pds.gate(ctx, "create_index", table, |meta| ctx.subject == meta.owner)?;
             Ok(pds.db.create_index(table, column)?)
         })
     }
@@ -638,19 +650,13 @@ impl Pds {
             let n_docs = pds.engine.num_docs();
             out.extend_from_slice(&n_docs.to_le_bytes());
             for d in 0..n_docs {
-                let doc = pds.engine.get_document(d)?;
-                out.extend_from_slice(&(doc.len() as u32).to_le_bytes());
-                out.extend_from_slice(&doc);
+                put_prefixed32(&mut out, &pds.engine.get_document(d)?);
             }
             // Tables.
             for table in [EMAIL_TABLE, HEALTH_TABLE, BANK_TABLE] {
                 let t = pds.db.table(table)?;
                 out.extend_from_slice(&t.num_rows().to_le_bytes());
-                t.scan(|_, row| {
-                    let bytes = pds_db::value::encode_row(&row);
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&bytes);
-                })?;
+                t.scan(|_, row| put_prefixed32(&mut out, &pds_db::value::encode_row(&row)))?;
             }
             Ok(out)
         })
@@ -661,38 +667,34 @@ impl Pds {
     /// fits, whatever hardware wrote it).
     pub fn restore(id: u64, owner: &str, snapshot: &[u8]) -> Result<Pds, PdsError> {
         let mut pds = Pds::new(id, owner)?;
-        let mut off = 0usize;
-        let read_u32 = |buf: &[u8], off: &mut usize| -> Result<u32, PdsError> {
-            let b: [u8; 4] = buf
-                .get(*off..*off + 4)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(PdsError::ArchiveCorrupt("truncated length"))?;
-            *off += 4;
-            Ok(u32::from_le_bytes(b))
+        let mut r = Reader::new(snapshot);
+        // Every entry is at least its own length, so a count the archive
+        // is too short for is refused before any of it is replayed.
+        let count = |r: &mut Reader<'_>| {
+            r.count32(4)
+                .ok_or(PdsError::ArchiveCorrupt("truncated length"))
         };
-        let n_docs = read_u32(snapshot, &mut off)?;
-        for _ in 0..n_docs {
-            let len = read_u32(snapshot, &mut off)? as usize;
-            let bytes = snapshot
-                .get(off..off + len)
+        for _ in 0..count(&mut r)? {
+            let doc = r
+                .prefixed32()
                 .ok_or(PdsError::ArchiveCorrupt("truncated document"))?;
-            off += len;
-            let text = String::from_utf8_lossy(bytes).into_owned();
-            pds.engine.index_document(&text)?;
+            pds.engine.index_document(&String::from_utf8_lossy(doc))?;
         }
         for table in [EMAIL_TABLE, HEALTH_TABLE, BANK_TABLE] {
-            let n_rows = read_u32(snapshot, &mut off)?;
-            for _ in 0..n_rows {
-                let len = read_u32(snapshot, &mut off)? as usize;
-                let bytes = snapshot
-                    .get(off..off + len)
+            for _ in 0..count(&mut r)? {
+                let row = r
+                    .prefixed32()
                     .ok_or(PdsError::ArchiveCorrupt("truncated row"))?;
-                off += len;
-                let row = pds_db::value::decode_row(bytes)
+                // `insert` asserts the schema — its callers are this
+                // crate's typed ingest paths; an archive is not one.
+                let row = pds_db::value::decode_row(row)
+                    .filter(|row| pds.db.table(table).is_ok_and(|t| t.schema().validate(row)))
                     .ok_or(PdsError::ArchiveCorrupt("row encoding"))?;
                 pds.db.insert(table, row)?;
             }
         }
+        r.finish()
+            .ok_or(PdsError::ArchiveCorrupt("trailing bytes"))?;
         Ok(pds)
     }
 
@@ -887,6 +889,27 @@ mod tests {
         let err = pds.search(&ctx, &["blood"], 5).unwrap_err();
         assert!(matches!(err, PdsError::Denied { .. }));
         assert_eq!(pds.audit().denials(), 1);
+        assert!(pds.audit().verify());
+    }
+
+    #[test]
+    fn a_refused_create_index_is_audited_like_every_other_refusal() {
+        let mut pds = populated_pds();
+        let entries = pds.audit().entries().len();
+        let stranger = AccessContext::new("insurer-x", Purpose::Marketing);
+        let err = pds.create_index(&stranger, BANK_TABLE, "category");
+        assert!(matches!(err, Err(PdsError::Denied { .. })), "{err:?}");
+        assert_eq!(pds.audit().denials(), 1);
+        assert_eq!(pds.audit().entries().len(), entries + 1);
+        // The owner's maintenance is an access decision too: a grant.
+        let owner = AccessContext::new("alice", Purpose::PersonalUse);
+        pds.create_index(&owner, BANK_TABLE, "category").unwrap();
+        assert_eq!(pds.audit().denials(), 1);
+        let last = pds.audit().entries().last().unwrap();
+        assert_eq!(
+            (last.subject.as_str(), last.action.as_str(), last.decision),
+            ("alice", "create_index", Decision::Granted)
+        );
         assert!(pds.audit().verify());
     }
 

@@ -24,9 +24,11 @@
 
 use pds_flash::{Flash, Log};
 use pds_mcu::RamBudget;
+use pds_obs::wire::Reader;
 
 use crate::error::DbError;
-use crate::sort::external_sort;
+use crate::reorg::{sort_entries, tree_over};
+use crate::sort::{decode_entry, encode_entry};
 use crate::table::{RowId, Table};
 use crate::tree::TreeIndex;
 use crate::value::{Row, Value};
@@ -224,15 +226,10 @@ impl TjoinIndex {
         let mut buf = vec![0u8; page_size];
         self.log.read_raw_page(page_idx as u32, &mut buf)?;
         let entry_size = self.ancestors.len().max(1) * 4;
-        let off = 2 + slot * entry_size;
-        (0..self.ancestors.len())
-            .map(|i| {
-                buf.get(off + i * 4..off + i * 4 + 4)
-                    .and_then(|s| s.try_into().ok())
-                    .map(u32::from_le_bytes)
-                    .ok_or(DbError::Corrupt("tjoin entry past page end"))
-            })
-            .collect()
+        let mut r = Reader::new(&buf);
+        r.bytes(2 + slot * entry_size)
+            .and_then(|_| (0..self.ancestors.len()).map(|_| r.u32()).collect())
+            .ok_or(DbError::Corrupt("tjoin entry past page end"))
     }
 }
 
@@ -273,43 +270,16 @@ impl TselectIndex {
             let rowids = tree.resolve(tables, r)?;
             let target_row = tables[t].get(rowids[pos_in_order])?;
             let key = target_row[c].to_key_bytes();
-            let mut rec = Vec::with_capacity(2 + key.len() + 4);
-            rec.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            rec.extend_from_slice(&key);
-            rec.extend_from_slice(&r.to_le_bytes());
-            staging.append(&rec)?;
+            staging.append(&encode_entry(&key, r))?;
         }
         let staging = staging.seal()?;
-        let err = std::cell::RefCell::new(None);
-        let entries = staging.reader().map_while(|rec| match rec {
-            Ok(bytes) => crate::sort::decode_entry(&bytes),
-            Err(e) => {
-                *err.borrow_mut() = Some(DbError::Flash(e));
-                None
-            }
-        });
-        let sorted = external_sort(flash, ram, entries, 8 * 1024, 8)?;
+        let staged = staging
+            .reader()
+            .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("staged keys")));
+        let sorted = sort_entries(flash, ram, staged);
         staging.reclaim();
-        if let Some(e) = err.into_inner() {
-            sorted.reclaim();
-            return Err(e);
-        }
-        let err2 = std::cell::RefCell::new(None);
-        let sorted_entries = sorted.reader().map_while(|rec| match rec {
-            Ok(bytes) => crate::sort::decode_entry(&bytes),
-            Err(e) => {
-                *err2.borrow_mut() = Some(DbError::Flash(e));
-                None
-            }
-        });
-        let tree_index = TreeIndex::build(flash, sorted_entries)?;
-        sorted.reclaim();
-        if let Some(e) = err2.into_inner() {
-            tree_index.reclaim();
-            return Err(e);
-        }
         Ok(TselectIndex {
-            tree_index,
+            tree_index: tree_over(flash, sorted?)?,
             table: t,
             column: c,
         })

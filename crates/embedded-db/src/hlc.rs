@@ -46,13 +46,10 @@ impl Hlc {
 
     /// Parse the wire form; `None` on any size mismatch.
     pub fn decode(bytes: &[u8]) -> Option<Hlc> {
-        if bytes.len() != 12 {
-            return None;
-        }
-        Some(Hlc {
-            counter: u64::from_le_bytes(bytes.get(0..8)?.try_into().ok()?),
-            node: u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?),
-        })
+        let mut r = pds_obs::wire::Reader::new(bytes);
+        let stamp = Hlc::new(r.u64()?, r.u32()?);
+        r.finish()?;
+        Some(stamp)
     }
 }
 

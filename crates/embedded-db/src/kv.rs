@@ -19,8 +19,9 @@ use std::collections::BTreeSet;
 
 use pds_crypto::BloomFilter;
 use pds_flash::{Flash, FlashError};
+use pds_obs::wire::{put_prefixed, Reader};
 
-use crate::summary_log::{put_prefixed, Front, Reader, SummaryLog};
+use crate::summary_log::{Front, SummaryLog};
 
 /// Entry kinds in the data log.
 const KIND_PUT: u8 = 0;
@@ -28,7 +29,7 @@ const KIND_DELETE: u8 = 1;
 
 /// One version in the data log: `kind u8 ‖ klen u16 ‖ key ‖ vlen u16 ‖
 /// value`.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Version {
     kind: u8,
     key: Vec<u8>,
@@ -50,9 +51,8 @@ impl Front for VersionsFront {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Version> {
-        let [kind] = r.array()?;
         Some(Version {
-            kind,
+            kind: r.u8()?,
             key: r.prefixed()?.to_vec(),
             value: r.prefixed()?.to_vec(),
         })
@@ -75,9 +75,8 @@ impl Front for VersionsFront {
 pub struct KvStore {
     flash: Flash,
     log: SummaryLog<VersionsFront>,
-    /// Live-key estimate for compaction decisions.
-    puts: u64,
-    deletes: u64,
+    /// Versions appended (puts + deletes), live or stale.
+    versions: u64,
 }
 
 impl KvStore {
@@ -86,8 +85,7 @@ impl KvStore {
         KvStore {
             flash: flash.clone(),
             log: SummaryLog::new(flash, VersionsFront),
-            puts: 0,
-            deletes: 0,
+            versions: 0,
         }
     }
 
@@ -98,21 +96,17 @@ impl KvStore {
 
     /// Versions appended (puts + deletes), live or stale.
     pub fn num_versions(&self) -> u64 {
-        self.puts + self.deletes
+        self.versions
     }
 
     /// Store `key → value` (a new version shadows any older one).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), FlashError> {
-        self.append_version(KIND_PUT, key, value)?;
-        self.puts += 1;
-        Ok(())
+        self.append_version(KIND_PUT, key, value)
     }
 
     /// Delete `key` (a tombstone shadows older versions).
     pub fn delete(&mut self, key: &[u8]) -> Result<(), FlashError> {
-        self.append_version(KIND_DELETE, key, &[])?;
-        self.deletes += 1;
-        Ok(())
+        self.append_version(KIND_DELETE, key, &[])
     }
 
     fn append_version(&mut self, kind: u8, key: &[u8], value: &[u8]) -> Result<(), FlashError> {
@@ -120,7 +114,9 @@ impl KvStore {
             kind,
             key: key.to_vec(),
             value: value.to_vec(),
-        })
+        })?;
+        self.versions += 1;
+        Ok(())
     }
 
     /// Force buffered entries to flash.
@@ -155,17 +151,6 @@ impl KvStore {
             // False positive: keep scanning older pages.
         }
         Ok(None)
-    }
-
-    /// Fraction of appended versions that are stale (shadowed or
-    /// tombstoned) — the compaction trigger metric.
-    pub fn estimated_garbage_ratio(&self) -> f64 {
-        if self.puts + self.deletes == 0 {
-            return 0.0;
-        }
-        // Upper bound: every delete shadows one put; duplicates unknown
-        // without a scan, so this is the caller's heuristic floor.
-        (2 * self.deletes) as f64 / (self.puts + self.deletes) as f64
     }
 
     /// Compaction: rewrite only the *live* versions into a fresh store
@@ -207,6 +192,15 @@ mod tests {
 
     fn flash() -> Flash {
         Flash::small(256)
+    }
+
+    #[test]
+    fn version_pages_and_their_filters_keep_the_decoder_contract() {
+        crate::summary_log::sweep_front("versions", &VersionsFront, |rng| Version {
+            kind: rng.gen(),
+            key: b"k".repeat(rng.gen_range(0..9usize)),
+            value: b"value".repeat(rng.gen_range(0..5usize)),
+        });
     }
 
     #[test]
@@ -281,16 +275,6 @@ mod tests {
         }
         // No block leaked: only the compacted store holds blocks now.
         assert!(f.free_blocks() > before_free - 10);
-    }
-
-    #[test]
-    fn garbage_ratio_reflects_deletes() {
-        let f = flash();
-        let mut kv = KvStore::new(&f);
-        assert_eq!(kv.estimated_garbage_ratio(), 0.0);
-        kv.put(b"a", b"1").unwrap();
-        kv.delete(b"a").unwrap();
-        assert!(kv.estimated_garbage_ratio() > 0.5);
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl MvccState {
         self.epoch
     }
 
-    /// The GC floor: `changes_since` cursors below it are incomplete.
-    pub fn changes_floor(&self) -> Hlc {
-        self.floor
-    }
-
     /// Merge a remote stamp (message receipt): the next commit stamps
     /// strictly after both histories.
     pub fn observe(&mut self, remote: Hlc) {
@@ -209,11 +204,6 @@ impl MvccState {
                 self.pins.remove(&snap.epoch);
             }
         }
-    }
-
-    /// Open snapshots still pinning an epoch.
-    pub fn open_snapshots(&self) -> u64 {
-        self.pins.values().map(|&(_, n)| n).sum()
     }
 
     /// The prefix length of `store` visible to `snap`: the largest mark
@@ -414,7 +404,7 @@ mod tests {
         assert_eq!(s.visible_at(&snap, 3), 0);
         s.release(&snap);
         s.release(&later);
-        assert_eq!(s.open_snapshots(), 0);
+        assert!(s.pins.is_empty(), "no snapshot still pins an epoch");
     }
 
     #[test]
@@ -468,7 +458,7 @@ mod tests {
         let rep = s.gc(None).unwrap();
         assert_eq!(rep.versions_collapsed, 1);
         assert_eq!(s.latest(0), 30);
-        assert_eq!(s.changes_since(s.changes_floor()), vec![]);
+        assert_eq!(s.changes_since(s.floor), vec![]);
     }
 
     #[test]

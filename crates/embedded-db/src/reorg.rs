@@ -18,14 +18,12 @@
 //! the tutorial requires. [`Reorganization`] exposes the phase boundary so
 //! tests (and the E2 bench) can interrupt between them.
 
-use std::cell::RefCell;
-
 use pds_flash::{Flash, Log};
 use pds_mcu::RamBudget;
 
 use crate::error::DbError;
 use crate::pbfilter::PBFilter;
-use crate::sort::{decode_entry, external_sort};
+use crate::sort::{decode_entry, external_sort, SortEntry};
 use crate::tree::TreeIndex;
 
 /// RAM granted to run formation during the sort phase.
@@ -37,6 +35,56 @@ const FAN_IN: usize = 8;
 pub fn reorganize(flash: &Flash, ram: &RamBudget, source: &PBFilter) -> Result<TreeIndex, DbError> {
     let mut r = Reorganization::start(flash, ram, source)?;
     r.build_tree()
+}
+
+/// Feed the `Ok` prefix of `stream` to `build`. The first `Err` ends the
+/// stream early, so what `build` made of the cut-short input is
+/// `discard`ed and that error is the result — flash can fail under a
+/// builder that only knows how to consume entries.
+fn build_from<T>(
+    stream: impl Iterator<Item = Result<SortEntry, DbError>>,
+    build: impl FnOnce(&mut dyn Iterator<Item = SortEntry>) -> Result<T, DbError>,
+    discard: impl FnOnce(T),
+) -> Result<T, DbError> {
+    let mut first_err = None;
+    let mut entries = stream.map_while(|entry| entry.map_err(|e| first_err = Some(e)).ok());
+    let built = build(&mut entries)?;
+    match first_err {
+        None => Ok(built),
+        Some(e) => {
+            discard(built);
+            Err(e)
+        }
+    }
+}
+
+/// Phase 1 for any entry source: sort `entries` into a «Sorted Keys» log.
+pub(crate) fn sort_entries(
+    flash: &Flash,
+    ram: &RamBudget,
+    entries: impl Iterator<Item = Result<SortEntry, DbError>>,
+) -> Result<Log, DbError> {
+    build_from(
+        entries,
+        |entries| external_sort(flash, ram, entries, RUN_BYTES, FAN_IN),
+        Log::reclaim,
+    )
+}
+
+/// Phase 2: build the tree above a sorted log, reclaiming the log. A
+/// record that is not an entry is [`DbError::Corrupt`], never a shorter
+/// index.
+pub(crate) fn tree_over(flash: &Flash, sorted: Log) -> Result<TreeIndex, DbError> {
+    let entries = sorted
+        .reader()
+        .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("sorted keys")));
+    let tree = build_from(
+        entries,
+        |entries| TreeIndex::build(flash, entries),
+        TreeIndex::reclaim,
+    );
+    sorted.reclaim();
+    tree
 }
 
 /// A reorganization paused at the phase boundary.
@@ -52,20 +100,8 @@ impl Reorganization {
         ram: &RamBudget,
         source: &PBFilter,
     ) -> Result<Reorganization, DbError> {
-        // Stream entries out of the PBFilter, capturing any flash error.
-        let first_err: RefCell<Option<DbError>> = RefCell::new(None);
-        let entries = source.entries().map_while(|res| match res {
-            Ok(e) => Some(e),
-            Err(e) => {
-                *first_err.borrow_mut() = Some(e.into());
-                None
-            }
-        });
-        let sorted = external_sort(flash, ram, entries, RUN_BYTES, FAN_IN)?;
-        if let Some(e) = first_err.into_inner() {
-            sorted.reclaim();
-            return Err(e);
-        }
+        let entries = source.entries().map(|entry| Ok(entry?));
+        let sorted = sort_entries(flash, ram, entries)?;
         Ok(Reorganization {
             flash: flash.clone(),
             sorted: Some(sorted),
@@ -78,27 +114,7 @@ impl Reorganization {
             .sorted
             .take()
             .ok_or(DbError::Corrupt("reorg state: build_tree called twice"))?;
-        let first_err: RefCell<Option<DbError>> = RefCell::new(None);
-        let entries = sorted.reader().map_while(|rec| match rec {
-            Ok(bytes) => match decode_entry(&bytes) {
-                Some(e) => Some(e),
-                None => {
-                    *first_err.borrow_mut() = Some(DbError::Corrupt("sorted keys"));
-                    None
-                }
-            },
-            Err(e) => {
-                *first_err.borrow_mut() = Some(e.into());
-                None
-            }
-        });
-        let tree = TreeIndex::build(&self.flash, entries)?;
-        sorted.reclaim();
-        if let Some(e) = first_err.into_inner() {
-            tree.reclaim();
-            return Err(e);
-        }
-        Ok(tree)
+        tree_over(&self.flash, sorted)
     }
 
     /// Interrupt: drop the intermediate sorted log, reclaiming its blocks.

@@ -13,9 +13,9 @@ use std::collections::BinaryHeap;
 
 use pds_flash::{Flash, Log};
 use pds_mcu::RamBudget;
+use pds_obs::wire::{put_prefixed, Reader};
 
 use crate::error::DbError;
-use crate::summary_log::{put_prefixed, Reader};
 use crate::table::RowId;
 
 /// One sortable entry: an order-preserving key and a rowid payload.
@@ -28,10 +28,13 @@ pub(crate) fn write_entry(out: &mut Vec<u8>, key: &[u8], rowid: RowId) {
     out.extend_from_slice(&rowid.to_le_bytes());
 }
 
+/// Shortest entry [`write_entry`] lays out: an empty key and its rowid.
+pub(crate) const MIN_ENTRY_LEN: usize = 2 + 4;
+
 /// Read one entry laid out by [`write_entry`].
 pub(crate) fn read_entry(r: &mut Reader<'_>) -> Option<SortEntry> {
     let key = r.prefixed()?.to_vec();
-    Some((key, u32::from_le_bytes(r.array()?)))
+    Some((key, r.u32()?))
 }
 
 pub(crate) fn encode_entry(key: &[u8], rowid: RowId) -> Vec<u8> {
@@ -42,7 +45,10 @@ pub(crate) fn encode_entry(key: &[u8], rowid: RowId) -> Vec<u8> {
 
 /// Decode an entry record written by a run or output log.
 pub fn decode_entry(rec: &[u8]) -> Option<SortEntry> {
-    read_entry(&mut Reader::new(rec))
+    let mut r = Reader::new(rec);
+    let entry = read_entry(&mut r)?;
+    r.finish()?;
+    Some(entry)
 }
 
 /// Sort `entries` by `(key, rowid)` into a sealed output log.
@@ -130,13 +136,6 @@ fn merge_runs(flash: &Flash, ram: &RamBudget, runs: &[Log]) -> Result<Log, DbErr
     Ok(out.seal()?)
 }
 
-/// Read back a sorted log as entries (test/consumer aid; one page of RAM).
-pub fn read_sorted(log: &Log) -> Result<Vec<SortEntry>, DbError> {
-    log.reader()
-        .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("sorted log")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +144,26 @@ mod tests {
 
     fn setup() -> (Flash, RamBudget) {
         (Flash::small(512), RamBudget::new(64 * 1024))
+    }
+
+    /// Read back a sorted log as entries.
+    fn read_sorted(log: &Log) -> Result<Vec<SortEntry>, DbError> {
+        log.reader()
+            .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("sorted log")))
+            .collect()
+    }
+
+    #[test]
+    fn entry_records_keep_the_decoder_contract() {
+        pds_obs::wire::sweep(
+            "sort entry",
+            pds_obs::wire::Tail::Exact,
+            // A key claiming 65 535 bytes.
+            &[&[0xFF; 9]],
+            |rng| (b"key".repeat(rng.gen_range(0..9usize)), rng.gen()),
+            |(key, rowid)| encode_entry(key, *rowid),
+            decode_entry,
+        );
     }
 
     #[test]

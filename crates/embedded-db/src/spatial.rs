@@ -16,9 +16,10 @@
 //! scan prunes aggressively — the property the tests assert.
 
 use pds_flash::{Flash, FlashError};
+use pds_obs::wire::Reader;
 
 use crate::error::DbError;
-use crate::summary_log::{Front, Reader, SummaryLog};
+use crate::summary_log::{Front, SummaryLog};
 
 /// One spatio-temporal point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +111,7 @@ impl Front for PointsFront {
         Some(Point {
             x: i32::from_le_bytes(r.array()?),
             y: i32::from_le_bytes(r.array()?),
-            ts: u64::from_le_bytes(r.array()?),
+            ts: r.u64()?,
         })
     }
 
@@ -127,18 +128,12 @@ impl Front for PointsFront {
     }
 
     fn summary(rec: &[u8]) -> Option<Mbr> {
-        if rec.len() != 32 {
-            return None;
-        }
         let mut r = Reader::new(rec);
         let mut i = || r.array().map(i32::from_le_bytes);
         let (x, y) = ((i()?, i()?), (i()?, i()?));
-        let mut t = || r.array().map(u64::from_le_bytes);
-        Some(Mbr {
-            x,
-            y,
-            t: (t()?, t()?),
-        })
+        let t = (r.u64()?, r.u64()?);
+        r.finish()?;
+        Some(Mbr { x, y, t })
     }
 }
 
@@ -215,6 +210,15 @@ impl SpatialTrace {
 mod tests {
     use super::*;
     use pds_obs::rng::{Rng, SeedableRng, StdRng};
+
+    #[test]
+    fn point_pages_and_their_mbrs_keep_the_decoder_contract() {
+        crate::summary_log::sweep_front("points", &PointsFront, |rng| Point {
+            x: rng.gen(),
+            y: rng.gen(),
+            ts: rng.gen(),
+        });
+    }
 
     /// A commuter-like trace: loops between home (0,0) and work (1000,800)
     /// with small jitter — strong spatial locality in time.

@@ -11,8 +11,9 @@
 //! [`SpatialTrace`](crate::SpatialTrace) are typed fronts over this
 //! module: each brings an entry codec and a summary type (a [`Front`])
 //! and keeps its own skip / use / probe rule; the page format, the
-//! closing order, the summary walk and the checked page reader live
-//! here and nowhere else in the crate.
+//! closing order and the summary walk live here and nowhere else in the
+//! crate; pages are read back through the workspace's one checked cursor
+//! ([`pds_obs::wire::Reader`]).
 //!
 //! ## On flash
 //!
@@ -28,6 +29,7 @@
 //! under construction are served from RAM by the front itself.
 
 use pds_flash::{BlockId, Flash, FlashError, LogWriter};
+use pds_obs::wire::Reader;
 
 /// Bytes of the entry count that precedes a page's entries.
 const COUNT_LEN: usize = 2;
@@ -51,53 +53,6 @@ pub(crate) trait Front {
 
     /// Parse a summary record; `None` when it is malformed.
     fn summary(rec: &[u8]) -> Option<Self::Summary>;
-}
-
-/// A bounds-checked cursor over bytes read from flash. Every accessor
-/// returns `None` instead of indexing past the end, so a damaged page
-/// fails the query and never panics the token.
-pub(crate) struct Reader<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Reader { rest: bytes }
-    }
-
-    /// The next `n` bytes.
-    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if n > self.rest.len() {
-            return None;
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Some(head)
-    }
-
-    /// The next `N` bytes, for `from_le_bytes`.
-    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.bytes(N)?.try_into().ok()
-    }
-
-    /// A little-endian `u16` (entry counts, length prefixes).
-    pub fn u16(&mut self) -> Option<u16> {
-        self.array().map(u16::from_le_bytes)
-    }
-
-    /// A byte string behind a `u16` length (see [`put_prefixed`]).
-    pub fn prefixed(&mut self) -> Option<&'a [u8]> {
-        let len = self.u16()?;
-        self.bytes(len as usize)
-    }
-}
-
-/// Append `bytes` behind a `u16` length — keys and values of the
-/// variable-size fronts. Lengths are bounded by the page size, which
-/// [`PagePacker::push`] enforces before anything reaches flash.
-pub(crate) fn put_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
 }
 
 /// Packs entries into one raw page image: `prefix ‖ count u16 ‖ entries`,
@@ -296,14 +251,57 @@ impl<F: Front> SummaryLog<F> {
 
 fn decode_page<F: Front>(buf: &[u8]) -> Option<Vec<F::Entry>> {
     let mut r = Reader::new(buf);
-    let count = r.u16()? as usize;
     // An entry takes at least a byte, so a count beyond the page is
-    // damage — no reason to allocate for it.
-    let mut entries = Vec::with_capacity(count.min(buf.len()));
+    // damage — refused before anything is allocated for it.
+    let count = r.count16(1)?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         entries.push(F::decode(&mut r)?);
     }
     Some(entries)
+}
+
+/// The decoder contract ([`pds_obs::wire::sweep`]) for one front: its
+/// data pages — `gen` draws an entry — and the summary records of those
+/// pages.
+#[cfg(test)]
+pub(crate) fn sweep_front<F: Front>(
+    format: &str,
+    front: &F,
+    gen: impl Fn(&mut pds_obs::rng::StdRng) -> F::Entry,
+) where
+    F::Entry: PartialEq + std::fmt::Debug,
+{
+    use pds_obs::rng::Rng;
+    use pds_obs::wire::{sweep, Tail};
+    const PAGE: usize = 512;
+    let page = |rng: &mut pds_obs::rng::StdRng| -> Vec<F::Entry> {
+        (0..rng.gen_range(0..12u32)).map(|_| gen(rng)).collect()
+    };
+    let image = |entries: &Vec<F::Entry>| {
+        let mut packer = PagePacker::new(PAGE, &[]);
+        for e in entries {
+            assert_eq!(packer.push(|out| F::encode(e, out)), Ok(true));
+        }
+        packer.with_image(<[u8]>::to_vec)
+    };
+    // A page claiming 65 535 entries in 510 bytes.
+    sweep(
+        &format!("{format} page"),
+        Tail::Padded,
+        &[&[0xFF; PAGE], &[0xFF; 2]],
+        page,
+        image,
+        decode_page::<F>,
+    );
+    sweep(
+        &format!("{format} summary"),
+        Tail::Exact,
+        &[],
+        |rng| front.summarise(&page(rng)),
+        Vec::clone,
+        |rec| F::summary(rec).map(|_| rec.to_vec()),
+    );
 }
 
 #[cfg(test)]
@@ -322,7 +320,7 @@ mod tests {
         }
 
         fn decode(r: &mut Reader<'_>) -> Option<u8> {
-            r.array::<1>().map(|[b]| b)
+            r.u8()
         }
 
         fn summarise(&self, page: &[u8]) -> Vec<u8> {

@@ -13,9 +13,10 @@
 //! instead of scanning the series.
 
 use pds_flash::{Flash, FlashError};
+use pds_obs::wire::Reader;
 
 use crate::error::DbError;
-use crate::summary_log::{Front, Reader, SummaryLog};
+use crate::summary_log::{Front, SummaryLog};
 
 /// One sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +103,7 @@ impl Front for SamplesFront {
 
     fn decode(r: &mut Reader<'_>) -> Option<Sample> {
         Some(Sample {
-            ts: u64::from_le_bytes(r.array()?),
+            ts: r.u64()?,
             value: i64::from_le_bytes(r.array()?),
         })
     }
@@ -128,20 +129,19 @@ impl Front for SamplesFront {
     }
 
     fn summary(rec: &[u8]) -> Option<PageSummary> {
-        if rec.len() != 48 {
-            return None;
-        }
         let mut r = Reader::new(rec);
-        Some(PageSummary {
-            ts_min: u64::from_le_bytes(r.array()?),
-            ts_max: u64::from_le_bytes(r.array()?),
+        let summary = PageSummary {
+            ts_min: r.u64()?,
+            ts_max: r.u64()?,
             agg: Aggregate {
-                count: u64::from_le_bytes(r.array()?),
+                count: r.u64()?,
                 sum: i64::from_le_bytes(r.array()?),
                 min: i64::from_le_bytes(r.array()?),
                 max: i64::from_le_bytes(r.array()?),
             },
-        })
+        };
+        r.finish()?;
+        Some(summary)
     }
 }
 
@@ -227,6 +227,14 @@ impl TimeSeries {
 mod tests {
     use super::*;
     use pds_obs::rng::{Rng, SeedableRng, StdRng};
+
+    #[test]
+    fn sample_pages_and_their_summaries_keep_the_decoder_contract() {
+        crate::summary_log::sweep_front("samples", &SamplesFront, |rng| Sample {
+            ts: rng.gen(),
+            value: i64::from(rng.gen::<i32>()),
+        });
+    }
 
     fn series_with(n: u64) -> (Flash, TimeSeries) {
         let f = Flash::small(512);

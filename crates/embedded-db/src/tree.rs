@@ -20,10 +20,11 @@
 //! ```
 
 use pds_flash::{Flash, Log, LogWriter};
+use pds_obs::wire::Reader;
 
 use crate::error::DbError;
-use crate::sort::{decode_entry, encode_entry, read_entry, write_entry, SortEntry};
-use crate::summary_log::{PagePacker, Reader};
+use crate::sort::{decode_entry, encode_entry, read_entry, write_entry, SortEntry, MIN_ENTRY_LEN};
+use crate::summary_log::PagePacker;
 use crate::table::RowId;
 
 /// Page kinds: the byte in front of the entry count.
@@ -44,11 +45,12 @@ pub struct TreeIndex {
 /// so a damaged page fails the query instead of panicking the token.
 fn decode_entries(page: &[u8]) -> Option<(u8, Vec<SortEntry>)> {
     let mut r = Reader::new(page);
-    let [kind] = r.array()?;
-    let count = r.u16()?;
-    let entries = (0..count)
-        .map(|_| read_entry(&mut r))
-        .collect::<Option<_>>()?;
+    let kind = r.u8()?;
+    let count = r.count16(MIN_ENTRY_LEN)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push(read_entry(&mut r)?);
+    }
     Some((kind, entries))
 }
 
@@ -177,41 +179,49 @@ impl TreeIndex {
         self.log.blocks().to_vec()
     }
 
+    /// Descend from the root to the leaf holding the first entry not
+    /// below `probe`: `(leaf page, its entries)`, one page read per level
+    /// into `buf`. Levels are appended leaves first and root last, so a
+    /// child pointer that does not point *down* the log is damage — which
+    /// also bounds the descent on a page whose bits flipped.
+    fn descend(&self, probe: &[u8], buf: &mut [u8]) -> Result<(u32, Vec<SortEntry>), DbError> {
+        let mut page = self.root_page;
+        loop {
+            self.log.read_raw_page(page, buf)?;
+            let (kind, entries) = decode_entries(buf).ok_or(DbError::Corrupt("tree page"))?;
+            if kind == LEAF {
+                return Ok((page, entries));
+            }
+            // Toward the *first* occurrence of the probe: the rightmost
+            // child whose separator is strictly below it. (With
+            // duplicated keys, several consecutive separators can equal
+            // the probe; the first occurrence lives in the child just
+            // before them.)
+            let idx = entries
+                .iter()
+                .rposition(|(k, _)| k.as_slice() < probe)
+                .unwrap_or(0);
+            page = match entries.get(idx) {
+                Some(&(_, child)) if child < page => child,
+                _ => return Err(DbError::Corrupt("tree page")),
+            };
+        }
+    }
+
     /// All rowids with key exactly `key`, ascending.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<RowId>, DbError> {
         if self.num_leaves == 0 {
             return Ok(Vec::new());
         }
-        let page_size = self.log.flash().geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        let mut page = self.root_page;
-        // Descend internals, keeping the decoded leaf for the walk below
-        // (so the landing leaf is read exactly once).
-        let mut leaf_entries;
-        loop {
-            self.log.read_raw_page(page, &mut buf)?;
-            let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            if kind == LEAF {
-                leaf_entries = entries;
-                break;
-            }
-            // Descend toward the *first* occurrence of the key: the
-            // rightmost child whose separator is strictly below it.
-            // (With duplicated keys, several consecutive separators can
-            // equal `key`; the first occurrence lives in the child just
-            // before them.)
-            let idx = entries
-                .iter()
-                .rposition(|(k, _)| k.as_slice() < key)
-                .unwrap_or(0);
-            page = entries[idx].1;
-        }
-        // `page` is at or before the first candidate leaf; duplicates may
-        // span several physically consecutive leaves. Walk forward until
-        // a key greater than the probe appears (global sort order bounds
-        // the walk to the duplicate span plus one page).
+        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
+        // The landing leaf is read exactly once: the descent hands its
+        // entries to the walk below. It is at or before the first
+        // candidate leaf; duplicates may span several physically
+        // consecutive leaves. Walk forward until a key greater than the
+        // probe appears (global sort order bounds the walk to the
+        // duplicate span plus one page).
+        let (mut leaf, mut leaf_entries) = self.descend(key, &mut buf)?;
         let mut hits = Vec::new();
-        let mut leaf = page;
         loop {
             let mut passed_key = false;
             for (k, rowid) in &leaf_entries {
@@ -229,9 +239,7 @@ impl TreeIndex {
                 break;
             }
             self.log.read_raw_page(leaf, &mut buf)?;
-            let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            debug_assert_eq!(kind, LEAF);
-            leaf_entries = entries;
+            (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
         }
         Ok(hits)
     }
@@ -243,25 +251,9 @@ impl TreeIndex {
         if self.num_leaves == 0 || lo > hi {
             return Ok(Vec::new());
         }
-        let page_size = self.log.flash().geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        let mut page = self.root_page;
-        let mut leaf_entries;
-        loop {
-            self.log.read_raw_page(page, &mut buf)?;
-            let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            if kind == LEAF {
-                leaf_entries = entries;
-                break;
-            }
-            let idx = entries
-                .iter()
-                .rposition(|(k, _)| k.as_slice() < lo)
-                .unwrap_or(0);
-            page = entries[idx].1;
-        }
+        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
+        let (mut leaf, mut leaf_entries) = self.descend(lo, &mut buf)?;
         let mut out = Vec::new();
-        let mut leaf = page;
         loop {
             let mut passed = false;
             for (k, rowid) in &leaf_entries {
@@ -278,9 +270,7 @@ impl TreeIndex {
                 break;
             }
             self.log.read_raw_page(leaf, &mut buf)?;
-            let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
-            debug_assert_eq!(kind, LEAF);
-            leaf_entries = entries;
+            (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
         }
         Ok(out)
     }
@@ -304,6 +294,34 @@ mod tests {
 
     fn flash() -> Flash {
         Flash::small(512)
+    }
+
+    #[test]
+    fn tree_pages_keep_the_decoder_contract() {
+        use pds_obs::rng::Rng;
+        const PAGE: usize = 512;
+        // A leaf claiming 65 535 entries in 509 bytes.
+        let mut lying = vec![0xFF; PAGE];
+        lying[0] = LEAF;
+        pds_obs::wire::sweep(
+            "tree page",
+            pds_obs::wire::Tail::Padded,
+            &[&lying, &lying[..3]],
+            |rng| {
+                let entries = (0..rng.gen_range(0..12u32))
+                    .map(|_| (b"key".repeat(rng.gen_range(0..9usize)), rng.gen()));
+                let entries: Vec<SortEntry> = entries.collect();
+                ([LEAF, INTERNAL][rng.gen_range(0..2usize)], entries)
+            },
+            |(kind, entries)| {
+                let mut packer = PagePacker::new(PAGE, &[*kind]);
+                for (key, ptr) in entries {
+                    assert_eq!(packer.push(|out| write_entry(out, key, *ptr)), Ok(true));
+                }
+                packer.with_image(<[u8]>::to_vec)
+            },
+            decode_entries,
+        );
     }
 
     fn entries(n: u32, dup_every: u32) -> Vec<SortEntry> {

@@ -9,6 +9,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use pds_obs::wire::{put_prefixed, Reader};
+
 /// A column value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
@@ -46,31 +48,18 @@ impl Value {
         out.push(self.tag());
         match self {
             Value::U64(v) => out.extend_from_slice(&v.to_le_bytes()),
-            Value::Str(s) => {
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+            Value::Str(s) => put_prefixed(out, s.as_bytes()),
         }
     }
 
-    /// Deserialize from `buf[*off..]`, advancing `off`.
-    pub fn decode(buf: &[u8], off: &mut usize) -> Option<Value> {
-        let tag = *buf.get(*off)?;
-        *off += 1;
-        match tag {
-            0 => {
-                let bytes: [u8; 8] = buf.get(*off..*off + 8)?.try_into().ok()?;
-                *off += 8;
-                Some(Value::U64(u64::from_le_bytes(bytes)))
-            }
-            1 => {
-                let len_bytes: [u8; 2] = buf.get(*off..*off + 2)?.try_into().ok()?;
-                let len = u16::from_le_bytes(len_bytes) as usize;
-                *off += 2;
-                let s = std::str::from_utf8(buf.get(*off..*off + len)?).ok()?;
-                *off += len;
-                Some(Value::Str(s.to_string()))
-            }
+    /// Shortest encoding: the tag and an empty string's length.
+    const MIN_LEN: usize = 1 + 2;
+
+    /// Read one value off the cursor.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Value> {
+        match r.u8()? {
+            0 => Some(Value::U64(r.u64()?)),
+            1 => Some(Value::str(std::str::from_utf8(r.prefixed()?).ok()?)),
             _ => None,
         }
     }
@@ -133,12 +122,13 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
 
 /// Decode a row produced by [`encode_row`].
 pub fn decode_row(buf: &[u8]) -> Option<Row> {
-    let arity = u16::from_le_bytes(buf.get(0..2)?.try_into().ok()?) as usize;
-    let mut off = 2;
+    let mut r = Reader::new(buf);
+    let arity = r.count16(Value::MIN_LEN)?;
     let mut row = Vec::with_capacity(arity);
     for _ in 0..arity {
-        row.push(Value::decode(buf, &mut off)?);
+        row.push(Value::decode(&mut r)?);
     }
+    r.finish()?;
     Some(row)
 }
 
@@ -208,9 +198,9 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             v.encode(&mut buf);
-            let mut off = 0;
-            assert_eq!(Value::decode(&buf, &mut off), Some(v));
-            assert_eq!(off, buf.len());
+            let mut r = Reader::new(&buf);
+            assert_eq!(Value::decode(&mut r), Some(v));
+            assert_eq!(r.finish(), Some(()));
         }
     }
 

@@ -33,11 +33,6 @@ impl BlockAllocator {
         self.free.len()
     }
 
-    /// Number of blocks currently allocated.
-    pub fn used_blocks(&self) -> usize {
-        self.total - self.free.len()
-    }
-
     /// An allocator over `total` blocks of which only `free` are
     /// available — the reboot constructor: after a power loss the free
     /// list is re-derived by scanning the chip (erased blocks are free,
@@ -105,7 +100,6 @@ mod tests {
         let b3 = a.alloc().unwrap();
         assert_eq!(b3, b0, "recycled block comes back FIFO");
         assert_eq!(a.free_blocks(), 0);
-        assert_eq!(a.used_blocks(), 3);
         a.free(b1);
         assert_eq!(a.free_blocks(), 1);
     }

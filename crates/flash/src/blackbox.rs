@@ -96,11 +96,6 @@ impl BlackBox {
         self.cap
     }
 
-    /// Tick of the newest frame, if any.
-    pub fn last_tick(&self) -> Option<u64> {
-        self.frames().last().map(|f| f.tick)
-    }
-
     /// The erase blocks the ring occupies — its durable identity, to be
     /// carried by the layer above and handed to [`BlackBox::recover`].
     pub fn blocks(&self) -> Vec<BlockId> {
@@ -139,13 +134,6 @@ impl BlackBox {
             pds_obs::counter!("blackbox.pages_flushed").add(pages);
         }
         Ok(())
-    }
-
-    /// Every frame with a tick at or after `from`, in tick order — the
-    /// timeline read forensics is built on.
-    pub fn frames_since(&self, from: u64) -> &[EventFrame] {
-        let at = self.frames().partition_point(|f| f.tick < from);
-        &self.frames()[at..]
     }
 
     /// Drop the oldest half of the ring by rewriting the newest half
@@ -210,6 +198,10 @@ mod tests {
         EventFrame::new(Severity::Info, subsystem::CORE, code16, [a, 0])
     }
 
+    fn last_tick(bb: &BlackBox) -> Option<u64> {
+        bb.frames().last().map(|f| f.tick)
+    }
+
     #[test]
     fn record_stamps_a_monotone_tick_sequence() {
         let f = Flash::small(16);
@@ -220,8 +212,6 @@ mod tests {
         assert_eq!(bb.num_frames(), 10);
         let ticks: Vec<u64> = bb.frames().iter().map(|fr| fr.tick).collect();
         assert_eq!(ticks, (0..10).collect::<Vec<_>>());
-        assert_eq!(bb.frames_since(7).len(), 3);
-        assert_eq!(bb.last_tick(), Some(9));
     }
 
     #[test]
@@ -242,7 +232,7 @@ mod tests {
         assert_eq!(report.frames_recovered, durable.len() as u64);
         assert_eq!(rec.frames(), &durable[..], "durable prefix verbatim");
         assert!(!report.truncated(), "clean flush: nothing torn");
-        assert_eq!(rec.last_tick(), Some(199));
+        assert_eq!(last_tick(&rec), Some(199));
     }
 
     #[test]
@@ -257,7 +247,7 @@ mod tests {
         let f2 = f.reboot();
         let (mut rec, _) = BlackBox::recover(&f2, &blocks, 64).unwrap();
         rec.record(frame(code::CORE_SYNC, 0)).unwrap();
-        assert_eq!(rec.last_tick(), Some(5), "ticks continue past recovery");
+        assert_eq!(last_tick(&rec), Some(5), "ticks continue past recovery");
     }
 
     #[test]
@@ -357,7 +347,7 @@ mod tests {
         assert_eq!(rec.num_frames(), 4, "1,2,3,9 kept; 4 cuts; 10 dropped");
         assert_eq!(report.malformed_dropped, 1);
         assert!(report.truncated());
-        assert_eq!(rec.last_tick(), Some(9));
+        assert_eq!(last_tick(&rec), Some(9));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! a binary search over the RAM mirror, and the durable prefix after a
 //! power loss is always a causal prefix of history.
 
+use pds_obs::wire::Reader;
+
 use crate::error::{FlashError, Result};
 use crate::geometry::BlockId;
 use crate::mirrored::MirroredLog;
@@ -63,16 +65,16 @@ impl ChangeRec {
 
     /// Parse the wire form; `None` on any size mismatch.
     pub fn decode(bytes: &[u8]) -> Option<ChangeRec> {
-        if bytes.len() != REC_BYTES {
-            return None;
-        }
-        Some(ChangeRec {
-            hlc: u64::from_le_bytes(bytes.get(0..8)?.try_into().ok()?),
-            node: u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?),
-            kind: *bytes.get(12)?,
-            store: u16::from_le_bytes(bytes.get(13..15)?.try_into().ok()?),
-            entity: u32::from_le_bytes(bytes.get(15..19)?.try_into().ok()?),
-        })
+        let mut r = Reader::new(bytes);
+        let rec = ChangeRec {
+            hlc: r.u64()?,
+            node: r.u32()?,
+            kind: r.u8()?,
+            store: r.u16()?,
+            entity: r.u32()?,
+        };
+        r.finish()?;
+        Some(rec)
     }
 }
 

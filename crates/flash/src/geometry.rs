@@ -17,11 +17,6 @@ impl PageAddr {
     /// The "null" page address, used as an end-of-chain marker in linked
     /// log structures (chained hash buckets of the embedded search engine).
     pub const NULL: PageAddr = PageAddr(u32::MAX);
-
-    /// True if this is the end-of-chain marker.
-    pub fn is_null(self) -> bool {
-        self == PageAddr::NULL
-    }
 }
 
 /// Physical layout of one NAND chip.
@@ -140,8 +135,6 @@ mod tests {
 
     #[test]
     fn null_page_addr_is_recognized() {
-        assert!(PageAddr::NULL.is_null());
-        assert!(!PageAddr(0).is_null());
         let geo = FlashGeometry::new(512, 16, 8);
         assert!(!geo.contains(PageAddr::NULL));
     }

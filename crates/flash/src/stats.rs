@@ -24,12 +24,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Total page-grain I/Os (reads + programs), the unit of the
-    /// tutorial's slides.
-    pub fn total_ios(&self) -> u64 {
-        self.page_reads + self.page_programs
-    }
-
     /// Simulated elapsed time under a latency model.
     pub fn time_ns(&self, cost: &CostModel) -> u64 {
         cost.time_ns(self.page_reads, self.page_programs, self.block_erases)
@@ -95,7 +89,7 @@ mod tests {
         };
         let d = after - before;
         assert_eq!(d.page_reads, 20);
-        assert_eq!(d.total_ios(), 24);
+        assert_eq!(d.page_programs, 4);
         assert_eq!(d.non_sequential_programs, 0);
     }
 

@@ -59,10 +59,10 @@ use pds_global::secure_agg::{fold_partition, seal_groups, Reduction};
 use pds_global::ssi::{Leakage, Ssi, SsiThreat};
 use pds_global::{GlobalError, GroupByQuery, ProtocolStats};
 use pds_obs::rng::{SeedableRng, StdRng};
-
+use pds_obs::wire::{put_prefixed32, Reader};
 use pds_obs::{FleetTrace, MetricsDelta};
 
-use crate::bus::{mix, Addr, BusConfig, BusStats, MailboxBus};
+use crate::bus::{mix, Addr, BusConfig, BusMsg, BusStats, MailboxBus};
 use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost};
 use crate::telemetry::{
     Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryConfig, TelemetryMsg,
@@ -385,25 +385,75 @@ fn encode_partition(round: u32, pi: u32, chunks: &[Vec<u8>]) -> Vec<u8> {
     out.extend_from_slice(&pi.to_le_bytes());
     out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
     for c in chunks {
-        out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-        out.extend_from_slice(c);
+        put_prefixed32(&mut out, c);
     }
     out
 }
 
+/// The framing is the SSI's own and unauthenticated: whatever it claims,
+/// the chunk count is checked against the bytes that follow (a chunk is
+/// at least its length prefix) before it sizes anything.
 fn decode_partition(bytes: &[u8]) -> Option<(u32, u32, Vec<Vec<u8>>)> {
-    let round = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?);
-    let pi = u32::from_le_bytes(bytes.get(4..8)?.try_into().ok()?);
-    let n = u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?) as usize;
-    let mut off = 12;
+    let mut r = Reader::new(bytes);
+    let (round, pi) = (r.u32()?, r.u32()?);
+    let n = r.count32(4)?;
     let mut chunks = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = u32::from_le_bytes(bytes.get(off..off + 4)?.try_into().ok()?) as usize;
-        off += 4;
-        chunks.push(bytes.get(off..off + len)?.to_vec());
-        off += len;
+        chunks.push(r.prefixed32()?.to_vec());
     }
+    r.finish()?;
     Some((round, pi, chunks))
+}
+
+/// What a serving token needs to answer the partition mail of one round.
+#[derive(Clone)]
+struct Serving {
+    key: SymmetricKey,
+    seed: u64,
+    round: u32,
+    last: bool,
+    on_tamper: OnTamper,
+    latency_us: u64,
+}
+
+impl Serving {
+    /// Serve every partition of this round found in `mail`: fold it, and
+    /// release the result (last round) or re-seal the partials. Mail that
+    /// is not a partition of this round — stale, or undecodable — is
+    /// skipped, so the plan's `end_round` reports that partition as lost
+    /// and the run aborts instead of releasing a short aggregate.
+    fn serve(&self, mail: Vec<BusMsg>) -> Result<TokenReduce, GlobalError> {
+        let mut out = TokenReduce {
+            parts: Vec::new(),
+            tuples: 0,
+            crypto_ops: 0,
+        };
+        for m in mail {
+            let Some((r, pi, chunks)) = decode_partition(&m.payload) else {
+                continue;
+            };
+            if r != self.round {
+                continue;
+            }
+            sleep_link(self.latency_us); // one connection per served partition
+            out.tuples += chunks.len() as u64;
+            out.crypto_ops += chunks.len() as u64;
+            let groups = fold_partition(&self.key, chunks, self.on_tamper)?;
+            if self.last {
+                out.parts.push((pi, ReduceOut::Final(groups)));
+            } else {
+                let stream = (u64::from(self.round) << 32) | u64::from(pi);
+                let mut rng = derived_rng(self.seed, TAG_REDUCE, stream);
+                let seq_of = |k: usize| {
+                    (1u64 << 60) | (u64::from(self.round) << 40) | (u64::from(pi) << 20) | k as u64
+                };
+                let partials = seal_groups(&self.key, &groups, seq_of, &mut rng);
+                out.crypto_ops += partials.len() as u64;
+                out.parts.push((pi, ReduceOut::Partials(partials)));
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// Run the [TNP14] secure aggregation protocol over an already-built
@@ -531,47 +581,18 @@ pub fn fleet_secure_aggregation(
             let mail = encode_partition(round.index, pi as u32, chunks);
             bus.send_in(Addr::Ssi, Addr::Token(*token), mail, ctx);
         }
-        let red_key = key.clone();
-        let seed = cfg.seed;
-        let (this_round, last_round) = (round.index, round.last);
-        let reduce_f = move |i: usize,
-                             _pds: &mut Pds,
-                             mail: Vec<crate::bus::BusMsg>|
-              -> Result<TokenReduce, GlobalError> {
+        let this_round = round.index;
+        let serving = Serving {
+            key: key.clone(),
+            seed: cfg.seed,
+            round: round.index,
+            last: round.last,
+            on_tamper,
+            latency_us: latency,
+        };
+        let reduce_f = move |i: usize, _pds: &mut Pds, mail: Vec<BusMsg>| {
             let _span = token_span(i);
-            let mut out = TokenReduce {
-                parts: Vec::new(),
-                tuples: 0,
-                crypto_ops: 0,
-            };
-            for m in mail {
-                let Some((r, pi, chunks)) = decode_partition(&m.payload) else {
-                    continue;
-                };
-                if r != this_round {
-                    continue;
-                }
-                sleep_link(latency); // one connection per served partition
-                out.tuples += chunks.len() as u64;
-                out.crypto_ops += chunks.len() as u64;
-                let groups = fold_partition(&red_key, chunks, on_tamper)?;
-                if last_round {
-                    out.parts.push((pi, ReduceOut::Final(groups)));
-                } else {
-                    let stream = (u64::from(this_round) << 32) | u64::from(pi);
-                    let mut rng = derived_rng(seed, TAG_REDUCE, stream);
-                    let seq_of = |k: usize| {
-                        (1u64 << 60)
-                            | (u64::from(this_round) << 40)
-                            | (u64::from(pi) << 20)
-                            | k as u64
-                    };
-                    let partials = seal_groups(&red_key, &groups, seq_of, &mut rng);
-                    out.crypto_ops += partials.len() as u64;
-                    out.parts.push((pi, ReduceOut::Partials(partials)));
-                }
-            }
-            Ok(out)
+            serving.serve(mail)
         };
         // Ordered merge per wake batch: a batch's partial results
         // re-enter the SSI store in partition order, and batch
@@ -681,7 +702,7 @@ pub fn fleet_secure_aggregation(
         ctx,
         MAX_BUS_TICKS,
         BATCH_TICKS,
-        move |i, _pds: &mut Pds, mail: Vec<crate::bus::BusMsg>| {
+        move |i, _pds: &mut Pds, mail: Vec<BusMsg>| {
             let _span = token_span(i);
             if mail.is_empty() {
                 false
@@ -908,5 +929,86 @@ mod tests {
         assert_eq!(decode_partition(&enc), Some((3, 11, chunks)));
         assert_eq!(decode_partition(&enc[..enc.len() - 1]), None);
         assert_eq!(decode_partition(&[]), None);
+    }
+
+    #[test]
+    fn partitions_keep_the_decoder_contract() {
+        use pds_obs::rng::{Rng, RngCore};
+        let mut bomb = encode_partition(3, 11, &[]);
+        bomb[8..].fill(0xFF);
+        pds_obs::wire::sweep(
+            "partition",
+            pds_obs::wire::Tail::Exact,
+            &[&bomb],
+            |rng| {
+                let chunks = (0..rng.gen_range(0..5u32)).map(|_| {
+                    let mut chunk = vec![0; rng.gen_range(0..90usize)];
+                    rng.fill_bytes(&mut chunk);
+                    chunk
+                });
+                let chunks: Vec<_> = chunks.collect();
+                (rng.gen(), rng.gen(), chunks)
+            },
+            |(round, pi, chunks)| encode_partition(*round, *pi, chunks),
+            decode_partition,
+        );
+    }
+
+    fn partition_mail(id: u64, payload: Vec<u8>) -> BusMsg {
+        BusMsg {
+            id,
+            from: Addr::Ssi,
+            to: Addr::Token(1),
+            ctx: None,
+            payload,
+        }
+    }
+
+    /// The framing of a partition is the SSI's own, so a serving token
+    /// must survive any of it. The first mail here is the allocation
+    /// bomb — twelve bytes whose chunk count claims 2³² − 1 chunks, which
+    /// used to reach `Vec::with_capacity` and abort the process hosting
+    /// the whole fleet.
+    #[test]
+    fn an_undecodable_partition_is_skipped_and_reported_as_lost() {
+        let key = SymmetricKey::from_seed(b"serving");
+        let mut rng = derived_rng(1, TAG_ENC, 0);
+        let groups = vec![("rent".to_string(), 7u64), ("salary".to_string(), 9)];
+        let tuples = seal_groups(&key, &groups, |k| k as u64, &mut rng);
+        let ssi = Ssi::new(SsiThreat::HonestButCurious, 1);
+        let mut plan = Reduction::new(2, 4);
+        let round = plan
+            .begin_round(&ssi, [tuples.clone(), tuples].concat())
+            .unwrap();
+        assert_eq!((round.partitions.len(), round.last), (2, false));
+
+        let mut bomb = encode_partition(round.index, 0, &[]);
+        bomb[8..].fill(0xFF);
+        assert_eq!(bomb.len(), 12);
+        let sound = encode_partition(round.index, 1, &round.partitions[1].1);
+        let mut torn = sound.clone();
+        torn.pop();
+        let serving = Serving {
+            key,
+            seed: 1,
+            round: round.index,
+            last: round.last,
+            on_tamper: OnTamper::Abort,
+            latency_us: 0,
+        };
+        let mail = [bomb, torn, vec![], sound];
+        let mail = mail
+            .into_iter()
+            .zip(0..)
+            .map(|(m, id)| partition_mail(id, m));
+        let out = serving.serve(mail.collect()).unwrap();
+        assert_eq!(out.tuples, 2, "only the sound partition was served");
+        let [(1, ReduceOut::Partials(partials))] = &out.parts[..] else {
+            panic!("one partition answered: partition 1");
+        };
+        // The SSI hears back from one partition of two: the run aborts.
+        plan.returned(partials.len()).unwrap();
+        let lost = plan.end_round(partials.len()).unwrap_err();
+        assert!(matches!(lost, GlobalError::Protocol(m) if m.contains("partition lost")));
     }
 }

@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use pds_core::data::BANK_TABLE;
 use pds_core::{Pds, PdsError, Predicate, ReopenReport, Row, Value};
 use pds_obs::rng::RngCore;
+use pds_obs::wire::Reader;
 use pds_obs::FleetTrace;
 
 use pds_crypto::{Ciphertext, SymmetricKey};
@@ -322,26 +323,18 @@ fn encode_delta(token: u32, rows: &[(u32, Row)]) -> Vec<u8> {
     out
 }
 
-/// Parse the delta wire form; `None` on any truncation.
+/// Parse the delta wire form; `None` on any truncation or trailing
+/// byte, and on a row count the bytes that follow could not hold.
 fn decode_delta(bytes: &[u8]) -> Option<(u32, Vec<(u32, u64)>)> {
-    fn take_u32(bytes: &mut &[u8]) -> Option<u32> {
-        let v = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
-        *bytes = &bytes[4..];
-        Some(v)
-    }
-    fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-        let v = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-        *bytes = &bytes[8..];
-        Some(v)
-    }
-    let mut rest = bytes;
-    let token = take_u32(&mut rest)?;
-    let count = take_u32(&mut rest)?;
-    let mut rows = Vec::with_capacity(count as usize);
+    let mut r = Reader::new(bytes);
+    let token = r.u32()?;
+    let count = r.count32(4 + 8)?;
+    let mut rows = Vec::with_capacity(count);
     for _ in 0..count {
-        rows.push((take_u32(&mut rest)?, take_u64(&mut rest)?));
+        rows.push((r.u32()?, r.u64()?));
     }
-    rest.is_empty().then_some((token, rows))
+    r.finish()?;
+    Some((token, rows))
 }
 
 #[cfg(test)]
@@ -426,5 +419,32 @@ mod tests {
         assert_eq!(decode_delta(&bytes), Some((3, vec![(0, 500), (7, 900)])));
         assert_eq!(decode_delta(&bytes[..bytes.len() - 1]), None);
         assert_eq!(decode_delta(&[]), None);
+    }
+
+    /// The bomb: eight bytes claiming 2³² − 1 rows used to reach
+    /// `Vec::with_capacity` and abort the collector's process.
+    #[test]
+    fn deltas_keep_the_decoder_contract() {
+        use pds_obs::rng::Rng;
+        pds_obs::wire::sweep(
+            "delta",
+            pds_obs::wire::Tail::Exact,
+            &[&[3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF]],
+            |rng| {
+                let rows = (0..rng.gen_range(0..6u32)).map(|_| (rng.gen(), rng.gen()));
+                let rows: Vec<(u32, u64)> = rows.collect();
+                (rng.gen::<u32>(), rows)
+            },
+            |(token, rows)| {
+                let bank_row =
+                    |amount| vec![Value::U64(0), Value::str("salary"), Value::U64(amount)];
+                let rows: Vec<_> = rows
+                    .iter()
+                    .map(|&(id, amount)| (id, bank_row(amount)))
+                    .collect();
+                encode_delta(*token, &rows)
+            },
+            decode_delta,
+        );
     }
 }

@@ -44,6 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pds_core::{CrashCause, ForensicsReport};
 use pds_obs::json::{write_f64, write_str, ObjWriter};
+use pds_obs::wire::Reader;
 use pds_obs::MetricsDelta;
 
 use crate::bus::{Addr, MailboxBus};
@@ -93,13 +94,11 @@ impl TelemetryMsg {
 
     /// Parse a bus payload; `None` if it is not a telemetry envelope.
     pub fn decode(bytes: &[u8]) -> Option<TelemetryMsg> {
-        let rest = bytes.strip_prefix(MAGIC)?;
-        let source = u64::from_le_bytes(rest.get(0..8)?.try_into().ok()?);
-        let tick = u64::from_le_bytes(rest.get(8..16)?.try_into().ok()?);
+        let mut r = Reader::new(bytes.strip_prefix(MAGIC)?);
         Some(TelemetryMsg {
-            source,
-            tick,
-            delta: MetricsDelta::decode(rest.get(16..)?)?,
+            source: r.u64()?,
+            tick: r.u64()?,
+            delta: MetricsDelta::decode(r.rest())?,
         })
     }
 }
@@ -169,21 +168,19 @@ impl ForensicsDigest {
 
     /// Parse a bus payload; `None` if it is not a forensics digest.
     pub fn decode(bytes: &[u8]) -> Option<ForensicsDigest> {
-        let r = bytes.strip_prefix(DIGEST_MAGIC)?;
-        if r.len() != 44 {
-            return None;
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(r[o..o + 8].try_into().unwrap());
-        Some(ForensicsDigest {
-            token: u64_at(0),
-            tick: u64_at(8),
-            crash_tick: u64_at(16),
-            cause: r[24],
-            last_subsystem: r[25],
-            last_code: u16::from_le_bytes(r[26..28].try_into().unwrap()),
-            frames_recovered: u64_at(28),
-            torn_pages: u64_at(36),
-        })
+        let mut r = Reader::new(bytes.strip_prefix(DIGEST_MAGIC)?);
+        let digest = ForensicsDigest {
+            token: r.u64()?,
+            tick: r.u64()?,
+            crash_tick: r.u64()?,
+            cause: r.u8()?,
+            last_subsystem: r.u8()?,
+            last_code: r.u16()?,
+            frames_recovered: r.u64()?,
+            torn_pages: r.u64()?,
+        };
+        r.finish()?;
+        Some(digest)
     }
 
     /// The crash counters this digest contributes to the rollup the

@@ -48,30 +48,6 @@ impl BucketMap {
         }
     }
 
-    /// Equi-depth assignment from a public frequency prior: greedily
-    /// fills buckets to equal probability mass (Hacigumus' histogram).
-    pub fn equi_depth(domain: &[String], weights: &[f64], buckets: u32) -> Self {
-        assert_eq!(domain.len(), weights.len());
-        assert!(buckets >= 1);
-        let total: f64 = weights.iter().sum();
-        let target = total / buckets as f64;
-        let mut assignment = BTreeMap::new();
-        let mut bucket = 0u32;
-        let mut mass = 0.0;
-        for (v, w) in domain.iter().zip(weights) {
-            assignment.insert(v.clone(), bucket);
-            mass += w;
-            if mass >= target && bucket + 1 < buckets {
-                bucket += 1;
-                mass = 0.0;
-            }
-        }
-        BucketMap {
-            assignment,
-            buckets,
-        }
-    }
-
     /// Bucket of a domain value (unknown values map to bucket 0 — they
     /// cannot occur when the domain is truly public).
     pub fn bucket_of(&self, value: &str) -> u32 {
@@ -171,22 +147,6 @@ mod tests {
         let map6 = BucketMap::equi_width(&q.domain, 6);
         histogram_based(&mut pop, &q, &fine, &map6, &mut rng).unwrap();
         assert!(fine.leakage().equality_class_sizes.len() > 1);
-    }
-
-    #[test]
-    fn equi_depth_balances_bucket_sizes() {
-        let domain: Vec<String> = (0..8).map(|i| format!("g{i}")).collect();
-        // Heavy skew on the first value.
-        let weights = [70.0, 10.0, 5.0, 5.0, 4.0, 3.0, 2.0, 1.0];
-        let depth = BucketMap::equi_depth(&domain, &weights, 4);
-        // The heavy value gets its own bucket; light values share.
-        assert_eq!(depth.bucket_of("g0"), 0);
-        assert_ne!(depth.bucket_of("g1"), 0);
-        let last_bucket = depth.bucket_of("g7");
-        assert!(last_bucket < 4);
-        // Equi-width would have put g0 and g1 together.
-        let width = BucketMap::equi_width(&domain, 4);
-        assert_eq!(width.bucket_of("g0"), width.bucket_of("g1"));
     }
 
     #[test]

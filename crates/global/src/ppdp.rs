@@ -16,6 +16,7 @@
 
 use pds_crypto::SymmetricKey;
 use pds_obs::rng::Rng;
+use pds_obs::wire::Reader;
 
 use crate::error::GlobalError;
 
@@ -40,13 +41,11 @@ impl PpdpRecord {
     }
 
     fn decode(bytes: &[u8]) -> Option<PpdpRecord> {
-        if bytes.len() < 8 {
-            return None;
-        }
+        let mut r = Reader::new(bytes);
         Some(PpdpRecord {
-            age: u32::from_le_bytes(bytes[0..4].try_into().ok()?),
-            zip: u32::from_le_bytes(bytes[4..8].try_into().ok()?),
-            diagnosis: std::str::from_utf8(&bytes[8..]).ok()?.to_string(),
+            age: r.u32()?,
+            zip: r.u32()?,
+            diagnosis: std::str::from_utf8(r.rest()).ok()?.to_string(),
         })
     }
 }
@@ -338,6 +337,18 @@ mod tests {
         ];
         let loss = info_loss(&classes, 2);
         assert_eq!(loss.min_l, 1, "second class has a single diagnosis");
+    }
+
+    #[test]
+    fn records_keep_the_decoder_contract() {
+        pds_obs::wire::sweep(
+            "PpdpRecord",
+            pds_obs::wire::Tail::RestOfBuffer,
+            &[],
+            |rng| synthetic_records(1, rng).remove(0),
+            PpdpRecord::encode,
+            PpdpRecord::decode,
+        );
     }
 
     #[test]

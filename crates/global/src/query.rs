@@ -52,31 +52,6 @@ impl GroupByQuery {
         }
     }
 
-    /// `SELECT category, COUNT(*) … GROUP BY category` over everyone's
-    /// BANK table.
-    pub fn bank_count_by_category() -> Self {
-        GroupByQuery {
-            measure: Measure::Count,
-            ..Self::bank_by_category()
-        }
-    }
-
-    /// Derive the AVG per group from a SUM run and a COUNT run of the
-    /// same grouping — the standard decomposition the [TNP14\] protocols
-    /// use for algebraic aggregates (both runs are exact, so the average
-    /// is too). Groups missing from the count are dropped.
-    pub fn average_from(sums: &[(String, u64)], counts: &[(String, u64)]) -> Vec<(String, f64)> {
-        sums.iter()
-            .filter_map(|(g, s)| {
-                counts
-                    .iter()
-                    .find(|(cg, _)| cg == g)
-                    .filter(|(_, c)| *c > 0)
-                    .map(|(_, c)| (g.clone(), *s as f64 / *c as f64))
-            })
-            .collect()
-    }
-
     /// The access context a global query presents to each PDS: an
     /// anonymous statistics request (granted by the default policy for
     /// `Aggregate` only).
@@ -226,7 +201,11 @@ mod tests {
         use crate::ssi::Ssi;
         let mut rng = StdRng::seed_from_u64(9);
         let sum_q = GroupByQuery::bank_by_category();
-        let count_q = GroupByQuery::bank_count_by_category();
+        // `SELECT category, COUNT(*) … GROUP BY category`.
+        let count_q = GroupByQuery {
+            measure: Measure::Count,
+            ..GroupByQuery::bank_by_category()
+        };
         let mut pop = Population::synthetic(40, &sum_q.domain, &mut rng).unwrap();
         // COUNT through a real protocol equals the plaintext count.
         let expected_counts = plaintext_groupby(&mut pop, &count_q).unwrap();
@@ -238,15 +217,14 @@ mod tests {
         // group contributions.
         let total: u64 = counts.iter().map(|(_, c)| c).sum();
         assert!(total as usize >= pop.len() && total as usize <= 3 * pop.len());
-        // AVG = SUM/COUNT, exact on both inputs.
+        // AVG = SUM/COUNT over the same grouping: both runs are exact,
+        // so the average is too.
         let sums = plaintext_groupby(&mut pop, &sum_q).unwrap();
-        let avgs = GroupByQuery::average_from(&sums, &counts);
-        assert_eq!(avgs.len(), sums.len());
-        for (g, a) in &avgs {
-            let s = sums.iter().find(|(sg, _)| sg == g).unwrap().1 as f64;
-            let c = counts.iter().find(|(cg, _)| cg == g).unwrap().1 as f64;
-            assert!((a - s / c).abs() < 1e-9);
-            assert!(*a >= 100.0 && *a < 10_000.0, "avg within the amount range");
+        assert_eq!(sums.len(), counts.len());
+        for ((g, s), (cg, c)) in sums.iter().zip(&counts) {
+            assert_eq!(g, cg);
+            let avg = *s as f64 / *c as f64;
+            assert!((100.0..10_000.0).contains(&avg), "{g}: avg {avg}");
         }
     }
 

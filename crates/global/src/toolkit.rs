@@ -103,20 +103,6 @@ pub fn secure_set_union(
     (all, stats)
 }
 
-/// Decrypt a union result back to group elements (run jointly by all key
-/// holders — provided for tests to confirm the cardinality maps back to
-/// the true union).
-pub fn peel_union(encrypted: &[BigUint], keys: &[&CommutativeKey]) -> Vec<BigUint> {
-    let mut out: Vec<BigUint> = encrypted.to_vec();
-    for key in keys {
-        for x in &mut out {
-            *x = key.decrypt(x);
-        }
-    }
-    out.sort();
-    out
-}
-
 /// Secure set-intersection **size**: how many items appear in *every*
 /// party's set — without revealing the items.
 pub fn secure_intersection_size(
@@ -203,6 +189,20 @@ mod tests {
         let expected = values.iter().map(|&v| v as u128).sum::<u128>() % m as u128;
         let (sum, _) = secure_sum(&values, m, &mut StdRng::seed_from_u64(7));
         assert_eq!(sum as u128, expected);
+    }
+
+    /// Decrypt a union result back to group elements (run jointly by all
+    /// key holders), to confirm the cardinality maps back to the true
+    /// union.
+    fn peel_union(encrypted: &[BigUint], keys: &[&CommutativeKey]) -> Vec<BigUint> {
+        let mut out: Vec<BigUint> = encrypted.to_vec();
+        for key in keys {
+            for x in &mut out {
+                *x = key.decrypt(x);
+            }
+        }
+        out.sort();
+        out
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use pds_crypto::{Ciphertext, SymmetricKey};
 use pds_obs::rng::Rng;
+use pds_obs::wire::Reader;
 
 use crate::error::GlobalError;
 
@@ -77,22 +78,17 @@ impl ProtocolTuple {
     /// Deserialize; `None` on malformed input (e.g. a forged ciphertext
     /// that somehow authenticated — it cannot, but defense in depth).
     pub fn decode(bytes: &[u8]) -> Option<ProtocolTuple> {
-        if bytes.len() < 17 {
-            return None;
-        }
-        let kind = match bytes[0] {
+        let mut r = Reader::new(bytes);
+        let kind = match r.u8()? {
             0 => TupleKind::Real,
             1 => TupleKind::Fake,
             _ => return None,
         };
-        let seq = u64::from_le_bytes(bytes[1..9].try_into().ok()?);
-        let value = u64::from_le_bytes(bytes[9..17].try_into().ok()?);
-        let group = std::str::from_utf8(&bytes[17..]).ok()?.to_string();
         Some(ProtocolTuple {
-            group,
-            value,
             kind,
-            seq,
+            seq: r.u64()?,
+            value: r.u64()?,
+            group: std::str::from_utf8(r.rest()).ok()?.to_string(),
         })
     }
 

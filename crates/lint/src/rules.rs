@@ -140,8 +140,10 @@ pub const CRATES: &[CrateConfig] = &[
         families: &[],
         // The mergeable-delta module is a fleet rollup path: its merge
         // and encode orders must be BTreeMap-deterministic, wall-clock
-        // free, even though the rest of pds-obs is unconstrained.
-        det_files: &["obs/src/delta.rs", "obs/src/flight.rs"],
+        // free, even though the rest of pds-obs is unconstrained. The
+        // wire cursor sits under every decoder of the deterministic
+        // crates, and its sweep must replay from its seeds.
+        det_files: &["obs/src/delta.rs", "obs/src/flight.rs", "obs/src/wire.rs"],
         allowed_deps: &[],
     },
     CrateConfig {

@@ -80,12 +80,6 @@ impl HardwareProfile {
             flash: FlashGeometry::new(512, 16, 4096),
         }
     }
-
-    /// RAM expressed in flash pages (how many page buffers fit in RAM),
-    /// the unit the pipeline operators reason in.
-    pub fn ram_in_pages(&self) -> usize {
-        self.ram_bytes / self.flash.page_size
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +90,10 @@ mod tests {
     fn token_respects_the_tutorial_ram_bound() {
         let p = HardwareProfile::secure_token();
         assert!(p.ram_bytes < 128 * 1024, "slides: RAM < 128 KB");
-        assert!(p.ram_in_pages() >= 8, "enough for a few page cursors");
+        assert!(
+            p.ram_bytes / p.flash.page_size >= 8,
+            "enough for a few page cursors"
+        );
     }
 
     #[test]

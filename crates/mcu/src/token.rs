@@ -93,11 +93,6 @@ impl Token {
         &self.ram
     }
 
-    /// Current threat-model state.
-    pub fn tamper_state(&self) -> TamperState {
-        self.tamper
-    }
-
     /// True unless the adversary broke this token.
     pub fn is_trusted(&self) -> bool {
         self.tamper == TamperState::Unbreakable
@@ -198,7 +193,6 @@ mod tests {
     fn compromise_flips_trust() {
         let mut t = Token::for_tests(1);
         t.compromise();
-        assert_eq!(t.tamper_state(), TamperState::Broken);
         assert!(!t.is_trusted());
     }
 

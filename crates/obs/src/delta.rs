@@ -34,7 +34,8 @@
 use std::collections::BTreeMap;
 
 use crate::json::{write_str, ObjWriter};
-use crate::metrics::Registry;
+use crate::metrics::{bucket_of, quantile_of, Registry, HIST_BUCKETS};
+use crate::wire::{put_prefixed, Reader};
 
 /// How two observations of the same gauge fold into one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,12 +95,7 @@ impl HistDelta {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
-        let b = if v == 0 {
-            0u8
-        } else {
-            (64 - v.leading_zeros() as u8).min(63)
-        };
-        *self.buckets.entry(b).or_insert(0) += 1;
+        *self.buckets.entry(bucket_of(v) as u8).or_insert(0) += 1;
     }
 
     /// Fold `other` in: counts and buckets add, maxima fold by max.
@@ -112,30 +108,13 @@ impl HistDelta {
         }
     }
 
-    /// Quantile estimate interpolated from the log2 buckets — the same
-    /// estimator as [`Histogram::quantile`](crate::metrics::Histogram::quantile),
-    /// so a merged rollup answers p50/p95/p99 exactly like a live
+    /// Quantile estimate interpolated from the log2 buckets — the
+    /// estimator [`Histogram::quantile`](crate::metrics::Histogram::quantile)
+    /// runs, so a merged rollup answers p50/p95/p99 exactly like a live
     /// instrument would over the union of observations. 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (&i, &c) in &self.buckets {
-            if seen + c >= rank {
-                let (lo, hi) = if i == 0 {
-                    (0u64, 1u64)
-                } else {
-                    (1u64 << (i - 1), 1u64 << i.min(63))
-                };
-                let frac = (rank - seen) as f64 / c as f64;
-                let est = lo as f64 + frac * (hi - lo) as f64;
-                return est.min(self.max as f64);
-            }
-            seen += c;
-        }
-        self.max as f64
+        let buckets = self.buckets.iter().map(|(&i, &c)| (usize::from(i), c));
+        quantile_of(buckets, self.count, self.max, q)
     }
 
     /// Mean observation (0 when empty).
@@ -259,42 +238,44 @@ impl MetricsDelta {
         out
     }
 
-    /// Parse a wire-form delta. `None` on truncation, bad magic, or an
-    /// unknown gauge policy.
+    /// Parse a wire-form delta. `None` on truncation or trailing bytes,
+    /// bad magic, an unknown gauge policy, or a histogram bucket the
+    /// log2 layout does not have.
     pub fn decode(bytes: &[u8]) -> Option<MetricsDelta> {
-        let mut r = Reader { bytes, off: 0 };
-        if r.take(MAGIC.len())? != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.bytes(MAGIC.len())? != MAGIC {
             return None;
         }
         let mut d = MetricsDelta {
             policy_conflicts: r.u64()?,
             ..MetricsDelta::default()
         };
-        for _ in 0..r.u32()? {
-            let k = r.str()?;
+        for _ in 0..r.count32(COUNTER_MIN)? {
+            let k = take_str(&mut r)?;
             d.counters.insert(k, r.u64()?);
         }
-        for _ in 0..r.u32()? {
-            let k = r.str()?;
+        for _ in 0..r.count32(GAUGE_MIN)? {
+            let k = take_str(&mut r)?;
             let policy = GaugePolicy::from_tag(r.u8()?)?;
             let value = r.u64()?;
             d.gauges.insert(k, GaugeCell { value, policy });
         }
-        for _ in 0..r.u32()? {
-            let k = r.str()?;
+        for _ in 0..r.count32(HIST_MIN)? {
+            let k = take_str(&mut r)?;
             let mut h = HistDelta {
                 count: r.u64()?,
                 sum: r.u64()?,
                 max: r.u64()?,
                 buckets: BTreeMap::new(),
             };
-            for _ in 0..r.u16()? {
-                let b = r.u8()?;
+            for _ in 0..r.count16(BUCKET_LEN)? {
+                let b = r.u8().filter(|b| usize::from(*b) < HIST_BUCKETS)?;
                 h.buckets.insert(b, r.u64()?);
             }
             d.hists.insert(k, h);
         }
-        (r.off == bytes.len()).then_some(d)
+        r.finish()?;
+        Some(d)
     }
 
     /// One-line JSON rendering (key-ordered, bit-identical for equal
@@ -357,6 +338,14 @@ impl MetricsDelta {
 
 const MAGIC: &[u8] = b"PDM1";
 
+/// Shortest wire entries (an empty name), the floor each count field is
+/// checked against: `name ‖ u64`, `name ‖ policy ‖ u64`, `name ‖ 3 × u64
+/// ‖ bucket count`, and the fixed `bucket ‖ u64`.
+const COUNTER_MIN: usize = 2 + 8;
+const GAUGE_MIN: usize = 2 + 1 + 8;
+const HIST_MIN: usize = 2 + 24 + 2;
+const BUCKET_LEN: usize = 1 + 8;
+
 fn merge_gauge(
     gauges: &mut BTreeMap<String, GaugeCell>,
     conflicts: &mut u64,
@@ -384,44 +373,14 @@ fn merge_gauge(
     }
 }
 
+/// A metric name, cut at what its `u16` length prefix can say.
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let b = s.as_bytes();
-    out.extend_from_slice(&(b.len().min(u16::MAX as usize) as u16).to_le_bytes());
-    out.extend_from_slice(&b[..b.len().min(u16::MAX as usize)]);
+    put_prefixed(out, &b[..b.len().min(u16::MAX as usize)]);
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.bytes.get(self.off..self.off + n)?;
-        self.off += n;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
+fn take_str(r: &mut Reader<'_>) -> Option<String> {
+    std::str::from_utf8(r.prefixed()?).ok().map(str::to_string)
 }
 
 impl Registry {
@@ -602,6 +561,27 @@ mod tests {
 
     #[test]
     fn hist_delta_quantiles_match_live_histogram() {
+        use crate::rng::{Rng, SeedableRng, StdRng};
+        let live = crate::metrics::Histogram::default();
+        let mut d = HistDelta::default();
+        // Every magnitude the log2 layout has, the three edge values
+        // first; the sum wraps in the live instrument and saturates in
+        // the delta, so only what the buckets decide is compared.
+        let mut rng = StdRng::seed_from_u64(0xB0C3);
+        let edges = [0, 1, u64::MAX];
+        let seeded = (0..10_000).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32));
+        for v in edges.into_iter().chain(seeded) {
+            live.observe(v);
+            d.observe(v);
+        }
+        let buckets: Vec<(u8, u64)> = d.buckets.iter().map(|(&b, &c)| (b, c)).collect();
+        assert_eq!(buckets, live.bucket_counts(), "one bucket_of");
+        assert_eq!(buckets.len(), 64, "the stream reached every bucket");
+        assert_eq!((d.count, d.max), (live.count(), live.max()));
+        for q in [0.0, 0.001, 0.25, 0.5, 0.95, 0.99, 0.9999, 1.0] {
+            assert_eq!(d.quantile(q), live.quantile(q), "q={q}");
+        }
+
         let live = crate::metrics::Histogram::default();
         let mut d = HistDelta::default();
         for v in 1..=100u64 {

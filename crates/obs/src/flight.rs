@@ -20,18 +20,20 @@
 //! across tokens, and the stamped sequence is a pure function of the
 //! token's operation order, bit-identical at any worker count.
 //!
-//! A configurable severity floor ([`set_severity_floor`]) keeps hot
-//! paths cheap: a `Debug`-level record below the floor is one atomic
-//! load and an early return — no allocation, no lock.
+//! A severity floor (`Info`) keeps hot paths cheap: a `Debug`-level
+//! record is one comparison and an early return — no allocation, no
+//! lock.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::wire::Reader;
 
 /// Severity of one flight-recorder event, ordered `Debug < Info < Warn
 /// < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Per-IO chatter, recorded only when the floor is lowered.
+    /// Per-IO chatter: below the recording floor, dropped at the record
+    /// site.
     Debug = 0,
     /// Normal operation milestones (ingest, commit, sync).
     Info = 1,
@@ -188,19 +190,16 @@ impl EventFrame {
     /// out-of-range severity byte — a torn frame is dropped, never
     /// half-decoded.
     pub fn decode(bytes: &[u8]) -> Option<EventFrame> {
-        if bytes.len() != FRAME_BYTES {
-            return None;
-        }
-        Some(EventFrame {
-            tick: u64::from_le_bytes(bytes.get(0..8)?.try_into().ok()?),
-            severity: Severity::from_u8(*bytes.get(8)?)?,
-            subsystem: *bytes.get(9)?,
-            code: u16::from_le_bytes(bytes.get(10..12)?.try_into().ok()?),
-            args: [
-                u64::from_le_bytes(bytes.get(12..20)?.try_into().ok()?),
-                u64::from_le_bytes(bytes.get(20..28)?.try_into().ok()?),
-            ],
-        })
+        let mut r = Reader::new(bytes);
+        let frame = EventFrame {
+            tick: r.u64()?,
+            severity: Severity::from_u8(r.u8()?)?,
+            subsystem: r.u8()?,
+            code: r.u16()?,
+            args: [r.u64()?, r.u64()?],
+        };
+        r.finish()?;
+        Some(frame)
     }
 
     /// One-line human rendering: `t=12 WARN flash.block_retired [3, 0]`.
@@ -218,7 +217,7 @@ impl EventFrame {
 }
 
 /// Frames below this severity are dropped at the record site.
-static FLOOR: AtomicU8 = AtomicU8::new(Severity::Info as u8);
+const FLOOR: Severity = Severity::Info;
 
 /// Staged frames awaiting their owning token's drain. Bounded so a
 /// recording layer whose owner never drains cannot grow without limit;
@@ -230,17 +229,11 @@ thread_local! {
     static STAGED: RefCell<Vec<EventFrame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Set the severity floor (process-wide). Frames strictly below it are
-/// dropped at the record site — one atomic load, no allocation.
-pub fn set_severity_floor(s: Severity) {
-    FLOOR.store(s as u8, Ordering::Relaxed);
-}
-
 /// Record one structured event into this thread's staging buffer. The
 /// frame is unstamped (`tick == 0`); the durable ring stamps it on
-/// absorb. Below-floor records return immediately.
+/// absorb. Records below `Info` return immediately.
 pub fn record(severity: Severity, subsystem: u8, code: u16, args: [u64; 2]) {
-    if (severity as u8) < FLOOR.load(Ordering::Relaxed) {
+    if severity < FLOOR {
         return;
     }
     STAGED.with(|s| {
@@ -292,10 +285,9 @@ mod tests {
     #[test]
     fn severity_floor_gates_the_record_site() {
         drain(); // isolate from other tests on this thread
-        set_severity_floor(Severity::Warn);
-        record(Severity::Info, subsystem::CORE, code::CORE_INGEST, [0, 0]);
         record(Severity::Debug, subsystem::FLASH, 0, [0, 0]);
         assert_eq!(staged(), 0, "below-floor frames never stage");
+        record(FLOOR, subsystem::CORE, code::CORE_INGEST, [0, 0]);
         record(
             Severity::Error,
             subsystem::RECOVERY,
@@ -303,10 +295,9 @@ mod tests {
             [1, 2],
         );
         let frames = drain();
-        set_severity_floor(Severity::Info);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].severity, Severity::Error);
-        assert_eq!(frames[0].args, [1, 2]);
+        assert_eq!(frames.len(), 2, "the floor itself stages");
+        assert_eq!(frames[1].severity, Severity::Error);
+        assert_eq!(frames[1].args, [1, 2]);
         assert_eq!(staged(), 0, "drain empties the stage");
     }
 

@@ -23,6 +23,9 @@
 //!   exports round-trip without external crates.
 //! * [`rng`] — deterministic SplitMix64 / xoshiro256++ generators with a
 //!   `rand`-shaped API, so the workspace builds hermetically offline.
+//! * [`wire`] — the one bounds-checked cursor under every record and
+//!   message decoder of the workspace, and the seeded sweep that holds
+//!   every format to its contract.
 //!
 //! The crate intentionally has **zero dependencies** (only `std`): it
 //! sits below every other crate of the workspace, including the flash
@@ -34,6 +37,7 @@ pub mod json;
 pub mod metrics;
 pub mod rng;
 pub mod trace;
+pub mod wire;
 
 pub use delta::{DeltaTracker, GaugePolicy, HistDelta, MetricsDelta};
 pub use flight::{EventFrame, Severity};
@@ -60,7 +64,7 @@ pub mod budgets {
 
 /// Record a structured flight-recorder event (see [`flight`]):
 /// `event!(Severity::Warn, subsystem::FLASH, code::FLASH_BLOCK_RETIRED, block)`.
-/// Frames below the severity floor cost one atomic load; up to two
+/// Frames below the severity floor cost one comparison; up to two
 /// `u64`-convertible args ride the frame. The owning token drains the
 /// staged frames into its durable black-box ring.
 #[macro_export]

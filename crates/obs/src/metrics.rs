@@ -82,7 +82,51 @@ impl Gauge {
 }
 
 /// Number of log2 buckets: values ≥ 2^62 land in the last bucket.
-const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
+
+/// The log2 bucket of `v` — the one layout [`Histogram`] and
+/// [`HistDelta`](crate::delta::HistDelta) share.
+pub(crate) fn bucket_of(v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
+    }
+}
+
+/// The one quantile estimator over log2 buckets: the value at rank
+/// `ceil(q·count)`, placed linearly inside its bucket's `[2^(i-1), 2^i)`
+/// range and never beyond `max`. `buckets` yields `(bucket, count)` in
+/// bucket order; empty buckets may be left out. 0 when `count` is 0.
+pub(crate) fn quantile_of(
+    buckets: impl Iterator<Item = (usize, u64)>,
+    count: u64,
+    max: u64,
+    q: f64,
+) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, c) in buckets {
+        if c == 0 {
+            continue;
+        }
+        if seen.saturating_add(c) >= rank {
+            let (lo, hi) = if i == 0 {
+                (0u64, 1u64)
+            } else {
+                (1u64 << (i - 1), 1u64 << i.min(63))
+            };
+            let frac = (rank - seen) as f64 / c as f64;
+            let est = lo as f64 + frac * (hi - lo) as f64;
+            return est.min(max as f64);
+        }
+        seen += c;
+    }
+    max as f64
+}
 
 /// A histogram with power-of-two buckets: bucket `i` counts values `v`
 /// with `2^(i-1) ≤ v < 2^i` (bucket 0 counts `v == 0`).
@@ -111,12 +155,7 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-        let b = if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-        };
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -150,31 +189,8 @@ impl Histogram {
     /// bucket's width otherwise — good enough for the order-of-magnitude
     /// latencies the repo reports. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                let (lo, hi) = if i == 0 {
-                    (0u64, 1u64)
-                } else {
-                    (1u64 << (i - 1), 1u64 << i.min(63))
-                };
-                let frac = (rank - seen) as f64 / c as f64;
-                let est = lo as f64 + frac * (hi - lo) as f64;
-                // Never report beyond the observed maximum.
-                return est.min(self.max() as f64);
-            }
-            seen += c;
-        }
-        self.max() as f64
+        let buckets = self.buckets.iter().map(|b| b.load(Ordering::Relaxed));
+        quantile_of(buckets.enumerate(), self.count(), self.max(), q)
     }
 
     /// `(p50, p95, p99)` interpolated estimates.

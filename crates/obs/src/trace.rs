@@ -384,11 +384,6 @@ pub fn take_last_root() -> Option<FinishedSpan> {
     ROOTS.with(|r| r.borrow_mut().pop_back())
 }
 
-/// Most recently finished root spans of this thread, oldest first.
-pub fn recent_roots() -> Vec<FinishedSpan> {
-    ROOTS.with(|r| r.borrow().iter().cloned().collect())
-}
-
 /// Run `f` under a root-or-child span named `name` and return its result
 /// together with the finished span tree. Only exact when `name` opens at
 /// the top level of the thread's stack; otherwise the span is recorded in
@@ -941,10 +936,9 @@ mod tests {
             let s = span("r");
             s.set("i", i);
         }
-        let roots = recent_roots();
+        // Newest first: the ring kept the last `ROOT_RING_CAP` roots.
+        let roots: Vec<FinishedSpan> = std::iter::from_fn(take_last_root).collect();
         assert_eq!(roots.len(), ROOT_RING_CAP);
-        assert_eq!(roots.last().unwrap().attr_u64("i"), Some(39));
-        // Drain so other tests see a clean ring.
-        while take_last_root().is_some() {}
+        assert_eq!(roots[0].attr_u64("i"), Some(39));
     }
 }

@@ -31,6 +31,7 @@
 use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 use pds_mcu::RamBudget;
 use pds_obs::flight::{code, subsystem, Severity};
+use pds_obs::wire::Reader;
 
 use super::{DfStrategy, SearchEngine, SearchError};
 use crate::docs::DocStore;
@@ -75,24 +76,25 @@ impl Checkpoint {
         body
     }
 
-    /// `None` unless `body` is exactly a header and `num_buckets` heads —
-    /// flash-sourced bytes, so every access is checked.
+    /// `None` unless `body` is exactly a header and `num_buckets` heads.
+    /// The head count is the engine's own sizing, not a field of the
+    /// record: a record of any other length is refused, and what is left
+    /// after the header is then read to its end.
     fn decode(body: &[u8], num_buckets: usize) -> Option<Checkpoint> {
-        if body.len() != BODY_HEADER + 4 * num_buckets {
+        let mut r = Reader::new(body);
+        let at = Frontier {
+            epoch: r.u32()?,
+            docs: r.u32()?,
+            pages: r.u32()?,
+        };
+        if r.remaining() != 4 * num_buckets {
             return None;
         }
-        let mut words = body
-            .chunks_exact(4)
-            .filter_map(|w| Some(u32::from_le_bytes(w.try_into().ok()?)));
-        let at = Frontier {
-            epoch: words.next()?,
-            docs: words.next()?,
-            pages: words.next()?,
-        };
-        Some(Checkpoint {
-            at,
-            heads: words.collect(),
-        })
+        let mut heads = Vec::with_capacity(num_buckets);
+        while let Some(head) = r.u32() {
+            heads.push(head);
+        }
+        Some(Checkpoint { at, heads })
     }
 
     /// The last checkpoint in `log`, if any.
@@ -321,8 +323,9 @@ impl SearchEngine {
         let (tombstones, _) = LogWriter::recover(flash, &m.tombstone_blocks)?;
         let mut tombstoned: Vec<DocId> = Vec::new();
         tombstones.for_each_record(|_, rec| {
-            if let Ok(b) = <[u8; 4]>::try_from(rec) {
-                tombstoned.push(DocId::from_le_bytes(b));
+            let mut r = Reader::new(rec);
+            if let Some(doc) = r.u32().filter(|_| r.remaining() == 0) {
+                tombstoned.push(doc);
             }
             Ok(())
         })?;
@@ -406,6 +409,36 @@ impl EngineRecovery {
             code::RECOVERY_INDEX_REBUILD,
             why.code(),
             self.docs_replayed
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pds_obs::rng::Rng;
+    use pds_obs::wire::{sweep, Tail};
+
+    /// The head count is the engine's sizing, so the format has no count
+    /// field to lie with: what it must refuse is every other length.
+    #[test]
+    fn checkpoints_keep_the_decoder_contract() {
+        const BUCKETS: usize = 24;
+        sweep(
+            "checkpoint",
+            Tail::Exact,
+            &[&[0xFF; BODY_HEADER + 4 * BUCKETS + 4], &[0xFF; BODY_HEADER]],
+            |rng| {
+                let at = Frontier {
+                    epoch: rng.gen(),
+                    docs: rng.gen(),
+                    pages: rng.gen(),
+                };
+                let heads: Vec<u32> = (0..BUCKETS).map(|_| rng.gen()).collect();
+                (at, heads)
+            },
+            |(at, heads)| Checkpoint::encode(*at, heads),
+            |body| Checkpoint::decode(body, BUCKETS).map(|c| (c.at, c.heads)),
         );
     }
 }

@@ -15,6 +15,8 @@
 //! count × [term_hash: u64][docid: u32][tf: u16]
 //! ```
 
+use pds_obs::wire::Reader;
+
 /// Document identifier. "Document ids are generated in increasing order" —
 /// the property the pipeline merge relies on.
 pub type DocId = u32;
@@ -47,15 +49,14 @@ impl Triple {
         buf[off + 12..off + 14].copy_from_slice(&self.tf.to_le_bytes());
     }
 
-    /// Deserialize from `buf` at `off`; `None` when the buffer is too
-    /// short (a corrupt page must degrade into a failed query, never a
+    /// Read the next triple off the cursor; `None` when the bytes run
+    /// out (a corrupt page must degrade into a failed query, never a
     /// panic on the unattended token).
-    pub fn read(buf: &[u8], off: usize) -> Option<Triple> {
-        let bytes = buf.get(off..off + TRIPLE_LEN)?;
+    pub fn read(r: &mut Reader<'_>) -> Option<Triple> {
         Some(Triple {
-            term: u64::from_le_bytes(bytes[0..8].try_into().ok()?),
-            doc: u32::from_le_bytes(bytes[8..12].try_into().ok()?),
-            tf: u16::from_le_bytes(bytes[12..14].try_into().ok()?),
+            term: r.u64()?,
+            doc: r.u32()?,
+            tf: r.u16()?,
         })
     }
 }
@@ -81,11 +82,13 @@ pub fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
 /// buffer or a slot count pointing past the page (torn or corrupt
 /// flash). The engine maps `None` to `SearchError::CorruptIndex`.
 pub fn decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
-    let prev = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
-    let count = u16::from_le_bytes(buf.get(4..6)?.try_into().ok()?) as usize;
-    let triples = (0..count)
-        .map(|i| Triple::read(buf, PAGE_HEADER + i * TRIPLE_LEN))
-        .collect::<Option<Vec<Triple>>>()?;
+    let mut r = Reader::new(buf);
+    let prev = r.u32()?;
+    let count = r.count16(TRIPLE_LEN)?;
+    let mut triples = Vec::with_capacity(count);
+    for _ in 0..count {
+        triples.push(Triple::read(&mut r)?);
+    }
     Some((prev, triples))
 }
 
@@ -102,7 +105,8 @@ mod tests {
         };
         let mut buf = vec![0u8; TRIPLE_LEN];
         t.write(&mut buf, 0);
-        assert_eq!(Triple::read(&buf, 0), Some(t));
+        assert_eq!(Triple::read(&mut Reader::new(&buf)), Some(t));
+        assert_eq!(Triple::read(&mut Reader::new(&buf[1..])), None);
     }
 
     #[test]

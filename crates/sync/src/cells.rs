@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use pds_core::{CloudStore, PdsError};
 use pds_crypto::SymmetricKey;
 use pds_obs::rng::RngCore;
+use pds_obs::wire::{put_prefixed32, Reader};
 
 /// One snapshot header: (version, ciphertext chunks).
 type SnapshotBlob = (u64, Vec<u8>);
@@ -101,10 +102,6 @@ impl CellMsg {
     /// Compact wire form (bus payloads are opaque bytes), allocated once
     /// at its wire length.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put(out: &mut Vec<u8>, bytes: &[u8]) {
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
-        }
         let (tag, body_len) = match self {
             CellMsg::PullReq { .. } => (Self::TAG_PULL_REQ, 0),
             CellMsg::PullResp { blob, .. } => (
@@ -118,16 +115,16 @@ impl CellMsg {
         let slice = self.slice().as_bytes();
         let mut out = Vec::with_capacity(1 + 4 + slice.len() + body_len);
         out.push(tag);
-        put(&mut out, slice);
+        put_prefixed32(&mut out, slice);
         match self {
             CellMsg::PullReq { .. } => {}
             CellMsg::PullResp { blob, .. } => {
                 out.push(u8::from(blob.is_some()));
                 if let Some(b) = blob {
-                    put(&mut out, b);
+                    put_prefixed32(&mut out, b);
                 }
             }
-            CellMsg::Push { blob, .. } => put(&mut out, blob),
+            CellMsg::Push { blob, .. } => put_prefixed32(&mut out, blob),
             CellMsg::PullSince { since: v, .. } | CellMsg::NotModified { version: v, .. } => {
                 out.extend_from_slice(&v.to_le_bytes());
             }
@@ -136,56 +133,39 @@ impl CellMsg {
         out
     }
 
-    /// Parse the wire form; `None` on any truncation or unknown tag.
+    /// Parse the wire form; `None` on any truncation, trailing byte or
+    /// unknown tag.
     pub fn from_bytes(bytes: &[u8]) -> Option<CellMsg> {
-        fn take<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
-            if bytes.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-            if bytes.len() < 4 + len {
-                return None;
-            }
-            let out = &bytes[4..4 + len];
-            *bytes = &bytes[4 + len..];
-            Some(out)
-        }
-        fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-            let v = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
-            *bytes = &bytes[8..];
-            Some(v)
-        }
-        let (&tag, mut rest) = bytes.split_first()?;
-        let slice = String::from_utf8(take(&mut rest)?.to_vec()).ok()?;
+        let mut r = Reader::new(bytes);
+        let tag = r.u8()?;
+        let slice = std::str::from_utf8(r.prefixed32()?).ok()?.to_string();
         let msg = match tag {
-            Self::TAG_PULL_REQ => Some(CellMsg::PullReq { slice }),
+            Self::TAG_PULL_REQ => CellMsg::PullReq { slice },
             Self::TAG_PULL_RESP => {
-                let (&present, mut rest2) = rest.split_first()?;
-                let blob = if present == 1 {
-                    Some(take(&mut rest2)?.to_vec())
-                } else {
-                    None
+                let blob = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.prefixed32()?.to_vec()),
+                    _ => return None,
                 };
-                Some(CellMsg::PullResp { slice, blob })
+                CellMsg::PullResp { slice, blob }
             }
-            Self::TAG_PUSH => Some(CellMsg::Push {
+            Self::TAG_PUSH => CellMsg::Push {
                 slice,
-                blob: take(&mut rest)?.to_vec(),
-            }),
-            Self::TAG_PULL_SINCE => Some(CellMsg::PullSince {
+                blob: r.prefixed32()?.to_vec(),
+            },
+            Self::TAG_PULL_SINCE => CellMsg::PullSince {
                 slice,
-                since: take_u64(&mut rest)?,
-            }),
-            Self::TAG_NOT_MODIFIED => Some(CellMsg::NotModified {
+                since: r.u64()?,
+            },
+            Self::TAG_NOT_MODIFIED => CellMsg::NotModified {
                 slice,
-                version: take_u64(&mut rest)?,
-            }),
-            _ => None,
+                version: r.u64()?,
+            },
+            _ => return None,
         };
-        if msg.is_some() {
-            pds_obs::counter!("sync.bytes_received").add(bytes.len() as u64);
-        }
-        msg
+        r.finish()?;
+        pds_obs::counter!("sync.bytes_received").add(bytes.len() as u64);
+        Some(msg)
     }
 }
 
@@ -255,9 +235,7 @@ pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
 /// Plaintext version prefix of a versioned blob (0 when malformed —
 /// malformed pushes then lose to any real snapshot).
 fn blob_version(blob: &[u8]) -> u64 {
-    blob.get(0..8)
-        .and_then(|b| b.try_into().ok())
-        .map_or(0, u64::from_le_bytes)
+    Reader::new(blob).u64().unwrap_or(0)
 }
 
 /// A trusted cell holding named slices of the owner's state.
@@ -474,12 +452,10 @@ impl TrustedCell {
     }
 
     fn decode_blob(blob: &[u8], key: &SymmetricKey) -> Result<SnapshotBlob, PdsError> {
-        if blob.len() < 8 {
-            return Err(PdsError::ArchiveCorrupt("short cell blob"));
-        }
-        let version = u64::from_le_bytes(blob[0..8].try_into().unwrap());
+        let mut r = Reader::new(blob);
+        let version = r.u64().ok_or(PdsError::ArchiveCorrupt("short cell blob"))?;
         let data = key
-            .decrypt(&pds_crypto::Ciphertext(blob[8..].to_vec()))
+            .decrypt(&pds_crypto::Ciphertext(r.rest().to_vec()))
             .ok_or(PdsError::ArchiveCorrupt("cell blob authentication"))?;
         Ok((version, data))
     }
@@ -573,6 +549,23 @@ mod tests {
         assert_eq!(r1.pushed, 2);
         let r2 = home.sync(&mut cloud, &mut rng).unwrap();
         assert_eq!(r2.unchanged, 2);
+    }
+
+    #[test]
+    fn cell_blobs_keep_the_decoder_contract() {
+        use pds_obs::rng::Rng;
+        let key = SymmetricKey::from_seed(b"owner-alice");
+        pds_obs::wire::sweep(
+            "cell blob",
+            pds_obs::wire::Tail::RestOfBuffer,
+            &[&[0xFF; 7]],
+            |rng| (rng.gen::<u64>(), b"slice ".repeat(rng.gen_range(0..9usize))),
+            |(version, data)| {
+                let mut rng = StdRng::seed_from_u64(*version);
+                TrustedCell::encode_blob(&key, *version, data, &mut rng)
+            },
+            |blob| TrustedCell::decode_blob(blob, &key).ok(),
+        );
     }
 
     #[test]

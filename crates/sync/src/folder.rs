@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 
 use pds_crypto::SymmetricKey;
 use pds_obs::rng::RngCore;
+use pds_obs::wire::{put_prefixed, Reader};
 
 /// One EHR/social entry.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -34,8 +35,7 @@ pub struct EhrEntry {
 impl EhrEntry {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.author.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.author.as_bytes());
+        put_prefixed(&mut out, self.author.as_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.day.to_le_bytes());
         out.extend_from_slice(self.text.as_bytes());
@@ -43,21 +43,12 @@ impl EhrEntry {
     }
 
     fn decode(bytes: &[u8]) -> Option<EhrEntry> {
-        let alen = u16::from_le_bytes(bytes.get(0..2)?.try_into().ok()?) as usize;
-        let author = std::str::from_utf8(bytes.get(2..2 + alen)?)
-            .ok()?
-            .to_string();
-        let mut off = 2 + alen;
-        let seq = u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?);
-        off += 8;
-        let day = u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?);
-        off += 8;
-        let text = std::str::from_utf8(bytes.get(off..)?).ok()?.to_string();
+        let mut r = Reader::new(bytes);
         Some(EhrEntry {
-            author,
-            seq,
-            day,
-            text,
+            author: std::str::from_utf8(r.prefixed()?).ok()?.to_string(),
+            seq: r.u64()?,
+            day: r.u64()?,
+            text: std::str::from_utf8(r.rest()).ok()?.to_string(),
         })
     }
 }
@@ -324,6 +315,25 @@ impl Badge {
 mod tests {
     use super::*;
     use pds_obs::rng::{Rng, SeedableRng, StdRng};
+
+    #[test]
+    fn entries_keep_the_decoder_contract() {
+        let authors = ["", "patient", "dr.martin", "infirmière-2"];
+        pds_obs::wire::sweep(
+            "EhrEntry",
+            pds_obs::wire::Tail::RestOfBuffer,
+            // An author name claiming 65 535 bytes.
+            &[&[0xFF; 20]],
+            |rng| EhrEntry {
+                author: authors[rng.gen_range(0..authors.len())].to_string(),
+                seq: rng.gen(),
+                day: rng.gen(),
+                text: "tension 13/8 ".repeat(rng.gen_range(0..4usize)),
+            },
+            EhrEntry::encode,
+            EhrEntry::decode,
+        );
+    }
 
     #[test]
     fn one_badge_tour_converges_both_replicas() {

@@ -63,6 +63,12 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- \
   seeded_crash_recovery_sweep record_log_sweep cell_store_sweep
 PDS_CRASH_SEEDS=256 cargo test -p pds-search -q checkpointed_recovery_equals_full_rebuild_sweep
+# The format sweep under the same widened seed set: every wire and flash
+# format round-trips, refuses every strict prefix and every lying count,
+# and survives flips, splices and garbage without a panic — the public
+# formats (tests/wire_formats.rs) and the rows beside the private
+# decoders, all named `*_keep_the_decoder_contract`.
+PDS_CRASH_SEEDS=256 cargo test --workspace -q keep_the_decoder_contract
 # Fleet smoke sweep: a small tokens × threads × connectivity run of the
 # phased secure-aggregation job, with the pds-obs registry exported so
 # the fleet.* counters are visible in the gate log.
