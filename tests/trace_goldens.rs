@@ -1,0 +1,362 @@
+//! Golden pins of every span tree the stack hands back: the stitched
+//! `FleetTrace` of the three fleet drivers (aggregation, cell sync,
+//! subscriptions) and the gateway's `QueryTrace`s.
+//!
+//! A trace is a report a caller asked for, so its bytes are a contract:
+//! the SHA-256 of `render()` and of `to_json()` is pinned per scenario,
+//! at 1, 2 and 8 workers where the scenario has workers. The constants
+//! were generated at commit e0d9b5b (PR 21), before the collection path
+//! under them was replaced; a change to how spans are collected must
+//! leave every one of them where it is.
+
+use std::sync::{Arc, Barrier};
+
+use pds::core::{AccessContext, Pds, Purpose};
+use pds::crypto::hash::sha256;
+use pds::db::{Predicate, Value};
+use pds::fleet::{
+    build_fleet, fleet_secure_aggregation, CellNet, CellNetConfig, EvictPolicy, FleetAggReport,
+    FleetConfig, OnTamper, SubNet, SubNetConfig,
+};
+use pds::global::ssi::SsiThreat;
+use pds::global::GroupByQuery;
+use pds::obs::rng::{Rng, SeedableRng, StdRng};
+use pds::obs::{FinishedSpan, FleetTrace, QueryTrace};
+use pds::sync::TrustedCell;
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// `(sha256(render), sha256(to_json))`.
+fn digests(render: &str, json: &str) -> (String, String) {
+    (
+        hex(&sha256(render.as_bytes())),
+        hex(&sha256(json.as_bytes())),
+    )
+}
+
+fn fleet_digests(t: &FleetTrace) -> (String, String) {
+    digests(&t.render(), &t.to_json())
+}
+
+fn assert_golden(what: &str, got: (String, String), golden: (&str, &str)) {
+    assert_eq!(
+        (got.0.as_str(), got.1.as_str()),
+        golden,
+        "{what}: (render, json) digests moved"
+    );
+}
+
+// ---- (a) the traced [TNP14] aggregation of tests/fleet.rs ---------------
+
+/// One pin for all three residency regimes: parking and reviving tokens
+/// between their turns is unobservable in the stitched trace.
+const AGG: (&str, &str) = (
+    "bedfdb7175efcef10735083f912b5a9560d6db760b34de0bdecd2016b68892cf",
+    "54d5dd569f39727fcd92fcfa8141196ab31c3a3bd5fc586817a9f9809c41b315",
+);
+
+/// A second, smaller fleet on another seed, so that two runs driven at
+/// once have different trees to keep apart.
+const AGG_OTHER: (&str, &str) = (
+    "c7eb6b53ec611a1c41214babb30d4fa07e3ff8b2c187cd0a9d9486ca0d55671f",
+    "5081e0d1eea993d7251e1a416122908686d0d978618602cd54be5d73aa46b09a",
+);
+
+/// A traced aggregation, optionally under a resident cap of a quarter
+/// of the fleet.
+fn traced_agg_of(
+    tokens: usize,
+    seed: u64,
+    workers: usize,
+    capped: Option<EvictPolicy>,
+) -> FleetAggReport {
+    let mut cfg = FleetConfig::new(tokens, workers, seed);
+    cfg.partition_size = 8;
+    cfg.trace = true;
+    if let Some(evict) = capped {
+        cfg.resident_cap = Some(tokens / 4);
+        cfg.evict = evict;
+    }
+    let query = GroupByQuery::bank_by_category();
+    let mut fleet = build_fleet(&cfg, &query).unwrap();
+    fleet_secure_aggregation(
+        &cfg,
+        &query,
+        &mut fleet,
+        SsiThreat::HonestButCurious,
+        OnTamper::Abort,
+    )
+    .unwrap()
+}
+
+/// The `stitched_trace_is_bit_identical_at_1_2_and_8_workers` config of
+/// `tests/fleet.rs`, optionally capped at 8 of its 32 tokens.
+fn traced_agg(workers: usize, capped: Option<EvictPolicy>) -> FleetAggReport {
+    traced_agg_of(32, 0x7ACE, workers, capped)
+}
+
+fn agg_trace(workers: usize, capped: Option<EvictPolicy>) -> FleetTrace {
+    traced_agg(workers, capped).trace.expect("trace requested")
+}
+
+#[test]
+fn aggregation_trace_uncapped_is_pinned_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        assert_golden(
+            &format!("uncapped, {workers} workers"),
+            fleet_digests(&agg_trace(workers, None)),
+            AGG,
+        );
+    }
+}
+
+#[test]
+fn aggregation_trace_under_a_hibernating_cap_is_pinned_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        assert_golden(
+            &format!("cap 8 hibernate, {workers} workers"),
+            fleet_digests(&agg_trace(workers, Some(EvictPolicy::Hibernate))),
+            AGG,
+        );
+    }
+}
+
+#[test]
+fn aggregation_trace_under_a_rebuilding_cap_is_pinned_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        assert_golden(
+            &format!("cap 8 rebuild, {workers} workers"),
+            fleet_digests(&agg_trace(workers, Some(EvictPolicy::Rebuild))),
+            AGG,
+        );
+    }
+}
+
+/// Every span and attribute key in `span`'s subtree, depth first.
+fn walk(span: &FinishedSpan, visit: &mut impl FnMut(&FinishedSpan)) {
+    visit(span);
+    for c in &span.children {
+        walk(c, visit);
+    }
+}
+
+#[test]
+fn residency_fix_up_never_shows_in_a_token_subtree() {
+    // Under a cap the scheduler creates and wakes tokens between their
+    // turns; that work is the scheduler's, not the phase's. Whatever a
+    // boot path records (`pds.reopen`, `recovery.*`), none of it may
+    // land under a `token.N` span.
+    for evict in [EvictPolicy::Hibernate, EvictPolicy::Rebuild] {
+        let rep = traced_agg(2, Some(evict));
+        match evict {
+            EvictPolicy::Hibernate => assert!(rep.sched.sleep_wakes > 0, "tokens were woken"),
+            EvictPolicy::Rebuild => assert!(rep.sched.rebuilds > 0, "tokens were rebuilt"),
+        }
+        let trace = rep.trace.expect("trace requested");
+        let mut turns = 0;
+        for phase in trace.phases() {
+            for t in phase
+                .children
+                .iter()
+                .filter(|c| c.name.starts_with("token."))
+            {
+                turns += 1;
+                walk(t, &mut |s| {
+                    assert_ne!(s.name, "pds.reopen", "{evict:?}: {} holds a wake", t.name);
+                    assert!(
+                        !s.name.starts_with("recovery."),
+                        "{evict:?}: {} holds {}",
+                        t.name,
+                        s.name
+                    );
+                    for (k, _) in &s.attrs {
+                        assert!(
+                            !k.starts_with("recovery."),
+                            "{evict:?}: {} carries {k}",
+                            t.name
+                        );
+                    }
+                });
+            }
+        }
+        assert!(turns >= 32, "every token worked in some phase");
+    }
+}
+
+#[test]
+fn two_traced_runs_at_once_read_as_each_run_alone() {
+    // Two drivers on two threads, released together, each over its own
+    // fleet: neither run's token spans may end up in the other's tree.
+    let other = traced_agg_of(24, 0xB0B, 2, Some(EvictPolicy::Hibernate));
+    assert_golden(
+        "the second fleet, alone",
+        fleet_digests(&other.trace.expect("trace requested")),
+        AGG_OTHER,
+    );
+    let start = Arc::new(Barrier::new(2));
+    let runs = [
+        (32, 0x7ACE, None, AGG),
+        (24, 0xB0B, Some(EvictPolicy::Hibernate), AGG_OTHER),
+    ];
+    let handles: Vec<_> = runs
+        .into_iter()
+        .map(|(tokens, seed, capped, golden)| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..3 {
+                    let rep = traced_agg_of(tokens, seed, 2, capped);
+                    assert_golden(
+                        &format!("concurrent, seed {seed:#x}"),
+                        fleet_digests(&rep.trace.expect("trace requested")),
+                        golden,
+                    );
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("a concurrent traced run drifted");
+    }
+}
+
+// ---- (b) one traced cell-sync round, one traced subscription round ------
+
+const CELL_SYNC_ROUND: (&str, &str) = (
+    "6778259bec3d79dba367e4186c406cd0c42e8ba7ef55f51c242726d36854805f",
+    "6037f4e3828b67d0c817304110f13e865881f0938188aab1d73457227055b039",
+);
+const SUBS_ROUND: (&str, &str) = (
+    "940de3421ea74c12904be66f80f86b4d3ec58b4dce9b0096b18a3d4c1b8f7af6",
+    "e747658e085f2f584b8d18a78384b440a49c62ea9af6a8f9e30b534c9d411034",
+);
+
+#[test]
+fn cell_sync_round_trace_is_pinned_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        let cfg = CellNetConfig::new(6, workers, 0xCE11);
+        let mut net = CellNet::build(cfg, |i| {
+            TrustedCell::new(&format!("cell-{i}"), b"owner-alice")
+        })
+        .unwrap();
+        net.write(0, "energy-profile", b"heating v1");
+        net.write(3, "medical", b"diagnosis");
+        // One plain round first, so the traced one has responses to
+        // reconcile as well as requests to send.
+        net.sync_round().unwrap();
+        let (_, trace) = net.sync_round_traced().unwrap();
+        assert!(trace
+            .phases()
+            .iter()
+            .any(|p| p.children.iter().any(|c| c.name.starts_with("token."))));
+        assert_golden(
+            &format!("cell sync, {workers} workers"),
+            fleet_digests(&trace),
+            CELL_SYNC_ROUND,
+        );
+    }
+}
+
+#[test]
+fn subscription_round_trace_is_pinned() {
+    // The subscription fleet's tokens live on the driver thread: there
+    // is no worker count to vary, so the same round is run twice.
+    for _ in 0..2 {
+        let mut net = SubNet::build(SubNetConfig::new(4, 0x5AB5)).unwrap();
+        net.round().unwrap();
+        let (_, trace) = net.round_traced().unwrap();
+        assert_eq!(trace.phases().len(), 3);
+        assert_golden("subscription round", fleet_digests(&trace), SUBS_ROUND);
+    }
+}
+
+// ---- (c) the gateway's explain reports ----------------------------------
+
+const SELECT_FULL_SCAN: (&str, &str) = (
+    "ade944722be020513d5950a19c5399345f9d4affd23c173955a9c7d2eda1e11c",
+    "a4e6323db8fdc70176b7d14d75868bf01379570a5bcc6a302af6e43e8de2fe60",
+);
+const SELECT_SUMMARY_SCAN: (&str, &str) = (
+    "5a49d2f76ada5949e25a2e91dc421cee03aab3329c799c7f8cdd4ac7e0f07c82",
+    "b23a2baaaedb3ce4e87b4da532469318a32ba1a0ac89219cedd1f94f19a3d992",
+);
+const SELECT_DENIED: (&str, &str) = (
+    "f85e6b37949565da79670e75b7af1bb1a84265d888dcb8c0ff27f6492e5090d2",
+    "a2d2ebe4f6c24792a7111701af3ca69f34e878ba8014b9b1027bf165db693b30",
+);
+const SEARCH: (&str, &str) = (
+    "18d701265434ed3d9dd3fd3c9239e396f703168c6d6920adf46d6279acdc7cd2",
+    "8f037ec716af4287b7fe9bdfb614debb6ee4e70beae3bf8f7e9ae06b51686bec",
+);
+
+/// A token with seeded bank rows and emails.
+fn seeded_pds() -> Pds {
+    let mut rng = StdRng::seed_from_u64(0x9A7E);
+    let mut pds = Pds::for_tests(9, "alice").unwrap();
+    for day in 0..600u64 {
+        let category = if rng.gen_range(0..20u32) == 0 {
+            "salary"
+        } else {
+            "groceries"
+        };
+        let amount = 1_000 + rng.gen_range(0..9_000u64);
+        pds.ingest_bank(day, category, amount, "cp").unwrap();
+    }
+    let words = ["salary", "invoice", "holiday", "doctor", "school", "energy"];
+    for day in 0..40u64 {
+        let subject = words[rng.gen_range(0..words.len())];
+        let body = format!(
+            "{} {} {}",
+            words[rng.gen_range(0..words.len())],
+            words[rng.gen_range(0..words.len())],
+            words[rng.gen_range(0..words.len())]
+        );
+        pds.ingest_email(day, "bob@example.org", subject, &body)
+            .unwrap();
+    }
+    pds.set_clock(600);
+    pds
+}
+
+fn query_digests(mut trace: QueryTrace) -> (String, String) {
+    trace.root.strip_timing();
+    digests(&trace.render(), &trace.to_json())
+}
+
+fn plan_of(trace: &QueryTrace) -> Option<&str> {
+    trace
+        .root
+        .find("db.select")
+        .and_then(|s| s.attr("db.plan"))
+        .and_then(|a| a.as_str())
+}
+
+#[test]
+fn gateway_explain_reports_are_pinned() {
+    let mut pds = seeded_pds();
+    let me = AccessContext::new("alice", Purpose::PersonalUse);
+    let stranger = AccessContext::new("mallory", Purpose::PersonalUse);
+    let pred = Predicate::eq("category", Value::str("salary"));
+
+    let (res, full) = pds.select_traced(&me, "BANK", &pred);
+    assert!(!res.unwrap().is_empty());
+    assert_eq!(plan_of(&full), Some("full_scan"));
+    assert_golden("full scan", query_digests(full), SELECT_FULL_SCAN);
+
+    pds.create_index(&me, "BANK", "category").unwrap();
+    let (res, summary) = pds.select_traced(&me, "BANK", &pred);
+    assert!(!res.unwrap().is_empty());
+    assert_eq!(plan_of(&summary), Some("summary_scan"));
+    assert_golden("summary scan", query_digests(summary), SELECT_SUMMARY_SCAN);
+
+    let (res, denied) = pds.select_traced(&stranger, "BANK", &pred);
+    assert!(res.is_err());
+    assert_eq!(denied.policy_decision(), Some("denied"));
+    assert_golden("denied stranger", query_digests(denied), SELECT_DENIED);
+
+    let (res, search) = pds.search_traced(&me, &["salary", "doctor"], 5);
+    assert!(!res.unwrap().is_empty());
+    assert_golden("search", query_digests(search), SEARCH);
+}
