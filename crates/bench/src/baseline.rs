@@ -11,7 +11,7 @@
 //! what they measured may be time). The `obs.events_dropped` counter
 //! stands for flight frames lost to a full staging buffer. Wall-clock
 //! values are machine-dependent and never baselined, and neither are the
-//! counts that only measure how much source there is ([`SOURCE_SIZE`]).
+//! counts that only measure how much source there is (`SOURCE_SIZE`).
 //!
 //! A baseline also records which experiments ran ([`Baseline::scope`])
 //! and the environment knobs that shaped them ([`ENV_KNOBS`]), so a

@@ -1,7 +1,7 @@
 //! E14 — fleet scaling: tokens × threads × connectivity.
 //!
 //! The tutorial's ecosystem is "millions" of weakly-connected tokens
-//! behind an always-available SSI. E14 runs the [TNP14] secure
+//! behind an always-available SSI. E14 runs the \[TNP14\] secure
 //! aggregation as a phased fleet job (`pds-fleet`) and sweeps worker
 //! threads and connectivity, reporting protocol throughput (tokens/s
 //! over the timed collection → reduction → distribution phases),

@@ -1,7 +1,7 @@
 //! E15 — fleet-trace critical path vs connectivity.
 //!
 //! The stitched causal trace (`pds-fleet`'s `FleetTraceBuilder`) makes
-//! the [TNP14] round's *causal* cost measurable: per phase, the
+//! the \[TNP14\] round's *causal* cost measurable: per phase, the
 //! straggler hop whose delivery landed last, in bus ticks. E15 sweeps
 //! connectivity and watches the critical path stretch — weakly-connected
 //! tokens dilate causal time through retries and redeliveries while the

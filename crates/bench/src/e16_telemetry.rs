@@ -1,7 +1,7 @@
 //! E16 — in-band fleet telemetry: rollup convergence and overhead.
 //!
 //! The telemetry plane rides the same store-and-forward bus as the
-//! [TNP14] protocol itself (`pds-fleet::telemetry`): every token mails
+//! \[TNP14\] protocol itself (`pds-fleet::telemetry`): every token mails
 //! its metric deltas to the collector role, which folds them into
 //! tick-indexed rollups and a health verdict. E16 sweeps fleet size ×
 //! connectivity and reports what that costs and how it behaves:

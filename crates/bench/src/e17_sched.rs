@@ -1,4 +1,4 @@
-//! E17 — event-driven scheduler: [TNP14] aggregation at 10k–1M tokens.
+//! E17 — event-driven scheduler: \[TNP14\] aggregation at 10k–1M tokens.
 //!
 //! The pool-era fleet kept every token resident, so fleet size was
 //! bounded by RAM. The event-driven scheduler (`pds-fleet::sched`)

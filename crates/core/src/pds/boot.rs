@@ -131,10 +131,20 @@ impl Pds {
     /// handle — which is what lets a fleet scheduler keep hundreds of
     /// thousands of idle tokens parked. [`Pds::wake`] is the inverse;
     /// because [`Pds::sync`] ran first, the wake is lossless.
-    pub fn hibernate(mut self) -> Result<PdsHibernation, PdsError> {
+    pub fn hibernate(self) -> Result<PdsHibernation, PdsError> {
+        let (h, flushed) = self.power_down();
+        flushed.map(|()| h)
+    }
+
+    /// [`Pds::hibernate`] for a host that cannot rebuild its token from a
+    /// factory and so must keep it whatever happens: the flush's verdict
+    /// comes back beside the hibernation, not in place of it. A flush
+    /// that failed is a power loss — the switch is thrown on whatever
+    /// reached flash, and [`Pds::wake`] reports what that cost.
+    pub fn power_down(mut self) -> (PdsHibernation, Result<(), PdsError>) {
         self.note(Severity::Info, code::CORE_HIBERNATE, [0, 0]);
-        self.sync()?;
-        Ok(self.power_off())
+        let flushed = self.sync();
+        (self.power_off(), flushed)
     }
 
     /// Boot a PDS from its persistent state — the only boot path, taken

@@ -104,7 +104,7 @@ impl BlackBox {
 
     /// Stamp one staged frame with the next tick and append it. When
     /// the ring overflows its capacity, the oldest half is compacted
-    /// away ([`BlackBox::compact`]).
+    /// away (`BlackBox::compact`).
     pub fn record(&mut self, mut frame: EventFrame) -> Result<()> {
         frame.tick = self.next_tick;
         self.log.append(frame, &frame.encode())?;

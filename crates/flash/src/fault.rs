@@ -15,9 +15,9 @@
 //!   is processed partially: either a random prefix of the page reaches
 //!   the cells (*torn page*) or nothing does (*silently dropped*). The
 //!   chip then goes offline — every primitive returns
-//!   [`FlashError::PowerLoss`] until the host reboots it.
+//!   [`crate::FlashError::PowerLoss`] until the host reboots it.
 //! * **stuck blocks** — `erase_block` on a scripted block fails with
-//!   [`FlashError::StuckBlock`]; the allocator retires it.
+//!   [`crate::FlashError::StuckBlock`]; the allocator retires it.
 //! * **read disturb** — with probability `p`, one random bit of a read
 //!   buffer is flipped. Transient: the stored cells are untouched, a
 //!   re-read may succeed.

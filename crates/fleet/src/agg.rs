@@ -1,13 +1,13 @@
-//! [TNP14] secure aggregation re-hosted as an event-driven fleet job.
+//! \[TNP14\] secure aggregation re-hosted as an event-driven fleet job.
 //!
 //! The protocol itself — seal, fold a partition, the SSI's
 //! [`Reduction`] plan between rounds — lives once, transport-free, in
 //! `pds_global::secure_agg`, which also drives it in one in-process
 //! loop. This module is the other driver and holds only what is the
 //! fleet's own: N tokens sharded over the event-driven
-//! [`FleetScheduler`](crate::sched::FleetScheduler), every token↔SSI
+//! [`FleetScheduler`], every token↔SSI
 //! hand-off a message on the store-and-forward
-//! [`MailboxBus`](crate::bus::MailboxBus) (with a wire framing for a
+//! [`MailboxBus`] (with a wire framing for a
 //! partition), derived per-token / per-partition RNG streams, the
 //! telemetry plane and the stitched trace. The run is three phases
 //! driven by one logical tick loop:
@@ -67,7 +67,7 @@ use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost};
 use crate::telemetry::{
     Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryConfig, TelemetryMsg,
 };
-use crate::trace::{token_span, FleetTraceBuilder};
+use crate::trace::FleetTraceBuilder;
 pub use pds_global::secure_agg::OnTamper;
 
 const TAG_TOKEN: u64 = 0x464C_5454_4F4B_4E01; // per-token data stream
@@ -178,7 +178,7 @@ pub fn build_token(cfg: &FleetConfig, domain: &[String], i: usize) -> Pds {
     synthetic_token(i, domain, &cfg.protocol_key(), &mut rng).expect("synthetic token")
 }
 
-/// The [`TokenHost`] of a [TNP14] fleet: builds tokens from the derived
+/// The [`TokenHost`] of a \[TNP14\] fleet: builds tokens from the derived
 /// per-index streams and parks evicted ones according to
 /// [`FleetConfig::evict`].
 #[derive(Clone)]
@@ -212,7 +212,7 @@ impl TokenHost for PdsHost {
     }
 }
 
-/// The scheduler hosting one [TNP14] fleet.
+/// The scheduler hosting one \[TNP14\] fleet.
 pub type Fleet = FleetScheduler<PdsHost>;
 
 /// Build the fleet's scheduler (setup cost — excluded from protocol
@@ -456,7 +456,7 @@ impl Serving {
     }
 }
 
-/// Run the [TNP14] secure aggregation protocol over an already-built
+/// Run the \[TNP14\] secure aggregation protocol over an already-built
 /// fleet. The scheduler must have been built by [`build_fleet`] with
 /// the same `cfg` and `query`.
 pub fn fleet_secure_aggregation(
@@ -475,14 +475,14 @@ pub fn fleet_secure_aggregation(
     let mut stats = ProtocolStats::default();
     let sched0 = fleet.stats();
     let mut phase_ticks: Vec<(String, u64)> = Vec::new();
-    let mut ftb = cfg.trace.then(|| {
-        let mut b = FleetTraceBuilder::new("fleet.agg");
-        // No worker-count attribute: the stitched trace must be
-        // bit-identical no matter how the fleet was sharded.
-        b.set("tokens", cfg.tokens);
-        b.set("seed", cfg.seed);
-        b
-    });
+    let mut ftb = FleetTraceBuilder::new("fleet.agg", cfg.seed, cfg.trace);
+    // No worker-count attribute: the stitched trace must be
+    // bit-identical no matter how the fleet was sharded.
+    ftb.set("tokens", cfg.tokens);
+    ftb.set("seed", cfg.seed);
+    // Trees a traced run left behind when it aborted mid-phase are not
+    // this run's.
+    fleet.take_spans();
 
     // pds-lint: allow(det.time) — wall-clock feeds only the reported
     // throughput stat; no protocol value derives from it
@@ -497,13 +497,12 @@ pub fn fleet_secure_aggregation(
     // pds-lint: allow(det.time) — stats-only phase timing (pds-obs histogram)
     let phase0 = Instant::now();
     let tick0 = bus.now();
-    let ctx = ftb.as_mut().map(|b| b.begin_phase("phase.collect", &bus));
+    let ctx = ftb.begin_phase("phase.collect", &bus);
     let q = query.clone();
     let latency = cfg.link_latency_us;
     let enc_key = key.clone();
     let seed = cfg.seed;
     let collected: Vec<(usize, CollectOut)> = fleet.dispatch_all(ctx, move |i, pds, _mail| {
-        let _span = token_span(i);
         sleep_link(latency);
         let mut rng = derived_rng(seed, TAG_ENC, i as u64);
         let groups = q.contributions_of(pds)?;
@@ -541,9 +540,7 @@ pub fn fleet_secure_aggregation(
     if let Some(td) = tele.as_mut() {
         td.observe_phase(&mut bus);
     }
-    if let Some(b) = ftb.as_mut() {
-        b.end_phase(&mut bus);
-    }
+    ftb.end_phase(&mut bus, fleet.take_spans());
     phase_ticks.push(("collect".to_string(), bus.now() - tick0));
     let arrived: Vec<(u64, Vec<u8>)> = bus
         .drain_inbox(Addr::Ssi)
@@ -574,9 +571,7 @@ pub fn fleet_secure_aggregation(
             break Vec::new(); // population contributed nothing at all
         };
         let tick0 = bus.now();
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase(&format!("phase.reduce.{}", round.index), &bus));
+        let ctx = ftb.begin_phase(&format!("phase.reduce.{}", round.index), &bus);
         for (pi, (token, chunks)) in round.partitions.iter().enumerate() {
             let mail = encode_partition(round.index, pi as u32, chunks);
             bus.send_in(Addr::Ssi, Addr::Token(*token), mail, ctx);
@@ -590,10 +585,7 @@ pub fn fleet_secure_aggregation(
             on_tamper,
             latency_us: latency,
         };
-        let reduce_f = move |i: usize, _pds: &mut Pds, mail: Vec<BusMsg>| {
-            let _span = token_span(i);
-            serving.serve(mail)
-        };
+        let reduce_f = move |_i: usize, _pds: &mut Pds, mail: Vec<BusMsg>| serving.serve(mail);
         // Ordered merge per wake batch: a batch's partial results
         // re-enter the SSI store in partition order, and batch
         // boundaries are a pure function of the seeded bus schedule —
@@ -650,9 +642,7 @@ pub fn fleet_secure_aggregation(
                 Ok(())
             },
         )?;
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut bus);
-        }
+        ftb.end_phase(&mut bus, fleet.take_spans());
         if let Some(td) = tele.as_mut() {
             td.observe_phase(&mut bus);
         }
@@ -680,9 +670,7 @@ pub fn fleet_secure_aggregation(
     // pds-lint: allow(det.time) — stats-only phase timing (pds-obs histogram)
     let phase0 = Instant::now();
     let tick0 = bus.now();
-    let ctx = ftb
-        .as_mut()
-        .map(|b| b.begin_phase("phase.distribute", &bus));
+    let ctx = ftb.begin_phase("phase.distribute", &bus);
     let result_wire: Vec<u8> = result
         .iter()
         .flat_map(|(g, v)| {
@@ -702,8 +690,7 @@ pub fn fleet_secure_aggregation(
         ctx,
         MAX_BUS_TICKS,
         BATCH_TICKS,
-        move |i, _pds: &mut Pds, mail: Vec<BusMsg>| {
-            let _span = token_span(i);
+        move |_i, _pds: &mut Pds, mail: Vec<BusMsg>| {
             if mail.is_empty() {
                 false
             } else {
@@ -725,9 +712,7 @@ pub fn fleet_secure_aggregation(
             Ok(())
         },
     )?;
-    if let Some(b) = ftb.as_mut() {
-        b.end_phase(&mut bus);
-    }
+    ftb.end_phase(&mut bus, fleet.take_spans());
     phase_ticks.push(("distribute".to_string(), bus.now() - tick0));
     pds_obs::histogram("fleet.phase.distribute_us").observe(phase0.elapsed().as_micros() as u64);
 
@@ -791,7 +776,7 @@ pub fn fleet_secure_aggregation(
         phase_ticks,
         leakage: ssi.leakage(),
         result_coverage,
-        trace: ftb.map(FleetTraceBuilder::finish),
+        trace: cfg.trace.then(|| ftb.finish()),
         telemetry,
         elapsed,
     })

@@ -264,7 +264,7 @@ impl BusStats {
         ]
     }
 
-    /// These counters as a mergeable [`MetricsDelta`].
+    /// These counters as a mergeable [`pds_obs::MetricsDelta`].
     pub fn as_delta(&self) -> pds_obs::MetricsDelta {
         let mut d = pds_obs::MetricsDelta::new();
         for (name, v) in self.named() {

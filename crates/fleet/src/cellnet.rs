@@ -27,7 +27,7 @@ use pds_sync::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 use crate::agg::derived_rng;
 use crate::bus::{Addr, BusConfig, BusMsg, BusStats, MailboxBus};
 use crate::pool::TokenPool;
-use crate::trace::{token_span, FleetTraceBuilder};
+use crate::trace::FleetTraceBuilder;
 
 const TAG_CELL: u64 = 0x464C_5443_454C_4C04; // per-(round, cell) push stream
 
@@ -139,8 +139,13 @@ impl CellNet {
         self.bus.force_offline(cell, offline);
     }
 
-    /// Local write on one cell (bumps the slice version there).
+    /// Local write on one cell (bumps the slice version there). A `cell`
+    /// the network does not host writes nothing and names nothing in the
+    /// directory.
     pub fn write(&mut self, cell: usize, slice: &str, data: &[u8]) {
+        if cell >= self.len() {
+            return;
+        }
         if !self.directory.iter().any(|s| s == slice) {
             Arc::make_mut(&mut self.directory).push(slice.to_string());
         }
@@ -156,44 +161,36 @@ impl CellNet {
     /// One synchronization round: request → serve → reconcile, all
     /// token↔cloud traffic on the bus.
     pub fn sync_round(&mut self) -> Result<CellSyncReport, PdsError> {
-        self.sync_round_inner(&mut None)
+        Ok(self.sync_round_inner(false)?.0)
     }
 
     /// [`CellNet::sync_round`] with a stitched causal [`FleetTrace`]:
     /// per-cell `token.N` spans in the request/reconcile phases and the
     /// full hop history of every message the round moved.
     pub fn sync_round_traced(&mut self) -> Result<(CellSyncReport, FleetTrace), PdsError> {
-        let mut b = FleetTraceBuilder::new("fleet.sync");
-        b.set("cells", self.cfg.cells);
-        b.set("round", u64::from(self.round));
-        b.set("seed", self.cfg.seed);
-        let mut ftb = Some(b);
-        let delta = self.sync_round_inner(&mut ftb)?;
-        Ok((delta, ftb.take().expect("builder kept").finish()))
+        self.sync_round_inner(true)
     }
 
-    fn sync_round_inner(
-        &mut self,
-        ftb: &mut Option<FleetTraceBuilder>,
-    ) -> Result<CellSyncReport, PdsError> {
+    fn sync_round_inner(&mut self, traced: bool) -> Result<(CellSyncReport, FleetTrace), PdsError> {
         let round = self.round;
         self.round += 1;
         let mut delta = CellSyncReport::default();
+        let mut ftb = FleetTraceBuilder::new("fleet.sync", self.cfg.seed, traced);
+        ftb.set("cells", self.cfg.cells);
+        ftb.set("round", u64::from(round));
+        ftb.set("seed", self.cfg.seed);
 
         // Phase 1: every cell mails its pull requests.
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase("phase.request", &self.bus));
+        let ctx = ftb.begin_phase("phase.request", &self.bus);
         let directory = Arc::clone(&self.directory);
         let use_delta = self.cfg.delta;
-        let requests: Vec<Vec<Vec<u8>>> = self.pool.map_in_trace(ctx, move |i, c| {
-            let _span = token_span(i);
+        let (requests, spans) = self.pool.map_traced(ctx, move |_, c| {
             let reqs = if use_delta {
                 c.sync_requests_since(&directory)
             } else {
                 c.sync_requests(&directory)
             };
-            reqs.iter().map(CellMsg::to_bytes).collect()
+            reqs.iter().map(CellMsg::to_bytes).collect::<Vec<_>>()
         });
         for (i, reqs) in requests.into_iter().enumerate() {
             for r in reqs {
@@ -201,15 +198,11 @@ impl CellNet {
             }
         }
         self.bus.run_until_quiet(TICKS_PER_PHASE);
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
+        ftb.end_phase(&mut self.bus, spans);
 
         // Phase 2: the cloud serves whatever arrived (version-guarded;
         // requests from offline cells simply arrive in a later round).
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase("phase.serve", &self.bus));
+        let ctx = ftb.begin_phase("phase.serve", &self.bus);
         for m in self.bus.drain_inbox(Addr::Ssi) {
             let Some(msg) = CellMsg::from_bytes(&m.payload) else {
                 continue;
@@ -219,19 +212,14 @@ impl CellNet {
             }
         }
         self.bus.run_until_quiet(TICKS_PER_PHASE);
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
+        ftb.end_phase(&mut self.bus, Vec::new());
 
         // Phase 3: cells reconcile the responses in parallel.
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase("phase.reconcile", &self.bus));
+        let ctx = ftb.begin_phase("phase.reconcile", &self.bus);
         let mail: Arc<BTreeMap<usize, Vec<BusMsg>>> =
             Arc::new(self.bus.take_token_mail().into_iter().collect());
         let seed = self.cfg.seed;
-        let handled: Vec<ReconcileOut> = self.pool.map_in_trace(ctx, move |i, c| {
-            let _span = token_span(i);
+        let (handled, spans) = self.pool.map_traced(ctx, move |i, c| -> ReconcileOut {
             let mut pushes = Vec::new();
             let mut rep = CellSyncReport::default();
             let Some(mine) = mail.get(&i) else {
@@ -260,9 +248,7 @@ impl CellNet {
             }
         }
         self.bus.run_until_quiet(TICKS_PER_PHASE);
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
+        ftb.end_phase(&mut self.bus, spans);
         for m in self.bus.drain_inbox(Addr::Ssi) {
             if let Some(msg) = CellMsg::from_bytes(&m.payload) {
                 serve_cloud(&mut self.cloud, &msg);
@@ -275,7 +261,7 @@ impl CellNet {
         pds_obs::counter("fleet.cells.pushed").add(u64::from(delta.pushed));
         pds_obs::counter("fleet.cells.pulled").add(u64::from(delta.pulled));
         pds_obs::counter("fleet.cells.unchanged").add(u64::from(delta.unchanged));
-        Ok(delta)
+        Ok((delta, ftb.finish()))
     }
 
     /// Run up to `rounds` sync rounds, stopping early once a round moved
@@ -309,8 +295,12 @@ impl CellNet {
         v.windows(2).all(|w| w[0] == w[1])
     }
 
-    /// Read one slice on one cell.
+    /// Read one slice on one cell (`None` also for a `cell` the network
+    /// does not host).
     pub fn read(&self, cell: usize, slice: &str) -> Option<Vec<u8>> {
+        if cell >= self.len() {
+            return None;
+        }
         let slice = slice.to_string();
         self.pool
             .map(move |i, c| {
@@ -352,6 +342,23 @@ mod tests {
         n.sync_until_quiet(40).unwrap();
         assert_eq!(n.read(2, "s").unwrap(), b"v3-from-1");
         assert_eq!(n.read(0, "s").unwrap(), b"v3-from-1");
+    }
+
+    #[test]
+    fn a_cell_the_network_does_not_host_is_neither_read_nor_written() {
+        let mut n = net(3, 2, 4);
+        n.write(0, "prefs", b"dark-mode");
+        // Used to panic in `swap_remove`.
+        assert_eq!(n.read(3, "prefs"), None);
+        assert_eq!(n.read(usize::MAX, "prefs"), None);
+        // Used to publish "ghost" in the directory and write it nowhere:
+        // every cell then pulled, round after round, a slice nobody holds.
+        n.write(3, "ghost", b"boo");
+        assert!(!n.directory.iter().any(|s| s == "ghost"));
+        n.sync_until_quiet(40).unwrap();
+        assert!(n.converged(), "versions: {:?}", n.versions());
+        assert!(n.versions()[0].iter().all(|(s, _)| s != "ghost"));
+        assert_eq!(n.read(2, "prefs").unwrap(), b"dark-mode");
     }
 
     #[test]

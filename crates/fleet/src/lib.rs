@@ -25,8 +25,9 @@
 //! * [`pool`] — the simpler **token worker pool** (phase barriers over
 //!   an always-resident fleet), still hosting the Trusted-Cells sync
 //!   network. Both runtimes sit on one private shard-thread substrate
-//!   (`shards.rs`): spawn, job channel, trace context, join on drop.
-//! * [`agg`] / [`cellnet`] — [TNP14] secure aggregation and the
+//!   (`shards.rs`): spawn, job channel, the trace scope around a
+//!   token's turn, join on drop.
+//! * [`agg`] / [`cellnet`] — \[TNP14\] secure aggregation and the
 //!   Trusted-Cells sync pass re-hosted as **phased fleet jobs**
 //!   (collection → SSI shuffle/compute → result distribution) on top of
 //!   the two. Neither owns its protocol: `agg` is the bus/scheduler
@@ -44,14 +45,16 @@
 //!   deltas ride the same bus as the protocols (envelopes to an
 //!   always-online collector role), fold into tick-indexed rollups with
 //!   bounded memory, and feed a declarative health engine whose
-//!   [`FleetHealth`](telemetry::FleetHealth) verdict is bit-identical
+//!   [`FleetHealth`] verdict is bit-identical
 //!   at any worker count.
 //! * [`trace`] — the **fleet-trace stitcher**: with `FleetConfig::trace`
-//!   on, every worker's per-token span trees and every bus message's
-//!   hop history are stitched into one causal
-//!   [`FleetTrace`](pds_obs::FleetTrace) per round — per-phase straggler
-//!   hops (the critical path, in bus ticks) and per-token flash/RAM
-//!   attribution, bit-for-bit identical at any worker count.
+//!   on, each token's turn runs in a `pds_obs::trace::trace` scope on
+//!   its worker, the tree comes back beside the turn's result, and the
+//!   driver stitches the trees and every bus message's hop history into
+//!   one causal [`FleetTrace`](pds_obs::FleetTrace) per round —
+//!   per-phase straggler hops (the critical path, in bus ticks) and
+//!   per-token flash/RAM attribution, bit-for-bit identical at any
+//!   worker count. Untraced, a token's spans are inert guards.
 //!
 //! The determinism contract threaded through all of it: every random
 //! decision is a derived hash stream — per-token data and encryption

@@ -14,11 +14,18 @@
 //! it needs from the token index (per-token RNG streams), never from
 //! shared mutable state — then `map(f)` at 1, 2, and 8 workers is
 //! bit-for-bit identical.
+//!
+//! A traced phase ([`TokenPool::map_traced`]) runs each token's turn in
+//! a `token.N` trace scope on its worker and returns the span trees the
+//! same way it returns the results: on the result channel, merged in
+//! token order.
 
 use std::sync::mpsc::channel;
 
+use pds_obs::FinishedSpan;
+
 use crate::sched::FleetError;
-use crate::shards::{in_trace, ShardThreads};
+use crate::shards::{token_turn, ShardThreads, Turn};
 
 /// A pool of worker threads, each owning one shard of tokens.
 pub struct TokenPool<T> {
@@ -69,40 +76,53 @@ impl<T: 'static> TokenPool<T> {
         R: Send + 'static,
         F: Fn(usize, &mut T) -> R + Send + Clone + 'static,
     {
-        self.map_in_trace(None, f)
+        self.map_traced(None, f).0
     }
 
-    /// [`TokenPool::map`] inside a distributed-trace phase: each worker
-    /// runs its shard under `ctx` as the thread's trace context, so the
-    /// phase's spans are in the shared trace sink *before* the barrier
-    /// releases. With `ctx: None` this is exactly `map`.
-    pub fn map_in_trace<R, F>(&self, ctx: Option<pds_obs::TraceContext>, f: F) -> Vec<R>
+    /// [`TokenPool::map`] inside a traced phase (`ctx` is `Some`): each
+    /// token's turn runs in a `token.N` trace scope on its worker, and
+    /// the trees come back beside the results — both merged in token
+    /// order, so neither shows how the pool was sharded. With `ctx:
+    /// None` this is exactly `map` and no tree is returned.
+    pub fn map_traced<R, F>(
+        &self,
+        ctx: Option<pds_obs::TraceContext>,
+        f: F,
+    ) -> (Vec<R>, Vec<FinishedSpan>)
     where
         R: Send + 'static,
         F: Fn(usize, &mut T) -> R + Send + Clone + 'static,
     {
-        let (out_tx, out_rx) = channel::<Vec<(usize, R)>>();
+        let traced = ctx.is_some();
+        let (out_tx, out_rx) = channel::<Vec<Turn<R>>>();
         for w in 0..self.shards.len() {
             let f = f.clone();
             let out_tx = out_tx.clone();
             let alive = self.shards.send(w, move |shard| {
-                let results = in_trace(ctx, || {
-                    shard.iter_mut().map(|(i, t)| (*i, f(*i, t))).collect()
-                });
+                let turns = shard
+                    .iter_mut()
+                    .map(|(i, t)| token_turn(traced, *i, || f(*i, t)))
+                    .collect();
                 // The driver only hangs up after every send; ignore its
                 // early death (a panic elsewhere already unwinds us).
-                let _ = out_tx.send(results);
+                let _ = out_tx.send(turns);
             });
             assert!(alive, "a fleet worker died");
         }
         drop(out_tx);
-        let mut merged: Vec<(usize, R)> = Vec::with_capacity(self.n_tokens);
+        let mut merged = Vec::with_capacity(self.n_tokens);
         for batch in &out_rx {
             merged.extend(batch);
         }
         assert_eq!(merged.len(), self.n_tokens, "a fleet worker panicked");
-        merged.sort_by_key(|(i, _)| *i);
-        merged.into_iter().map(|(_, r)| r).collect()
+        merged.sort_by_key(|(i, ..)| *i);
+        let mut results = Vec::with_capacity(self.n_tokens);
+        let mut trees = Vec::new();
+        for (_, r, tree) in merged {
+            results.push(r);
+            trees.extend(tree);
+        }
+        (results, trees)
     }
 }
 
@@ -156,6 +176,8 @@ mod tests {
         assert_eq!(run(1), run(8));
     }
 
+    // Named for `map_traced`'s first form, which contributed the spans
+    // to a shared sink; the name is the one the test floor knows.
     #[test]
     fn map_in_trace_contributes_every_token_span() {
         let ctx = pds_obs::TraceContext {
@@ -163,18 +185,28 @@ mod tests {
             parent_span: 3,
         };
         let pool = TokenPool::build(6, 3, factory).unwrap();
-        let out = pool.map_in_trace(Some(ctx), |i, _| {
+        let (out, trees) = pool.map_traced(Some(ctx), |i, _| {
             let g = pds_obs::trace::span("token.work");
-            g.set("token", i);
+            g.set("reads", i + 1);
             i
         });
         assert_eq!(out, (0..6).collect::<Vec<_>>());
-        // The barrier already released ⇒ everything is in the sink.
-        let mut got = pds_obs::trace::drain_trace(0x9000_0001);
-        assert_eq!(got.len(), 6);
-        got.sort_by_key(|(_, s)| s.attr_u64("token"));
-        assert!(got.iter().all(|(p, _)| *p == 3));
-        assert_eq!(got[5].1.attr_u64("token"), Some(5));
+        // One tree per token, in token order, holding what its turn opened.
+        assert_eq!(trees.len(), 6);
+        for (i, tree) in trees.iter().enumerate() {
+            assert_eq!(tree.name, format!("token.{i}"));
+            assert_eq!(tree.attr_u64("token"), Some(i as u64));
+            assert_eq!(tree.children.len(), 1);
+            assert_eq!(tree.children[0].name, "token.work");
+            assert_eq!(tree.total("reads"), i as u64 + 1);
+        }
+        // Untraced, the same spans are inert and nothing comes back.
+        let (out, trees) = pool.map_traced(None, |i, _| {
+            let _g = pds_obs::trace::span("token.work");
+            i
+        });
+        assert_eq!(out.len(), 6);
+        assert!(trees.is_empty());
     }
 
     #[test]

@@ -32,14 +32,21 @@
 //! per-token closures on the slots the driver names. So every observable
 //! (results, `sched.*` counters, the `fleet.resident_tokens` gauge) is
 //! bit-identical at any worker count, exactly like the pool it replaces.
+//!
+//! Tracing: a dispatch given a [`TraceContext`] runs each token's turn
+//! in a `token.N` trace scope on its shard — after the residency
+//! fix-up, which is the scheduler's work and not the phase's — and the
+//! shard returns the trees beside the results. They are merged in token
+//! order like the results and kept until the driver takes them
+//! ([`FleetScheduler::take_spans`]) for the stitcher.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::channel;
 
-use pds_obs::TraceContext;
+use pds_obs::{FinishedSpan, TraceContext};
 
 use crate::bus::{BusMsg, MailboxBus};
-use crate::shards::{in_trace, ShardThreads};
+use crate::shards::{token_turn, ShardThreads, Turn};
 
 /// A typed fleet-runtime failure. Thread exhaustion on a big fleet
 /// degrades into an error the caller can handle instead of a panic.
@@ -179,6 +186,10 @@ pub struct FleetScheduler<H: TokenHost> {
     ever_built: Vec<bool>,
     stamp: u64,
     stats: SchedStats,
+    /// The `token.N` trees of the traced dispatches since the last
+    /// [`FleetScheduler::take_spans`], in dispatch order and, within a
+    /// dispatch, in token order.
+    spans: Vec<FinishedSpan>,
 }
 
 impl<H: TokenHost> FleetScheduler<H> {
@@ -207,6 +218,7 @@ impl<H: TokenHost> FleetScheduler<H> {
             ever_built: vec![false; n_tokens],
             stamp: 0,
             stats: SchedStats::default(),
+            spans: Vec::new(),
         })
     }
 
@@ -244,6 +256,14 @@ impl<H: TokenHost> FleetScheduler<H> {
     /// [`SchedStats::publish`]).
     pub fn publish(&self) {
         self.stats.publish();
+    }
+
+    /// Remove and return the span trees of every traced dispatch since
+    /// the last call — one `token.N` tree per token turn. The driver
+    /// hands them to the trace stitcher at each phase end, beside the
+    /// bus's hop log.
+    pub fn take_spans(&mut self) -> Vec<FinishedSpan> {
+        std::mem::take(&mut self.spans)
     }
 
     /// The tokens parked with a sleep state right now — evictions queued
@@ -297,6 +317,10 @@ impl<H: TokenHost> FleetScheduler<H> {
     /// The item list is processed in waves of at most `resident_cap`
     /// tokens; before each wave, least-recently-woken residents outside
     /// the wave are evicted so residency never exceeds the cap.
+    ///
+    /// `ctx` says whether the phase is traced: with `Some`, each token's
+    /// turn runs in a `token.N` trace scope on its shard and the trees
+    /// are kept for [`FleetScheduler::take_spans`].
     pub fn dispatch<R, F>(
         &mut self,
         ctx: Option<TraceContext>,
@@ -397,14 +421,15 @@ impl<H: TokenHost> FleetScheduler<H> {
                 .or_default()
                 .push((i, mail));
         }
-        let (out_tx, out_rx) = channel::<(Vec<(usize, R)>, u64, u64)>();
+        let traced = ctx.is_some();
+        let (out_tx, out_rx) = channel::<(Vec<Turn<R>>, u64, u64)>();
         let mut expect = 0usize;
         for (shard_idx, batch) in per_shard {
             expect += batch.len();
             let f = f.clone();
             let out_tx = out_tx.clone();
             let alive = self.shards.send(shard_idx, move |shard: &mut Shard<H>| {
-                // Residency fix-up first, outside the trace context, so
+                // Residency fix-up first, outside any trace scope, so
                 // build/revive spans never pollute a phase's trace.
                 let mut created = 0u64;
                 let mut woke = 0u64;
@@ -423,36 +448,38 @@ impl<H: TokenHost> FleetScheduler<H> {
                         shard.slots.insert(*i, Slot::Live(token));
                     }
                 }
-                let results = in_trace(ctx, || {
-                    let mut results = Vec::with_capacity(batch.len());
-                    for (i, mail) in batch {
-                        if let Some(Slot::Live(t)) = shard.slots.get_mut(&i) {
-                            results.push((i, f(i, t, mail)));
-                        }
+                let mut turns = Vec::with_capacity(batch.len());
+                for (i, mail) in batch {
+                    if let Some(Slot::Live(t)) = shard.slots.get_mut(&i) {
+                        turns.push(token_turn(traced, i, || f(i, t, mail)));
                     }
-                    results
-                });
+                }
                 // The driver only hangs up after every send; ignore its
                 // early death (a panic elsewhere already unwinds us).
-                let _ = out_tx.send((results, created, woke));
+                let _ = out_tx.send((turns, created, woke));
             });
             assert!(alive, "a fleet shard died");
         }
         drop(out_tx);
         self.stats.batches += 1;
-        let mut merged: Vec<(usize, R)> = Vec::with_capacity(expect);
+        let mut merged = Vec::with_capacity(expect);
         let mut created_total = 0u64;
-        for (results, created, woke) in &out_rx {
+        for (turns, created, woke) in &out_rx {
             created_total += created;
             self.stats.sleep_wakes += woke;
-            merged.extend(results);
+            merged.extend(turns);
         }
         // `created` covers both first-ever builds and rebuilds after a
         // drop-eviction; the driver's model knows which were cold.
         self.stats.rebuilds += created_total.saturating_sub(cold);
         assert_eq!(merged.len(), expect, "a fleet shard panicked");
-        merged.sort_by_key(|(i, _)| *i);
-        merged
+        merged.sort_by_key(|(i, ..)| *i);
+        let mut results = Vec::with_capacity(expect);
+        for (i, r, tree) in merged {
+            results.push((i, r));
+            self.spans.extend(tree);
+        }
+        results
     }
 }
 
@@ -538,6 +565,7 @@ mod tests {
         type Sleep = u64;
 
         fn create(&self, i: usize) -> CounterToken {
+            let _span = pds_obs::span!("host.create");
             CounterToken {
                 idx: i,
                 hits: std::rc::Rc::new(std::cell::RefCell::new(0)),
@@ -549,6 +577,7 @@ mod tests {
         }
 
         fn wake(&self, i: usize, sleep: u64) -> CounterToken {
+            let _span = pds_obs::span!("host.wake");
             let t = self.create(i);
             *t.hits.borrow_mut() = sleep;
             t
@@ -640,6 +669,52 @@ mod tests {
         };
         assert_eq!(run(1), run(2));
         assert_eq!(run(1), run(8));
+    }
+
+    #[test]
+    fn a_traced_dispatch_keeps_one_tree_per_turn_and_no_residency_fix_up() {
+        let ctx = Some(TraceContext {
+            trace_id: 1,
+            parent_span: 1,
+        });
+        let run = |workers: usize| {
+            let mut s = sched(10, workers, 4, false);
+            let work = |_: usize, t: &mut CounterToken, _: Vec<BusMsg>| {
+                let g = pds_obs::span!("token.work");
+                g.set("hits", *t.hits.borrow());
+                *t.hits.borrow_mut() += 1;
+            };
+            // Cold builds in the first dispatch, wakes from sleep in the
+            // second: both open spans, both outside the token's scope.
+            s.dispatch_all(ctx, work);
+            s.dispatch_all(ctx, work);
+            assert!(s.stats().cold_builds == 10 && s.stats().sleep_wakes > 0);
+            let trees = s.take_spans();
+            assert!(s.take_spans().is_empty(), "taking removes");
+            // An untraced dispatch keeps nothing.
+            s.dispatch_all(None, work);
+            assert!(s.take_spans().is_empty());
+            trees
+        };
+        let trees = run(1);
+        assert_eq!(trees.len(), 20, "one tree per token turn");
+        for (n, tree) in trees.iter().enumerate() {
+            // Dispatch by dispatch, and in token order within each.
+            assert_eq!(tree.name, format!("token.{}", n % 10));
+            assert_eq!(tree.attr_u64("token"), Some(n as u64 % 10));
+            assert_eq!(tree.children.len(), 1, "{}", tree.to_json());
+            assert_eq!(tree.children[0].name, "token.work");
+            assert_eq!(tree.children[0].attr_u64("hits"), Some(n as u64 / 10));
+        }
+        let shape = |mut tree: FinishedSpan| {
+            tree.strip_timing();
+            tree.to_json()
+        };
+        let sharded = run(3).into_iter().map(shape);
+        assert!(
+            trees.into_iter().map(shape).eq(sharded),
+            "sharding is unobservable"
+        );
     }
 
     #[test]

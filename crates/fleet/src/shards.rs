@@ -5,13 +5,13 @@
 //! `S` (the init closure runs inside the thread), and work is shipped
 //! to a shard as a boxed job. [`TokenPool`](crate::TokenPool) hosts
 //! `S = Vec<(usize, T)>`, [`FleetScheduler`](crate::FleetScheduler) its
-//! slot map; what they share — spawn, hang-up-and-join, the trace
-//! context around a shard closure — lives here once.
+//! slot map; what they share — spawn, hang-up-and-join, the trace scope
+//! around one token's turn — lives here once.
 
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
-use pds_obs::TraceContext;
+use pds_obs::{AttrValue, FinishedSpan};
 
 use crate::sched::FleetError;
 
@@ -77,19 +77,21 @@ impl<S> Drop for ShardThreads<S> {
     }
 }
 
-/// Run `f` with `ctx` as this thread's trace context, so root spans it
-/// opens (and every instrumented layer underneath) are contributed to
-/// the shared trace sink, then flushed *before* returning — by the time
-/// the shard reports back, the driver can drain the whole phase. With
-/// `ctx: None` this is exactly `f()`.
-pub(crate) fn in_trace<R>(ctx: Option<TraceContext>, f: impl FnOnce() -> R) -> R {
-    if ctx.is_some() {
-        pds_obs::trace::set_context(ctx);
+/// One token's turn of a phase: `(token, result, span tree)` — the tree
+/// only when the phase is traced.
+pub(crate) type Turn<R> = (usize, R, Option<FinishedSpan>);
+
+/// Run token (or cell) `i`'s turn of a phase. When the phase is traced
+/// the turn runs inside a `token.i` scope, so every instrumented layer
+/// `f` calls into (flash IO counters, RAM high-water) records beneath
+/// it, and the tree comes back beside the result for the shard to return
+/// on its result channel. Untraced, this is exactly `f()`.
+pub(crate) fn token_turn<R>(traced: bool, i: usize, f: impl FnOnce() -> R) -> Turn<R> {
+    if !traced {
+        return (i, f(), None);
     }
-    let out = f();
-    if ctx.is_some() {
-        pds_obs::trace::set_context(None);
-        pds_obs::trace::flush_contributions();
-    }
-    out
+    let (out, mut tree) = pds_obs::trace::trace(&format!("token.{i}"), f);
+    tree.attrs
+        .push(("token".to_string(), AttrValue::U64(i as u64)));
+    (i, out, Some(tree))
 }

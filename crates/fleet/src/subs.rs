@@ -89,7 +89,9 @@ pub struct SubRoundReport {
 /// deltas to the SSI collector over the bus.
 pub struct SubNet {
     cfg: SubNetConfig,
-    pds: Vec<Pds>,
+    /// Token `i` sits at index `i` for the life of the network; `None`
+    /// once a power cycle failed to wake it.
+    pds: Vec<Option<Pds>>,
     sub_ids: Vec<u32>,
     /// Rows inserted into each token's BANK table so far (= next rowid).
     bank_rows: Vec<u32>,
@@ -113,7 +115,7 @@ impl SubNet {
         for i in 0..cfg.tokens {
             let mut p = Pds::slim(i as u64, &format!("owner-{i}"))?;
             let id = p.subscribe(BANK_TABLE, Predicate::eq("category", Value::str("salary")))?;
-            pds.push(p);
+            pds.push(Some(p));
             sub_ids.push(id);
         }
         let bus = MailboxBus::new(cfg.bus);
@@ -151,44 +153,53 @@ impl SubNet {
         self.bus.force_offline(token, offline);
     }
 
+    /// One token's PDS — its flash handle, recorder ring, subscriptions —
+    /// or `None` for an index the network does not host or a token a
+    /// power cycle failed to wake.
+    pub fn token(&self, token: usize) -> Option<&Pds> {
+        self.pds.get(token)?.as_ref()
+    }
+
+    /// Token `i` for a round's work. A token that is down fails every
+    /// round that needs it, rather than being passed over in silence.
+    fn live(&mut self, i: usize) -> Result<&mut Pds, PdsError> {
+        self.pds[i].as_mut().ok_or_else(token_down)
+    }
+
     /// One round: write → poll → deliver.
     pub fn round(&mut self) -> Result<SubRoundReport, PdsError> {
-        self.round_inner(&mut None)
+        Ok(self.round_inner(false)?.0)
     }
 
     /// [`SubNet::round`] with a stitched causal [`FleetTrace`]: the
     /// write, poll and deliver phases plus the hop history of every
     /// delta the round moved.
     pub fn round_traced(&mut self) -> Result<(SubRoundReport, FleetTrace), PdsError> {
-        let mut b = FleetTraceBuilder::new("fleet.subs");
-        b.set("tokens", self.cfg.tokens);
-        b.set("round", u64::from(self.round));
-        b.set("seed", self.cfg.seed);
-        let mut ftb = Some(b);
-        let rep = self.round_inner(&mut ftb)?;
-        Ok((rep, ftb.take().expect("builder kept").finish()))
+        self.round_inner(true)
     }
 
-    fn round_inner(
-        &mut self,
-        ftb: &mut Option<FleetTraceBuilder>,
-    ) -> Result<SubRoundReport, PdsError> {
+    /// The tokens live on the driver's thread and take their turns
+    /// outside any trace scope: a traced round shows phases and hops, no
+    /// `token.N` trees.
+    fn round_inner(&mut self, traced: bool) -> Result<(SubRoundReport, FleetTrace), PdsError> {
         let round = self.round;
         self.round += 1;
         let mut rep = SubRoundReport::default();
+        let mut ftb = FleetTraceBuilder::new("fleet.subs", self.cfg.seed, traced);
+        ftb.set("tokens", self.cfg.tokens);
+        ftb.set("round", u64::from(round));
+        ftb.set("seed", self.cfg.seed);
 
         // Phase 1: every token ingests and commits — one HLC stamp per
         // token per round, the unit the subscription cursor moves in.
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase("phase.write", &self.bus));
-        let _ = ctx;
+        ftb.begin_phase("phase.write", &self.bus);
         for i in 0..self.cfg.tokens {
             let mut rng = derived_rng(self.cfg.seed, TAG_SUB, (u64::from(round) << 32) | i as u64);
             let amount = 1_000 + rng.next_u64() % 9_000;
             let matches = amount.is_multiple_of(2);
             let category = if matches { "salary" } else { "groceries" };
-            self.pds[i].ingest_bank(u64::from(round), category, amount, "employer")?;
+            self.live(i)?
+                .ingest_bank(u64::from(round), category, amount, "employer")?;
             let rowid = self.bank_rows[i];
             self.bank_rows[i] += 1;
             if matches {
@@ -196,17 +207,16 @@ impl SubNet {
                 rep.rows_matched += 1;
             }
             rep.rows_written += 1;
-            self.pds[i].commit()?;
+            self.live(i)?.commit()?;
         }
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
+        ftb.end_phase(&mut self.bus, Vec::new());
 
         // Phase 2: each token polls its standing query and mails the
         // non-empty delta to the collector.
-        let ctx = ftb.as_mut().map(|b| b.begin_phase("phase.poll", &self.bus));
+        let ctx = ftb.begin_phase("phase.poll", &self.bus);
         for i in 0..self.cfg.tokens {
-            let delta = self.pds[i].poll_subscription(self.sub_ids[i])?;
+            let sub = self.sub_ids[i];
+            let delta = self.live(i)?.poll_subscription(sub)?;
             if delta.is_empty() {
                 continue;
             }
@@ -218,20 +228,13 @@ impl SubNet {
                 .send_in(Addr::Token(i), Addr::Collector, payload, ctx);
         }
         self.bus.run_until_quiet(TICKS_PER_PHASE);
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
+        ftb.end_phase(&mut self.bus, Vec::new());
 
         // Phase 3: the collector folds what arrived into its ledger.
-        let ctx = ftb
-            .as_mut()
-            .map(|b| b.begin_phase("phase.deliver", &self.bus));
-        let _ = ctx;
+        ftb.begin_phase("phase.deliver", &self.bus);
         rep.rows_delivered = self.fold_collector();
-        if let Some(b) = ftb.as_mut() {
-            b.end_phase(&mut self.bus);
-        }
-        Ok(rep)
+        ftb.end_phase(&mut self.bus, Vec::new());
+        Ok((rep, ftb.finish()))
     }
 
     /// Drain the collector mailbox into the ledger; returns first
@@ -264,15 +267,19 @@ impl SubNet {
         self.fold_collector()
     }
 
-    /// Cleanly power-cycle one token: hibernate (flushes everything,
+    /// Power-cycle one token: hibernate (flushes everything,
     /// subscription cursor included) and wake. The standing query
     /// resumes from its durable cursor — no change is re-delivered, no
-    /// change is skipped.
+    /// change is skipped. A flush that fails is a power loss: the token
+    /// still comes back, and the report names what the loss cost. If the
+    /// wake itself fails the token stays down and the error is returned;
+    /// either way every other token keeps its own index.
     pub fn power_cycle(&mut self, token: usize) -> Result<ReopenReport, PdsError> {
-        let pds = self.pds.remove(token);
-        let h = pds.hibernate()?;
+        let slot = self.pds.get_mut(token).and_then(Option::take);
+        let pds = slot.ok_or_else(token_down)?;
+        let (h, _flushed) = pds.power_down();
         let (pds, report) = Pds::wake(h)?;
-        self.pds.insert(token, pds);
+        self.pds[token] = Some(pds);
         Ok(report)
     }
 
@@ -280,7 +287,7 @@ impl SubNet {
     /// subscription's cursor (GC never outruns an unpolled standing
     /// query).
     pub fn gc(&mut self) -> Result<(), PdsError> {
-        for p in &mut self.pds {
+        for p in self.pds.iter_mut().flatten() {
             p.gc_versions()?;
         }
         Ok(())
@@ -307,6 +314,12 @@ impl SubNet {
     pub fn exactly_once(&self) -> bool {
         self.duplicates == 0 && self.delivered == self.expected
     }
+}
+
+/// What an index answers that holds no live token: one the network does
+/// not host, or a token a power cycle did not wake.
+fn token_down() -> PdsError {
+    PdsError::ArchiveCorrupt("no live token at this index")
 }
 
 /// Delta wire form: `token (4B LE) || count (4B LE) || count × (rowid
@@ -360,6 +373,22 @@ mod tests {
         n.round().unwrap();
         n.settle(10_000);
         assert!(n.exactly_once(), "duplicates: {}", n.duplicates());
+    }
+
+    #[test]
+    fn a_token_that_did_not_wake_is_down_and_its_neighbours_keep_their_index() {
+        let mut n = SubNet::build(SubNetConfig::new(4, 5)).unwrap();
+        n.round().unwrap();
+        n.pds[2] = None; // what a failed wake leaves behind
+        assert!(n.token(2).is_none());
+        assert!(n.power_cycle(2).is_err());
+        assert!(n.round().is_err(), "reported, not passed over");
+        n.power_cycle(3).unwrap();
+        for t in [0, 1, 3] {
+            assert_eq!(n.token(t).unwrap().id().0, t as u64);
+        }
+        assert!(n.token(4).is_none(), "not hosted");
+        assert!(n.power_cycle(4).is_err(), "an error, not an index panic");
     }
 
     #[test]

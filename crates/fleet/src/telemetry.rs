@@ -6,7 +6,7 @@
 //! out-of-band, so observability has to ride the same fabric the
 //! protocols do. Each token (and the driver, for the bus itself)
 //! periodically snapshots its metric increments as a
-//! [`MetricsDelta`](pds_obs::MetricsDelta) and mails it as a
+//! [`MetricsDelta`] and mails it as a
 //! [`TelemetryMsg`] envelope to the [`Addr::Collector`] role — an
 //! SSI-hosted inbox that is always online, like the store itself. The
 //! [`Collector`] folds every envelope into a **tick-indexed time

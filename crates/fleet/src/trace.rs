@@ -1,14 +1,17 @@
 //! The fleet-trace stitcher: per-phase assembly of one causal tree.
 //!
-//! A fleet protocol round is phased: the driver opens a phase, workers
-//! produce per-token span trees under a shared [`TraceContext`], the bus
-//! records per-message [`HopRecord`]s, and the barrier guarantees that
-//! by the time the driver closes the phase everything has been flushed.
-//! [`FleetTraceBuilder`] turns that stream into the [`FleetTrace`]
-//! conventions (`phase.*` → `token.N` + `hop.N` children):
+//! A fleet protocol round is phased: the driver opens a phase, each
+//! worker runs its tokens' turns inside `token.N` trace scopes and
+//! returns the trees beside the results ([`TokenPool::map_traced`],
+//! [`FleetScheduler::take_spans`]), the bus records per-message
+//! [`HopRecord`]s, and at the phase barrier the driver hands both to
+//! [`FleetTraceBuilder::end_phase`]. The builder turns them into the
+//! [`FleetTrace`] conventions (`phase.*` → `token.N` + `hop.N`
+//! children):
 //!
-//! * per-token spans are sorted by their `token` attribute and
-//!   timing-stripped — worker count and scheduling are unobservable;
+//! * per-token trees are ordered by their `token` attribute (a token's
+//!   own turns stay in the order it took them) and timing-stripped —
+//!   worker count and scheduling are unobservable;
 //! * hop spans are sorted by message id and carry the full
 //!   send → (re)delivery history (`send_tick`, `deliver_tick`,
 //!   `attempts`, `redeliveries`, `expired`), so backoff and duplicate
@@ -16,42 +19,29 @@
 //! * phase spans carry `bus.tick.start` / `bus.tick.end` / `bus.ticks`,
 //!   the causal clock of the round.
 //!
-//! Trace ids are routing keys into the process-wide sink, not part of
-//! the trace: they come from a process-global counter so concurrent
-//! traced runs (e.g. parallel tests) never interleave, while the
-//! stitched tree itself stays a pure function of the seed.
+//! Every input reaches the builder by being handed to it, on the
+//! driver's thread, so the stitched tree is a pure function of the seed
+//! and two traced runs in one process share nothing. A builder is made
+//! on or off: off, every call is a no-op, so drivers call it
+//! unconditionally.
+//!
+//! [`TokenPool::map_traced`]: crate::TokenPool::map_traced
+//! [`FleetScheduler::take_spans`]: crate::FleetScheduler::take_spans
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use pds_obs::trace::{drain_trace, flush_contributions};
 use pds_obs::{AttrValue, FinishedSpan, FleetTrace, TraceContext};
 
 use crate::bus::{HopRecord, MailboxBus};
 
-/// Process-unique trace ids (0 is reserved / never issued).
-static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Open token (or cell) `i`'s phase-work span — only when the worker is
-/// inside a traced phase, so untraced runs pay nothing. Instrumented
-/// layers the closure calls into (flash IO counters, RAM high-water)
-/// attach their spans underneath it.
-pub(crate) fn token_span(i: usize) -> Option<pds_obs::SpanGuard> {
-    pds_obs::trace::context().is_some().then(|| {
-        let g = pds_obs::trace::span(&format!("token.{i}"));
-        g.set("token", i);
-        g
-    })
-}
-
 struct OpenPhase {
     name: String,
-    id: u64,
     tick_start: u64,
 }
 
 /// Builds one [`FleetTrace`] phase by phase, driven by the (single
 /// threaded) fleet driver between barriers.
 pub struct FleetTraceBuilder {
+    on: bool,
+    /// The trace's identity on bus envelopes: the run seed.
     trace_id: u64,
     root: FinishedSpan,
     next_phase: u64,
@@ -59,15 +49,16 @@ pub struct FleetTraceBuilder {
 }
 
 impl FleetTraceBuilder {
-    /// Start a trace rooted at a span named `name` (e.g. `fleet.agg`).
-    pub fn new(name: &str) -> Self {
+    /// Start the trace of the run seeded `seed`, rooted at a span named
+    /// `name` (e.g. `fleet.agg`) — or, with `on: false`, a builder that
+    /// records nothing.
+    pub fn new(name: &str, seed: u64, on: bool) -> Self {
         FleetTraceBuilder {
-            trace_id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+            on,
+            trace_id: seed,
             root: FinishedSpan {
                 name: name.to_string(),
-                duration_ns: 0,
-                attrs: Vec::new(),
-                children: Vec::new(),
+                ..FinishedSpan::default()
             },
             next_phase: 0,
             open: None,
@@ -76,33 +67,39 @@ impl FleetTraceBuilder {
 
     /// Set a root attribute (fleet shape, seed, verdicts…).
     pub fn set(&mut self, key: &str, value: impl Into<AttrValue>) {
-        self.root.attrs.push((key.to_string(), value.into()));
-    }
-
-    /// Open the next phase and return the context workers and bus sends
-    /// must carry. Exactly one phase can be open at a time.
-    pub fn begin_phase(&mut self, name: &str, bus: &MailboxBus) -> TraceContext {
-        assert!(self.open.is_none(), "previous phase still open");
-        self.next_phase += 1;
-        let id = self.next_phase;
-        self.open = Some(OpenPhase {
-            name: name.to_string(),
-            id,
-            tick_start: bus.now(),
-        });
-        TraceContext {
-            trace_id: self.trace_id,
-            parent_span: id,
+        if self.on {
+            self.root.attrs.push((key.to_string(), value.into()));
         }
     }
 
-    /// Close the open phase: drain the span sink and the bus hop log,
-    /// stitch them into one `phase.*` span. Must run after the phase's
-    /// barrier (so every worker has flushed) and after the bus drained.
-    pub fn end_phase(&mut self, bus: &mut MailboxBus) {
+    /// Open the next phase and return the context its workers and bus
+    /// sends must carry (`None` when the builder is off: the phase is
+    /// not traced). Exactly one phase can be open at a time.
+    pub fn begin_phase(&mut self, name: &str, bus: &MailboxBus) -> Option<TraceContext> {
+        if !self.on {
+            return None;
+        }
+        assert!(self.open.is_none(), "previous phase still open");
+        self.next_phase += 1;
+        self.open = Some(OpenPhase {
+            name: name.to_string(),
+            tick_start: bus.now(),
+        });
+        Some(TraceContext {
+            trace_id: self.trace_id,
+            parent_span: self.next_phase,
+        })
+    }
+
+    /// Close the open phase: stitch `tokens` — the `token.N` trees the
+    /// phase's workers returned — and the bus hop log into one `phase.*`
+    /// span. Must run after the phase's barrier and after the bus
+    /// drained.
+    pub fn end_phase(&mut self, bus: &mut MailboxBus, mut tokens: Vec<FinishedSpan>) {
+        if !self.on {
+            return;
+        }
         let open = self.open.take().expect("no phase open");
-        // The driver thread may have contributed spans of its own.
-        flush_contributions();
         let tick_end = bus.now();
         let mut phase = FinishedSpan {
             name: open.name,
@@ -117,22 +114,14 @@ impl FleetTraceBuilder {
             ],
             children: Vec::new(),
         };
-        let mut tokens: Vec<FinishedSpan> = drain_trace(self.trace_id)
-            .into_iter()
-            .filter(|(parent, _)| *parent == open.id)
-            .map(|(_, mut s)| {
-                s.strip_timing();
-                s
-            })
-            .collect();
-        // Sink arrival order depends on worker scheduling; the token
-        // attribute (and name, for driver-side spans) does not.
-        tokens.sort_by(|a, b| (a.attr_u64("token"), &a.name).cmp(&(b.attr_u64("token"), &b.name)));
-        phase.children.extend(tokens);
-        for h in bus.take_hops() {
-            debug_assert_eq!(h.ctx.trace_id, self.trace_id, "phases are barriers");
-            phase.children.push(hop_span(&h));
+        // A phase of several dispatches returns its trees dispatch by
+        // dispatch; the stable sort regroups them token by token.
+        tokens.sort_by_key(|t| t.attr_u64("token"));
+        for t in &mut tokens {
+            t.strip_timing();
         }
+        phase.children.extend(tokens);
+        phase.children.extend(bus.take_hops().iter().map(hop_span));
         self.root.children.push(phase);
     }
 
@@ -173,25 +162,24 @@ mod tests {
     fn builder_stitches_tokens_and_hops_per_phase() {
         let pool = TokenPool::build(4, 2, |i| i).unwrap();
         let mut bus = MailboxBus::new(BusConfig::reliable(11));
-        let mut b = FleetTraceBuilder::new("fleet.test");
+        let mut b = FleetTraceBuilder::new("fleet.test", 11, true);
         b.set("tokens", 4u64);
 
         let ctx = b.begin_phase("phase.collect", &bus);
-        pool.map_in_trace(Some(ctx), |i, _| {
+        let (_, trees) = pool.map_traced(ctx, |i, _| {
             let g = pds_obs::trace::span("token.work");
-            g.set("token", i);
             g.set("flash.page_reads", (i as u64) + 1);
         });
         for i in 0..4usize {
-            bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], Some(ctx));
+            bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
         }
         bus.run_until_quiet(1_000);
-        b.end_phase(&mut bus);
+        b.end_phase(&mut bus, trees);
 
         let ctx = b.begin_phase("phase.reduce.0", &bus);
-        bus.send_in(Addr::Ssi, Addr::Token(0), vec![9], Some(ctx));
+        bus.send_in(Addr::Ssi, Addr::Token(0), vec![9], ctx);
         bus.run_until_quiet(1_000);
-        b.end_phase(&mut bus);
+        b.end_phase(&mut bus, Vec::new());
 
         let t = b.finish();
         let phases = t.phases();
@@ -236,21 +224,66 @@ mod tests {
                 dup_rate: 0.1,
                 ..Default::default()
             });
-            let mut b = FleetTraceBuilder::new("fleet.test");
+            let mut b = FleetTraceBuilder::new("fleet.test", 21, true);
             let ctx = b.begin_phase("phase.collect", &bus);
-            pool.map_in_trace(Some(ctx), |i, _| {
+            let (_, trees) = pool.map_traced(ctx, |i, _| {
                 let g = pds_obs::trace::span("token.work");
-                g.set("token", i);
+                g.set("token.index", i);
             });
             for i in 0..9usize {
-                bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], Some(ctx));
+                bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
             }
             bus.run_until_quiet(100_000);
-            b.end_phase(&mut bus);
+            b.end_phase(&mut bus, trees);
             b.finish().render()
         };
         let one = run(1);
+        assert!(one.contains("token.8 token=8\n      token.work token.index=8\n"));
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    fn turn(token: u64, nth: u64) -> FinishedSpan {
+        FinishedSpan {
+            name: format!("token.{token}"),
+            duration_ns: 1_000 + nth,
+            attrs: vec![
+                ("token".into(), AttrValue::U64(token)),
+                ("nth".into(), AttrValue::U64(nth)),
+            ],
+            children: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_phase_of_several_dispatches_is_regrouped_token_by_token() {
+        let mut bus = MailboxBus::new(BusConfig::reliable(3));
+        let mut b = FleetTraceBuilder::new("fleet.test", 3, true);
+        b.begin_phase("phase.reduce.0", &bus);
+        // Two dispatches: tokens 5 and 7, then 2 and 5 again.
+        let trees = vec![turn(5, 0), turn(7, 1), turn(2, 2), turn(5, 3)];
+        b.end_phase(&mut bus, trees);
+        let t = b.finish();
+        let order: Vec<(u64, u64)> = t.phases()[0]
+            .children
+            .iter()
+            .map(|c| (c.attr_u64("token").unwrap(), c.attr_u64("nth").unwrap()))
+            .collect();
+        assert_eq!(order, [(2, 2), (5, 0), (5, 3), (7, 1)]);
+        assert!(t.phases()[0].children.iter().all(|c| c.duration_ns == 0));
+    }
+
+    #[test]
+    fn an_off_builder_traces_nothing() {
+        let mut bus = MailboxBus::new(BusConfig::reliable(3));
+        let mut b = FleetTraceBuilder::new("fleet.test", 3, false);
+        b.set("tokens", 4u64);
+        let ctx = b.begin_phase("phase.collect", &bus);
+        assert_eq!(ctx, None, "the phase's workers and sends go untraced");
+        bus.send_in(Addr::Token(0), Addr::Ssi, vec![1], ctx);
+        bus.run_until_quiet(1_000);
+        b.end_phase(&mut bus, Vec::new());
+        let t = b.finish();
+        assert!(t.root.attrs.is_empty() && t.root.children.is_empty());
     }
 }

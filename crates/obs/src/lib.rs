@@ -13,8 +13,11 @@
 //!   staged per thread and absorbed into each token's durable ring.
 //! * [`trace`] — hierarchical span guards ([`trace::span`] /
 //!   [`span!`]) that instrumented layers annotate with I/O deltas, RAM
-//!   peaks and policy decisions, and [`trace::QueryTrace`], the per-query
-//!   "explain" report checked against the paper's claimed budgets.
+//!   peaks and policy decisions; [`trace::trace`], the scope that
+//!   records them for a caller who asked and hands the tree back (with
+//!   none open a guard is inert); and [`trace::QueryTrace`], the
+//!   per-query "explain" report checked against the paper's claimed
+//!   budgets.
 //! * [`delta`] — mergeable metric snapshots ([`delta::MetricsDelta`])
 //!   with an associative/commutative `merge`, the unit of the fleet's
 //!   in-band telemetry plane: per-shard registries are snapshotted,
@@ -43,8 +46,8 @@ pub use delta::{DeltaTracker, GaugePolicy, HistDelta, MetricsDelta};
 pub use flight::{EventFrame, Severity};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, Registry};
 pub use trace::{
-    take_last_root, AttrValue, BudgetCheck, CriticalHop, FinishedSpan, FleetTrace, QueryTrace,
-    SpanGuard, TraceContext,
+    AttrValue, BudgetCheck, CriticalHop, FinishedSpan, FleetTrace, QueryTrace, SpanGuard,
+    TraceContext,
 };
 
 /// Resource budgets claimed by the tutorial's slides, used by
@@ -82,7 +85,7 @@ macro_rules! event {
 
 /// The [`global`](metrics::global) registry's counter named by a
 /// literal, looked up once per call site: `counter!("flash.page_reads").inc()`.
-/// [`counter`] locks the registry and walks its map on every call; a
+/// [`counter()`] locks the registry and walks its map on every call; a
 /// path that touches its counters on every page or every power cycle
 /// keeps the handle it found the first time instead — the same handle,
 /// since the registry never drops an instrument.
@@ -122,12 +125,12 @@ mod tests {
 
     #[test]
     fn span_macro_sets_initial_attrs() {
-        {
+        let (_, root) = crate::trace::trace("t", || {
             let _g = span!("m.test", "k" => 7u64, "label" => "x");
-        }
-        let root = crate::trace::take_last_root().unwrap();
-        assert_eq!(root.attr_u64("k"), Some(7));
-        assert_eq!(root.attr("label").unwrap().as_str(), Some("x"));
+        });
+        let span = &root.children[0];
+        assert_eq!(span.attr_u64("k"), Some(7));
+        assert_eq!(span.attr("label").unwrap().as_str(), Some("x"));
     }
 
     #[test]

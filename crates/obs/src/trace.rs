@@ -1,27 +1,28 @@
 //! Hierarchical span tracing.
 //!
-//! A [`SpanGuard`] marks a region of work; guards nest into a per-thread
-//! stack, and when a root span finishes its whole tree is moved into a
-//! small ring of recently finished traces. Instrumented layers attach
-//! attributes (I/O deltas, RAM peaks, plan choices) to the current span;
-//! [`QueryTrace`] then renders a finished tree as the per-query "explain"
+//! A span is recorded for whoever asked for it. [`trace`] is the one
+//! collection scope: it opens a root span on the calling thread's span
+//! stack, runs a closure, and hands the finished tree back by value.
+//! While a scope is open on the thread, every [`span`] / `span!` the
+//! instrumented layers open nests under it and carries the attributes
+//! they attach (I/O deltas, RAM peaks, plan choices); with no scope
+//! open, [`span`] returns an inert guard — no allocation, no clock
+//! read — so a request nobody is explaining pays one check per call.
+//! [`QueryTrace`] renders a finished tree as the per-query "explain"
 //! report the tutorial's cost claims are checked against.
 //!
-//! The embedded stack is single-threaded (one secure MCU), so the
-//! thread-local path is exact, not approximate — and it is kept intact.
-//! For *fleet* runs, where one causal protocol round spans many worker
-//! threads, a second collection path exists: a thread that sets a
-//! [`TraceContext`] (trace id + parent span id) has its finished root
-//! spans routed into a per-worker buffer, drained into a process-wide
-//! sink keyed by trace id. The fleet driver then stitches the per-token
-//! trees into one [`FleetTrace`] per aggregation/sync round. Stitched
-//! trees are timing-stripped ([`FinishedSpan::strip_timing`]) so the
-//! assembled trace is bit-identical at any worker count; causal time is
-//! measured in bus ticks, not wall-clock.
+//! A scope lives and dies on one thread, which is exact for the
+//! embedded stack (one secure MCU, one thread) and all a fleet needs
+//! too: a fleet worker opens one scope per token turn and returns the
+//! tree beside the turn's result, and the fleet driver stitches those
+//! trees, in token order, into one [`FleetTrace`] per protocol round.
+//! Nothing is shared between threads and no id names a trace, so two
+//! traced runs in one process cannot meet. Stitched trees are
+//! timing-stripped ([`FinishedSpan::strip_timing`]) so the assembled
+//! trace is bit-identical at any worker count; causal time is measured
+//! in bus ticks, not wall-clock.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::json::{write_f64, write_str};
@@ -92,6 +93,8 @@ impl AttrValue {
 }
 
 struct ActiveSpan {
+    /// Which span of this thread this is (see [`Spans::opened`]).
+    serial: u64,
     name: String,
     start: Instant,
     attrs: Vec<(String, AttrValue)>,
@@ -99,7 +102,7 @@ struct ActiveSpan {
 }
 
 /// A completed span with its completed children.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FinishedSpan {
     /// Span name (`layer.operation`, e.g. `db.select`).
     pub name: String,
@@ -144,12 +147,17 @@ impl FinishedSpan {
         self.children.iter().map(|c| c.total(key)).sum()
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
+    /// One indented line per span, depth first; `durations` says whether
+    /// a line carries its wall-clock (`QueryTrace`) or not (`FleetTrace`,
+    /// whose time is bus ticks).
+    fn render_into(&self, out: &mut String, depth: usize, durations: bool) {
         for _ in 0..depth {
             out.push_str("  ");
         }
         out.push_str(&self.name);
-        out.push_str(&format!(" [{:.3} ms]", self.duration_ns as f64 / 1e6));
+        if durations {
+            out.push_str(&format!(" [{:.3} ms]", self.duration_ns as f64 / 1e6));
+        }
         for (k, v) in &self.attrs {
             match v {
                 AttrValue::U64(n) => out.push_str(&format!(" {k}={n}")),
@@ -159,7 +167,7 @@ impl FinishedSpan {
         }
         out.push('\n');
         for c in &self.children {
-            c.render_into(out, depth + 1);
+            c.render_into(out, depth + 1, durations);
         }
     }
 
@@ -209,114 +217,112 @@ impl FinishedSpan {
     }
 }
 
-const ROOT_RING_CAP: usize = 16;
-
-/// Per-worker contribution buffers flush to the shared sink once they
-/// hold this many spans (and always at [`flush_contributions`]).
-const CONTRIB_BUF_CAP: usize = 32;
-
-thread_local! {
-    static STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
-    static ROOTS: RefCell<VecDeque<FinishedSpan>> = const { RefCell::new(VecDeque::new()) };
-    static CONTEXT: Cell<Option<TraceContext>> = const { Cell::new(None) };
-    static CONTRIB: RefCell<Vec<(TraceContext, FinishedSpan)>> = const { RefCell::new(Vec::new()) };
+/// The calling thread's open spans, outermost first. Empty: no scope is
+/// open and nothing is recorded.
+struct Spans {
+    open: Vec<ActiveSpan>,
+    /// Spans opened on this thread so far. A guard keeps its span's
+    /// number beside its depth, so a guard that outlived its span never
+    /// takes a later span at the same depth for its own. The number
+    /// never leaves the thread or reaches a tree.
+    opened: u64,
 }
 
-/// Identity of the distributed trace a piece of work belongs to: which
-/// fleet trace, and which span of it is the causal parent. Carried in
-/// every `MailboxBus` envelope and set by `TokenPool` workers for the
-/// duration of a phase job.
+thread_local! {
+    static SPANS: RefCell<Spans> = const {
+        RefCell::new(Spans {
+            open: Vec::new(),
+            opened: 0,
+        })
+    };
+}
+
+impl Spans {
+    fn push(&mut self, name: &str) -> SpanGuard {
+        self.opened += 1;
+        self.open.push(ActiveSpan {
+            serial: self.opened,
+            name: name.to_string(),
+            start: Instant::now(),
+            attrs: Vec::new(),
+            children: Vec::new(),
+        });
+        SpanGuard {
+            at: Some((self.open.len() - 1, self.opened)),
+        }
+    }
+
+    /// The guard's span, while it is still open.
+    fn span_of(&mut self, guard: &SpanGuard) -> Option<&mut ActiveSpan> {
+        let (depth, serial) = guard.at?;
+        self.open.get_mut(depth).filter(|sp| sp.serial == serial)
+    }
+
+    /// Finish the guard's span and return its tree. Spans still open
+    /// above it (their guards leaked past an early return, or dropped out
+    /// of order) are finished first, each into the one below, so the
+    /// tree never corrupts. `None` when the span is no longer open.
+    fn close(&mut self, guard: &SpanGuard) -> Option<FinishedSpan> {
+        let (depth, _) = guard.at?;
+        self.span_of(guard)?;
+        let mut tree: Option<FinishedSpan> = None;
+        for active in self.open.drain(depth..).rev() {
+            let mut finished = FinishedSpan {
+                name: active.name,
+                duration_ns: active.start.elapsed().as_nanos() as u64,
+                attrs: active.attrs,
+                children: active.children,
+            };
+            finished.children.extend(tree);
+            tree = Some(finished);
+        }
+        tree
+    }
+}
+
+/// Identity of the fleet trace a piece of work belongs to: which trace,
+/// and which phase of it is the causal parent. Carried in every traced
+/// `MailboxBus` envelope and hop record, and handed to the fleet
+/// runtimes to say that a phase is traced. It routes nothing: spans
+/// reach their trace by being returned, never by being looked up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceContext {
-    /// Fleet-trace id (derived from the run seed, stable across runs).
+    /// Fleet-trace id (the run seed, stable across runs).
     pub trace_id: u64,
     /// Span id of the causal parent (the fleet driver's phase span).
     pub parent_span: u64,
-}
-
-/// Contributed spans of one trace: `(parent span id, finished root)`.
-type TraceSink = BTreeMap<u64, Vec<(u64, FinishedSpan)>>;
-
-/// The process-wide sink of contributed spans: trace id → every
-/// `(parent span id, finished root)` any worker produced under that
-/// trace's context. Drained by the fleet driver at phase barriers.
-fn sink() -> &'static Mutex<TraceSink> {
-    static SINK: OnceLock<Mutex<TraceSink>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Set (or clear) this thread's distributed-trace context. While a
-/// context is set, finished *root* spans are contributed to the shared
-/// sink instead of the thread-local ring — the single-MCU embedded path
-/// (no context) is untouched.
-pub fn set_context(ctx: Option<TraceContext>) {
-    CONTEXT.with(|c| c.set(ctx));
-}
-
-/// This thread's distributed-trace context, if any.
-pub fn context() -> Option<TraceContext> {
-    CONTEXT.with(Cell::get)
-}
-
-/// Drain this thread's contribution buffer into the shared sink. Worker
-/// threads call this at the end of each phase job, so by the time the
-/// phase barrier releases the driver, every span is visible.
-pub fn flush_contributions() {
-    let batch: Vec<(TraceContext, FinishedSpan)> =
-        CONTRIB.with(|b| std::mem::take(&mut *b.borrow_mut()));
-    if batch.is_empty() {
-        return;
-    }
-    let mut sink = sink()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (ctx, span) in batch {
-        sink.entry(ctx.trace_id)
-            .or_default()
-            .push((ctx.parent_span, span));
-    }
-}
-
-/// Remove and return everything contributed under `trace_id`, as
-/// `(parent span id, span)` pairs in arbitrary arrival order — the
-/// stitcher must sort by a deterministic key (parent span id plus a
-/// caller-set attribute like `token`), never by arrival.
-pub fn drain_trace(trace_id: u64) -> Vec<(u64, FinishedSpan)> {
-    sink()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .remove(&trace_id)
-        .unwrap_or_default()
 }
 
 /// RAII guard for one span. Dropping the guard finishes the span; if
 /// inner guards are still alive (an early return skipped them) they are
 /// folded into this span first, so the tree never corrupts.
 pub struct SpanGuard {
-    depth: usize,
+    /// `(depth on the thread's stack, serial)` of the span; `None` for a
+    /// span opened outside any scope — inert, every call returns at once.
+    at: Option<(usize, u64)>,
 }
 
-/// Open a span as a child of the innermost active span.
+/// Open a span as a child of the innermost open span. With no [`trace`]
+/// scope open on this thread the guard is inert: nothing is recorded.
 pub fn span(name: &str) -> SpanGuard {
-    STACK.with(|s| {
+    SPANS.with(|s| {
         let mut s = s.borrow_mut();
-        s.push(ActiveSpan {
-            name: name.to_string(),
-            start: Instant::now(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        });
-        SpanGuard { depth: s.len() - 1 }
+        if s.open.is_empty() {
+            return SpanGuard { at: None };
+        }
+        s.push(name)
     })
 }
 
 impl SpanGuard {
     /// Set (or overwrite) an attribute on this span.
     pub fn set(&self, key: &str, value: impl Into<AttrValue>) {
+        if self.at.is_none() {
+            return;
+        }
         let value = value.into();
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(sp) = s.get_mut(self.depth) {
+        SPANS.with(|s| {
+            if let Some(sp) = s.borrow_mut().span_of(self) {
                 if let Some(slot) = sp.attrs.iter_mut().find(|(k, _)| k == key) {
                     slot.1 = value;
                 } else {
@@ -328,9 +334,11 @@ impl SpanGuard {
 
     /// Add to an integer attribute (missing counts as 0).
     pub fn add(&self, key: &str, delta: u64) {
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(sp) = s.get_mut(self.depth) {
+        if self.at.is_none() {
+            return;
+        }
+        SPANS.with(|s| {
+            if let Some(sp) = s.borrow_mut().span_of(self) {
                 if let Some((_, AttrValue::U64(v))) = sp.attrs.iter_mut().find(|(k, _)| k == key) {
                     *v += delta;
                 } else {
@@ -343,85 +351,41 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        STACK.with(|s| {
+        if self.at.is_none() {
+            return;
+        }
+        SPANS.with(|s| {
             let mut s = s.borrow_mut();
-            // Fold any still-open inner spans (leaked by early return or
-            // guard reordering), then this one.
-            while s.len() > self.depth {
-                let active = s.pop().expect("len checked");
-                let finished = FinishedSpan {
-                    name: active.name,
-                    duration_ns: active.start.elapsed().as_nanos() as u64,
-                    attrs: active.attrs,
-                    children: active.children,
-                };
-                if let Some(parent) = s.last_mut() {
-                    parent.children.push(finished);
-                } else if let Some(ctx) = context() {
-                    // Flush *before* pushing so the freshest root is
-                    // always still in the local buffer (trace() relies
-                    // on that to hand the span back to its caller).
-                    if CONTRIB.with(|b| b.borrow().len() + 1 >= CONTRIB_BUF_CAP) {
-                        flush_contributions();
-                    }
-                    CONTRIB.with(|b| b.borrow_mut().push((ctx, finished)));
-                } else {
-                    ROOTS.with(|r| {
-                        let mut r = r.borrow_mut();
-                        if r.len() == ROOT_RING_CAP {
-                            r.pop_front();
-                        }
-                        r.push_back(finished);
-                    });
+            if let Some(tree) = s.close(self) {
+                // No parent: a scope's root closed by an unwinding
+                // `trace()` — nobody is left to hand the tree to.
+                if let Some(parent) = s.open.last_mut() {
+                    parent.children.push(tree);
                 }
             }
         });
     }
 }
 
-/// Remove and return the most recently finished root span of this thread.
-pub fn take_last_root() -> Option<FinishedSpan> {
-    ROOTS.with(|r| r.borrow_mut().pop_back())
-}
-
-/// Run `f` under a root-or-child span named `name` and return its result
-/// together with the finished span tree. Only exact when `name` opens at
-/// the top level of the thread's stack; otherwise the span is recorded in
-/// its parent and a clone is returned.
+/// Run `f` inside a collection scope rooted at a span named `name` and
+/// return its result together with the finished span tree — every span
+/// opened on this thread while `f` ran. Opened inside another scope, the
+/// tree is also recorded there, as a child of the innermost open span.
 pub fn trace<T>(name: &str, f: impl FnOnce() -> T) -> (T, FinishedSpan) {
-    let was_root = STACK.with(|s| s.borrow().is_empty());
-    let guard = span(name);
+    // Held across `f` so that an unwind closes the scope too.
+    let root = SPANS.with(|s| s.borrow_mut().push(name));
     let out = f();
-    drop(guard);
-    // Each arm re-reads the span the dropped guard just deposited. If
-    // another thread corrupted the shared state that deposit is absent;
-    // degrade to an empty span of the right name — tracing must never
-    // take the engine down with it.
-    let fallback = || FinishedSpan {
-        name: name.to_string(),
-        duration_ns: 0,
-        attrs: Vec::new(),
-        children: Vec::new(),
-    };
-    let finished = if was_root {
-        if context().is_some() {
-            // The root was contributed to the distributed sink; hand the
-            // caller a clone without un-contributing it.
-            CONTRIB
-                .with(|b| b.borrow().last().map(|(_, s)| s.clone()))
-                .unwrap_or_else(fallback)
-        } else {
-            take_last_root().unwrap_or_else(fallback)
+    let tree = SPANS.with(|s| {
+        let mut s = s.borrow_mut();
+        // The root is gone only if `f` dropped the guard of a span
+        // enclosing this scope, closing the scope from outside.
+        let tree = s.close(&root).unwrap_or_default();
+        if let Some(parent) = s.open.last_mut() {
+            parent.children.push(tree.clone());
         }
-    } else {
-        STACK.with(|s| {
-            s.borrow()
-                .last()
-                .and_then(|p| p.children.last().cloned())
-                .unwrap_or_else(fallback)
-        })
-    };
-    (out, finished)
+        tree
+    });
+    (out, tree)
 }
 
 /// Outcome of checking one traced quantity against a claimed budget.
@@ -511,7 +475,7 @@ impl QueryTrace {
     /// cost totals in the tutorial's units.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.root.render_into(&mut out, 0);
+        self.root.render_into(&mut out, 0, true);
         out.push_str(&format!(
             "totals: page_reads={} page_programs={} block_erases={} peak_ram_bytes={}\n",
             self.page_reads(),
@@ -665,29 +629,11 @@ impl FleetTrace {
         out
     }
 
-    fn render_span(out: &mut String, s: &FinishedSpan, depth: usize) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        out.push_str(&s.name);
-        for (k, v) in &s.attrs {
-            match v {
-                AttrValue::U64(n) => out.push_str(&format!(" {k}={n}")),
-                AttrValue::F64(f) => out.push_str(&format!(" {k}={f:.3}")),
-                AttrValue::Str(t) => out.push_str(&format!(" {k}={t}")),
-            }
-        }
-        out.push('\n');
-        for c in &s.children {
-            Self::render_span(out, c, depth + 1);
-        }
-    }
-
     /// Deterministic human-readable report: the stitched tree (no
     /// wall-clock anywhere), then the critical path in bus ticks.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        Self::render_span(&mut out, &self.root, 0);
+        self.root.render_into(&mut out, 0, false);
         out.push_str("critical path:\n");
         for h in self.critical_path() {
             match h.msg {
@@ -717,53 +663,61 @@ mod tests {
     use super::*;
     use crate::json;
 
+    fn open_spans() -> usize {
+        SPANS.with(|s| s.borrow().open.len())
+    }
+
     #[test]
-    fn spans_nest_and_roots_land_in_ring() {
-        {
-            let root = span("pds.select");
+    fn spans_nest_under_the_scope_that_asked() {
+        let (_, root) = trace("pds.select", || {
+            let root = span("pds.request");
             root.set("db.table", "EMAIL");
             {
                 let child = span("db.select");
                 child.set("flash.page_reads", 17u64);
+                child.add("db.rows", 2);
+                child.add("db.rows", 3);
             }
             {
                 let child = span("db.filter");
                 child.set("flash.page_reads", 3u64);
             }
-        }
-        let root = take_last_root().expect("root finished");
+        });
         assert_eq!(root.name, "pds.select");
-        assert_eq!(root.children.len(), 2);
+        let request = &root.children[0];
+        assert_eq!(request.children.len(), 2);
         assert_eq!(root.total("flash.page_reads"), 20, "summed from children");
-        assert_eq!(root.attr("db.table").unwrap().as_str(), Some("EMAIL"));
+        assert_eq!(request.attr("db.table").unwrap().as_str(), Some("EMAIL"));
+        assert_eq!(request.children[0].attr_u64("db.rows"), Some(5));
+        assert_eq!(open_spans(), 0);
     }
 
     #[test]
     fn parent_attr_wins_over_child_sum() {
-        {
+        let (_, root) = trace("t", || {
             let root = span("r");
             root.set("x", 100u64);
             {
                 let c = span("c");
                 c.set("x", 1u64);
             }
-        }
-        let root = take_last_root().unwrap();
+        });
         assert_eq!(root.total("x"), 100);
     }
 
     #[test]
     fn leaked_inner_guards_fold_into_parent() {
-        {
-            let _root = span("outer");
+        let (_, root) = trace("t", || {
+            let _outer = span("outer");
             let inner = span("inner");
             inner.set("k", 1u64);
-            // inner dropped after root by declaration order — Drop folds it.
-        }
-        let root = take_last_root().unwrap();
-        assert_eq!(root.name, "outer");
-        assert_eq!(root.children.len(), 1);
-        assert_eq!(root.children[0].name, "inner");
+            // inner dropped after outer by declaration order — Drop folds it.
+        });
+        let outer = &root.children[0];
+        assert_eq!(outer.name, "outer");
+        assert_eq!(outer.children.len(), 1);
+        assert_eq!(outer.children[0].name, "inner");
+        assert_eq!(outer.children[0].attr_u64("k"), Some(1));
     }
 
     #[test]
@@ -775,7 +729,99 @@ mod tests {
         assert_eq!(val, 42);
         assert_eq!(spn.name, "work");
         assert_eq!(spn.children[0].name, "step");
-        assert!(take_last_root().is_none(), "trace consumed its root");
+        assert_eq!(open_spans(), 0, "trace took its root with it");
+    }
+
+    #[test]
+    fn spans_outside_a_scope_record_nothing() {
+        for i in 0..10_000u64 {
+            let s = span("nobody.asked");
+            s.set("i", i);
+            s.add("n", 1);
+            let _inner = span("nobody.asked.inner");
+        }
+        assert_eq!(open_spans(), 0);
+        let (_, t) = trace("t", || ());
+        assert!(t.children.is_empty() && t.attrs.is_empty());
+        assert_eq!(open_spans(), 0);
+    }
+
+    #[test]
+    fn an_inert_guard_outliving_a_later_scope_touches_nothing() {
+        let inert = span("outside");
+        let (_, t) = trace("t", || {
+            let a = span("a");
+            inert.set("k", 1u64);
+            inert.add("n", 1);
+            drop(inert); // must not close `a`
+            let _b = span("b");
+            a.set("mine", 7u64);
+        });
+        assert!(t.attrs.is_empty());
+        assert_eq!(t.children.len(), 1);
+        let a = &t.children[0];
+        assert_eq!((a.name.as_str(), a.attrs.len()), ("a", 1));
+        assert_eq!(a.attr_u64("mine"), Some(7));
+        assert_eq!(a.children[0].name, "b", "`a` was still open for `b`");
+        assert_eq!(open_spans(), 0);
+    }
+
+    #[test]
+    fn a_live_guard_leaked_past_its_scope_closes_nothing_later() {
+        let (leaked, first) = trace("first", || span("leak"));
+        assert_eq!(
+            first.children[0].name, "leak",
+            "folded when its scope closed"
+        );
+        assert_eq!(open_spans(), 0);
+        let (_, second) = trace("second", || {
+            let a = span("a"); // sits where `leak` sat
+            leaked.set("late", 1u64);
+            leaked.add("late", 1);
+            drop(leaked); // must not close `a`
+            let _b = span("b");
+            a.set("mine", 7u64);
+        });
+        assert_eq!(second.children.len(), 1);
+        let a = &second.children[0];
+        assert_eq!((a.name.as_str(), a.attrs.len()), ("a", 1));
+        assert_eq!(a.children[0].name, "b", "`a` was still open for `b`");
+        assert_eq!(open_spans(), 0);
+    }
+
+    #[test]
+    fn a_nested_scope_returns_its_subtree_and_the_outer_tree_keeps_it() {
+        let ((inner_val, inner), outer) = trace("outer", || {
+            let _req = span("pds.request");
+            trace("inner", || {
+                let s = span("db.select");
+                s.set("flash.page_reads", 4u64);
+                9
+            })
+        });
+        assert_eq!(inner_val, 9);
+        assert_eq!(inner.name, "inner");
+        assert_eq!(inner.total("flash.page_reads"), 4);
+        let kept = outer.children[0]
+            .find("inner")
+            .expect("recorded under the open span");
+        assert_eq!(kept.to_json(), inner.to_json(), "the same tree, copied");
+        assert_eq!(kept.children[0].name, "db.select");
+        assert_eq!(open_spans(), 0);
+    }
+
+    #[test]
+    fn an_unwinding_scope_is_closed_too() {
+        let caught = std::panic::catch_unwind(|| {
+            trace("doomed", || {
+                let _s = span("step");
+                panic!("the traced work failed");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(open_spans(), 0, "nothing left recording for nobody");
+        let (_, t) = trace("t", || ());
+        assert!(t.children.is_empty());
     }
 
     #[test]
@@ -798,64 +844,6 @@ mod tests {
             j.get("span").and_then(json::Json::as_str),
             Some("pds.select")
         );
-    }
-
-    #[test]
-    fn context_routes_roots_to_shared_sink() {
-        let ctx = TraceContext {
-            trace_id: 0xC0FFEE,
-            parent_span: 7,
-        };
-        set_context(Some(ctx));
-        for i in 0..3u64 {
-            let g = span("token.work");
-            g.set("token", i);
-            {
-                let inner = span("db.select");
-                inner.set("flash.page_reads", 2u64);
-            }
-        }
-        set_context(None);
-        flush_contributions();
-        // The thread-local ring saw nothing; the sink got all three.
-        assert!(take_last_root().is_none());
-        let mut got = drain_trace(0xC0FFEE);
-        assert_eq!(got.len(), 3);
-        got.sort_by_key(|(p, s)| (*p, s.attr_u64("token")));
-        assert_eq!(got[0].0, 7, "parent span id travels with the span");
-        assert_eq!(got[2].1.total("flash.page_reads"), 2);
-        assert!(drain_trace(0xC0FFEE).is_empty(), "drain removes");
-    }
-
-    #[test]
-    fn trace_under_context_returns_and_contributes() {
-        let ctx = TraceContext {
-            trace_id: 0xBEEF01,
-            parent_span: 1,
-        };
-        set_context(Some(ctx));
-        let (v, spn) = trace("work", || 5);
-        set_context(None);
-        flush_contributions();
-        assert_eq!(v, 5);
-        assert_eq!(spn.name, "work");
-        assert_eq!(drain_trace(0xBEEF01).len(), 1);
-    }
-
-    #[test]
-    fn contribution_buffer_flushes_at_capacity() {
-        let ctx = TraceContext {
-            trace_id: 0xFADE02,
-            parent_span: 0,
-        };
-        set_context(Some(ctx));
-        for i in 0..100u64 {
-            let g = span("s");
-            g.set("i", i);
-        }
-        set_context(None);
-        flush_contributions();
-        assert_eq!(drain_trace(0xFADE02).len(), 100, "nothing truncated");
     }
 
     #[test]
@@ -928,17 +916,5 @@ mod tests {
             j.get("span").and_then(crate::json::Json::as_str),
             Some("fleet.agg")
         );
-    }
-
-    #[test]
-    fn root_ring_is_bounded() {
-        for i in 0..40u64 {
-            let s = span("r");
-            s.set("i", i);
-        }
-        // Newest first: the ring kept the last `ROOT_RING_CAP` roots.
-        let roots: Vec<FinishedSpan> = std::iter::from_fn(take_last_root).collect();
-        assert_eq!(roots.len(), ROOT_RING_CAP);
-        assert_eq!(roots[0].attr_u64("i"), Some(39));
     }
 }

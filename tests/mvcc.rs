@@ -8,6 +8,7 @@ use pds::core::{
     SubjectPattern,
 };
 use pds::db::{Predicate, Value};
+use pds::flash::FaultPlan;
 use pds::fleet::{CellNet, CellNetConfig, SubNet, SubNetConfig};
 use pds::sync::{serve_cloud, CellMsg, TrustedCell};
 use pds_obs::rng::{SeedableRng, StdRng};
@@ -244,4 +245,47 @@ fn subscription_fleet_stays_exactly_once_across_power_cycles() {
         n.expected().len(),
         n.duplicates()
     );
+}
+
+#[test]
+fn a_power_cycle_whose_flush_fails_is_a_power_loss_not_a_lost_token() {
+    // Regression: `power_cycle` took the token out of the fleet's vector
+    // before hibernating it, so a flush that failed returned the error
+    // with the token gone — every later token one index low, its rows
+    // ingested into a neighbour's table and credited to itself, and the
+    // next round indexing past the end.
+    let mut n = SubNet::build(SubNetConfig::new(5, 0xC7C1E)).unwrap();
+    n.round().unwrap();
+    let faults = pds_obs::counter("flash.faults_injected").get();
+    n.token(1)
+        .expect("token 1 is hosted")
+        .token()
+        .flash()
+        .inject_faults(FaultPlan::new(7).power_loss_after(0));
+    n.power_cycle(1)
+        .expect("the token comes back through power-off and wake");
+    assert!(
+        pds_obs::counter("flash.faults_injected").get() > faults,
+        "the flush did hit the power cut"
+    );
+
+    for _ in 0..2 {
+        let rep = n.round().unwrap();
+        assert_eq!(rep.rows_written, 5, "every token answers");
+    }
+    n.settle(20_000);
+    assert!((0..n.len()).all(|t| n.token(t).is_some()));
+    assert_eq!(n.duplicates(), 0);
+    // Whatever the collector holds is a row its own token committed…
+    for (key, amount) in n.delivered() {
+        assert_eq!(n.expected().get(key), Some(amount), "row {key:?}");
+    }
+    // …and nobody is owed a row, bar the one the cycled token committed
+    // before its power loss, if that row died with the flush.
+    let owed: Vec<_> = n
+        .expected()
+        .keys()
+        .filter(|k| !n.delivered().contains_key(k))
+        .collect();
+    assert!(owed.iter().all(|k| **k == (1, 0)), "owed: {owed:?}");
 }
