@@ -120,6 +120,96 @@ mod tests {
     use super::*;
     use pds_obs::rng::{Rng, RngCore, SeedableRng, StdRng};
 
+    /// The owned filter decoder and its membership test as they stood
+    /// before summaries were probed in place, kept verbatim: SHA-256 per
+    /// probe, the bits copied out of the record.
+    struct ReferenceFilter {
+        bits: Vec<u8>,
+        num_bits: usize,
+        num_hashes: u32,
+    }
+
+    impl ReferenceFilter {
+        fn from_bytes(data: &[u8]) -> Option<Self> {
+            let mut r = Reader::new(data);
+            let num_bits = r.u32()? as usize;
+            let num_hashes = r.u32()?;
+            let _items = r.u32()? as usize;
+            if r.remaining() != num_bits.div_ceil(8) || num_bits == 0 || num_hashes == 0 {
+                return None;
+            }
+            Some(ReferenceFilter {
+                bits: r.rest().to_vec(),
+                num_bits,
+                num_hashes,
+            })
+        }
+
+        fn bit_positions(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
+            let digest = sha256(key);
+            let h1 = u64::from_le_bytes(digest[0..8].try_into().unwrap_or([0; 8]));
+            let h2 = u64::from_le_bytes(digest[8..16].try_into().unwrap_or([0; 8])) | 1;
+            let m = self.num_bits as u64;
+            (0..self.num_hashes as u64)
+                .map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+        }
+
+        fn maybe_contains(&self, key: &[u8]) -> bool {
+            self.bit_positions(key)
+                .all(|p| self.bits[p / 8] & (1 << (p % 8)) != 0)
+        }
+    }
+
+    /// Keys probed against every filter image of the differential sweep:
+    /// the inserted ones come from the same small domain.
+    fn probe_keys() -> Vec<Vec<u8>> {
+        (0..24u32)
+            .map(|i| i.to_le_bytes()[..=(i as usize % 4)].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn filters_and_the_reference_keep_the_decoder_contract() {
+        use pds_obs::wire::{sweep, Tail};
+        let keys = probe_keys();
+        // 2³² − 1 bits claimed over no bits at all.
+        let lying = [0xFF, 0xFF, 0xFF, 0xFF, 11, 0, 0, 0, 0, 0, 0, 0];
+        sweep(
+            "BloomFilter vs reference",
+            Tail::Exact,
+            &[&lying],
+            |rng| {
+                // Shapes down to the degenerate ones `new` clamps: no
+                // bits, no hash functions.
+                let mut bf = BloomFilter::new(rng.gen_range(0..300usize), rng.gen_range(0..13u32));
+                for _ in 0..rng.gen_range(0..16u32) {
+                    bf.insert(&keys[rng.gen_range(0..keys.len())]);
+                }
+                bf
+            },
+            BloomFilter::to_bytes,
+            |bytes| {
+                let got = BloomFilter::from_bytes(bytes);
+                let want = ReferenceFilter::from_bytes(bytes);
+                assert_eq!(got.is_some(), want.is_some(), "{bytes:02x?}");
+                // A damaged hash count can ask for 2³² probes of a filter
+                // whose every bit is set; the format does not bound it, so
+                // the sweep does.
+                if let (Some(got), Some(want)) = (&got, &want) {
+                    assert_eq!(got.num_hashes, want.num_hashes);
+                    for key in keys.iter().filter(|_| want.num_hashes <= 64) {
+                        assert_eq!(
+                            got.maybe_contains(key),
+                            want.maybe_contains(key),
+                            "{key:02x?} in {bytes:02x?}"
+                        );
+                    }
+                }
+                got
+            },
+        );
+    }
+
     #[test]
     fn no_false_negatives() {
         let mut bf = BloomFilter::per_key_16bits(100);

@@ -196,11 +196,92 @@ mod tests {
 
     #[test]
     fn version_pages_and_their_filters_keep_the_decoder_contract() {
-        crate::summary_log::sweep_front("versions", &VersionsFront, |rng| Version {
-            kind: rng.gen(),
-            key: b"k".repeat(rng.gen_range(0..9usize)),
-            value: b"value".repeat(rng.gen_range(0..5usize)),
-        });
+        crate::summary_log::sweep_front(
+            "versions",
+            &VersionsFront,
+            |rng| Version {
+                kind: rng.gen(),
+                key: b"k".repeat(rng.gen_range(0..9usize)),
+                value: b"value".repeat(rng.gen_range(0..5usize)),
+            },
+            reference_decode_version,
+        );
+    }
+
+    /// The owned version decoder as it stood before data pages were
+    /// walked in place, kept verbatim.
+    fn reference_decode_version(r: &mut Reader<'_>) -> Option<Version> {
+        Some(Version {
+            kind: r.u8()?,
+            key: r.prefixed()?.to_vec(),
+            value: r.prefixed()?.to_vec(),
+        })
+    }
+
+    /// `get` as it stood before summaries were probed in place: every
+    /// summary of the store decoded into an owned filter first, then the
+    /// positive pages newest first, each decoded into owned versions.
+    fn reference_get(kv: &KvStore, key: &[u8]) -> Option<Vec<u8>> {
+        if let Some(v) = kv.log.open_entries().iter().rfind(|v| v.key == key) {
+            return (v.kind == KIND_PUT).then(|| v.value.clone());
+        }
+        let filters: Vec<BloomFilter> = (kv.log.reference_summaries().unwrap().iter())
+            .map(|rec| BloomFilter::from_bytes(rec).unwrap())
+            .collect();
+        for (page, bf) in filters.iter().enumerate().rev() {
+            if !bf.maybe_contains(key) {
+                continue;
+            }
+            let versions = kv
+                .log
+                .reference_read_page(page as u32, reference_decode_version);
+            if let Some(v) = versions.unwrap().into_iter().rfind(|v| v.key == key) {
+                return (v.kind == KIND_PUT).then_some(v.value);
+            }
+        }
+        None
+    }
+
+    /// `kv.get(key)`, checked against [`reference_get`]: the same answer
+    /// for the same page reads.
+    fn checked_get(kv: &KvStore, key: &[u8]) -> Option<Vec<u8>> {
+        let before = kv.flash.stats();
+        let got = kv.get(key).unwrap();
+        let mid = kv.flash.stats();
+        let want = reference_get(kv, key);
+        let after = kv.flash.stats();
+        assert_eq!(got, want, "key {key:02x?}");
+        assert_eq!(
+            (mid - before).page_reads,
+            (after - mid).page_reads,
+            "key {key:02x?}"
+        );
+        got
+    }
+
+    #[test]
+    fn a_tombstone_on_the_newest_of_many_pages_ends_the_probe_there() {
+        let f = Flash::small(2048);
+        let mut kv = KvStore::new(&f);
+        for i in 0..9000u32 {
+            kv.put(format!("key-{}", i % 300).as_bytes(), &i.to_le_bytes())
+                .unwrap();
+        }
+        kv.flush().unwrap();
+        kv.delete(b"key-7").unwrap();
+        kv.flush().unwrap();
+        assert!(kv.num_data_pages() >= 200, "{}", kv.num_data_pages());
+        let summary_pages = kv.log.num_summary_pages() as u64;
+        let before = f.stats();
+        assert_eq!(checked_get(&kv, b"key-7"), None);
+        // The summary scan and the one page that holds the tombstone —
+        // twice: `checked_get` runs the reference too.
+        assert_eq!((f.stats() - before).page_reads, 2 * (summary_pages + 1));
+        for k in [0u32, 8, 299] {
+            let v = checked_get(&kv, format!("key-{k}").as_bytes()).unwrap();
+            assert_eq!(u32::from_le_bytes(v.try_into().unwrap()) % 300, k);
+        }
+        assert_eq!(checked_get(&kv, b"key-300"), None);
     }
 
     #[test]
@@ -209,10 +290,10 @@ mod tests {
         let mut kv = KvStore::new(&f);
         kv.put(b"city", b"Lyon").unwrap();
         kv.put(b"name", b"Alice").unwrap();
-        assert_eq!(kv.get(b"city").unwrap().unwrap(), b"Lyon");
+        assert_eq!(checked_get(&kv, b"city").unwrap(), b"Lyon");
         kv.put(b"city", b"Paris").unwrap();
-        assert_eq!(kv.get(b"city").unwrap().unwrap(), b"Paris", "latest wins");
-        assert_eq!(kv.get(b"unknown").unwrap(), None);
+        assert_eq!(checked_get(&kv, b"city").unwrap(), b"Paris", "latest wins");
+        assert_eq!(checked_get(&kv, b"unknown"), None);
     }
 
     #[test]
@@ -222,9 +303,9 @@ mod tests {
         kv.put(b"k", b"v").unwrap();
         kv.flush().unwrap();
         kv.delete(b"k").unwrap();
-        assert_eq!(kv.get(b"k").unwrap(), None);
+        assert_eq!(checked_get(&kv, b"k"), None);
         kv.put(b"k", b"v2").unwrap();
-        assert_eq!(kv.get(b"k").unwrap().unwrap(), b"v2");
+        assert_eq!(checked_get(&kv, b"k").unwrap(), b"v2");
     }
 
     #[test]
@@ -267,11 +348,11 @@ mod tests {
         let kv = kv.compact().unwrap();
         assert!(kv.num_data_pages() < pages_before / 3, "compaction shrinks");
         for k in 0..40u32 {
-            let v = kv.get(&k.to_le_bytes()).unwrap().unwrap();
+            let v = checked_get(&kv, &k.to_le_bytes()).unwrap();
             assert_eq!(u32::from_le_bytes(v.try_into().unwrap()), k * 1000 + 9);
         }
         for k in 40..50u32 {
-            assert_eq!(kv.get(&k.to_le_bytes()).unwrap(), None);
+            assert_eq!(checked_get(&kv, &k.to_le_bytes()), None);
         }
         // No block leaked: only the compacted store holds blocks now.
         assert!(f.free_blocks() > before_free - 10);
@@ -337,13 +418,13 @@ mod tests {
             }
             for key in 0u8..20 {
                 let k = vec![key];
-                assert_eq!(kv.get(&k).unwrap(), model.get(&k).cloned(), "case {case}");
+                assert_eq!(checked_get(&kv, &k), model.get(&k).cloned(), "case {case}");
             }
             // Compaction preserves the model too.
             let kv = kv.compact().unwrap();
             for key in 0u8..20 {
                 let k = vec![key];
-                assert_eq!(kv.get(&k).unwrap(), model.get(&k).cloned(), "case {case}");
+                assert_eq!(checked_get(&kv, &k), model.get(&k).cloned(), "case {case}");
             }
         }
     }

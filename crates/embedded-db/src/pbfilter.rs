@@ -186,9 +186,76 @@ mod tests {
     #[test]
     fn keys_pages_and_their_filters_keep_the_decoder_contract() {
         let front = KeysFront { bits_per_key: 16 };
-        crate::summary_log::sweep_front("keys", &front, |rng| {
-            (b"key".repeat(rng.gen_range(0..9usize)), rng.gen())
-        });
+        crate::summary_log::sweep_front(
+            "keys",
+            &front,
+            |rng| (b"key".repeat(rng.gen_range(0..9usize)), rng.gen()),
+            reference_read_entry,
+        );
+    }
+
+    /// The owned `(key, rowid)` decoder as it stood before Keys pages
+    /// were walked in place, kept verbatim.
+    fn reference_read_entry(r: &mut Reader<'_>) -> Option<SortEntry> {
+        let key = r.prefixed()?.to_vec();
+        Some((key, r.u32()?))
+    }
+
+    /// `lookup` as it stood before summaries were probed and Keys pages
+    /// compared in place: an owned filter per summary, the key hashed
+    /// once per filter, every positive page decoded into owned entries.
+    fn reference_lookup(idx: &PBFilter, key: &[u8]) -> Vec<RowId> {
+        let mut hits = Vec::new();
+        let matching = |entries: &[SortEntry], hits: &mut Vec<RowId>| {
+            hits.extend(
+                entries
+                    .iter()
+                    .filter(|(k, _)| k.as_slice() == key)
+                    .map(|(_, rowid)| *rowid),
+            );
+        };
+        for (page, rec) in idx.log.reference_summaries().unwrap().iter().enumerate() {
+            if BloomFilter::from_bytes(rec).unwrap().maybe_contains(key) {
+                let entries = idx
+                    .log
+                    .reference_read_page(page as u32, reference_read_entry);
+                matching(&entries.unwrap(), &mut hits);
+            }
+        }
+        matching(idx.log.open_entries(), &mut hits);
+        hits
+    }
+
+    #[test]
+    fn lookup_equals_the_reference_and_reads_the_same_pages() {
+        for case in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(0x9BF1 + case);
+            let f = Flash::small(512);
+            let mut idx = PBFilter::new(&f);
+            let domain = rng.gen_range(1u32..400);
+            let n = [0u32, 1, 60, 2000, 5000][case as usize % 5];
+            for i in 0..n {
+                let key = format!("C{}", rng.gen_range(0..domain));
+                idx.insert(key.as_bytes(), i).unwrap();
+            }
+            if case % 2 == 0 {
+                idx.flush().unwrap();
+            }
+            for probe in 0..domain.min(40) + 2 {
+                let key = format!("C{probe}");
+                let before = f.stats();
+                let got = idx.lookup(key.as_bytes()).unwrap();
+                let mid = f.stats();
+                let want = reference_lookup(&idx, key.as_bytes());
+                let after = f.stats();
+                assert_eq!(got, want, "case {case} key {key}");
+                assert_eq!(
+                    (mid - before).page_reads,
+                    (after - mid).page_reads,
+                    "case {case} key {key}"
+                );
+            }
+        }
     }
 
     /// Insert `n` city keys: city = "C{i % cities}", rowid = i.

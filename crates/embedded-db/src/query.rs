@@ -552,6 +552,185 @@ mod tests {
         db
     }
 
+    /// `Predicate::matches` as it stood before it was evaluated on
+    /// borrowed values, kept verbatim.
+    fn reference_matches(pred: &Predicate, v: &Value) -> bool {
+        match pred {
+            Predicate::Eq { value, .. } => v == value,
+            Predicate::Between { lo, hi, .. } => v >= lo && v <= hi,
+        }
+    }
+
+    #[test]
+    fn cross_type_predicates_order_by_tag_as_value_cmp_does() {
+        let (n, s) = (Value::U64(7), Value::str("7"));
+        // `Value::cmp` across types: every integer sorts before every
+        // string, and the two are never equal.
+        assert_eq!(n.cmp(&s), std::cmp::Ordering::Less);
+        assert_eq!(
+            Value::U64(u64::MAX).cmp(&Value::str("")),
+            std::cmp::Ordering::Less
+        );
+        // A U64 column against Str bounds, and a Str column against U64
+        // bounds, `Eq` and `Between`.
+        let cases = [
+            (Predicate::eq("c", s.clone()), &n, false),
+            (Predicate::eq("c", n.clone()), &s, false),
+            (
+                Predicate::between("c", Value::str(""), Value::str("z")),
+                &n,
+                false,
+            ),
+            (
+                Predicate::between("c", Value::U64(0), Value::str("z")),
+                &n,
+                true,
+            ),
+            (
+                Predicate::between("c", Value::U64(8), Value::str("z")),
+                &n,
+                false,
+            ),
+            (
+                Predicate::between("c", Value::U64(0), Value::U64(u64::MAX)),
+                &s,
+                false,
+            ),
+            (
+                Predicate::between("c", Value::U64(0), Value::str("7")),
+                &s,
+                true,
+            ),
+            (
+                Predicate::between("c", Value::U64(0), Value::str("6")),
+                &s,
+                false,
+            ),
+            (
+                Predicate::between("c", Value::str("8"), Value::U64(0)),
+                &s,
+                false,
+            ),
+        ];
+        for (pred, v, want) in &cases {
+            assert_eq!(pred.matches(*v), *want, "{pred:?} on {v:?}");
+            assert_eq!(reference_matches(pred, v), *want, "{pred:?} on {v:?}");
+            if let Predicate::Between { lo, hi, .. } = pred {
+                let by_cmp = lo.cmp(v) != std::cmp::Ordering::Greater
+                    && (*v).cmp(hi) != std::cmp::Ordering::Greater;
+                assert_eq!(by_cmp, *want, "{pred:?} on {v:?}");
+            }
+        }
+    }
+
+    /// `SELECT` by the scan as it stood before rows were read through a
+    /// view: every record decoded into an owned row, the predicate
+    /// evaluated on the owned column value.
+    fn reference_select(db: &Database, table: &str, pred: &Predicate) -> Vec<(RowId, Row)> {
+        let t = db.table(table).unwrap();
+        let c = t.column(pred.column()).unwrap();
+        let mut hits = Vec::new();
+        t.reference_scan(|rowid, row| {
+            if reference_matches(pred, &row[c]) {
+                hits.push((rowid, row));
+            }
+        })
+        .unwrap();
+        hits
+    }
+
+    #[test]
+    fn select_equals_the_reference_scan_and_decode_sweep() {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        let schema = || {
+            Schema::new(&[
+                ("day", ColumnType::U64),
+                ("who", ColumnType::Str),
+                ("note", ColumnType::Str),
+            ])
+        };
+        // 512-byte pages: a row with an empty note is 35 bytes framed, so
+        // 14 fill a page and the 15th opens the next; a 600-byte note
+        // spans pages.
+        let fixed = |i: u64| {
+            vec![
+                Value::U64(i),
+                Value::str("0123456789abcdef"),
+                Value::str(""),
+            ]
+        };
+        for (case, rows) in [0usize, 1, 14, 15, 28, 200].into_iter().enumerate() {
+            for flushed in [false, true] {
+                let mut rng = StdRng::seed_from_u64(0x5E1E_C700 + case as u64);
+                let f = Flash::small(256);
+                let mut db = Database::new(&f, &RamBudget::new(64 * 1024));
+                db.create_table("T", schema()).unwrap();
+                for i in 0..rows as u64 {
+                    let row = if rows <= 28 {
+                        fixed(i)
+                    } else {
+                        let who = format!("w{}", rng.gen_range(0..6u32));
+                        let note = match rng.gen_range(0..10u32) {
+                            0 => "né".repeat(300),
+                            n => "x".repeat(n as usize * 7),
+                        };
+                        vec![
+                            Value::U64(rng.gen_range(0..40u64)),
+                            Value::Str(who),
+                            Value::Str(note),
+                        ]
+                    };
+                    db.insert("T", row).unwrap();
+                }
+                if flushed {
+                    db.flush().unwrap();
+                }
+                let preds = [
+                    Predicate::eq("day", Value::U64(7)),
+                    Predicate::eq("day", Value::U64(1000)),
+                    Predicate::eq("who", Value::str("w3")),
+                    Predicate::eq("who", Value::str("0123456789abcdef")),
+                    Predicate::eq("who", Value::str("nobody")),
+                    Predicate::between("day", Value::U64(0), Value::U64(u64::MAX)),
+                    Predicate::between("day", Value::U64(5), Value::U64(9)),
+                    Predicate::between("day", Value::U64(9), Value::U64(5)),
+                    Predicate::between("who", Value::str("w1"), Value::str("w4")),
+                    Predicate::between("who", Value::str(""), Value::str("zzzz")),
+                    Predicate::between("day", Value::str("a"), Value::str("b")),
+                ];
+                let want: Vec<_> = preds
+                    .iter()
+                    .map(|p| reference_select(&db, "T", p))
+                    .collect();
+                if rows > 0 {
+                    assert_eq!(want[5].len(), rows, "all-match");
+                    assert!(want[1].is_empty() && want[4].is_empty() && want[7].is_empty());
+                }
+                // The same answers from every rung of the plan ladder.
+                for rung in 0..3 {
+                    match rung {
+                        0 => {}
+                        1 => {
+                            db.create_index("T", "day").unwrap();
+                            db.create_index("T", "who").unwrap();
+                        }
+                        _ => {
+                            db.reorganize_index("T", "day").unwrap();
+                            db.reorganize_index("T", "who").unwrap();
+                        }
+                    }
+                    for (pred, want) in preds.iter().zip(&want) {
+                        assert_eq!(
+                            &db.select("T", pred).unwrap(),
+                            want,
+                            "case {case} flushed {flushed} rung {rung} {pred:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn plan_ladder_full_scan_summary_tree() {
         let mut db = db_with_customers(500);

@@ -213,11 +213,26 @@ mod tests {
 
     #[test]
     fn point_pages_and_their_mbrs_keep_the_decoder_contract() {
-        crate::summary_log::sweep_front("points", &PointsFront, |rng| Point {
-            x: rng.gen(),
-            y: rng.gen(),
-            ts: rng.gen(),
-        });
+        crate::summary_log::sweep_front(
+            "points",
+            &PointsFront,
+            |rng| Point {
+                x: rng.gen(),
+                y: rng.gen(),
+                ts: rng.gen(),
+            },
+            reference_decode_point,
+        );
+    }
+
+    /// The point decoder as it stood before data pages were walked in
+    /// place, kept verbatim.
+    fn reference_decode_point(r: &mut Reader<'_>) -> Option<Point> {
+        Some(Point {
+            x: i32::from_le_bytes(r.array()?),
+            y: i32::from_le_bytes(r.array()?),
+            ts: r.u64()?,
+        })
     }
 
     /// A commuter-like trace: loops between home (0,0) and work (1000,800)

@@ -261,14 +261,65 @@ fn decode_page<F: Front>(buf: &[u8]) -> Option<Vec<F::Entry>> {
     Some(entries)
 }
 
+/// A front's owned entry decoder as it stood before pages were walked
+/// in place; each front keeps its own verbatim beside its tests.
+#[cfg(test)]
+pub(crate) type ReferenceDecode<E> = fn(&mut Reader<'_>) -> Option<E>;
+
+/// The owned page decoder as it stood before pages were walked in place,
+/// kept verbatim over the front's [`ReferenceDecode`].
+#[cfg(test)]
+pub(crate) fn reference_decode_page<E>(buf: &[u8], decode: ReferenceDecode<E>) -> Option<Vec<E>> {
+    let mut r = Reader::new(buf);
+    let count = r.count16(1)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push(decode(&mut r)?);
+    }
+    Some(entries)
+}
+
+/// What the reference lookups of the fronts' tests stand on: the two
+/// logs read record by record and page by page, nothing of the walk
+/// above.
+#[cfg(test)]
+impl<F: Front> SummaryLog<F> {
+    /// Every summary record, copied out, in data page order.
+    pub(crate) fn reference_summaries(&self) -> Result<Vec<Vec<u8>>, FlashError> {
+        let mut recs = Vec::new();
+        self.summaries.for_each_record(|_, rec| {
+            recs.push(rec.to_vec());
+            Ok(())
+        })?;
+        Ok(recs)
+    }
+
+    /// Data page `ordinal` read into a fresh buffer (one read) and
+    /// decoded by [`reference_decode_page`].
+    pub(crate) fn reference_read_page(
+        &self,
+        ordinal: u32,
+        decode: ReferenceDecode<F::Entry>,
+    ) -> Result<Vec<F::Entry>, FlashError> {
+        let addr = self.data.page_addr(ordinal)?;
+        let flash = self.data.flash();
+        let mut buf = vec![0u8; flash.geometry().page_size];
+        flash.read_page(addr, &mut buf)?;
+        reference_decode_page(&buf, decode).ok_or(FlashError::CorruptPage(addr))
+    }
+}
+
 /// The decoder contract ([`pds_obs::wire::sweep`]) for one front: its
 /// data pages — `gen` draws an entry — and the summary records of those
-/// pages.
+/// pages. Every page image the sweep produces, whole, cut or damaged, is
+/// also decoded by `reference`: both accept or both refuse, with equal
+/// entries.
 #[cfg(test)]
 pub(crate) fn sweep_front<F: Front>(
     format: &str,
     front: &F,
     gen: impl Fn(&mut pds_obs::rng::StdRng) -> F::Entry,
+    reference: ReferenceDecode<F::Entry>,
 ) where
     F::Entry: PartialEq + std::fmt::Debug,
 {
@@ -292,7 +343,11 @@ pub(crate) fn sweep_front<F: Front>(
         &[&[0xFF; PAGE], &[0xFF; 2]],
         page,
         image,
-        decode_page::<F>,
+        |buf| {
+            let got = decode_page::<F>(buf);
+            assert_eq!(got, reference_decode_page(buf, reference), "{format}");
+            got
+        },
     );
     sweep(
         &format!("{format} summary"),

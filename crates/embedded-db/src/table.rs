@@ -154,6 +154,22 @@ impl Table {
 }
 
 #[cfg(test)]
+impl Table {
+    /// The scan as it stood before rows were read through a view, kept
+    /// verbatim: every record decoded into an owned row by
+    /// [`reference_decode_row`](crate::value::reference_decode_row).
+    pub(crate) fn reference_scan(&self, mut f: impl FnMut(RowId, Row)) -> Result<(), FlashError> {
+        let mut rowid: RowId = 0;
+        self.log.for_each_record(|_, rec| {
+            let row = crate::value::reference_decode_row(rec).ok_or(FlashError::BadRecordAddr)?;
+            f(rowid, row);
+            rowid += 1;
+            Ok(())
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::{ColumnType, Value};

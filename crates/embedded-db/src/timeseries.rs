@@ -230,10 +230,24 @@ mod tests {
 
     #[test]
     fn sample_pages_and_their_summaries_keep_the_decoder_contract() {
-        crate::summary_log::sweep_front("samples", &SamplesFront, |rng| Sample {
-            ts: rng.gen(),
-            value: i64::from(rng.gen::<i32>()),
-        });
+        crate::summary_log::sweep_front(
+            "samples",
+            &SamplesFront,
+            |rng| Sample {
+                ts: rng.gen(),
+                value: i64::from(rng.gen::<i32>()),
+            },
+            reference_decode_sample,
+        );
+    }
+
+    /// The sample decoder as it stood before data pages were walked in
+    /// place, kept verbatim.
+    fn reference_decode_sample(r: &mut Reader<'_>) -> Option<Sample> {
+        Some(Sample {
+            ts: r.u64()?,
+            value: i64::from_le_bytes(r.array()?),
+        })
     }
 
     fn series_with(n: u64) -> (Flash, TimeSeries) {

@@ -182,10 +182,60 @@ impl Schema {
     }
 }
 
+/// The owned row decoder as it stood before rows were read through a
+/// view, kept verbatim: the reference every differential test of the row
+/// format compares against.
+#[cfg(test)]
+pub(crate) fn reference_decode_row(buf: &[u8]) -> Option<Row> {
+    fn decode(r: &mut Reader<'_>) -> Option<Value> {
+        match r.u8()? {
+            0 => Some(Value::U64(r.u64()?)),
+            1 => Some(Value::str(std::str::from_utf8(r.prefixed()?).ok()?)),
+            _ => None,
+        }
+    }
+    let mut r = Reader::new(buf);
+    let arity = r.count16(Value::MIN_LEN)?;
+    let mut row = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        row.push(decode(&mut r)?);
+    }
+    r.finish()?;
+    Some(row)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pds_obs::rng::{Rng, SeedableRng, StdRng};
+
+    #[test]
+    fn rows_and_the_reference_keep_the_decoder_contract() {
+        use pds_obs::wire::{sweep, Tail};
+        // Strings that are not ASCII, so a flip or a cut can land inside
+        // a code point and the UTF-8 refusal is reached.
+        const WORDS: [&str; 5] = ["", "Lyon", "héllo wörld", "東京", "HOUSEHOLD"];
+        sweep(
+            "Row vs reference",
+            Tail::Exact,
+            &[&[0xFF, 0xFF], &[0xFF, 0xFF, 0, 0, 0]],
+            |rng| -> Row {
+                (0..rng.gen_range(0..7u32))
+                    .map(|_| match rng.gen_range(0..3u32) {
+                        0 => Value::U64(rng.gen()),
+                        1 => Value::str(WORDS[rng.gen_range(0..WORDS.len())]),
+                        _ => Value::Str(WORDS[1].repeat(rng.gen_range(0..40usize))),
+                    })
+                    .collect()
+            },
+            encode_row,
+            |buf| {
+                let got = decode_row(buf);
+                assert_eq!(got, reference_decode_row(buf), "{buf:02x?}");
+                got
+            },
+        );
+    }
 
     #[test]
     fn value_encode_decode_round_trips() {

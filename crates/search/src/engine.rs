@@ -1000,6 +1000,111 @@ mod tests {
         }
     }
 
+    /// The pages of `bucket`'s chain, newest first, each decoded by the
+    /// owned decoder the engine used before it walked pages in place.
+    fn reference_chain(e: &SearchEngine, bucket: usize) -> Vec<Vec<Triple>> {
+        let mut pages = Vec::new();
+        let mut page = e.heads[bucket];
+        let mut buf = vec![0u8; e.flash.geometry().page_size];
+        while page != NO_PREV {
+            let addr = e.index.page_addr(page).unwrap();
+            e.flash.read_page(addr, &mut buf).unwrap();
+            let (prev, triples) = crate::triple::reference_decode_page(&buf).unwrap();
+            pages.push(triples);
+            page = prev;
+        }
+        pages
+    }
+
+    /// `search` against the oracle, hit for hit and score for score, and
+    /// its page reads against the two-pass cost model: each distinct
+    /// query term walks its bucket chain once to count df and, when the
+    /// term occurs at all, once more to merge.
+    fn assert_search_and_its_reads(e: &SearchEngine, oracle: &NaiveSearch, query: &[&str]) {
+        let mut terms: Vec<u64> = (query.iter())
+            .flat_map(|kw| tokenize(kw))
+            .map(|t| term_hash(&t))
+            .collect();
+        terms.sort_unstable();
+        terms.dedup();
+        let mut want_reads = 0u64;
+        for term in terms {
+            let b = e.bucket_of(term);
+            let chain = reference_chain(e, b);
+            let live = |t: &&Triple| t.term == term && !e.deleted.contains(&t.doc);
+            let df = chain.iter().flatten().filter(live).count()
+                + e.pending[b].iter().filter(live).count();
+            want_reads += chain.len() as u64 * if df > 0 { 2 } else { 1 };
+        }
+        let before = e.flash.stats();
+        let hits = e.search(query, 10).unwrap();
+        assert_eq!(
+            (e.flash.stats() - before).page_reads,
+            want_reads,
+            "{query:?}"
+        );
+        let expected = oracle.search(query, 10);
+        assert_eq!(hits.len(), expected.len(), "{query:?}");
+        for (h, x) in hits.iter().zip(&expected) {
+            assert_eq!(h.doc, x.doc, "{query:?}");
+            assert!((h.score - x.score).abs() < 1e-9, "{query:?}");
+        }
+    }
+
+    #[test]
+    fn a_chain_of_many_pages_with_tombstones_on_page_boundaries() {
+        let profile = HardwareProfile::test_profile();
+        let flash = Flash::new(profile.flash);
+        let ram = RamBudget::new(profile.ram_bytes);
+        let mut e = SearchEngine::new(&flash, &ram, 4, 64, DfStrategy::TwoPass).unwrap();
+        let mut oracle = NaiveSearch::new();
+        for i in 0..400 {
+            let text = format!("note {i} shared topic t{} k{}", i % 7, i % 13);
+            e.index_document(&text).unwrap();
+            oracle.index(&text);
+        }
+        let shared = term_hash("shared");
+        let bucket = e.bucket_of(shared);
+        let chain = reference_chain(&e, bucket);
+        assert!(chain.len() >= 3, "{} pages", chain.len());
+        // Tombstone the documents whose `shared` triple is the last one
+        // on its page and the first one on the next: the cursor crosses
+        // a page boundary on a deleted document, both ways.
+        let of_term = |page: &Vec<Triple>| -> Vec<DocId> {
+            (page.iter().filter(|t| t.term == shared))
+                .map(|t| t.doc)
+                .collect()
+        };
+        let mut edges = Vec::new();
+        for page in &chain[..3] {
+            let docs = of_term(page);
+            edges.extend([docs[0], docs[docs.len() - 1]]);
+        }
+        for query in [vec!["shared"], vec!["shared", "t3"], vec!["absent", "k5"]] {
+            assert_search_and_its_reads(&e, &oracle, &query);
+        }
+        for doc in edges {
+            e.delete_document(doc).unwrap();
+            oracle.delete(doc);
+        }
+        for query in [
+            vec!["shared"],
+            vec!["shared", "t3"],
+            vec!["t1", "k5", "note"],
+        ] {
+            assert_search_and_its_reads(&e, &oracle, &query);
+        }
+        // Flushed and reorganised, the same answers from repacked pages.
+        e.reorganize().unwrap();
+        for query in [
+            vec!["shared"],
+            vec!["shared", "t3"],
+            vec!["t1", "k5", "note"],
+        ] {
+            assert_search_and_its_reads(&e, &oracle, &query);
+        }
+    }
+
     #[test]
     fn many_documents_exact_top_n() {
         let profile = HardwareProfile::test_profile();

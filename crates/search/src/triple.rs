@@ -92,9 +92,61 @@ pub fn decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
     Some((prev, triples))
 }
 
+/// The owned bucket-page decoder as it stood before pages were walked
+/// in place, kept verbatim: the reference the differential tests of the
+/// bucket-page format compare against.
+#[cfg(test)]
+pub(crate) fn reference_decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
+    fn read(r: &mut Reader<'_>) -> Option<Triple> {
+        Some(Triple {
+            term: r.u64()?,
+            doc: r.u32()?,
+            tf: r.u16()?,
+        })
+    }
+    let mut r = Reader::new(buf);
+    let prev = r.u32()?;
+    let count = r.count16(TRIPLE_LEN)?;
+    let mut triples = Vec::with_capacity(count);
+    for _ in 0..count {
+        triples.push(read(&mut r)?);
+    }
+    Some((prev, triples))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_pages_and_the_reference_keep_the_decoder_contract() {
+        use pds_obs::rng::Rng;
+        use pds_obs::wire::{sweep, Tail};
+        const PAGE: usize = 512;
+        let mut lying = encode_page(PAGE, 7, &[]);
+        lying[4..6].fill(0xFF);
+        sweep(
+            "bucket page vs reference",
+            Tail::Padded,
+            &[&lying, &lying[..6]],
+            |rng| {
+                let triples = (0..rng.gen_range(0..=triples_per_page(PAGE)))
+                    .map(|_| Triple {
+                        term: rng.gen(),
+                        doc: rng.gen(),
+                        tf: rng.gen(),
+                    })
+                    .collect::<Vec<_>>();
+                (rng.gen::<u32>(), triples)
+            },
+            |(prev, triples)| encode_page(PAGE, *prev, triples),
+            |buf| {
+                let got = decode_page(buf);
+                assert_eq!(got, reference_decode_page(buf), "{buf:02x?}");
+                got
+            },
+        );
+    }
 
     #[test]
     fn triple_round_trip() {
