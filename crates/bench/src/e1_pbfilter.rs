@@ -6,7 +6,7 @@
 //! flash pages, a selective city predicate — and report full-scan vs
 //! summary-scan page I/Os across table sizes and selectivities.
 
-use pds_db::value::{ColumnType, Schema};
+use pds_db::value::{ColumnType, Schema, ValueRef};
 use pds_db::{PBFilter, Table as DbTable, Value};
 use pds_flash::{Flash, FlashGeometry};
 
@@ -63,7 +63,7 @@ pub fn measure(rows: u32, cities: u32) -> E1Point {
     let mut scan_matches = 0usize;
     table
         .scan(|_, row| {
-            if row[2] == Value::Str(probe.clone()) {
+            if row.get(2) == Some(ValueRef::Str(&probe)) {
                 scan_matches += 1;
             }
         })

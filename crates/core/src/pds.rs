@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use pds_crypto::SymmetricKey;
 use pds_db::mvcc::{kind, DOC_STORE};
-use pds_db::value::Value;
+use pds_db::value::{Value, ValueRef};
 use pds_db::{Database, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
 use pds_flash::{BlackBox, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
 use pds_mcu::{Token, TokenId};
@@ -325,18 +325,18 @@ impl Pds {
     fn check(
         &mut self,
         ctx: &AccessContext,
-        collection: Collection,
+        collection: &Collection,
         action: Action,
         age_days: u32,
     ) -> Result<(), PdsError> {
-        let target = match &collection {
+        let target = match collection {
             Collection::Documents => "documents",
             Collection::Table(t) => t,
             Collection::All => "all",
         };
         self.gate(ctx, action.label(), target, |meta| {
             meta.policy
-                .permits(&ctx.subject, &collection, action, ctx.purpose, age_days)
+                .permits(&ctx.subject, collection, action, ctx.purpose, age_days)
         })
     }
 
@@ -407,7 +407,7 @@ impl Pds {
             "search"
         };
         self.traced_request(op, |pds| {
-            pds.check(ctx, Collection::Documents, Action::Search, 0)?;
+            pds.check(ctx, &Collection::Documents, Action::Search, 0)?;
             Ok(match pds.visible_docs(snap)? {
                 Some(visible) => pds.engine.search_visible(keywords, n, visible)?,
                 None => pds.engine.search(keywords, n)?,
@@ -428,7 +428,7 @@ impl Pds {
             "get_document"
         };
         self.traced_request(op, |pds| {
-            pds.check(ctx, Collection::Documents, Action::Read, 0)?;
+            pds.check(ctx, &Collection::Documents, Action::Read, 0)?;
             if pds
                 .visible_docs(snap)?
                 .is_some_and(|visible| docid >= visible)
@@ -455,7 +455,7 @@ impl Pds {
         };
         self.traced_request(op, |pds| {
             let coll = Collection::Table(table.to_string());
-            pds.check(ctx, coll.clone(), Action::Read, 0)?;
+            pds.check(ctx, &coll, Action::Read, 0)?;
             let rows = match snap {
                 Some(snap) => pds.db.select_at(snap, table, pred)?,
                 None => pds.db.select(table, pred)?,
@@ -553,7 +553,7 @@ impl Pds {
         self.traced_request("aggregate_sum", |pds| {
             pds.check(
                 ctx,
-                Collection::Table(table.to_string()),
+                &Collection::Table(table.to_string()),
                 Action::Aggregate,
                 0,
             )?;
@@ -563,7 +563,7 @@ impl Pds {
             match pred {
                 None => {
                     t.scan(|_, row| {
-                        sum += row[c].as_u64().unwrap_or(0);
+                        sum += row.get(c).and_then(ValueRef::as_u64).unwrap_or(0);
                     })?;
                 }
                 Some(p) => {
@@ -589,7 +589,7 @@ impl Pds {
         self.traced_request(op, |pds| {
             pds.check(
                 ctx,
-                Collection::Table(table.to_string()),
+                &Collection::Table(table.to_string()),
                 Action::Aggregate,
                 0,
             )?;
@@ -598,8 +598,10 @@ impl Pds {
             let m = measure_column.map(|c| t.column(c)).transpose()?;
             let mut groups: BTreeMap<String, u64> = BTreeMap::new();
             t.scan(|_, row| {
-                let add = m.map_or(1, |m| row[m].as_u64().unwrap_or(0));
-                *groups.entry(row[g].to_string()).or_insert(0) += add;
+                let add = m.map_or(1, |m| row.get(m).and_then(ValueRef::as_u64).unwrap_or(0));
+                if let Some(group) = row.get(g) {
+                    *groups.entry(group.to_string()).or_insert(0) += add;
+                }
             })?;
             pds.note(
                 Severity::Info,
@@ -644,7 +646,7 @@ impl Pds {
     /// bytes — input of the encrypted archive. Gated as an owner Export.
     pub fn snapshot(&mut self, ctx: &AccessContext) -> Result<Vec<u8>, PdsError> {
         self.traced_request("snapshot", |pds| {
-            pds.check(ctx, Collection::All, Action::Export, 0)?;
+            pds.check(ctx, &Collection::All, Action::Export, 0)?;
             let mut out = Vec::new();
             // Documents.
             let n_docs = pds.engine.num_docs();
@@ -656,7 +658,9 @@ impl Pds {
             for table in [EMAIL_TABLE, HEALTH_TABLE, BANK_TABLE] {
                 let t = pds.db.table(table)?;
                 out.extend_from_slice(&t.num_rows().to_le_bytes());
-                t.scan(|_, row| put_prefixed32(&mut out, &pds_db::value::encode_row(&row)))?;
+                // A row's stored bytes are its encoding: no decode,
+                // no re-encode.
+                t.scan(|_, row| put_prefixed32(&mut out, row.bytes()))?;
             }
             Ok(out)
         })

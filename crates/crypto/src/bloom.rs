@@ -10,10 +10,104 @@
 //! Hashes are derived by double hashing (Kirsch–Mitzenmacher) from two
 //! halves of a SHA-256 digest, so a filter is a plain bit array that can
 //! be stored in, and reloaded from, a flash page.
+//!
+//! ## One parser, one probe
+//!
+//! A stored filter is read through [`BloomRef`], a view over the record
+//! it lies in: [`BloomRef::parse`] is the format's only parser and
+//! [`BloomRef::contains`] the only membership test. The owned
+//! [`BloomFilter`] is what building a filter needs (`insert`), and its
+//! `from_bytes` / `maybe_contains` are the view collected and the view
+//! asked. The digest of a key does not depend on the filter, so it is a
+//! value of its own ([`KeyHash`]): a summary scan hashes its key once and
+//! probes every summary of the log with the same two words.
 
 use pds_obs::wire::Reader;
 
 use crate::hash::sha256;
+
+/// The two hash words every probe position of a key derives from:
+/// position `i` is `(h1 + i·h2) mod num_bits`. Computed once per key,
+/// whatever the number of filters probed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHash {
+    h1: u64,
+    h2: u64,
+}
+
+impl KeyHash {
+    /// Hash `key` (one SHA-256).
+    pub fn of(key: &[u8]) -> Self {
+        let digest = sha256(key);
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&digest[at..at + 8]);
+            u64::from_le_bytes(w)
+        };
+        KeyHash {
+            h1: word(0),
+            h2: word(8) | 1,
+        }
+    }
+
+    /// The bit positions of this key in a filter of the given shape.
+    fn positions(self, num_bits: usize, num_hashes: u32) -> impl Iterator<Item = usize> {
+        let m = num_bits as u64;
+        (0..num_hashes as u64)
+            .map(move |i| (self.h1.wrapping_add(i.wrapping_mul(self.h2)) % m) as usize)
+    }
+}
+
+/// A filter read where it lies: the header fields and the bit array of a
+/// record produced by [`BloomFilter::to_bytes`], borrowed, not copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BloomRef<'a> {
+    bits: &'a [u8],
+    num_bits: usize,
+    num_hashes: u32,
+    items: usize,
+}
+
+impl<'a> BloomRef<'a> {
+    /// Parse `num_bits (u32) ‖ num_hashes (u32) ‖ items (u32) ‖ bits`;
+    /// `None` unless the bit array is exactly as long as `num_bits` says
+    /// and neither count is zero.
+    pub fn parse(data: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(data);
+        let num_bits = r.u32()? as usize;
+        let num_hashes = r.u32()?;
+        let items = r.u32()? as usize;
+        if r.remaining() != num_bits.div_ceil(8) || num_bits == 0 || num_hashes == 0 {
+            return None;
+        }
+        Some(BloomRef {
+            bits: r.rest(),
+            num_bits,
+            num_hashes,
+            items,
+        })
+    }
+
+    /// Membership test: false ⇒ definitely absent (no false negatives);
+    /// true ⇒ probably present.
+    pub fn contains(&self, key: KeyHash) -> bool {
+        key.positions(self.num_bits, self.num_hashes).all(|p| {
+            self.bits
+                .get(p / 8)
+                .is_some_and(|b| b & (1 << (p % 8)) != 0)
+        })
+    }
+
+    /// The owned filter with these bits.
+    pub fn to_filter(&self) -> BloomFilter {
+        BloomFilter {
+            bits: self.bits.to_vec(),
+            num_bits: self.num_bits,
+            num_hashes: self.num_hashes,
+            items: self.items,
+        }
+    }
+}
 
 /// A fixed-size Bloom filter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,18 +141,19 @@ impl BloomFilter {
         BloomFilter::new(num_bits, 11)
     }
 
-    fn bit_positions(&self, key: &[u8]) -> impl Iterator<Item = usize> + '_ {
-        let digest = sha256(key);
-        let h1 = u64::from_le_bytes(digest[0..8].try_into().unwrap_or([0; 8]));
-        let h2 = u64::from_le_bytes(digest[8..16].try_into().unwrap_or([0; 8])) | 1;
-        let m = self.num_bits as u64;
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+    /// This filter as the view a stored one is read through.
+    fn view(&self) -> BloomRef<'_> {
+        BloomRef {
+            bits: &self.bits,
+            num_bits: self.num_bits,
+            num_hashes: self.num_hashes,
+            items: self.items,
+        }
     }
 
     /// Insert a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<usize> = self.bit_positions(key).collect();
-        for p in positions {
+        for p in KeyHash::of(key).positions(self.num_bits, self.num_hashes) {
             self.bits[p / 8] |= 1 << (p % 8);
         }
         self.items += 1;
@@ -67,8 +162,7 @@ impl BloomFilter {
     /// Membership test: false ⇒ definitely absent (no false negatives);
     /// true ⇒ probably present.
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        self.bit_positions(key)
-            .all(|p| self.bits[p / 8] & (1 << (p % 8)) != 0)
+        self.view().contains(KeyHash::of(key))
     }
 
     /// Number of inserted keys.
@@ -97,21 +191,9 @@ impl BloomFilter {
     }
 
     /// Deserialize a filter previously produced by
-    /// [`to_bytes`](Self::to_bytes).
+    /// [`to_bytes`](Self::to_bytes): [`BloomRef::parse`], collected.
     pub fn from_bytes(data: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(data);
-        let num_bits = r.u32()? as usize;
-        let num_hashes = r.u32()?;
-        let items = r.u32()? as usize;
-        if r.remaining() != num_bits.div_ceil(8) || num_bits == 0 || num_hashes == 0 {
-            return None;
-        }
-        Some(BloomFilter {
-            bits: r.rest().to_vec(),
-            num_bits,
-            num_hashes,
-            items,
-        })
+        BloomRef::parse(data).map(|view| view.to_filter())
     }
 }
 
@@ -206,6 +288,39 @@ mod tests {
                     }
                 }
                 got
+            },
+        );
+    }
+
+    #[test]
+    fn in_place_probes_keep_the_decoder_contract() {
+        use pds_obs::wire::{sweep, Tail};
+        let keys = probe_keys();
+        let hashes: Vec<KeyHash> = keys.iter().map(|k| KeyHash::of(k)).collect();
+        sweep(
+            "BloomRef vs reference",
+            Tail::Exact,
+            &[&[0xFF, 0xFF, 0xFF, 0xFF, 11, 0, 0, 0, 0, 0, 0, 0]],
+            |rng| {
+                let mut bf = BloomFilter::new(rng.gen_range(0..300usize), rng.gen_range(0..13u32));
+                for _ in 0..rng.gen_range(0..16u32) {
+                    bf.insert(&keys[rng.gen_range(0..keys.len())]);
+                }
+                bf.to_bytes()
+            },
+            Vec::clone,
+            |bytes| {
+                let view = BloomRef::parse(bytes);
+                let want = ReferenceFilter::from_bytes(bytes);
+                assert_eq!(view.is_some(), want.is_some(), "{bytes:02x?}");
+                if let (Some(view), Some(want)) = (&view, &want) {
+                    for (key, hash) in keys.iter().zip(&hashes) {
+                        if want.num_hashes <= 64 {
+                            assert_eq!(view.contains(*hash), want.maybe_contains(key));
+                        }
+                    }
+                }
+                view.map(|_| bytes.to_vec())
             },
         );
     }

@@ -44,7 +44,7 @@ pub mod num;
 pub mod paillier;
 pub mod sym;
 
-pub use bloom::BloomFilter;
+pub use bloom::{BloomFilter, BloomRef, KeyHash};
 pub use commutative::{CommutativeGroup, CommutativeKey};
 pub use hash::{sha256, Sha256};
 pub use mac::{hmac_sha256, verify_hmac, HmacKey};

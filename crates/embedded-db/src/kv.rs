@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use pds_crypto::BloomFilter;
+use pds_crypto::{BloomFilter, BloomRef, KeyHash};
 use pds_flash::{Flash, FlashError};
 use pds_obs::wire::{put_prefixed, Reader};
 
@@ -36,13 +36,23 @@ struct Version {
     value: Vec<u8>,
 }
 
+/// A [`Version`] read where it lies: key and value are slices of the
+/// data page.
+#[derive(Clone, Copy)]
+struct VersionRef<'a> {
+    kind: u8,
+    key: &'a [u8],
+    value: &'a [u8],
+}
+
 /// Entry codec and summary of the store: one Bloom filter over the keys
 /// of each page.
 struct VersionsFront;
 
 impl Front for VersionsFront {
     type Entry = Version;
-    type Summary = BloomFilter;
+    type EntryRef<'a> = VersionRef<'a>;
+    type Summary<'a> = BloomRef<'a>;
 
     fn encode(v: &Version, out: &mut Vec<u8>) {
         out.push(v.kind);
@@ -50,12 +60,20 @@ impl Front for VersionsFront {
         put_prefixed(out, &v.value);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Option<Version> {
-        Some(Version {
+    fn decode<'a>(r: &mut Reader<'a>) -> Option<VersionRef<'a>> {
+        Some(VersionRef {
             kind: r.u8()?,
-            key: r.prefixed()?.to_vec(),
-            value: r.prefixed()?.to_vec(),
+            key: r.prefixed()?,
+            value: r.prefixed()?,
         })
+    }
+
+    fn to_owned(v: VersionRef<'_>) -> Version {
+        Version {
+            kind: v.kind,
+            key: v.key.to_vec(),
+            value: v.value.to_vec(),
+        }
     }
 
     fn summarise(&self, page: &[Version]) -> Vec<u8> {
@@ -66,8 +84,8 @@ impl Front for VersionsFront {
         bf.to_bytes()
     }
 
-    fn summary(rec: &[u8]) -> Option<BloomFilter> {
-        BloomFilter::from_bytes(rec)
+    fn summary(rec: &[u8]) -> Option<BloomRef<'_>> {
+        BloomRef::parse(rec)
     }
 }
 
@@ -126,27 +144,37 @@ impl KvStore {
 
     /// Latest value of `key`, `None` if absent or deleted.
     ///
-    /// Backward summary scan: the most recent version wins, so the scan
-    /// stops at the first page that actually contains the key.
+    /// The most recent version wins, so the data pages are probed newest
+    /// first and the probe stops at the first page that actually
+    /// contains the key. Summaries only append, so finding the newest
+    /// positive page takes one forward scan of them: each is probed
+    /// where it lies with the key's one hash, and all the scan keeps is
+    /// the ordinals of the positive pages (4 bytes each — the filters
+    /// themselves never leave the summary page's buffer).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, FlashError> {
         // Most recent first: the RAM-pending entries.
         if let Some(v) = self.log.open_entries().iter().rfind(|v| v.key == key) {
             return Ok((v.kind == KIND_PUT).then(|| v.value.clone()));
         }
-        // Summaries are small records: collect them in one sequential
-        // scan, then probe the newest data first.
-        let mut filters: Vec<BloomFilter> = Vec::new();
-        self.log.for_each_summary(|_, bf| {
-            filters.push(bf);
+        let hash = KeyHash::of(key);
+        let mut positive: Vec<u32> = Vec::new();
+        self.log.for_each_summary(|page, bf| {
+            if bf.contains(hash) {
+                positive.push(page);
+            }
             Ok(())
         })?;
-        for (page, bf) in filters.iter().enumerate().rev() {
-            if !bf.maybe_contains(key) {
-                continue;
-            }
-            let versions = self.log.read_page(page as u32)?;
-            if let Some(v) = versions.into_iter().rfind(|v| v.key == key) {
-                return Ok((v.kind == KIND_PUT).then_some(v.value));
+        let mut buf = Vec::new();
+        for &page in positive.iter().rev() {
+            // The last version of the key on the page is its newest.
+            let mut newest = None;
+            self.log.for_each_entry(page, &mut buf, |v| {
+                if v.key == key {
+                    newest = Some((v.kind == KIND_PUT).then(|| v.value.to_vec()));
+                }
+            })?;
+            if let Some(value) = newest {
+                return Ok(value);
             }
             // False positive: keep scanning older pages.
         }

@@ -85,4 +85,4 @@ pub use spatial::SpatialTrace;
 pub use table::{RowId, Table, TableManifest};
 pub use timeseries::TimeSeries;
 pub use tree::TreeIndex;
-pub use value::{Row, Schema, Value};
+pub use value::{Row, RowRef, Schema, Value, ValueRef};

@@ -10,11 +10,11 @@
 //! *positive*: `|Log2| I/O + 1 I/O per (true or false) positive page` —
 //! the slide's 640-IO table scan collapses to a 17-IO summary scan.
 
-use pds_crypto::BloomFilter;
+use pds_crypto::{BloomFilter, BloomRef, KeyHash};
 use pds_flash::{Flash, FlashError};
 use pds_obs::wire::Reader;
 
-use crate::sort::{read_entry, write_entry, SortEntry};
+use crate::sort::{read_entry, write_entry, SortEntry, SortEntryRef};
 use crate::summary_log::{Front, SummaryLog};
 use crate::table::RowId;
 
@@ -28,14 +28,19 @@ struct KeysFront {
 
 impl Front for KeysFront {
     type Entry = SortEntry;
-    type Summary = BloomFilter;
+    type EntryRef<'a> = SortEntryRef<'a>;
+    type Summary<'a> = BloomRef<'a>;
 
     fn encode((key, rowid): &SortEntry, out: &mut Vec<u8>) {
         write_entry(out, key, *rowid);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Option<SortEntry> {
+    fn decode<'a>(r: &mut Reader<'a>) -> Option<SortEntryRef<'a>> {
         read_entry(r)
+    }
+
+    fn to_owned((key, rowid): SortEntryRef<'_>) -> SortEntry {
+        (key.to_vec(), rowid)
     }
 
     fn summarise(&self, page: &[SortEntry]) -> Vec<u8> {
@@ -48,8 +53,8 @@ impl Front for KeysFront {
         bf.to_bytes()
     }
 
-    fn summary(rec: &[u8]) -> Option<BloomFilter> {
-        BloomFilter::from_bytes(rec)
+    fn summary(rec: &[u8]) -> Option<BloomRef<'_>> {
+        BloomRef::parse(rec)
     }
 }
 
@@ -104,24 +109,26 @@ impl PBFilter {
         self.log.blocks()
     }
 
-    /// All rowids whose key equals `key`, in ascending rowid order.
+    /// All rowids whose key equals `key`, in ascending rowid order. The
+    /// key is hashed once; every summary is probed with those two words
+    /// where it lies, and the keys of a positive page are compared in
+    /// the one page buffer the lookup holds.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<RowId>, FlashError> {
         let mut hits = Vec::new();
-        let matching = |entries: &[SortEntry], hits: &mut Vec<RowId>| {
-            hits.extend(
-                entries
-                    .iter()
-                    .filter(|(k, _)| k.as_slice() == key)
-                    .map(|(_, rowid)| *rowid),
-            );
-        };
-        self.log.for_each_summary(|page, bf| {
-            if bf.maybe_contains(key) {
-                matching(&self.log.read_page(page)?, &mut hits);
+        let hash = KeyHash::of(key);
+        let mut page = Vec::new();
+        self.log.for_each_summary(|ordinal, bf| {
+            if bf.contains(hash) {
+                self.log.for_each_entry(ordinal, &mut page, |(k, rowid)| {
+                    if k == key {
+                        hits.push(rowid);
+                    }
+                })?;
             }
             Ok(())
         })?;
-        matching(self.log.open_entries(), &mut hits);
+        let open = self.log.open_entries().iter();
+        hits.extend(open.filter(|(k, _)| k == key).map(|(_, rowid)| *rowid));
         Ok(hits)
     }
 

@@ -19,7 +19,7 @@ use crate::pbfilter::PBFilter;
 use crate::reorg;
 use crate::table::{RowId, Table, TableManifest};
 use crate::tree::TreeIndex;
-use crate::value::{Row, Schema, Value};
+use crate::value::{Row, Schema, Value, ValueRef};
 
 /// Durable identity of a [`Database`] across a power cycle: the manifest
 /// of every table plus the erase blocks of every selection index. A real
@@ -91,11 +91,16 @@ impl Predicate {
     }
 
     /// Whether a column value satisfies the predicate (the evaluation
-    /// primitive standing queries re-run over change-log deltas).
-    pub fn matches(&self, v: &Value) -> bool {
+    /// primitive standing queries re-run over change-log deltas). One
+    /// body for both forms of a value: a scan passes the [`ValueRef`] it
+    /// read off the page, a caller holding a row passes `&row[c]`.
+    /// Values of different types are ordered by type, as [`Value`]'s
+    /// `Ord` has it, and never equal.
+    pub fn matches<'a>(&self, v: impl Into<ValueRef<'a>>) -> bool {
+        let v = v.into();
         match self {
-            Predicate::Eq { value, .. } => v == value,
-            Predicate::Between { lo, hi, .. } => v >= lo && v <= hi,
+            Predicate::Eq { value, .. } => v == value.as_ref(),
+            Predicate::Between { lo, hi, .. } => v >= lo.as_ref() && v <= hi.as_ref(),
         }
     }
 }
@@ -404,7 +409,12 @@ impl Database {
         let c = self.tables[t].column(column)?;
         let mut pbf = PBFilter::new(&self.flash);
         let built = self.tables[t]
-            .try_scan(|rowid, row| pbf.insert(&row[c].to_key_bytes(), rowid))
+            .try_scan(|rowid, row| match row.get(c) {
+                Some(v) => pbf.insert(&v.to_key_bytes(), rowid),
+                // A stored row too short to have the column: a scan
+                // finds no value there to match, so neither may the index.
+                None => Ok(()),
+            })
             .and_then(|()| pbf.flush());
         if let Err(e) = built {
             // A partial index answers wrongly: give its blocks back.
@@ -493,9 +503,11 @@ impl Database {
             _ => {
                 let _op = pds_obs::span!("db.op.full_scan");
                 let mut hits = Vec::new();
+                // The predicate reads its column where the row lies;
+                // only a hit becomes an owned row.
                 self.tables[t].scan(|rowid, row| {
-                    if pred.matches(&row[c]) {
-                        hits.push((rowid, row));
+                    if row.get(c).is_some_and(|v| pred.matches(v)) {
+                        hits.push((rowid, row.to_row()));
                     }
                 })?;
                 hits
@@ -509,9 +521,11 @@ impl Database {
     /// Materialize rowids into `(rowid, row)` pairs under a fetch span.
     fn fetch_rows(&self, t: usize, rowids: Vec<RowId>) -> Result<Vec<(RowId, Row)>, DbError> {
         let _op = pds_obs::span!("db.op.fetch_rows", "db.rows" => rowids.len() as u64);
+        // One page buffer for the whole request, not one per row.
+        let mut scratch = Vec::new();
         rowids
             .into_iter()
-            .map(|r| Ok((r, self.tables[t].get(r)?)))
+            .map(|r| Ok((r, self.tables[t].get_with(r, &mut scratch)?)))
             .collect()
     }
 }

@@ -31,9 +31,13 @@ pub(crate) fn write_entry(out: &mut Vec<u8>, key: &[u8], rowid: RowId) {
 /// Shortest entry [`write_entry`] lays out: an empty key and its rowid.
 pub(crate) const MIN_ENTRY_LEN: usize = 2 + 4;
 
-/// Read one entry laid out by [`write_entry`].
-pub(crate) fn read_entry(r: &mut Reader<'_>) -> Option<SortEntry> {
-    let key = r.prefixed()?.to_vec();
+/// One entry read where it lies: the key is a slice of the page or
+/// record it came from.
+pub(crate) type SortEntryRef<'a> = (&'a [u8], RowId);
+
+/// Read one entry laid out by [`write_entry`] — the layout's only parser.
+pub(crate) fn read_entry<'a>(r: &mut Reader<'a>) -> Option<SortEntryRef<'a>> {
+    let key = r.prefixed()?;
     Some((key, r.u32()?))
 }
 
@@ -46,9 +50,9 @@ pub(crate) fn encode_entry(key: &[u8], rowid: RowId) -> Vec<u8> {
 /// Decode an entry record written by a run or output log.
 pub fn decode_entry(rec: &[u8]) -> Option<SortEntry> {
     let mut r = Reader::new(rec);
-    let entry = read_entry(&mut r)?;
+    let (key, rowid) = read_entry(&mut r)?;
     r.finish()?;
-    Some(entry)
+    Some((key.to_vec(), rowid))
 }
 
 /// Sort `entries` by `(key, rowid)` into a sealed output log.

@@ -99,7 +99,8 @@ struct PointsFront;
 
 impl Front for PointsFront {
     type Entry = Point;
-    type Summary = Mbr;
+    type EntryRef<'a> = Point;
+    type Summary<'a> = Mbr;
 
     fn encode(p: &Point, out: &mut Vec<u8>) {
         out.extend_from_slice(&p.x.to_le_bytes());
@@ -113,6 +114,10 @@ impl Front for PointsFront {
             y: i32::from_le_bytes(r.array()?),
             ts: r.u64()?,
         })
+    }
+
+    fn to_owned(p: Point) -> Point {
+        p
     }
 
     fn summarise(&self, page: &[Point]) -> Vec<u8> {
@@ -193,10 +198,14 @@ impl SpatialTrace {
     /// I/O: summary scan + only the intersecting data pages.
     pub fn window_query(&self, w: &Window) -> Result<Vec<Point>, FlashError> {
         let mut hits = Vec::new();
+        let mut buf = Vec::new();
         self.log.for_each_summary(|page, mbr| {
             if mbr.intersects(w) {
-                let points = self.log.read_page(page)?;
-                hits.extend(points.into_iter().filter(|p| w.contains(p)));
+                self.log.for_each_entry(page, &mut buf, |p| {
+                    if w.contains(&p) {
+                        hits.push(p);
+                    }
+                })?;
             }
             Ok(())
         })?;

@@ -27,6 +27,20 @@
 //! and buffer in the record log's RAM page: a walk visits the flushed
 //! summary pages, then that RAM tail; the entries of the page still
 //! under construction are served from RAM by the front itself.
+//!
+//! ## One parser per format: the walk
+//!
+//! A data page is read where it lies. [`SummaryLog::for_each_entry`]
+//! reads the page into a buffer the caller keeps for the whole query and
+//! hands each entry to a visitor as the front's borrowed form
+//! ([`Front::EntryRef`] — a key is a slice of the page, not a `Vec`); a
+//! summary reaches [`SummaryLog::for_each_summary`]'s visitor borrowed
+//! from its record ([`Front::Summary`] — a Bloom filter is probed in the
+//! summary page's buffer, not copied out of it). [`Front::decode`] is
+//! each entry format's only parser and the walk its only caller;
+//! [`SummaryLog::read_page`], for the callers that want owned entries
+//! (compaction, the reorganisation's input stream), is the walk
+//! collected.
 
 use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 use pds_obs::wire::Reader;
@@ -37,22 +51,28 @@ const COUNT_LEN: usize = 2;
 /// What a front brings to the recipe: how one entry is laid out in a
 /// data page, and what summarises a page.
 pub(crate) trait Front {
-    /// One entry of the data log.
+    /// One entry of the data log, owned: what `push` takes and the open
+    /// page holds.
     type Entry;
-    /// The decoded per-page summary.
-    type Summary;
+    /// One entry borrowed from the page image it lies in.
+    type EntryRef<'a>;
+    /// A per-page summary borrowed from its record.
+    type Summary<'a>;
 
     /// Append the on-flash form of `entry` to `out`.
     fn encode(entry: &Self::Entry, out: &mut Vec<u8>);
 
-    /// Read one entry back; `None` when the bytes run out.
-    fn decode(r: &mut Reader<'_>) -> Option<Self::Entry>;
+    /// Read one entry off the page; `None` when the bytes run out.
+    fn decode<'a>(r: &mut Reader<'a>) -> Option<Self::EntryRef<'a>>;
+
+    /// The owned form of a borrowed entry.
+    fn to_owned(entry: Self::EntryRef<'_>) -> Self::Entry;
 
     /// The summary record of a closing page.
     fn summarise(&self, page: &[Self::Entry]) -> Vec<u8>;
 
     /// Parse a summary record; `None` when it is malformed.
-    fn summary(rec: &[u8]) -> Option<Self::Summary>;
+    fn summary(rec: &[u8]) -> Option<Self::Summary<'_>>;
 }
 
 /// Packs entries into one raw page image: `prefix ‖ count u16 ‖ entries`,
@@ -224,7 +244,7 @@ impl<F: Front> SummaryLog<F> {
     /// address of its summary page.
     pub fn for_each_summary(
         &self,
-        mut f: impl FnMut(u32, F::Summary) -> Result<(), FlashError>,
+        mut f: impl FnMut(u32, F::Summary<'_>) -> Result<(), FlashError>,
     ) -> Result<(), FlashError> {
         let mut ordinal = 0u32;
         self.summaries.for_each_record(|page, rec| {
@@ -237,27 +257,52 @@ impl<F: Front> SummaryLog<F> {
         })
     }
 
-    /// Probe data page `ordinal` (one read) and decode its entries;
-    /// bytes that do not form `count` whole entries are
-    /// [`FlashError::CorruptPage`] at the page's flash address.
-    pub fn read_page(&self, ordinal: u32) -> Result<Vec<F::Entry>, FlashError> {
+    /// Probe data page `ordinal`: one read into `buf` (sized here on
+    /// first use — a query keeps one for all its probes), then every
+    /// entry handed to `f` where it lies. Bytes that do not form `count`
+    /// whole entries are [`FlashError::CorruptPage`] at the page's flash
+    /// address; `f` has seen the entries before the damage by then.
+    pub fn for_each_entry(
+        &self,
+        ordinal: u32,
+        buf: &mut Vec<u8>,
+        f: impl FnMut(F::EntryRef<'_>),
+    ) -> Result<(), FlashError> {
         let addr = self.data.page_addr(ordinal)?;
         let flash = self.data.flash();
-        let mut buf = vec![0u8; flash.geometry().page_size];
-        flash.read_page(addr, &mut buf)?;
-        decode_page::<F>(&buf).ok_or(FlashError::CorruptPage(addr))
+        buf.resize(flash.geometry().page_size, 0);
+        flash.read_page(addr, buf)?;
+        walk_page::<F>(buf, f).ok_or(FlashError::CorruptPage(addr))
+    }
+
+    /// [`for_each_entry`](Self::for_each_entry), collected into owned
+    /// entries.
+    pub fn read_page(&self, ordinal: u32) -> Result<Vec<F::Entry>, FlashError> {
+        let mut entries = Vec::new();
+        self.for_each_entry(ordinal, &mut Vec::new(), |e| entries.push(F::to_owned(e)))?;
+        Ok(entries)
     }
 }
 
-fn decode_page<F: Front>(buf: &[u8]) -> Option<Vec<F::Entry>> {
+/// Walk the entries of one data-page image in place: the page format's
+/// only parser.
+fn walk_page<F: Front>(buf: &[u8], mut f: impl FnMut(F::EntryRef<'_>)) -> Option<()> {
     let mut r = Reader::new(buf);
     // An entry takes at least a byte, so a count beyond the page is
-    // damage — refused before anything is allocated for it.
+    // damage — refused before anything is visited.
     let count = r.count16(1)?;
-    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        entries.push(F::decode(&mut r)?);
+        f(F::decode(&mut r)?);
     }
+    Some(())
+}
+
+/// [`walk_page`], collected — `None` for a damaged page, whatever was
+/// visited before the damage.
+#[cfg(test)]
+fn decode_page<F: Front>(buf: &[u8]) -> Option<Vec<F::Entry>> {
+    let mut entries = Vec::new();
+    walk_page::<F>(buf, |e| entries.push(F::to_owned(e)))?;
     Some(entries)
 }
 
@@ -368,7 +413,8 @@ mod tests {
 
     impl Front for Bytes {
         type Entry = u8;
-        type Summary = u8;
+        type EntryRef<'a> = u8;
+        type Summary<'a> = u8;
 
         fn encode(entry: &u8, out: &mut Vec<u8>) {
             out.push(*entry);
@@ -376,6 +422,10 @@ mod tests {
 
         fn decode(r: &mut Reader<'_>) -> Option<u8> {
             r.u8()
+        }
+
+        fn to_owned(entry: u8) -> u8 {
+            entry
         }
 
         fn summarise(&self, page: &[u8]) -> Vec<u8> {

@@ -6,11 +6,19 @@
 //! dense and increasing — the property every climbing index and pipeline
 //! merge of this crate relies on — because a rowid *is* the row's
 //! ordinal in the log: the table keeps no directory beside it.
+//!
+//! Rows are read where they lie. A [`scan`](Table::scan) hands its
+//! visitor a [`RowRef`] over the page buffer the log verified, so a
+//! query evaluates its predicate on the column's bytes and builds an
+//! owned [`Row`] only for what it returns; [`get`](Table::get) is the
+//! same view, collected. A record that does not parse as a row is
+//! [`FlashError::CorruptPage`] at the flash address of the log page
+//! that holds it.
 
 use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 
 use crate::error::DbError;
-use crate::value::{decode_row, encode_row, Row, Schema};
+use crate::value::{encode_row, Row, RowRef, Schema};
 
 /// Durable identity of a [`Table`] across a power cycle: name, schema
 /// and the row log's erase blocks — its size does not depend on how many
@@ -95,7 +103,27 @@ impl Table {
 
     /// Fetch one row (one page I/O).
     pub fn get(&self, id: RowId) -> Result<Row, FlashError> {
-        decode_row(&self.log.get(id)?).ok_or(FlashError::BadRecordAddr)
+        self.get_with(id, &mut Vec::new())
+    }
+
+    /// [`get`](Self::get) through a page buffer the caller keeps across a
+    /// run of fetches.
+    pub(crate) fn get_with(&self, id: RowId, scratch: &mut Vec<u8>) -> Result<Row, FlashError> {
+        self.log
+            .get_with(id, scratch, |page, rec| {
+                RowRef::parse(rec).map(|row| row.to_row()).ok_or(page)
+            })?
+            .map_err(|page| self.corrupt(page))
+    }
+
+    /// The error for a record on log page `page` that is not a row. The
+    /// RAM tail has no flash address — and cannot hold one: `insert`
+    /// alone encodes it.
+    fn corrupt(&self, page: u32) -> FlashError {
+        match self.log.page_addr(page) {
+            Ok(addr) => FlashError::CorruptPage(addr),
+            Err(e) => e,
+        }
     }
 
     /// Flush buffered rows to flash.
@@ -130,8 +158,8 @@ impl Table {
     }
 
     /// Full sequential scan (page-buffered): calls `f(rowid, row)` for
-    /// every row.
-    pub fn scan(&self, mut f: impl FnMut(RowId, Row)) -> Result<(), FlashError> {
+    /// every row, each a view over the page buffer it was read into.
+    pub fn scan(&self, mut f: impl FnMut(RowId, RowRef<'_>)) -> Result<(), FlashError> {
         self.try_scan(|rowid, row| {
             f(rowid, row);
             Ok(())
@@ -141,11 +169,11 @@ impl Table {
     /// [`scan`](Self::scan) that stops at, and returns, `f`'s first error.
     pub(crate) fn try_scan(
         &self,
-        mut f: impl FnMut(RowId, Row) -> Result<(), FlashError>,
+        mut f: impl FnMut(RowId, RowRef<'_>) -> Result<(), FlashError>,
     ) -> Result<(), FlashError> {
         let mut rowid: RowId = 0;
-        self.log.for_each_record(|_, rec| {
-            let row = decode_row(rec).ok_or(FlashError::BadRecordAddr)?;
+        self.log.for_each_record(|page, rec| {
+            let row = RowRef::parse(rec).ok_or_else(|| self.corrupt(page))?;
             f(rowid, row)?;
             rowid += 1;
             Ok(())
@@ -220,11 +248,41 @@ mod tests {
         }
         let mut seen = Vec::new();
         t.scan(|id, row| {
-            assert_eq!(row[0], Value::U64(id as u64));
+            assert_eq!(row.get(0), Some(Value::U64(id as u64).as_ref()));
             seen.push(id);
         })
         .unwrap();
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_record_that_is_not_a_row_names_the_page_that_holds_it() {
+        let f = Flash::small(32);
+        // Another log owns the chip's first block, so the table's page
+        // ordinals and their flash addresses differ.
+        let mut other = f.new_log();
+        other.append(b"elsewhere").unwrap();
+        other.flush().unwrap();
+        let mut t = Table::new(&f, "CUSTOMER", customer_schema());
+        let row = |i| vec![Value::U64(i), Value::str("Lyon"), Value::str("AUTO")];
+        for i in 0..40 {
+            t.insert(&row(i)).unwrap();
+        }
+        t.flush().unwrap();
+        // A page the log wrote itself — framing and CRC correct — whose
+        // one record claims three values and holds none.
+        let bad = t.log.append(&[3, 0, 0xFF]).unwrap();
+        t.flush().unwrap();
+        t.insert(&row(41)).unwrap();
+        let page = t.log.page_addr(t.num_pages() - 1).unwrap();
+        assert_ne!(page.0, t.num_pages() - 1, "an address, not an ordinal");
+        assert_eq!(t.get(bad), Err(FlashError::CorruptPage(page)));
+        assert_eq!(t.get(bad - 1).unwrap(), row(39));
+        assert_eq!(t.get(bad + 1).unwrap(), row(41));
+        let mut seen = 0;
+        let scanned = t.scan(|_, _| seen += 1);
+        assert_eq!(scanned, Err(FlashError::CorruptPage(page)));
+        assert_eq!(seen, 40, "every row before the damage was delivered");
     }
 
     #[test]

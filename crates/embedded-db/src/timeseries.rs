@@ -94,7 +94,8 @@ struct SamplesFront;
 
 impl Front for SamplesFront {
     type Entry = Sample;
-    type Summary = PageSummary;
+    type EntryRef<'a> = Sample;
+    type Summary<'a> = PageSummary;
 
     fn encode(s: &Sample, out: &mut Vec<u8>) {
         out.extend_from_slice(&s.ts.to_le_bytes());
@@ -106,6 +107,10 @@ impl Front for SamplesFront {
             ts: r.u64()?,
             value: i64::from_le_bytes(r.array()?),
         })
+    }
+
+    fn to_owned(s: Sample) -> Sample {
+        s
     }
 
     fn summarise(&self, page: &[Sample]) -> Vec<u8> {
@@ -202,11 +207,12 @@ impl TimeSeries {
     /// data-page probes. RAM: one page buffer.
     pub fn range_aggregate(&self, from: u64, to: u64) -> Result<Aggregate, FlashError> {
         let mut agg = Aggregate::empty();
-        let add_in_range = |samples: &[Sample], agg: &mut Aggregate| {
-            for s in samples.iter().filter(|s| s.ts >= from && s.ts <= to) {
+        let add_in_range = |s: &Sample, agg: &mut Aggregate| {
+            if s.ts >= from && s.ts <= to {
                 agg.add(s.value);
             }
         };
+        let mut buf = Vec::new();
         self.log.for_each_summary(|page, s| {
             if s.ts_max < from || s.ts_min > to {
                 // Disjoint: skip without touching data.
@@ -214,11 +220,14 @@ impl TimeSeries {
                 agg = agg.merge(&s.agg); // fully covered: use the summary
             } else {
                 // Boundary page: probe the data page.
-                add_in_range(&self.log.read_page(page)?, &mut agg);
+                let add = |s| add_in_range(&s, &mut agg);
+                self.log.for_each_entry(page, &mut buf, add)?;
             }
             Ok(())
         })?;
-        add_in_range(self.log.open_entries(), &mut agg);
+        for s in self.log.open_entries() {
+            add_in_range(s, &mut agg);
+        }
         Ok(agg)
     }
 }

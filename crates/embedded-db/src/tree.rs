@@ -49,7 +49,8 @@ fn decode_entries(page: &[u8]) -> Option<(u8, Vec<SortEntry>)> {
     let count = r.count16(MIN_ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        entries.push(read_entry(&mut r)?);
+        let (key, ptr) = read_entry(&mut r)?;
+        entries.push((key.to_vec(), ptr));
     }
     Some((kind, entries))
 }

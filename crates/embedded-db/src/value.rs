@@ -5,6 +5,19 @@
 //! supplier name). Keys must compare correctly as raw bytes so the log
 //! indexes can sort and merge without deserializing: integers encode
 //! big-endian, strings as their bytes.
+//!
+//! ## One parser: the view
+//!
+//! A stored row is read through [`RowRef`], a view over the bytes it
+//! lies in — the page buffer a scan verified, the record a `get`
+//! fetched. [`RowRef::parse`] is the row format's only parser: it
+//! checks the whole row (arity against the bytes in hand, every tag,
+//! every length, UTF-8, no byte left over) and copies nothing; columns
+//! come out as [`ValueRef`]s that borrow their strings. The owned
+//! [`Row`] is the view collected ([`RowRef::to_row`], which
+//! [`decode_row`] is), built only for the rows a query returns.
+//! [`Value`] and [`ValueRef`] share one order: a [`Value`] compares by
+//! comparing its borrowed form.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -26,26 +39,23 @@ impl Value {
         Value::Str(s.to_string())
     }
 
-    /// The type tag used in serialization.
-    fn tag(&self) -> u8 {
+    /// This value, borrowed.
+    pub fn as_ref(&self) -> ValueRef<'_> {
         match self {
-            Value::U64(_) => 0,
-            Value::Str(_) => 1,
+            Value::U64(v) => ValueRef::U64(*v),
+            Value::Str(s) => ValueRef::Str(s),
         }
     }
 
     /// Order-preserving key encoding: compare two encodings of the same
     /// type with `memcmp` and you get the value order.
     pub fn to_key_bytes(&self) -> Vec<u8> {
-        match self {
-            Value::U64(v) => v.to_be_bytes().to_vec(),
-            Value::Str(s) => s.as_bytes().to_vec(),
-        }
+        self.as_ref().to_key_bytes()
     }
 
     /// Serialize: `tag ‖ payload` (u64 LE; string raw).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
+        out.push(self.as_ref().tag());
         match self {
             Value::U64(v) => out.extend_from_slice(&v.to_le_bytes()),
             Value::Str(s) => put_prefixed(out, s.as_bytes()),
@@ -55,29 +65,14 @@ impl Value {
     /// Shortest encoding: the tag and an empty string's length.
     const MIN_LEN: usize = 1 + 2;
 
-    /// Read one value off the cursor.
-    pub fn decode(r: &mut Reader<'_>) -> Option<Value> {
-        match r.u8()? {
-            0 => Some(Value::U64(r.u64()?)),
-            1 => Some(Value::str(std::str::from_utf8(r.prefixed()?).ok()?)),
-            _ => None,
-        }
-    }
-
     /// The u64 payload, if this is a `U64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        }
+        self.as_ref().as_u64()
     }
 
     /// The string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
+        self.as_ref().as_str()
     }
 }
 
@@ -89,20 +84,107 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
+        self.as_ref().cmp(&other.as_ref())
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A column value borrowed from the bytes it was decoded from (or from a
+/// [`Value`]): what a scan compares, sums and groups by without building
+/// a `String` per row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// Unsigned 64-bit integer.
+    U64(u64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl<'a> ValueRef<'a> {
+    /// The type tag used in serialization.
+    fn tag(self) -> u8 {
+        match self {
+            ValueRef::U64(_) => 0,
+            ValueRef::Str(_) => 1,
+        }
+    }
+
+    /// Read one value off the cursor — the only decoder of
+    /// [`Value::encode`]'s layout.
+    fn decode(r: &mut Reader<'a>) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(ValueRef::U64(r.u64()?)),
+            1 => Some(ValueRef::Str(std::str::from_utf8(r.prefixed()?).ok()?)),
+            _ => None,
+        }
+    }
+
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::Str(s) => Value::str(s),
+        }
+    }
+
+    /// Order-preserving key encoding (see [`Value::to_key_bytes`]).
+    pub fn to_key_bytes(self) -> Vec<u8> {
+        match self {
+            ValueRef::U64(v) => v.to_be_bytes().to_vec(),
+            ValueRef::Str(s) => s.as_bytes().to_vec(),
+        }
+    }
+
+    /// The u64 payload, if this is a `U64`.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            ValueRef::U64(v) => Some(v),
+            ValueRef::Str(_) => None,
+        }
+    }
+
+    /// The string payload, if this is a `Str`.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            ValueRef::U64(_) => None,
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        v.as_ref()
+    }
+}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
-            (Value::U64(a), Value::U64(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (ValueRef::U64(a), ValueRef::U64(b)) => a.cmp(b),
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
             // Cross-type: by tag (schema-checked code never hits this).
             (a, b) => a.tag().cmp(&b.tag()),
         }
     }
 }
 
-impl fmt::Display for Value {
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::U64(v) => write!(f, "{v}"),
-            Value::Str(s) => write!(f, "{s}"),
+            ValueRef::U64(v) => write!(f, "{v}"),
+            ValueRef::Str(s) => write!(f, "{s}"),
         }
     }
 }
@@ -120,16 +202,71 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
     out
 }
 
-/// Decode a row produced by [`encode_row`].
-pub fn decode_row(buf: &[u8]) -> Option<Row> {
-    let mut r = Reader::new(buf);
-    let arity = r.count16(Value::MIN_LEN)?;
-    let mut row = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        row.push(Value::decode(&mut r)?);
+/// Bytes of the arity that precedes a row's values.
+const ARITY_LEN: usize = 2;
+
+/// A row read where it lies: bytes produced by [`encode_row`], checked
+/// as a whole by [`parse`](Self::parse) and borrowed from then on.
+#[derive(Debug, Clone, Copy)]
+pub struct RowRef<'a> {
+    /// The whole encoding, arity included.
+    bytes: &'a [u8],
+    arity: usize,
+}
+
+impl<'a> RowRef<'a> {
+    /// Check `buf` as one row: an arity the bytes could hold, that many
+    /// well-formed values, nothing after them. Allocates nothing.
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(buf);
+        let arity = r.count16(Value::MIN_LEN)?;
+        for _ in 0..arity {
+            ValueRef::decode(&mut r)?;
+        }
+        r.finish()?;
+        Some(RowRef { bytes: buf, arity })
     }
-    r.finish()?;
-    Some(row)
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.arity
+    }
+
+    /// True for the empty row.
+    pub fn is_empty(&self) -> bool {
+        self.arity == 0
+    }
+
+    /// The row's encoding, as [`encode_row`] of [`to_row`](Self::to_row)
+    /// would produce it again.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The columns in order, each decoded as it is reached.
+    pub fn values(&self) -> impl Iterator<Item = ValueRef<'a>> {
+        let mut r = Reader::new(self.bytes.get(ARITY_LEN..).unwrap_or_default());
+        (0..self.arity).map_while(move |_| ValueRef::decode(&mut r))
+    }
+
+    /// Column `c`, `None` past the row's arity — a stored row shorter
+    /// than its table's schema has no value there, and nothing matches
+    /// nothing.
+    pub fn get(&self, c: usize) -> Option<ValueRef<'a>> {
+        self.values().nth(c)
+    }
+
+    /// The owned row.
+    pub fn to_row(&self) -> Row {
+        let mut row = Vec::with_capacity(self.arity);
+        row.extend(self.values().map(ValueRef::to_value));
+        row
+    }
+}
+
+/// Decode a row produced by [`encode_row`]: [`RowRef::parse`], collected.
+pub fn decode_row(buf: &[u8]) -> Option<Row> {
+    RowRef::parse(buf).map(|row| row.to_row())
 }
 
 /// Declared column types.
@@ -238,6 +375,38 @@ mod tests {
     }
 
     #[test]
+    fn row_views_are_their_own_encoding_and_keep_the_decoder_contract() {
+        use pds_obs::wire::{sweep, Tail};
+        // What the archive export relies on when it appends `bytes()`
+        // instead of re-encoding: the format has one encoding per row.
+        sweep(
+            "RowRef",
+            Tail::Exact,
+            &[&[0xFF, 0xFF]],
+            |rng| -> Row {
+                (0..rng.gen_range(0..5u32))
+                    .map(|_| match rng.gen_bool(0.5) {
+                        true => Value::U64(rng.gen()),
+                        false => Value::Str("né".repeat(rng.gen_range(0..9usize))),
+                    })
+                    .collect()
+            },
+            encode_row,
+            |buf| {
+                let view = RowRef::parse(buf)?;
+                let row = view.to_row();
+                assert_eq!(view.bytes(), encode_row(&row));
+                assert_eq!(view.len(), row.len());
+                for (c, v) in row.iter().enumerate() {
+                    assert_eq!(view.get(c), Some(v.as_ref()));
+                }
+                assert_eq!(view.get(row.len()), None);
+                Some(row)
+            },
+        );
+    }
+
+    #[test]
     fn value_encode_decode_round_trips() {
         for v in [
             Value::U64(0),
@@ -249,7 +418,7 @@ mod tests {
             let mut buf = Vec::new();
             v.encode(&mut buf);
             let mut r = Reader::new(&buf);
-            assert_eq!(Value::decode(&mut r), Some(v));
+            assert_eq!(ValueRef::decode(&mut r), Some(v.as_ref()));
             assert_eq!(r.finish(), Some(()));
         }
     }

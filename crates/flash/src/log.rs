@@ -490,10 +490,27 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Fetch one record by ordinal: one page I/O per chunk, none for a
-    /// chunk still buffered in RAM. The page is verified as a whole, but
-    /// only the record asked for is decoded and copied.
+    /// Fetch one record by ordinal into a fresh vector — see
+    /// [`get_with`](Self::get_with), which a caller fetching many records
+    /// uses instead to keep one page buffer across them.
     pub fn get(&self, ordinal: u32) -> Result<Vec<u8>> {
+        self.get_with(ordinal, &mut Vec::new(), |_, rec| rec.to_vec())
+    }
+
+    /// Fetch one record by ordinal and hand it to `f` where it lies: one
+    /// page I/O per chunk, none for a chunk still buffered in RAM. The
+    /// page is verified as a whole, but only the record asked for is
+    /// decoded, and a record that fits a page is not copied at all — `f`
+    /// reads it in `scratch` (the page image; sized here on first use,
+    /// kept by the caller across a run of fetches) or in the RAM buffer.
+    /// `f` also gets the index of the log page that holds the record's
+    /// last chunk, as [`for_each_record`](Self::for_each_record) gives it.
+    pub fn get_with<T>(
+        &self,
+        ordinal: u32,
+        scratch: &mut Vec<u8>,
+        f: impl FnOnce(u32, &[u8]) -> T,
+    ) -> Result<T> {
         if ordinal >= self.records {
             return Err(FlashError::BadRecordAddr);
         }
@@ -501,7 +518,7 @@ impl LogWriter {
         // starting at or before the ordinal (the RAM buffer, for a
         // record not yet durable); the chunk is that page's `nth`
         // record-ending chunk.
-        let (mut page, start) = if ordinal >= self.durable {
+        let (holder, start) = if ordinal >= self.durable {
             (self.pages, self.durable)
         } else {
             let after = self.starts.partition_point(|&s| s <= ordinal);
@@ -509,20 +526,20 @@ impl LogWriter {
             (p as u32, self.starts[p])
         };
         let nth = (ordinal - start) as usize;
-        let mut scratch = Vec::new();
         let mut ends = self
-            .chunks_of(page, &mut scratch)?
+            .chunks_of(holder, scratch)?
             .filter(|c| c.as_ref().map_or(true, |c| !c.more));
         let last = ends.nth(nth).ok_or(FlashError::BadRecordAddr)??;
         if !last.continues {
-            return Ok(last.bytes.to_vec());
+            return Ok(f(holder, last.bytes));
         }
         // A record that spans pages: each earlier chunk closes the page
         // before, back to the one that does not continue another.
         let mut chunks = vec![last.bytes.to_vec()];
+        let mut page = holder;
         loop {
             page = page.checked_sub(1).ok_or(FlashError::BadRecordAddr)?;
-            let chunk = self.chunks_of(page, &mut scratch)?.last();
+            let chunk = self.chunks_of(page, scratch)?.last();
             let chunk = chunk.ok_or(FlashError::BadRecordAddr)??;
             if !chunk.more {
                 // The run's start went with a released head.
@@ -530,7 +547,8 @@ impl LogWriter {
             }
             chunks.push(chunk.bytes.to_vec());
             if !chunk.continues {
-                return Ok(chunks.into_iter().rev().flatten().collect());
+                let record: Vec<u8> = chunks.into_iter().rev().flatten().collect();
+                return Ok(f(holder, &record));
             }
         }
     }

@@ -18,7 +18,7 @@ pub use recovery::{EngineManifest, EngineRecovery, RebuildReason};
 
 use crate::docs::DocStore;
 use crate::tokenize::{term_hash, tokenize};
-use crate::triple::{decode_page, encode_page, triples_per_page, DocId, Triple, NO_PREV};
+use crate::triple::{encode_page, triples_per_page, BucketPage, DocId, Triple, NO_PREV};
 
 /// Errors of the search engine.
 #[derive(Debug)]
@@ -151,6 +151,9 @@ pub struct SearchEngine {
     tombstones: pds_flash::LogWriter,
     deleted_reservation: pds_mcu::Reservation,
 }
+
+/// A chain page that does not parse as one.
+const UNDECODABLE: SearchError = SearchError::CorruptIndex("undecodable bucket page");
 
 /// Bytes budgeted per dictionary entry in `RamDictionary` mode.
 const DICT_ENTRY_BYTES: usize = 16;
@@ -360,24 +363,38 @@ impl SearchEngine {
         self.write_checkpoint()
     }
 
+    /// One step of a chain walk: read page `page` of the index log into
+    /// `buf` and parse it where it lies. Every walk — df counting, the
+    /// query cursors, reorganisation — takes its steps here, through one
+    /// page buffer it keeps for the whole chain.
+    fn bucket_page<'b>(&self, page: u32, buf: &'b mut [u8]) -> Result<BucketPage<'b>, SearchError> {
+        let addr = self.index.page_addr(page)?;
+        self.flash.read_page(addr, buf)?;
+        BucketPage::parse(buf).ok_or(UNDECODABLE)
+    }
+
+    /// Whether `t` is a live posting of `term`.
+    fn is_live(&self, t: &Triple, term: u64) -> bool {
+        t.term == term && !self.deleted.contains(&t.doc)
+    }
+
     /// Document frequency of one term (two-pass strategy): walk the chain
     /// with a single reusable page buffer.
     fn count_df(&self, term: u64) -> Result<u32, SearchError> {
         let b = self.bucket_of(term);
-        let live = |t: &&Triple| t.term == term && !self.deleted.contains(&t.doc);
-        let mut df = self.pending[b].iter().filter(live).count() as u32;
+        let mut df = self.pending[b]
+            .iter()
+            .filter(|t| self.is_live(t, term))
+            .count();
         let _page_guard = self.ram.reserve(self.flash.geometry().page_size)?;
         let mut buf = vec![0u8; self.flash.geometry().page_size];
         let mut page = self.heads[b];
         while page != NO_PREV {
-            let addr = self.index.page_addr(page)?;
-            self.flash.read_page(addr, &mut buf)?;
-            let (prev, triples) =
-                decode_page(&buf).ok_or(SearchError::CorruptIndex("undecodable bucket page"))?;
-            df += triples.iter().filter(live).count() as u32;
-            page = prev;
+            let bucket = self.bucket_page(page, &mut buf)?;
+            df += bucket.triples().filter(|t| self.is_live(t, term)).count();
+            page = bucket.prev;
         }
-        Ok(df)
+        Ok(df as u32)
     }
 
     /// TF-IDF top-`n` search with disjunctive (ANY) semantics.
@@ -440,22 +457,22 @@ impl SearchEngine {
         if num_docs == 0 || keywords.is_empty() {
             return Ok(Vec::new());
         }
-        // Resolve keyword → (term, idf), dropping terms with df = 0.
-        let mut requested = 0usize;
+        // The query's terms, tokenised and hashed once, in request order.
+        let mut requested: Vec<u64> = keywords
+            .iter()
+            .flat_map(|kw| tokenize(kw))
+            .map(|tok| term_hash(&tok))
+            .collect();
+        // Resolve term → (term, idf), dropping terms with df = 0.
         let mut terms: Vec<(u64, f64)> = Vec::new();
-        for kw in keywords {
-            let toks = tokenize(kw);
-            for tok in &toks {
-                requested += 1;
-                let term = term_hash(tok);
-                let df = match self.df_strategy {
-                    DfStrategy::TwoPass => self.count_df(term)?,
-                    DfStrategy::RamDictionary => self.df.get(&term).copied().unwrap_or(0),
-                };
-                if df > 0 {
-                    let idf = (num_docs as f64 / df as f64).ln();
-                    terms.push((term, idf));
-                }
+        for &term in &requested {
+            let df = match self.df_strategy {
+                DfStrategy::TwoPass => self.count_df(term)?,
+                DfStrategy::RamDictionary => self.df.get(&term).copied().unwrap_or(0),
+            };
+            if df > 0 {
+                let idf = (num_docs as f64 / df as f64).ln();
+                terms.push((term, idf));
             }
         }
         terms.sort_by_key(|(t, _)| *t);
@@ -465,16 +482,10 @@ impl SearchEngine {
         }
         // Conjunctive semantics: a keyword absent from the corpus makes
         // the whole conjunction empty. (Duplicated query keywords only
-        // need to match once, hence the dedup above.)
-        let mut seen_req: Vec<u64> = keywords
-            .iter()
-            .flat_map(|kw| tokenize(kw))
-            .map(|t| term_hash(&t))
-            .collect();
-        seen_req.sort_unstable();
-        seen_req.dedup();
-        let _ = requested;
-        if mode == SearchMode::All && terms.len() < seen_req.len() {
+        // need to match once, hence the dedups.)
+        requested.sort_unstable();
+        requested.dedup();
+        if mode == SearchMode::All && terms.len() < requested.len() {
             return Ok(Vec::new());
         }
 
@@ -552,20 +563,12 @@ impl SearchEngine {
             let mut page = self.heads[b];
             while page != NO_PREV {
                 chain.push(page);
-                let addr = self.index.page_addr(page)?;
-                self.flash.read_page(addr, &mut buf)?;
-                let (prev, _) = decode_page(&buf)
-                    .ok_or(SearchError::CorruptIndex("undecodable bucket page"))?;
-                page = prev;
+                page = self.bucket_page(page, &mut buf)?.prev;
             }
             // Re-read oldest → newest, repacking into full pages.
             let mut packing: Vec<Triple> = Vec::with_capacity(cap);
             for &p in chain.iter().rev() {
-                let addr = self.index.page_addr(p)?;
-                self.flash.read_page(addr, &mut buf)?;
-                let (_, triples) = decode_page(&buf)
-                    .ok_or(SearchError::CorruptIndex("undecodable bucket page"))?;
-                for t in triples {
+                for t in self.bucket_page(p, &mut buf)?.triples() {
                     if self.deleted.contains(&t.doc) {
                         continue; // physical purge of tombstoned documents
                     }
@@ -593,68 +596,89 @@ impl SearchEngine {
     }
 }
 
-/// Backward cursor over one term's bucket chain, holding exactly one
-/// decoded flash page (plus the term's pending RAM triples, visited
-/// first — they are the most recent).
+/// Backward cursor over one term's bucket chain: the bucket's pending
+/// RAM triples first (they are the most recent), then the chain pages
+/// newest to oldest, each read into the one page buffer the cursor owns
+/// — the page the query's `terms × page_size` reservation paid for — and
+/// walked there, back to front.
 struct ChainCursor<'a> {
     engine: &'a SearchEngine,
     term: u64,
     idf: f64,
-    /// Triples of the current page (or pending buffer) that match the
-    /// term, ordered ascending; consumed from the back.
-    current: Vec<(DocId, u16)>,
+    /// Image of the chain page being consumed (unused while the pending
+    /// buffer is).
+    page: Vec<u8>,
+    /// Whether the slots being consumed are those of `page` (else the
+    /// bucket's pending buffer).
+    on_flash: bool,
+    /// Slots of the current source not yet looked at: the next candidate
+    /// is slot `left - 1`.
+    left: usize,
     /// Next chain page to load, `NO_PREV` when exhausted.
     next_page: u32,
+    /// The live posting of the term the cursor stands on, `None` once
+    /// the chain is exhausted.
+    current: Option<(DocId, u16)>,
 }
 
 impl<'a> ChainCursor<'a> {
     fn new(engine: &'a SearchEngine, term: u64, idf: f64) -> Result<Self, SearchError> {
         let b = engine.bucket_of(term);
-        let current: Vec<(DocId, u16)> = engine.pending[b]
-            .iter()
-            .filter(|t| t.term == term && !engine.deleted.contains(&t.doc))
-            .map(|t| (t.doc, t.tf))
-            .collect();
         let mut c = ChainCursor {
             engine,
             term,
             idf,
-            current,
+            page: vec![0u8; engine.flash.geometry().page_size],
+            on_flash: false,
+            left: engine.pending[b].len(),
             next_page: engine.heads[b],
+            current: None,
         };
-        c.refill()?;
+        c.advance()?;
         Ok(c)
     }
 
-    fn refill(&mut self) -> Result<(), SearchError> {
-        while self.current.is_empty() && self.next_page != NO_PREV {
-            let addr = self.engine.index.page_addr(self.next_page)?;
-            let mut buf = vec![0u8; self.engine.flash.geometry().page_size];
-            self.engine.flash.read_page(addr, &mut buf)?;
-            let (prev, triples) =
-                decode_page(&buf).ok_or(SearchError::CorruptIndex("undecodable bucket page"))?;
-            self.current = triples
-                .into_iter()
-                .filter(|t| t.term == self.term && !self.engine.deleted.contains(&t.doc))
-                .map(|t| (t.doc, t.tf))
-                .collect();
-            self.next_page = prev;
+    /// Move to the next live posting of the term, towards older
+    /// documents, loading chain pages as the slots run out.
+    fn advance(&mut self) -> Result<(), SearchError> {
+        let e = self.engine;
+        loop {
+            let page = match self.on_flash {
+                true => Some(BucketPage::parse(&self.page).ok_or(UNDECODABLE)?),
+                false => None,
+            };
+            let pending = &e.pending[e.bucket_of(self.term)];
+            while self.left > 0 {
+                self.left -= 1;
+                let slot = match &page {
+                    Some(page) => page.get(self.left),
+                    None => pending.get(self.left).copied(),
+                };
+                if let Some(t) = slot.filter(|t| e.is_live(t, self.term)) {
+                    self.current = Some((t.doc, t.tf));
+                    return Ok(());
+                }
+            }
+            if self.next_page == NO_PREV {
+                self.current = None;
+                return Ok(());
+            }
+            let loaded = e.bucket_page(self.next_page, &mut self.page)?;
+            (self.left, self.next_page, self.on_flash) = (loaded.len(), loaded.prev, true);
         }
-        Ok(())
     }
 
     /// Docid this cursor currently points at (descending over time).
     fn current_doc(&self) -> Option<DocId> {
-        self.current.last().map(|(d, _)| *d)
+        self.current.map(|(doc, _)| doc)
     }
 
     /// Consume the current triple, returning `(tf, idf)`.
     fn take(&mut self) -> Result<(u16, f64), SearchError> {
         let (_, tf) = self
             .current
-            .pop()
             .ok_or(SearchError::CorruptIndex("take() on exhausted cursor"))?;
-        self.refill()?;
+        self.advance()?;
         Ok((tf, self.idf))
     }
 }

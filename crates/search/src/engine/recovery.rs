@@ -35,7 +35,7 @@ use pds_obs::wire::Reader;
 
 use super::{DfStrategy, SearchEngine, SearchError};
 use crate::docs::DocStore;
-use crate::triple::{decode_page, DocId, NO_PREV};
+use crate::triple::{BucketPage, DocId, NO_PREV};
 
 /// Bytes of `[epoch][D][P]` in front of the chain heads.
 const BODY_HEADER: usize = 12;
@@ -284,10 +284,10 @@ impl SearchEngine {
                 return Ok(Err(RebuildReason::ChainMismatch));
             };
             self.flash.read_page(addr, &mut buf)?;
-            let sound = decode_page(&buf).is_some_and(|(prev, triples)| {
-                (prev == NO_PREV || prev < head)
-                    && triples
-                        .iter()
+            let sound = BucketPage::parse(&buf).is_some_and(|page| {
+                (page.prev == NO_PREV || page.prev < head)
+                    && page
+                        .triples()
                         .all(|t| t.doc < docs && self.bucket_of(t.term) == bucket)
             });
             if !sound {

@@ -14,6 +14,17 @@
 //! [count: u16]      number of triples
 //! count × [term_hash: u64][docid: u32][tf: u16]
 //! ```
+//!
+//! ## One parser: the view
+//!
+//! A bucket page is read through [`BucketPage`], a view over the page
+//! buffer it was read into: [`BucketPage::parse`] is the page format's
+//! only parser (the slot count is checked against the bytes in hand
+//! before anything is looked at) and [`BucketPage::triples`] decodes
+//! each triple as the walk reaches it, from either end. Every chain walk
+//! of the engine — df counting, the query cursors, reorganisation,
+//! recovery's soundness check — is that view over one reused page
+//! buffer; the owned [`decode_page`] is the view collected.
 
 use pds_obs::wire::Reader;
 
@@ -78,18 +89,60 @@ pub fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
     buf
 }
 
-/// Decode one bucket page into `(prev, triples)`; `None` on a short
-/// buffer or a slot count pointing past the page (torn or corrupt
-/// flash). The engine maps `None` to `SearchError::CorruptIndex`.
-pub fn decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
-    let mut r = Reader::new(buf);
-    let prev = r.u32()?;
-    let count = r.count16(TRIPLE_LEN)?;
-    let mut triples = Vec::with_capacity(count);
-    for _ in 0..count {
-        triples.push(Triple::read(&mut r)?);
+/// A bucket page read where it lies: the chain link and the triple
+/// slots of a page image laid out by [`encode_page`], borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketPage<'a> {
+    /// Index of the previous page of this bucket chain, [`NO_PREV`] at
+    /// the end of the chain.
+    pub prev: u32,
+    /// `count × TRIPLE_LEN` bytes.
+    slots: &'a [u8],
+}
+
+impl<'a> BucketPage<'a> {
+    /// Parse a page image; `None` on a short buffer or a slot count
+    /// pointing past the page (torn or corrupt flash). The engine maps
+    /// `None` to `SearchError::CorruptIndex`.
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(buf);
+        let prev = r.u32()?;
+        let count = r.count16(TRIPLE_LEN)?;
+        let slots = r.bytes(count * TRIPLE_LEN)?;
+        Some(BucketPage { prev, slots })
     }
-    Some((prev, triples))
+
+    /// Number of triples on the page.
+    pub fn len(&self) -> usize {
+        self.slots.len() / TRIPLE_LEN
+    }
+
+    /// True for a page without triples.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The triple in slot `i`, `None` past the last one.
+    pub fn get(&self, i: usize) -> Option<Triple> {
+        let at = i.checked_mul(TRIPLE_LEN)?;
+        let slot = self.slots.get(at..at.checked_add(TRIPLE_LEN)?)?;
+        Triple::read(&mut Reader::new(slot))
+    }
+
+    /// The triples in slot order (ascending docid within a chain), each
+    /// decoded as the walk reaches it.
+    pub fn triples(&self) -> impl DoubleEndedIterator<Item = Triple> + 'a {
+        self.slots
+            .chunks_exact(TRIPLE_LEN)
+            .filter_map(|slot| Triple::read(&mut Reader::new(slot)))
+    }
+}
+
+/// Decode one bucket page into `(prev, triples)`: [`BucketPage::parse`],
+/// collected.
+pub fn decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
+    let page = BucketPage::parse(buf)?;
+    Some((page.prev, page.triples().collect()))
 }
 
 /// The owned bucket-page decoder as it stood before pages were walked
