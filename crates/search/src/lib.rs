@@ -30,6 +30,7 @@ mod crash_sweep;
 pub mod docs;
 pub mod engine;
 pub mod gen;
+mod layout_differential;
 pub mod oracle;
 pub mod tokenize;
 pub mod triple;

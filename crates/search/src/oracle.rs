@@ -17,7 +17,10 @@ use crate::triple::DocId;
 pub struct NaiveSearch {
     /// term → (docid, tf) postings.
     postings: HashMap<u64, Vec<(DocId, u16)>>,
+    /// Live documents: the `|{doc}|` of the TF-IDF formula.
     num_docs: u32,
+    /// Documents ever indexed: docids are dense and never reused.
+    next_doc: DocId,
 }
 
 impl NaiveSearch {
@@ -26,14 +29,15 @@ impl NaiveSearch {
         Self::default()
     }
 
-    /// Number of indexed documents.
+    /// Number of live documents.
     pub fn num_docs(&self) -> u32 {
         self.num_docs
     }
 
     /// Index one document, returning its docid.
     pub fn index(&mut self, text: &str) -> DocId {
-        let doc = self.num_docs;
+        let doc = self.next_doc;
+        self.next_doc += 1;
         self.num_docs += 1;
         let mut tf: HashMap<u64, u16> = HashMap::new();
         for tok in tokenize(text) {
