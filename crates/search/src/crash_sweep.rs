@@ -11,8 +11,10 @@
 //!
 //! Which path a recovery must take is predicted from a fault-free dry run
 //! of the script, so a cut *on* a checkpoint page, between the last
-//! bucket page and the checkpoint, or inside a reorganization is
-//! recognised as such and not merely survived. Seeded by the in-tree RNG;
+//! index page and the checkpoint, inside a drain or inside a
+//! reorganization is recognised as such and not merely survived. Scripts
+//! are long enough for the tail of the index log to be drained into the
+//! chains several times at the sweep's shape. Seeded by the in-tree RNG;
 //! `PDS_CRASH_SEEDS` widens the random sweep like `pds-flash`'s.
 
 #![cfg(test)]
@@ -93,7 +95,7 @@ fn index_ops(rng: &mut StdRng, n: usize) -> Vec<Op> {
 fn random_script(rng: &mut StdRng) -> Vec<Op> {
     let mut ops = index_ops(rng, 1);
     let mut docs = 1u32;
-    for _ in 0..rng.gen_range(10usize..160) {
+    for _ in 0..rng.gen_range(10usize..260) {
         match rng.gen_range(0u32..100) {
             0..=69 => {
                 docs += 1;
@@ -119,10 +121,12 @@ fn apply(e: &mut SearchEngine, op: &Op) -> Result<(), SearchError> {
 }
 
 /// What a fault-free run of a script looks like from outside: cumulative
-/// page programs and index-log pages after each operation.
+/// page programs, index-log pages and those of them in the tail after
+/// each operation.
 struct DryRun {
     programs: Vec<u64>,
     index_pages: Vec<u32>,
+    tail_pages: Vec<u32>,
 }
 
 impl DryRun {
@@ -132,13 +136,25 @@ impl DryRun {
         let mut run = DryRun {
             programs: Vec::new(),
             index_pages: Vec::new(),
+            tail_pages: Vec::new(),
         };
         for op in ops {
             apply(&mut e, op).unwrap();
             run.programs.push(flash.stats().page_programs);
             run.index_pages.push(e.num_index_pages());
+            run.tail_pages.push(e.num_tail_pages());
         }
         run
+    }
+
+    /// Whether operation `i` drained the tail: nothing else shortens it.
+    fn drains(&self, i: usize) -> bool {
+        i > 0 && self.tail_pages[i] < self.tail_pages[i - 1]
+    }
+
+    /// The operation a cut after `cut` successful programs lands in.
+    fn op_of(&self, cut: u64) -> usize {
+        self.programs.partition_point(|&done| done <= cut)
     }
 
     /// Cut points (successful programs before the cut) that make the
@@ -375,7 +391,7 @@ fn crash_seed_count() -> u64 {
 
 #[test]
 fn checkpointed_recovery_equals_full_rebuild_sweep() {
-    let mut kept_paths = 0;
+    let (mut kept_paths, mut cuts_in_a_drain) = (0, 0);
     for case in 0..crash_seed_count() {
         let seed = 0x1DC_0000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -395,8 +411,13 @@ fn checkpointed_recovery_equals_full_rebuild_sweep() {
         let cut = (total > 0 && case % 6 != 5).then(|| rng.gen_range(0..total));
         let report = crash_and_compare(&ops, shape, &dry, cut, seed);
         kept_paths += u64::from(report.index_rebuild.is_none());
+        cuts_in_a_drain += u64::from(cut.is_some_and(|n| dry.drains(dry.op_of(n))));
     }
     assert!(kept_paths > 0, "the sweep never took the checkpoint path");
+    assert!(
+        cuts_in_a_drain > 0,
+        "the sweep never cut a draining operation"
+    );
 }
 
 /// `ops` with the cut swept over every page program of operation `i`,
@@ -471,6 +492,71 @@ fn a_cut_at_every_program_inside_reorganize_recovers_equal() {
     );
 }
 
+/// 60 documents (the tail drained on the way), a flush, and
+/// documents until the tail is drained again, then a flush: the script,
+/// its dry run, and the index of the draining operation. The checkpoint
+/// at operation 60 names a tail and heads that this drain tops up.
+fn script_with_a_drain_after_a_flush(seed: u64) -> (Vec<Op>, DryRun, usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ops = index_ops(&mut rng, 60);
+    ops.push(Op::Flush);
+    ops.extend(index_ops(&mut rng, 60));
+    let dry = DryRun::of(&ops, SMALL);
+    assert!(
+        (0..60).any(|i| dry.drains(i)),
+        "the checkpoint must name chains"
+    );
+    assert!(dry.tail_pages[60] > 0, "the checkpoint must name a tail");
+    let drain = (61..ops.len()).find(|&i| dry.drains(i)).unwrap();
+    ops.truncate(drain + 1);
+    ops.push(Op::Flush);
+    let dry = DryRun::of(&ops, SMALL);
+    (ops, dry, drain)
+}
+
+#[test]
+fn a_cut_at_every_program_inside_a_drain_recovers_equal() {
+    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFA);
+    // The staged page that made the tail long enough, then a drain's
+    // programs: a head page per bucket with triples in the tail, at least.
+    let reports = sweep_inside(&ops[..=drain], SMALL, &dry, drain);
+    assert!(reports.len() >= 3 * 9, "{} cuts", reports.len());
+    // Heads and tail change in RAM after the drain's last program and
+    // reach flash with the next checkpoint: whatever the drain had
+    // programmed lies past the frontier of the last one.
+    for (cut, r) in &reports {
+        assert_eq!(
+            (r.index_rebuild, r.index_pages_kept),
+            (None, dry.index_pages[60]),
+            "cut {cut}"
+        );
+        assert_eq!(r.docs_replayed, r.docs_recovered - 60, "cut {cut}");
+    }
+}
+
+#[test]
+fn a_cut_between_a_drain_and_the_next_checkpoint_falls_back_to_the_previous_one() {
+    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFB);
+    // The plug pulled right after the drain, nothing flushed since.
+    let unplugged = crash_and_compare(&ops[..=drain], SMALL, &dry, None, 0xFB);
+    assert_eq!(unplugged.index_pages_kept, dry.index_pages[60]);
+    // Every program of the flush that follows: its staged page, the
+    // document page, and the checkpoint page itself.
+    let flush = drain + 1;
+    let on_checkpoint = dry.programs[flush] - 1;
+    for (cut, r) in sweep_inside(&ops, SMALL, &dry, flush) {
+        assert_eq!(r.index_rebuild, None, "cut {cut}");
+        if cut != on_checkpoint {
+            assert_eq!(r.index_pages_kept, dry.index_pages[60], "cut {cut}");
+        }
+    }
+    // With the checkpoint durable the drained log is what is kept: the
+    // heads the drain wrote, and a tail that starts past them.
+    let clean = crash_and_compare(&ops, SMALL, &dry, None, 0xFB);
+    assert_eq!(clean.index_pages_kept, dry.index_pages[flush]);
+    assert_eq!(clean.docs_replayed, 0);
+}
+
 #[test]
 fn a_checkpoint_spanning_two_records_is_all_or_nothing() {
     // 12 + 4·128 bytes of body do not fit one 504-byte record.
@@ -527,15 +613,20 @@ fn the_checkpoint_log_rotates_at_block_grain() {
     }
 }
 
-#[test]
-fn a_second_crash_during_the_tail_replay_changes_nothing() {
-    let mut rng = StdRng::seed_from_u64(0xF5);
+/// 30 documents, a flush, `tail_docs` more and the plug pulled: a
+/// recovery that replays `tail_docs` documents, cut at every program it
+/// makes, and recovered again. Returns how many recoveries were cut and
+/// how many times the replay drained the tail.
+fn second_crash_during_the_tail_replay(seed: u64, tail_docs: usize) -> (usize, usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut ops = index_ops(&mut rng, 30);
     ops.push(Op::Flush);
-    // A tail long enough that replaying it overflows the insertion
-    // buffer and programs index pages.
-    ops.extend(index_ops(&mut rng, 40));
-    let (snap, m) = crash(&ops, SMALL, None, 0xF5);
+    ops.extend(index_ops(&mut rng, tail_docs));
+    // The replay indexes the same documents from the same state as the
+    // script did after its flush: it drains where the script drained.
+    let dry = DryRun::of(&ops, SMALL);
+    let drains = (31..ops.len()).filter(|&i| dry.drains(i)).count();
+    let (snap, m) = crash(&ops, SMALL, None, seed);
     let full = Side::recover(snap.clone(), &withheld(&m));
 
     let mut crashed_recoveries = 0;
@@ -560,7 +651,26 @@ fn a_second_crash_during_the_tail_replay_changes_nothing() {
         assert_same_counts(&again.report, &full.report, &ctx);
         assert_same_answers(&again.engine, &full.engine, &ctx);
     }
-    assert!(crashed_recoveries >= 8, "the replay must program pages");
+    (crashed_recoveries, drains)
+}
+
+#[test]
+fn a_second_crash_during_the_tail_replay_changes_nothing() {
+    // A tail long enough that replaying it overflows the insertion
+    // buffer and programs index pages.
+    let (crashed, _) = second_crash_during_the_tail_replay(0xF5, 40);
+    assert!(crashed >= 8, "the replay must program pages");
+}
+
+#[test]
+fn a_second_crash_while_the_tail_replay_drains_changes_nothing() {
+    // And one long enough that the replay drains what it staged, twice
+    // over: cuts on staged pages, on topped-up heads, between drains.
+    let (crashed, drains) = second_crash_during_the_tail_replay(0xFC, 90);
+    assert!(
+        drains >= 2 && crashed >= 40,
+        "{drains} drains, {crashed} cuts"
+    );
 }
 
 #[test]

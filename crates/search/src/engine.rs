@@ -2,10 +2,40 @@
 //!
 //! Storage side: a RAM hash table of bucket heads over *chained hash
 //! buckets* in flash (see [`crate::triple`] for the page layout), fed by a
-//! small RAM insertion buffer. Query side: one backward chain cursor per
-//! query keyword, merged on descending docid, scoring TF-IDF in pipeline
-//! into a bounded top-N heap. RAM use is enforced end-to-end through
-//! [`pds_mcu::RamBudget`].
+//! small RAM insertion buffer through the *tail* of the index log. Query
+//! side: one backward cursor per query keyword, merged on descending
+//! docid, scoring TF-IDF in pipeline into a bounded top-N heap. RAM use is
+//! enforced end-to-end through [`pds_mcu::RamBudget`].
+//!
+//! ## The index log: chains below, tail above
+//!
+//! NAND programs whole pages, and a program costs eight reads, so a page
+//! is worth writing only full. The insertion buffer holds too few triples
+//! to fill a page *per bucket*; flushed bucket by bucket it would program
+//! pages a few percent full and make every chain as many pages long. So
+//! the buffer is flushed **whole**: all of it, bucket after bucket in
+//! insertion order, into full *staged* pages appended to the index log.
+//! The pages past `tail_start` — the log's tail — are those staged pages:
+//! a sequential log absorbing inserts, the first half of the tutorial's
+//! recipe. The second half, "timely reorganise", is the **drain**: when
+//! the tail reaches `num_buckets / 2` pages (half a page per bucket) it is
+//! read back in passes, each gathering into the emptied insertion buffer
+//! as many consecutive buckets as fit, and every bucket's triples are
+//! appended to its chain *topping up the head*: a partial head page is
+//! re-read and programmed again with the new triples behind its own, so
+//! every chain page but the head is full. `(heads, tail_start)` change
+//! together after the drain's last program; until then the tail and the
+//! old heads stand. Staged pages that were drained and head pages that
+//! were superseded stay in the log as garbage until
+//! [`reorganize`](SearchEngine::reorganize) rewrites it.
+//!
+//! With one level, a walk reads `N / (2 · cap)` pages whatever the bucket
+//! count (`N` triples indexed, `cap` the buffer: fewer buckets buy denser
+//! pages and proportionally longer chains). With the tail it reads the
+//! bucket's postings in full pages, plus the staged pages: fewer than
+//! `num_buckets / 2` when a buffer is staged, so at most that many less
+//! one plus the buffer's own pages. The tail is read for nothing by a
+//! small corpus; the two meet at about `num_buckets · cap` triples.
 
 use std::collections::HashMap;
 
@@ -18,7 +48,9 @@ pub use recovery::{EngineManifest, EngineRecovery, RebuildReason};
 
 use crate::docs::DocStore;
 use crate::tokenize::{term_hash, tokenize};
-use crate::triple::{encode_page, triples_per_page, BucketPage, DocId, Triple, NO_PREV};
+use crate::triple::{
+    encode_page, fill_page, triples_per_page, BucketPage, DocId, Triple, NO_PREV, STAGED,
+};
 
 /// Errors of the search engine.
 #[derive(Debug)]
@@ -126,6 +158,9 @@ pub struct SearchEngine {
     heads: Vec<u32>,
     /// The index log (raw bucket pages, append-only).
     index: LogWriter,
+    /// Where the tail of `index` starts: the pages from here on are
+    /// staged pages not yet drained into the chains (module docs).
+    tail_start: u32,
     /// Identity of `index`: bumped whenever a fresh log replaces it, so
     /// a checkpoint can say which log it describes.
     epoch: u32,
@@ -182,6 +217,7 @@ impl SearchEngine {
             num_buckets,
             heads: vec![NO_PREV; num_buckets],
             index: flash.new_log(),
+            tail_start: 0,
             epoch: 0,
             checkpoints: flash.new_log(),
             durable: recovery::Frontier::origin(0),
@@ -203,7 +239,14 @@ impl SearchEngine {
     }
 
     fn bucket_of(&self, term: u64) -> usize {
-        (term % self.num_buckets as u64) as usize
+        let n = self.num_buckets as u64;
+        // The same bucket either way; a drain asks for every triple of
+        // the tail once per pass, and a division is a quarter of it.
+        if n.is_power_of_two() {
+            (term & (n - 1)) as usize
+        } else {
+            (term % n) as usize
+        }
     }
 
     /// Number of indexed documents (live + deleted; docids are dense).
@@ -217,9 +260,15 @@ impl SearchEngine {
         self.num_docs() - self.deleted.len() as u32
     }
 
-    /// Pages currently in the index log.
+    /// Pages currently in the index log: chain pages, the tail, and
+    /// what drains have left behind.
     pub fn num_index_pages(&self) -> u32 {
         self.index.num_pages()
+    }
+
+    /// Pages of the index log's tail: staged, not yet drained.
+    pub fn num_tail_pages(&self) -> u32 {
+        self.index.num_pages() - self.tail_start
     }
 
     /// Retrieve a document's raw content (deleted documents are gone).
@@ -284,13 +333,19 @@ impl SearchEngine {
     /// checkpoint (every document when there is none), whose content is
     /// already in the document log.
     fn index_text(&mut self, doc: DocId, text: &str) -> Result<(), SearchError> {
+        let tokens = tokenize(text);
+        // Room is made before the document, not under it: the page a
+        // flush or a drain works through is then never held together
+        // with the document's own aggregation below.
+        if self.pending_total + tokens.len() > self.pending_cap || self.tail_is_due() {
+            self.make_room()?;
+        }
         // Per-document term-frequency aggregation: transient RAM
         // proportional to the document's distinct terms. BTreeMap, not
         // HashMap: triples must reach the bucket buffers in a stable
         // order, or the buffer-full flush point — and with it the page
         // packing and the flash IO counters — would vary per process
         // with the hash seed, breaking `report --check` baselines.
-        let tokens = tokenize(text);
         let mut tf: std::collections::BTreeMap<u64, u16> = std::collections::BTreeMap::new();
         let _tf_guard = self
             .ram
@@ -309,6 +364,11 @@ impl SearchEngine {
                     }
                 }
             }
+            // Only a document with more distinct terms than the whole
+            // buffer holds gets here with the buffer full.
+            if self.pending_total == self.pending_cap {
+                self.make_room()?;
+            }
             let b = self.bucket_of(term);
             self.pending[b].push(Triple {
                 term,
@@ -316,45 +376,203 @@ impl SearchEngine {
                 tf: count,
             });
             self.pending_total += 1;
-            if self.pending_total >= self.pending_cap {
-                self.flush_largest_bucket()?;
-            }
         }
         Ok(())
     }
 
-    /// Flush the bucket with the most pending triples to flash.
-    fn flush_largest_bucket(&mut self) -> Result<(), SearchError> {
-        let (b, _) = self
-            .pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| v.len())
-            .ok_or(SearchError::CorruptIndex("no buckets to flush"))?;
-        self.flush_bucket(b)
+    /// Whether the tail has reached the length at which it is drained:
+    /// half a page per bucket.
+    fn tail_is_due(&self) -> bool {
+        self.num_tail_pages() as usize >= (self.num_buckets / 2).max(1)
     }
 
-    fn flush_bucket(&mut self, b: usize) -> Result<(), SearchError> {
-        if self.pending[b].is_empty() {
+    /// Empty the insertion buffer into the tail, and the tail into the
+    /// chains once it is long enough.
+    fn make_room(&mut self) -> Result<(), SearchError> {
+        self.stage()?;
+        if self.tail_is_due() {
+            self.drain()?;
+        }
+        Ok(())
+    }
+
+    /// Flush the insertion buffer whole: every pending triple, bucket
+    /// after bucket in insertion order, into full staged pages appended
+    /// to the tail. A page that fails to program takes its triples with
+    /// it; the buffer is empty afterwards either way.
+    fn stage(&mut self) -> Result<(), SearchError> {
+        if self.pending_total == 0 {
             return Ok(());
         }
-        let triples = std::mem::take(&mut self.pending[b]);
-        self.pending_total -= triples.len();
-        let cap = triples_per_page(self.flash.geometry().page_size);
-        for chunk in triples.chunks(cap) {
-            let page = encode_page(self.flash.geometry().page_size, self.heads[b], chunk);
-            let idx = self.index.append_raw_page(&page)?;
-            self.heads[b] = idx;
+        let page_size = self.flash.geometry().page_size;
+        let _page_guard = self.ram.reserve(page_size)?;
+        let mut buf = vec![0u8; page_size];
+        let mut stream = self.pending.iter_mut().flat_map(|b| b.drain(..));
+        let mut staged = Ok(());
+        while staged.is_ok() {
+            buf.fill(0xFF);
+            if fill_page(&mut buf, STAGED, 0, stream.by_ref()) == 0 {
+                break;
+            }
+            staged = self.index.append_raw_page(&buf).map(drop);
+        }
+        stream.for_each(drop);
+        self.pending_total = 0;
+        Ok(staged?)
+    }
+
+    /// Page `page` of the tail read into `buf`: its view if it is a
+    /// staged page, `None` for anything else found there (chain pages of
+    /// a drain that failed part-way).
+    fn staged_page<'b>(
+        &self,
+        page: u32,
+        buf: &'b mut [u8],
+    ) -> Result<Option<BucketPage<'b>>, SearchError> {
+        Ok(Some(self.bucket_page(page, buf)?).filter(|p| p.prev == STAGED))
+    }
+
+    /// Move the tail into the bucket chains (module docs). Called with
+    /// the insertion buffer empty: the buffer is what each pass gathers
+    /// into. Worst case `passes × tail pages + num_buckets` page reads,
+    /// `passes` being one to count and fewer than two per buffer-full of
+    /// tail triples, and `2 × num_buckets + tail pages` programs (a head
+    /// topped up and the page it spills into per bucket, the rest in
+    /// full pages). Nothing the engine answers from changes before
+    /// the last program: a failed drain leaves garbage among the tail
+    /// (skipped by every walk) and the previous heads and tail standing.
+    fn drain(&mut self) -> Result<(), SearchError> {
+        let tail = self.tail_start..self.index.num_pages();
+        if tail.is_empty() {
+            return Ok(());
+        }
+        let page_size = self.flash.geometry().page_size;
+        // One page, the per-bucket tally and the heads-to-be.
+        let _guard = self.ram.reserve(page_size + (2 + 4) * self.num_buckets)?;
+        let mut buf = vec![0u8; page_size];
+        let mut new_heads = self.heads.clone();
+        let drained = self.drain_passes(tail, &mut new_heads, &mut buf);
+        if drained.is_err() {
+            // What a pass had gathered is still in the tail.
+            self.pending.iter_mut().for_each(Vec::clear);
+            self.pending_total = 0;
+            return drained;
+        }
+        self.heads = new_heads;
+        self.tail_start = self.index.num_pages();
+        Ok(())
+    }
+
+    fn drain_passes(
+        &mut self,
+        tail: std::ops::Range<u32>,
+        new_heads: &mut [u32],
+        buf: &mut [u8],
+    ) -> Result<(), SearchError> {
+        // Triples per bucket in the tail. The tally only sizes the
+        // windows — a pass gathers what fits and says whether more is to
+        // come — so a count may saturate.
+        let mut counts = vec![0u16; self.num_buckets];
+        for page in tail.clone() {
+            if let Some(staged) = self.staged_page(page, buf)? {
+                for t in staged.triples() {
+                    let c = &mut counts[self.bucket_of(t.term)];
+                    *c = c.saturating_add(1);
+                }
+            }
+        }
+        let mut lo = 0;
+        while lo < self.num_buckets {
+            // A window of consecutive buckets that fit the buffer
+            // together — or one bucket alone that does not, drained in
+            // as many passes as it takes.
+            let mut fits = usize::from(counts[lo]);
+            let mut hi = lo + 1;
+            while hi < self.num_buckets && fits + usize::from(counts[hi]) <= self.pending_cap {
+                fits += usize::from(counts[hi]);
+                hi += 1;
+            }
+            let (mut done, mut more) = (0, fits > 0);
+            while more {
+                more = self.gather(tail.clone(), lo..hi, done, buf)?;
+                done += self.pending_total;
+                for (b, head) in (lo..hi).zip(&mut new_heads[lo..hi]) {
+                    self.extend_chain(b, head, buf)?;
+                }
+            }
+            lo = hi;
         }
         Ok(())
     }
 
-    /// Flush every pending triple and document chunk to flash, then
+    /// One pass over the tail, oldest page first: the triples of
+    /// `buckets` past the first `skip` of them go to the insertion
+    /// buffer, in order, until it is full. Whether it filled with more
+    /// to come.
+    fn gather(
+        &mut self,
+        tail: std::ops::Range<u32>,
+        buckets: std::ops::Range<usize>,
+        skip: usize,
+        buf: &mut [u8],
+    ) -> Result<bool, SearchError> {
+        let mut skipped = 0;
+        for page in tail {
+            let Some(staged) = self.staged_page(page, buf)? else {
+                continue;
+            };
+            for t in staged.triples() {
+                let b = self.bucket_of(t.term);
+                if !buckets.contains(&b) {
+                    continue;
+                }
+                if skipped < skip {
+                    skipped += 1;
+                } else if self.pending_total == self.pending_cap {
+                    return Ok(true);
+                } else {
+                    self.pending[b].push(t);
+                    self.pending_total += 1;
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// Append what a pass gathered for bucket `b` to its chain, whose
+    /// head is `head`: a partial head page is read back and programmed
+    /// again with the new triples behind its own (it keeps its `prev`:
+    /// the page it replaces drops out of the chain), the rest goes into
+    /// fresh pages. Every page but the last is full.
+    fn extend_chain(
+        &mut self,
+        b: usize,
+        head: &mut u32,
+        buf: &mut [u8],
+    ) -> Result<(), SearchError> {
+        let gathered = std::mem::take(&mut self.pending[b]);
+        self.pending_total -= gathered.len();
+        let mut rest = gathered.into_iter().peekable();
+        if rest.peek().is_some() && *head != NO_PREV {
+            let page = self.bucket_page(*head, buf)?;
+            let (prev, len) = (page.prev, page.len());
+            if len < fill_page(buf, prev, len, rest.by_ref()) {
+                *head = self.index.append_raw_page(buf)?;
+            }
+        }
+        while rest.peek().is_some() {
+            buf.fill(0xFF);
+            fill_page(buf, *head, 0, rest.by_ref());
+            *head = self.index.append_raw_page(buf)?;
+        }
+        Ok(())
+    }
+
+    /// Write every pending triple (to the tail: a sync never drains, it
+    /// stays one or two programs) and document chunk to flash, then
     /// checkpoint the index so the next power cycle keeps it.
     pub fn flush(&mut self) -> Result<(), SearchError> {
-        for b in 0..self.num_buckets {
-            self.flush_bucket(b)?;
-        }
+        self.stage()?;
         self.docs.flush()?;
         // Tombstones too — a deletion the user was told about must not
         // evaporate in a crash.
@@ -363,10 +581,10 @@ impl SearchEngine {
         self.write_checkpoint()
     }
 
-    /// One step of a chain walk: read page `page` of the index log into
-    /// `buf` and parse it where it lies. Every walk — df counting, the
-    /// query cursors, reorganisation — takes its steps here, through one
-    /// page buffer it keeps for the whole chain.
+    /// One step of a walk: read page `page` of the index log into `buf`
+    /// and parse it where it lies. Every walk — df counting, the query
+    /// cursors, the drain, reorganisation — takes its steps here, through
+    /// one page buffer it keeps for the whole walk.
     fn bucket_page<'b>(&self, page: u32, buf: &'b mut [u8]) -> Result<BucketPage<'b>, SearchError> {
         let addr = self.index.page_addr(page)?;
         self.flash.read_page(addr, buf)?;
@@ -378,8 +596,8 @@ impl SearchEngine {
         t.term == term && !self.deleted.contains(&t.doc)
     }
 
-    /// Document frequency of one term (two-pass strategy): walk the chain
-    /// with a single reusable page buffer.
+    /// Document frequency of one term (two-pass strategy): walk its
+    /// bucket with a single reusable page buffer.
     fn count_df(&self, term: u64) -> Result<u32, SearchError> {
         let b = self.bucket_of(term);
         let mut df = self.pending[b]
@@ -388,11 +606,10 @@ impl SearchEngine {
             .count();
         let _page_guard = self.ram.reserve(self.flash.geometry().page_size)?;
         let mut buf = vec![0u8; self.flash.geometry().page_size];
-        let mut page = self.heads[b];
-        while page != NO_PREV {
-            let bucket = self.bucket_page(page, &mut buf)?;
-            df += bucket.triples().filter(|t| self.is_live(t, term)).count();
-            page = bucket.prev;
+        let mut walk = Walk::of(self, b);
+        while walk.load_next(self, &mut buf)? {
+            let page = BucketPage::parse(&buf).ok_or(UNDECODABLE)?;
+            df += page.triples().filter(|t| self.is_live(t, term)).count();
         }
         Ok(df as u32)
     }
@@ -549,8 +766,10 @@ impl SearchEngine {
     /// process only uses log structures" rule of the tutorial, and it is
     /// interruptible: the old index stays valid until the swap.
     pub fn reorganize(&mut self) -> Result<(), SearchError> {
-        // Stabilize RAM state first.
+        // Stabilize RAM state first, then the log's: everything into the
+        // chains, which are what is rewritten.
         self.flush()?;
+        self.drain()?;
         let page_size = self.flash.geometry().page_size;
         let cap = triples_per_page(page_size);
         let mut new_log = self.flash.new_log();
@@ -558,10 +777,13 @@ impl SearchEngine {
         let _guard = self.ram.reserve(2 * page_size)?;
         let mut buf = vec![0u8; page_size];
         for (b, new_head) in new_heads.iter_mut().enumerate() {
-            // Collect the chain page indexes (newest → oldest).
+            // Collect the chain page indexes (newest → oldest): a list as
+            // long as the chain, charged as it grows.
             let mut chain = Vec::new();
+            let mut chain_guard = self.ram.reserve(0)?;
             let mut page = self.heads[b];
             while page != NO_PREV {
+                chain_guard.grow(std::mem::size_of::<u32>())?;
                 chain.push(page);
                 page = self.bucket_page(page, &mut buf)?.prev;
             }
@@ -589,6 +811,7 @@ impl SearchEngine {
         let old = std::mem::replace(&mut self.index, new_log);
         old.discard();
         self.heads = new_heads;
+        self.tail_start = self.index.num_pages();
         // A new log: the old one's checkpoints must stop matching before
         // this one has its own.
         self.epoch = self.epoch.wrapping_add(1);
@@ -596,16 +819,56 @@ impl SearchEngine {
     }
 }
 
-/// Backward cursor over one term's bucket chain: the bucket's pending
-/// RAM triples first (they are the most recent), then the chain pages
-/// newest to oldest, each read into the one page buffer the cursor owns
-/// — the page the query's `terms × page_size` reservation paid for — and
+/// Where a backward walk of one bucket stands: the pages still to read,
+/// newest first — the tail, last page to first, then the bucket's chain
+/// from its head. Everything in the tail is newer than everything in a
+/// chain, flushes land in the tail in docid order and a bucket's run
+/// inside a flush is in insertion order, so the postings of a term come
+/// by in descending docid all the way.
+struct Walk {
+    /// Pages of the tail not yet read: `tail_start..tail_left`.
+    tail_left: u32,
+    /// Next chain page, `NO_PREV` past the oldest.
+    chain_next: u32,
+}
+
+impl Walk {
+    fn of(engine: &SearchEngine, bucket: usize) -> Walk {
+        Walk {
+            tail_left: engine.index.num_pages(),
+            chain_next: engine.heads[bucket],
+        }
+    }
+
+    /// Read the walk's next page into `buf`; `false` when there is none.
+    /// A tail page holds triples of every bucket and a chain page those
+    /// of every term of the bucket: the caller filters by term either
+    /// way.
+    fn load_next(&mut self, e: &SearchEngine, buf: &mut [u8]) -> Result<bool, SearchError> {
+        while self.tail_left > e.tail_start {
+            self.tail_left -= 1;
+            if e.staged_page(self.tail_left, buf)?.is_some() {
+                return Ok(true);
+            }
+        }
+        if self.chain_next == NO_PREV {
+            return Ok(false);
+        }
+        self.chain_next = e.bucket_page(self.chain_next, buf)?.prev;
+        Ok(true)
+    }
+}
+
+/// Backward cursor over one term's postings: the bucket's pending RAM
+/// triples first (they are the most recent), then the pages of its
+/// [`Walk`], each read into the one page buffer the cursor owns — the
+/// page the query's `terms × page_size` reservation paid for — and
 /// walked there, back to front.
 struct ChainCursor<'a> {
     engine: &'a SearchEngine,
     term: u64,
     idf: f64,
-    /// Image of the chain page being consumed (unused while the pending
+    /// Image of the page being consumed (unused while the pending
     /// buffer is).
     page: Vec<u8>,
     /// Whether the slots being consumed are those of `page` (else the
@@ -614,10 +877,10 @@ struct ChainCursor<'a> {
     /// Slots of the current source not yet looked at: the next candidate
     /// is slot `left - 1`.
     left: usize,
-    /// Next chain page to load, `NO_PREV` when exhausted.
-    next_page: u32,
+    /// The pages still to load.
+    walk: Walk,
     /// The live posting of the term the cursor stands on, `None` once
-    /// the chain is exhausted.
+    /// the walk is exhausted.
     current: Option<(DocId, u16)>,
 }
 
@@ -631,7 +894,7 @@ impl<'a> ChainCursor<'a> {
             page: vec![0u8; engine.flash.geometry().page_size],
             on_flash: false,
             left: engine.pending[b].len(),
-            next_page: engine.heads[b],
+            walk: Walk::of(engine, b),
             current: None,
         };
         c.advance()?;
@@ -639,7 +902,7 @@ impl<'a> ChainCursor<'a> {
     }
 
     /// Move to the next live posting of the term, towards older
-    /// documents, loading chain pages as the slots run out.
+    /// documents, loading pages as the slots run out.
     fn advance(&mut self) -> Result<(), SearchError> {
         let e = self.engine;
         loop {
@@ -659,12 +922,12 @@ impl<'a> ChainCursor<'a> {
                     return Ok(());
                 }
             }
-            if self.next_page == NO_PREV {
+            if !self.walk.load_next(e, &mut self.page)? {
                 self.current = None;
                 return Ok(());
             }
-            let loaded = e.bucket_page(self.next_page, &mut self.page)?;
-            (self.left, self.next_page, self.on_flash) = (loaded.len(), loaded.prev, true);
+            let loaded = BucketPage::parse(&self.page).ok_or(UNDECODABLE)?;
+            (self.left, self.on_flash) = (loaded.len(), true);
         }
     }
 
@@ -838,18 +1101,25 @@ mod tests {
 
     #[test]
     fn query_ram_is_one_page_per_keyword_plus_topn() {
-        let (_f, ram, e) = engine_with_corpus(DfStrategy::TwoPass);
-        let baseline = ram.used();
-        ram.reset_high_water();
-        e.search(&["blood", "pressure", "salary"], 5).unwrap();
-        let peak = ram.high_water() - baseline;
+        let (_f, ram, mut e) = engine_with_corpus(DfStrategy::TwoPass);
         let page = e.flash.geometry().page_size;
-        // 3 cursors + df page + top-N heap + slack.
-        assert!(
-            peak <= 4 * page + 5 * 16 + 256,
-            "query peak RAM {peak} B exceeds the pipeline bound"
-        );
-        assert_eq!(ram.used(), baseline, "query RAM fully released");
+        // The same RAM wherever the postings are: all in the buffer, in
+        // the tail, in the chains — one page per keyword and the heap,
+        // to the byte (the df pass's one page is released before).
+        for round in 0..3 {
+            let baseline = ram.used();
+            ram.reset_high_water();
+            e.search(&["blood", "pressure", "salary"], 5).unwrap();
+            let peak = ram.high_water() - baseline;
+            assert_eq!(peak, 3 * page + 5 * 16, "round {round}");
+            assert_eq!(ram.used(), baseline, "query RAM fully released");
+            match round {
+                0 => e.flush().unwrap(),
+                _ => e.drain().unwrap(),
+            }
+        }
+        assert_eq!((e.num_tail_pages(), e.pending_total), (0, 0));
+        assert_eq!(pds_obs::counter("search.ram_claim_violations").get(), 0);
     }
 
     #[test]
@@ -1024,26 +1294,46 @@ mod tests {
         }
     }
 
-    /// The pages of `bucket`'s chain, newest first, each decoded by the
-    /// owned decoder the engine used before it walked pages in place.
+    /// Page `page` of the index log, decoded by the owned decoder the
+    /// engine used before it walked pages in place.
+    fn reference_page(e: &SearchEngine, page: u32) -> (u32, Vec<Triple>) {
+        let mut buf = vec![0u8; e.flash.geometry().page_size];
+        let addr = e.index.page_addr(page).unwrap();
+        e.flash.read_page(addr, &mut buf).unwrap();
+        crate::triple::reference_decode_page(&buf).unwrap()
+    }
+
+    /// The pages of `bucket`'s chain, newest first.
     fn reference_chain(e: &SearchEngine, bucket: usize) -> Vec<Vec<Triple>> {
         let mut pages = Vec::new();
         let mut page = e.heads[bucket];
-        let mut buf = vec![0u8; e.flash.geometry().page_size];
         while page != NO_PREV {
-            let addr = e.index.page_addr(page).unwrap();
-            e.flash.read_page(addr, &mut buf).unwrap();
-            let (prev, triples) = crate::triple::reference_decode_page(&buf).unwrap();
+            let (prev, triples) = reference_page(e, page);
             pages.push(triples);
             page = prev;
         }
         pages
     }
 
+    /// The pages a walk of `bucket` reads, newest first: every page of
+    /// the tail, then the bucket's chain.
+    fn reference_walk(e: &SearchEngine, bucket: usize) -> Vec<Vec<Triple>> {
+        let mut pages: Vec<Vec<Triple>> = (e.tail_start..e.index.num_pages())
+            .rev()
+            .map(|page| reference_page(e, page))
+            .map(|(prev, triples)| {
+                assert_eq!(prev, STAGED);
+                triples
+            })
+            .collect();
+        pages.extend(reference_chain(e, bucket));
+        pages
+    }
+
     /// `search` against the oracle, hit for hit and score for score, and
     /// its page reads against the two-pass cost model: each distinct
-    /// query term walks its bucket chain once to count df and, when the
-    /// term occurs at all, once more to merge.
+    /// query term walks its bucket — the tail, then the chain — once to
+    /// count df and, when the term occurs at all, once more to merge.
     fn assert_search_and_its_reads(e: &SearchEngine, oracle: &NaiveSearch, query: &[&str]) {
         let mut terms: Vec<u64> = (query.iter())
             .flat_map(|kw| tokenize(kw))
@@ -1054,11 +1344,11 @@ mod tests {
         let mut want_reads = 0u64;
         for term in terms {
             let b = e.bucket_of(term);
-            let chain = reference_chain(e, b);
+            let walk = reference_walk(e, b);
             let live = |t: &&Triple| t.term == term && !e.deleted.contains(&t.doc);
-            let df = chain.iter().flatten().filter(live).count()
+            let df = walk.iter().flatten().filter(live).count()
                 + e.pending[b].iter().filter(live).count();
-            want_reads += chain.len() as u64 * if df > 0 { 2 } else { 1 };
+            want_reads += walk.len() as u64 * if df > 0 { 2 } else { 1 };
         }
         let before = e.flash.stats();
         let hits = e.search(query, 10).unwrap();
@@ -1080,7 +1370,7 @@ mod tests {
         let profile = HardwareProfile::test_profile();
         let flash = Flash::new(profile.flash);
         let ram = RamBudget::new(profile.ram_bytes);
-        let mut e = SearchEngine::new(&flash, &ram, 4, 64, DfStrategy::TwoPass).unwrap();
+        let mut e = SearchEngine::new(&flash, &ram, 8, 64, DfStrategy::TwoPass).unwrap();
         let mut oracle = NaiveSearch::new();
         for i in 0..400 {
             let text = format!("note {i} shared topic t{} k{}", i % 7, i % 13);
@@ -1089,8 +1379,11 @@ mod tests {
         }
         let shared = term_hash("shared");
         let bucket = e.bucket_of(shared);
-        let chain = reference_chain(&e, bucket);
-        assert!(chain.len() >= 3, "{} pages", chain.len());
+        // Postings in all three places: the buffer, the tail, the chain.
+        assert!(!e.pending[bucket].is_empty());
+        assert!(e.num_tail_pages() >= 2, "{} pages", e.num_tail_pages());
+        let chain = reference_walk(&e, bucket);
+        assert!(chain.len() >= 5, "{} pages", chain.len());
         // Tombstone the documents whose `shared` triple is the last one
         // on its page and the first one on the next: the cursor crosses
         // a page boundary on a deleted document, both ways.
@@ -1100,10 +1393,11 @@ mod tests {
                 .collect()
         };
         let mut edges = Vec::new();
-        for page in &chain[..3] {
+        for page in &chain[..5] {
             let docs = of_term(page);
             edges.extend([docs[0], docs[docs.len() - 1]]);
         }
+        edges.dedup();
         for query in [vec!["shared"], vec!["shared", "t3"], vec!["absent", "k5"]] {
             assert_search_and_its_reads(&e, &oracle, &query);
         }
@@ -1126,6 +1420,202 @@ mod tests {
             vec!["t1", "k5", "note"],
         ] {
             assert_search_and_its_reads(&e, &oracle, &query);
+        }
+    }
+
+    /// The token's sizing on the token's pages, fed `docs` seeded
+    /// documents of ≈ 10 distinct Zipf-ish terms. Returns the engine, how
+    /// many triples went to each bucket, and the most page reads and page
+    /// programs any one `index_document` cost.
+    fn token_sized_engine(docs: usize) -> (Flash, SearchEngine, Vec<usize>, (u64, u64)) {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        let flash = Flash::new(pds_flash::FlashGeometry::new(2048, 64, 256));
+        let ram = RamBudget::new(64 * 1024);
+        let mut e = SearchEngine::new(&flash, &ram, 64, 256, DfStrategy::TwoPass).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x24C0);
+        let mut per_bucket = vec![0usize; 64];
+        let mut worst = (0, 0);
+        for i in 0..docs {
+            let mut words = vec![format!("tag{i}"), "common".to_string()];
+            words.extend((0..10).map(|_| format!("w{}", rng.gen_range(0..400 * 400) / 400)));
+            let mut terms: Vec<u64> = words.iter().map(|w| term_hash(w)).collect();
+            terms.sort_unstable();
+            terms.dedup();
+            for term in terms {
+                per_bucket[e.bucket_of(term)] += 1;
+            }
+            let before = flash.stats();
+            e.index_document(&words.join(" ")).unwrap();
+            let io = flash.stats() - before;
+            worst = (worst.0.max(io.page_reads), worst.1.max(io.page_programs));
+        }
+        (flash, e, per_bucket, worst)
+    }
+
+    #[test]
+    fn a_drain_stalls_one_ingest_by_a_bounded_amount() {
+        let (_flash, _e, _, (reads, programs)) = token_sized_engine(2400);
+        let cap = triples_per_page(2048);
+        // The longest tail a drain meets: one short of its length, plus
+        // the buffer just staged.
+        let tail = 64 / 2 - 1 + 256usize.div_ceil(cap);
+        // Two consecutive windows hold more than one buffer, so there
+        // are fewer than two passes per buffer-full of tail triples; one
+        // more pass counts, and each bucket's head is read once.
+        let passes = 1 + 2 * (tail * cap).div_ceil(256);
+        assert!(reads as usize <= passes * tail + 64, "{reads} reads");
+        // The staged buffer; per bucket a topped-up head and the page
+        // the top-up spilled into; the tail's triples in full pages; the
+        // document's own page at most.
+        assert!(
+            programs as usize <= 2 + 2 * 64 + tail + 1,
+            "{programs} programs"
+        );
+        // As measured on this corpus (seeded: exact).
+        assert_eq!((reads, programs), (694, 109));
+    }
+
+    #[test]
+    fn index_pages_are_programmed_full_at_n_and_4n() {
+        for docs in [600, 2400] {
+            let (_flash, mut e, per_bucket, _) = token_sized_engine(docs);
+            e.flush().unwrap();
+            let triples: usize = per_bucket.iter().sum();
+            let cap = triples_per_page(2048);
+            let pages = e.num_index_pages() as usize;
+            // Per 1 000 triples: 1 000 / 145 ≈ 7 pages if every page
+            // were written once and full, ≈ 115 when each buffer-full
+            // evicted one bucket. Staging costs ≈ 8 (two pages per 256
+            // triples) and a drain at most a head page per bucket and
+            // the drained triples in full pages, every 32 staged pages.
+            let per_1000 = pages * 1000 / triples;
+            assert!(
+                per_1000 <= 35,
+                "{docs} docs: {per_1000} pages per 1000 triples"
+            );
+            // Every chain page but the head is full.
+            for b in 0..64 {
+                let chain = reference_chain(&e, b);
+                for page in chain.iter().skip(1) {
+                    assert_eq!(page.len(), cap, "{docs} docs, bucket {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_reads_the_postings_in_full_pages_and_a_bounded_tail() {
+        let cap = triples_per_page(2048);
+        for docs in [600, 2400] {
+            let (flash, mut e, per_bucket, _) = token_sized_engine(docs);
+            for synced in [false, true] {
+                if synced {
+                    e.flush().unwrap();
+                }
+                assert!(e.num_tail_pages() as usize <= 64 / 2 + 1);
+                for word in ["common", "w0", "w17", "tag5", "absent"] {
+                    let term = term_hash(word);
+                    let before = flash.stats();
+                    e.count_df(term).unwrap();
+                    let reads = (flash.stats() - before).page_reads as usize;
+                    let bound = per_bucket[e.bucket_of(term)].div_ceil(cap) + 1 + 64 / 2;
+                    assert!(
+                        reads <= bound,
+                        "{docs} docs, {word}: {reads} pages read, bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reorganize_charges_the_chain_list_it_holds() {
+        let profile = HardwareProfile::test_profile();
+        let flash = Flash::new(profile.flash);
+        let ram = RamBudget::new(profile.ram_bytes);
+        let mut e = SearchEngine::new(&flash, &ram, 4, 64, DfStrategy::TwoPass).unwrap();
+        for i in 0..600 {
+            e.index_document(&format!("note {i} shared topic t{}", i % 7))
+                .unwrap();
+        }
+        e.flush().unwrap();
+        e.drain().unwrap();
+        let longest = (0..4).map(|b| reference_chain(&e, b).len()).max().unwrap();
+        assert!(longest >= 16, "{longest} pages");
+        let before = e.search(&["shared", "t3"], 10).unwrap();
+        // A budget that admits the pass's two pages but not the list of
+        // the longest chain's page indexes.
+        let page = e.flash.geometry().page_size;
+        let ballast = ram.reserve(ram.available() - 2 * page - 4 * (longest - 1));
+        let err = e.reorganize().unwrap_err();
+        assert!(matches!(err, SearchError::Ram(_)), "{err}");
+        // The old index stands, and with four more bytes the pass runs.
+        drop(ballast);
+        assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
+        let ballast = ram.reserve(ram.available() - 2 * page - 4 * longest);
+        e.reorganize().unwrap();
+        drop(ballast);
+        assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
+    }
+
+    #[test]
+    fn a_failed_drain_leaves_the_previous_heads_and_tail_standing() {
+        let flash = Flash::new(pds_flash::FlashGeometry::new(512, 4, 512));
+        let ram = RamBudget::new(32 * 1024);
+        let mut e = SearchEngine::new(&flash, &ram, 16, 64, DfStrategy::TwoPass).unwrap();
+        let mut oracle = NaiveSearch::new();
+        let index = |e: &mut SearchEngine, oracle: &mut NaiveSearch, i: usize| {
+            let text = format!("note {i} shared topic t{} k{}", i % 7, i % 13);
+            e.index_document(&text).unwrap();
+            oracle.index(&text);
+        };
+        let queries = [
+            vec!["shared"],
+            vec!["shared", "t3"],
+            vec!["t1", "k5", "note"],
+        ];
+        for i in 0..150 {
+            index(&mut e, &mut oracle, i);
+        }
+        // Syncs never drain: let the tail run past its length, and stop
+        // where the log's last block has room for some of a drain's
+        // programs but not all of them.
+        let mut i = 150;
+        while !e.tail_is_due() || e.num_index_pages().is_multiple_of(4) {
+            index(&mut e, &mut oracle, i);
+            e.flush().unwrap();
+            i += 1;
+        }
+        let ballast: Vec<_> = std::iter::from_fn(|| flash.alloc_block().ok()).collect();
+        let (heads, tail_start, pages) = (e.heads.clone(), e.tail_start, e.num_index_pages());
+        let err = e.drain().unwrap_err();
+        assert!(matches!(err, SearchError::Flash(_)), "{err}");
+        assert!(
+            e.num_index_pages() > pages,
+            "the drain must have programmed"
+        );
+        assert_eq!(
+            (&e.heads, e.tail_start, e.pending_total),
+            (&heads, tail_start, 0)
+        );
+        for query in &queries {
+            let got = e.search(query, 10).unwrap();
+            let want = oracle.search(query, 10);
+            assert_eq!(
+                got.iter().map(|h| h.doc).collect::<Vec<_>>(),
+                want.iter().map(|h| h.doc).collect::<Vec<_>>(),
+                "{query:?}"
+            );
+        }
+        // With blocks to write to, the next document's drain goes
+        // through, over the garbage the failed one left among the tail.
+        for b in ballast {
+            flash.free_block(b);
+        }
+        index(&mut e, &mut oracle, i);
+        assert!(e.tail_start > tail_start && !e.tail_is_due());
+        for query in &queries {
+            assert_search_and_its_reads(&e, &oracle, query);
         }
     }
 

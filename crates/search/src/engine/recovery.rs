@@ -9,8 +9,10 @@
 //! whose chain heads live in RAM; what lets recovery keep it is the
 //! **index checkpoint**: at the end of every [`SearchEngine::flush`] —
 //! when every pending triple, document chunk and tombstone is on flash —
-//! one record `(epoch, docid frontier D, index page frontier P, chain
-//! heads)` goes to a small CRC-framed record log of its own. Write
+//! one record `(epoch, docid frontier D, index page frontier P, tail start
+//! T, chain heads)` goes to a small CRC-framed record log of its own: the
+//! chains as of the last drain, and the staged pages `T..P` that hold
+//! everything indexed since. Write
 //! ordering is the whole correctness argument: a checkpoint becomes
 //! durable only after every page it names, and the index log is
 //! append-only, so pages below `P` are exactly what they were when the
@@ -19,7 +21,7 @@
 //! ## Checkpoint record layout
 //!
 //! ```text
-//! [epoch: u32][D: u32][P: u32] num_buckets × [head: u32]
+//! [epoch: u32][D: u32][P: u32][T: u32] num_buckets × [head: u32]
 //! ```
 //!
 //! A checkpoint is one record. One larger than a page (128 buckets on
@@ -37,18 +39,19 @@ use super::{DfStrategy, SearchEngine, SearchError};
 use crate::docs::DocStore;
 use crate::triple::{BucketPage, DocId, NO_PREV};
 
-/// Bytes of `[epoch][D][P]` in front of the chain heads.
-const BODY_HEADER: usize = 12;
+/// Bytes of `[epoch][D][P][T]` in front of the chain heads.
+const BODY_HEADER: usize = 16;
 
 /// What a checkpoint pins: which index log (`epoch` — bumped whenever a
-/// fresh log replaces the index), how many documents its pages cover and
-/// how many pages it has. The origin `(epoch, 0, 0)` — an empty log —
-/// needs no record to be true.
+/// fresh log replaces the index), how many documents its pages cover,
+/// how many pages it has and where among them the tail starts. The
+/// origin `(epoch, 0, 0, 0)` — an empty log — needs no record to be true.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct Frontier {
     epoch: u32,
     docs: DocId,
     pages: u32,
+    tail: u32,
 }
 
 impl Frontier {
@@ -57,6 +60,7 @@ impl Frontier {
             epoch,
             docs: 0,
             pages: 0,
+            tail: 0,
         }
     }
 }
@@ -70,7 +74,7 @@ struct Checkpoint {
 impl Checkpoint {
     fn encode(at: Frontier, heads: &[u32]) -> Vec<u8> {
         let mut body = Vec::with_capacity(BODY_HEADER + 4 * heads.len());
-        for word in [at.epoch, at.docs, at.pages].iter().chain(heads) {
+        for word in [at.epoch, at.docs, at.pages, at.tail].iter().chain(heads) {
             body.extend_from_slice(&word.to_le_bytes());
         }
         body
@@ -86,6 +90,7 @@ impl Checkpoint {
             epoch: r.u32()?,
             docs: r.u32()?,
             pages: r.u32()?,
+            tail: r.u32()?,
         };
         if r.remaining() != 4 * num_buckets {
             return None;
@@ -126,8 +131,8 @@ pub enum RebuildReason {
     DocsMissing,
     /// The checkpoint names pages beyond the manifest's index blocks.
     PagesMissing,
-    /// The chain heads did not pass the structural check against the
-    /// pages they name.
+    /// The tail start or the chain heads did not pass the structural
+    /// check against the pages they name.
     ChainMismatch,
 }
 
@@ -219,7 +224,7 @@ impl SearchEngine {
 
     /// Append an index checkpoint if the frontier moved since the last
     /// durable one. Called with nothing pending (end of `flush`), so the
-    /// chain heads describe every document below the docid frontier. An
+    /// chains and the tail hold every document below the docid frontier. An
     /// engine whose frontier never moves — a token holding no documents
     /// — never programs a page here, and a `RamDictionary` engine, which
     /// could not use a checkpoint, writes none.
@@ -228,6 +233,7 @@ impl SearchEngine {
             epoch: self.epoch,
             docs: self.num_docs(),
             pages: self.index.num_pages(),
+            tail: self.tail_start,
         };
         if now == self.durable || self.df_strategy == DfStrategy::RamDictionary {
             return Ok(());
@@ -263,7 +269,12 @@ impl SearchEngine {
         let Some(ckpt) = Checkpoint::last_in(&self.checkpoints, self.num_buckets)? else {
             return Ok(Err(RebuildReason::NoCheckpoint));
         };
-        let Frontier { epoch, docs, pages } = ckpt.at;
+        let Frontier {
+            epoch,
+            docs,
+            pages,
+            tail,
+        } = ckpt.at;
         if epoch != m.index_epoch {
             return Ok(Err(RebuildReason::StaleEpoch));
         }
@@ -275,12 +286,16 @@ impl SearchEngine {
         }
         // Pages below the frontier are intact by write ordering; what
         // this catches is a checkpoint that does not belong to this log.
+        if tail > pages {
+            return Ok(Err(RebuildReason::ChainMismatch));
+        }
         let mut buf = vec![0u8; geo.page_size];
         for (bucket, &head) in ckpt.heads.iter().enumerate() {
             if head == NO_PREV {
                 continue;
             }
-            let Some(addr) = geo.log_page(&m.index_blocks, head).filter(|_| head < pages) else {
+            // A chain lies wholly below the tail.
+            let Some(addr) = geo.log_page(&m.index_blocks, head).filter(|_| head < tail) else {
                 return Ok(Err(RebuildReason::ChainMismatch));
             };
             self.flash.read_page(addr, &mut buf)?;
@@ -303,10 +318,11 @@ impl SearchEngine {
     /// recover via [`LogWriter::recover`] — every document durably on
     /// flash before the cut comes back. The inverted index is *kept*: the
     /// last complete index checkpoint (module docs) gives the docid
-    /// frontier `D`, the page frontier `P` and the chain heads; the index
-    /// log is re-adopted up to `P` ([`LogWriter::recover_raw`] — pages
-    /// past `P` are garbage the cut left behind), and only documents
-    /// `D..` go through the indexing path again. Work is proportional to
+    /// frontier `D`, the page frontier `P`, the tail start and the chain
+    /// heads; the index log is re-adopted up to `P`
+    /// ([`LogWriter::recover_raw`] — pages past `P` are garbage the cut
+    /// left behind), and only documents `D..` go through the indexing
+    /// path again, drains included. Work is proportional to
     /// what was ingested since the last sync, plus one page read per
     /// bucket to check the heads against the pages they name.
     ///
@@ -352,6 +368,7 @@ impl SearchEngine {
             .filter(|b| !index.blocks().contains(b))
             .count();
         engine.index = index;
+        engine.tail_start = from.tail;
         engine.epoch = from.epoch;
         engine.durable = from;
 
@@ -433,6 +450,7 @@ mod tests {
                     epoch: rng.gen(),
                     docs: rng.gen(),
                     pages: rng.gen(),
+                    tail: rng.gen(),
                 };
                 let heads: Vec<u32> = (0..BUCKETS).map(|_| rng.gen()).collect();
                 (at, heads)

@@ -15,6 +15,14 @@
 //! count × [term_hash: u64][docid: u32][tf: u16]
 //! ```
 //!
+//! The index log holds two kinds of page in this one layout. A *chain*
+//! page belongs to one bucket and links to the bucket's previous page. A
+//! *staged* page — `prev` = [`STAGED`] — is a page of the log's tail: a
+//! slice of the insertion buffer as it was flushed, bucket after bucket,
+//! linked to nothing; it is found by its position (see
+//! [`SearchEngine`](crate::SearchEngine)) and the marker only tells it
+//! from whatever else a failed drain may have left among the tail.
+//!
 //! ## One parser: the view
 //!
 //! A bucket page is read through [`BucketPage`], a view over the page
@@ -34,6 +42,9 @@ pub type DocId = u32;
 
 /// End-of-chain marker in a bucket page header.
 pub const NO_PREV: u32 = u32::MAX;
+
+/// `prev` of a staged page: not a link, the mark of a page of the tail.
+pub const STAGED: u32 = u32::MAX - 1;
 
 /// Size of the bucket-page header.
 pub const PAGE_HEADER: usize = 6;
@@ -81,12 +92,31 @@ pub fn triples_per_page(page_size: usize) -> usize {
 pub fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
     debug_assert!(triples.len() <= triples_per_page(page_size));
     let mut buf = vec![0xFFu8; page_size];
-    buf[0..4].copy_from_slice(&prev.to_le_bytes());
-    buf[4..6].copy_from_slice(&(triples.len() as u16).to_le_bytes());
-    for (i, t) in triples.iter().enumerate() {
-        t.write(&mut buf, PAGE_HEADER + i * TRIPLE_LEN);
-    }
+    fill_page(&mut buf, prev, 0, triples.iter().copied());
     buf
+}
+
+/// Lay a bucket page out in the page image `buf`, in place: slots below
+/// `from` stay as they are, `triples` go into the slots from `from` on
+/// until they or the page run out, and the header is written for the
+/// lot. Returns the page's triple count. With `from` = 0 over a buffer of
+/// `0xFF` this is [`encode_page`]; with the count and `prev` of a page
+/// just read into `buf` it tops that page up.
+pub fn fill_page(
+    buf: &mut [u8],
+    prev: u32,
+    from: usize,
+    triples: impl Iterator<Item = Triple>,
+) -> usize {
+    let room = triples_per_page(buf.len()).saturating_sub(from);
+    let mut count = from;
+    for t in triples.take(room) {
+        t.write(buf, PAGE_HEADER + count * TRIPLE_LEN);
+        count += 1;
+    }
+    buf[0..4].copy_from_slice(&prev.to_le_bytes());
+    buf[4..6].copy_from_slice(&(count as u16).to_le_bytes());
+    count
 }
 
 /// A bucket page read where it lies: the chain link and the triple

@@ -41,9 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         oracle.index(&doc);
     }
     engine.flush()?;
+    let tail = engine.num_tail_pages();
     println!(
-        "index: {} pages across {} buckets; insertion caused {} random writes",
-        engine.num_index_pages(),
+        "index: {} tail pages (staged, read by every walk) + {} chain pages (drained; superseded ones included) across {} buckets; insertion caused {} random writes",
+        tail,
+        engine.num_index_pages() - tail,
         128,
         flash.stats().non_sequential_programs
     );
@@ -73,9 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     flash.reset_stats();
     engine.reorganize()?;
     println!(
-        "\nreorganization: {} → {} index pages (cost: {} reads, {} writes)",
+        "\nreorganization: {} → {} index pages, {} of them tail (cost: {} reads, {} writes)",
         before,
         engine.num_index_pages(),
+        engine.num_tail_pages(),
         flash.stats().page_reads,
         flash.stats().page_programs
     );

@@ -65,7 +65,11 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # chip.
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- \
   seeded_crash_recovery_sweep record_log_sweep cell_store_sweep
-PDS_CRASH_SEEDS=256 cargo test -p pds-search -q checkpointed_recovery_equals_full_rebuild_sweep
+PDS_CRASH_SEEDS=256 cargo test -p pds-search -q -- \
+  checkpointed_recovery_equals_full_rebuild_sweep \
+  a_cut_at_every_program_inside_a_drain_recovers_equal \
+  a_cut_between_a_drain_and_the_next_checkpoint \
+  a_second_crash_while_the_tail_replay_drains
 # The format sweep under the same widened seed set: every wire and flash
 # format round-trips, refuses every strict prefix and every lying count,
 # and survives flips, splices and garbage without a panic — the public
