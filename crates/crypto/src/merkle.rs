@@ -164,7 +164,7 @@ impl HashChain {
 
     /// Recompute a chain over `entries` and check it matches this head —
     /// the audit verification a user (or judge) performs.
-    pub fn verify_entries<T: AsRef<[u8]>>(&self, entries: &[T]) -> bool {
+    pub fn verify_entries<T: AsRef<[u8]>>(&self, entries: impl IntoIterator<Item = T>) -> bool {
         let mut replay = HashChain::new();
         for e in entries {
             replay.append(e.as_ref());

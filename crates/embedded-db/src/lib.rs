@@ -82,7 +82,7 @@ pub use pbfilter::PBFilter;
 pub use query::{Database, DatabaseManifest, Predicate, QueryPlan};
 pub use sort::external_sort;
 pub use spatial::SpatialTrace;
-pub use table::{RowId, Table, TableManifest};
+pub use table::{ColumnOrder, RowId, Table, TableManifest};
 pub use timeseries::TimeSeries;
 pub use tree::TreeIndex;
 pub use value::{Row, RowRef, Schema, Value, ValueRef};

@@ -54,6 +54,8 @@
 //! bytes). The CRC was computed over the full image, so any tear fails
 //! verification and surfaces as [`FlashError::CorruptPage`].
 
+use std::ops::ControlFlow;
+
 use crate::error::{FlashError, Result};
 use crate::geometry::{BlockId, PageAddr};
 use crate::Flash;
@@ -241,6 +243,32 @@ fn read_page(flash: &Flash, addr: PageAddr, buf: &mut [u8]) -> Result<u16> {
         return Err(FlashError::CorruptPage(addr));
     }
     Ok(n)
+}
+
+/// Where a [`LogWriter::scan`] starts: the page whose chunks it feeds
+/// first and the first ordinal it hands over —
+/// [`START`](Self::START), or what a
+/// [`LogWriter::partition_point`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogPos {
+    page: u32,
+    ordinal: u32,
+    /// The search that found this position left `page` verified in its
+    /// page buffer.
+    held: bool,
+}
+
+impl LogPos {
+    /// The first record of the log.
+    pub const START: LogPos = LogPos::new(0, 0);
+
+    const fn new(page: u32, ordinal: u32) -> Self {
+        LogPos {
+            page,
+            ordinal,
+            held: false,
+        }
+    }
 }
 
 /// An appendable, strictly sequential log.
@@ -447,47 +475,175 @@ impl LogWriter {
     }
 
     /// The chunks of log page `page`: a verified read into `scratch`
-    /// (one page I/O; sized here on first use) for a programmed page,
-    /// the RAM buffer for `num_pages()`.
-    fn chunks_of<'a>(&'a self, page: u32, scratch: &'a mut Vec<u8>) -> Result<Chunks<'a>> {
+    /// (one page I/O; sized here on first use) for a programmed page —
+    /// none when `held` says a [`partition_point`](Self::partition_point)
+    /// left it there —, the RAM buffer for `num_pages()`.
+    fn chunks_of<'a>(
+        &'a self,
+        page: u32,
+        scratch: &'a mut Vec<u8>,
+        held: bool,
+    ) -> Result<Chunks<'a>> {
         if page == self.pages {
             // No flash address yet — and no way to fail: `append` alone
             // encodes this image.
             return Ok(Chunks::new(&self.buf, self.buf_chunks, PageAddr::NULL));
         }
         let addr = self.page_addr(page)?;
-        scratch.resize(self.buf.len(), 0);
-        let count = read_page(&self.flash, addr, scratch)?;
+        let count = match scratch.get(..2) {
+            Some(&[lo, hi]) if held => u16::from_le_bytes([lo, hi]),
+            _ => {
+                scratch.resize(self.buf.len(), 0);
+                read_page(&self.flash, addr, scratch)?
+            }
+        };
         Ok(Chunks::new(scratch, count, addr))
+    }
+
+    /// Records completed before log page `page` — the ordinal of the
+    /// first record whose last chunk is on it.
+    fn first_ordinal(&self, page: u32) -> u32 {
+        self.starts
+            .get(page as usize)
+            .copied()
+            .unwrap_or(self.durable)
     }
 
     /// Payloads of the chunks of programmed page `i` (one page I/O) — a
     /// page-grain view: a record that spans pages shows up here one
     /// chunk at a time. Whole records come from [`get`](Self::get) and
-    /// [`for_each_record`](Self::for_each_record).
+    /// [`scan`](Self::scan).
     pub fn read_page_records(&self, i: u32) -> Result<Vec<Vec<u8>>> {
         self.page_addr(i)?; // programmed pages only, not the RAM tail
         let mut scratch = Vec::new();
-        let chunks = self.chunks_of(i, &mut scratch)?;
+        let chunks = self.chunks_of(i, &mut scratch, false)?;
         chunks.map(|c| Ok(c?.bytes.to_vec())).collect()
     }
 
-    /// Visit every record in append order: the programmed pages (one page
-    /// I/O each), then the RAM tail. `f` also gets the index of the log
-    /// page that holds the record's last chunk — `num_pages()` for the
-    /// tail, the page it will occupy once flushed. Stops at the first
-    /// error, whether a page read's or `f`'s.
+    /// Visit every record in append order — [`scan`](Self::scan) from
+    /// the start, to the end. `f` also gets the index of the log page
+    /// that holds the record's last chunk — `num_pages()` for the tail,
+    /// the page it will occupy once flushed. Stops at the first error,
+    /// whether a page read's or `f`'s.
     pub fn for_each_record(&self, mut f: impl FnMut(u32, &[u8]) -> Result<()>) -> Result<()> {
-        let mut scratch = Vec::new();
+        self.scan(LogPos::START, &mut Vec::new(), |page, _, rec| {
+            f(page, rec).map(|()| ControlFlow::Continue(()))
+        })
+    }
+
+    /// Visit the records from `from` on, in append order: the programmed
+    /// pages (one page I/O each, but none for the page a
+    /// [`partition_point`](Self::partition_point) into the same, untouched
+    /// `scratch` ended on), then the RAM tail. `f` gets the index of the
+    /// log page that holds the record's last chunk, the record's ordinal
+    /// and its bytes, read where they lie; a `Break` ends the scan there.
+    /// A record whose start went with a released head keeps its ordinal
+    /// but is not visited. Stops at the first error, whether a page
+    /// read's or `f`'s.
+    pub fn scan(
+        &self,
+        from: LogPos,
+        scratch: &mut Vec<u8>,
+        mut f: impl FnMut(u32, u32, &[u8]) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
         let mut records = Assembler::default();
-        for page in 0..=self.pages {
-            for chunk in self.chunks_of(page, &mut scratch)? {
-                if let Some(rec) = records.feed(chunk?) {
-                    f(page, rec)?;
+        let mut ordinal = self.first_ordinal(from.page);
+        for page in from.page..=self.pages {
+            let held = from.held && page == from.page;
+            for chunk in self.chunks_of(page, scratch, held)? {
+                let chunk = chunk?;
+                let ends = !chunk.more;
+                if let Some(rec) = records.feed(chunk) {
+                    if ordinal >= from.ordinal && f(page, ordinal, rec)?.is_break() {
+                        return Ok(());
+                    }
                 }
+                ordinal += u32::from(ends);
             }
         }
         Ok(())
+    }
+
+    /// Where to start a [`scan`](Self::scan) of a log whose records
+    /// `before` splits in two — every record it holds `true` of comes
+    /// before every record it holds `false` of — so as to miss none of
+    /// the latter: a page-grain binary search. A step reads one page (the
+    /// RAM tail costs none) and asks `before` of its first and last
+    /// whole records only, so the search takes at most
+    /// ⌈log₂ [`num_pages`](Self::num_pages)⌉ verified reads, and a scan
+    /// of this log from its answer, with the same `scratch` untouched,
+    /// starts without a read when the search ended on the answer's page
+    /// (with one otherwise). Every record
+    /// before the answer satisfies `before`. When every page opens with a
+    /// whole record, the first that does not lies on the answer's page or
+    /// opens the next; a page inside a record that spans pages can only
+    /// move the answer earlier. `before` gets each record's page, as
+    /// [`scan`](Self::scan)'s visitor does, and its error ends the
+    /// search.
+    pub fn partition_point(
+        &self,
+        scratch: &mut Vec<u8>,
+        mut before: impl FnMut(u32, &[u8]) -> Result<bool>,
+    ) -> Result<LogPos> {
+        // `lo` is a page a scan may start from (page 0 always may), `hi`
+        // one it may not; the tail is tried first because it is free.
+        let (mut lo, mut hi) = (0, self.pages + 1);
+        let mut best = LogPos::START;
+        if self.pages > 0 {
+            match self.probe(self.pages, scratch, &mut before)? {
+                Some(pos) => (lo, best) = (self.pages, pos),
+                None => hi = self.pages,
+            }
+        }
+        let mut last_read = None;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            let found = self.probe(mid, scratch, &mut before)?;
+            last_read = Some(mid);
+            match found {
+                Some(pos) => (lo, best) = (mid, pos),
+                None => hi = mid,
+            }
+        }
+        best.held = last_read == Some(best.page);
+        Ok(best)
+    }
+
+    /// One step of [`partition_point`](Self::partition_point): read page
+    /// `page` and ask `before` of its first whole record. `None` when it
+    /// is not before, or the page holds none (a page inside a record
+    /// that spans pages); otherwise where a scan may start — past the
+    /// page when its last whole record is before too and no record
+    /// starts on it to end on the next.
+    fn probe(
+        &self,
+        page: u32,
+        scratch: &mut Vec<u8>,
+        before: &mut impl FnMut(u32, &[u8]) -> Result<bool>,
+    ) -> Result<Option<LogPos>> {
+        let mut ordinal = self.first_ordinal(page);
+        let (mut first, mut last) = (None, None);
+        let mut open = false;
+        for chunk in self.chunks_of(page, scratch, false)? {
+            let chunk = chunk?;
+            if !chunk.continues && !chunk.more {
+                first = first.or(Some((ordinal, chunk.bytes)));
+                last = Some((ordinal, chunk.bytes));
+            }
+            open = chunk.more;
+            ordinal += u32::from(!chunk.more);
+        }
+        let (Some((first, head)), Some((last, tail))) = (first, last) else {
+            return Ok(None);
+        };
+        if !before(page, head)? {
+            return Ok(None);
+        }
+        Ok(Some(if !open && (last == first || before(page, tail)?) {
+            LogPos::new(page + 1, last + 1)
+        } else {
+            LogPos::new(page, first + 1)
+        }))
     }
 
     /// Fetch one record by ordinal into a fresh vector — see
@@ -527,7 +683,7 @@ impl LogWriter {
         };
         let nth = (ordinal - start) as usize;
         let mut ends = self
-            .chunks_of(holder, scratch)?
+            .chunks_of(holder, scratch, false)?
             .filter(|c| c.as_ref().map_or(true, |c| !c.more));
         let last = ends.nth(nth).ok_or(FlashError::BadRecordAddr)??;
         if !last.continues {
@@ -539,7 +695,7 @@ impl LogWriter {
         let mut page = holder;
         loop {
             page = page.checked_sub(1).ok_or(FlashError::BadRecordAddr)?;
-            let chunk = self.chunks_of(page, scratch)?.last();
+            let chunk = self.chunks_of(page, scratch, false)?.last();
             let chunk = chunk.ok_or(FlashError::BadRecordAddr)??;
             if !chunk.more {
                 // The run's start went with a released head.
@@ -1371,5 +1527,98 @@ mod tests {
         assert_eq!(log.num_pages(), 0);
         assert_eq!(log.num_blocks(), 0);
         assert_eq!(log.reader().count(), 0);
+    }
+
+    /// The key every record of the search tests opens with: its ordinal.
+    fn key(rec: &[u8]) -> u32 {
+        u32::from_le_bytes(rec[..4].try_into().unwrap())
+    }
+
+    #[test]
+    fn partition_point_finds_where_a_sorted_log_turns() {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x9A27_1710);
+        for case in 0..24u32 {
+            let f = Flash::small(32);
+            let mut w = f.new_log();
+            let max = w.max_record_len();
+            // Every third log has records of up to three pages.
+            let spanning = case % 3 == 0;
+            let n = rng.gen_range(0..400u32);
+            for i in 0..n {
+                let len = if spanning && rng.gen_range(0..6u32) == 0 {
+                    rng.gen_range(max..3 * max)
+                } else {
+                    rng.gen_range(4..60)
+                };
+                let mut rec = i.to_le_bytes().to_vec();
+                rec.resize(len, 0xA5);
+                w.append(&rec).unwrap();
+            }
+            if case % 2 == 0 {
+                w.flush().unwrap();
+            }
+            let pages = w.num_pages();
+            let log2 = u64::from(u32::BITS - pages.saturating_sub(1).leading_zeros());
+            let page_of = |o: u32| w.get_with(o, &mut Vec::new(), |page, _| page).unwrap();
+            let ks = (0..=n)
+                .step_by(n as usize / 16 + 1)
+                .chain([1, n.saturating_sub(1), n]);
+            for k in ks.filter(|k| *k <= n) {
+                let ctx = format!("case {case}: {n} records on {pages} pages, split at {k}");
+                let reads = f.stats().page_reads;
+                let mut scratch = Vec::new();
+                let pos = w
+                    .partition_point(&mut scratch, |_, rec| Ok(key(rec) < k))
+                    .unwrap();
+                assert!(f.stats().page_reads - reads <= log2, "{ctx}");
+                assert!(pos.ordinal <= k, "{ctx}: {pos:?}");
+                if !spanning && k < n {
+                    let (at, turn) = (page_of(pos.ordinal), page_of(k));
+                    assert!(at + 1 >= turn, "{ctx}: {pos:?} is pages before {turn}");
+                }
+                // The scan from there hands over every later record, each
+                // under its ordinal, in one buffer with the search.
+                let mut seen = Vec::new();
+                w.scan(pos, &mut scratch, |_, ordinal, rec| {
+                    assert_eq!(key(rec), ordinal, "{ctx}");
+                    seen.push(ordinal);
+                    Ok(ControlFlow::Continue(()))
+                })
+                .unwrap();
+                assert_eq!(seen, (pos.ordinal..n).collect::<Vec<_>>(), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_scan_stops_where_it_is_told() {
+        let f = flash();
+        let mut w = f.new_log();
+        for i in 0..500u32 {
+            w.append(&i.to_le_bytes()).unwrap();
+        }
+        let holder = w.get_with(41, &mut Vec::new(), |page, _| page).unwrap();
+        let before = f.stats().page_reads;
+        let mut seen = Vec::new();
+        w.scan(LogPos::START, &mut Vec::new(), |_, ordinal, _| {
+            seen.push(ordinal);
+            Ok(if ordinal == 41 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        })
+        .unwrap();
+        assert_eq!(seen, (0..=41).collect::<Vec<_>>());
+        // No page past the one it stopped on is read.
+        assert_eq!(f.stats().page_reads - before, u64::from(holder) + 1);
+        // A search the RAM tail answers reads nothing.
+        let before = f.stats().page_reads;
+        let pos = w
+            .partition_point(&mut Vec::new(), |_, rec| Ok(key(rec) < 499))
+            .unwrap();
+        assert_eq!(f.stats().page_reads, before);
+        assert_eq!(pos.ordinal, w.durable + 1);
     }
 }

@@ -9,7 +9,7 @@
 
 use pds::core::{AccessContext, Pds, Purpose};
 use pds::db::mvcc::kind;
-use pds::db::{Hlc, Predicate, Value, DOC_STORE};
+use pds::db::{Hlc, Predicate, Row, Value, DOC_STORE};
 use pds::flash::FaultPlan;
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
@@ -64,10 +64,18 @@ fn power_loss_mid_ingest_is_survivable() {
             "case {case}: lost durable documents ({report:?})"
         );
         for (table, _) in &report.rows_lost {
-            let rows = rec
-                .select(&me, table, &Predicate::eq("day", Value::U64(5)))
-                .unwrap();
-            assert_eq!(rows.len(), 1, "case {case}: durable day-5 row in {table}");
+            let (rows, trace) = rec.select_traced(&me, table, &Predicate::eq("day", Value::U64(5)));
+            let plan = trace.root.find("db.select").and_then(|s| s.attr("db.plan"));
+            assert_eq!(
+                plan.and_then(|a| a.as_str()),
+                Some("ordered_scan"),
+                "case {case}"
+            );
+            assert_eq!(
+                rows.unwrap().len(),
+                1,
+                "case {case}: durable day-5 row in {table}"
+            );
         }
 
         // The rebuilt inverted index answers queries over the survivors.
@@ -180,7 +188,14 @@ fn power_loss_over_the_change_log_keeps_the_causal_prefix() {
         // 3. No phantom: `changes_since` never names an entity the
         //    recovered stores cannot serve.
         for (store, table) in TABLES.iter().enumerate() {
-            let rows = rec.select(&me, table, &all_days).unwrap().len() as u32;
+            let (rows, trace) = rec.select_traced(&me, table, &all_days);
+            let plan = trace.root.find("db.select").and_then(|s| s.attr("db.plan"));
+            assert_eq!(
+                plan.and_then(|a| a.as_str()),
+                Some("ordered_scan"),
+                "case {case}"
+            );
+            let rows = rows.unwrap().len() as u32;
             for r in recs.iter().filter(|r| r.store == store as u16) {
                 assert!(
                     r.entity < rows,
@@ -497,6 +512,120 @@ fn a_crash_digest_is_folded_exactly_once_across_a_power_cycle_mid_mail() {
     }
 }
 
+/// The plan the gateway's `db.select` span reports for `pred` on BANK,
+/// and the rows it returned.
+fn traced_bank(pds: &mut Pds, me: &AccessContext, pred: &Predicate) -> (String, Vec<Row>) {
+    let (rows, trace) = pds.select_traced(me, "BANK", pred);
+    let plan = trace
+        .root
+        .find("db.select")
+        .and_then(|s| s.attr("db.plan"))
+        .and_then(|a| a.as_str())
+        .unwrap_or_default()
+        .to_string();
+    (plan, rows.unwrap())
+}
+
+/// BANK rows with `lo ≤ column ≤ hi`, as a full scan of the table finds
+/// them (a `Str` range on `category` takes every row).
+fn bank_by_full_scan(pds: &mut Pds, me: &AccessContext, c: usize, lo: u64, hi: u64) -> Vec<Row> {
+    let every = Predicate::between("category", Value::str(""), Value::str("~"));
+    let (plan, rows) = traced_bank(pds, me, &every);
+    assert_eq!(plan, "full_scan");
+    rows.into_iter()
+        .filter(|r| r[c].as_u64().is_some_and(|v| (lo..=hi).contains(&v)))
+        .collect()
+}
+
+/// Every range below on BANK's in-order `day` is an ordered scan and
+/// answers as the full scan does; on `amount_cents`, which went out of
+/// order before the cut, a range is a full scan.
+fn ordered_ranges_agree(pds: &mut Pds, me: &AccessContext, ctx: &str) {
+    let ranges = [
+        (0, 0),
+        (0, 3),
+        (5, 5),
+        (4, 9),
+        (9, 12),
+        (8, 30),
+        (11, 200),
+        (150, 400),
+        (0, u64::MAX),
+        (7, 6),
+    ];
+    for (lo, hi) in ranges {
+        let pred = Predicate::between("day", Value::U64(lo), Value::U64(hi));
+        let (plan, rows) = traced_bank(pds, me, &pred);
+        assert_eq!(plan, "ordered_scan", "{ctx}: {lo}..={hi}");
+        assert_eq!(
+            rows,
+            bank_by_full_scan(pds, me, 0, lo, hi),
+            "{ctx}: {lo}..={hi}"
+        );
+    }
+    let (plan, _) = traced_bank(pds, me, &Predicate::eq("day", Value::U64(5)));
+    assert_eq!(plan, "ordered_scan", "{ctx}");
+    let amounts = Predicate::between("amount_cents", Value::U64(1_000), Value::U64(1_030));
+    let (plan, rows) = traced_bank(pds, me, &amounts);
+    assert_eq!(plan, "full_scan", "{ctx}: the order a cut cannot restore");
+    assert_eq!(rows, bank_by_full_scan(pds, me, 2, 1_000, 1_030), "{ctx}");
+}
+
+#[test]
+fn ordered_ranges_answer_as_a_full_scan_after_a_cut_and_after_a_wake() {
+    for case in 0..6u64 {
+        let seed = 0x0D_E2ED + case;
+        let me = AccessContext::new("dana", Purpose::PersonalUse);
+        let mut pds = Pds::for_tests(3, "dana").unwrap();
+        for day in 0..10 {
+            ingest_day(&mut pds, day).unwrap();
+        }
+        // A refund on day 9: `amount_cents` goes down, `day` does not.
+        pds.ingest_bank(9, "groceries", 5, "shop-1").unwrap();
+        pds.sync().unwrap();
+        let cut_after = StdRng::seed_from_u64(seed).gen_range(1u64..60);
+        pds.token()
+            .flash()
+            .inject_faults(FaultPlan::new(seed).power_loss_after(cut_after));
+        let mut day = 10;
+        while ingest_day(&mut pds, day).is_ok() {
+            day += 1;
+            assert!(day < 200, "case {case}: cut never fired");
+        }
+        let (mut rec, _) = pds.reopen().unwrap();
+        ordered_ranges_agree(&mut rec, &me, &format!("case {case}, reopened"));
+        // Rows appended after the recovery keep the answers equal, in
+        // whatever plan the recovered order allows.
+        for day in 300..303 {
+            ingest_day(&mut rec, day).unwrap();
+        }
+        let pred = Predicate::between("day", Value::U64(8), Value::U64(301));
+        let (_, rows) = traced_bank(&mut rec, &me, &pred);
+        assert_eq!(
+            rows,
+            bank_by_full_scan(&mut rec, &me, 0, 8, 301),
+            "case {case}"
+        );
+        let (mut woken, _) = Pds::wake(rec.hibernate().unwrap()).unwrap();
+        let (_, rows) = traced_bank(&mut woken, &me, &pred);
+        assert_eq!(
+            rows,
+            bank_by_full_scan(&mut woken, &me, 0, 8, 301),
+            "case {case}"
+        );
+    }
+    // Hibernate → wake with nothing lost: the order comes back as it was.
+    let me = AccessContext::new("dana", Purpose::PersonalUse);
+    let mut pds = Pds::for_tests(3, "dana").unwrap();
+    for day in 0..25 {
+        ingest_day(&mut pds, day).unwrap();
+    }
+    pds.ingest_bank(24, "groceries", 5, "shop-1").unwrap();
+    let (mut woken, report) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+    assert!(report.rows_lost.iter().all(|(_, lost)| *lost == 0));
+    ordered_ranges_agree(&mut woken, &me, "woken");
+}
+
 /// What a requester can see of the search side: ranked hits (scores bit
 /// for bit) for a fixed query set, and every document's bytes.
 fn search_view(pds: &mut Pds, me: &AccessContext, docs: u32) -> Vec<Vec<u8>> {
@@ -608,8 +737,10 @@ fn db_manifest_weight(m: &pds::db::DatabaseManifest) -> (usize, usize) {
             schema,
             blocks,
             rows,
+            order,
         } = table;
         fixed += name.len() + format!("{schema:?}").len() + size_of_val(rows);
+        fixed += size_of_val(&order[..]);
         block_ids += blocks.len();
     }
     if let Some(mvcc) = mvcc {
