@@ -10,14 +10,17 @@
 //! freshly written pages, reorganised pages, all of them at once), some
 //! query sees each. Scores are compared to 1e-9 and ranks exactly, as the
 //! ledger's `token_query` oracle does.
+//! Each case power-cycles mid-ingest and fails a drain (`Pair::power_cycle`,
+//! `Pair::fail_a_drain`); a golden digest pins what `reorganize()` writes.
 
 #![cfg(test)]
 
+use pds_crypto::Sha256;
 use pds_flash::{Flash, FlashGeometry};
 use pds_mcu::RamBudget;
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
-use crate::{DfStrategy, DocId, NaiveSearch, SearchEngine, SearchHit, SearchMode};
+use crate::{DfStrategy, DocId, NaiveSearch, SearchEngine, SearchError, SearchHit, SearchMode};
 
 const TOP: usize = 10;
 
@@ -36,6 +39,11 @@ struct Case {
     /// page boundaries of that term's postings fall, a walk crosses one
     /// on a tombstoned document.
     tombstoned_run: std::ops::Range<DocId>,
+    /// After this many documents: a sync and a power cycle.
+    power_cycle_at: usize,
+    /// After this many documents: syncs until the staged pages are due
+    /// for a drain, then a drain that runs out of blocks.
+    failed_drain_at: usize,
 }
 
 const VOCAB: usize = 300;
@@ -75,6 +83,8 @@ const QUERIES: &[&[&str]] = &[
 ];
 
 struct Pair {
+    flash: Flash,
+    num_buckets: usize,
     engine: SearchEngine,
     oracle: NaiveSearch,
     texts: Vec<String>,
@@ -158,6 +168,71 @@ impl Pair {
             assert_eq!(got, want, "{ctx}: bytes of doc {doc}");
         }
     }
+
+    /// Sync, cut the power and recover from the chip: every document was
+    /// synced, so nothing may be lost and every answer must stand. The
+    /// sync leaves staged postings on flash, and whatever RAM described
+    /// them is gone; the ingest and its drains go on from the recovered
+    /// engine.
+    fn power_cycle(&mut self, ctx: &str) {
+        self.engine.flush().unwrap();
+        assert!(
+            self.engine.num_tail_pages() > 0,
+            "{ctx}: a sync right after a document leaves staged pages"
+        );
+        let manifest = self.engine.manifest();
+        self.flash = self.flash.reboot();
+        let ram = RamBudget::new(64 * 1024);
+        let (engine, report) = SearchEngine::recover(&self.flash, &ram, &manifest).unwrap();
+        assert_eq!(report.docs_lost, 0, "{ctx}");
+        assert_eq!(report.index_rebuild, None, "{ctx}");
+        self.engine = engine;
+        self.check(ctx);
+    }
+
+    /// Syncs (which never drain) until the staged pages are due for a
+    /// drain on a log whose last block has room for some of the drain's
+    /// programs but not all; then every free block is taken and an empty
+    /// document arrives — all it asks of the index is the drain it
+    /// triggers, which fails part-way and leaves what it programmed among
+    /// the staged pages. Queries must read past that garbage, and so must
+    /// the drain that goes through once blocks are back.
+    fn fail_a_drain(&mut self, rng: &mut StdRng) {
+        let due = (self.num_buckets / 2).max(1) as u32;
+        let per_block = self.flash.geometry().pages_per_block as u32;
+        loop {
+            self.engine.flush().unwrap();
+            let pages = self.engine.num_index_pages();
+            if self.engine.num_tail_pages() >= due && !pages.is_multiple_of(per_block) {
+                break;
+            }
+            self.index(text(rng, self.texts.len()));
+            self.spot_check();
+        }
+        let ballast: Vec<_> = std::iter::from_fn(|| self.flash.alloc_block().ok()).collect();
+        let pages = self.engine.num_index_pages();
+        let err = self.engine.index_document("").unwrap_err();
+        assert!(matches!(err, SearchError::Flash(_)), "{err}");
+        assert!(
+            self.engine.num_index_pages() > pages,
+            "the drain programmed"
+        );
+        // The document itself is stored: an empty one, as the oracle has it.
+        assert_eq!(self.oracle.index(""), self.engine.num_docs() - 1);
+        self.texts.push(String::new());
+        self.deleted.push(false);
+        self.check("after a failed drain");
+        for b in ballast {
+            self.flash.free_block(b);
+        }
+        let tail = self.engine.num_tail_pages();
+        self.index(text(rng, self.texts.len()));
+        assert!(
+            self.engine.num_tail_pages() < tail,
+            "the next document drains"
+        );
+        self.check("drained over a failed drain's pages");
+    }
 }
 
 fn run(case: Case) {
@@ -172,6 +247,8 @@ fn run(case: Case) {
     )
     .unwrap();
     let mut pair = Pair {
+        flash,
+        num_buckets: case.num_buckets,
         engine,
         oracle: NaiveSearch::new(),
         texts: Vec::new(),
@@ -179,7 +256,8 @@ fn run(case: Case) {
     };
     let mut rng = StdRng::seed_from_u64(case.seed);
     let run_end = case.tombstoned_run.end as usize;
-    for i in 0..case.docs {
+    while pair.texts.len() < case.docs {
+        let i = pair.texts.len();
         pair.index(text(&mut rng, i));
         let n = i + 1;
         if n == run_end + 10 {
@@ -195,28 +273,26 @@ fn run(case: Case) {
             pair.delete(i as DocId - 1);
             pair.delete(0);
             pair.check("deleted after flush()");
-        } else if n % 97 == 0 {
+        } else if n.is_multiple_of(97) {
             pair.delete(rng.gen_range(0..n) as DocId);
         }
-        if n % 331 == 0 {
+        if n.is_multiple_of(331) {
             pair.engine.flush().unwrap();
             pair.check("right after flush()");
         }
-        if n % case.stride == 0 || case.dense.iter().any(|r| r.contains(&n)) {
+        if n == case.power_cycle_at {
+            pair.power_cycle("recovered mid-ingest");
+        }
+        if n == case.failed_drain_at {
+            pair.fail_a_drain(&mut rng);
+        }
+        if n.is_multiple_of(case.stride) || case.dense.iter().any(|r| r.contains(&n)) {
             pair.check("ingesting");
         } else {
             pair.spot_check();
         }
     }
-    pair.engine.flush().unwrap();
-    pair.check("at the end");
-    // The same answers from the same flash after a power cycle.
-    let manifest = pair.engine.manifest();
-    let rebooted = flash.reboot();
-    let (engine, report) = SearchEngine::recover(&rebooted, &ram, &manifest).unwrap();
-    assert_eq!(report.docs_lost, 0);
-    pair.engine = engine;
-    pair.check("recovered");
+    pair.power_cycle("recovered");
     pair.index("common w1 w2 afterwards".into());
     pair.check("recovered, one more");
 }
@@ -235,6 +311,8 @@ fn small_pages_16_buckets_64_triples() {
         stride: 23,
         dense: [100..190, 300..340],
         tombstoned_run: 200..260,
+        power_cycle_at: 150,
+        failed_drain_at: 280,
     });
 }
 
@@ -252,5 +330,100 @@ fn token_pages_64_buckets_256_triples() {
         stride: 41,
         dense: [520..600, 1060..1130],
         tombstoned_run: 700..900,
+        power_cycle_at: 560,
+        failed_drain_at: 1200,
     });
+}
+
+/// 24 buckets, so a bucket is a remainder rather than a mask, at the
+/// first case's pages and buffer.
+#[test]
+fn small_pages_24_buckets_64_triples() {
+    run(Case {
+        seed: 0x26_0003,
+        geometry: FlashGeometry::new(512, 8, 1024),
+        num_buckets: 24,
+        buffer_triples: 64,
+        docs: 450,
+        stride: 29,
+        dense: [60..110, 330..360],
+        tombstoned_run: 150..210,
+        power_cycle_at: 240,
+        failed_drain_at: 120,
+    });
+}
+
+/// E3's sizing: 1 024 triples are eight staged pages, and the staged
+/// pages are drained at 64 of them, ≈ 9 300 triples — the ≈ 25 000
+/// triples of 2 400 documents cross that two and a half times.
+#[test]
+fn token_pages_128_buckets_1024_triples() {
+    run(Case {
+        seed: 0x26_0004,
+        geometry: FlashGeometry::new(2048, 64, 512),
+        num_buckets: 128,
+        buffer_triples: 1024,
+        docs: 2400,
+        stride: 97,
+        dense: [900..940, 1800..1830],
+        tombstoned_run: 400..600,
+        power_cycle_at: 1500,
+        failed_drain_at: 700,
+    });
+}
+
+/// SHA-256 of the index log's pages, in log order.
+fn index_digest(flash: &Flash, engine: &SearchEngine) -> String {
+    let geo = flash.geometry();
+    let blocks = engine.manifest().index_blocks;
+    let mut hash = Sha256::new();
+    let mut buf = vec![0u8; geo.page_size];
+    for page in 0..engine.num_index_pages() {
+        let addr = geo.log_page(&blocks, page).unwrap();
+        flash.read_page(addr, &mut buf).unwrap();
+        hash.update(&buf);
+    }
+    hash.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The pages `reorganize()` writes, pinned: a fixed script — documents,
+/// deletions spread over it, a sync — then a reorganisation, at the
+/// first two cases' sizings.
+#[test]
+fn reorganised_index_pages_are_pinned() {
+    let digests: Vec<String> = [
+        (FlashGeometry::new(512, 8, 1024), 16, 64),
+        (FlashGeometry::new(2048, 64, 512), 64, 256),
+    ]
+    .into_iter()
+    .map(|(geometry, num_buckets, buffer_triples)| {
+        let flash = Flash::new(geometry);
+        let ram = RamBudget::new(64 * 1024);
+        let mut e = SearchEngine::new(
+            &flash,
+            &ram,
+            num_buckets,
+            buffer_triples,
+            DfStrategy::TwoPass,
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x26_0005);
+        for i in 0..900 {
+            e.index_document(&text(&mut rng, i)).unwrap();
+            if i % 13 == 5 {
+                e.delete_document(rng.gen_range(0..=i) as DocId).unwrap();
+            }
+        }
+        e.flush().unwrap();
+        e.reorganize().unwrap();
+        index_digest(&flash, &e)
+    })
+    .collect();
+    assert_eq!(
+        digests,
+        [
+            "f3e65607a30ea3ff856a09a63c2861219f6d39f8d81adb543fdba38639a6c775",
+            "668987b978765a172ab7d4ce741b44e88972f1b5faa795c4fa86523e5d993c5d",
+        ]
+    );
 }
