@@ -70,14 +70,20 @@ pub struct BloomRef<'a> {
 
 impl<'a> BloomRef<'a> {
     /// Parse `num_bits (u32) ‖ num_hashes (u32) ‖ items (u32) ‖ bits`;
-    /// `None` unless the bit array is exactly as long as `num_bits` says
-    /// and neither count is zero.
+    /// `None` unless the bit array is exactly as long as `num_bits` says,
+    /// neither count is zero and there are no more hash functions than
+    /// bits. The last bounds a probe's work by the record's length: a
+    /// filter that claims 2³² hash functions is refused, not probed.
     pub fn parse(data: &'a [u8]) -> Option<Self> {
         let mut r = Reader::new(data);
         let num_bits = r.u32()? as usize;
         let num_hashes = r.u32()?;
         let items = r.u32()? as usize;
-        if r.remaining() != num_bits.div_ceil(8) || num_bits == 0 || num_hashes == 0 {
+        if r.remaining() != num_bits.div_ceil(8)
+            || num_bits == 0
+            || num_hashes == 0
+            || num_hashes as usize > num_bits
+        {
             return None;
         }
         Some(BloomRef {
@@ -123,9 +129,12 @@ impl BloomFilter {
     pub fn new(num_bits: usize, num_hashes: u32) -> Self {
         // Degenerate shapes are clamped rather than rejected: this
         // constructor runs on the unattended token (PBFilter page
-        // flushes), where a panic is unrecoverable.
+        // flushes), where a panic is unrecoverable. More hash functions
+        // than bits is one of them ([`BloomRef::parse`] refuses it).
         let num_bits = num_bits.max(1);
-        let num_hashes = num_hashes.max(1);
+        let num_hashes = num_hashes
+            .max(1)
+            .min(u32::try_from(num_bits).unwrap_or(u32::MAX));
         BloomFilter {
             bits: vec![0; num_bits.div_ceil(8)],
             num_bits,
@@ -242,6 +251,12 @@ mod tests {
         }
     }
 
+    /// What the format accepts: the reference's acceptance set less the
+    /// one refusal added since, more hash functions than bits.
+    fn bounded(reference: Option<ReferenceFilter>) -> Option<ReferenceFilter> {
+        reference.filter(|r| r.num_hashes as usize <= r.num_bits)
+    }
+
     /// Keys probed against every filter image of the differential sweep:
     /// the inserted ones come from the same small domain.
     fn probe_keys() -> Vec<Vec<u8>> {
@@ -272,14 +287,11 @@ mod tests {
             BloomFilter::to_bytes,
             |bytes| {
                 let got = BloomFilter::from_bytes(bytes);
-                let want = ReferenceFilter::from_bytes(bytes);
+                let want = bounded(ReferenceFilter::from_bytes(bytes));
                 assert_eq!(got.is_some(), want.is_some(), "{bytes:02x?}");
-                // A damaged hash count can ask for 2³² probes of a filter
-                // whose every bit is set; the format does not bound it, so
-                // the sweep does.
                 if let (Some(got), Some(want)) = (&got, &want) {
                     assert_eq!(got.num_hashes, want.num_hashes);
-                    for key in keys.iter().filter(|_| want.num_hashes <= 64) {
+                    for key in &keys {
                         assert_eq!(
                             got.maybe_contains(key),
                             want.maybe_contains(key),
@@ -311,18 +323,35 @@ mod tests {
             Vec::clone,
             |bytes| {
                 let view = BloomRef::parse(bytes);
-                let want = ReferenceFilter::from_bytes(bytes);
+                let want = bounded(ReferenceFilter::from_bytes(bytes));
                 assert_eq!(view.is_some(), want.is_some(), "{bytes:02x?}");
                 if let (Some(view), Some(want)) = (&view, &want) {
                     for (key, hash) in keys.iter().zip(&hashes) {
-                        if want.num_hashes <= 64 {
-                            assert_eq!(view.contains(*hash), want.maybe_contains(key));
-                        }
+                        assert_eq!(view.contains(*hash), want.maybe_contains(key));
                     }
                 }
                 view.map(|_| bytes.to_vec())
             },
         );
+    }
+
+    #[test]
+    fn a_summary_claiming_more_hash_functions_than_bits_is_refused() {
+        // A well-formed record in every other respect: 64 bits, all set,
+        // and 2³² − 1 hash functions — a probe would take minutes.
+        let mut record = [0xFFu8; 12 + 8];
+        record[..4].copy_from_slice(&64u32.to_le_bytes());
+        record[8..12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(BloomRef::parse(&record).is_none());
+        assert!(BloomFilter::from_bytes(&record).is_none());
+        // One hash function per bit is the most a record may claim.
+        record[4..8].copy_from_slice(&64u32.to_le_bytes());
+        assert!(BloomRef::parse(&record).is_some_and(|f| f.contains(KeyHash::of(b"k"))));
+        record[4..8].copy_from_slice(&65u32.to_le_bytes());
+        assert!(BloomRef::parse(&record).is_none());
+        // A shape with more hash functions than bits is clamped when built.
+        let bf = BloomFilter::new(5, 12);
+        assert_eq!(BloomFilter::from_bytes(&bf.to_bytes()), Some(bf));
     }
 
     #[test]

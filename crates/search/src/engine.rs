@@ -32,10 +32,27 @@
 //! With one level, a walk reads `N / (2 · cap)` pages whatever the bucket
 //! count (`N` triples indexed, `cap` the buffer: fewer buckets buy denser
 //! pages and proportionally longer chains). With the tail it reads the
-//! bucket's postings in full pages, plus the staged pages: fewer than
-//! `num_buckets / 2` when a buffer is staged, so at most that many less
-//! one plus the buffer's own pages. The tail is read for nothing by a
-//! small corpus; the two meet at about `num_buckets · cap` triples.
+//! bucket's postings in full pages, plus the staged pages that can hold
+//! the bucket.
+//!
+//! ## The tail's bucket spans
+//!
+//! A staged page is filled bucket after bucket in ascending order, so
+//! every triple on it belongs to a bucket between those of its first and
+//! its last triple: its *span*. The engine keeps each tail page's span in
+//! RAM, 4 bytes a page, in a table reserved once beside the heads and as
+//! long as the longest tail a drain meets (`num_buckets / 2 − 1` pages
+//! plus a buffer-full: 33 entries at `(64, 256)` on 2 KB pages).
+//! `stage()` notes the span of each page from the image it has just
+//! laid out — no read. A walk, and each gathering pass of a drain, reads
+//! only the tail pages whose span meets its bucket (its window of
+//! buckets); the drain's counting pass still reads them all. An entry
+//! that is not known — a tail page past the table, or any page of the
+//! tail a recovery kept, which it does not read — means "read the page",
+//! and the counting pass notes what it finds, so a drain right after a
+//! recovery skips too. What a failed drain programmed inside the tail is
+//! noted as holding nothing. Reading a page is never wrong: the `STAGED`
+//! mark is still checked on every page read.
 
 use std::collections::HashMap;
 
@@ -48,9 +65,7 @@ pub use recovery::{EngineManifest, EngineRecovery, RebuildReason};
 
 use crate::docs::DocStore;
 use crate::tokenize::{term_hash, tokenize};
-use crate::triple::{
-    encode_page, fill_page, triples_per_page, BucketPage, DocId, Triple, NO_PREV, STAGED,
-};
+use crate::triple::{fill_page, triples_per_page, BucketPage, DocId, Triple, NO_PREV, STAGED};
 
 /// Errors of the search engine.
 #[derive(Debug)]
@@ -161,6 +176,10 @@ pub struct SearchEngine {
     /// Where the tail of `index` starts: the pages from here on are
     /// staged pages not yet drained into the chains (module docs).
     tail_start: u32,
+    /// The bucket span of each tail page, `spans[i]` that of page
+    /// `tail_start + i` (module docs): as many entries as a tail holds
+    /// when a drain meets it, reserved once and filled in place.
+    spans: Vec<Span>,
     /// Identity of `index`: bumped whenever a fresh log replaces it, so
     /// a checkpoint can say which log it describes.
     epoch: u32,
@@ -193,6 +212,77 @@ const UNDECODABLE: SearchError = SearchError::CorruptIndex("undecodable bucket p
 /// Bytes budgeted per dictionary entry in `RamDictionary` mode.
 const DICT_ENTRY_BYTES: usize = 16;
 
+/// The hash bucket of `term` among `num_buckets`.
+fn bucket_of(term: u64, num_buckets: usize) -> usize {
+    let n = num_buckets as u64;
+    // The same bucket either way; a drain asks for every triple of the
+    // tail once per pass, and a division is a quarter of it.
+    if n.is_power_of_two() {
+        (term & (n - 1)) as usize
+    } else {
+        (term % n) as usize
+    }
+}
+
+/// Tail pages at which the tail is drained: half a page per bucket.
+fn drain_length(num_buckets: usize) -> usize {
+    (num_buckets / 2).max(1)
+}
+
+/// The buckets a tail page can hold triples of, `first..=last` (module
+/// docs), in 4 bytes: a bucket past `u16::MAX` counts as `u16::MAX`, which
+/// keeps every bucket of a page inside its span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    first: u16,
+    last: u16,
+}
+
+impl Span {
+    /// Not known (after a recovery, past the table's end): read the page.
+    const UNKNOWN: Span = Span {
+        first: 0,
+        last: u16::MAX,
+    };
+    /// No bucket: a page a failed drain left among the tail.
+    const NOTHING: Span = Span {
+        first: u16::MAX,
+        last: 0,
+    };
+
+    /// The span of a staged page. `stage()` fills a page with buckets in
+    /// ascending order, so its first and last triple bound every other.
+    fn of(page: &BucketPage<'_>, num_buckets: usize) -> Span {
+        let bucket = |t: Triple| narrow(bucket_of(t.term, num_buckets));
+        let mut triples = page.triples();
+        match (triples.next(), triples.next_back()) {
+            (Some(first), last) => Span {
+                first: bucket(first),
+                last: bucket(last.unwrap_or(first)),
+            },
+            (None, _) => Span::NOTHING,
+        }
+    }
+
+    /// Whether a triple of a bucket in `lo..=hi` can lie on the page.
+    fn meets(self, lo: usize, hi: usize) -> bool {
+        self.first <= narrow(hi) && narrow(lo) <= self.last
+    }
+}
+
+/// A bucket as a span stores it.
+fn narrow(bucket: usize) -> u16 {
+    u16::try_from(bucket).unwrap_or(u16::MAX)
+}
+
+/// Note the span of the `i`-th tail page; past the table's end it stays
+/// unknown.
+fn set_span(spans: &mut [Span], i: u32, span: Span) {
+    if let Some(entry) = spans.get_mut(i as usize) {
+        *entry = span;
+    }
+}
+
 impl SearchEngine {
     /// Create an engine with `num_buckets` hash buckets and a RAM
     /// insertion buffer of `buffer_triples` triples.
@@ -206,11 +296,17 @@ impl SearchEngine {
         // pds-lint: allow(panic.assert) — construction-time shape check on
         // caller-chosen constants, not data-dependent; cannot fire at query time
         assert!(num_buckets > 0 && buffer_triples > 0);
-        // Charge the permanent RAM residents: bucket heads + insertion
-        // buffer. The df dictionary is charged as it grows.
+        // Charge the permanent RAM residents: bucket heads, the tail's
+        // spans and the insertion buffer. The df dictionary is charged as
+        // it grows.
         let head_bytes = num_buckets * 4;
+        // The longest tail a drain meets: one page short of its length,
+        // plus a buffer-full just staged.
+        let per_page = triples_per_page(flash.geometry().page_size).max(1);
+        let max_tail = drain_length(num_buckets) - 1 + buffer_triples.div_ceil(per_page);
+        let span_bytes = max_tail * std::mem::size_of::<Span>();
         let buf_bytes = buffer_triples * std::mem::size_of::<Triple>();
-        let reservation = ram.reserve(head_bytes + buf_bytes)?;
+        let reservation = ram.reserve(head_bytes + span_bytes + buf_bytes)?;
         Ok(SearchEngine {
             flash: flash.clone(),
             ram: ram.clone(),
@@ -218,6 +314,7 @@ impl SearchEngine {
             heads: vec![NO_PREV; num_buckets],
             index: flash.new_log(),
             tail_start: 0,
+            spans: vec![Span::UNKNOWN; max_tail],
             epoch: 0,
             checkpoints: flash.new_log(),
             durable: recovery::Frontier::origin(0),
@@ -239,14 +336,7 @@ impl SearchEngine {
     }
 
     fn bucket_of(&self, term: u64) -> usize {
-        let n = self.num_buckets as u64;
-        // The same bucket either way; a drain asks for every triple of
-        // the tail once per pass, and a division is a quarter of it.
-        if n.is_power_of_two() {
-            (term & (n - 1)) as usize
-        } else {
-            (term % n) as usize
-        }
+        bucket_of(term, self.num_buckets)
     }
 
     /// Number of indexed documents (live + deleted; docids are dense).
@@ -383,7 +473,7 @@ impl SearchEngine {
     /// Whether the tail has reached the length at which it is drained:
     /// half a page per bucket.
     fn tail_is_due(&self) -> bool {
-        self.num_tail_pages() as usize >= (self.num_buckets / 2).max(1)
+        self.num_tail_pages() as usize >= drain_length(self.num_buckets)
     }
 
     /// Empty the insertion buffer into the tail, and the tail into the
@@ -398,8 +488,9 @@ impl SearchEngine {
 
     /// Flush the insertion buffer whole: every pending triple, bucket
     /// after bucket in insertion order, into full staged pages appended
-    /// to the tail. A page that fails to program takes its triples with
-    /// it; the buffer is empty afterwards either way.
+    /// to the tail, each page's span noted from the image it was laid out
+    /// in. A page that fails to program takes its triples with it; the
+    /// buffer is empty afterwards either way.
     fn stage(&mut self) -> Result<(), SearchError> {
         if self.pending_total == 0 {
             return Ok(());
@@ -414,7 +505,10 @@ impl SearchEngine {
             if fill_page(&mut buf, STAGED, 0, stream.by_ref()) == 0 {
                 break;
             }
-            staged = self.index.append_raw_page(&buf).map(drop);
+            let span = BucketPage::parse(&buf)
+                .map_or(Span::UNKNOWN, |page| Span::of(&page, self.num_buckets));
+            staged = (self.index.append_raw_page(&buf))
+                .map(|page| set_span(&mut self.spans, page - self.tail_start, span));
         }
         stream.for_each(drop);
         self.pending_total = 0;
@@ -432,15 +526,23 @@ impl SearchEngine {
         Ok(Some(self.bucket_page(page, buf)?).filter(|p| p.prev == STAGED))
     }
 
+    /// The span of tail page `page`.
+    fn span(&self, page: u32) -> Span {
+        let i = page.wrapping_sub(self.tail_start) as usize;
+        self.spans.get(i).copied().unwrap_or(Span::UNKNOWN)
+    }
+
     /// Move the tail into the bucket chains (module docs). Called with
     /// the insertion buffer empty: the buffer is what each pass gathers
     /// into. Worst case `passes × tail pages + num_buckets` page reads,
     /// `passes` being one to count and fewer than two per buffer-full of
-    /// tail triples, and `2 × num_buckets + tail pages` programs (a head
-    /// topped up and the page it spills into per bucket, the rest in
-    /// full pages). Nothing the engine answers from changes before
-    /// the last program: a failed drain leaves garbage among the tail
-    /// (skipped by every walk) and the previous heads and tail standing.
+    /// tail triples — a gathering pass reads only the pages whose span
+    /// meets its window — and `2 × num_buckets + tail pages` programs (a
+    /// head topped up and the page it spills into per bucket, the rest
+    /// in full pages). Nothing the engine answers from changes before
+    /// the last program: a failed drain leaves garbage among the tail,
+    /// noted as holding nothing so that no walk reads it, and the
+    /// previous heads and tail standing.
     fn drain(&mut self) -> Result<(), SearchError> {
         let tail = self.tail_start..self.index.num_pages();
         if tail.is_empty() {
@@ -451,15 +553,19 @@ impl SearchEngine {
         let _guard = self.ram.reserve(page_size + (2 + 4) * self.num_buckets)?;
         let mut buf = vec![0u8; page_size];
         let mut new_heads = self.heads.clone();
-        let drained = self.drain_passes(tail, &mut new_heads, &mut buf);
+        let drained = self.drain_passes(tail.clone(), &mut new_heads, &mut buf);
         if drained.is_err() {
             // What a pass had gathered is still in the tail.
             self.pending.iter_mut().for_each(Vec::clear);
             self.pending_total = 0;
+            for page in tail.end..self.index.num_pages() {
+                set_span(&mut self.spans, page - self.tail_start, Span::NOTHING);
+            }
             return drained;
         }
         self.heads = new_heads;
         self.tail_start = self.index.num_pages();
+        self.spans.fill(Span::UNKNOWN);
         Ok(())
     }
 
@@ -471,15 +577,21 @@ impl SearchEngine {
     ) -> Result<(), SearchError> {
         // Triples per bucket in the tail. The tally only sizes the
         // windows — a pass gathers what fits and says whether more is to
-        // come — so a count may saturate.
+        // come — so a count may saturate. Every page is read here, so the
+        // spans a recovery left unknown are known to the passes.
         let mut counts = vec![0u16; self.num_buckets];
         for page in tail.clone() {
-            if let Some(staged) = self.staged_page(page, buf)? {
-                for t in staged.triples() {
-                    let c = &mut counts[self.bucket_of(t.term)];
-                    *c = c.saturating_add(1);
+            let span = match self.staged_page(page, buf)? {
+                Some(staged) => {
+                    for t in staged.triples() {
+                        let c = &mut counts[self.bucket_of(t.term)];
+                        *c = c.saturating_add(1);
+                    }
+                    Span::of(&staged, self.num_buckets)
                 }
-            }
+                None => Span::NOTHING,
+            };
+            set_span(&mut self.spans, page - self.tail_start, span);
         }
         let mut lo = 0;
         while lo < self.num_buckets {
@@ -505,10 +617,10 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// One pass over the tail, oldest page first: the triples of
-    /// `buckets` past the first `skip` of them go to the insertion
-    /// buffer, in order, until it is full. Whether it filled with more
-    /// to come.
+    /// One pass over the tail pages whose span meets `buckets`, oldest
+    /// first: the triples of `buckets` past the first `skip` of them go
+    /// to the insertion buffer, in order, until it is full. Whether it
+    /// filled with more to come.
     fn gather(
         &mut self,
         tail: std::ops::Range<u32>,
@@ -518,6 +630,9 @@ impl SearchEngine {
     ) -> Result<bool, SearchError> {
         let mut skipped = 0;
         for page in tail {
+            if !self.span(page).meets(buckets.start, buckets.end - 1) {
+                continue;
+            }
             let Some(staged) = self.staged_page(page, buf)? else {
                 continue;
             };
@@ -770,12 +885,38 @@ impl SearchEngine {
         // chains, which are what is rewritten.
         self.flush()?;
         self.drain()?;
+        let mut new_log = self.flash.new_log();
+        let new_heads = match self.repack(&mut new_log) {
+            Ok(heads) => heads,
+            Err(e) => {
+                // The blocks the new log claimed go back; the old index
+                // stands.
+                new_log.discard();
+                return Err(e);
+            }
+        };
+        // Atomic swap, then block-grain reclamation of the old index.
+        let old = std::mem::replace(&mut self.index, new_log);
+        old.discard();
+        self.heads = new_heads;
+        self.tail_start = self.index.num_pages();
+        self.spans.fill(Span::UNKNOWN);
+        // A new log: the old one's checkpoints must stop matching before
+        // this one has its own.
+        self.epoch = self.epoch.wrapping_add(1);
+        self.write_checkpoint()
+    }
+
+    /// Rewrite every chain into `new_log`, purged of deleted documents
+    /// and packed into full pages; the new heads. Two pages of RAM: the
+    /// page read and the page filled in place.
+    fn repack(&self, new_log: &mut LogWriter) -> Result<Vec<u32>, SearchError> {
         let page_size = self.flash.geometry().page_size;
         let cap = triples_per_page(page_size);
-        let mut new_log = self.flash.new_log();
         let mut new_heads = vec![NO_PREV; self.num_buckets];
         let _guard = self.ram.reserve(2 * page_size)?;
         let mut buf = vec![0u8; page_size];
+        let mut out = vec![0xFFu8; page_size];
         for (b, new_head) in new_heads.iter_mut().enumerate() {
             // Collect the chain page indexes (newest → oldest): a list as
             // long as the chain, charged as it grows.
@@ -787,46 +928,41 @@ impl SearchEngine {
                 chain.push(page);
                 page = self.bucket_page(page, &mut buf)?.prev;
             }
-            // Re-read oldest → newest, repacking into full pages.
-            let mut packing: Vec<Triple> = Vec::with_capacity(cap);
+            // Re-read oldest → newest, repacking into full pages; the
+            // triples of tombstoned documents are purged physically.
+            let mut filled = 0;
             for &p in chain.iter().rev() {
-                for t in self.bucket_page(p, &mut buf)?.triples() {
-                    if self.deleted.contains(&t.doc) {
-                        continue; // physical purge of tombstoned documents
-                    }
-                    packing.push(t);
-                    if packing.len() == cap {
-                        let pg = encode_page(page_size, *new_head, &packing);
-                        *new_head = new_log.append_raw_page(&pg)?;
-                        packing.clear();
+                let page = self.bucket_page(p, &mut buf)?;
+                let mut live = (page.triples())
+                    .filter(|t| !self.deleted.contains(&t.doc))
+                    .peekable();
+                while live.peek().is_some() {
+                    filled = fill_page(&mut out, *new_head, filled, live.by_ref());
+                    if filled == cap {
+                        *new_head = new_log.append_raw_page(&out)?;
+                        out.fill(0xFF);
+                        filled = 0;
                     }
                 }
             }
-            if !packing.is_empty() {
-                let pg = encode_page(page_size, *new_head, &packing);
-                *new_head = new_log.append_raw_page(&pg)?;
+            if filled > 0 {
+                *new_head = new_log.append_raw_page(&out)?;
+                out.fill(0xFF);
             }
         }
-        // Atomic swap, then block-grain reclamation of the old index.
-        let old = std::mem::replace(&mut self.index, new_log);
-        old.discard();
-        self.heads = new_heads;
-        self.tail_start = self.index.num_pages();
-        // A new log: the old one's checkpoints must stop matching before
-        // this one has its own.
-        self.epoch = self.epoch.wrapping_add(1);
-        self.write_checkpoint()
+        Ok(new_heads)
     }
 }
 
 /// Where a backward walk of one bucket stands: the pages still to read,
-/// newest first — the tail, last page to first, then the bucket's chain
-/// from its head. Everything in the tail is newer than everything in a
-/// chain, flushes land in the tail in docid order and a bucket's run
-/// inside a flush is in insertion order, so the postings of a term come
-/// by in descending docid all the way.
+/// newest first — the tail pages whose span holds the bucket, last page
+/// to first, then the bucket's chain from its head. Everything in the
+/// tail is newer than everything in a chain, flushes land in the tail in
+/// docid order and a bucket's run inside a flush is in insertion order,
+/// so the postings of a term come by in descending docid all the way.
 struct Walk {
-    /// Pages of the tail not yet read: `tail_start..tail_left`.
+    bucket: usize,
+    /// Pages of the tail not yet passed: `tail_start..tail_left`.
     tail_left: u32,
     /// Next chain page, `NO_PREV` past the oldest.
     chain_next: u32,
@@ -835,19 +971,22 @@ struct Walk {
 impl Walk {
     fn of(engine: &SearchEngine, bucket: usize) -> Walk {
         Walk {
+            bucket,
             tail_left: engine.index.num_pages(),
             chain_next: engine.heads[bucket],
         }
     }
 
     /// Read the walk's next page into `buf`; `false` when there is none.
-    /// A tail page holds triples of every bucket and a chain page those
-    /// of every term of the bucket: the caller filters by term either
-    /// way.
+    /// A tail page holds triples of a run of buckets and a chain page
+    /// those of every term of the bucket: the caller filters by term
+    /// either way.
     fn load_next(&mut self, e: &SearchEngine, buf: &mut [u8]) -> Result<bool, SearchError> {
         while self.tail_left > e.tail_start {
             self.tail_left -= 1;
-            if e.staged_page(self.tail_left, buf)?.is_some() {
+            if e.span(self.tail_left).meets(self.bucket, self.bucket)
+                && e.staged_page(self.tail_left, buf)?.is_some()
+            {
                 return Ok(true);
             }
         }
@@ -950,6 +1089,7 @@ impl<'a> ChainCursor<'a> {
 mod tests {
     use super::*;
     use crate::oracle::NaiveSearch;
+    use pds_flash::BlockId;
     use pds_mcu::HardwareProfile;
 
     fn setup(df: DfStrategy) -> (Flash, RamBudget, SearchEngine) {
@@ -1315,26 +1455,46 @@ mod tests {
         pages
     }
 
-    /// The pages a walk of `bucket` reads, newest first: every page of
-    /// the tail, then the bucket's chain.
+    /// The tail pages a walk of `bucket` reads, newest first, each with
+    /// the triples it yields: a staged page when the buckets of its first
+    /// and last triples enclose `bucket`, and every page past the span
+    /// table's length, of which only the staged ones yield. The model of
+    /// an engine that has not lost its spans to a power cycle.
+    fn reference_tail(e: &SearchEngine, bucket: usize) -> Vec<Option<Vec<Triple>>> {
+        let mut pages = Vec::new();
+        for page in (e.tail_start..e.index.num_pages()).rev() {
+            let (prev, triples) = reference_page(e, page);
+            let past_table = (page - e.tail_start) as usize >= e.spans.len();
+            let spanned = prev == STAGED && {
+                let bucket_at = |t: Option<&Triple>| e.bucket_of(t.unwrap().term);
+                (bucket_at(triples.first())..=bucket_at(triples.last())).contains(&bucket)
+            };
+            if spanned || past_table {
+                pages.push((prev == STAGED).then_some(triples));
+            }
+        }
+        pages
+    }
+
+    /// The pages a walk of `bucket` yields, newest first: the staged
+    /// pages of [`reference_tail`], then the bucket's chain.
     fn reference_walk(e: &SearchEngine, bucket: usize) -> Vec<Vec<Triple>> {
-        let mut pages: Vec<Vec<Triple>> = (e.tail_start..e.index.num_pages())
-            .rev()
-            .map(|page| reference_page(e, page))
-            .map(|(prev, triples)| {
-                assert_eq!(prev, STAGED);
-                triples
-            })
-            .collect();
+        let mut pages: Vec<_> = reference_tail(e, bucket).into_iter().flatten().collect();
         pages.extend(reference_chain(e, bucket));
         pages
     }
 
+    /// The page reads of a walk of `bucket`.
+    fn reference_reads(e: &SearchEngine, bucket: usize) -> u64 {
+        (reference_tail(e, bucket).len() + reference_chain(e, bucket).len()) as u64
+    }
+
     /// `search` against the oracle, hit for hit and score for score, and
     /// its page reads against the two-pass cost model: each distinct
-    /// query term walks its bucket — the tail, then the chain — once to
-    /// count df and, when the term occurs at all, once more to merge.
-    fn assert_search_and_its_reads(e: &SearchEngine, oracle: &NaiveSearch, query: &[&str]) {
+    /// query term walks its bucket — the tail pages that can hold it,
+    /// then the chain — once to count df and, when the term occurs at
+    /// all, once more to merge.
+    fn assert_search_and_its_reads(e: &SearchEngine, oracle: &NaiveSearch, query: &[&str]) -> u64 {
         let mut terms: Vec<u64> = (query.iter())
             .flat_map(|kw| tokenize(kw))
             .map(|t| term_hash(&t))
@@ -1344,11 +1504,10 @@ mod tests {
         let mut want_reads = 0u64;
         for term in terms {
             let b = e.bucket_of(term);
-            let walk = reference_walk(e, b);
             let live = |t: &&Triple| t.term == term && !e.deleted.contains(&t.doc);
-            let df = walk.iter().flatten().filter(live).count()
+            let df = reference_walk(e, b).iter().flatten().filter(live).count()
                 + e.pending[b].iter().filter(live).count();
-            want_reads += walk.len() as u64 * if df > 0 { 2 } else { 1 };
+            want_reads += reference_reads(e, b) * if df > 0 { 2 } else { 1 };
         }
         let before = e.flash.stats();
         let hits = e.search(query, 10).unwrap();
@@ -1363,6 +1522,7 @@ mod tests {
             assert_eq!(h.doc, x.doc, "{query:?}");
             assert!((h.score - x.score).abs() < 1e-9, "{query:?}");
         }
+        want_reads
     }
 
     #[test]
@@ -1398,9 +1558,13 @@ mod tests {
             edges.extend([docs[0], docs[docs.len() - 1]]);
         }
         edges.dedup();
-        for query in [vec!["shared"], vec!["shared", "t3"], vec!["absent", "k5"]] {
-            assert_search_and_its_reads(&e, &oracle, &query);
-        }
+        let reads = [vec!["shared"], vec!["shared", "t3"], vec!["absent", "k5"]]
+            .map(|query| assert_search_and_its_reads(&e, &oracle, &query));
+        // As measured (seeded: exact). Of the two tail pages, `shared`'s
+        // bucket lies in both spans and those of `t3`, `absent` and `k5`
+        // in one: every walk of theirs skips a page (52, 66 and 41 reads
+        // when every walk read the whole tail).
+        assert_eq!(reads, [52, 64, 38]);
         for doc in edges {
             e.delete_document(doc).unwrap();
             oracle.delete(doc);
@@ -1471,8 +1635,10 @@ mod tests {
             programs as usize <= 2 + 2 * 64 + tail + 1,
             "{programs} programs"
         );
-        // As measured on this corpus (seeded: exact).
-        assert_eq!((reads, programs), (694, 109));
+        // As measured on this corpus (seeded: exact). The counting pass
+        // reads the whole tail, a gathering pass only the pages whose
+        // span meets its window: 694 reads when every pass read them all.
+        assert_eq!((reads, programs), (411, 109));
     }
 
     #[test]
@@ -1506,26 +1672,45 @@ mod tests {
     #[test]
     fn a_walk_reads_the_postings_in_full_pages_and_a_bounded_tail() {
         let cap = triples_per_page(2048);
+        let words = ["common", "w0", "w17", "tag5", "absent"];
+        let mut measured = Vec::new();
         for docs in [600, 2400] {
             let (flash, mut e, per_bucket, _) = token_sized_engine(docs);
             for synced in [false, true] {
                 if synced {
                     e.flush().unwrap();
                 }
-                assert!(e.num_tail_pages() as usize <= 64 / 2 + 1);
-                for word in ["common", "w0", "w17", "tag5", "absent"] {
+                let tail_pages = e.num_tail_pages() as usize;
+                assert!(tail_pages <= 64 / 2 + 1);
+                let (mut tail_reads, mut reads) = (0, 0);
+                for word in words {
                     let term = term_hash(word);
+                    let b = e.bucket_of(term);
                     let before = flash.stats();
                     e.count_df(term).unwrap();
-                    let reads = (flash.stats() - before).page_reads as usize;
-                    let bound = per_bucket[e.bucket_of(term)].div_ceil(cap) + 1 + 64 / 2;
+                    let walk = (flash.stats() - before).page_reads;
+                    assert_eq!(walk, reference_reads(&e, b), "{docs} docs, {word}");
+                    // The bucket's postings in full pages but the head,
+                    // and the tail pages whose span holds the bucket.
+                    let chain = reference_chain(&e, b).len();
                     assert!(
-                        reads <= bound,
-                        "{docs} docs, {word}: {reads} pages read, bound {bound}"
+                        chain <= per_bucket[b].div_ceil(cap) + 1,
+                        "{docs} docs, {word}"
                     );
+                    tail_reads += reference_tail(&e, b).len();
+                    reads += walk as usize;
                 }
+                measured.push((tail_pages * words.len(), tail_reads, reads));
             }
         }
+        // As measured (seeded: exact): per corpus and sync state, the
+        // tail pages the five walks would read if each read the whole
+        // tail, those they do read, and their page reads in all: half the
+        // tail is skipped.
+        assert_eq!(
+            measured,
+            [(120, 60, 67), (125, 65, 72), (20, 10, 43), (25, 15, 48)]
+        );
     }
 
     #[test]
@@ -1558,32 +1743,45 @@ mod tests {
         assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
     }
 
-    #[test]
-    fn a_failed_drain_leaves_the_previous_heads_and_tail_standing() {
+    /// Blocks held by the engine's four logs.
+    fn held_blocks(e: &SearchEngine) -> usize {
+        let m = e.manifest();
+        [
+            m.doc_blocks,
+            m.tombstone_blocks,
+            m.index_blocks,
+            m.checkpoint_blocks,
+        ]
+        .iter()
+        .map(Vec::len)
+        .sum()
+    }
+
+    /// Document `i` of the failed-drain corpus.
+    fn note(i: usize) -> String {
+        format!("note {i} shared topic t{} k{}", i % 7, i % 13)
+    }
+
+    const NOTE_QUERIES: [&[&str]; 3] = [&["shared"], &["shared", "t3"], &["t1", "k5", "note"]];
+
+    /// An engine whose drain has just failed for want of blocks: the
+    /// tail run past its length by syncs (they never drain), on a log
+    /// whose last block has room for some of the drain's programs but not
+    /// all of them. Returns the engine, its oracle, the blocks held back,
+    /// the documents indexed and the index pages before the drain.
+    fn engine_after_a_failed_drain() -> (Flash, SearchEngine, NaiveSearch, Vec<BlockId>, usize, u32)
+    {
         let flash = Flash::new(pds_flash::FlashGeometry::new(512, 4, 512));
         let ram = RamBudget::new(32 * 1024);
         let mut e = SearchEngine::new(&flash, &ram, 16, 64, DfStrategy::TwoPass).unwrap();
         let mut oracle = NaiveSearch::new();
-        let index = |e: &mut SearchEngine, oracle: &mut NaiveSearch, i: usize| {
-            let text = format!("note {i} shared topic t{} k{}", i % 7, i % 13);
-            e.index_document(&text).unwrap();
-            oracle.index(&text);
-        };
-        let queries = [
-            vec!["shared"],
-            vec!["shared", "t3"],
-            vec!["t1", "k5", "note"],
-        ];
-        for i in 0..150 {
-            index(&mut e, &mut oracle, i);
-        }
-        // Syncs never drain: let the tail run past its length, and stop
-        // where the log's last block has room for some of a drain's
-        // programs but not all of them.
-        let mut i = 150;
-        while !e.tail_is_due() || e.num_index_pages().is_multiple_of(4) {
-            index(&mut e, &mut oracle, i);
-            e.flush().unwrap();
+        let mut i = 0;
+        while i < 150 || !e.tail_is_due() || e.num_index_pages().is_multiple_of(4) {
+            e.index_document(&note(i)).unwrap();
+            oracle.index(&note(i));
+            if i >= 150 {
+                e.flush().unwrap();
+            }
             i += 1;
         }
         let ballast: Vec<_> = std::iter::from_fn(|| flash.alloc_block().ok()).collect();
@@ -1598,7 +1796,20 @@ mod tests {
             (&e.heads, e.tail_start, e.pending_total),
             (&heads, tail_start, 0)
         );
-        for query in &queries {
+        // Every block is free, held by one of the engine's logs or held
+        // back: what the drain claimed is in the index log.
+        assert_eq!(
+            flash.free_blocks() + held_blocks(&e) + ballast.len(),
+            flash.geometry().num_blocks()
+        );
+        (flash, e, oracle, ballast, i, pages)
+    }
+
+    #[test]
+    fn a_failed_drain_leaves_the_previous_heads_and_tail_standing() {
+        let (flash, mut e, mut oracle, ballast, i, _) = engine_after_a_failed_drain();
+        let tail_start = e.tail_start;
+        for query in NOTE_QUERIES {
             let got = e.search(query, 10).unwrap();
             let want = oracle.search(query, 10);
             assert_eq!(
@@ -1612,11 +1823,113 @@ mod tests {
         for b in ballast {
             flash.free_block(b);
         }
-        index(&mut e, &mut oracle, i);
+        e.index_document(&note(i)).unwrap();
+        oracle.index(&note(i));
         assert!(e.tail_start > tail_start && !e.tail_is_due());
-        for query in &queries {
+        for query in NOTE_QUERIES {
             assert_search_and_its_reads(&e, &oracle, query);
         }
+    }
+
+    #[test]
+    fn a_failed_drains_pages_are_skipped_unread() {
+        let (_flash, e, oracle, _ballast, _, pages) = engine_after_a_failed_drain();
+        // What the drain programmed is noted as holding nothing, as far
+        // as the span table reaches...
+        let in_table = |p: &u32| ((p - e.tail_start) as usize) < e.spans.len();
+        let garbage: Vec<u32> = (pages..e.num_index_pages()).filter(in_table).collect();
+        assert!(!garbage.is_empty());
+        for &page in &garbage {
+            assert_eq!(e.span(page), Span::NOTHING, "page {page}");
+        }
+        // ...and no walk reads it: the model reads a page a failed drain
+        // left only past the table.
+        for query in NOTE_QUERIES {
+            assert_search_and_its_reads(&e, &oracle, query);
+        }
+    }
+
+    #[test]
+    fn the_first_walk_after_a_recovery_reads_every_checkpointed_tail_page() {
+        let (flash, mut e, _, _) = token_sized_engine(600);
+        e.flush().unwrap();
+        let tail = u64::from(e.num_tail_pages());
+        assert!(tail > 1, "{tail} pages");
+        let ram = RamBudget::new(64 * 1024);
+        let (mut recovered, report) =
+            SearchEngine::recover(&flash.reboot(), &ram, &e.manifest()).unwrap();
+        assert_eq!(
+            (report.index_pages_kept, report.docs_replayed),
+            (e.num_index_pages(), 0)
+        );
+        let reads = |e: &SearchEngine, term: u64| {
+            let before = e.flash.stats();
+            let df = e.count_df(term).unwrap();
+            (df, (e.flash.stats() - before).page_reads)
+        };
+        for word in ["common", "w0", "w17", "tag5", "absent"] {
+            let term = term_hash(word);
+            let b = e.bucket_of(term);
+            let (df, kept) = reads(&e, term);
+            assert_eq!(kept, reference_reads(&e, b), "{word}");
+            // The recovered engine's spans are unknown until a drain
+            // reads the tail: every walk reads every tail page, and
+            // answers as the engine that kept its spans.
+            let chain = reference_chain(&e, b).len() as u64;
+            for _ in 0..2 {
+                assert_eq!(reads(&recovered, term), (df, tail + chain), "{word}");
+            }
+            assert_eq!(
+                recovered.search(&[word, "common"], 10).unwrap(),
+                e.search(&[word, "common"], 10).unwrap()
+            );
+        }
+        // A drain right after the recovery: its counting pass notes every
+        // span, so its gathering passes skip what the other engine's do.
+        let drain = |e: &mut SearchEngine| {
+            let before = e.flash.stats();
+            e.drain().unwrap();
+            let io = e.flash.stats() - before;
+            (io.page_reads, io.page_programs)
+        };
+        assert_eq!(drain(&mut recovered), drain(&mut e));
+        assert_eq!(
+            recovered.search(&["w0", "common", "tag5"], 10).unwrap(),
+            e.search(&["w0", "common", "tag5"], 10).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_failed_reorganize_returns_the_blocks_of_its_new_log() {
+        let profile = HardwareProfile::test_profile();
+        let flash = Flash::new(profile.flash);
+        let ram = RamBudget::new(profile.ram_bytes);
+        let mut e = SearchEngine::new(&flash, &ram, 4, 64, DfStrategy::TwoPass).unwrap();
+        for i in 0..600 {
+            e.index_document(&note(i)).unwrap();
+        }
+        // Everything in the chains and checkpointed: the reorganisation
+        // programs nothing before its new log.
+        e.flush().unwrap();
+        e.drain().unwrap();
+        e.flush().unwrap();
+        let total = flash.geometry().num_blocks();
+        assert_eq!(flash.free_blocks() + held_blocks(&e), total);
+        let before = e.search(&["shared", "t3"], 10).unwrap();
+        // One free block: the new log claims it and runs out in the next.
+        let mut ballast: Vec<_> = std::iter::from_fn(|| flash.alloc_block().ok()).collect();
+        flash.free_block(ballast.pop().unwrap());
+        let err = e.reorganize().unwrap_err();
+        assert!(matches!(err, SearchError::Flash(_)), "{err}");
+        assert_eq!(flash.free_blocks(), 1, "the new log's block is back");
+        assert_eq!(flash.free_blocks() + held_blocks(&e) + ballast.len(), total);
+        assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
+        for b in ballast {
+            flash.free_block(b);
+        }
+        e.reorganize().unwrap();
+        assert_eq!(flash.free_blocks() + held_blocks(&e), total);
+        assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
     }
 
     #[test]

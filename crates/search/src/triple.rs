@@ -88,8 +88,10 @@ pub fn triples_per_page(page_size: usize) -> usize {
     (page_size - PAGE_HEADER) / TRIPLE_LEN
 }
 
-/// Encode one bucket page.
-pub fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
+/// Encode one bucket page: [`fill_page`] over a fresh page of `0xFF` — the
+/// layout the format tests build their pages with.
+#[cfg(test)]
+pub(crate) fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
     debug_assert!(triples.len() <= triples_per_page(page_size));
     let mut buf = vec![0xFFu8; page_size];
     fill_page(&mut buf, prev, 0, triples.iter().copied());
@@ -100,8 +102,9 @@ pub fn encode_page(page_size: usize, prev: u32, triples: &[Triple]) -> Vec<u8> {
 /// `from` stay as they are, `triples` go into the slots from `from` on
 /// until they or the page run out, and the header is written for the
 /// lot. Returns the page's triple count. With `from` = 0 over a buffer of
-/// `0xFF` this is [`encode_page`]; with the count and `prev` of a page
-/// just read into `buf` it tops that page up.
+/// `0xFF` it lays a page out whole; called again with the count it
+/// returned it goes on filling the same page; with the count and `prev`
+/// of a page just read into `buf` it tops that page up.
 pub fn fill_page(
     buf: &mut [u8],
     prev: u32,
@@ -120,7 +123,7 @@ pub fn fill_page(
 }
 
 /// A bucket page read where it lies: the chain link and the triple
-/// slots of a page image laid out by [`encode_page`], borrowed.
+/// slots of a page image laid out by [`fill_page`], borrowed.
 #[derive(Debug, Clone, Copy)]
 pub struct BucketPage<'a> {
     /// Index of the previous page of this bucket chain, [`NO_PREV`] at

@@ -17,7 +17,7 @@ use pds::obs::flight::FRAME_BYTES;
 use pds::obs::rng::{Rng, RngCore, StdRng};
 use pds::obs::wire::{sweep, Tail};
 use pds::obs::{EventFrame, GaugePolicy, MetricsDelta, Severity};
-use pds::search::triple::{decode_page, encode_page, triples_per_page, Triple};
+use pds::search::triple::{decode_page, fill_page, triples_per_page, Triple};
 use pds::sync::CellMsg;
 
 /// A short name or text: ASCII with the odd multi-byte character, so
@@ -174,7 +174,12 @@ fn rows_keep_the_decoder_contract() {
 #[test]
 fn index_bucket_pages_keep_the_decoder_contract() {
     const PAGE: usize = 512;
-    let mut lying = encode_page(PAGE, 7, &[]);
+    let encode_page = |prev: u32, triples: &[Triple]| {
+        let mut page = vec![0xFF; PAGE];
+        fill_page(&mut page, prev, 0, triples.iter().copied());
+        page
+    };
+    let mut lying = encode_page(7, &[]);
     lying[4..6].fill(0xFF);
     sweep(
         "bucket page",
@@ -190,7 +195,7 @@ fn index_bucket_pages_keep_the_decoder_contract() {
                 .collect::<Vec<_>>();
             (rng.gen::<u32>(), triples)
         },
-        |(prev, triples)| encode_page(PAGE, *prev, triples),
+        |(prev, triples)| encode_page(*prev, triples),
         decode_page,
     );
 }
