@@ -28,7 +28,6 @@ use pds_obs::wire::Reader;
 
 use crate::error::DbError;
 use crate::reorg::{sort_entries, tree_over};
-use crate::sort::{decode_entry, encode_entry};
 use crate::table::{RowId, Table};
 use crate::tree::TreeIndex;
 use crate::value::{Row, Value};
@@ -262,24 +261,18 @@ impl TselectIndex {
             .iter()
             .position(|&x| x == t)
             .ok_or_else(|| DbError::NotInSchemaTree(table_name.to_string()))?;
-        // Stage the (key, root_rowid) pairs into a temporary log, then
-        // sort them — construction uses only log structures.
-        let mut staging = flash.new_log();
-        let n = tables[tree.root()].num_rows();
-        for r in 0..n {
-            let rowids = tree.resolve(tables, r)?;
-            let target_row = tables[t].get(rowids[pos_in_order])?;
-            let key = target_row[c].to_key_bytes();
-            staging.append(&encode_entry(&key, r))?;
-        }
-        let staging = staging.seal()?;
-        let staged = staging
-            .reader()
-            .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("staged keys")));
-        let sorted = sort_entries(flash, ram, staged);
-        staging.reclaim();
+        // Sort the (key, root_rowid) pairs as they are resolved —
+        // construction uses only log structures.
+        let sorted = sort_entries(flash, ram, |runs| {
+            for r in 0..tables[tree.root()].num_rows() {
+                let rowids = tree.resolve(tables, r)?;
+                let target_row = tables[t].get(rowids[pos_in_order])?;
+                runs.push(target_row[c].to_key_bytes(), r)?;
+            }
+            Ok(())
+        })?;
         Ok(TselectIndex {
-            tree_index: tree_over(flash, sorted?)?,
+            tree_index: tree_over(flash, ram, sorted, None)?,
             table: t,
             column: c,
         })

@@ -26,14 +26,16 @@
 //!   legal NAND; lookups descend root→leaf in `height` page reads.
 //! * [`reorg`] — "Scalability ⇒ timely reorganize the index": transforms a
 //!   sequential PBFilter into a [`tree::TreeIndex`] using only log
-//!   structures, in the background, interruptibly.
+//!   structures, in the background, interruptibly — or folds a column's
+//!   PBFilter delta into the next generation of its tree.
 //! * [`climbing`] — the **Tselect/Tjoin** generalized indexes of the SPJ
 //!   slide: Tselect maps a key to *sorted rowids of the query-root table*;
 //!   Tjoin maps each root rowid to the rowids it references in the schema
 //!   subtree. Select-project-join queries then run as a pure pipeline:
 //!   merge-intersect sorted rowid streams, dereference through Tjoin.
 //! * [`query`] — a mini relational layer: catalog, typed rows, predicates,
-//!   a planner that picks scan / PBFilter / tree, and the SPJ executor.
+//!   column indexes of one tree plus a PBFilter delta, a planner that
+//!   picks scan / ordered scan / PBFilter / tree, and the SPJ executor.
 //! * [`tpcd`] — the TPC-D-like dataset of the tutorial's example
 //!   (CUSTOMER, ORDERS, LINEITEM, PARTSUPP, SUPPLIER) at configurable
 //!   scale.

@@ -90,6 +90,11 @@ impl PBFilter {
         self.log.num_summary_pages()
     }
 
+    /// True until the first entry is inserted.
+    pub fn is_empty(&self) -> bool {
+        self.log.num_data_pages() == 0 && self.log.open_entries().is_empty()
+    }
+
     /// Index one `(key, rowid)` pair, appending a Keys page (and its
     /// summary) whenever the current page fills. A key no page can hold
     /// is [`FlashError::RecordTooLarge`].

@@ -17,13 +17,20 @@
 //! partial logs and leaves the system as it was — the interruptibility
 //! the tutorial requires. [`Reorganization`] exposes the phase boundary so
 //! tests (and the E2 bench) can interrupt between them.
+//!
+//! A column index of [`Database`](crate::Database) is a tree generation
+//! plus the PBFilter *delta* its later inserts go to. The next
+//! generation sorts only the delta: the old tree's leaves are already in
+//! order, and every rowid of the delta is above every rowid of the tree,
+//! so one merge of the two streams is the sorted input of the new tree —
+//! the very tree a sort of everything would have built.
 
 use pds_flash::{Flash, Log};
 use pds_mcu::RamBudget;
 
 use crate::error::DbError;
 use crate::pbfilter::PBFilter;
-use crate::sort::{decode_entry, external_sort, SortEntry};
+use crate::sort::{decode_entry, sort_with, Runs, SortEntry};
 use crate::tree::TreeIndex;
 
 /// RAM granted to run formation during the sort phase.
@@ -33,8 +40,30 @@ const FAN_IN: usize = 8;
 
 /// One-shot reorganization: PBFilter in, TreeIndex out.
 pub fn reorganize(flash: &Flash, ram: &RamBudget, source: &PBFilter) -> Result<TreeIndex, DbError> {
-    let mut r = Reorganization::start(flash, ram, source)?;
-    r.build_tree()
+    next_generation(flash, ram, None, source)
+}
+
+/// The generation after `tree` (`None`: the first): `delta`'s entries
+/// sorted, merged with `tree`'s into a new tree. Neither input changes;
+/// the caller swaps the result in.
+pub(crate) fn next_generation(
+    flash: &Flash,
+    ram: &RamBudget,
+    tree: Option<&TreeIndex>,
+    delta: &PBFilter,
+) -> Result<TreeIndex, DbError> {
+    let sorted = sort_index(flash, ram, delta)?;
+    tree_over(flash, ram, sorted, tree)
+}
+
+/// Phase 1 over a PBFilter: its entries into a «Sorted Keys» log.
+fn sort_index(flash: &Flash, ram: &RamBudget, source: &PBFilter) -> Result<Log, DbError> {
+    sort_entries(flash, ram, |runs| {
+        source.entries().try_for_each(|entry| {
+            let (key, rowid) = entry?;
+            runs.push(key, rowid)
+        })
+    })
 }
 
 /// Feed the `Ok` prefix of `stream` to `build`. The first `Err` ends the
@@ -58,38 +87,70 @@ fn build_from<T>(
     }
 }
 
-/// Phase 1 for any entry source: sort `entries` into a «Sorted Keys» log.
+/// Phase 1 for any entry source: sort the entries `fill` pushes into a
+/// «Sorted Keys» log. When `fill` or the sort fails, no run is left
+/// behind.
 pub(crate) fn sort_entries(
     flash: &Flash,
     ram: &RamBudget,
-    entries: impl Iterator<Item = Result<SortEntry, DbError>>,
+    fill: impl FnOnce(&mut Runs) -> Result<(), DbError>,
 ) -> Result<Log, DbError> {
-    build_from(
-        entries,
-        |entries| external_sort(flash, ram, entries, RUN_BYTES, FAN_IN),
-        Log::reclaim,
-    )
+    sort_with(flash, ram, RUN_BYTES, FAN_IN, fill)
 }
 
-/// Phase 2: build the tree above a sorted log, reclaiming the log. A
+/// Phase 2: build the tree above a sorted log, reclaiming the log —
+/// merged with the leaves of `below`, the previous generation, when
+/// there is one (every rowid of `below` under every rowid of the log). A
 /// record that is not an entry is [`DbError::Corrupt`], never a shorter
 /// index.
-pub(crate) fn tree_over(flash: &Flash, sorted: Log) -> Result<TreeIndex, DbError> {
-    let entries = sorted
-        .reader()
-        .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("sorted keys")));
-    let tree = build_from(
-        entries,
-        |entries| TreeIndex::build(flash, entries),
-        TreeIndex::reclaim,
-    );
+pub(crate) fn tree_over(
+    flash: &Flash,
+    ram: &RamBudget,
+    sorted: Log,
+    below: Option<&TreeIndex>,
+) -> Result<TreeIndex, DbError> {
+    let tree = below
+        .map(|below| below.entries(ram))
+        .transpose()
+        .and_then(|below| {
+            let entries = sorted
+                .reader()
+                .map(|rec| decode_entry(&rec?).ok_or(DbError::Corrupt("sorted keys")));
+            build_from(
+                merge_sorted(below.into_iter().flatten(), entries),
+                |entries| TreeIndex::build(flash, ram, entries),
+                TreeIndex::reclaim,
+            )
+        });
     sorted.reclaim();
     tree
+}
+
+/// Merge two streams sorted by `(key, rowid)`; an error takes its
+/// stream's turn.
+fn merge_sorted(
+    a: impl Iterator<Item = Result<SortEntry, DbError>>,
+    b: impl Iterator<Item = Result<SortEntry, DbError>>,
+) -> impl Iterator<Item = Result<SortEntry, DbError>> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let from_a = match (a.peek(), b.peek()) {
+            (Some(Ok(x)), Some(Ok(y))) => x <= y,
+            (Some(_), Some(Err(_))) => false,
+            (next, _) => next.is_some(),
+        };
+        if from_a {
+            a.next()
+        } else {
+            b.next()
+        }
+    })
 }
 
 /// A reorganization paused at the phase boundary.
 pub struct Reorganization {
     flash: Flash,
+    ram: RamBudget,
     sorted: Option<Log>,
 }
 
@@ -100,10 +161,10 @@ impl Reorganization {
         ram: &RamBudget,
         source: &PBFilter,
     ) -> Result<Reorganization, DbError> {
-        let entries = source.entries().map(|entry| Ok(entry?));
-        let sorted = sort_entries(flash, ram, entries)?;
+        let sorted = sort_index(flash, ram, source)?;
         Ok(Reorganization {
             flash: flash.clone(),
+            ram: ram.clone(),
             sorted: Some(sorted),
         })
     }
@@ -114,7 +175,7 @@ impl Reorganization {
             .sorted
             .take()
             .ok_or(DbError::Corrupt("reorg state: build_tree called twice"))?;
-        tree_over(&self.flash, sorted)
+        tree_over(&self.flash, &self.ram, sorted, None)
     }
 
     /// Interrupt: drop the intermediate sorted log, reclaiming its blocks.

@@ -11,8 +11,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use pds_flash::{Flash, Log};
-use pds_mcu::RamBudget;
+use pds_flash::{Flash, Log, LogWriter};
+use pds_mcu::{RamBudget, Reservation};
 use pds_obs::wire::{put_prefixed, Reader};
 
 use crate::error::DbError;
@@ -64,80 +64,149 @@ pub fn decode_entry(rec: &[u8]) -> Option<SortEntry> {
 pub fn external_sort(
     flash: &Flash,
     ram: &RamBudget,
-    entries: impl Iterator<Item = SortEntry>,
+    mut entries: impl Iterator<Item = SortEntry>,
     run_bytes: usize,
     merge_pages: usize,
+) -> Result<Log, DbError> {
+    sort_with(flash, ram, run_bytes, merge_pages, |runs| {
+        entries.try_for_each(|(key, rowid)| runs.push(key, rowid))
+    })
+}
+
+/// Sorted run formation, fed one entry at a time: the entries buffered
+/// in RAM (charged as they come) and the runs already written.
+pub(crate) struct Runs {
+    flash: Flash,
+    run_bytes: usize,
+    buffer: Vec<SortEntry>,
+    guard: Reservation,
+    logs: Vec<Log>,
+}
+
+impl Runs {
+    /// Buffer one entry, writing the buffer out as a sorted run once it
+    /// holds `run_bytes`.
+    pub(crate) fn push(&mut self, key: Vec<u8>, rowid: RowId) -> Result<(), DbError> {
+        self.guard.grow(key.len() + 8)?;
+        self.buffer.push((key, rowid));
+        if self.guard.bytes() >= self.run_bytes {
+            self.spill()?;
+        }
+        Ok(())
+    }
+
+    fn spill(&mut self) -> Result<(), DbError> {
+        self.logs.push(write_run(&self.flash, &mut self.buffer)?);
+        self.guard.shrink(self.guard.bytes());
+        Ok(())
+    }
+}
+
+/// [`external_sort`] of the entries `fill` pushes. Whatever fails —
+/// `fill`, a run, a merge — every run written so far goes back to the
+/// pool and that error is the result.
+pub(crate) fn sort_with(
+    flash: &Flash,
+    ram: &RamBudget,
+    run_bytes: usize,
+    merge_pages: usize,
+    fill: impl FnOnce(&mut Runs) -> Result<(), DbError>,
 ) -> Result<Log, DbError> {
     // pds-lint: allow(panic.assert) — fan-in is a caller-chosen RAM-budget
     // constant fixed at plan time, never derived from stored data.
     assert!(merge_pages >= 2, "merge needs at least fan-in 2");
     // Phase 1: sorted run formation.
-    let mut runs: Vec<Log> = Vec::new();
-    {
-        let mut guard = ram.reserve(0)?;
-        let mut buffer: Vec<SortEntry> = Vec::new();
-        let mut buffered = 0usize;
-        for (key, rowid) in entries {
-            let sz = key.len() + 8;
-            guard.grow(sz)?;
-            buffered += sz;
-            buffer.push((key, rowid));
-            if buffered >= run_bytes {
-                runs.push(write_run(flash, &mut buffer)?);
-                guard.shrink(buffered);
-                buffered = 0;
-            }
+    let mut runs = Runs {
+        flash: flash.clone(),
+        run_bytes,
+        buffer: Vec::new(),
+        guard: ram.reserve(0)?,
+        logs: Vec::new(),
+    };
+    let formed = fill(&mut runs).and_then(|()| {
+        if runs.buffer.is_empty() {
+            Ok(())
+        } else {
+            runs.spill()
         }
-        if !buffer.is_empty() {
-            runs.push(write_run(flash, &mut buffer)?);
-        }
+    });
+    // The run buffer's RAM goes back before the merge takes its pages.
+    let Runs { mut logs, .. } = runs;
+    if let Err(e) = formed {
+        logs.into_iter().for_each(Log::reclaim);
+        return Err(e);
     }
-    if runs.is_empty() {
+    if logs.is_empty() {
         return Ok(flash.new_log().seal()?);
     }
     // Phase 2: iterative fan-in-limited merge.
-    while runs.len() > 1 {
-        let take = runs.len().min(merge_pages);
-        let group: Vec<Log> = runs.drain(..take).collect();
-        let merged = merge_runs(flash, ram, &group)?;
-        for run in group {
-            run.reclaim();
+    while logs.len() > 1 {
+        let take = logs.len().min(merge_pages);
+        let group: Vec<Log> = logs.drain(..take).collect();
+        let merged = merge_runs(flash, ram, &group);
+        group.into_iter().for_each(Log::reclaim);
+        match merged {
+            Ok(merged) => logs.push(merged),
+            Err(e) => {
+                logs.into_iter().for_each(Log::reclaim);
+                return Err(e);
+            }
         }
-        runs.push(merged);
     }
-    runs.pop()
+    logs.pop()
         .ok_or(DbError::Corrupt("external sort merged away every run"))
+}
+
+/// Seal `w` once `written` is `Ok` and its last page programs too;
+/// otherwise give back every block it claimed and return the error.
+pub(crate) fn seal_or_discard(
+    mut w: LogWriter,
+    written: Result<(), DbError>,
+) -> Result<Log, DbError> {
+    match written.and_then(|()| Ok(w.flush()?)) {
+        Ok(()) => Ok(w.seal()?),
+        Err(e) => {
+            w.discard();
+            Err(e)
+        }
+    }
 }
 
 fn write_run(flash: &Flash, buffer: &mut Vec<SortEntry>) -> Result<Log, DbError> {
     buffer.sort();
     let mut w = flash.new_log();
-    for (key, rowid) in buffer.drain(..) {
-        w.append(&encode_entry(&key, rowid))?;
-    }
-    Ok(w.seal()?)
+    let written = buffer
+        .drain(..)
+        .try_for_each(|(key, rowid)| w.append(&encode_entry(&key, rowid)).map(drop));
+    seal_or_discard(w, written.map_err(DbError::from))
 }
 
 fn merge_runs(flash: &Flash, ram: &RamBudget, runs: &[Log]) -> Result<Log, DbError> {
     // One page of RAM per run: the LogReader window.
     let _guard = ram.reserve(runs.len() * flash.geometry().page_size)?;
-    let mut readers: Vec<_> = runs.iter().map(|r| r.reader()).collect();
-    let mut heap: BinaryHeap<Reverse<(SortEntry, usize)>> = BinaryHeap::new();
-    for (i, r) in readers.iter_mut().enumerate() {
-        if let Some(rec) = r.next() {
-            let entry = decode_entry(&rec?).ok_or(DbError::Corrupt("sort run"))?;
-            heap.push(Reverse((entry, i)));
-        }
-    }
     let mut out = flash.new_log();
+    let written = merge_into(&mut out, runs);
+    seal_or_discard(out, written)
+}
+
+fn merge_into(out: &mut LogWriter, runs: &[Log]) -> Result<(), DbError> {
+    let mut readers: Vec<_> = runs.iter().map(|r| r.reader()).collect();
+    let mut next = |i: usize| -> Result<Option<Reverse<(SortEntry, usize)>>, DbError> {
+        let Some(rec) = readers[i].next() else {
+            return Ok(None);
+        };
+        let entry = decode_entry(&rec?).ok_or(DbError::Corrupt("sort run"))?;
+        Ok(Some(Reverse((entry, i))))
+    };
+    let mut heap: BinaryHeap<Reverse<(SortEntry, usize)>> = BinaryHeap::new();
+    for i in 0..runs.len() {
+        heap.extend(next(i)?);
+    }
     while let Some(Reverse(((key, rowid), i))) = heap.pop() {
         out.append(&encode_entry(&key, rowid))?;
-        if let Some(rec) = readers[i].next() {
-            let entry = decode_entry(&rec?).ok_or(DbError::Corrupt("sort run"))?;
-            heap.push(Reverse((entry, i)));
-        }
+        heap.extend(next(i)?);
     }
-    Ok(out.seal()?)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -234,6 +303,36 @@ mod tests {
                 (b"k".to_vec(), 5),
             ]
         );
+    }
+
+    #[test]
+    fn a_sort_out_of_blocks_leaves_no_run_behind() {
+        // 18 runs a block each and fan-in 2: the chip is left `spare`
+        // free blocks, and every sort short of the first count it fits in
+        // fails in run formation or in a merge pass with runs still
+        // waiting — and hands every block back.
+        let entries = || (0..3000u32).rev().map(|i| (i.to_be_bytes().to_vec(), i));
+        let mut spare = 0;
+        let sorted = loop {
+            let (f, ram) = (Flash::small(128), RamBudget::new(64 * 1024));
+            let _held: Vec<_> = std::iter::repeat_with(|| f.alloc_block().unwrap())
+                .take(f.free_blocks() - spare)
+                .collect();
+            match external_sort(&f, &ram, entries(), 2048, 2) {
+                Ok(log) => break read_sorted(&log).unwrap(),
+                Err(err) => {
+                    assert!(
+                        matches!(err, DbError::Flash(pds_flash::FlashError::OutOfBlocks)),
+                        "{spare} spare: {err:?}"
+                    );
+                    assert_eq!(f.free_blocks(), spare, "{spare} spare: a block leaked");
+                }
+            }
+            spare += 1;
+        };
+        assert!(spare > 18, "{spare}");
+        assert_eq!(sorted.len(), 3000);
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -241,20 +241,28 @@ impl Table {
     pub fn scan(&self, mut f: impl FnMut(RowId, RowRef<'_>)) -> Result<(), FlashError> {
         self.try_scan(|rowid, row| {
             f(rowid, row);
-            Ok(())
+            Ok::<_, FlashError>(())
         })
     }
 
     /// [`scan`](Self::scan) that stops at, and returns, `f`'s first error.
-    pub(crate) fn try_scan(
+    pub(crate) fn try_scan<E: From<FlashError>>(
         &self,
-        mut f: impl FnMut(RowId, RowRef<'_>) -> Result<(), FlashError>,
-    ) -> Result<(), FlashError> {
+        mut f: impl FnMut(RowId, RowRef<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut failed = None;
         self.log
             .scan(LogPos::START, &mut Vec::new(), |page, rowid, rec| {
                 let row = RowRef::parse(rec).ok_or_else(|| self.corrupt(page))?;
-                f(rowid, row).map(|()| ControlFlow::Continue(()))
-            })
+                Ok(match f(rowid, row) {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(e) => {
+                        failed = Some(e);
+                        ControlFlow::Break(())
+                    }
+                })
+            })?;
+        failed.map_or(Ok(()), Err)
     }
 
     /// Calls `f(rowid, row)` for every row whose column `c` lies in

@@ -5,12 +5,13 @@
 //! efficient B-Tree-like index."
 //!
 //! The build consumes a *sorted* `(key, rowid)` stream (the output of
-//! [`crate::sort::external_sort`]): leaves are packed and appended first,
-//! then each internal level is appended above the previous one, root
-//! last. Every page is written exactly once, in order — the construction
-//! is a pure log write. Lookups descend root → leaf in `height` page
-//! reads; duplicate keys spill across leaves and are collected by a
-//! forward leaf walk (leaves are physically consecutive).
+//! [`crate::sort::external_sort`], or that merged with the leaves of the
+//! previous generation): leaves are packed and appended first, then each
+//! internal level is appended above the previous one, root last. Every
+//! page is written exactly once, in order — the construction is a pure
+//! log write. Lookups descend root → leaf in `height` page reads;
+//! duplicate keys spill across leaves and are collected by a forward leaf
+//! walk (leaves are physically consecutive).
 //!
 //! ## Page layout (raw pages in one log)
 //!
@@ -18,18 +19,31 @@
 //! leaf:     [0u8][count u16] count × ([klen u16][key][rowid u32])
 //! internal: [1u8][count u16] count × ([klen u16][key][child_page u32])
 //! ```
+//!
+//! A page is read where it lies: `TreePage::parse` is the format's only
+//! parser (it checks the whole entry array against the bytes in hand),
+//! and the descent and the leaf walks compare keys as slices of the one
+//! page buffer a lookup holds.
 
 use pds_flash::{Flash, Log, LogWriter};
+use pds_mcu::{RamBudget, Reservation};
 use pds_obs::wire::Reader;
 
 use crate::error::DbError;
-use crate::sort::{decode_entry, encode_entry, read_entry, write_entry, SortEntry, MIN_ENTRY_LEN};
+use crate::sort::{
+    decode_entry, encode_entry, read_entry, seal_or_discard, write_entry, SortEntry, SortEntryRef,
+    MIN_ENTRY_LEN,
+};
 use crate::summary_log::PagePacker;
 use crate::table::RowId;
 
 /// Page kinds: the byte in front of the entry count.
 const LEAF: u8 = 0;
 const INTERNAL: u8 = 1;
+
+/// What a page that does not parse is: damage fails the query instead
+/// of panicking the token.
+const CORRUPT: DbError = DbError::Corrupt("tree page");
 
 /// A sealed, read-only tree index.
 pub struct TreeIndex {
@@ -40,19 +54,36 @@ pub struct TreeIndex {
     num_entries: u64,
 }
 
-/// Decode a tree page. `None` when the entry array runs past the page end
-/// (corrupt header / truncated key) — callers surface [`DbError::Corrupt`]
-/// so a damaged page fails the query instead of panicking the token.
-fn decode_entries(page: &[u8]) -> Option<(u8, Vec<SortEntry>)> {
-    let mut r = Reader::new(page);
-    let kind = r.u8()?;
-    let count = r.count16(MIN_ENTRY_LEN)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let (key, ptr) = read_entry(&mut r)?;
-        entries.push((key.to_vec(), ptr));
+/// A tree page read where it lies: its kind and its entry array,
+/// borrowed from the page buffer.
+struct TreePage<'a> {
+    kind: u8,
+    /// Exactly the page's `count` entries, each checked by `parse`.
+    entries: &'a [u8],
+}
+
+impl<'a> TreePage<'a> {
+    /// Parse a page image; `None` when the entry array runs past the
+    /// page end (corrupt header / truncated key).
+    fn parse(page: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(page);
+        let kind = r.u8()?;
+        let count = r.count16(MIN_ENTRY_LEN)?;
+        let body = r.rest();
+        let mut check = Reader::new(body);
+        for _ in 0..count {
+            read_entry(&mut check)?;
+        }
+        let entries = &body[..body.len() - check.remaining()];
+        Some(TreePage { kind, entries })
     }
-    Some((kind, entries))
+
+    /// The entries in page order, keys borrowed from the page.
+    fn entries(&self) -> impl Iterator<Item = SortEntryRef<'a>> {
+        let mut r = Reader::new(self.entries);
+        // `parse` checked every entry: the cursor runs dry after the last.
+        std::iter::from_fn(move || read_entry(&mut r))
+    }
 }
 
 /// Builds one level of the tree: packs `(key, pointer)` entries into
@@ -93,38 +124,64 @@ impl LevelBuilder {
     }
 }
 
+/// `(root page, leaves, height, entries)` of a built tree.
+type Shape = (u32, u32, u32, u64);
+
 impl TreeIndex {
     /// Build a tree from a sorted `(key, rowid)` stream.
     ///
     /// The per-level `(first_key, page)` separators are carried through
     /// *level logs* — plain flash logs reclaimed as soon as the level
-    /// above is built — so construction RAM stays at two pages no matter
-    /// the index size.
+    /// above is built — so construction RAM stays at three pages no
+    /// matter the index size: the page being packed, the level log's
+    /// page buffer and the page the level below is read back through,
+    /// reserved from `ram` before anything is written. A build that
+    /// fails gives back every block it claimed.
     pub fn build(
         flash: &Flash,
+        ram: &RamBudget,
         entries: impl Iterator<Item = SortEntry>,
     ) -> Result<TreeIndex, DbError> {
+        let _pages = ram.reserve(3 * flash.geometry().page_size)?;
         let mut log = flash.new_log();
-        let mut num_entries = 0u64;
+        let (root_page, num_leaves, height, num_entries) =
+            match Self::build_levels(flash, &mut log, entries) {
+                Ok(shape) => shape,
+                Err(e) => {
+                    log.discard();
+                    return Err(e);
+                }
+            };
+        Ok(TreeIndex {
+            log: seal_or_discard(log, Ok(()))?,
+            root_page,
+            num_leaves,
+            height,
+            num_entries,
+        })
+    }
 
+    /// Append the leaves, then every level above them, to `tree`. No
+    /// level log outlives the call, whatever it returns.
+    fn build_levels(
+        flash: &Flash,
+        tree: &mut LogWriter,
+        mut entries: impl Iterator<Item = SortEntry>,
+    ) -> Result<Shape, DbError> {
         // Level 0: leaves. The separators of the level above go to a
         // level log.
+        let mut num_entries = 0u64;
         let mut leaves = LevelBuilder::new(flash, LEAF);
-        for (key, rowid) in entries {
+        let pushed = entries.try_for_each(|(key, rowid)| {
             num_entries += 1;
-            leaves.push(&mut log, key, rowid)?;
-        }
-        leaves.close_page(&mut log)?;
-        let mut level = leaves.above.seal()?;
-        let num_leaves = log.num_pages();
+            leaves.push(tree, key, rowid)
+        });
+        let closed = pushed.and_then(|()| leaves.close_page(tree));
+        let mut level = seal_or_discard(leaves.above, closed)?;
+        let num_leaves = tree.num_pages();
         if num_leaves == 0 {
-            return Ok(TreeIndex {
-                log: log.seal()?,
-                root_page: u32::MAX,
-                num_leaves: 0,
-                height: 0,
-                num_entries: 0,
-            });
+            level.reclaim();
+            return Ok((u32::MAX, 0, 0, 0));
         }
 
         // Upper levels: consume the previous level log, emit the next.
@@ -132,31 +189,24 @@ impl TreeIndex {
         while level.num_records() > 1 {
             height += 1;
             let mut internals = LevelBuilder::new(flash, INTERNAL);
-            for rec in level.reader() {
+            let pushed = level.reader().try_for_each(|rec| {
                 let (key, child) = decode_entry(&rec?).ok_or(DbError::Corrupt("level log"))?;
-                internals.push(&mut log, key, child)?;
-            }
-            internals.close_page(&mut log)?;
+                internals.push(tree, key, child)
+            });
+            let closed = pushed.and_then(|()| internals.close_page(tree));
             level.reclaim();
-            level = internals.above.seal()?;
+            level = seal_or_discard(internals.above, closed)?;
         }
         // The single record of the last level points at the root page.
-        let root_page = {
-            let rec = level
-                .reader()
-                .next()
-                .ok_or(DbError::Corrupt("tree level log ended without a root"))??;
-            let (_, page) = decode_entry(&rec).ok_or(DbError::Corrupt("level log"))?;
-            page
+        let root_page = match level.reader().next() {
+            Some(rec) => rec.map_err(DbError::from).and_then(|rec| {
+                let (_, page) = decode_entry(&rec).ok_or(DbError::Corrupt("level log"))?;
+                Ok(page)
+            }),
+            None => Err(DbError::Corrupt("tree level log ended without a root")),
         };
         level.reclaim();
-        Ok(TreeIndex {
-            log: log.seal()?,
-            root_page,
-            num_leaves,
-            height,
-            num_entries,
-        })
+        Ok((root_page?, num_leaves, height, num_entries))
     }
 
     /// Number of indexed entries.
@@ -181,67 +231,77 @@ impl TreeIndex {
     }
 
     /// Descend from the root to the leaf holding the first entry not
-    /// below `probe`: `(leaf page, its entries)`, one page read per level
-    /// into `buf`. Levels are appended leaves first and root last, so a
-    /// child pointer that does not point *down* the log is damage — which
-    /// also bounds the descent on a page whose bits flipped.
-    fn descend(&self, probe: &[u8], buf: &mut [u8]) -> Result<(u32, Vec<SortEntry>), DbError> {
+    /// below `probe`: that leaf's page index, its image left in `buf` —
+    /// one page read per level. Levels are appended leaves first and root
+    /// last, so a child pointer that does not point *down* the log is
+    /// damage — which also bounds the descent on a page whose bits
+    /// flipped.
+    fn descend(&self, probe: &[u8], buf: &mut [u8]) -> Result<u32, DbError> {
         let mut page = self.root_page;
         loop {
             self.log.read_raw_page(page, buf)?;
-            let (kind, entries) = decode_entries(buf).ok_or(DbError::Corrupt("tree page"))?;
-            if kind == LEAF {
-                return Ok((page, entries));
+            let node = TreePage::parse(buf).ok_or(CORRUPT)?;
+            if node.kind == LEAF {
+                return Ok(page);
             }
             // Toward the *first* occurrence of the probe: the rightmost
-            // child whose separator is strictly below it. (With
-            // duplicated keys, several consecutive separators can equal
-            // the probe; the first occurrence lives in the child just
-            // before them.)
-            let idx = entries
-                .iter()
-                .rposition(|(k, _)| k.as_slice() < probe)
-                .unwrap_or(0);
-            page = match entries.get(idx) {
-                Some(&(_, child)) if child < page => child,
-                _ => return Err(DbError::Corrupt("tree page")),
+            // child whose separator is strictly below it, the first child
+            // when none is. (With duplicated keys, several consecutive
+            // separators can equal the probe; the first occurrence lives
+            // in the child just before them.)
+            let mut child = None;
+            for (i, (key, ptr)) in node.entries().enumerate() {
+                if i == 0 || key < probe {
+                    child = Some(ptr);
+                }
+            }
+            page = match child {
+                Some(child) if child < page => child,
+                _ => return Err(CORRUPT),
             };
+        }
+    }
+
+    /// Walk the leaves from the one the descent toward `probe` lands on,
+    /// handing `visit` each entry until it answers `false` or the last
+    /// leaf ends. The landing leaf is read exactly once: the descent
+    /// leaves its image in the walk's buffer.
+    fn walk_from(
+        &self,
+        probe: &[u8],
+        mut visit: impl FnMut(SortEntryRef<'_>) -> bool,
+    ) -> Result<(), DbError> {
+        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
+        let mut leaf = self.descend(probe, &mut buf)?;
+        loop {
+            let page = TreePage::parse(&buf).ok_or(CORRUPT)?;
+            if !page.entries().all(&mut visit) {
+                return Ok(());
+            }
+            leaf += 1;
+            if leaf >= self.num_leaves {
+                return Ok(());
+            }
+            self.log.read_raw_page(leaf, &mut buf)?;
         }
     }
 
     /// All rowids with key exactly `key`, ascending.
     pub fn lookup(&self, key: &[u8]) -> Result<Vec<RowId>, DbError> {
-        if self.num_leaves == 0 {
-            return Ok(Vec::new());
-        }
-        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
-        // The landing leaf is read exactly once: the descent hands its
-        // entries to the walk below. It is at or before the first
-        // candidate leaf; duplicates may span several physically
-        // consecutive leaves. Walk forward until a key greater than the
-        // probe appears (global sort order bounds the walk to the
-        // duplicate span plus one page).
-        let (mut leaf, mut leaf_entries) = self.descend(key, &mut buf)?;
         let mut hits = Vec::new();
-        loop {
-            let mut passed_key = false;
-            for (k, rowid) in &leaf_entries {
-                match k.as_slice().cmp(key) {
-                    std::cmp::Ordering::Equal => hits.push(*rowid),
-                    std::cmp::Ordering::Greater => {
-                        passed_key = true;
-                        break;
-                    }
-                    std::cmp::Ordering::Less => {}
-                }
-            }
-            leaf += 1;
-            if passed_key || leaf >= self.num_leaves {
-                break;
-            }
-            self.log.read_raw_page(leaf, &mut buf)?;
-            (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
+        if self.num_leaves == 0 {
+            return Ok(hits);
         }
+        // The landing leaf is at or before the first candidate;
+        // duplicates may span several physically consecutive leaves.
+        // Global sort order bounds the walk to the duplicate span plus
+        // one page.
+        self.walk_from(key, |(k, rowid)| {
+            if k == key {
+                hits.push(rowid);
+            }
+            k <= key
+        })?;
         Ok(hits)
     }
 
@@ -249,31 +309,30 @@ impl TreeIndex {
     /// a range scan: one descent to the first candidate leaf, then a
     /// forward walk over the physically consecutive leaves.
     pub fn lookup_range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, RowId)>, DbError> {
-        if self.num_leaves == 0 || lo > hi {
-            return Ok(Vec::new());
-        }
-        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
-        let (mut leaf, mut leaf_entries) = self.descend(lo, &mut buf)?;
         let mut out = Vec::new();
-        loop {
-            let mut passed = false;
-            for (k, rowid) in &leaf_entries {
-                if k.as_slice() > hi {
-                    passed = true;
-                    break;
-                }
-                if k.as_slice() >= lo {
-                    out.push((k.clone(), *rowid));
-                }
-            }
-            leaf += 1;
-            if passed || leaf >= self.num_leaves {
-                break;
-            }
-            self.log.read_raw_page(leaf, &mut buf)?;
-            (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
+        if self.num_leaves == 0 || lo > hi {
+            return Ok(out);
         }
+        self.walk_from(lo, |(k, rowid)| {
+            if k >= lo && k <= hi {
+                out.push((k.to_vec(), rowid));
+            }
+            k <= hi
+        })?;
         Ok(out)
+    }
+
+    /// Every entry in key order, one leaf page at a time — the previous
+    /// generation's side of a merge. The page is reserved from `ram`.
+    pub(crate) fn entries<'a>(&'a self, ram: &RamBudget) -> Result<TreeEntries<'a>, DbError> {
+        let page_size = self.log.flash().geometry().page_size;
+        Ok(TreeEntries {
+            _ram: ram.reserve(page_size)?,
+            tree: self,
+            next_leaf: 0,
+            page: vec![0u8; page_size],
+            current: Vec::new().into_iter(),
+        })
     }
 
     /// Page reads a point lookup costs (height + duplicate spill).
@@ -289,12 +348,159 @@ impl TreeIndex {
     }
 }
 
+/// Streaming entry iterator over a [`TreeIndex`]'s leaves (see
+/// [`TreeIndex::entries`]).
+pub(crate) struct TreeEntries<'a> {
+    _ram: Reservation,
+    tree: &'a TreeIndex,
+    next_leaf: u32,
+    page: Vec<u8>,
+    current: std::vec::IntoIter<SortEntry>,
+}
+
+impl TreeEntries<'_> {
+    /// Read leaf `leaf` and own its entries.
+    fn load(&mut self, leaf: u32) -> Result<Vec<SortEntry>, DbError> {
+        self.tree.log.read_raw_page(leaf, &mut self.page)?;
+        let page = TreePage::parse(&self.page).ok_or(CORRUPT)?;
+        Ok(page
+            .entries()
+            .map(|(k, rowid)| (k.to_vec(), rowid))
+            .collect())
+    }
+}
+
+impl Iterator for TreeEntries<'_> {
+    type Item = Result<SortEntry, DbError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(entry) = self.current.next() {
+                return Some(Ok(entry));
+            }
+            if self.next_leaf >= self.tree.num_leaves {
+                return None;
+            }
+            let leaf = self.next_leaf;
+            self.next_leaf += 1;
+            match self.load(leaf) {
+                Ok(entries) => self.current = entries.into_iter(),
+                Err(e) => {
+                    self.next_leaf = self.tree.num_leaves;
+                    return Some(Err(e));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn flash() -> Flash {
         Flash::small(512)
+    }
+
+    fn ram() -> RamBudget {
+        RamBudget::new(64 * 1024)
+    }
+
+    /// The owned tree-page decoder as it stood before pages were walked
+    /// in place, kept verbatim: the reference the view is swept against.
+    fn decode_entries(page: &[u8]) -> Option<(u8, Vec<SortEntry>)> {
+        let mut r = Reader::new(page);
+        let kind = r.u8()?;
+        let count = r.count16(MIN_ENTRY_LEN)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (key, ptr) = read_entry(&mut r)?;
+            entries.push((key.to_vec(), ptr));
+        }
+        Some((kind, entries))
+    }
+
+    /// `descend` + `lookup` as they stood before pages were walked in
+    /// place, kept verbatim over the owned decoder.
+    fn reference_lookup(tree: &TreeIndex, key: &[u8]) -> Result<Vec<RowId>, DbError> {
+        fn descend(
+            tree: &TreeIndex,
+            probe: &[u8],
+            buf: &mut [u8],
+        ) -> Result<(u32, Vec<SortEntry>), DbError> {
+            let mut page = tree.root_page;
+            loop {
+                tree.log.read_raw_page(page, buf)?;
+                let (kind, entries) = decode_entries(buf).ok_or(DbError::Corrupt("tree page"))?;
+                if kind == LEAF {
+                    return Ok((page, entries));
+                }
+                let idx = entries
+                    .iter()
+                    .rposition(|(k, _)| k.as_slice() < probe)
+                    .unwrap_or(0);
+                page = match entries.get(idx) {
+                    Some(&(_, child)) if child < page => child,
+                    _ => return Err(DbError::Corrupt("tree page")),
+                };
+            }
+        }
+        if tree.num_leaves == 0 {
+            return Ok(Vec::new());
+        }
+        let mut buf = vec![0u8; tree.log.flash().geometry().page_size];
+        let (mut leaf, mut leaf_entries) = descend(tree, key, &mut buf)?;
+        let mut hits = Vec::new();
+        loop {
+            let mut passed_key = false;
+            for (k, rowid) in &leaf_entries {
+                match k.as_slice().cmp(key) {
+                    std::cmp::Ordering::Equal => hits.push(*rowid),
+                    std::cmp::Ordering::Greater => {
+                        passed_key = true;
+                        break;
+                    }
+                    std::cmp::Ordering::Less => {}
+                }
+            }
+            leaf += 1;
+            if passed_key || leaf >= tree.num_leaves {
+                break;
+            }
+            tree.log.read_raw_page(leaf, &mut buf)?;
+            (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
+        }
+        Ok(hits)
+    }
+
+    #[test]
+    fn lookups_equal_the_reference_and_read_the_same_pages() {
+        use pds_obs::rng::{Rng, SeedableRng, StdRng};
+        for case in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(0x7EE0 + case);
+            let f = flash();
+            let n = [0u32, 1, 40, 900, 6000][case as usize % 5];
+            let domain = rng.gen_range(1u32..500);
+            let mut input: Vec<SortEntry> = (0..n)
+                .map(|i| {
+                    let k = rng.gen_range(0..domain);
+                    (format!("k{k}").repeat(1 + k as usize % 4).into_bytes(), i)
+                })
+                .collect();
+            input.sort();
+            let tree = TreeIndex::build(&f, &ram(), input.into_iter()).unwrap();
+            for probe in 0..domain.min(60) + 2 {
+                let key = format!("k{probe}").repeat(1 + probe as usize % 4);
+                let before = f.stats();
+                let got = tree.lookup(key.as_bytes()).unwrap();
+                let mid = f.stats();
+                let want = reference_lookup(&tree, key.as_bytes()).unwrap();
+                let after = f.stats();
+                assert_eq!(got, want, "case {case} key {key}");
+                let reads = ((mid - before).page_reads, (after - mid).page_reads);
+                assert_eq!(reads.0, reads.1, "case {case} key {key}");
+            }
+        }
     }
 
     #[test]
@@ -305,7 +511,7 @@ mod tests {
         let mut lying = vec![0xFF; PAGE];
         lying[0] = LEAF;
         pds_obs::wire::sweep(
-            "tree page",
+            "tree page vs reference",
             pds_obs::wire::Tail::Padded,
             &[&lying, &lying[..3]],
             |rng| {
@@ -321,7 +527,14 @@ mod tests {
                 }
                 packer.with_image(<[u8]>::to_vec)
             },
-            decode_entries,
+            |page| {
+                let got = TreePage::parse(page).map(|view| {
+                    let entries = view.entries().map(|(k, ptr)| (k.to_vec(), ptr));
+                    (view.kind, entries.collect())
+                });
+                assert_eq!(got, decode_entries(page), "{page:02x?}");
+                got
+            },
         );
     }
 
@@ -337,7 +550,7 @@ mod tests {
     #[test]
     fn point_lookups_find_exact_matches() {
         let f = flash();
-        let tree = TreeIndex::build(&f, entries(5000, 1).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(5000, 1).into_iter()).unwrap();
         assert_eq!(tree.num_entries(), 5000);
         for probe in [0u32, 1, 777, 4999] {
             assert_eq!(
@@ -354,7 +567,7 @@ mod tests {
     fn duplicates_collected_across_leaves() {
         let f = flash();
         // 100 keys × 100 duplicates: each key spans several leaves.
-        let tree = TreeIndex::build(&f, entries(10_000, 100).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(10_000, 100).into_iter()).unwrap();
         for probe in [0u32, 37, 99] {
             let hits = tree.lookup(&probe.to_be_bytes()).unwrap();
             let expected: Vec<RowId> = (probe * 100..(probe + 1) * 100).collect();
@@ -365,7 +578,7 @@ mod tests {
     #[test]
     fn lookup_cost_is_logarithmic() {
         let f = Flash::new(pds_flash::FlashGeometry::new(512, 16, 4096));
-        let tree = TreeIndex::build(&f, entries(50_000, 1).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(50_000, 1).into_iter()).unwrap();
         assert!(tree.height() >= 2, "50k keys need internal levels");
         let cost = tree.lookup_cost(&25_000u32.to_be_bytes()).unwrap();
         assert!(
@@ -379,7 +592,7 @@ mod tests {
     #[test]
     fn empty_tree() {
         let f = flash();
-        let tree = TreeIndex::build(&f, std::iter::empty()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), std::iter::empty()).unwrap();
         assert_eq!(tree.num_entries(), 0);
         assert!(tree.lookup(b"x").unwrap().is_empty());
     }
@@ -387,16 +600,30 @@ mod tests {
     #[test]
     fn single_leaf_tree() {
         let f = flash();
-        let tree = TreeIndex::build(&f, entries(10, 1).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(10, 1).into_iter()).unwrap();
         assert_eq!(tree.height(), 1);
         assert_eq!(tree.lookup(&3u32.to_be_bytes()).unwrap(), vec![3]);
+    }
+
+    #[test]
+    fn construction_charges_its_three_pages_before_it_writes() {
+        let f = flash();
+        let page = f.geometry().page_size;
+        let short = RamBudget::new(3 * page - 1);
+        let err = TreeIndex::build(&f, &short, entries(5000, 1).into_iter()).err();
+        assert!(matches!(err, Some(DbError::Ram(_))), "{err:?}");
+        assert_eq!(f.stats().page_programs, 0);
+        let exact = RamBudget::new(3 * page);
+        let tree = TreeIndex::build(&f, &exact, entries(5000, 1).into_iter()).unwrap();
+        assert!(tree.height() >= 2, "level logs were read back");
+        assert_eq!(exact.used(), 0);
     }
 
     #[test]
     fn construction_is_sequential_and_reclaims_level_logs() {
         let f = flash();
         let before = f.free_blocks();
-        let tree = TreeIndex::build(&f, entries(20_000, 4).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(20_000, 4).into_iter()).unwrap();
         let tree_blocks = (tree.num_pages() as usize).div_ceil(f.geometry().pages_per_block);
         assert_eq!(
             f.free_blocks(),
@@ -410,7 +637,7 @@ mod tests {
     #[test]
     fn range_scans_match_filtering() {
         let f = flash();
-        let tree = TreeIndex::build(&f, entries(5000, 5).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(5000, 5).into_iter()).unwrap();
         for (lo, hi) in [(0u32, 10u32), (100, 200), (999, 999), (950, 2000)] {
             let got = tree
                 .lookup_range(&lo.to_be_bytes(), &hi.to_be_bytes())
@@ -438,7 +665,7 @@ mod tests {
     #[test]
     fn range_scan_cost_is_height_plus_touched_leaves() {
         let f = Flash::new(pds_flash::FlashGeometry::new(512, 16, 4096));
-        let tree = TreeIndex::build(&f, entries(50_000, 1).into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), entries(50_000, 1).into_iter()).unwrap();
         f.reset_stats();
         let got = tree
             .lookup_range(&10_000u32.to_be_bytes(), &10_200u32.to_be_bytes())
@@ -458,7 +685,7 @@ mod tests {
             .map(|(i, s)| (s.as_bytes().to_vec(), i as u32))
             .collect();
         input.sort();
-        let tree = TreeIndex::build(&f, input.into_iter()).unwrap();
+        let tree = TreeIndex::build(&f, &ram(), input.into_iter()).unwrap();
         assert_eq!(tree.lookup(b"lyon").unwrap(), vec![0, 2, 4]);
         assert_eq!(tree.lookup(b"paris").unwrap(), vec![1]);
         assert!(tree.lookup(b"marseille").unwrap().is_empty());

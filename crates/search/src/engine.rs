@@ -877,10 +877,16 @@ impl SearchEngine {
     ///
     /// The chain of a bucket is already globally sorted by docid (pages
     /// are flushed in docid order and docids only grow), so the rewrite is
-    /// a single forward pass with two RAM pages — the "reorganization
-    /// process only uses log structures" rule of the tutorial, and it is
-    /// interruptible: the old index stays valid until the swap.
+    /// a single forward pass with two RAM pages, beside a second head
+    /// table until the swap — the "reorganization process only uses log
+    /// structures" rule of the tutorial, and it is interruptible: the old
+    /// index stays valid until the swap.
     pub fn reorganize(&mut self) -> Result<(), SearchError> {
+        // What the pass holds until the swap — the heads-to-be, 4 bytes a
+        // bucket beside the resident heads, and its two pages — charged
+        // before the flush and the drain it starts with write anything.
+        let page_size = self.flash.geometry().page_size;
+        let held = self.ram.reserve(4 * self.num_buckets + 2 * page_size)?;
         // Stabilize RAM state first, then the log's: everything into the
         // chains, which are what is rewritten.
         self.flush()?;
@@ -899,6 +905,7 @@ impl SearchEngine {
         let old = std::mem::replace(&mut self.index, new_log);
         old.discard();
         self.heads = new_heads;
+        drop(held);
         self.tail_start = self.index.num_pages();
         self.spans.fill(Span::UNKNOWN);
         // A new log: the old one's checkpoints must stop matching before
@@ -908,13 +915,13 @@ impl SearchEngine {
     }
 
     /// Rewrite every chain into `new_log`, purged of deleted documents
-    /// and packed into full pages; the new heads. Two pages of RAM: the
-    /// page read and the page filled in place.
+    /// and packed into full pages; the new heads. Two pages of RAM, which
+    /// the caller has reserved: the page read and the page filled in
+    /// place.
     fn repack(&self, new_log: &mut LogWriter) -> Result<Vec<u32>, SearchError> {
         let page_size = self.flash.geometry().page_size;
         let cap = triples_per_page(page_size);
         let mut new_heads = vec![NO_PREV; self.num_buckets];
-        let _guard = self.ram.reserve(2 * page_size)?;
         let mut buf = vec![0u8; page_size];
         let mut out = vec![0xFFu8; page_size];
         for (b, new_head) in new_heads.iter_mut().enumerate() {
@@ -1713,8 +1720,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reorganize_charges_the_chain_list_it_holds() {
+    /// An engine of four buckets, flushed and drained, whose longest
+    /// chain is at least 16 pages: the engine, its budget and that
+    /// chain's length.
+    fn engine_with_long_chains() -> (SearchEngine, RamBudget, usize) {
         let profile = HardwareProfile::test_profile();
         let flash = Flash::new(profile.flash);
         let ram = RamBudget::new(profile.ram_bytes);
@@ -1727,18 +1736,41 @@ mod tests {
         e.drain().unwrap();
         let longest = (0..4).map(|b| reference_chain(&e, b).len()).max().unwrap();
         assert!(longest >= 16, "{longest} pages");
+        (e, ram, longest)
+    }
+
+    #[test]
+    fn reorganize_charges_the_chain_list_it_holds() {
+        let (mut e, ram, longest) = engine_with_long_chains();
         let before = e.search(&["shared", "t3"], 10).unwrap();
-        // A budget that admits the pass's two pages but not the list of
-        // the longest chain's page indexes.
+        // A budget that admits the pass's two pages and the heads-to-be
+        // but not the list of the longest chain's page indexes.
         let page = e.flash.geometry().page_size;
-        let ballast = ram.reserve(ram.available() - 2 * page - 4 * (longest - 1));
+        let pass = 2 * page + 4 * e.num_buckets;
+        let ballast = ram.reserve(ram.available() - pass - 4 * (longest - 1));
         let err = e.reorganize().unwrap_err();
         assert!(matches!(err, SearchError::Ram(_)), "{err}");
         // The old index stands, and with four more bytes the pass runs.
         drop(ballast);
         assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
-        let ballast = ram.reserve(ram.available() - 2 * page - 4 * longest);
+        let ballast = ram.reserve(ram.available() - pass - 4 * longest);
         e.reorganize().unwrap();
+        drop(ballast);
+        assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
+    }
+
+    #[test]
+    fn reorganize_charges_the_heads_to_be_before_it_writes() {
+        let (mut e, ram, _) = engine_with_long_chains();
+        let before = e.search(&["shared", "t3"], 10).unwrap();
+        let (free, programs) = (e.flash.free_blocks(), e.flash.stats().page_programs);
+        // The pass's two pages, one head table short.
+        let page = e.flash.geometry().page_size;
+        let ballast = ram.reserve(ram.available() - 2 * page);
+        let err = e.reorganize().unwrap_err();
+        assert!(matches!(err, SearchError::Ram(_)), "{err}");
+        assert_eq!(e.flash.stats().page_programs, programs, "nothing written");
+        assert_eq!(e.flash.free_blocks(), free, "no block claimed");
         drop(ballast);
         assert_eq!(e.search(&["shared", "t3"], 10).unwrap(), before);
     }

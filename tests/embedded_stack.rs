@@ -49,29 +49,30 @@ fn plan_ladder_costs_strictly_improve() {
     let f = Flash::new(FlashGeometry::new(512, 16, 4096));
     let ram = RamBudget::new(64 * 1024);
     let mut db = Database::new(&f, &ram);
-    db.create_table(
-        "CUSTOMER",
-        Schema::new(&[("id", ColumnType::U64), ("city", ColumnType::Str)]),
-    )
-    .unwrap();
+    // The same rows twice: one table never indexed, one indexed while
+    // empty, so that its inserts fill the PBFilter a reorganisation turns
+    // into a tree.
+    let tables = ["SCANNED", "CUSTOMER"];
+    for table in tables {
+        let schema = Schema::new(&[("id", ColumnType::U64), ("city", ColumnType::Str)]);
+        db.create_table(table, schema).unwrap();
+    }
+    db.create_index("CUSTOMER", "city").unwrap();
     for i in 0..20_000u64 {
-        db.insert(
-            "CUSTOMER",
-            vec![Value::U64(i), Value::Str(format!("city{}", i % 500))],
-        )
-        .unwrap();
+        for table in tables {
+            let row = vec![Value::U64(i), Value::Str(format!("city{}", i % 500))];
+            db.insert(table, row).unwrap();
+        }
     }
     let pred = Predicate::eq("city", Value::str("city123"));
     let mut costs = Vec::new();
-    for step in 0..3 {
-        match step {
-            0 => {}
-            1 => db.create_index("CUSTOMER", "city").unwrap(),
-            _ => db.reorganize_index("CUSTOMER", "city").unwrap(),
+    for (step, table) in ["SCANNED", "CUSTOMER", "CUSTOMER"].into_iter().enumerate() {
+        if step == 2 {
+            db.reorganize_index(table, "city").unwrap();
         }
-        let plan = db.explain("CUSTOMER", &pred).unwrap();
+        let plan = db.explain(table, &pred).unwrap();
         f.reset_stats();
-        let rows = db.select("CUSTOMER", &pred).unwrap();
+        let rows = db.select(table, &pred).unwrap();
         let reads = f.stats().page_reads;
         assert_eq!(rows.len(), 40);
         costs.push((plan, reads));

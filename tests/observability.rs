@@ -55,22 +55,31 @@ fn traced_select_reports_io_ram_and_policy() {
 #[test]
 fn summary_scan_reads_fewer_pages_than_full_scan() {
     // Large enough that the PBFilter's own pages are cheap next to the
-    // table: ~230 data pages, ~31 of them holding a "salary" row.
-    let mut pds = Pds::for_tests(2, "alice").unwrap();
-    for day in 0..3000u64 {
-        pds.ingest_bank(
-            day,
-            if day % 97 == 0 { "salary" } else { "groceries" },
-            1000 + day,
-            "cp",
-        )
-        .unwrap();
-    }
-    pds.set_clock(3000);
+    // table: ~230 data pages, ~31 of them holding a "salary" row. The
+    // same rows on two tokens: one never indexed, one indexed before the
+    // rows arrive, so that they fill its PBFilter (indexed after them,
+    // the column would get a tree at once).
     let me = AccessContext::new("alice", Purpose::PersonalUse);
+    let token = |indexed: bool| {
+        let mut pds = Pds::for_tests(2, "alice").unwrap();
+        if indexed {
+            pds.create_index(&me, "BANK", "category").unwrap();
+        }
+        for day in 0..3000u64 {
+            pds.ingest_bank(
+                day,
+                if day % 97 == 0 { "salary" } else { "groceries" },
+                1000 + day,
+                "cp",
+            )
+            .unwrap();
+        }
+        pds.set_clock(3000);
+        pds
+    };
     let pred = Predicate::eq("category", Value::str("salary"));
 
-    let (res, full) = pds.select_traced(&me, "BANK", &pred);
+    let (res, full) = token(false).select_traced(&me, "BANK", &pred);
     let rows_full = res.unwrap();
     assert_eq!(
         full.root
@@ -80,9 +89,7 @@ fn summary_scan_reads_fewer_pages_than_full_scan() {
         Some("full_scan")
     );
 
-    pds.create_index(&me, "BANK", "category").unwrap();
-
-    let (res, summary) = pds.select_traced(&me, "BANK", &pred);
+    let (res, summary) = token(true).select_traced(&me, "BANK", &pred);
     let rows_summary = res.unwrap();
     assert_eq!(
         summary

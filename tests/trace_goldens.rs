@@ -282,9 +282,9 @@ const SELECT_FULL_SCAN: (&str, &str) = (
     "91038a8341977202b43ce5b1f6eac5b344a835a5bb63f5d2739595e3f1a79794",
     "ebd9ca05a3d7b5cc4607e72d58f797475604e54e4329dd2493e326a8e32cfa11",
 );
-const SELECT_SUMMARY_SCAN: (&str, &str) = (
-    "2fdc220ee6b2575317017afb446420e429d03f711c94ea1b207d6f1989eb6ec9",
-    "cf24f328e0f7ba1589cfd5311524714b20540ad9f8ef1c9a2556e45a535df46c",
+const SELECT_TREE_LOOKUP: (&str, &str) = (
+    "be45fe6ff5cf80e0fb3037a4df7b269e103a20501e9bbce2dcca5f8e5b5cf248",
+    "f349549a8be91fdf74598a91b365f7f2e4f2e275b14ec2c09d175143ff535686",
 );
 const SELECT_DENIED: (&str, &str) = (
     "7eac26b21541834e95f8598b5b05e576dc17f2f67a48799d48e095fdcb6391ff",
@@ -350,10 +350,10 @@ fn gateway_explain_reports_are_pinned() {
     assert_golden("full scan", query_digests(full), SELECT_FULL_SCAN);
 
     pds.create_index(&me, "BANK", "category").unwrap();
-    let (res, summary) = pds.select_traced(&me, "BANK", &pred);
+    let (res, tree) = pds.select_traced(&me, "BANK", &pred);
     assert!(!res.unwrap().is_empty());
-    assert_eq!(plan_of(&summary), Some("summary_scan"));
-    assert_golden("summary scan", query_digests(summary), SELECT_SUMMARY_SCAN);
+    assert_eq!(plan_of(&tree), Some("tree_lookup"));
+    assert_golden("tree lookup", query_digests(tree), SELECT_TREE_LOOKUP);
 
     let (res, denied) = pds.select_traced(&stranger, "BANK", &pred);
     assert!(res.is_err());
