@@ -1,16 +1,18 @@
-//! Token stream over the blanked code channel produced by [`crate::scan`].
+//! Token stream over the blanked code channel produced by [`crate::scan`]
+//! — the one view of a file every rule reads.
 //!
 //! The scanner already removed comments and literal *contents*, so the
 //! lexer never sees a quote-embedded `fn` or a commented-out call. What
 //! remains is a flat token stream — identifiers (including `r#raw`
 //! forms), lifetimes, numbers, blanked string/char literals, and
 //! punctuation with the few multi-char operators the analyses care
-//! about (`::`, `->`, `=>`) pre-joined.
+//! about (`::`, `->`, `=>`) pre-joined. The identifier boundary is the
+//! lexer's: `assert` is never read out of `debug_assert`.
 //!
 //! Every token carries its 1-based source line and the line's test flag,
-//! so downstream passes (function extraction, call graph, taint) can
-//! report findings at real locations and skip `#[cfg(test)]` regions
-//! without re-scanning.
+//! so downstream passes (the per-file rules, function extraction, call
+//! graph, taint) can report findings at real locations and skip
+//! `#[cfg(test)]` regions without re-scanning.
 
 use crate::scan::Line;
 
@@ -65,7 +67,9 @@ fn is_ident_start(c: char) -> bool {
     c.is_ascii_alphabetic() || c == '_'
 }
 
-fn is_ident_continue(c: char) -> bool {
+/// The front end's one identifier-character rule (the scanner's raw
+/// string prefix check uses it too).
+pub(crate) fn is_ident_continue(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
@@ -116,7 +120,8 @@ fn lex_line(code: &str, line_no: usize, is_test: bool, out: &mut Vec<Tok>) {
             }
             // Blanked string body after a raw/byte prefix (`r`, `b`,
             // `br`): fold the prefix into the literal.
-            if chars.get(j) == Some(&'"') || (chars.get(j) == Some(&'#') && code[j..].contains('"'))
+            if chars.get(j) == Some(&'"')
+                || (chars.get(j) == Some(&'#') && chars[j..].contains(&'"'))
             {
                 let prefix: String = chars[i..j].iter().collect();
                 if matches!(prefix.as_str(), "r" | "b" | "br" | "rb") {
@@ -319,6 +324,16 @@ mod tests {
             .map(|t| &t.text)
             .collect();
         assert_eq!(nums, ["1.5", "0", "10", "0xFFu32"]);
+    }
+
+    #[test]
+    fn non_ascii_code_before_a_raw_string() {
+        // Multi-byte chars before a `#` fence: the fence's quote is
+        // looked up by char index, never by byte offset.
+        let toks = lex_src("fn f() { let ééééé = r#\"x\"#; }");
+        assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Str).count(), 1);
+        assert!(toks.iter().any(|t| t.is_ident("let")));
+        assert!(!toks.iter().any(|t| t.is_ident("r")));
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //! constraint), the fleet/global protocols must stay bit-for-bit
 //! deterministic, and the trusted/untrusted layering must hold
 //! structurally. `pds-lint` walks the workspace with its own
-//! zero-dependency Rust scanner and enforces those rules per crate,
+//! zero-dependency Rust front end and enforces those rules per crate,
 //! with an inline waiver comment as the only escape hatch:
 //!
 //! ```text
 //! // pds-lint: allow(panic.unwrap) — index bounds checked on the previous line
 //! ```
+//!
+//! Each file is read once: [`scan`] splits it into a code and a comment
+//! channel, [`lexer`] turns the code channel into one token stream, and
+//! that stream feeds both the per-file rules ([`rules`]) and the item
+//! parse ([`syntax`]) the call graph is built from. Waivers come from
+//! the comment channel.
 //!
 //! On top of the per-file token rules sit two call-graph analyses (the
 //! paper's central security argument, made checkable):
@@ -228,13 +234,15 @@ pub fn run_workspace_with_model(root: &Path, model: &FlowModel) -> io::Result<Li
                 .to_string_lossy()
                 .replace('\\', "/");
             report.files_scanned += 1;
-            let (findings, waivers) = rules::lint_source_full(cfg, &rel, &source);
+            let lines = scan::scan(&source);
+            let toks = lexer::lex(&lines);
+            let (findings, waivers) = rules::lint_tokens(cfg, &rel, &lines, &toks);
             all.extend(findings);
             waivers_by_file.insert(rel.clone(), waivers);
             ws_files.push(WsFile {
                 crate_dir: cfg.dir.to_string(),
                 path: rel,
-                syntax: syntax::parse_file(lexer::lex(&scan::scan(&source))),
+                syntax: syntax::parse_file(toks),
             });
         }
     }

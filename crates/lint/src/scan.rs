@@ -1,11 +1,13 @@
-//! A lightweight Rust source scanner: no full parse, just enough lexing
-//! to make token matching sound.
+//! The first stage of the front end: a char-level pass that splits a
+//! Rust source into the lexer's input and the waiver source. No rule
+//! reads it directly.
 //!
 //! The scanner walks the source once and produces, per line:
 //!
 //! - the **code text** with comments and string/char-literal *contents*
-//!   blanked out (quotes are kept), so that rule tokens never match
-//!   inside a string or a comment, and brace counting is exact;
+//!   blanked out (quotes are kept), which [`crate::lexer`] turns into
+//!   the one token stream every rule reads — so no rule token can come
+//!   from a string or a comment, and brace counting is exact;
 //! - the **comment text** with everything else blanked, so waiver
 //!   comments (`// pds-lint: allow(rule) — reason`) can be parsed;
 //! - whether the line belongs to **test code** (`#[cfg(test)]` /
@@ -16,6 +18,8 @@
 //! literals with escapes, raw (and byte/raw-byte) strings with `#`
 //! fences, char and byte-char literals, and the char-literal/lifetime
 //! ambiguity (`'a'` vs `<'a>`).
+
+use crate::lexer::is_ident_continue;
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
@@ -144,8 +148,8 @@ fn split_channels(source: &str) -> (String, String) {
                     let is_raw = j > 0 && chars[j - 1] == 'r' && {
                         let before = if j >= 2 { Some(chars[j - 2]) } else { None };
                         match before {
-                            Some('b') => j < 3 || !is_ident_char(chars[j - 3]),
-                            Some(c) => !is_ident_char(c),
+                            Some('b') => j < 3 || !is_ident_continue(chars[j - 3]),
+                            Some(c) => !is_ident_continue(c),
                             None => true,
                         }
                     };
@@ -315,58 +319,6 @@ fn mark_test_regions(code_lines: &[&str]) -> Vec<bool> {
     flags
 }
 
-/// Find `needle` in `haystack` requiring that the match is not embedded
-/// in a larger identifier: the char before must not be an identifier
-/// char (when the needle starts with one), likewise after. Returns the
-/// byte offset of the first such match.
-pub fn find_token(haystack: &str, needle: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(pos) = haystack[from..].find(needle) {
-        let at = from + pos;
-        let before_ok = if needle.starts_with(is_ident_char) {
-            !haystack[..at].ends_with(is_ident_char)
-        } else {
-            true
-        };
-        let after = at + needle.len();
-        let after_ok = if needle.ends_with(is_ident_char) {
-            !haystack[after..].starts_with(is_ident_char)
-        } else {
-            true
-        };
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + needle.len();
-    }
-    None
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Find `name::` used as a *path root* — not embedded in an identifier
-/// and not the tail of a longer path (`crate::name::…`), so a crate can
-/// have a module sharing a crate's name without tripping the matcher.
-pub fn find_path_root(haystack: &str, name: &str) -> Option<usize> {
-    let needle = format!("{name}::");
-    let mut from = 0;
-    while let Some(pos) = haystack[from..].find(&needle) {
-        let at = from + pos;
-        let before = haystack[..at].chars().next_back();
-        let ok = match before {
-            Some(c) => !is_ident_char(c) && c != ':',
-            None => true,
-        };
-        if ok {
-            return Some(at);
-        }
-        from = at + needle.len();
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,15 +389,5 @@ let m = HashMap::new();"#;
         let src = "//! doc\n#![cfg(test)]\nfn helper() { x.unwrap(); }\n";
         let lines = scan(src);
         assert!(lines.iter().all(|l| l.is_test));
-    }
-
-    #[test]
-    fn token_boundaries() {
-        assert!(find_token("assert!(x)", "assert!").is_some());
-        assert!(find_token("debug_assert!(x)", "assert!").is_none());
-        assert!(find_token("my_assert!(x)", "assert!").is_none());
-        assert!(find_token("x.unwrap()", ".unwrap()").is_some());
-        assert!(find_token("nand_2k(64)", "nand").is_none());
-        assert!(find_token("nand::Chip", "nand").is_some());
     }
 }

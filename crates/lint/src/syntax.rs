@@ -720,6 +720,10 @@ impl PanicKind {
 }
 
 /// Panicking constructs inside `[start, end)`: (kind, line, description).
+/// The one table of them: the per-file `panic.*` rules read its first
+/// four kinds, `panic.transitive` the kinds the flow model enables.
+/// `debug_assert*!` is not a site: it is compiled out of the release
+/// build the token runs.
 pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<(PanicKind, usize, String)> {
     let mut sites = Vec::new();
     let mut j = start;
@@ -728,8 +732,7 @@ pub fn panic_sites(toks: &[Tok], start: usize, end: usize) -> Vec<(PanicKind, us
         if t.is_name() && j + 1 < end && toks[j + 1].is_punct("!") {
             let kind = match t.text.as_str() {
                 "panic" | "unreachable" | "todo" | "unimplemented" => Some(PanicKind::Macro),
-                "assert" | "assert_eq" | "assert_ne" | "debug_assert" | "debug_assert_eq"
-                | "debug_assert_ne" => Some(PanicKind::Assert),
+                "assert" | "assert_eq" | "assert_ne" => Some(PanicKind::Assert),
                 _ => None,
             };
             if let Some(k) = kind {
@@ -963,6 +966,13 @@ mod tests {
         assert!(kinds.contains(&PanicKind::Assert));
         assert!(kinds.contains(&PanicKind::Index));
         assert!(kinds.contains(&PanicKind::Arith));
+    }
+
+    #[test]
+    fn debug_asserts_are_not_sites() {
+        let fs = parse("fn f(a: u32) { debug_assert!(a > 0); debug_assert_eq!(a, 1); }");
+        let (s, e) = fs.fns[0].body.unwrap();
+        assert!(panic_sites(&fs.toks, s, e).is_empty());
     }
 
     #[test]
