@@ -9,6 +9,7 @@
 //! availability story: a cell that disappears mid-sync converges as
 //! soon as it comes back online.
 
+use pds::crypto::hash::sha256;
 use pds::fleet::{
     build_fleet, build_token, fleet_secure_aggregation, CellNet, CellNetConfig, FleetAggReport,
     FleetConfig, OnTamper,
@@ -16,7 +17,7 @@ use pds::fleet::{
 use pds::global::secure_agg::secure_aggregation;
 use pds::global::ssi::{Ssi, SsiThreat};
 use pds::global::{plaintext_groupby, GlobalError, GroupByQuery, Population};
-use pds::obs::rng::{SeedableRng, StdRng};
+use pds::obs::rng::{Rng, SeedableRng, StdRng};
 use pds::sync::TrustedCell;
 
 fn run_fleet(workers: usize, threat: SsiThreat, on_tamper: OnTamper) -> FleetAggReport {
@@ -345,4 +346,72 @@ fn cell_sync_is_identical_across_worker_counts() {
     let one = run(1);
     assert_eq!(one, run(2));
     assert_eq!(one, run(8));
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The `ledger`'s `cell_sync` shape at a quarter of its cells, delta
+/// reconcile on: 5 reconciles, each 8 seeded 256-byte writes on
+/// distinct slices and a `sync_until_quiet`. Every count the run leaves
+/// — the bus's, the rounds of each reconcile, the sync outcomes, a
+/// digest of the converged versions — is a constant, at 1, 2 and 8
+/// workers: how the cells are hosted moves none of them.
+#[test]
+fn reduced_cell_sync_counts_are_pinned() {
+    const CELLS: usize = 64;
+    let run = |workers: usize| {
+        let cfg = CellNetConfig::new(CELLS, workers, 0xCE11).with_delta();
+        let mut net = CellNet::build(cfg, |i| {
+            TrustedCell::new(&format!("cell-{i}"), b"owner-pin")
+        })
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0xCE11);
+        let mut rounds = Vec::new();
+        for _ in 0..5 {
+            let mut slices: Vec<usize> = (0..16).collect();
+            rng.shuffle(&mut slices);
+            for slice in &slices[..8] {
+                let mut data = vec![0u8; 256];
+                rng.fill(&mut data);
+                let cell = rng.gen_range(0..CELLS);
+                net.write(cell, &format!("slice-{slice}"), &data);
+            }
+            rounds.push(net.sync_until_quiet(60).unwrap());
+        }
+        assert!(net.converged(), "{workers} workers");
+        let report = net.report();
+        let versions = hex(&sha256(format!("{:?}", net.versions()).as_bytes()));
+        (
+            net.bus_stats().named(),
+            rounds,
+            (report.pushed, report.pulled, report.unchanged),
+            versions,
+        )
+    };
+    for workers in [1, 2, 8] {
+        let (bus, rounds, report, versions) = run(workers);
+        assert_eq!(
+            bus,
+            [
+                ("bus.sent", 25768),
+                ("bus.deliveries", 25768),
+                ("bus.losses", 2066),
+                ("bus.dedup_hits", 506),
+                ("bus.expired", 0),
+                ("bus.ticks", 686),
+                ("bus.redeliveries", 532),
+                ("bus.backoff_events", 2040),
+                ("bus.payload_bytes", 1278345),
+            ],
+            "{workers} workers"
+        );
+        assert_eq!(rounds, [3; 5], "{workers} workers");
+        assert_eq!(report, (40, 2520, 10304), "{workers} workers");
+        assert_eq!(
+            versions, "38f85ae4c3ca70edaf0ea7515a35a22e80e8351be6c92fe7b0f56b0caa535b4b",
+            "{workers} workers"
+        );
+    }
 }
