@@ -118,10 +118,10 @@ pub struct FleetConfig {
     /// overlapped across workers, which is where fleet speedup comes
     /// from).
     pub link_latency_us: u64,
-    /// Most tokens live at once; `None` keeps the whole fleet resident
-    /// (the pool-era behavior). A bounded cap is what lets a 100k–1M
-    /// fleet run in bounded RAM — watch the `fleet.resident_tokens`
-    /// gauge and `sched.*` counters.
+    /// Most tokens live at once; `None` keeps the whole fleet resident,
+    /// as [`TokenPool`](crate::TokenPool) does. A bounded cap is what
+    /// lets a 100k–1M fleet run in bounded RAM — watch the
+    /// `fleet.resident_tokens` gauge and `sched.*` counters.
     pub resident_cap: Option<usize>,
     /// What eviction does to a token's state (ignored while the fleet
     /// fits under the cap).

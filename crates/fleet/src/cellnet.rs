@@ -26,7 +26,7 @@ use pds_sync::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 
 use crate::agg::derived_rng;
 use crate::bus::{Addr, BusConfig, BusMsg, BusStats, MailboxBus};
-use crate::pool::TokenPool;
+use crate::sched::{FleetError, TokenPool};
 use crate::trace::FleetTraceBuilder;
 
 const TAG_CELL: u64 = 0x464C_5443_454C_4C04; // per-(round, cell) push stream
@@ -97,9 +97,9 @@ pub struct CellNet {
 impl CellNet {
     /// Build the network; the factory constructs cell `i` inside its
     /// owning worker.
-    pub fn build<F>(cfg: CellNetConfig, factory: F) -> Result<Self, crate::sched::FleetError>
+    pub fn build<F>(cfg: CellNetConfig, factory: F) -> Result<Self, FleetError>
     where
-        F: Fn(usize) -> TrustedCell + Send + Clone + 'static,
+        F: Fn(usize) -> TrustedCell + Send + Sync + 'static,
     {
         let pool = TokenPool::build(cfg.cells, cfg.workers, factory)?;
         let bus = MailboxBus::new(cfg.bus);
@@ -151,11 +151,7 @@ impl CellNet {
         }
         let slice = slice.to_string();
         let data = data.to_vec();
-        self.pool.map(move |i, c| {
-            if i == cell {
-                c.write(&slice, &data);
-            }
-        });
+        self.pool.with(cell, move |c| c.write(&slice, &data));
     }
 
     /// One synchronization round: request → serve → reconcile, all
@@ -298,19 +294,10 @@ impl CellNet {
     /// Read one slice on one cell (`None` also for a `cell` the network
     /// does not host).
     pub fn read(&self, cell: usize, slice: &str) -> Option<Vec<u8>> {
-        if cell >= self.len() {
-            return None;
-        }
         let slice = slice.to_string();
         self.pool
-            .map(move |i, c| {
-                if i == cell {
-                    c.read(&slice).map(|d| d.to_vec())
-                } else {
-                    None
-                }
-            })
-            .swap_remove(cell)
+            .with(cell, move |c| c.read(&slice).map(<[u8]>::to_vec))
+            .flatten()
     }
 }
 

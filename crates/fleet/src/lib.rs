@@ -21,16 +21,16 @@
 //!   one logical tick loop that drains bus deliveries into per-shard
 //!   batches and wakes only the tokens that have mail or a phase
 //!   obligation, evicting least-recently-woken state to flash
-//!   snapshots so resident RAM stays bounded at 100k+ tokens.
-//! * [`pool`] — the simpler **token worker pool** (phase barriers over
-//!   an always-resident fleet), still hosting the Trusted-Cells sync
-//!   network. Both runtimes sit on one private shard-thread substrate
-//!   (`shards.rs`): spawn, job channel, the trace scope around a
-//!   token's turn, join on drop.
+//!   snapshots so resident RAM stays bounded at 100k+ tokens. It is the
+//!   only token-hosting runtime: [`TokenPool`] is the scheduler with a
+//!   cap that covers the fleet (phase barriers over an always-resident
+//!   fleet), hosting the Trusted-Cells sync network. Under it sits a
+//!   private shard-thread substrate (`shards.rs`): spawn, job channel,
+//!   the trace scope around a token's turn, join on drop.
 //! * [`agg`] / [`cellnet`] — \[TNP14\] secure aggregation and the
 //!   Trusted-Cells sync pass re-hosted as **phased fleet jobs**
 //!   (collection → SSI shuffle/compute → result distribution) on top of
-//!   the two. Neither owns its protocol: `agg` is the bus/scheduler
+//!   the scheduler. Neither owns its protocol: `agg` is the bus/scheduler
 //!   driver of the protocol core in `pds_global::secure_agg` (seal,
 //!   fold, the SSI's `Reduction` plan and its verify step), exactly as
 //!   `cellnet` drives `pds_sync`'s `CellMsg` protocol — each also has a
@@ -69,7 +69,6 @@
 pub mod agg;
 pub mod bus;
 pub mod cellnet;
-pub mod pool;
 pub mod sched;
 mod shards;
 pub mod subs;
@@ -82,8 +81,7 @@ pub use agg::{
 };
 pub use bus::{Addr, BusConfig, BusMsg, BusStats, HopRecord, MailboxBus};
 pub use cellnet::{CellNet, CellNetConfig};
-pub use pool::TokenPool;
-pub use sched::{FleetError, FleetScheduler, SchedStats, TokenHost};
+pub use sched::{FleetError, FleetScheduler, SchedStats, TokenHost, TokenPool};
 pub use subs::{SubNet, SubNetConfig, SubRoundReport};
 pub use telemetry::{
     mail_forensics, Collector, CollectorStats, FleetHealth, ForensicsDigest, HealthEngine,

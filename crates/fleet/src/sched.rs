@@ -1,12 +1,9 @@
-//! The event-driven fleet scheduler: bounded-residency token hosting.
+//! The event-driven fleet scheduler: the one runtime that hosts tokens.
 //!
-//! [`TokenPool`](crate::pool::TokenPool) keeps every token alive for the
-//! whole run and touches all of them at every phase barrier — fine for a
-//! 64-token demo, impossible for the tutorial's "millions of users": a
-//! live [`pds_core::Pds`] carries a search engine, table buffers and a
-//! flash handle, and most of the fleet is idle at any given moment (on a
-//! weakly-connected fabric, *almost all* of it). This module hosts the
-//! fleet the way the paper describes it:
+//! A live [`pds_core::Pds`] carries a search engine, table buffers and a
+//! flash handle, and on the tutorial's weakly-connected fabric *almost
+//! all* of a "millions of users" fleet is idle at any given moment. This
+//! module hosts the fleet the way the paper describes it:
 //!
 //! * **Sharded ownership** — tokens are `!Send`, so each long-lived
 //!   worker thread owns the slots of a contiguous index range and builds
@@ -25,13 +22,18 @@
 //!   the next wake (sound whenever a token is a pure function of its
 //!   index, as every fleet token is).
 //!
+//! A cap that covers the fleet evicts nothing: every token stays live
+//! from its first dispatch on. [`TokenPool`] is that case behind `&self`
+//! — the fleet built up front, phases as whole-fleet barriers — and
+//! hosts the Trusted-Cells network.
+//!
 //! Determinism: the residency model — stamps, LRU order, eviction
 //! victims, wave boundaries — lives entirely on the single-threaded
 //! driver and is a pure function of the dispatch sequence, never of
 //! shard layout or thread timing. Workers only ever execute pure
 //! per-token closures on the slots the driver names. So every observable
 //! (results, `sched.*` counters, the `fleet.resident_tokens` gauge) is
-//! bit-identical at any worker count, exactly like the pool it replaces.
+//! bit-identical at any worker count.
 //!
 //! Tracing: a dispatch given a [`TraceContext`] runs each token's turn
 //! in a `token.N` trace scope on its shard — after the residency
@@ -40,8 +42,11 @@
 //! order like the results and kept until the driver takes them
 //! ([`FleetScheduler::take_spans`]) for the stitcher.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 
 use pds_obs::{FinishedSpan, TraceContext};
 
@@ -204,7 +209,7 @@ impl<H: TokenHost> FleetScheduler<H> {
     ) -> Result<Self, FleetError> {
         let workers = workers.max(1).min(n_tokens.max(1));
         let chunk = n_tokens.max(1).div_ceil(workers);
-        let shards = ShardThreads::spawn(workers, "fleet-shard", move |_| Shard {
+        let shards = ShardThreads::spawn(workers, move || Shard {
             host,
             slots: BTreeMap::new(),
         })?;
@@ -372,10 +377,13 @@ impl<H: TokenHost> FleetScheduler<H> {
             return Vec::new();
         }
         debug_assert!(wave.len() <= self.cap);
+        // The LRU order only picks eviction victims: a cap that covers
+        // the fleet never evicts, so it keeps no order.
+        let lru = self.cap < self.n_tokens;
         let wave_set: BTreeSet<usize> = wave.iter().map(|(i, _)| *i).collect();
         // Bump already-resident wave members to most-recently-woken, so
         // the LRU front can only hold evictable outsiders.
-        for &i in &wave_set {
+        for &i in wave_set.iter().filter(|_| lru) {
             if let Some(stamp) = self.resident.get_mut(&i) {
                 self.lru.remove(stamp);
                 self.stamp += 1;
@@ -401,7 +409,9 @@ impl<H: TokenHost> FleetScheduler<H> {
         for &i in &newcomers {
             self.stamp += 1;
             self.resident.insert(i, self.stamp);
-            self.lru.insert(self.stamp, i);
+            if lru {
+                self.lru.insert(self.stamp, i);
+            }
             if !self.ever_built[i] {
                 self.ever_built[i] = true;
                 cold += 1;
@@ -480,6 +490,102 @@ impl<H: TokenHost> FleetScheduler<H> {
             self.spans.extend(tree);
         }
         results
+    }
+}
+
+/// A [`TokenPool`]'s host: tokens come from the factory and are never
+/// parked, since the pool's cap covers its fleet.
+type Factory<T> = Arc<dyn Fn(usize) -> T + Send + Sync>;
+
+impl<T: 'static> TokenHost for Factory<T> {
+    type Token = T;
+    type Sleep = Infallible;
+
+    fn create(&self, i: usize) -> T {
+        self(i)
+    }
+
+    fn hibernate(&self, _: usize, _: T) -> Option<Infallible> {
+        None
+    }
+
+    fn wake(&self, _: usize, sleep: Infallible) -> T {
+        match sleep {}
+    }
+}
+
+/// The whole fleet resident, driven through `&self`: a
+/// [`FleetScheduler`] whose cap covers the fleet, every token built up
+/// front, and phases that are whole-fleet barriers.
+///
+/// Determinism contract: a phase closure derives any randomness it needs
+/// from the token index (per-token RNG streams), never from shared
+/// mutable state — then `map(f)` at 1, 2 and 8 workers is bit-for-bit
+/// identical.
+pub struct TokenPool<T: 'static> {
+    sched: RefCell<FleetScheduler<Factory<T>>>,
+}
+
+impl<T: 'static> TokenPool<T> {
+    /// Build `n_tokens` tokens sharded over `workers` threads. The
+    /// factory runs on the owning shard (tokens may be `!Send`); a
+    /// refused thread spawn surfaces as [`FleetError::SpawnFailed`].
+    pub fn build<F>(n_tokens: usize, workers: usize, factory: F) -> Result<Self, FleetError>
+    where
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        let host: Factory<T> = Arc::new(factory);
+        let mut sched = FleetScheduler::build(n_tokens, workers, n_tokens, host)?;
+        sched.warm();
+        Ok(TokenPool {
+            sched: RefCell::new(sched),
+        })
+    }
+
+    /// Number of shard worker threads.
+    pub fn workers(&self) -> usize {
+        self.sched.borrow().workers()
+    }
+
+    /// Phase barrier: run `f` on every token in parallel, then return
+    /// the results ordered by token index.
+    pub fn map<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(usize, &mut T) -> R + Send + Clone + 'static,
+    {
+        self.map_traced(None, f).0
+    }
+
+    /// [`TokenPool::map`] inside a traced phase (`ctx` is `Some`): each
+    /// token's turn runs in a `token.N` trace scope on its shard, and the
+    /// trees come back beside the results, both in token order. With
+    /// `ctx: None` no tree is returned.
+    pub fn map_traced<R, F>(&self, ctx: Option<TraceContext>, f: F) -> (Vec<R>, Vec<FinishedSpan>)
+    where
+        R: Send + 'static,
+        F: Fn(usize, &mut T) -> R + Send + Clone + 'static,
+    {
+        let mut sched = self.sched.borrow_mut();
+        let out = sched.dispatch_all(ctx, move |i, t, _| f(i, t));
+        (
+            out.into_iter().map(|(_, r)| r).collect(),
+            sched.take_spans(),
+        )
+    }
+
+    /// Run `f` on token `i` alone; `None` when the pool does not host it.
+    pub fn with<R, F>(&self, i: usize, f: F) -> Option<R>
+    where
+        R: Send + 'static,
+        F: Fn(&mut T) -> R + Send + Clone + 'static,
+    {
+        let mut sched = self.sched.borrow_mut();
+        if i >= sched.len() {
+            return None;
+        }
+        let out = sched.dispatch(None, vec![(i, Vec::new())], move |_, t, _| f(t));
+        out.into_iter().next().map(|(_, r)| r)
     }
 }
 
@@ -788,5 +894,96 @@ mod tests {
         };
         assert!(e.to_string().contains("worker 3"));
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    /// The whole-fleet contract of [`TokenPool`].
+    mod pool {
+        use crate::sched::TokenPool;
+        use std::rc::Rc;
+
+        // A deliberately !Send token stand-in.
+        struct NotSendToken {
+            idx: usize,
+            state: Rc<std::cell::RefCell<u64>>,
+        }
+
+        fn factory(i: usize) -> NotSendToken {
+            NotSendToken {
+                idx: i,
+                state: Rc::new(std::cell::RefCell::new(i as u64 * 10)),
+            }
+        }
+
+        #[test]
+        fn map_returns_token_index_order() {
+            let pool = TokenPool::build(17, 4, factory).unwrap();
+            let out = pool.map(|i, t| {
+                assert_eq!(i, t.idx);
+                *t.state.borrow_mut() += 1;
+                *t.state.borrow()
+            });
+            assert_eq!(out.len(), 17);
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, i as u64 * 10 + 1);
+            }
+        }
+
+        #[test]
+        fn state_persists_across_phases() {
+            let pool = TokenPool::build(8, 3, factory).unwrap();
+            pool.map(|_, t| *t.state.borrow_mut() += 5);
+            let out = pool.map(|_, t| *t.state.borrow());
+            assert_eq!(out[2], 25);
+        }
+
+        #[test]
+        fn result_is_identical_across_worker_counts() {
+            let run = |workers| {
+                let pool = TokenPool::build(23, workers, factory).unwrap();
+                pool.map(|i, _| i as u64 * 3 + 1)
+            };
+            assert_eq!(run(1), run(2));
+            assert_eq!(run(1), run(8));
+        }
+
+        // Named for `map_traced`'s first form, which contributed the
+        // spans to a shared sink.
+        #[test]
+        fn map_in_trace_contributes_every_token_span() {
+            let ctx = pds_obs::TraceContext {
+                trace_id: 0x9000_0001,
+                parent_span: 3,
+            };
+            let pool = TokenPool::build(6, 3, factory).unwrap();
+            let (out, trees) = pool.map_traced(Some(ctx), |i, _| {
+                let g = pds_obs::trace::span("token.work");
+                g.set("reads", i + 1);
+                i
+            });
+            assert_eq!(out, (0..6).collect::<Vec<_>>());
+            // One tree per token, in token order, holding what its turn opened.
+            assert_eq!(trees.len(), 6);
+            for (i, tree) in trees.iter().enumerate() {
+                assert_eq!(tree.name, format!("token.{i}"));
+                assert_eq!(tree.attr_u64("token"), Some(i as u64));
+                assert_eq!(tree.children.len(), 1);
+                assert_eq!(tree.children[0].name, "token.work");
+                assert_eq!(tree.total("reads"), i as u64 + 1);
+            }
+            // Untraced, the same spans are inert and nothing comes back.
+            let (out, trees) = pool.map_traced(None, |i, _| {
+                let _g = pds_obs::trace::span("token.work");
+                i
+            });
+            assert_eq!(out.len(), 6);
+            assert!(trees.is_empty());
+        }
+
+        #[test]
+        fn more_workers_than_tokens_is_fine() {
+            let pool = TokenPool::build(2, 16, factory).unwrap();
+            assert_eq!(pool.workers(), 2);
+            assert_eq!(pool.map(|i, _| i).len(), 2);
+        }
     }
 }

@@ -1,12 +1,11 @@
-//! The shard-thread substrate under both hosting runtimes.
+//! The shard-thread substrate under the fleet scheduler.
 //!
 //! A [`pds_core::Pds`] is `!Send`, so fleet state never moves between
 //! threads: `N` long-lived threads each *build and own* one shard state
 //! `S` (the init closure runs inside the thread), and work is shipped
-//! to a shard as a boxed job. [`TokenPool`](crate::TokenPool) hosts
-//! `S = Vec<(usize, T)>`, [`FleetScheduler`](crate::FleetScheduler) its
-//! slot map; what they share — spawn, hang-up-and-join, the trace scope
-//! around one token's turn — lives here once.
+//! to a shard as a boxed job. [`FleetScheduler`](crate::FleetScheduler)
+//! hosts its slot map here; spawn, hang-up-and-join and the trace scope
+//! around one token's turn are the thread-level half of it.
 
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
@@ -24,16 +23,16 @@ pub(crate) struct ShardThreads<S> {
 }
 
 impl<S: 'static> ShardThreads<S> {
-    /// Spawn `workers` threads named `{name}-{w}`; thread `w` builds its
-    /// state with `init(w)` and then runs jobs until hung up.
+    /// Spawn `workers` threads named `fleet-shard-{w}`; each builds its
+    /// state with `init()` and then runs jobs until hung up.
     ///
     /// A refused spawn (rlimits on a big fleet) surfaces as
     /// [`FleetError::SpawnFailed`] instead of aborting the process; the
     /// threads already started are hung up and joined (by `Drop`) before
     /// returning.
-    pub fn spawn<I>(workers: usize, name: &str, init: I) -> Result<Self, FleetError>
+    pub fn spawn<I>(workers: usize, init: I) -> Result<Self, FleetError>
     where
-        I: FnOnce(usize) -> S + Send + Clone + 'static,
+        I: FnOnce() -> S + Send + Clone + 'static,
     {
         let mut shards = ShardThreads {
             txs: Vec::with_capacity(workers),
@@ -43,9 +42,9 @@ impl<S: 'static> ShardThreads<S> {
             let init = init.clone();
             let (tx, rx) = channel::<Job<S>>();
             let handle = std::thread::Builder::new()
-                .name(format!("{name}-{w}"))
+                .name(format!("fleet-shard-{w}"))
                 .spawn(move || {
-                    let mut state = init(w);
+                    let mut state = init();
                     for job in rx {
                         job(&mut state);
                     }

@@ -2,10 +2,9 @@
 //!
 //! A fleet protocol round is phased: the driver opens a phase, each
 //! worker runs its tokens' turns inside `token.N` trace scopes and
-//! returns the trees beside the results ([`TokenPool::map_traced`],
-//! [`FleetScheduler::take_spans`]), the bus records per-message
-//! [`HopRecord`]s, and at the phase barrier the driver hands both to
-//! [`FleetTraceBuilder::end_phase`]. The builder turns them into the
+//! returns the trees beside the results ([`FleetScheduler::take_spans`]),
+//! the bus records per-message [`HopRecord`]s, and at the phase barrier
+//! the driver hands both to [`FleetTraceBuilder::end_phase`]. The builder turns them into the
 //! [`FleetTrace`] conventions (`phase.*` → `token.N` + `hop.N`
 //! children):
 //!
@@ -25,7 +24,6 @@
 //! on or off: off, every call is a no-op, so drivers call it
 //! unconditionally.
 //!
-//! [`TokenPool::map_traced`]: crate::TokenPool::map_traced
 //! [`FleetScheduler::take_spans`]: crate::FleetScheduler::take_spans
 
 use pds_obs::{AttrValue, FinishedSpan, FleetTrace, TraceContext};
@@ -156,7 +154,7 @@ fn hop_span(h: &HopRecord) -> FinishedSpan {
 mod tests {
     use super::*;
     use crate::bus::{Addr, BusConfig};
-    use crate::pool::TokenPool;
+    use crate::sched::TokenPool;
 
     #[test]
     fn builder_stitches_tokens_and_hops_per_phase() {

@@ -1,9 +1,8 @@
 //! Structured flight-recorder events — the feed of the durable black box.
 //!
-//! The [`metrics`](crate::metrics) event ring is a RAM-only debugging
-//! aid: names and ad-hoc fields, lost with the process (or, on a secure
-//! token, with the power). The flight API is its durable counterpart:
-//! every event is a fixed-size, *encodable* [`EventFrame`] —
+//! These frames are the one event system; the [`metrics`](crate::metrics)
+//! registry keeps no events and only counts the frames staging dropped.
+//! Every event is a fixed-size, *encodable* [`EventFrame`] —
 //! `{tick, severity, subsystem, code, args}`, codes and ids only, never
 //! payload bytes — cheap enough to record on data paths and small
 //! enough to persist through the NAND layer (`pds-flash`'s `BlackBox`
