@@ -3,13 +3,16 @@
 //! Two consumers of the HLC change log, measured as fleet workloads:
 //!
 //! * **Part A — delta reconcile** (`pds-fleet::cellnet` with
-//!   `CellNetConfig::delta`): cells ask the cloud "changes since
-//!   version v" instead of pulling full snapshots. Both modes must
+//!   `CellNetConfig::delta`): each cell asks the cloud once per round
+//!   for every slice changed since the last store generation it applied,
+//!   instead of pulling every slice's full snapshot. Both modes must
 //!   converge to the *same* per-cell version witness
 //!   ([`pds_fleet::CellNet::versions`]), bit-identical at 1/2/8 worker
 //!   threads; the win is measured on an idle round after convergence —
 //!   the low-write-rate steady state where a fleet spends its life —
-//!   where delta reconcile must move at least 5× fewer payload bytes.
+//!   where delta reconcile must move at least 5× fewer payload bytes,
+//!   and exactly [`IDLE_DELTA_BYTES_PER_CELL`] per cell: one digest
+//!   request and one empty reply.
 //! * **Part B — continuous queries** (`pds-fleet::subs`): every token
 //!   holds a standing predicate over its own PDS, polls it after each
 //!   commit round, and mails the result delta to the SSI collector.
@@ -25,6 +28,10 @@ use pds_sync::TrustedCell;
 
 use crate::env_u64;
 use crate::table::Table;
+
+/// Bus payload bytes an idle delta round moves per cell: a 9-byte
+/// `PullChanged` and a 13-byte empty `Changed`.
+pub const IDLE_DELTA_BYTES_PER_CELL: u64 = 9 + 13;
 
 /// Convergence witness and idle-round payload bytes of one cell network.
 pub struct E18CellPoint {
@@ -173,8 +180,8 @@ pub fn run() -> Table {
 
     t.note(
         "idle full/delta = bus payload bytes one fully-converged sync round moves; \
-         delta mode answers in-sync slices with a NotModified header instead of a \
-         full ciphertext",
+         delta mode is one generation-digest request and one empty reply per cell \
+         (22 B) where full mode pulls every slice's ciphertext",
     );
     t.note(
         "witness = per-cell (slice, version) maps after convergence — full and \
@@ -204,6 +211,7 @@ mod tests {
             delta.idle_bytes,
             full.idle_bytes
         );
+        assert_eq!(delta.idle_bytes, 48 * IDLE_DELTA_BYTES_PER_CELL);
         let w1 = measure_cells(48, 1, 7, true);
         assert_eq!(delta.witness, w1.witness);
     }

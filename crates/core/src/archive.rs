@@ -20,9 +20,18 @@ const CHUNK: usize = 1024;
 /// An untrusted storage provider: stores opaque blobs by name. The
 /// adversary model lets it read everything it holds and tamper at will —
 /// the tests do both.
+///
+/// Every [`put`](Self::put) is stamped with a store-wide generation, so
+/// a client can ask for what changed since the last generation it saw
+/// ([`changed_since`](Self::changed_since)) instead of asking name by
+/// name. The generation counts puts, nothing else: it says when a blob
+/// arrived, which the provider knows anyway.
 #[derive(Default)]
 pub struct CloudStore {
-    blobs: std::collections::HashMap<String, Vec<Vec<u8>>>,
+    /// name → (generation of the put that stored it, chunks).
+    blobs: std::collections::HashMap<String, (u64, Vec<Vec<u8>>)>,
+    /// Generation of the latest put; 0 before the first.
+    generation: u64,
 }
 
 impl CloudStore {
@@ -31,19 +40,41 @@ impl CloudStore {
         Self::default()
     }
 
-    /// Store a chunked blob under `name` (overwrites).
+    /// Store a chunked blob under `name` (overwrites), stamped with the
+    /// next generation.
     pub fn put(&mut self, name: &str, chunks: Vec<Vec<u8>>) {
-        self.blobs.insert(name.to_string(), chunks);
+        self.generation += 1;
+        self.blobs
+            .insert(name.to_string(), (self.generation, chunks));
     }
 
     /// Fetch a blob.
     pub fn get(&self, name: &str) -> Option<&Vec<Vec<u8>>> {
-        self.blobs.get(name)
+        self.blobs.get(name).map(|(_, chunks)| chunks)
     }
 
-    /// Adversary action: corrupt one byte of one chunk.
+    /// Generation of the latest put (0 for an empty store).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Every blob put after generation `since`, in name order (the map
+    /// underneath is unordered, so the order is fixed here).
+    pub fn changed_since(&self, since: u64) -> Vec<(&str, &Vec<Vec<u8>>)> {
+        let mut out: Vec<(&str, &Vec<Vec<u8>>)> = self
+            .blobs
+            .iter()
+            .filter(|(_, (generation, _))| *generation > since)
+            .map(|(name, (_, chunks))| (name.as_str(), chunks))
+            .collect();
+        out.sort_unstable_by_key(|(name, _)| *name);
+        out
+    }
+
+    /// Adversary action: corrupt one byte of one chunk. Not a put: the
+    /// generation does not move.
     pub fn tamper(&mut self, name: &str, chunk: usize, byte: usize) {
-        if let Some(chunks) = self.blobs.get_mut(name) {
+        if let Some((_, chunks)) = self.blobs.get_mut(name) {
             if let Some(c) = chunks.get_mut(chunk) {
                 if let Some(b) = c.get_mut(byte) {
                     *b ^= 0x01;
@@ -188,6 +219,33 @@ mod tests {
         let archive = EncryptedArchive::publish(&mut cloud, "alice", &key, b"secret", &mut rng);
         let other = SymmetricKey::from_seed(b"not-alice");
         assert!(archive.restore(&cloud, &other).is_err());
+    }
+
+    #[test]
+    fn changed_since_lists_later_puts_in_name_order() {
+        let mut cloud = CloudStore::new();
+        assert_eq!(cloud.generation(), 0);
+        assert!(cloud.changed_since(0).is_empty());
+        for name in ["m", "z", "a"] {
+            cloud.put(name, vec![name.as_bytes().to_vec()]);
+        }
+        assert_eq!(cloud.generation(), 3);
+        let names = |cloud: &CloudStore, since| -> Vec<String> {
+            cloud
+                .changed_since(since)
+                .into_iter()
+                .map(|(n, _)| n.to_string())
+                .collect()
+        };
+        assert_eq!(names(&cloud, 0), ["a", "m", "z"]);
+        assert_eq!(names(&cloud, 1), ["a", "z"]);
+        assert!(names(&cloud, 3).is_empty());
+        // An overwrite is a new put; tampering is not.
+        cloud.put("m", vec![b"m2".to_vec()]);
+        cloud.tamper("a", 0, 0);
+        assert_eq!(cloud.generation(), 4);
+        assert_eq!(names(&cloud, 3), ["m"]);
+        assert_eq!(cloud.changed_since(3)[0].1, &vec![b"m2".to_vec()]);
     }
 
     #[test]

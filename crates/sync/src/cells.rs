@@ -23,9 +23,20 @@
 //!
 //! The message path does only what the message in hand determines: the
 //! cloud reads a stored blob's eight version bytes in place and copies
-//! the blob only into the [`CellMsg::PullResp`] that carries it, a
-//! message is serialised in one allocation of its wire length, and both
-//! request builders are one walk over the cell's slices.
+//! the blob only into the reply that carries it, and a message is
+//! serialised in one allocation of its wire length.
+//!
+//! ## The generation digest
+//!
+//! Asking slice by slice costs a request and a reply per slice even when
+//! nothing changed. The digest form asks once per cell: the
+//! [`CloudStore`] stamps every put with a store-wide generation, a cell
+//! sends [`CellMsg::PullChanged`] with the last generation it has
+//! applied, and the cloud answers [`CellMsg::Changed`] with every slice
+//! put since, in name order. A cell pushes what it wrote until a reply
+//! lists that version back ([`TrustedCell::digest_requests`],
+//! [`TrustedCell::apply_changed`]), and seals each version once, so a
+//! re-push is byte-identical and never reads as a conflict at the cloud.
 
 use std::collections::BTreeMap;
 
@@ -61,23 +72,38 @@ pub enum CellMsg {
         /// `version || ciphertext`.
         blob: Vec<u8>,
     },
-    /// Delta reconcile: "send `slice` only if the cloud holds something
-    /// newer than version `since`" — the cell states what it already
-    /// has, so an in-sync slice costs a handful of bytes instead of a
-    /// full ciphertext round trip.
+    /// Per-slice delta query: "send `slice` only if the cloud holds
+    /// something newer than version `since`". Served by [`serve_cloud`];
+    /// cells reconcile through the generation digest
+    /// ([`CellMsg::PullChanged`]), which asks for every slice at once.
     PullSince {
         /// Slice name.
         slice: String,
         /// Newest version the requesting cell already holds.
         since: u64,
     },
-    /// Cloud's delta reply when the cell is already current: no blob,
-    /// just the version the cloud holds.
+    /// Cloud's reply to a [`CellMsg::PullSince`] it holds nothing newer
+    /// for: no blob, just the version the cloud holds.
     NotModified {
         /// Slice name.
         slice: String,
         /// Version stored at the cloud (0 when it holds nothing).
         version: u64,
+    },
+    /// Generation digest: "every slice put after store generation
+    /// `since`" — one request per cell, whatever the number of slices.
+    PullChanged {
+        /// Last store generation the requesting cell has applied.
+        since: u64,
+    },
+    /// Cloud's digest reply: every cell slice put after the request's
+    /// `since`, in slice-name order, and the store generation the reply
+    /// covers.
+    Changed {
+        /// Store generation when the reply was built.
+        generation: u64,
+        /// `(slice, version || ciphertext)` of each slice put since.
+        blobs: Vec<(String, Vec<u8>)>,
     },
 }
 
@@ -87,8 +113,12 @@ impl CellMsg {
     const TAG_PUSH: u8 = 3;
     const TAG_PULL_SINCE: u8 = 4;
     const TAG_NOT_MODIFIED: u8 = 5;
+    const TAG_PULL_CHANGED: u8 = 6;
+    const TAG_CHANGED: u8 = 7;
 
-    /// Slice this message is about.
+    /// Slice this message is about; empty for the generation digest
+    /// pair ([`CellMsg::PullChanged`], [`CellMsg::Changed`]), which is
+    /// about no single slice and carries no slice name of its own.
     pub fn slice(&self) -> &str {
         match self {
             CellMsg::PullReq { slice }
@@ -96,11 +126,13 @@ impl CellMsg {
             | CellMsg::Push { slice, .. }
             | CellMsg::PullSince { slice, .. }
             | CellMsg::NotModified { slice, .. } => slice,
+            CellMsg::PullChanged { .. } | CellMsg::Changed { .. } => "",
         }
     }
 
     /// Compact wire form (bus payloads are opaque bytes), allocated once
-    /// at its wire length.
+    /// at its wire length: a tag, the slice name (except in the digest
+    /// pair), then the body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (tag, body_len) = match self {
             CellMsg::PullReq { .. } => (Self::TAG_PULL_REQ, 0),
@@ -111,11 +143,24 @@ impl CellMsg {
             CellMsg::Push { blob, .. } => (Self::TAG_PUSH, 4 + blob.len()),
             CellMsg::PullSince { .. } => (Self::TAG_PULL_SINCE, 8),
             CellMsg::NotModified { .. } => (Self::TAG_NOT_MODIFIED, 8),
+            CellMsg::PullChanged { .. } => (Self::TAG_PULL_CHANGED, 8),
+            CellMsg::Changed { blobs, .. } => (
+                Self::TAG_CHANGED,
+                8 + 4
+                    + blobs
+                        .iter()
+                        .map(|(s, b)| 8 + s.len() + b.len())
+                        .sum::<usize>(),
+            ),
         };
+        let digest = matches!(self, CellMsg::PullChanged { .. } | CellMsg::Changed { .. });
         let slice = self.slice().as_bytes();
-        let mut out = Vec::with_capacity(1 + 4 + slice.len() + body_len);
+        let head = if digest { 0 } else { 4 + slice.len() };
+        let mut out = Vec::with_capacity(1 + head + body_len);
         out.push(tag);
-        put_prefixed32(&mut out, slice);
+        if !digest {
+            put_prefixed32(&mut out, slice);
+        }
         match self {
             CellMsg::PullReq { .. } => {}
             CellMsg::PullResp { blob, .. } => {
@@ -125,8 +170,18 @@ impl CellMsg {
                 }
             }
             CellMsg::Push { blob, .. } => put_prefixed32(&mut out, blob),
-            CellMsg::PullSince { since: v, .. } | CellMsg::NotModified { version: v, .. } => {
+            CellMsg::PullSince { since: v, .. }
+            | CellMsg::NotModified { version: v, .. }
+            | CellMsg::PullChanged { since: v } => {
                 out.extend_from_slice(&v.to_le_bytes());
+            }
+            CellMsg::Changed { generation, blobs } => {
+                out.extend_from_slice(&generation.to_le_bytes());
+                out.extend_from_slice(&(blobs.len() as u32).to_le_bytes());
+                for (slice, blob) in blobs {
+                    put_prefixed32(&mut out, slice.as_bytes());
+                    put_prefixed32(&mut out, blob);
+                }
             }
         }
         pds_obs::counter!("sync.bytes_sent").add(out.len() as u64);
@@ -134,12 +189,36 @@ impl CellMsg {
     }
 
     /// Parse the wire form; `None` on any truncation, trailing byte or
-    /// unknown tag.
+    /// unknown tag. A [`CellMsg::Changed`] count is checked against the
+    /// bytes that follow (each entry is at least its two length
+    /// prefixes) before it sizes anything.
     pub fn from_bytes(bytes: &[u8]) -> Option<CellMsg> {
+        fn name(r: &mut Reader) -> Option<String> {
+            Some(std::str::from_utf8(r.prefixed32()?).ok()?.to_string())
+        }
         let mut r = Reader::new(bytes);
         let tag = r.u8()?;
-        let slice = std::str::from_utf8(r.prefixed32()?).ok()?.to_string();
         let msg = match tag {
+            Self::TAG_PULL_CHANGED => CellMsg::PullChanged { since: r.u64()? },
+            Self::TAG_CHANGED => {
+                let generation = r.u64()?;
+                let count = r.count32(8)?;
+                let mut blobs = Vec::with_capacity(count);
+                for _ in 0..count {
+                    blobs.push((name(&mut r)?, r.prefixed32()?.to_vec()));
+                }
+                CellMsg::Changed { generation, blobs }
+            }
+            _ => Self::slice_message(tag, name(&mut r)?, &mut r)?,
+        };
+        r.finish()?;
+        pds_obs::counter!("sync.bytes_received").add(bytes.len() as u64);
+        Some(msg)
+    }
+
+    /// The body of a message about one `slice`, after its name.
+    fn slice_message(tag: u8, slice: String, r: &mut Reader) -> Option<CellMsg> {
+        Some(match tag {
             Self::TAG_PULL_REQ => CellMsg::PullReq { slice },
             Self::TAG_PULL_RESP => {
                 let blob = match r.u8()? {
@@ -162,14 +241,11 @@ impl CellMsg {
                 version: r.u64()?,
             },
             _ => return None,
-        };
-        r.finish()?;
-        pds_obs::counter!("sync.bytes_received").add(bytes.len() as u64);
-        Some(msg)
+        })
     }
 }
 
-/// What one [`CellMsg::PullResp`] did to the receiving cell.
+/// What one reply did to one slice of the receiving cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellSyncOutcome {
     /// The cloud was ahead: the cell adopted the remote snapshot.
@@ -190,8 +266,13 @@ pub enum CellSyncOutcome {
 /// has and counts `sync.conflicts` — first-writer-wins at equal
 /// version, so every replica converges on the copy that landed first.
 ///
+/// A [`CellMsg::PullChanged`] is answered with every cell slice the
+/// store took after the request's generation — ciphertexts the cloud
+/// already holds, listed in name order with the generation the reply
+/// covers.
+///
 /// Versions are read and pushes compared on the stored blob where it
-/// lies; it is copied only into a [`CellMsg::PullResp`] that carries it.
+/// lies; it is copied only into a reply that carries it.
 pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
     fn stored<'a>(cloud: &'a CloudStore, name: &str) -> Option<&'a [u8]> {
         cloud.get(name)?.first().map(Vec::as_slice)
@@ -228,7 +309,18 @@ pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
             }
             None
         }
-        CellMsg::PullResp { .. } | CellMsg::NotModified { .. } => None,
+        CellMsg::PullChanged { since } => Some(CellMsg::Changed {
+            generation: cloud.generation(),
+            blobs: cloud
+                .changed_since(*since)
+                .into_iter()
+                .filter_map(|(name, chunks)| {
+                    let slice = name.strip_prefix(TrustedCell::BLOB_PREFIX)?;
+                    Some((slice.to_string(), chunks.first()?.clone()))
+                })
+                .collect(),
+        }),
+        CellMsg::PullResp { .. } | CellMsg::NotModified { .. } | CellMsg::Changed { .. } => None,
     }
 }
 
@@ -245,6 +337,13 @@ pub struct TrustedCell {
     key: SymmetricKey,
     /// slice name → (version, plaintext state).
     slices: BTreeMap<String, (u64, Vec<u8>)>,
+    /// Last store generation whose changes this cell has applied.
+    generation: u64,
+    /// Slices written here that no digest reply has yet listed at the
+    /// version written, each with that version's sealed blob once the
+    /// first push sealed it. Only the digest path reads or clears it;
+    /// a cell reconciles in one mode for its life.
+    dirty: BTreeMap<String, Option<Vec<u8>>>,
 }
 
 /// Outcome of one synchronization pass.
@@ -256,6 +355,14 @@ pub struct CellSyncReport {
     pub pulled: u32,
     /// Slices already in sync.
     pub unchanged: u32,
+}
+
+impl std::ops::AddAssign for CellSyncReport {
+    fn add_assign(&mut self, other: CellSyncReport) {
+        self.pushed += other.pushed;
+        self.pulled += other.pulled;
+        self.unchanged += other.unchanged;
+    }
 }
 
 impl CellSyncReport {
@@ -277,14 +384,18 @@ impl TrustedCell {
             name: name.to_string(),
             key: SymmetricKey::from_seed(owner_seed),
             slices: BTreeMap::new(),
+            generation: 0,
+            dirty: BTreeMap::new(),
         }
     }
 
-    /// Local write: bump the slice version.
+    /// Local write: bump the slice version (and mark it for the next
+    /// digest push).
     pub fn write(&mut self, slice: &str, data: &[u8]) {
         let v = self.slices.get(slice).map_or(0, |(v, _)| *v);
         self.slices
             .insert(slice.to_string(), (v + 1, data.to_vec()));
+        self.dirty.insert(slice.to_string(), None);
     }
 
     /// Read a slice.
@@ -302,45 +413,96 @@ impl TrustedCell {
         self.slices.keys().cloned().collect()
     }
 
-    /// Cloud blob name of a slice.
-    pub fn blob_name(owner_slice: &str) -> String {
-        ["cell-slice:", owner_slice].concat()
+    /// Last store generation whose changes this cell has applied.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
-    /// One request per slice this cell should reconcile, built by `msg`
-    /// from the slice name and the version held (0 for a slice it has
-    /// never seen): the tracked slices in name order, then the `extra`
-    /// names it does not track, each once, in `extra`'s order.
-    fn requests(&self, extra: &[String], msg: impl Fn(String, u64) -> CellMsg) -> Vec<CellMsg> {
+    /// Prefix of every cell slice's cloud blob name.
+    const BLOB_PREFIX: &'static str = "cell-slice:";
+
+    /// Cloud blob name of a slice.
+    pub fn blob_name(owner_slice: &str) -> String {
+        [Self::BLOB_PREFIX, owner_slice].concat()
+    }
+
+    /// One [`CellMsg::PullReq`] per slice this cell should reconcile:
+    /// the tracked slices in name order, then the `extra` slice names it
+    /// has learned about and does not track (slice names are public
+    /// cloud metadata), each once, in `extra`'s order.
+    pub fn sync_requests(&self, extra: &[String]) -> Vec<CellMsg> {
         let mut out: Vec<CellMsg> = self
             .slices
-            .iter()
-            .map(|(slice, (v, _))| msg(slice.clone(), *v))
+            .keys()
+            .map(|slice| CellMsg::PullReq {
+                slice: slice.clone(),
+            })
             .collect();
         let tracked = out.len();
         for e in extra {
             if !self.slices.contains_key(e) && !out[tracked..].iter().any(|m| m.slice() == e) {
-                out.push(msg(e.clone(), 0));
+                out.push(CellMsg::PullReq { slice: e.clone() });
             }
         }
         out
     }
 
-    /// One [`CellMsg::PullReq`] per slice this cell should reconcile:
-    /// everything it tracks plus any `extra` slice names it has learned
-    /// about (slice names are public cloud metadata).
-    pub fn sync_requests(&self, extra: &[String]) -> Vec<CellMsg> {
-        self.requests(extra, |slice, _| CellMsg::PullReq { slice })
+    /// One digest round's requests: a [`CellMsg::Push`] of every slice
+    /// written here that no reply has yet listed at the version written,
+    /// in name order, then one [`CellMsg::PullChanged`] since the last
+    /// generation this cell has applied. A version is sealed on its
+    /// first push and the sealed bytes kept: should that push not land,
+    /// the next one is byte-identical, which the cloud takes as a
+    /// duplicate and never as an equal-version conflict.
+    pub fn digest_requests(&mut self, rng: &mut impl RngCore) -> Vec<CellMsg> {
+        let mut out = Vec::with_capacity(self.dirty.len() + 1);
+        for (slice, sealed) in &mut self.dirty {
+            let Some((v, data)) = self.slices.get(slice) else {
+                continue;
+            };
+            let blob = sealed.get_or_insert_with(|| Self::encode_blob(&self.key, *v, data, rng));
+            out.push(CellMsg::Push {
+                slice: slice.clone(),
+                blob: blob.clone(),
+            });
+        }
+        out.push(CellMsg::PullChanged {
+            since: self.generation,
+        });
+        out
     }
 
-    /// Delta form of [`sync_requests`](Self::sync_requests): one
-    /// [`CellMsg::PullSince`] per slice, carrying the version this cell
-    /// already holds. An in-sync slice then costs a
-    /// [`CellMsg::NotModified`] instead of a full ciphertext — the
-    /// version number is already public cloud metadata, so stating it in
-    /// the request leaks nothing new.
-    pub fn sync_requests_since(&self, extra: &[String]) -> Vec<CellMsg> {
-        self.requests(extra, |slice, since| CellMsg::PullSince { slice, since })
+    /// Apply one [`CellMsg::Changed`]. A listed slice newer than this
+    /// cell's copy is adopted ([`CellSyncOutcome::Pulled`]); one at the
+    /// version held is this cell's push come back, or a copy it already
+    /// has ([`CellSyncOutcome::Unchanged`]), and clears the slice's push
+    /// mark; an older one changes nothing, so a slice written here stays
+    /// marked until its version is listed. The cell's generation becomes
+    /// the larger of its own and the reply's, so a duplicated or late
+    /// reply (the bus is at-least-once and unordered) regresses nothing.
+    pub fn apply_changed(&mut self, reply: &CellMsg) -> Result<CellSyncReport, PdsError> {
+        let CellMsg::Changed { generation, blobs } = reply else {
+            return Err(PdsError::ArchiveCorrupt("cell expected a digest reply"));
+        };
+        let mut report = CellSyncReport::default();
+        for (slice, blob) in blobs {
+            let local_v = self.version(slice);
+            match blob_version(blob).cmp(&local_v) {
+                std::cmp::Ordering::Greater => {
+                    let adopted = Self::decode_blob(blob, &self.key)?;
+                    self.slices.insert(slice.clone(), adopted);
+                    self.dirty.remove(slice);
+                    report.record(CellSyncOutcome::Pulled);
+                }
+                std::cmp::Ordering::Equal => {
+                    self.dirty.remove(slice);
+                    report.record(CellSyncOutcome::Unchanged);
+                }
+                std::cmp::Ordering::Less => {}
+            }
+        }
+        self.generation = self.generation.max(*generation);
+        Ok(report)
     }
 
     /// Apply one [`CellMsg::PullResp`]: adopt the remote snapshot when the
@@ -353,26 +515,6 @@ impl TrustedCell {
         resp: &CellMsg,
         rng: &mut impl RngCore,
     ) -> Result<(Option<CellMsg>, CellSyncOutcome), PdsError> {
-        if let CellMsg::NotModified { slice, version } = resp {
-            // Delta reply: the cloud holds nothing newer. If it is
-            // *behind*, push; otherwise nothing moved (a version ahead of
-            // ours would have come as a full PullResp — treat a
-            // misrouted one as unchanged rather than guessing).
-            let local_v = self.version(slice);
-            if *version < local_v {
-                if let Some((v, data)) = self.slices.get(slice) {
-                    let blob = Self::encode_blob(&self.key, *v, data, rng);
-                    return Ok((
-                        Some(CellMsg::Push {
-                            slice: slice.clone(),
-                            blob,
-                        }),
-                        CellSyncOutcome::Pushed,
-                    ));
-                }
-            }
-            return Ok((None, CellSyncOutcome::Unchanged));
-        }
         let CellMsg::PullResp { slice, blob } = resp else {
             return Err(PdsError::ArchiveCorrupt("cell expected a pull response"));
         };
@@ -631,12 +773,111 @@ mod tests {
                 slice: "prefs".into(),
                 version: u64::MAX,
             },
+            CellMsg::PullChanged { since: 7 },
+            CellMsg::Changed {
+                generation: 9,
+                blobs: vec![("a".into(), vec![1; 12]), ("médical".into(), vec![])],
+            },
         ];
         for m in msgs {
             let bytes = m.to_bytes();
             assert_eq!(CellMsg::from_bytes(&bytes), Some(m.clone()));
             assert_eq!(CellMsg::from_bytes(&bytes[..bytes.len() - 2]), None);
         }
+        // The digest pair names no slice: an idle exchange is a 9-byte
+        // request and a 13-byte empty reply.
+        assert_eq!(CellMsg::PullChanged { since: 0 }.to_bytes().len(), 9);
+        let empty = CellMsg::Changed {
+            generation: 0,
+            blobs: Vec::new(),
+        };
+        assert_eq!(empty.to_bytes().len(), 13);
+    }
+
+    #[test]
+    fn digest_reply_lists_what_changed_since_a_generation() {
+        let (mut home, mut phone, mut cloud, mut rng) = setup();
+        // An archive in the same store moves the generation but is not a
+        // cell slice, so no reply lists it.
+        cloud.put("archive", vec![vec![0; 8]]);
+        home.write("b", b"b1");
+        home.write("a", b"a1");
+        let reqs = home.digest_requests(&mut rng);
+        assert_eq!(reqs.len(), 3, "two pushes and one pull");
+        assert_eq!(reqs[2], CellMsg::PullChanged { since: 0 });
+        let replies: Vec<CellMsg> = reqs
+            .iter()
+            .filter_map(|m| serve_cloud(&mut cloud, m))
+            .collect();
+        let [CellMsg::Changed { generation, blobs }] = &replies[..] else {
+            panic!("one digest reply: {replies:?}");
+        };
+        assert_eq!(*generation, 3);
+        let names: Vec<&str> = blobs.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "name order, not push order");
+        // The writer sees its own versions come back and stops pushing.
+        let report = home.apply_changed(&replies[0]).unwrap();
+        assert_eq!((report.pulled, report.unchanged), (0, 2));
+        assert_eq!(home.generation(), 3);
+        assert_eq!(
+            home.digest_requests(&mut rng),
+            [CellMsg::PullChanged { since: 3 }]
+        );
+        // Another cell adopts both; asked again, the cloud lists nothing.
+        let reply = serve_cloud(&mut cloud, &CellMsg::PullChanged { since: 0 }).unwrap();
+        assert_eq!(phone.apply_changed(&reply).unwrap().pulled, 2);
+        assert_eq!(phone.read("a").unwrap(), b"a1");
+        let idle = serve_cloud(&mut cloud, &CellMsg::PullChanged { since: 3 }).unwrap();
+        assert_eq!(
+            idle,
+            CellMsg::Changed {
+                generation: 3,
+                blobs: Vec::new()
+            }
+        );
+    }
+
+    #[test]
+    fn an_unlisted_push_is_resent_byte_identical_and_an_older_listing_keeps_it() {
+        let (mut home, mut phone, mut cloud, mut rng) = setup();
+        phone.write("s", b"v1");
+        for m in phone.digest_requests(&mut rng) {
+            serve_cloud(&mut cloud, &m);
+        }
+        let v1 = serve_cloud(&mut cloud, &CellMsg::PullChanged { since: 0 }).unwrap();
+        home.apply_changed(&v1).unwrap();
+        home.write("s", b"v2");
+        // The first push never reaches the cloud; the next round's is the
+        // same bytes, even from another random stream.
+        let first = home.digest_requests(&mut rng);
+        let mut other = StdRng::seed_from_u64(1);
+        assert_eq!(home.digest_requests(&mut other), first);
+        // A reply listing the older version keeps the slice marked.
+        home.apply_changed(&v1).unwrap();
+        assert_eq!(home.digest_requests(&mut rng), first);
+        assert_eq!(home.version("s"), 2);
+        for m in &first {
+            serve_cloud(&mut cloud, m);
+        }
+        let reply = serve_cloud(&mut cloud, &CellMsg::PullChanged { since: 1 }).unwrap();
+        home.apply_changed(&reply).unwrap();
+        assert_eq!(
+            home.digest_requests(&mut rng),
+            [CellMsg::PullChanged { since: 2 }]
+        );
+        // A later local write starts a fresh seal.
+        home.write("s", b"v3");
+        let third = home.digest_requests(&mut rng);
+        assert_ne!(third[0], first[0]);
+        assert!(matches!(&third[0], CellMsg::Push { blob, .. } if blob_version(blob) == 3));
+    }
+
+    #[test]
+    fn apply_changed_refuses_what_is_not_a_digest_reply() {
+        let (mut home, ..) = setup();
+        let pull = CellMsg::PullReq { slice: "s".into() };
+        assert!(home.apply_changed(&pull).is_err());
+        assert_eq!(home.generation(), 0);
     }
 
     #[test]
@@ -644,33 +885,32 @@ mod tests {
         let (mut home, mut phone, mut cloud, mut rng) = setup();
         home.write("prefs", b"v1");
         home.sync(&mut cloud, &mut rng).unwrap();
-        // Phone reconciles via PullSince: behind → full blob arrives.
-        for req in phone.sync_requests_since(&["prefs".into()]) {
-            let resp = serve_cloud(&mut cloud, &req).unwrap();
-            assert!(matches!(resp, CellMsg::PullResp { .. }));
-            let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
-            assert!(push.is_none());
-            assert_eq!(outcome, CellSyncOutcome::Pulled);
-        }
+        let since = |cell: &TrustedCell| CellMsg::PullSince {
+            slice: "prefs".into(),
+            since: cell.version("prefs"),
+        };
+        // Phone asks via PullSince: behind → the full blob arrives.
+        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
+        assert!(matches!(resp, CellMsg::PullResp { .. }));
+        let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
+        assert!(push.is_none());
+        assert_eq!(outcome, CellSyncOutcome::Pulled);
         assert_eq!(phone.read("prefs").unwrap(), b"v1");
-        // Second round: in sync → a byte-cheap NotModified, nothing moves.
-        for req in phone.sync_requests_since(&[]) {
-            let resp = serve_cloud(&mut cloud, &req).unwrap();
-            assert!(matches!(resp, CellMsg::NotModified { version: 1, .. }));
-            let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
-            assert!(push.is_none());
-            assert_eq!(outcome, CellSyncOutcome::Unchanged);
-        }
-        // Phone writes: ahead → NotModified answers the PullSince, and
-        // the cell responds by pushing.
+        // In sync → a byte-cheap NotModified carrying the cloud's version.
+        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
+        assert_eq!(
+            resp,
+            CellMsg::NotModified {
+                slice: "prefs".into(),
+                version: 1
+            }
+        );
+        // Phone writes: ahead → NotModified still answers, with the
+        // older version the cloud holds; the phone's sync pushes.
         phone.write("prefs", b"v2-from-phone");
-        for req in phone.sync_requests_since(&[]) {
-            let resp = serve_cloud(&mut cloud, &req).unwrap();
-            assert!(matches!(resp, CellMsg::NotModified { .. }));
-            let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
-            assert_eq!(outcome, CellSyncOutcome::Pushed);
-            serve_cloud(&mut cloud, &push.unwrap());
-        }
+        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
+        assert!(matches!(resp, CellMsg::NotModified { version: 1, .. }));
+        assert_eq!(phone.sync(&mut cloud, &mut rng).unwrap().pushed, 1);
         let report = home.sync(&mut cloud, &mut rng).unwrap();
         assert_eq!(report.pulled, 1);
         assert_eq!(home.read("prefs").unwrap(), b"v2-from-phone");

@@ -222,6 +222,9 @@ fn delta_and_full_cell_fleets_converge_to_the_same_witness() {
         delta_idle * 5 <= full_idle,
         "idle round: delta {delta_idle} B vs full {full_idle} B"
     );
+    // An idle delta round is one digest request and one empty reply per
+    // cell: 9 + 13 bytes.
+    assert_eq!(delta_idle, 24 * 22, "idle delta round");
 
     // The wire accounting satellites: every encoded and decoded cell
     // message was metered while the fleets ran.

@@ -243,12 +243,14 @@ fn cell_messages_keep_the_decoder_contract() {
     sweep(
         "CellMsg",
         Tail::Exact,
-        // A push whose slice name, then whose blob, claims 4 GB.
+        // A push whose slice name, then whose blob, claims 4 GB; a digest
+        // reply that claims 2³² − 1 slices.
         &[
             &[3, 0xFF, 0xFF, 0xFF, 0xFF],
             &[3, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
+            &[7, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
         ],
-        |rng| match rng.gen_range(0..6u32) {
+        |rng| match rng.gen_range(0..8u32) {
             0 => CellMsg::PullReq { slice: slice(rng) },
             1 => CellMsg::PullResp {
                 slice: slice(rng),
@@ -266,9 +268,16 @@ fn cell_messages_keep_the_decoder_contract() {
                 slice: slice(rng),
                 since: rng.gen(),
             },
-            _ => CellMsg::NotModified {
+            5 => CellMsg::NotModified {
                 slice: slice(rng),
                 version: rng.gen(),
+            },
+            6 => CellMsg::PullChanged { since: rng.gen() },
+            _ => CellMsg::Changed {
+                generation: rng.gen(),
+                blobs: (0..rng.gen_range(0..4u32))
+                    .map(|_| (slice(rng), blob(rng, 120)))
+                    .collect(),
             },
         },
         CellMsg::to_bytes,
