@@ -549,3 +549,55 @@ fn reduced_cell_sync_counts_are_pinned() {
         );
     }
 }
+
+/// Three aggregation rounds on one fleet of 64 tokens capped at 16,
+/// under both eviction policies and at 1, 2 and 8 workers. Each round's
+/// protocol observables — the result, the plaintext reference, the
+/// leakage ledger, `ProtocolStats`, `BusStats`, `result_coverage` and
+/// the per-phase ticks — hash to one constant, the same for every round
+/// of the fleet: when and how the scheduler parks and revives a token
+/// moves none of them.
+#[test]
+fn capped_rounds_on_one_fleet_are_pinned() {
+    const ROUND: &str = "93e93918ae0988993a5ceeb5b9c6c16ae3c6140498f74392a6135a6841ad9723";
+    for evict in [
+        pds::fleet::EvictPolicy::Hibernate,
+        pds::fleet::EvictPolicy::Rebuild,
+    ] {
+        for workers in [1, 2, 8] {
+            let mut cfg = FleetConfig::new(64, workers, 0xF1EE7);
+            cfg.partition_size = 16;
+            cfg.resident_cap = Some(16);
+            cfg.evict = evict;
+            let query = GroupByQuery::bank_by_category();
+            let mut fleet = build_fleet(&cfg, &query).unwrap();
+            for round in 1..=3 {
+                let rep = fleet_secure_aggregation(
+                    &cfg,
+                    &query,
+                    &mut fleet,
+                    SsiThreat::HonestButCurious,
+                    OnTamper::Abort,
+                )
+                .unwrap();
+                let seen = format!(
+                    "{:?}",
+                    (
+                        &rep.result,
+                        &rep.expected,
+                        &rep.leakage,
+                        rep.stats,
+                        rep.bus,
+                        rep.result_coverage,
+                        &rep.phase_ticks,
+                    )
+                );
+                assert_eq!(
+                    hex(&sha256(seen.as_bytes())),
+                    ROUND,
+                    "{evict:?}, {workers} workers, round {round}"
+                );
+            }
+        }
+    }
+}
