@@ -13,8 +13,9 @@
 //! driven by one logical tick loop:
 //!
 //! 1. **Collection** — a whole-fleet phase obligation: every token is
-//!    woken (in bounded waves under the resident cap), computes its
-//!    policy-gated contributions, seals them and uploads the ciphertexts
+//!    visited (in bounded waves under the resident cap), built or
+//!    revived to read its stores, computes its policy-gated
+//!    contributions, seals them and uploads the ciphertexts
 //!    (one bus message per tuple). The SSI ingests whatever arrives
 //!    through `Ssi::collect_tagged`, keyed by the bus message ids, so a
 //!    weakly-malicious SSI's drop verdicts are per-message and
@@ -22,12 +23,18 @@
 //! 2. **Reduction** — each round the plan partitions the opaque
 //!    ciphertext set and names a round-robin serving token per
 //!    partition ("whichever token happens to connect"); the driver
-//!    mails the partitions and the tick loop wakes *only* the serving
+//!    mails the partitions and the tick loop visits *only* the serving
 //!    tokens, each as its partition mail lands — fold, re-seal, mail
 //!    the partials back within the same loop — shrinking the set
 //!    geometrically until one partition remains.
 //! 3. **Distribution** — the final released result is mailed to every
-//!    token; tokens wake batch-by-batch as the weak fabric delivers.
+//!    token; tokens are visited batch-by-batch as the weak fabric
+//!    delivers.
+//!
+//! Serving a partition and taking the result read no store, so those
+//! turns never ask their [`Visit`] for the token: a parked token stays
+//! parked through them, and nothing is read from or programmed into its
+//! chip.
 //!
 //! A lost protocol message aborts: when the bus spends its attempt
 //! budget on a collection upload, a partition or a partial, the run ends
@@ -36,7 +43,7 @@
 //! and partials by the plan's verify step). Only result *distribution*
 //! tolerates loss — it lowers [`FleetAggReport::result_coverage`].
 //!
-//! Between wakes a token's state can be evicted to a sparse flash
+//! Between collections a token's state can be evicted to a sparse flash
 //! snapshot (or dropped and deterministically rebuilt), so resident RAM
 //! is bounded by [`FleetConfig::resident_cap`], not by fleet size.
 //!
@@ -63,7 +70,7 @@ use pds_obs::wire::{put_prefixed32, Reader};
 use pds_obs::{FleetTrace, MetricsDelta};
 
 use crate::bus::{mix, Addr, BusConfig, BusMsg, BusStats, MailboxBus};
-use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost};
+use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost, Visit};
 use crate::telemetry::{
     Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryConfig, TelemetryMsg,
 };
@@ -92,10 +99,10 @@ pub fn derived_rng(seed: u64, tag: u64, index: u64) -> StdRng {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictPolicy {
     /// Hibernate to persistent state (sparse flash snapshot + recovery
-    /// manifests) and revive losslessly on the next wake.
+    /// manifests) and revive losslessly when a turn next uses it.
     Hibernate,
-    /// Drop entirely and rebuild from the deterministic factory on the
-    /// next wake — sound because every fleet token is a pure function
+    /// Drop entirely and rebuild from the deterministic factory when a
+    /// turn next uses it — sound because every fleet token is a pure function
     /// of `(seed, index)`, and the cheapest way to park 100k+ idle
     /// tokens.
     Rebuild,
@@ -121,7 +128,10 @@ pub struct FleetConfig {
     /// Most tokens live at once; `None` keeps the whole fleet resident,
     /// as [`TokenPool`](crate::TokenPool) does. A bounded cap is what
     /// lets a 100k–1M fleet run in bounded RAM — watch the
-    /// `fleet.resident_tokens` gauge and `sched.*` counters.
+    /// `fleet.resident_tokens` gauge and `sched.*` counters. Only a turn
+    /// that uses its token makes it live: under a cap, collection builds
+    /// or revives every token, while reduction and distribution visits
+    /// leave a parked token parked (they still make room for it).
     pub resident_cap: Option<usize>,
     /// What eviction does to a token's state (ignored while the fleet
     /// fits under the cap).
@@ -218,7 +228,7 @@ pub type Fleet = FleetScheduler<PdsHost>;
 /// Build the fleet's scheduler (setup cost — excluded from protocol
 /// timing, exactly like manufacturing tokens is excluded from query
 /// latency). With an unbounded cap the fleet is manufactured up-front;
-/// under a bounded cap tokens materialize lazily on first wake.
+/// under a bounded cap a token is built when a turn first uses it.
 pub fn build_fleet(cfg: &FleetConfig, query: &GroupByQuery) -> Result<Fleet, FleetError> {
     let host = PdsHost {
         cfg: cfg.clone(),
@@ -502,10 +512,10 @@ pub fn fleet_secure_aggregation(
     let latency = cfg.link_latency_us;
     let enc_key = key.clone();
     let seed = cfg.seed;
-    let collected: Vec<(usize, CollectOut)> = fleet.dispatch_all(ctx, move |i, pds, _mail| {
+    let collected: Vec<(usize, CollectOut)> = fleet.dispatch_all(ctx, move |i, visit, _mail| {
         sleep_link(latency);
         let mut rng = derived_rng(seed, TAG_ENC, i as u64);
-        let groups = q.contributions_of(pds)?;
+        let groups = q.contributions_of(visit.token())?;
         let seq_of = |k: usize| ((i as u64) << 24) | k as u64;
         let cts = seal_groups(&enc_key, &groups, seq_of, &mut rng);
         Ok((groups, cts))
@@ -559,8 +569,8 @@ pub fn fleet_secure_aggregation(
     pds_obs::histogram("fleet.phase.collect_us").observe(phase0.elapsed().as_micros() as u64);
 
     // Phase 2: reduction tree — `plan` decides each round's partitions
-    // and serving tokens, the bus carries them. The tick loop wakes each
-    // serving token as its partition mail lands and its partials
+    // and serving tokens, the bus carries them. The tick loop visits
+    // each serving token as its partition mail lands and its partials
     // re-enter the bus inside the same loop; a round ends when nothing
     // is in flight, and `plan.end_round` then refuses to go on if a
     // partition or a partial expired on the way.
@@ -585,7 +595,9 @@ pub fn fleet_secure_aggregation(
             on_tamper,
             latency_us: latency,
         };
-        let reduce_f = move |_i: usize, _pds: &mut Pds, mail: Vec<BusMsg>| serving.serve(mail);
+        // Serving reads no store: the visit leaves the token as it was.
+        let reduce_f =
+            move |_i: usize, _: &mut Visit<'_, PdsHost>, mail: Vec<BusMsg>| serving.serve(mail);
         // Ordered merge per wake batch: a batch's partial results
         // re-enter the SSI store in partition order, and batch
         // boundaries are a pure function of the seeded bus schedule —
@@ -665,8 +677,9 @@ pub fn fleet_secure_aggregation(
     pds_obs::histogram("fleet.phase.reduce_us").observe(phase0.elapsed().as_micros() as u64);
 
     // Phase 3: result distribution — the released aggregate is mailed
-    // to every token; tokens wake batch-by-batch as the weak fabric
-    // delivers, confirm the download in-band, and go back to sleep.
+    // to every token; tokens are visited batch-by-batch as the weak
+    // fabric delivers and confirm the download in-band, without a boot:
+    // the turn uses no store.
     // pds-lint: allow(det.time) — stats-only phase timing (pds-obs histogram)
     let phase0 = Instant::now();
     let tick0 = bus.now();
@@ -690,7 +703,7 @@ pub fn fleet_secure_aggregation(
         ctx,
         MAX_BUS_TICKS,
         BATCH_TICKS,
-        move |_i, _pds: &mut Pds, mail: Vec<BusMsg>| {
+        move |_i, _: &mut Visit<'_, PdsHost>, mail: Vec<BusMsg>| {
             if mail.is_empty() {
                 false
             } else {
@@ -794,14 +807,12 @@ mod tests {
 
     fn run(cfg: &FleetConfig, q: &GroupByQuery) -> FleetAggReport {
         let mut fleet = build_fleet(cfg, q).unwrap();
-        fleet_secure_aggregation(
-            cfg,
-            q,
-            &mut fleet,
-            SsiThreat::HonestButCurious,
-            OnTamper::Abort,
-        )
-        .unwrap()
+        run_on(cfg, q, &mut fleet)
+    }
+
+    fn run_on(cfg: &FleetConfig, q: &GroupByQuery, fleet: &mut Fleet) -> FleetAggReport {
+        fleet_secure_aggregation(cfg, q, fleet, SsiThreat::HonestButCurious, OnTamper::Abort)
+            .unwrap()
     }
 
     #[test]
@@ -825,7 +836,11 @@ mod tests {
         cfg.resident_cap = Some(6);
         for policy in [EvictPolicy::Hibernate, EvictPolicy::Rebuild] {
             cfg.evict = policy;
-            let rep = run(&cfg, &q);
+            // The first round parks the tokens it built; the second's
+            // collection revives or rebuilds them.
+            let mut fleet = build_fleet(&cfg, &q).unwrap();
+            run_on(&cfg, &q, &mut fleet);
+            let rep = run_on(&cfg, &q, &mut fleet);
             assert_eq!(rep.result, unbounded.result, "{policy:?} result drifted");
             assert_eq!(rep.expected, unbounded.expected);
             assert_eq!(rep.result_coverage, unbounded.result_coverage);

@@ -81,7 +81,7 @@ pub use agg::{
 };
 pub use bus::{Addr, BusConfig, BusMsg, BusStats, HopRecord, MailboxBus};
 pub use cellnet::{CellNet, CellNetConfig};
-pub use sched::{FleetError, FleetScheduler, SchedStats, TokenHost, TokenPool};
+pub use sched::{FleetError, FleetScheduler, SchedStats, TokenHost, TokenPool, Visit};
 pub use subs::{SubNet, SubNetConfig, SubRoundReport};
 pub use telemetry::{
     mail_forensics, Collector, CollectorStats, FleetHealth, ForensicsDigest, HealthEngine,

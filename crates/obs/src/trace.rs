@@ -388,6 +388,22 @@ pub fn trace<T>(name: &str, f: impl FnOnce() -> T) -> (T, FinishedSpan) {
     (out, tree)
 }
 
+/// Run `f` with this thread's open spans set aside: whatever `f` opens
+/// is inert, and the scope resumes as it was when `f` returns (or
+/// unwinds). A fleet turn builds or revives its token in here, so the
+/// scheduler's work never lands in the token's trace.
+pub fn untraced<T>(f: impl FnOnce() -> T) -> T {
+    struct Resume(Vec<ActiveSpan>);
+    impl Drop for Resume {
+        fn drop(&mut self) {
+            let open = std::mem::take(&mut self.0);
+            SPANS.with(|s| s.borrow_mut().open = open);
+        }
+    }
+    let _resume = Resume(SPANS.with(|s| std::mem::take(&mut s.borrow_mut().open)));
+    f()
+}
+
 /// Outcome of checking one traced quantity against a claimed budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetCheck {
@@ -730,6 +746,28 @@ mod tests {
         assert_eq!(spn.name, "work");
         assert_eq!(spn.children[0].name, "step");
         assert_eq!(open_spans(), 0, "trace took its root with it");
+    }
+
+    #[test]
+    fn untraced_work_stays_out_of_the_scope_it_interrupts() {
+        let (n, root) = trace("token.3", || {
+            let turn = span("turn");
+            let n = untraced(|| {
+                let boot = span("host.wake");
+                boot.set("recovery.pages", 9u64);
+                let _inner = trace("inner", || span("inner.step")).1;
+                assert_eq!(open_spans(), 0, "nothing is open in here");
+                7
+            });
+            turn.set("after", 1u64);
+            n
+        });
+        assert_eq!(n, 7);
+        assert_eq!(root.children.len(), 1, "{}", root.to_json());
+        assert_eq!(root.children[0].name, "turn");
+        assert!(root.children[0].children.is_empty());
+        assert_eq!(root.children[0].attr_u64("after"), Some(1));
+        assert_eq!(open_spans(), 0);
     }
 
     #[test]

@@ -68,13 +68,14 @@ const AGG_OTHER: (&str, &str) = (
     "d6f3d818f969de295220d8e580a8a4de3e6d52ae9c5bf119064a08b0c91c7d42",
 );
 
-/// A traced aggregation, optionally under a resident cap of a quarter
-/// of the fleet.
-fn traced_agg_of(
+/// `rounds` traced aggregations on one fleet, optionally under a
+/// resident cap of a quarter of the fleet; the last round's report.
+fn traced_rounds_of(
     tokens: usize,
     seed: u64,
     workers: usize,
     capped: Option<EvictPolicy>,
+    rounds: usize,
 ) -> FleetAggReport {
     let mut cfg = FleetConfig::new(tokens, workers, seed);
     cfg.partition_size = 8;
@@ -85,14 +86,32 @@ fn traced_agg_of(
     }
     let query = GroupByQuery::bank_by_category();
     let mut fleet = build_fleet(&cfg, &query).unwrap();
-    fleet_secure_aggregation(
-        &cfg,
-        &query,
-        &mut fleet,
-        SsiThreat::HonestButCurious,
-        OnTamper::Abort,
-    )
-    .unwrap()
+    let mut round = || {
+        fleet_secure_aggregation(
+            &cfg,
+            &query,
+            &mut fleet,
+            SsiThreat::HonestButCurious,
+            OnTamper::Abort,
+        )
+        .unwrap()
+    };
+    let mut rep = round();
+    for _ in 1..rounds {
+        rep = round();
+    }
+    rep
+}
+
+/// A traced aggregation, optionally under a resident cap of a quarter
+/// of the fleet.
+fn traced_agg_of(
+    tokens: usize,
+    seed: u64,
+    workers: usize,
+    capped: Option<EvictPolicy>,
+) -> FleetAggReport {
+    traced_rounds_of(tokens, seed, workers, capped, 1)
 }
 
 /// The `stitched_trace_is_bit_identical_at_1_2_and_8_workers` config of
@@ -148,12 +167,14 @@ fn walk(span: &FinishedSpan, visit: &mut impl FnMut(&FinishedSpan)) {
 
 #[test]
 fn residency_fix_up_never_shows_in_a_token_subtree() {
-    // Under a cap the scheduler creates and wakes tokens between their
-    // turns; that work is the scheduler's, not the phase's. Whatever a
-    // boot path records (`pds.reopen`, `recovery.*`), none of it may
-    // land under a `token.N` span.
+    // Under a cap the scheduler creates and wakes tokens as their turns
+    // ask for them; that work is the scheduler's, not the phase's.
+    // Whatever a boot path records (`pds.reopen`, `recovery.*`), none of
+    // it may land under a `token.N` span. The second round on one fleet
+    // is the one whose collection revives (or rebuilds) what the first
+    // round parked.
     for evict in [EvictPolicy::Hibernate, EvictPolicy::Rebuild] {
-        let rep = traced_agg(2, Some(evict));
+        let rep = traced_rounds_of(32, 0x7ACE, 2, Some(evict), 2);
         match evict {
             EvictPolicy::Hibernate => assert!(rep.sched.sleep_wakes > 0, "tokens were woken"),
             EvictPolicy::Rebuild => assert!(rep.sched.rebuilds > 0, "tokens were rebuilt"),
