@@ -13,18 +13,17 @@
 //! answers every pull), *reconcile* (cells apply the replies in
 //! parallel).
 //!
-//! Two reconcile modes share that shape. Full mode pulls every slice by
-//! name ([`CellMsg::PullReq`]) and a cell pushes, in the reconcile
-//! phase, whatever the reply shows it is ahead on: a write reaches the
-//! cloud in one round, the other cells in the next, and a third proves
-//! the fleet quiet. Delta mode ([`CellNetConfig::delta`]) is the
-//! generation digest: in the request phase a cell pushes the slices it
-//! wrote that the cloud has not yet listed back, and sends one
-//! [`CellMsg::PullChanged`] since the last store generation it applied;
-//! the cloud answers with every slice put since. A write reaches every
-//! online cell in the round it is pushed, the next round proves the
-//! fleet quiet, and an idle round costs one request and one empty reply
-//! per cell.
+//! A cell reconciles through the generation digest: in the request
+//! phase it pushes the slices it wrote that the cloud has not yet listed
+//! back, and sends one [`CellMsg::PullChanged`]; the cloud answers with
+//! every slice put since; the reconcile phase applies that reply. A
+//! write reaches every online cell in the round it is pushed and the
+//! next round proves the fleet quiet. The two modes differ only in the
+//! `since` a cell sends. Delta mode ([`CellNetConfig::delta`]) sends the
+//! last store generation the cell applied, so an idle round costs one
+//! request and one empty reply per cell. Full mode sends 0, the digest
+//! that forgets the generation: every reply lists every slice's
+//! ciphertext.
 //!
 //! Every randomness source is a derived stream keyed by
 //! `(seed, round, cell)`, so a run is deterministic at any worker
@@ -52,9 +51,6 @@ const TICKS_PER_PHASE: u64 = 2_000;
 /// One cell's request-phase output: `(wire requests, pushes among them)`.
 type RequestOut = (Vec<Vec<u8>>, u32);
 
-/// One cell's reconcile-phase output: `(pushes, outcome tallies)`.
-type ReconcileOut = Result<(Vec<Vec<u8>>, CellSyncReport), PdsError>;
-
 /// Shape of one cell network.
 #[derive(Debug, Clone)]
 pub struct CellNetConfig {
@@ -66,12 +62,11 @@ pub struct CellNetConfig {
     pub seed: u64,
     /// Fabric profile.
     pub bus: BusConfig,
-    /// Delta reconcile: each cell asks once per round for every slice
-    /// changed since the last store generation it applied
-    /// ([`CellMsg::PullChanged`]) instead of pulling each slice's full
-    /// snapshot, so an in-sync cell costs a 9-byte request and a 13-byte
-    /// empty reply. Off by default — both modes converge to the same
-    /// [`CellNet::versions`] witness.
+    /// Delta reconcile: each cell's [`CellMsg::PullChanged`] asks for
+    /// the slices changed since the last store generation it applied
+    /// instead of since 0 (every slice, full mode), so an in-sync cell
+    /// costs a 9-byte request and a 13-byte empty reply. Off by default —
+    /// both modes converge to the same [`CellNet::versions`] witness.
     pub delta: bool,
 }
 
@@ -103,11 +98,6 @@ pub struct CellNet {
     pool: TokenPool<TrustedCell>,
     bus: MailboxBus,
     cloud: CloudStore,
-    /// Public slice-name directory (slice names are cloud metadata the
-    /// cells use to discover slices they have never written). Shared
-    /// with each request phase, copied only when a write names a new
-    /// slice.
-    directory: Arc<Vec<String>>,
     round: u32,
     report: CellSyncReport,
 }
@@ -126,7 +116,6 @@ impl CellNet {
             pool,
             bus,
             cloud: CloudStore::new(),
-            directory: Arc::default(),
             round: 0,
             report: CellSyncReport::default(),
         })
@@ -158,15 +147,8 @@ impl CellNet {
     }
 
     /// Local write on one cell (bumps the slice version there). A `cell`
-    /// the network does not host writes nothing and names nothing in the
-    /// directory.
+    /// the network does not host writes nothing.
     pub fn write(&mut self, cell: usize, slice: &str, data: &[u8]) {
-        if cell >= self.len() {
-            return;
-        }
-        if !self.directory.iter().any(|s| s == slice) {
-            Arc::make_mut(&mut self.directory).push(slice.to_string());
-        }
         let slice = slice.to_string();
         let data = data.to_vec();
         self.pool.with(cell, move |c| c.write(&slice, &data));
@@ -194,19 +176,20 @@ impl CellNet {
         ftb.set("round", u64::from(round));
         ftb.set("seed", self.cfg.seed);
 
-        // Phase 1: every cell mails its requests — in delta mode, its
-        // unlisted pushes and one digest pull.
+        // Phase 1: every cell mails its unlisted pushes and one digest
+        // pull — since 0 in full mode.
         let ctx = ftb.begin_phase("phase.request", &self.bus);
-        let directory = Arc::clone(&self.directory);
         let use_delta = self.cfg.delta;
         let seed = self.cfg.seed;
         let (requests, spans) = self.pool.map_traced(ctx, move |i, c| -> RequestOut {
-            if !use_delta {
-                let reqs = c.sync_requests(&directory);
-                return (reqs.iter().map(CellMsg::to_bytes).collect(), 0);
-            }
             let mut rng = derived_rng(seed, TAG_CELL, (u64::from(round) << 32) | i as u64);
-            let reqs = c.digest_requests(&mut rng);
+            let mut reqs = c.digest_requests(&mut rng);
+            if !use_delta {
+                // Full mode: the digest that forgets the generation.
+                if let Some(CellMsg::PullChanged { since }) = reqs.last_mut() {
+                    *since = 0;
+                }
+            }
             let pushes = reqs
                 .iter()
                 .filter(|m| matches!(m, CellMsg::Push { .. }))
@@ -241,53 +224,25 @@ impl CellNet {
         self.bus.run_until_quiet(TICKS_PER_PHASE);
         ftb.end_phase(&mut self.bus, Vec::new());
 
-        // Phase 3: cells reconcile the replies in parallel (full mode:
-        // and push where the cloud is behind).
+        // Phase 3: cells apply the replies in parallel; whatever is
+        // still arriving at the cloud waits for the next serve phase.
         let ctx = ftb.begin_phase("phase.reconcile", &self.bus);
         let mail: Arc<BTreeMap<usize, Vec<BusMsg>>> =
             Arc::new(self.bus.take_token_mail().into_iter().collect());
-        let (handled, spans) = self.pool.map_traced(ctx, move |i, c| -> ReconcileOut {
-            let mut pushes = Vec::new();
+        let (handled, spans) = self.pool.map_traced(ctx, move |i, c| {
             let mut rep = CellSyncReport::default();
-            let Some(mine) = mail.get(&i) else {
-                return Ok((pushes, rep));
-            };
-            let replies = mine.iter().filter_map(|m| CellMsg::from_bytes(&m.payload));
-            if use_delta {
-                for reply in replies {
+            for m in mail.get(&i).into_iter().flatten() {
+                if let Some(reply) = CellMsg::from_bytes(&m.payload) {
                     rep += c.apply_changed(&reply)?;
                 }
-                return Ok((pushes, rep));
             }
-            let mut rng = derived_rng(seed, TAG_CELL, (u64::from(round) << 32) | i as u64);
-            for resp in replies {
-                let (push, outcome) = c.handle_response(&resp, &mut rng)?;
-                rep.record(outcome);
-                if let Some(p) = push {
-                    pushes.push(p.to_bytes());
-                }
-            }
-            Ok((pushes, rep))
+            Ok::<_, PdsError>(rep)
         });
-        for (i, r) in handled.into_iter().enumerate() {
-            let (pushes, rep) = r?;
-            delta += rep;
-            for p in pushes {
-                self.bus.send_in(Addr::Token(i), Addr::Ssi, p, ctx);
-            }
+        for rep in handled {
+            delta += rep?;
         }
         self.bus.run_until_quiet(TICKS_PER_PHASE);
         ftb.end_phase(&mut self.bus, spans);
-        if !use_delta {
-            // Full mode's pushes land now; in delta mode whatever is
-            // still arriving waits for the next serve phase, which
-            // answers its pulls too.
-            for m in self.bus.drain_inbox(Addr::Ssi) {
-                if let Some(msg) = CellMsg::from_bytes(&m.payload) {
-                    serve_cloud(&mut self.cloud, &msg);
-                }
-            }
-        }
 
         self.report += delta;
         pds_obs::counter("fleet.cells.pushed").add(u64::from(delta.pushed));
@@ -374,10 +329,7 @@ mod tests {
         // Used to panic in `swap_remove`.
         assert_eq!(n.read(3, "prefs"), None);
         assert_eq!(n.read(usize::MAX, "prefs"), None);
-        // Used to publish "ghost" in the directory and write it nowhere:
-        // every cell then pulled, round after round, a slice nobody holds.
         n.write(3, "ghost", b"boo");
-        assert!(!n.directory.iter().any(|s| s == "ghost"));
         n.sync_until_quiet(40).unwrap();
         assert!(n.converged(), "versions: {:?}", n.versions());
         assert!(n.versions()[0].iter().all(|(s, _)| s != "ghost"));

@@ -33,9 +33,10 @@
 //!   the scheduler. Neither owns its protocol: `agg` is the bus/scheduler
 //!   driver of the protocol core in `pds_global::secure_agg` (seal,
 //!   fold, the SSI's `Reduction` plan and its verify step), exactly as
-//!   `cellnet` drives `pds_sync`'s `CellMsg` protocol — each also has a
-//!   direct in-process driver (`secure_aggregation`,
-//!   `TrustedCell::sync`) the bus run is tested against.
+//!   `cellnet` drives `pds_sync`'s generation digest (`digest_requests`,
+//!   `serve_cloud`, `apply_changed`) — each also has a direct
+//!   in-process driver (`secure_aggregation`, `TrustedCell::sync`) the
+//!   bus run is tested against.
 //! * [`subs`] — **continuous queries as a fleet workload**: every token
 //!   holds a standing predicate on its own PDS (MVCC change-log
 //!   cursors), polls it after each commit round and mails the result

@@ -28,13 +28,14 @@
 //!
 //! ## The generation digest
 //!
-//! Asking slice by slice costs a request and a reply per slice even when
-//! nothing changed. The digest form asks once per cell: the
-//! [`CloudStore`] stamps every put with a store-wide generation, a cell
-//! sends [`CellMsg::PullChanged`] with the last generation it has
-//! applied, and the cloud answers [`CellMsg::Changed`] with every slice
-//! put since, in name order. A cell pushes what it wrote until a reply
-//! lists that version back ([`TrustedCell::digest_requests`],
+//! A cell reconciles one way: it asks once, whatever the number of
+//! slices. The [`CloudStore`] stamps every put with a store-wide
+//! generation, a cell sends [`CellMsg::PullChanged`] with the last
+//! generation it has applied (or 0, to be listed everything), and the
+//! cloud answers [`CellMsg::Changed`] with every slice put since, in
+//! name order — which is also how a cell discovers slices it has never
+//! seen. A cell pushes what it wrote until a reply lists that version
+//! back ([`TrustedCell::digest_requests`],
 //! [`TrustedCell::apply_changed`]), and seals each version once, so a
 //! re-push is byte-identical and never reads as a conflict at the cloud.
 
@@ -53,12 +54,10 @@ type SnapshotBlob = (u64, Vec<u8>);
 /// plaintext the cloud ever sees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellMsg {
-    /// Cell asks the cloud for its stored snapshot of `slice`.
-    PullReq {
-        /// Slice name.
-        slice: String,
-    },
-    /// Cloud's reply: the stored versioned blob, if any.
+    /// Cloud's reply to a [`CellMsg::PullSince`] it holds something newer
+    /// for: the stored versioned blob. No cell sends or reads it; it
+    /// stays only as [`serve_cloud`]'s answer to the performance
+    /// ledger's `sync.serve_cloud_us` probe.
     PullResp {
         /// Slice name.
         slice: String,
@@ -73,9 +72,10 @@ pub enum CellMsg {
         blob: Vec<u8>,
     },
     /// Per-slice delta query: "send `slice` only if the cloud holds
-    /// something newer than version `since`". Served by [`serve_cloud`];
-    /// cells reconcile through the generation digest
-    /// ([`CellMsg::PullChanged`]), which asks for every slice at once.
+    /// something newer than version `since`". No cell sends it — cells
+    /// reconcile through the generation digest ([`CellMsg::PullChanged`])
+    /// — and [`serve_cloud`] answers it only for the performance
+    /// ledger's `sync.serve_cloud_us` probe.
     PullSince {
         /// Slice name.
         slice: String,
@@ -83,7 +83,8 @@ pub enum CellMsg {
         since: u64,
     },
     /// Cloud's reply to a [`CellMsg::PullSince`] it holds nothing newer
-    /// for: no blob, just the version the cloud holds.
+    /// for: no blob, just the version the cloud holds. Like its request,
+    /// it stays only for the performance ledger's probe.
     NotModified {
         /// Slice name.
         slice: String,
@@ -108,7 +109,6 @@ pub enum CellMsg {
 }
 
 impl CellMsg {
-    const TAG_PULL_REQ: u8 = 1;
     const TAG_PULL_RESP: u8 = 2;
     const TAG_PUSH: u8 = 3;
     const TAG_PULL_SINCE: u8 = 4;
@@ -121,8 +121,7 @@ impl CellMsg {
     /// about no single slice and carries no slice name of its own.
     pub fn slice(&self) -> &str {
         match self {
-            CellMsg::PullReq { slice }
-            | CellMsg::PullResp { slice, .. }
+            CellMsg::PullResp { slice, .. }
             | CellMsg::Push { slice, .. }
             | CellMsg::PullSince { slice, .. }
             | CellMsg::NotModified { slice, .. } => slice,
@@ -135,7 +134,6 @@ impl CellMsg {
     /// pair), then the body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (tag, body_len) = match self {
-            CellMsg::PullReq { .. } => (Self::TAG_PULL_REQ, 0),
             CellMsg::PullResp { blob, .. } => (
                 Self::TAG_PULL_RESP,
                 1 + blob.as_ref().map_or(0, |b| 4 + b.len()),
@@ -162,7 +160,6 @@ impl CellMsg {
             put_prefixed32(&mut out, slice);
         }
         match self {
-            CellMsg::PullReq { .. } => {}
             CellMsg::PullResp { blob, .. } => {
                 out.push(u8::from(blob.is_some()));
                 if let Some(b) = blob {
@@ -219,7 +216,6 @@ impl CellMsg {
     /// The body of a message about one `slice`, after its name.
     fn slice_message(tag: u8, slice: String, r: &mut Reader) -> Option<CellMsg> {
         Some(match tag {
-            Self::TAG_PULL_REQ => CellMsg::PullReq { slice },
             Self::TAG_PULL_RESP => {
                 let blob = match r.u8()? {
                     0 => None,
@@ -245,17 +241,6 @@ impl CellMsg {
     }
 }
 
-/// What one reply did to one slice of the receiving cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellSyncOutcome {
-    /// The cloud was ahead: the cell adopted the remote snapshot.
-    Pulled,
-    /// The cell was ahead (or the cloud empty): it emitted a push.
-    Pushed,
-    /// Versions matched; nothing moved.
-    Unchanged,
-}
-
 /// Serve one cell message at the cloud. Returns the response message to
 /// route back, if the request calls for one. The cloud never decrypts:
 /// it compares the 8-byte plaintext version prefix so a stale or
@@ -278,10 +263,6 @@ pub fn serve_cloud(cloud: &mut CloudStore, msg: &CellMsg) -> Option<CellMsg> {
         cloud.get(name)?.first().map(Vec::as_slice)
     }
     match msg {
-        CellMsg::PullReq { slice } => Some(CellMsg::PullResp {
-            slice: slice.clone(),
-            blob: stored(cloud, &TrustedCell::blob_name(slice)).map(<[u8]>::to_vec),
-        }),
         CellMsg::PullSince { slice, since } => {
             let stored = stored(cloud, &TrustedCell::blob_name(slice));
             let version = stored.map_or(0, blob_version);
@@ -341,19 +322,20 @@ pub struct TrustedCell {
     generation: u64,
     /// Slices written here that no digest reply has yet listed at the
     /// version written, each with that version's sealed blob once the
-    /// first push sealed it. Only the digest path reads or clears it;
-    /// a cell reconciles in one mode for its life.
+    /// first push sealed it.
     dirty: BTreeMap<String, Option<Vec<u8>>>,
 }
 
 /// Outcome of one synchronization pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CellSyncReport {
-    /// Slices this cell pushed (it was ahead).
+    /// [`CellMsg::Push`]es sent: slices written here that no reply had
+    /// yet listed at the version written.
     pub pushed: u32,
-    /// Slices this cell pulled (it was behind).
+    /// Listed slices adopted (the cloud was ahead).
     pub pulled: u32,
-    /// Slices already in sync.
+    /// Listed slices at the version held (a push come back, or a copy
+    /// the cell already had).
     pub unchanged: u32,
 }
 
@@ -362,17 +344,6 @@ impl std::ops::AddAssign for CellSyncReport {
         self.pushed += other.pushed;
         self.pulled += other.pulled;
         self.unchanged += other.unchanged;
-    }
-}
-
-impl CellSyncReport {
-    /// Fold one message outcome into the pass report.
-    pub fn record(&mut self, outcome: CellSyncOutcome) {
-        match outcome {
-            CellSyncOutcome::Pulled => self.pulled += 1,
-            CellSyncOutcome::Pushed => self.pushed += 1,
-            CellSyncOutcome::Unchanged => self.unchanged += 1,
-        }
     }
 }
 
@@ -426,27 +397,6 @@ impl TrustedCell {
         [Self::BLOB_PREFIX, owner_slice].concat()
     }
 
-    /// One [`CellMsg::PullReq`] per slice this cell should reconcile:
-    /// the tracked slices in name order, then the `extra` slice names it
-    /// has learned about and does not track (slice names are public
-    /// cloud metadata), each once, in `extra`'s order.
-    pub fn sync_requests(&self, extra: &[String]) -> Vec<CellMsg> {
-        let mut out: Vec<CellMsg> = self
-            .slices
-            .keys()
-            .map(|slice| CellMsg::PullReq {
-                slice: slice.clone(),
-            })
-            .collect();
-        let tracked = out.len();
-        for e in extra {
-            if !self.slices.contains_key(e) && !out[tracked..].iter().any(|m| m.slice() == e) {
-                out.push(CellMsg::PullReq { slice: e.clone() });
-            }
-        }
-        out
-    }
-
     /// One digest round's requests: a [`CellMsg::Push`] of every slice
     /// written here that no reply has yet listed at the version written,
     /// in name order, then one [`CellMsg::PullChanged`] since the last
@@ -473,13 +423,13 @@ impl TrustedCell {
     }
 
     /// Apply one [`CellMsg::Changed`]. A listed slice newer than this
-    /// cell's copy is adopted ([`CellSyncOutcome::Pulled`]); one at the
-    /// version held is this cell's push come back, or a copy it already
-    /// has ([`CellSyncOutcome::Unchanged`]), and clears the slice's push
-    /// mark; an older one changes nothing, so a slice written here stays
-    /// marked until its version is listed. The cell's generation becomes
-    /// the larger of its own and the reply's, so a duplicated or late
-    /// reply (the bus is at-least-once and unordered) regresses nothing.
+    /// cell's copy is adopted (`pulled`); one at the version held is this
+    /// cell's push come back, or a copy it already has (`unchanged`), and
+    /// clears the slice's push mark; an older one changes nothing, so a
+    /// slice written here stays marked until its version is listed. The
+    /// cell's generation becomes the larger of its own and the reply's,
+    /// so a duplicated or late reply (the bus is at-least-once and
+    /// unordered) regresses nothing.
     pub fn apply_changed(&mut self, reply: &CellMsg) -> Result<CellSyncReport, PdsError> {
         let CellMsg::Changed { generation, blobs } = reply else {
             return Err(PdsError::ArchiveCorrupt("cell expected a digest reply"));
@@ -492,11 +442,11 @@ impl TrustedCell {
                     let adopted = Self::decode_blob(blob, &self.key)?;
                     self.slices.insert(slice.clone(), adopted);
                     self.dirty.remove(slice);
-                    report.record(CellSyncOutcome::Pulled);
+                    report.pulled += 1;
                 }
                 std::cmp::Ordering::Equal => {
                     self.dirty.remove(slice);
-                    report.record(CellSyncOutcome::Unchanged);
+                    report.unchanged += 1;
                 }
                 std::cmp::Ordering::Less => {}
             }
@@ -505,80 +455,24 @@ impl TrustedCell {
         Ok(report)
     }
 
-    /// Apply one [`CellMsg::PullResp`]: adopt the remote snapshot when the
-    /// cloud is ahead, emit a [`CellMsg::Push`] when this cell is ahead.
-    /// Duplicated responses (the bus is at-least-once) are harmless: a
-    /// re-applied pull is version-equal and a re-emitted push is
-    /// version-guarded at the cloud.
-    pub fn handle_response(
-        &mut self,
-        resp: &CellMsg,
-        rng: &mut impl RngCore,
-    ) -> Result<(Option<CellMsg>, CellSyncOutcome), PdsError> {
-        let CellMsg::PullResp { slice, blob } = resp else {
-            return Err(PdsError::ArchiveCorrupt("cell expected a pull response"));
-        };
-        let local_v = self.version(slice);
-        let remote = blob.as_deref().map(|b| Self::decode_blob(b, &self.key));
-        match remote.transpose()? {
-            Some((rv, data)) if rv > local_v => {
-                self.slices.insert(slice.clone(), (rv, data));
-                Ok((None, CellSyncOutcome::Pulled))
-            }
-            Some((rv, _)) if rv == local_v => Ok((None, CellSyncOutcome::Unchanged)),
-            _ => match self.slices.get(slice) {
-                // We are ahead (or the cloud has nothing): push.
-                Some((v, data)) => {
-                    let blob = Self::encode_blob(&self.key, *v, data, rng);
-                    Ok((
-                        Some(CellMsg::Push {
-                            slice: slice.clone(),
-                            blob,
-                        }),
-                        CellSyncOutcome::Pushed,
-                    ))
-                }
-                // Neither side has it (a foreign slice not yet written).
-                None => Ok((None, CellSyncOutcome::Unchanged)),
-            },
-        }
-    }
-
-    /// Synchronize with the cloud: the direct in-process run of the
-    /// message protocol — push slices where this cell is ahead, pull
-    /// where it is behind (version numbers are the only plaintext the
-    /// cloud sees).
+    /// Synchronize with the cloud: one digest round run in-process —
+    /// [`TrustedCell::digest_requests`] served by [`serve_cloud`], the
+    /// reply applied by [`TrustedCell::apply_changed`]. `pushed` counts
+    /// the pushes sent; `pulled` and `unchanged` count what the reply
+    /// listed. Version numbers are the only plaintext the cloud sees.
     pub fn sync(
         &mut self,
         cloud: &mut CloudStore,
         rng: &mut impl RngCore,
     ) -> Result<CellSyncReport, PdsError> {
         let mut report = CellSyncReport::default();
-        for req in self.sync_requests(&[]) {
-            let resp = serve_cloud(cloud, &req)
-                .ok_or(PdsError::ArchiveCorrupt("cloud ignored a pull request"))?;
-            let (push, outcome) = self.handle_response(&resp, rng)?;
-            report.record(outcome);
-            if let Some(push) = push {
-                serve_cloud(cloud, &push);
+        for req in self.digest_requests(rng) {
+            report.pushed += u32::from(matches!(req, CellMsg::Push { .. }));
+            if let Some(reply) = serve_cloud(cloud, &req) {
+                report += self.apply_changed(&reply)?;
             }
         }
         Ok(report)
-    }
-
-    /// Discover and pull a slice this cell has never seen.
-    pub fn pull_new(&mut self, cloud: &CloudStore, slice: &str) -> Result<bool, PdsError> {
-        let name = Self::blob_name(slice);
-        let Some(blob) = cloud.get(&name).and_then(|chunks| chunks.first()) else {
-            return Ok(false);
-        };
-        let (v, data) = Self::decode_blob(blob, &self.key)?;
-        if v > self.version(slice) {
-            self.slices.insert(slice.to_string(), (v, data));
-            Ok(true)
-        } else {
-            Ok(false)
-        }
     }
 
     fn encode_blob(
@@ -623,7 +517,7 @@ mod tests {
         let (mut home, mut phone, mut cloud, mut rng) = setup();
         home.write("energy-profile", b"heating schedule v1");
         home.sync(&mut cloud, &mut rng).unwrap();
-        assert!(phone.pull_new(&cloud, "energy-profile").unwrap());
+        assert_eq!(phone.sync(&mut cloud, &mut rng).unwrap().pulled, 1);
         assert_eq!(
             phone.read("energy-profile").unwrap(),
             b"heating schedule v1"
@@ -635,7 +529,7 @@ mod tests {
         let (mut home, mut phone, mut cloud, mut rng) = setup();
         home.write("prefs", b"v1");
         home.sync(&mut cloud, &mut rng).unwrap();
-        phone.pull_new(&cloud, "prefs").unwrap();
+        phone.sync(&mut cloud, &mut rng).unwrap();
         // Phone writes twice (v2, v3), home once more (v2): phone wins.
         phone.write("prefs", b"phone-v2");
         phone.write("prefs", b"phone-v3");
@@ -667,7 +561,8 @@ mod tests {
         home.write("medical", b"private");
         home.sync(&mut cloud, &mut rng).unwrap();
         let mut intruder = TrustedCell::new("evil", b"owner-mallory");
-        assert!(intruder.pull_new(&cloud, "medical").is_err());
+        assert!(intruder.sync(&mut cloud, &mut rng).is_err());
+        assert_eq!(intruder.read("medical"), None);
     }
 
     #[test]
@@ -677,9 +572,10 @@ mod tests {
         home.sync(&mut cloud, &mut rng).unwrap();
         cloud.tamper("cell-slice:slice", 0, 12);
         assert!(matches!(
-            phone.pull_new(&cloud, "slice"),
+            phone.sync(&mut cloud, &mut rng),
             Err(PdsError::ArchiveCorrupt(_))
         ));
+        assert_eq!(phone.read("slice"), None);
     }
 
     #[test]
@@ -687,10 +583,18 @@ mod tests {
         let (mut home, _, mut cloud, mut rng) = setup();
         home.write("a", b"1");
         home.write("b", b"2");
+        // Both pushes go out, and the reply lists both back at the
+        // versions written.
         let r1 = home.sync(&mut cloud, &mut rng).unwrap();
-        assert_eq!(r1.pushed, 2);
+        let both = CellSyncReport {
+            pushed: 2,
+            pulled: 0,
+            unchanged: 2,
+        };
+        assert_eq!(r1, both);
+        // Nothing was put since: no push, and an empty listing.
         let r2 = home.sync(&mut cloud, &mut rng).unwrap();
-        assert_eq!(r2.unchanged, 2);
+        assert_eq!(r2, CellSyncReport::default());
     }
 
     #[test]
@@ -713,9 +617,6 @@ mod tests {
     #[test]
     fn messages_round_trip_the_wire_form() {
         let msgs = vec![
-            CellMsg::PullReq {
-                slice: "prefs".into(),
-            },
             CellMsg::PullResp {
                 slice: "prefs".into(),
                 blob: None,
@@ -734,8 +635,11 @@ mod tests {
         }
         assert_eq!(CellMsg::from_bytes(&[]), None);
         assert_eq!(CellMsg::from_bytes(&[9, 0, 0, 0, 0]), None);
-        let truncated = CellMsg::PullReq {
+        // Tag 1 was a per-slice pull request; no message carries it now.
+        assert_eq!(CellMsg::from_bytes(&[1, 1, 0, 0, 0, b's']), None);
+        let truncated = CellMsg::Push {
             slice: "long-name".into(),
+            blob: vec![5; 12],
         }
         .to_bytes();
         assert_eq!(CellMsg::from_bytes(&truncated[..truncated.len() - 2]), None);
@@ -743,23 +647,39 @@ mod tests {
 
     #[test]
     fn message_protocol_equals_direct_sync() {
-        // The same exchange through explicit messages reaches the same
-        // state as TrustedCell::sync.
-        let (mut home, mut phone, mut cloud, mut rng) = setup();
-        home.write("slice", b"from-home");
-        for req in home.sync_requests(&[]) {
-            let resp = serve_cloud(&mut cloud, &req).unwrap();
-            let (push, outcome) = home.handle_response(&resp, &mut rng).unwrap();
-            assert_eq!(outcome, CellSyncOutcome::Pushed);
-            serve_cloud(&mut cloud, &push.unwrap());
-        }
-        for req in phone.sync_requests(&["slice".into()]) {
-            let resp = serve_cloud(&mut cloud, &req).unwrap();
-            let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
-            assert!(push.is_none());
-            assert_eq!(outcome, CellSyncOutcome::Pulled);
-        }
-        assert_eq!(phone.read("slice").unwrap(), b"from-home");
+        // The digest round through explicit messages reaches the same
+        // cells, cloud and report as TrustedCell::sync on the same stream.
+        let run = |by_messages: bool| {
+            let (mut home, mut phone, mut cloud, mut rng) = setup();
+            home.write("slice", b"from-home");
+            home.write("other", b"also-home");
+            let mut reports = Vec::new();
+            for cell in [&mut home, &mut phone] {
+                if !by_messages {
+                    reports.push(cell.sync(&mut cloud, &mut rng).unwrap());
+                    continue;
+                }
+                let mut report = CellSyncReport::default();
+                for req in cell.digest_requests(&mut rng) {
+                    if matches!(req, CellMsg::Push { .. }) {
+                        report.pushed += 1;
+                    }
+                    if let Some(reply) = serve_cloud(&mut cloud, &req) {
+                        report += cell.apply_changed(&reply).unwrap();
+                    }
+                }
+                reports.push(report);
+            }
+            assert_eq!(phone.read("slice").unwrap(), b"from-home");
+            let cloud_blobs: Vec<_> = ["other", "slice"]
+                .map(|s| cloud.get(&TrustedCell::blob_name(s)).cloned())
+                .into();
+            let state = |c: &TrustedCell| (c.generation(), c.slices.clone());
+            (reports, state(&home), state(&phone), cloud_blobs)
+        };
+        let direct = run(false);
+        assert_eq!(direct.0[1].pulled, 2, "phone adopts both slices");
+        assert_eq!(run(true), direct);
     }
 
     #[test]
@@ -875,7 +795,7 @@ mod tests {
     #[test]
     fn apply_changed_refuses_what_is_not_a_digest_reply() {
         let (mut home, ..) = setup();
-        let pull = CellMsg::PullReq { slice: "s".into() };
+        let pull = CellMsg::PullChanged { since: 0 };
         assert!(home.apply_changed(&pull).is_err());
         assert_eq!(home.generation(), 0);
     }
@@ -884,36 +804,49 @@ mod tests {
     fn delta_reconcile_reaches_the_same_state_as_full_pulls() {
         let (mut home, mut phone, mut cloud, mut rng) = setup();
         home.write("prefs", b"v1");
+        home.write("notes", b"n1");
         home.sync(&mut cloud, &mut rng).unwrap();
-        let since = |cell: &TrustedCell| CellMsg::PullSince {
-            slice: "prefs".into(),
-            since: cell.version("prefs"),
+        phone.sync(&mut cloud, &mut rng).unwrap();
+        home.write("prefs", b"v2");
+        home.sync(&mut cloud, &mut rng).unwrap();
+        // The digest since the phone's generation lists only the slice
+        // put since; the digest since 0 (full mode) lists every slice.
+        // Either leaves the phone in the same state.
+        let mut full = TrustedCell::new("phone", b"owner-alice");
+        let all = serve_cloud(&mut cloud, &CellMsg::PullChanged { since: 0 }).unwrap();
+        full.apply_changed(&all).unwrap();
+        let since = CellMsg::PullChanged {
+            since: phone.generation(),
         };
-        // Phone asks via PullSince: behind → the full blob arrives.
-        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
-        assert!(matches!(resp, CellMsg::PullResp { .. }));
-        let (push, outcome) = phone.handle_response(&resp, &mut rng).unwrap();
-        assert!(push.is_none());
-        assert_eq!(outcome, CellSyncOutcome::Pulled);
-        assert_eq!(phone.read("prefs").unwrap(), b"v1");
-        // In sync → a byte-cheap NotModified carrying the cloud's version.
-        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
+        let delta = serve_cloud(&mut cloud, &since).unwrap();
+        assert!(matches!(&delta, CellMsg::Changed { blobs, .. } if blobs.len() == 1));
+        assert_eq!(phone.apply_changed(&delta).unwrap().pulled, 1);
+        assert_eq!(phone.slices, full.slices);
+        assert_eq!(phone.read("prefs").unwrap(), b"v2");
+        // The per-slice query still answers: the blob when the asker is
+        // behind, a byte-cheap NotModified carrying the cloud's version
+        // when it is not.
+        let pull_since = |since| CellMsg::PullSince {
+            slice: "prefs".into(),
+            since,
+        };
+        let stored = cloud.get("cell-slice:prefs").unwrap().first().cloned();
         assert_eq!(
-            resp,
-            CellMsg::NotModified {
+            serve_cloud(&mut cloud, &pull_since(1)),
+            Some(CellMsg::PullResp {
                 slice: "prefs".into(),
-                version: 1
-            }
+                blob: stored
+            })
         );
-        // Phone writes: ahead → NotModified still answers, with the
-        // older version the cloud holds; the phone's sync pushes.
-        phone.write("prefs", b"v2-from-phone");
-        let resp = serve_cloud(&mut cloud, &since(&phone)).unwrap();
-        assert!(matches!(resp, CellMsg::NotModified { version: 1, .. }));
-        assert_eq!(phone.sync(&mut cloud, &mut rng).unwrap().pushed, 1);
-        let report = home.sync(&mut cloud, &mut rng).unwrap();
-        assert_eq!(report.pulled, 1);
-        assert_eq!(home.read("prefs").unwrap(), b"v2-from-phone");
+        for since in [2, 3] {
+            assert_eq!(
+                serve_cloud(&mut cloud, &pull_since(since)),
+                Some(CellMsg::NotModified {
+                    slice: "prefs".into(),
+                    version: 2
+                })
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod cells;
 pub mod folder;
 pub mod folkis;
 
-pub use cells::{serve_cloud, CellMsg, CellSyncOutcome, CellSyncReport, TrustedCell};
+pub use cells::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 pub use folder::{Badge, CentralServer, EhrEntry, MedicalFolder};
 pub use folkis::{FolkSim, FolkSimConfig, FolkStats};

@@ -94,12 +94,14 @@ PDS_E16_TOKENS=64 PDS_E16_MAX_THREADS=4 \
 PDS_E17_TOKENS=10000 PDS_E17_MAX_THREADS=4 PDS_E17_CAP=2048 \
   cargo run --release -q -p pds-bench --bin report -- e17
 # MVCC change-log smoke: delta cell reconcile (one generation-digest
-# request per cell per round) must reach the full-sync witness
+# request per cell per round, since the last generation the cell
+# applied) must reach the full-sync witness (the same digest since 0)
 # bit-identically (checked at 1/2/8 workers) while moving ≥5× fewer
 # idle-round payload bytes — exactly 22 B per cell, a 9-byte request and
 # a 13-byte empty reply, which the e18 unit test and tests/mvcc.rs
-# assert — and the subscription fleet must stay exactly-once with
-# tokens power-cycled between rounds.
+# assert; 29.1× fewer at 64–512 cells, 2 rounds per reconcile in both
+# modes — and the subscription fleet must stay exactly-once with tokens
+# power-cycled between rounds.
 PDS_E18_CELLS=128 PDS_E18_MAX_THREADS=4 \
   cargo run --release -q -p pds-bench --bin report -- e18
 # Crash-storm forensics smoke: E19 at CI scale — seeded power losses

@@ -190,7 +190,7 @@ fn equal_version_racing_pushes_keep_the_first_writer() {
 
     // A fresh cell pulling from the cloud decrypts the surviving write.
     let mut car = TrustedCell::new("car", b"erin-owner");
-    assert!(car.pull_new(&cloud, "prefs").unwrap());
+    assert_eq!(car.sync(&mut cloud, &mut rng).unwrap().pulled, 1);
     assert_eq!(car.read("prefs"), Some(&b"dark-mode"[..]));
 }
 

@@ -250,29 +250,28 @@ fn cell_messages_keep_the_decoder_contract() {
             &[3, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
             &[7, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
         ],
-        |rng| match rng.gen_range(0..8u32) {
-            0 => CellMsg::PullReq { slice: slice(rng) },
-            1 => CellMsg::PullResp {
+        |rng| match rng.gen_range(0..7u32) {
+            0 => CellMsg::PullResp {
                 slice: slice(rng),
                 blob: None,
             },
-            2 => CellMsg::PullResp {
+            1 => CellMsg::PullResp {
                 slice: slice(rng),
                 blob: Some(blob(rng, 300)),
             },
-            3 => CellMsg::Push {
+            2 => CellMsg::Push {
                 slice: slice(rng),
                 blob: blob(rng, 300),
             },
-            4 => CellMsg::PullSince {
+            3 => CellMsg::PullSince {
                 slice: slice(rng),
                 since: rng.gen(),
             },
-            5 => CellMsg::NotModified {
+            4 => CellMsg::NotModified {
                 slice: slice(rng),
                 version: rng.gen(),
             },
-            6 => CellMsg::PullChanged { since: rng.gen() },
+            5 => CellMsg::PullChanged { since: rng.gen() },
             _ => CellMsg::Changed {
                 generation: rng.gen(),
                 blobs: (0..rng.gen_range(0..4u32))
