@@ -80,6 +80,11 @@ impl NaiveSearch {
         hits
     }
 
+    /// Document frequency of a term hash: the live documents holding it.
+    pub fn df(&self, term: u64) -> u32 {
+        self.postings.get(&term).map_or(0, Vec::len) as u32
+    }
+
     /// Delete a document (the oracle mirror of
     /// `SearchEngine::delete_document`).
     pub fn delete(&mut self, doc: DocId) {
