@@ -116,7 +116,8 @@ pub fn run() -> Table {
     }
     t.note("paper shape: query RAM stays ~1 page/keyword + top-N regardless of corpus size,");
     t.note("while the classical algorithm allocates one accumulator per retrieved docid;");
-    t.note("ablation: two-pass df costs ~2x the reads of the RAM dictionary but O(1) extra RAM;");
+    t.note("ablation: two-pass df reads the tail and one chain head per keyword more than the");
+    t.note("RAM dictionary, with O(1) extra RAM;");
     t.note("the dictionary alone (~16 B/term = 48 KB at vocab 3000) would not fit the 64 KB token");
     t
 }

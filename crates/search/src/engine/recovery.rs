@@ -254,7 +254,8 @@ impl SearchEngine {
 
     /// Choose the frontier recovery resumes from: the last checkpoint if
     /// it is usable for this manifest and these documents, else the
-    /// reason it is not. Reads at most one page per bucket.
+    /// reason it is not. Reads at most one page per bucket: each head,
+    /// whose triples and df table must be its bucket's.
     fn usable_checkpoint(
         &self,
         m: &EngineManifest,
@@ -299,11 +300,12 @@ impl SearchEngine {
                 return Ok(Err(RebuildReason::ChainMismatch));
             };
             self.flash.read_page(addr, &mut buf)?;
+            let of_bucket = |term: u64| self.bucket_of(term) == bucket;
             let sound = BucketPage::parse(&buf).is_some_and(|page| {
                 (page.prev == NO_PREV || page.prev < head)
-                    && page
-                        .triples()
-                        .all(|t| t.doc < docs && self.bucket_of(t.term) == bucket)
+                    && page.triples().all(|t| t.doc < docs && of_bucket(t.term))
+                    && (page.table())
+                        .is_some_and(|table| table.entries().all(|(t, _)| of_bucket(t)))
             });
             if !sound {
                 return Ok(Err(RebuildReason::ChainMismatch));
@@ -329,7 +331,11 @@ impl SearchEngine {
     /// When there is no usable checkpoint ([`RebuildReason`]) the same
     /// replay runs from the origin instead — document 0 on an empty log
     /// — which re-derives the whole index. Tombstones are re-applied
-    /// last, so deletions survive either way.
+    /// last, so deletions survive either way; a replayed tombstone counts
+    /// as a deletion not yet purged — the heads' df tables may count its
+    /// document's postings — until the next
+    /// [`reorganize`](SearchEngine::reorganize), whatever reorganisation
+    /// came before it.
     pub fn recover(
         flash: &Flash,
         ram: &RamBudget,

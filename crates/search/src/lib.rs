@@ -22,9 +22,11 @@
 //!
 //! Exact TF-IDF needs each keyword's document frequency. Two strategies
 //! are provided (and compared in the E3 ablation bench): a two-pass scan
-//! that counts df in a first chain walk (RAM-free, 2× read I/O) and a
-//! RAM-resident term dictionary (1× I/O, RAM grows with the vocabulary —
-//! exactly the trade-off that rules it out on the smallest devices).
+//! that counts df first — from the df table each chain's head carries,
+//! one page read beside the unmerged tail (RAM-free) — and a
+//! RAM-resident term dictionary (no extra read, RAM grows with the
+//! vocabulary — exactly the trade-off that rules it out on the smallest
+//! devices).
 
 mod crash_sweep;
 pub mod docs;

@@ -62,12 +62,14 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # between their pages), the chip's page-grain cell store against a
 # full-block model across moved and copied power cycles, and the search
 # engine's checkpointed recovery against a full re-index of the same
-# chip.
+# chip, and its df counts against the oracle after cuts inside drains
+# that write the chain heads' df tables.
 PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- \
   seeded_crash_recovery_sweep record_log_sweep cell_store_sweep
 PDS_CRASH_SEEDS=256 cargo test -p pds-search -q -- \
   checkpointed_recovery_equals_full_rebuild_sweep \
   a_cut_at_every_program_inside_a_drain_recovers_equal \
+  a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads \
   a_cut_between_a_drain_and_the_next_checkpoint \
   a_second_crash_while_the_tail_replay_drains
 # The format sweep under the same widened seed set: every wire and flash
