@@ -134,6 +134,41 @@ mod tests {
         assert!(p.engine_ram < 5 * 2048 + 1024, "got {}", p.engine_ram);
     }
 
+    /// The six rows of the streaming-df engine, at the values they read
+    /// when the table also held a RAM-dictionary ablation: reads, peak
+    /// query RAM, naive accumulators and exactness, per (docs, keywords).
+    #[test]
+    fn two_pass_rows_are_pinned() {
+        let t = run();
+        let col = |name: &str| t.headers.iter().position(|h| h == name).unwrap();
+        let cols = [
+            "docs",
+            "keywords",
+            "page reads",
+            "peak query RAM (B)",
+            "naive accumulators",
+            "exact top-10",
+        ]
+        .map(col);
+        let rows: Vec<[&str; 6]> = t
+            .rows
+            .iter()
+            .filter(|r| !r.iter().any(|c| c == "ram-dict"))
+            .map(|r| cols.map(|i| r[i].as_str()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["1000", "1", "25", "2208", "193", "yes"],
+                ["1000", "2", "44", "4256", "241", "yes"],
+                ["1000", "4", "80", "8352", "278", "yes"],
+                ["5000", "1", "23", "2208", "950", "yes"],
+                ["5000", "2", "41", "4256", "1147", "yes"],
+                ["5000", "4", "72", "8352", "1331", "yes"],
+            ]
+        );
+    }
+
     #[test]
     fn two_pass_reads_more_than_dictionary() {
         let a = measure(800, 2, DfStrategy::TwoPass);

@@ -809,7 +809,10 @@ fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
     Side::recover(snap.clone(), &m);
     assert!(flight::drain().is_empty());
     let full = Side::recover(snap.clone(), &withheld(&m));
-    assert_eq!(flight::drain()[0].severity, flight::Severity::Info);
+    assert_eq!(full.report.index_rebuild, Some(RebuildReason::NoCheckpoint));
+    let frames = flight::drain();
+    assert_eq!(frames[0].severity, flight::Severity::Info);
+    assert_eq!(frames[0].args[0], 1, "NoCheckpoint's code");
 
     // A manifest that does not fit the checkpoint: another epoch, fewer
     // documents than the checkpoint covers, fewer index blocks than it
@@ -829,14 +832,16 @@ fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
                 ..m.clone()
             },
             RebuildReason::StaleEpoch,
+            3,
         ),
-        (fewer_docs, RebuildReason::DocsMissing),
+        (fewer_docs, RebuildReason::DocsMissing, 4),
         (
             EngineManifest {
                 index_blocks: m.index_blocks[..1].to_vec(),
                 ..m.clone()
             },
             RebuildReason::PagesMissing,
+            5,
         ),
         (
             EngineManifest {
@@ -844,9 +849,11 @@ fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
                 ..m.clone()
             },
             RebuildReason::ChainMismatch,
+            6,
         ),
     ];
-    for (manifest, why) in cases {
+    for (manifest, why, code) in cases {
+        assert_eq!(why.code(), code, "{why:?}");
         let flash = Flash::reopen(snap.clone());
         flight::drain();
         let (engine, report) =
@@ -865,7 +872,7 @@ fn an_unusable_checkpoint_is_a_rebuild_never_a_panic() {
             (
                 flight::Severity::Warn,
                 flight::code::RECOVERY_INDEX_REBUILD,
-                [why.code(), u64::from(report.docs_replayed)]
+                [code, u64::from(report.docs_replayed)]
             )
         );
         if why != RebuildReason::DocsMissing {
