@@ -4,8 +4,7 @@
 //! retrieved docid … too much!", while the chained-bucket engine merges
 //! with **one RAM page per query keyword** and an N-slot heap, exactly.
 //! We measure peak query RAM and page I/Os per keyword count, against
-//! the naive accumulator count, plus the df-strategy ablation
-//! (TwoPass vs RamDictionary).
+//! the naive accumulator count.
 
 use pds_flash::{Flash, FlashGeometry};
 use pds_mcu::RamBudget;
@@ -32,15 +31,12 @@ pub struct E3Point {
     pub exact: bool,
 }
 
-/// Build engine + oracle over a Zipf corpus.
-pub fn build(docs: usize, df: DfStrategy) -> (Flash, RamBudget, SearchEngine, NaiveSearch) {
-    // 128 KB: the RAM-dictionary ablation needs ~16 B per distinct term
-    // (48 KB at vocabulary 3000) *on top of* the engine residents — on
-    // the 64 KB secure token it aborts with a RAM error, which is
-    // precisely why the tutorial's framework favors streaming df.
+/// Build engine + oracle over a Zipf corpus, on the 64 KB of RAM of the
+/// secure token.
+pub fn build(docs: usize) -> (Flash, RamBudget, SearchEngine, NaiveSearch) {
     let flash = Flash::new(FlashGeometry::new(2048, 64, 4096));
-    let ram = RamBudget::new(128 * 1024);
-    let mut engine = SearchEngine::new(&flash, &ram, 128, 1024, df).unwrap();
+    let ram = RamBudget::new(64 * 1024);
+    let mut engine = SearchEngine::new(&flash, &ram, 128, 1024, DfStrategy::TwoPass).unwrap();
     let mut oracle = NaiveSearch::new();
     let cfg = CorpusConfig {
         num_docs: docs,
@@ -58,8 +54,8 @@ pub fn build(docs: usize, df: DfStrategy) -> (Flash, RamBudget, SearchEngine, Na
 }
 
 /// Measure one (corpus, query-size) point.
-pub fn measure(docs: usize, keywords: usize, df: DfStrategy) -> E3Point {
-    let (flash, ram, engine, oracle) = build(docs, df);
+pub fn measure(docs: usize, keywords: usize) -> E3Point {
+    let (flash, ram, engine, oracle) = build(docs);
     let kw: Vec<String> = (0..keywords).map(|i| format!("w{}", 10 + i * 37)).collect();
     let kw_refs: Vec<&str> = kw.iter().map(String::as_str).collect();
     let base = ram.used();
@@ -88,7 +84,6 @@ pub fn run() -> Table {
         &[
             "docs",
             "keywords",
-            "df mode",
             "peak query RAM (B)",
             "page reads",
             "naive accumulators",
@@ -97,28 +92,24 @@ pub fn run() -> Table {
     );
     for docs in [1000usize, 5000] {
         for keywords in [1usize, 2, 4] {
-            for (df, label) in [
-                (DfStrategy::TwoPass, "two-pass"),
-                (DfStrategy::RamDictionary, "ram-dict"),
-            ] {
-                let p = measure(docs, keywords, df);
-                t.row(vec![
-                    p.docs.to_string(),
-                    p.keywords.to_string(),
-                    label.to_string(),
-                    p.engine_ram.to_string(),
-                    p.engine_ios.to_string(),
-                    p.naive_accumulators.to_string(),
-                    if p.exact { "yes" } else { "NO" }.to_string(),
-                ]);
-            }
+            let p = measure(docs, keywords);
+            t.row(vec![
+                p.docs.to_string(),
+                p.keywords.to_string(),
+                p.engine_ram.to_string(),
+                p.engine_ios.to_string(),
+                p.naive_accumulators.to_string(),
+                if p.exact { "yes" } else { "NO" }.to_string(),
+            ]);
         }
     }
     t.note("paper shape: query RAM stays ~1 page/keyword + top-N regardless of corpus size,");
     t.note("while the classical algorithm allocates one accumulator per retrieved docid;");
-    t.note("ablation: two-pass df reads the tail and one chain head per keyword more than the");
-    t.note("RAM dictionary, with O(1) extra RAM;");
-    t.note("the dictionary alone (~16 B/term = 48 KB at vocab 3000) would not fit the 64 KB token");
+    t.note("df is counted from the keyword's tail pages and its chain head's df table, with no");
+    t.note(
+        "RAM per term: a term -> df dictionary (~16 B/term = 48 KB at vocab 3000) would not fit",
+    );
+    t.note("the 64 KB token this table runs on");
     t
 }
 
@@ -128,7 +119,7 @@ mod tests {
 
     #[test]
     fn ram_is_bounded_and_results_exact() {
-        let p = measure(800, 3, DfStrategy::TwoPass);
+        let p = measure(800, 3);
         assert!(p.exact);
         // 3 cursors + df page + heap + slack, on 2 KB pages.
         assert!(p.engine_ram < 5 * 2048 + 1024, "got {}", p.engine_ram);
@@ -167,13 +158,5 @@ mod tests {
                 ["5000", "4", "72", "8352", "1331", "yes"],
             ]
         );
-    }
-
-    #[test]
-    fn two_pass_reads_more_than_dictionary() {
-        let a = measure(800, 2, DfStrategy::TwoPass);
-        let b = measure(800, 2, DfStrategy::RamDictionary);
-        assert!(a.engine_ios > b.engine_ios);
-        assert!(a.exact && b.exact);
     }
 }

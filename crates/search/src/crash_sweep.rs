@@ -54,13 +54,11 @@ const PAGES_PER_BLOCK: usize = 8;
 struct Shape {
     num_buckets: usize,
     buffer_triples: usize,
-    df: DfStrategy,
 }
 
 const SMALL: Shape = Shape {
     num_buckets: 16,
     buffer_triples: 32,
-    df: DfStrategy::TwoPass,
 };
 
 impl Shape {
@@ -70,7 +68,8 @@ impl Shape {
 
     fn engine(&self, flash: &Flash) -> SearchEngine {
         let ram = RamBudget::new(RAM);
-        SearchEngine::new(flash, &ram, self.num_buckets, self.buffer_triples, self.df).unwrap()
+        let (buckets, buffer) = (self.num_buckets, self.buffer_triples);
+        SearchEngine::new(flash, &ram, buckets, buffer, DfStrategy::TwoPass).unwrap()
     }
 }
 
@@ -173,15 +172,7 @@ impl DryRun {
     /// operation's every program succeeded — and it *may* be when the cut
     /// hit that very page: a tear past the last meaningful byte leaves a
     /// page whole.
-    fn expected(
-        &self,
-        ops: &[Op],
-        shape: Shape,
-        cut: Option<u64>,
-    ) -> Vec<(u32, Option<RebuildReason>)> {
-        if shape.df == DfStrategy::RamDictionary {
-            return vec![(0, Some(RebuildReason::RamDictionary))];
-        }
+    fn expected(&self, ops: &[Op], cut: Option<u64>) -> Vec<(u32, Option<RebuildReason>)> {
         let syncs = |i: &usize| matches!(ops[*i], Op::Flush | Op::Reorganize);
         let done = |i: &usize| cut.is_none_or(|n| self.programs[*i] <= n);
         let mut paths = vec![match (0..ops.len()).filter(syncs).take_while(done).last() {
@@ -358,7 +349,7 @@ fn crash_and_compare(
     let first = kept.report.clone();
 
     let took = (first.index_pages_kept, first.index_rebuild);
-    let may = dry.expected(ops, shape, cut);
+    let may = dry.expected(ops, cut);
     assert!(
         may.contains(&took),
         "{ctx}: took {took:?}, expected {may:?}"
@@ -385,11 +376,9 @@ fn crash_and_compare(
         Side::recover(snap, &m)
     });
     let ctx = format!("{ctx}: second cycle");
-    if shape.df == DfStrategy::TwoPass {
-        // Both now own a checkpoint from the flush above.
-        assert_eq!(kept.report.index_rebuild, None, "{ctx}");
-        assert_eq!(full.report.index_rebuild, None, "{ctx}");
-    }
+    // Both now own a checkpoint from the flush above.
+    assert_eq!(kept.report.index_rebuild, None, "{ctx}");
+    assert_eq!(full.report.index_rebuild, None, "{ctx}");
     assert_same_counts(&kept.report, &full.report, &ctx);
     assert_same_answers(&kept.engine, &full.engine, &ctx);
     first
@@ -409,20 +398,11 @@ fn checkpointed_recovery_equals_full_rebuild_sweep() {
         let seed = 0x1DC_0000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let ops = random_script(&mut rng);
-        let shape = Shape {
-            // Every eighth case exercises the fallback-only strategy.
-            df: if case % 8 == 7 {
-                DfStrategy::RamDictionary
-            } else {
-                DfStrategy::TwoPass
-            },
-            ..SMALL
-        };
-        let dry = DryRun::of(&ops, shape);
+        let dry = DryRun::of(&ops, SMALL);
         let total = *dry.programs.last().unwrap();
         // One case in six pulls the plug after the script instead.
         let cut = (total > 0 && case % 6 != 5).then(|| rng.gen_range(0..total));
-        let report = crash_and_compare(&ops, shape, &dry, cut, seed);
+        let report = crash_and_compare(&ops, SMALL, &dry, cut, seed);
         kept_paths += u64::from(report.index_rebuild.is_none());
         cuts_in_a_drain += u64::from(cut.is_some_and(|n| dry.drains(dry.op_of(n))));
     }
@@ -648,7 +628,6 @@ fn a_checkpoint_spanning_two_records_is_all_or_nothing() {
     let wide = Shape {
         num_buckets: 128,
         buffer_triples: 256,
-        ..SMALL
     };
     let mut rng = StdRng::seed_from_u64(0xF3);
     let mut ops = index_ops(&mut rng, 30);
@@ -756,44 +735,6 @@ fn a_second_crash_while_the_tail_replay_drains_changes_nothing() {
         drains >= 2 && crashed >= 40,
         "{drains} drains, {crashed} cuts"
     );
-}
-
-#[test]
-fn ram_dictionary_engines_rebuild_and_keep_exact_df() {
-    let shape = Shape {
-        df: DfStrategy::RamDictionary,
-        ..SMALL
-    };
-    let mut rng = StdRng::seed_from_u64(0xF6);
-    let mut ops = index_ops(&mut rng, 60);
-    ops.extend([Op::Delete(4), Op::Delete(17), Op::Flush]);
-    let dry = DryRun::of(&ops, shape);
-    let report = crash_and_compare(&ops, shape, &dry, None, 0xF6);
-    assert_eq!(report.index_rebuild, Some(RebuildReason::RamDictionary));
-    assert_eq!(report.docs_replayed, 60);
-
-    // No checkpoint page was ever programmed, and df is exact: rankings
-    // match the in-RAM reference over the same documents.
-    let (snap, m) = crash(&ops, shape, None, 0xF6);
-    assert!(m.checkpoint_blocks.is_empty());
-    let side = Side::recover(snap, &m);
-    let mut reference = NaiveSearch::new();
-    for op in &ops {
-        if let Op::Index(text) = op {
-            reference.index(text);
-        }
-    }
-    reference.delete(4);
-    reference.delete(17);
-    for word in ["w0", "w1", "w5"] {
-        let got = side.engine.search(&[word], 60).unwrap();
-        let want = reference.search(&[word], 60);
-        assert_eq!(got.len(), want.len(), "{word}");
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.doc, w.doc, "{word}");
-            assert!((g.score - w.score).abs() < 1e-9, "{word}");
-        }
-    }
 }
 
 #[test]

@@ -76,8 +76,6 @@
 //! left when they filled no page but did not fit beside the table (the
 //! head then holds the table alone).
 
-use std::collections::HashMap;
-
 use pds_flash::{Flash, FlashError, LogWriter};
 use pds_mcu::{RamBudget, RamError, TopN};
 
@@ -130,7 +128,10 @@ impl std::fmt::Display for SearchError {
 
 impl std::error::Error for SearchError {}
 
-/// How the engine obtains per-term document frequencies for IDF.
+/// How the engine obtains per-term document frequencies for IDF. There
+/// is one way: the type and [`SearchEngine::new`]'s parameter remain
+/// only because the performance ledger's workloads (`ledger/`) name
+/// them, and go once those calls stop doing so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DfStrategy {
     /// Count df before scoring: each query keyword's pending triples,
@@ -140,11 +141,6 @@ pub enum DfStrategy {
     /// deletion since the last reorganisation, or a term the table had
     /// no room for). Zero additional query RAM.
     TwoPass,
-    /// Keep an exact `term → df` dictionary in RAM. One chain walk per
-    /// query, but RAM grows with the vocabulary — untenable on the
-    /// smallest devices, which is why the tutorial's framework favors the
-    /// streaming alternative. Offered for the E3 ablation.
-    RamDictionary,
 }
 
 /// Match semantics of a multi-keyword query.
@@ -223,10 +219,6 @@ pub struct SearchEngine {
     pending_cap: usize,
     _pending_reservation: pds_mcu::Reservation,
     docs: DocStore,
-    df_strategy: DfStrategy,
-    /// Exact df dictionary (only in `RamDictionary` mode).
-    df: HashMap<u64, u32>,
-    _df_reservation: Option<pds_mcu::Reservation>,
     /// Deleted docids (RAM mirror of the tombstone log; ~4 B each,
     /// charged to the budget). Deleted documents are filtered from every
     /// query and physically purged at the next reorganization.
@@ -242,8 +234,8 @@ pub struct SearchEngine {
 /// A chain page that does not parse as one.
 const UNDECODABLE: SearchError = SearchError::CorruptIndex("undecodable bucket page");
 
-/// Bytes budgeted per dictionary entry in `RamDictionary` mode.
-const DICT_ENTRY_BYTES: usize = 16;
+/// Bytes budgeted per entry of `index_text`'s per-document tf map.
+const TF_ENTRY_BYTES: usize = 16;
 
 /// The hash bucket of `term` among `num_buckets`.
 fn bucket_of(term: u64, num_buckets: usize) -> usize {
@@ -324,14 +316,13 @@ impl SearchEngine {
         ram: &RamBudget,
         num_buckets: usize,
         buffer_triples: usize,
-        df_strategy: DfStrategy,
+        _df: DfStrategy,
     ) -> Result<Self, SearchError> {
         // pds-lint: allow(panic.assert) — construction-time shape check on
         // caller-chosen constants, not data-dependent; cannot fire at query time
         assert!(num_buckets > 0 && buffer_triples > 0);
         // Charge the permanent RAM residents: bucket heads, the tail's
-        // spans and the insertion buffer. The df dictionary is charged as
-        // it grows.
+        // spans and the insertion buffer.
         let head_bytes = num_buckets * 4;
         // The longest tail a drain meets: one page short of its length,
         // plus a buffer-full just staged.
@@ -356,12 +347,6 @@ impl SearchEngine {
             pending_cap: buffer_triples,
             _pending_reservation: reservation,
             docs: DocStore::new(flash),
-            df_strategy,
-            df: HashMap::new(),
-            _df_reservation: match df_strategy {
-                DfStrategy::RamDictionary => Some(ram.reserve(0)?),
-                DfStrategy::TwoPass => None,
-            },
             deleted: std::collections::HashSet::new(),
             tombstones: flash.new_log(),
             deleted_reservation: ram.reserve(0)?,
@@ -415,26 +400,12 @@ impl SearchEngine {
         self.note_deleted(doc)
     }
 
-    /// Register `doc` as deleted in RAM state (deleted set + exact df
-    /// dictionary) without touching the tombstone log — shared by
-    /// [`delete_document`](Self::delete_document) (which appends the
-    /// tombstone first) and crash recovery (which replays tombstones
-    /// already on flash).
+    /// Register `doc` as deleted in RAM without touching the tombstone
+    /// log — shared by [`delete_document`](Self::delete_document) (which
+    /// appends the tombstone first) and crash recovery (which replays
+    /// tombstones already on flash).
     fn note_deleted(&mut self, doc: DocId) -> Result<(), SearchError> {
         self.deleted_reservation.grow(4)?;
-        if self.df_strategy == DfStrategy::RamDictionary {
-            // Keep the exact dictionary exact: decrement df for the
-            // document's distinct terms.
-            let text = String::from_utf8_lossy(&self.docs.get(doc)?).into_owned();
-            let mut distinct: Vec<u64> = tokenize(&text).iter().map(|t| term_hash(t)).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            for term in distinct {
-                if let Some(c) = self.df.get_mut(&term) {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
         self.deleted.insert(doc);
         self.unpurged_deletions = true;
         Ok(())
@@ -472,23 +443,12 @@ impl SearchEngine {
         // packing and the flash IO counters — would vary per process
         // with the hash seed, breaking `report --check` baselines.
         let mut tf: std::collections::BTreeMap<u64, u16> = std::collections::BTreeMap::new();
-        let _tf_guard = self
-            .ram
-            .reserve(tokens.len().min(1024) * DICT_ENTRY_BYTES)?;
+        let _tf_guard = self.ram.reserve(tokens.len().min(1024) * TF_ENTRY_BYTES)?;
         for tok in &tokens {
             let e = tf.entry(term_hash(tok)).or_insert(0);
             *e = e.saturating_add(1);
         }
         for (term, count) in tf {
-            if self.df_strategy == DfStrategy::RamDictionary {
-                let is_new = !self.df.contains_key(&term);
-                *self.df.entry(term).or_insert(0) += 1;
-                if is_new {
-                    if let Some(r) = self._df_reservation.as_mut() {
-                        r.grow(DICT_ENTRY_BYTES)?;
-                    }
-                }
-            }
             // Only a document with more distinct terms than the whole
             // buffer holds gets here with the buffer full.
             if self.pending_total == self.pending_cap {
@@ -769,7 +729,7 @@ impl SearchEngine {
         t.term == term && !self.deleted.contains(&t.doc)
     }
 
-    /// Document frequency of one term (two-pass strategy), with a single
+    /// Document frequency of one term, counted before scoring, with a single
     /// reusable page buffer: the bucket's pending triples and the tail
     /// pages that can hold it are counted, and the chain is its head's df
     /// table — one page. The rest of the chain is walked only when the
@@ -882,10 +842,7 @@ impl SearchEngine {
         // Resolve term → (term, idf), dropping terms with df = 0.
         let mut terms: Vec<(u64, f64)> = Vec::new();
         for &term in &requested {
-            let df = match self.df_strategy {
-                DfStrategy::TwoPass => self.count_df(term)?,
-                DfStrategy::RamDictionary => self.df.get(&term).copied().unwrap_or(0),
-            };
+            let df = self.count_df(term)?;
             if df > 0 {
                 let idf = (num_docs as f64 / df as f64).ln();
                 terms.push((term, idf));
@@ -1279,11 +1236,11 @@ mod tests {
     use pds_flash::BlockId;
     use pds_mcu::HardwareProfile;
 
-    fn setup(df: DfStrategy) -> (Flash, RamBudget, SearchEngine) {
+    fn setup() -> (Flash, RamBudget, SearchEngine) {
         let profile = HardwareProfile::test_profile();
         let flash = Flash::new(profile.flash);
         let ram = RamBudget::new(profile.ram_bytes);
-        let engine = SearchEngine::new(&flash, &ram, 16, 64, df).unwrap();
+        let engine = SearchEngine::new(&flash, &ram, 16, 64, DfStrategy::TwoPass).unwrap();
         (flash, ram, engine)
     }
 
@@ -1298,8 +1255,8 @@ mod tests {
         "prescription blood pressure medication dosage",
     ];
 
-    fn engine_with_corpus(df: DfStrategy) -> (Flash, RamBudget, SearchEngine) {
-        let (f, r, mut e) = setup(df);
+    fn engine_with_corpus() -> (Flash, RamBudget, SearchEngine) {
+        let (f, r, mut e) = setup();
         for doc in CORPUS {
             e.index_document(doc).unwrap();
         }
@@ -1308,28 +1265,25 @@ mod tests {
 
     #[test]
     fn single_keyword_matches_oracle() {
-        for df in [DfStrategy::TwoPass, DfStrategy::RamDictionary] {
-            let (_f, _r, e) = engine_with_corpus(df);
-            let mut oracle = NaiveSearch::new();
-            for doc in CORPUS {
-                oracle.index(doc);
-            }
-            let hits = e.search(&["blood"], 10).unwrap();
-            let expected = oracle.search(&["blood"], 10);
-            assert_eq!(
-                hits.iter().map(|h| h.doc).collect::<Vec<_>>(),
-                expected.iter().map(|h| h.doc).collect::<Vec<_>>(),
-                "{df:?}"
-            );
-            for (h, o) in hits.iter().zip(&expected) {
-                assert!((h.score - o.score).abs() < 1e-9);
-            }
+        let (_f, _r, e) = engine_with_corpus();
+        let mut oracle = NaiveSearch::new();
+        for doc in CORPUS {
+            oracle.index(doc);
+        }
+        let hits = e.search(&["blood"], 10).unwrap();
+        let expected = oracle.search(&["blood"], 10);
+        assert_eq!(
+            hits.iter().map(|h| h.doc).collect::<Vec<_>>(),
+            expected.iter().map(|h| h.doc).collect::<Vec<_>>()
+        );
+        for (h, o) in hits.iter().zip(&expected) {
+            assert!((h.score - o.score).abs() < 1e-9);
         }
     }
 
     #[test]
     fn multi_keyword_scores_accumulate() {
-        let (_f, _r, e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, _r, e) = engine_with_corpus();
         let mut oracle = NaiveSearch::new();
         for doc in CORPUS {
             oracle.index(doc);
@@ -1347,7 +1301,7 @@ mod tests {
 
     #[test]
     fn search_visible_pins_the_docid_prefix() {
-        let (_f, _r, e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, _r, e) = engine_with_corpus();
         // Docs 0, 2, 4, 7 contain "blood"; a snapshot over the first
         // three documents only sees docs 0 and 2.
         let hits = e.search_visible(&["blood"], 10, 3).unwrap();
@@ -1372,7 +1326,7 @@ mod tests {
 
     #[test]
     fn unknown_keyword_yields_nothing() {
-        let (_f, _r, e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, _r, e) = engine_with_corpus();
         assert!(e.search(&["zzzunknown"], 5).unwrap().is_empty());
         assert!(e.search(&[], 5).unwrap().is_empty());
     }
@@ -1428,7 +1382,7 @@ mod tests {
 
     #[test]
     fn query_ram_is_one_page_per_keyword_plus_topn() {
-        let (_f, ram, mut e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, ram, mut e) = engine_with_corpus();
         let page = e.flash.geometry().page_size;
         // The same RAM wherever the postings are: all in the buffer, in
         // the tail, in the chains — one page per keyword and the heap,
@@ -1462,7 +1416,7 @@ mod tests {
 
     #[test]
     fn deleted_documents_vanish_from_queries_and_fetches() {
-        let (_f, _r, mut e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, _r, mut e) = engine_with_corpus();
         let mut oracle = NaiveSearch::new();
         for doc in CORPUS {
             oracle.index(doc);
@@ -1517,27 +1471,8 @@ mod tests {
     }
 
     #[test]
-    fn deletion_works_in_ram_dictionary_mode_too() {
-        let (_f, _r, mut e) = engine_with_corpus(DfStrategy::RamDictionary);
-        let mut oracle = NaiveSearch::new();
-        for doc in CORPUS {
-            oracle.index(doc);
-        }
-        e.delete_document(0).unwrap();
-        e.delete_document(7).unwrap();
-        oracle.delete(0);
-        oracle.delete(7);
-        let hits = e.search(&["blood", "pressure"], 10).unwrap();
-        let expected = oracle.search(&["blood", "pressure"], 10);
-        assert_eq!(
-            hits.iter().map(|h| h.doc).collect::<Vec<_>>(),
-            expected.iter().map(|h| h.doc).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn conjunctive_mode_filters_to_all_keywords() {
-        let (_f, _r, e) = engine_with_corpus(DfStrategy::TwoPass);
+        let (_f, _r, e) = engine_with_corpus();
         let mut oracle = NaiveSearch::new();
         for doc in CORPUS {
             oracle.index(doc);
@@ -1589,7 +1524,7 @@ mod tests {
 
     #[test]
     fn recover_rebuilds_index_and_reapplies_tombstones() {
-        let (flash, ram, mut e) = setup(DfStrategy::TwoPass);
+        let (flash, ram, mut e) = setup();
         for text in CORPUS {
             e.index_document(text).unwrap();
         }

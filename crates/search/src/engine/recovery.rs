@@ -119,9 +119,6 @@ impl Checkpoint {
 pub enum RebuildReason {
     /// No complete checkpoint on flash: the engine never synced.
     NoCheckpoint,
-    /// [`DfStrategy::RamDictionary`]: the df dictionary is RAM-only
-    /// state that only a replay of every document re-derives.
-    RamDictionary,
     /// The last checkpoint describes an index log that has since been
     /// replaced (a cut between a reorganization's swap and its
     /// checkpoint).
@@ -138,11 +135,11 @@ pub enum RebuildReason {
 
 impl RebuildReason {
     /// The reason as carried by the `RECOVERY_INDEX_REBUILD` flight
-    /// event (`args[0]`).
+    /// event (`args[0]`). Code 2 is retired (a df strategy that could
+    /// not checkpoint) and is not reused: recorded frames carry it.
     pub fn code(self) -> u64 {
         match self {
             RebuildReason::NoCheckpoint => 1,
-            RebuildReason::RamDictionary => 2,
             RebuildReason::StaleEpoch => 3,
             RebuildReason::DocsMissing => 4,
             RebuildReason::PagesMissing => 5,
@@ -178,8 +175,6 @@ pub struct EngineManifest {
     pub num_buckets: usize,
     /// RAM insertion-buffer capacity in triples.
     pub buffer_triples: usize,
-    /// df strategy.
-    pub df_strategy: DfStrategy,
 }
 
 /// What [`SearchEngine::recover`] found and did.
@@ -218,7 +213,6 @@ impl SearchEngine {
             checkpoint_blocks: self.checkpoints.blocks().to_vec(),
             num_buckets: self.num_buckets,
             buffer_triples: self.pending_cap,
-            df_strategy: self.df_strategy,
         }
     }
 
@@ -226,8 +220,7 @@ impl SearchEngine {
     /// durable one. Called with nothing pending (end of `flush`), so the
     /// chains and the tail hold every document below the docid frontier. An
     /// engine whose frontier never moves — a token holding no documents
-    /// — never programs a page here, and a `RamDictionary` engine, which
-    /// could not use a checkpoint, writes none.
+    /// — never programs a page here.
     pub(super) fn write_checkpoint(&mut self) -> Result<(), SearchError> {
         let now = Frontier {
             epoch: self.epoch,
@@ -235,7 +228,7 @@ impl SearchEngine {
             pages: self.index.num_pages(),
             tail: self.tail_start,
         };
-        if now == self.durable || self.df_strategy == DfStrategy::RamDictionary {
+        if now == self.durable {
             return Ok(());
         }
         let body = Checkpoint::encode(now, &self.heads);
@@ -260,9 +253,6 @@ impl SearchEngine {
         &self,
         m: &EngineManifest,
     ) -> Result<Result<Checkpoint, RebuildReason>, SearchError> {
-        if self.df_strategy == DfStrategy::RamDictionary {
-            return Ok(Err(RebuildReason::RamDictionary));
-        }
         let geo = self.flash.geometry();
         let _guard = self
             .ram
@@ -352,8 +342,13 @@ impl SearchEngine {
             Ok(())
         })?;
         let (checkpoints, _) = LogWriter::recover(flash, &m.checkpoint_blocks)?;
-        let mut engine =
-            SearchEngine::new(flash, ram, m.num_buckets, m.buffer_triples, m.df_strategy)?;
+        let mut engine = SearchEngine::new(
+            flash,
+            ram,
+            m.num_buckets,
+            m.buffer_triples,
+            DfStrategy::TwoPass,
+        )?;
         engine.docs = docs;
         engine.tombstones = tombstones;
         engine.checkpoints = checkpoints;

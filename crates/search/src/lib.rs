@@ -20,13 +20,10 @@
 //!   entire RAM footprint of a query, enforced here through
 //!   [`pds_mcu::RamBudget`].
 //!
-//! Exact TF-IDF needs each keyword's document frequency. Two strategies
-//! are provided (and compared in the E3 ablation bench): a two-pass scan
-//! that counts df first — from the df table each chain's head carries,
-//! one page read beside the unmerged tail (RAM-free) — and a
-//! RAM-resident term dictionary (no extra read, RAM grows with the
-//! vocabulary — exactly the trade-off that rules it out on the smallest
-//! devices).
+//! Exact TF-IDF needs each keyword's document frequency before the first
+//! score. The engine counts it first, with no RAM per term: the keyword's
+//! pending triples, the unmerged tail pages that can hold its bucket, and
+//! the df table its chain's head carries — one page read of the chain.
 
 mod crash_sweep;
 pub mod docs;

@@ -64,9 +64,28 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
 # engine's checkpointed recovery against a full re-index of the same
 # chip, and its df counts against the oracle after cuts inside drains
 # that write the chain heads' df tables.
-PDS_CRASH_SEEDS=256 cargo test -p pds-flash -q -- \
+#
+# `sweep <cargo test args> -- <names>` runs them and fails unless at
+# least as many tests passed as names were given: a renamed or deleted
+# sweep would otherwise match nothing, run 0 tests and pass.
+sweep() {
+  local args=() names=0 log=target/ci/sweep.log
+  while [ "$1" != "--" ]; do args+=("$1"); shift; done
+  shift
+  names=$#
+  mkdir -p target/ci
+  PDS_CRASH_SEEDS=256 cargo test "${args[@]}" -q -- "$@" 2>&1 | tee "$log"
+  local passed
+  passed=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$log" |
+    awk '{ n += $1 } END { print n + 0 }')
+  if [ "$passed" -lt "$names" ]; then
+    echo "sweep: $passed tests passed for $names names: $*" >&2
+    return 1
+  fi
+}
+sweep -p pds-flash -- \
   seeded_crash_recovery_sweep record_log_sweep cell_store_sweep
-PDS_CRASH_SEEDS=256 cargo test -p pds-search -q -- \
+sweep -p pds-search -- \
   checkpointed_recovery_equals_full_rebuild_sweep \
   a_cut_at_every_program_inside_a_drain_recovers_equal \
   a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads \
@@ -77,7 +96,7 @@ PDS_CRASH_SEEDS=256 cargo test -p pds-search -q -- \
 # and survives flips, splices and garbage without a panic — the public
 # formats (tests/wire_formats.rs) and the rows beside the private
 # decoders, all named `*_keep_the_decoder_contract`.
-PDS_CRASH_SEEDS=256 cargo test --workspace -q keep_the_decoder_contract
+sweep --workspace -- keep_the_decoder_contract
 # Fleet smoke sweep: a small tokens × threads × connectivity run of the
 # phased secure-aggregation job, with the pds-obs registry exported so
 # the fleet.* counters are visible in the gate log.

@@ -770,13 +770,11 @@ fn engine_manifest_weight(m: &pds::search::EngineManifest) -> (usize, usize) {
         checkpoint_blocks,
         num_buckets,
         buffer_triples,
-        df_strategy,
     } = m;
     let fixed = size_of_val(docs)
         + size_of_val(index_epoch)
         + size_of_val(num_buckets)
-        + size_of_val(buffer_triples)
-        + size_of_val(df_strategy);
+        + size_of_val(buffer_triples);
     let lists = [
         doc_blocks,
         tombstone_blocks,
