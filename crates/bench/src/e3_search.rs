@@ -106,10 +106,8 @@ pub fn run() -> Table {
     t.note("paper shape: query RAM stays ~1 page/keyword + top-N regardless of corpus size,");
     t.note("while the classical algorithm allocates one accumulator per retrieved docid;");
     t.note("df is counted from the keyword's tail pages and its chain head's df table, with no");
-    t.note(
-        "RAM per term: a term -> df dictionary (~16 B/term = 48 KB at vocab 3000) would not fit",
-    );
-    t.note("the 64 KB token this table runs on");
+    t.note("RAM per term: a term -> df dictionary (~16 B/term = 48 KB at vocab 3000) does not");
+    t.note("fit the 64 KB token this table runs on");
     t
 }
 

@@ -68,8 +68,8 @@ impl Shape {
 
     fn engine(&self, flash: &Flash) -> SearchEngine {
         let ram = RamBudget::new(RAM);
-        let (buckets, buffer) = (self.num_buckets, self.buffer_triples);
-        SearchEngine::new(flash, &ram, buckets, buffer, DfStrategy::TwoPass).unwrap()
+        let df = DfStrategy::TwoPass;
+        SearchEngine::new(flash, &ram, self.num_buckets, self.buffer_triples, df).unwrap()
     }
 }
 
