@@ -22,7 +22,7 @@
 use std::collections::BTreeSet;
 
 use pds_flash::{BlockId, ChipSnapshot, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter};
-use pds_mcu::RamBudget;
+use pds_mcu::{RamBudget, Reservation};
 use pds_obs::flight;
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
@@ -54,11 +54,23 @@ const PAGES_PER_BLOCK: usize = 8;
 struct Shape {
     num_buckets: usize,
     buffer_triples: usize,
+    /// Whether the engine's budget is ballasted down to what a drain
+    /// reserves before it gathers: each drain then gathers into the
+    /// insertion buffer alone, where on the whole budget it gathers as
+    /// much of the tail as the free RAM holds.
+    ballasted: bool,
 }
 
 const SMALL: Shape = Shape {
     num_buckets: 16,
     buffer_triples: 32,
+    ballasted: false,
+};
+
+/// [`SMALL`] on the ballasted budget.
+const BALLASTED: Shape = Shape {
+    ballasted: true,
+    ..SMALL
 };
 
 impl Shape {
@@ -66,10 +78,13 @@ impl Shape {
         Flash::new(FlashGeometry::new(PAGE_SIZE, PAGES_PER_BLOCK, 2048))
     }
 
-    fn engine(&self, flash: &Flash) -> SearchEngine {
+    /// A fresh engine on `flash`, and the ballast to hold while it runs.
+    fn engine(&self, flash: &Flash) -> (SearchEngine, Option<Reservation>) {
         let ram = RamBudget::new(RAM);
         let df = DfStrategy::TwoPass;
-        SearchEngine::new(flash, &ram, self.num_buckets, self.buffer_triples, df).unwrap()
+        let e = SearchEngine::new(flash, &ram, self.num_buckets, self.buffer_triples, df).unwrap();
+        let ballast = self.ballasted.then(|| e.drain_only_ballast());
+        (e, ballast)
     }
 }
 
@@ -133,7 +148,7 @@ struct DryRun {
 impl DryRun {
     fn of(ops: &[Op], shape: Shape) -> DryRun {
         let flash = shape.flash();
-        let mut e = shape.engine(&flash);
+        let (mut e, _ballast) = shape.engine(&flash);
         let mut run = DryRun {
             programs: Vec::new(),
             index_pages: Vec::new(),
@@ -302,7 +317,7 @@ fn assert_same_counts(a: &EngineRecovery, b: &EngineRecovery, ctx: &str) {
 /// must be free or held by one of the engine's logs.
 fn crash(ops: &[Op], shape: Shape, cut: Option<u64>, seed: u64) -> (ChipSnapshot, EngineManifest) {
     let flash = shape.flash();
-    let mut e = shape.engine(&flash);
+    let (mut e, _ballast) = shape.engine(&flash);
     if let Some(n) = cut {
         flash.inject_faults(FaultPlan::new(seed).power_loss_after(n));
     }
@@ -487,14 +502,15 @@ fn a_cut_at_every_program_inside_reorganize_recovers_equal() {
 
 /// 60 documents (the tail drained on the way), a flush, and
 /// documents until the tail is drained again, then a flush: the script,
-/// its dry run, and the index of the draining operation. The checkpoint
-/// at operation 60 names a tail and heads that this drain tops up.
-fn script_with_a_drain_after_a_flush(seed: u64) -> (Vec<Op>, DryRun, usize) {
+/// its dry run at `shape`, and the index of the draining operation. The
+/// checkpoint at operation 60 names a tail and heads that this drain tops
+/// up.
+fn script_with_a_drain_after_a_flush(seed: u64, shape: Shape) -> (Vec<Op>, DryRun, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ops = index_ops(&mut rng, 60);
     ops.push(Op::Flush);
     ops.extend(index_ops(&mut rng, 60));
-    let dry = DryRun::of(&ops, SMALL);
+    let dry = DryRun::of(&ops, shape);
     assert!(
         (0..60).any(|i| dry.drains(i)),
         "the checkpoint must name chains"
@@ -503,27 +519,36 @@ fn script_with_a_drain_after_a_flush(seed: u64) -> (Vec<Op>, DryRun, usize) {
     let drain = (61..ops.len()).find(|&i| dry.drains(i)).unwrap();
     ops.truncate(drain + 1);
     ops.push(Op::Flush);
-    let dry = DryRun::of(&ops, SMALL);
+    let dry = DryRun::of(&ops, shape);
     (ops, dry, drain)
 }
 
 #[test]
 fn a_cut_at_every_program_inside_a_drain_recovers_equal() {
-    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFA);
-    // The staged page that made the tail long enough, then a drain's
-    // programs: a head page per bucket with triples in the tail, at least.
-    let reports = sweep_inside(&ops[..=drain], SMALL, &dry, drain);
-    assert!(reports.len() >= 3 * 9, "{} cuts", reports.len());
-    // Heads and tail change in RAM after the drain's last program and
-    // reach flash with the next checkpoint: whatever the drain had
-    // programmed lies past the frontier of the last one.
-    for (cut, r) in &reports {
-        assert_eq!(
-            (r.index_rebuild, r.index_pages_kept),
-            (None, dry.index_pages[60]),
-            "cut {cut}"
-        );
-        assert_eq!(r.docs_replayed, r.docs_recovered - 60, "cut {cut}");
+    // On the whole budget the drain gathers the tail in one pass, on the
+    // ballasted one in a pass per buffer-full.
+    for shape in [SMALL, BALLASTED] {
+        let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFA, shape);
+        // The staged page that made the tail long enough, then a drain's
+        // programs: a head page per bucket with triples in the tail, at
+        // least.
+        let reports = sweep_inside(&ops[..=drain], shape, &dry, drain);
+        assert!(reports.len() >= 3 * 9, "{shape:?}: {} cuts", reports.len());
+        // Heads and tail change in RAM after the drain's last program and
+        // reach flash with the next checkpoint: whatever the drain had
+        // programmed lies past the frontier of the last one.
+        for (cut, r) in &reports {
+            assert_eq!(
+                (r.index_rebuild, r.index_pages_kept),
+                (None, dry.index_pages[60]),
+                "{shape:?} cut {cut}"
+            );
+            assert_eq!(
+                r.docs_replayed,
+                r.docs_recovered - 60,
+                "{shape:?} cut {cut}"
+            );
+        }
     }
 }
 
@@ -575,8 +600,10 @@ fn a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads() {
     // fault seeds: the recovered engine counts on the checkpoint's heads
     // and on those its replay drains.
     let mut skipped = 0;
-    for script in 0..crash_seed_count().div_ceil(16) {
-        let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFD00 + script);
+    let scripts = 0..crash_seed_count().div_ceil(16);
+    // Each on the whole budget and on the ballasted one.
+    for (script, shape) in scripts.flat_map(|s| [(s, SMALL), (s, BALLASTED)]) {
+        let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFD00 + script, shape);
         let texts: Vec<&str> = (ops.iter())
             .filter_map(|op| match op {
                 Op::Index(text) => Some(text.as_str()),
@@ -585,15 +612,15 @@ fn a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads() {
             .collect();
         for cut in dry.cuts_inside(drain) {
             for seed in [cut, cut ^ 0xD0D0] {
-                let (snap, m) = crash(&ops[..=drain], SMALL, Some(cut), seed);
+                let (snap, m) = crash(&ops[..=drain], shape, Some(cut), seed);
                 let side = Side::recover(snap, &m);
                 assert_eq!(side.report.tombstones_applied, 0);
-                let ctx = format!("script {script} cut {cut}");
+                let ctx = format!("script {script} {shape:?} cut {cut}");
                 skipped += assert_df_from_the_heads(&side, &texts, &ctx);
             }
         }
         // And the drain let through.
-        let (snap, m) = crash(&ops, SMALL, None, script);
+        let (snap, m) = crash(&ops, shape, None, script);
         assert_df_from_the_heads(&Side::recover(snap, &m), &texts, "uncut");
     }
     assert!(skipped > 0, "no count skipped a chain page");
@@ -601,7 +628,7 @@ fn a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads() {
 
 #[test]
 fn a_cut_between_a_drain_and_the_next_checkpoint_falls_back_to_the_previous_one() {
-    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFB);
+    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFB, SMALL);
     // The plug pulled right after the drain, nothing flushed since.
     let unplugged = crash_and_compare(&ops[..=drain], SMALL, &dry, None, 0xFB);
     assert_eq!(unplugged.index_pages_kept, dry.index_pages[60]);
@@ -628,6 +655,7 @@ fn a_checkpoint_spanning_two_records_is_all_or_nothing() {
     let wide = Shape {
         num_buckets: 128,
         buffer_triples: 256,
+        ballasted: false,
     };
     let mut rng = StdRng::seed_from_u64(0xF3);
     let mut ops = index_ops(&mut rng, 30);
@@ -653,7 +681,7 @@ fn a_checkpoint_spanning_two_records_is_all_or_nothing() {
 fn the_checkpoint_log_rotates_at_block_grain() {
     let mut rng = StdRng::seed_from_u64(0xF4);
     let flash = SMALL.flash();
-    let mut e = SMALL.engine(&flash);
+    let (mut e, _ballast) = SMALL.engine(&flash);
     let mut ops = Vec::new();
     // One checkpoint page per round: 40 rounds cross five boundaries of
     // the 8-page blocks.
