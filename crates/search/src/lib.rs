@@ -18,12 +18,15 @@
 //!   each docid can be computed in pipeline".
 //! * **One RAM page per query keyword** plus a bounded top-N heap — the
 //!   entire RAM footprint of a query, enforced here through
-//!   [`pds_mcu::RamBudget`].
+//!   [`pds_mcu::RamBudget`], but for one more page while the keywords'
+//!   document frequencies are counted: `(k + 1)` pages for `k` keywords.
 //!
 //! Exact TF-IDF needs each keyword's document frequency before the first
-//! score. The engine counts it first, with no RAM per term: the keyword's
-//! pending triples, the unmerged tail pages that can hold its bucket, and
-//! the df table its chain's head carries — one page read of the chain.
+//! score. The engine counts it first, with no RAM per term, in one walk
+//! per keyword: its pending triples, the unmerged tail pages that can
+//! hold its bucket — whose postings of it the walk keeps in the keyword's
+//! cursor page, so scoring reads no tail page again — and the df table
+//! its chain's head carries, one page read of the chain.
 
 mod crash_sweep;
 pub mod docs;

@@ -2,8 +2,9 @@
 //!
 //! Indexes a synthetic personal corpus on a simulated secure token and
 //! shows the Part II story in numbers: bounded query RAM (one flash page
-//! per keyword), page-I/O costs, and the effect of a background
-//! reorganization of the chained hash buckets.
+//! per keyword, and one more while the keywords' df is counted), page-I/O
+//! costs, and the effect of a background reorganization of the chained
+//! hash buckets.
 //!
 //! Run with: `cargo run --release --example embedded_search`
 

@@ -14,7 +14,13 @@
 //! by exactly that. The full-mode cell-sync pin was regenerated once,
 //! when full mode became the generation digest asked since 0 (its round
 //! sends pushes and one digest pull per cell); the delta-mode pin,
-//! generated before that change, did not move.
+//! generated before that change, did not move. The search pin was
+//! regenerated once more, when a query came to count df and keep its
+//! tail postings in one walk per keyword: its render gained the
+//! `search.tail_postings_kept` and `search.tail_pages_reread` attributes
+//! (both 0: every posting is still in the insertion buffer), and its
+//! peak RAM rose by 432 B, from two cursor pages and a five-entry heap to
+//! two cursor pages and the page the walks read into (512 B pages).
 
 use std::sync::{Arc, Barrier};
 
@@ -348,8 +354,8 @@ const SELECT_DENIED: (&str, &str) = (
     "89fb45d27063fa8c2d49cdebbbaaf70ab2930807541ea839ca82b9d1ecc9b2fe",
 );
 const SEARCH: (&str, &str) = (
-    "7311e9d919adea32179075ca0ad172f7010637edd3a0d6d8945513d6ad16fe53",
-    "a90a16cc765447ea17381d95ed3912fa4a40847412f634bb904efc529b7dfb0d",
+    "687afb22f860c3c9356f4e0441eb4bc8734384b48769c615ef72b8b8554e0886",
+    "8c554dba0c713d034c2c232bf438cd030440b2c17e3cbd1eb08570248bc5a05c",
 );
 
 /// A token with seeded bank rows and emails.
