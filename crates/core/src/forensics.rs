@@ -4,12 +4,16 @@
 //! A [`ReopenReport`] says what a power loss cost; the recovered
 //! flight-recorder ring ([`pds_flash::BlackBox`]) says what the token
 //! was doing. [`ForensicsReport`] correlates the two into a single
-//! explainable verdict: the pre-crash timeline, a classified
-//! [`CrashCause`], and the recovery losses — rendered for a human
-//! (`render()`) or serialized for tooling (`to_json()`). The timeline
-//! is rebuilt purely from the durable ring, so it is bit-identical for
-//! the same seed no matter how many fleet workers raced around the
-//! crash.
+//! explainable verdict: a classified [`CrashCause`], the newest
+//! surviving frame and the recovery losses — rendered with the
+//! pre-crash timeline for a human (`render()`) or serialized for
+//! tooling (`to_json()`). The report keeps what the ring's recovery
+//! scan counted, not the frames: the timeline is read from the durable
+//! ring when it is rendered ([`Pds::pre_crash_timeline`]), so it is
+//! bit-identical for the same seed no matter how many fleet workers
+//! raced around the crash.
+//!
+//! [`Pds::pre_crash_timeline`]: crate::Pds::pre_crash_timeline
 
 use pds_flash::BlackboxRecovery;
 use pds_obs::flight::{code, subsystem, EventFrame};
@@ -70,15 +74,14 @@ impl CrashCause {
     }
 }
 
-/// The correlated post-mortem of one reopen: pre-crash timeline +
-/// classified cause + recovery losses.
+/// The correlated post-mortem of one reopen: classified cause + newest
+/// surviving frame + recovery losses.
 #[derive(Debug, Clone)]
 pub struct ForensicsReport {
     /// The token this report describes.
     pub token: u64,
-    /// The recovered flight-recorder ring, oldest first — everything
-    /// the token durably recorded before the cut.
-    pub timeline: Vec<EventFrame>,
+    /// The newest frame the recorder scan salvaged.
+    last: Option<EventFrame>,
     /// Frames the recorder scan salvaged.
     pub frames_recovered: u64,
     /// Torn recorder pages discarded at the CRC cut.
@@ -99,7 +102,6 @@ impl ForensicsReport {
     /// safe and only the black box was mid-flush.
     pub fn correlate(
         token: u64,
-        timeline: Vec<EventFrame>,
         scan: &BlackboxRecovery,
         recovery: ReopenReport,
     ) -> ForensicsReport {
@@ -115,7 +117,7 @@ impl ForensicsReport {
         };
         ForensicsReport {
             token,
-            timeline,
+            last: scan.last_frame,
             frames_recovered: scan.frames_recovered,
             torn_pages_discarded: scan.torn_pages_discarded,
             malformed_dropped: scan.malformed_dropped,
@@ -127,7 +129,7 @@ impl ForensicsReport {
     /// The newest surviving frame — the last thing the token is known
     /// to have been doing.
     pub fn last_frame(&self) -> Option<&EventFrame> {
-        self.timeline.last()
+        self.last.as_ref()
     }
 
     /// Tick of the newest surviving frame.
@@ -141,8 +143,8 @@ impl ForensicsReport {
     }
 
     /// Human-readable post-mortem: verdict line, losses, then the tail
-    /// of the pre-crash timeline (newest last).
-    pub fn render(&self) -> String {
+    /// of the pre-crash `timeline` (newest last).
+    pub fn render(&self, timeline: &[EventFrame]) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "forensics: token {} cause={} frames={} torn_pages={}\n",
@@ -159,11 +161,11 @@ impl ForensicsReport {
             self.recovery.changes_dropped,
             self.recovery.tombstones_applied,
         ));
-        let tail_from = self.timeline.len().saturating_sub(16);
+        let tail_from = timeline.len().saturating_sub(16);
         if tail_from > 0 {
             out.push_str(&format!("  … {tail_from} earlier frames\n"));
         }
-        for f in &self.timeline[tail_from..] {
+        for f in &timeline[tail_from..] {
             out.push_str("  ");
             out.push_str(&f.render());
             out.push('\n');
@@ -171,10 +173,11 @@ impl ForensicsReport {
         out
     }
 
-    /// Machine-readable post-mortem — the `--forensics-json` artifact.
-    pub fn to_json(&self) -> String {
+    /// Machine-readable post-mortem, the pre-crash `timeline` included
+    /// — the `--forensics-json` artifact.
+    pub fn to_json(&self, timeline: &[EventFrame]) -> String {
         let mut frames = String::from("[");
-        for (i, f) in self.timeline.iter().enumerate() {
+        for (i, f) in timeline.iter().enumerate() {
             if i > 0 {
                 frames.push(',');
             }
@@ -238,23 +241,23 @@ mod tests {
         let scan = BlackboxRecovery {
             frames_recovered: 3,
             torn_pages_discarded: 1,
-            malformed_dropped: 0,
+            ..BlackboxRecovery::default()
         };
         let mut rec = clean_recovery();
         rec.changes_dropped = 2;
-        let r = ForensicsReport::correlate(7, vec![], &scan, rec);
+        let r = ForensicsReport::correlate(7, &scan, rec);
         assert_eq!(r.cause, CrashCause::TornChangelogTail);
 
         let mut rec = clean_recovery();
         rec.rows_lost = vec![("bank".into(), 3)];
-        let r = ForensicsReport::correlate(7, vec![], &scan, rec);
+        let r = ForensicsReport::correlate(7, &scan, rec);
         assert_eq!(r.cause, CrashCause::TornDataTail);
 
-        let r = ForensicsReport::correlate(7, vec![], &scan, clean_recovery());
+        let r = ForensicsReport::correlate(7, &scan, clean_recovery());
         assert_eq!(r.cause, CrashCause::TornRecorderTail);
 
         let quiet = BlackboxRecovery::default();
-        let r = ForensicsReport::correlate(7, vec![], &quiet, clean_recovery());
+        let r = ForensicsReport::correlate(7, &quiet, clean_recovery());
         assert_eq!(r.cause, CrashCause::CleanShutdown);
         assert!(!r.crashed());
     }
@@ -275,18 +278,19 @@ mod tests {
 
     #[test]
     fn render_and_json_carry_the_timeline() {
+        let timeline = vec![frame(4, code::CORE_INGEST), frame(5, code::CORE_COMMIT)];
         let scan = BlackboxRecovery {
             frames_recovered: 2,
             torn_pages_discarded: 1,
             malformed_dropped: 0,
+            last_frame: timeline.last().copied(),
         };
-        let timeline = vec![frame(4, code::CORE_INGEST), frame(5, code::CORE_COMMIT)];
-        let r = ForensicsReport::correlate(3, timeline, &scan, clean_recovery());
+        let r = ForensicsReport::correlate(3, &scan, clean_recovery());
         assert_eq!(r.crash_tick(), 5);
-        let text = r.render();
+        let text = r.render(&timeline);
         assert!(text.contains("torn_recorder_tail"));
         assert!(text.contains("core.commit"));
-        let json = pds_obs::json::parse(&r.to_json()).expect("valid json");
+        let json = pds_obs::json::parse(&r.to_json(&timeline)).expect("valid json");
         assert_eq!(json.get("token").and_then(|j| j.as_u64()), Some(3));
         assert_eq!(
             json.get("cause").and_then(|j| j.as_str()),

@@ -13,9 +13,9 @@ use pds_crypto::SymmetricKey;
 use pds_db::mvcc::{kind, DOC_STORE};
 use pds_db::value::{Value, ValueRef};
 use pds_db::{Database, GcReport, Hlc, Predicate, Row, RowId, Snapshot};
-use pds_flash::{BlackBox, ChangeRec, FlashError, DEFAULT_FRAME_CAP};
+use pds_flash::{BlackBox, ChangeRec, FlashError};
 use pds_mcu::{Token, TokenId};
-use pds_obs::flight::{self, code, subsystem, Severity};
+use pds_obs::flight::{self, code, subsystem, EventFrame, Severity};
 use pds_obs::wire::{put_prefixed32, Reader};
 use pds_search::{DfStrategy, SearchEngine, SearchHit};
 
@@ -121,7 +121,7 @@ impl Pds {
         db.enable_mvcc(token.id().0 as u32);
         let owner_key =
             SymmetricKey::from_seed(format!("owner-key:{owner}:{}", token.id().0).as_bytes());
-        let blackbox = BlackBox::new(&flash, DEFAULT_FRAME_CAP);
+        let blackbox = BlackBox::new(&flash);
         Ok(Pds {
             token,
             meta: Carried {
@@ -165,6 +165,20 @@ impl Pds {
     /// if one has happened.
     pub fn forensics(&self) -> Option<&ForensicsReport> {
         self.last_forensics.as_ref()
+    }
+
+    /// The pre-crash timeline of the most recent wake, read from the
+    /// recorder ring (one page read per ring page): its frames up to
+    /// the [`ForensicsReport::crash_tick`], oldest first. A ring that
+    /// has released blocks since the wake holds fewer of them. Empty
+    /// when no wake happened or the ring held nothing.
+    pub fn pre_crash_timeline(&self) -> Result<Vec<EventFrame>, PdsError> {
+        let Some(last) = self.forensics().and_then(ForensicsReport::last_frame) else {
+            return Ok(Vec::new());
+        };
+        let mut frames = self.blackbox.frames()?;
+        frames.retain(|f| f.tick <= last.tick);
+        Ok(frames)
     }
 
     /// Token identity.
@@ -1208,8 +1222,9 @@ mod tests {
         let f = pds.forensics().expect("reopen produces a post-mortem");
         assert_eq!(f.cause, crate::forensics::CrashCause::CleanShutdown);
         assert_eq!(f.frames_recovered, n_durable);
-        assert!(f
-            .timeline
+        let timeline = pds.pre_crash_timeline().unwrap();
+        assert_eq!(timeline.len() as u64, n_durable);
+        assert!(timeline
             .iter()
             .any(|fr| fr.code == pds_obs::flight::code::CORE_COMMIT));
         // The post-recovery ring carries the reopen marker after the
@@ -1217,6 +1232,7 @@ mod tests {
         assert!(pds
             .blackbox()
             .frames()
+            .unwrap()
             .iter()
             .any(|fr| fr.code == pds_obs::flight::code::RECOVERY_REOPEN));
     }
@@ -1229,8 +1245,9 @@ mod tests {
         let (pds, _) = Pds::wake(h).unwrap();
         let f = pds.forensics().unwrap();
         assert_eq!(f.cause, crate::forensics::CrashCause::CleanShutdown);
-        assert!(f
-            .timeline
+        assert!(pds
+            .pre_crash_timeline()
+            .unwrap()
             .iter()
             .any(|fr| fr.code == pds_obs::flight::code::CORE_HIBERNATE));
     }

@@ -59,7 +59,6 @@ pub struct PdsHibernation {
     /// The flight-recorder ring's durable identity (a hibernation holds
     /// no flash handle; the ring is recovered from its blocks on wake).
     blackbox_blocks: Vec<BlockId>,
-    blackbox_cap: usize,
 }
 
 impl PdsHibernation {
@@ -99,7 +98,6 @@ impl Pds {
             engine_manifest: self.engine.manifest(),
             db_manifest: self.db.manifest(),
             blackbox_blocks: self.blackbox.blocks(),
-            blackbox_cap: self.blackbox.capacity(),
             meta: self.meta,
             sleep: self.token.power_off(),
         }
@@ -150,7 +148,9 @@ impl Pds {
     /// Boot a PDS from its persistent state — the only boot path, taken
     /// after a clean hibernation and after a power loss alike: the token
     /// wakes from its chip snapshot, every durable structure recovers
-    /// its durable prefix, and the recorder ring yields the post-mortem.
+    /// its durable prefix, and the recorder ring's recovery scan yields
+    /// the post-mortem's verdict (the timeline stays on flash until
+    /// [`Pds::pre_crash_timeline`] reads it).
     /// A clean hibernation reports zero losses.
     pub fn wake(h: PdsHibernation) -> Result<(Pds, ReopenReport), PdsError> {
         // Frames staged by the operation the power loss killed never
@@ -163,7 +163,7 @@ impl Pds {
         let (engine, er) = SearchEngine::recover(&flash, &ram, &h.engine_manifest)?;
         let (db, rows_lost, mr) =
             Database::recover(&flash, &ram, &h.db_manifest, Some(er.docs_recovered))?;
-        let (mut blackbox, scan) = BlackBox::recover(&flash, &h.blackbox_blocks, h.blackbox_cap)?;
+        let (mut blackbox, scan) = BlackBox::recover(&flash, &h.blackbox_blocks)?;
         let report = ReopenReport {
             docs_recovered: er.docs_recovered,
             docs_lost: er.docs_lost,
@@ -173,14 +173,10 @@ impl Pds {
             rows_lost,
             changes_dropped: mr.as_ref().map_or(0, |r| r.changes_dropped),
         };
-        // The pre-crash timeline is captured before any new frame is
-        // absorbed: it is exactly what the durable ring preserved.
-        let forensics = ForensicsReport::correlate(
-            token.id().0,
-            blackbox.frames().to_vec(),
-            &scan,
-            report.clone(),
-        );
+        // The verdict is the scan's, taken before any new frame is
+        // absorbed: what the durable ring preserved ends at its last
+        // frame, and every frame absorbed from here on ticks past it.
+        let forensics = ForensicsReport::correlate(token.id().0, &scan, report.clone());
         flight::record(
             Severity::Info,
             subsystem::RECOVERY,

@@ -38,13 +38,12 @@ pub mod error;
 pub mod fault;
 pub mod geometry;
 pub mod log;
-mod mirrored;
 pub mod nand;
 mod proptests;
 pub mod stats;
 
 pub use alloc::BlockAllocator;
-pub use blackbox::{BlackBox, BlackboxRecovery, DEFAULT_FRAME_CAP};
+pub use blackbox::{BlackBox, BlackboxRecovery, RING_BLOCKS};
 pub use changelog::{ChangeLog, ChangeLogRecovery, ChangeRec};
 pub use cost::CostModel;
 pub use error::{FlashError, Result};

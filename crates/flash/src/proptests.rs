@@ -9,7 +9,12 @@
 
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
-use crate::{BlockId, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter, ProgramFault};
+use pds_obs::flight::{subsystem, EventFrame, Severity};
+
+use crate::{
+    BlackBox, BlockId, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter, ProgramFault,
+    RING_BLOCKS,
+};
 
 /// Arbitrary interleavings of appends/flushes/new-logs never violate the
 /// chip rules (the simulator would reject them) and always read back
@@ -290,15 +295,16 @@ fn assert_log_is(w: &LogWriter, oracle: &[Vec<u8>], ctx: &str) {
 /// `w` is the only log on `flash`: every block is either free or its.
 /// A power cut leaks none, and recovery frees what it truncates.
 fn assert_blocks_add_up(flash: &Flash, w: &LogWriter, ctx: &str) {
-    assert_blocks_add_up_but(flash, w, &[], ctx);
+    assert_blocks_add_up_but(flash, w.blocks(), &[], ctx);
 }
 
-/// [`assert_blocks_add_up`] on a chip rebooted after an earlier recovery
-/// on its lineage returned `forgotten` to the pool unerased: the reboot
+/// [`assert_blocks_add_up`] for the one log holding `held`, on a chip
+/// rebooted after its lineage returned `forgotten` to the pool unerased
+/// (an earlier recovery's relocation, a released head): the reboot
 /// re-derives the free list from erased cells, so each of those that no
 /// log took back since is neither free nor held (ROADMAP item 11's
 /// found-not-fixed list). Those, and no other block, are missing.
-fn assert_blocks_add_up_but(flash: &Flash, w: &LogWriter, forgotten: &[BlockId], ctx: &str) {
+fn assert_blocks_add_up_but(flash: &Flash, held: &[BlockId], forgotten: &[BlockId], ctx: &str) {
     let is_free = |b: BlockId| {
         let free = flash.claim_block(b);
         if free {
@@ -307,9 +313,9 @@ fn assert_blocks_add_up_but(flash: &Flash, w: &LogWriter, forgotten: &[BlockId],
         free
     };
     let lost = (forgotten.iter())
-        .filter(|b| !w.blocks().contains(b) && !is_free(**b))
+        .filter(|b| !held.contains(b) && !is_free(**b))
         .count();
-    let (free, held) = (flash.free_blocks(), w.blocks().len());
+    let (free, held) = (flash.free_blocks(), held.len());
     let total = flash.geometry().num_blocks();
     assert_eq!(
         free + held + lost,
@@ -334,7 +340,12 @@ fn recover_prefix(
     assert_blocks_add_up(flash, w, &format!("{ctx}: at the cut"));
     let rebooted = flash.reboot();
     let (rec, report) = LogWriter::recover(&rebooted, w.blocks()).unwrap();
-    assert_blocks_add_up_but(&rebooted, &rec, forgotten, &format!("{ctx}: recovered"));
+    assert_blocks_add_up_but(
+        &rebooted,
+        rec.blocks(),
+        forgotten,
+        &format!("{ctx}: recovered"),
+    );
     let freed = (w.blocks().iter())
         .filter(|b| !rec.blocks().contains(b))
         .copied()
@@ -349,6 +360,95 @@ fn recover_prefix(
     oracle.truncate(n);
     assert_log_is(&rec, oracle, ctx);
     (rebooted, rec, freed)
+}
+
+/// The flight recorder's ring through several block releases, the power
+/// cut at every program a seeded script of frames and flushes makes. At
+/// the cut every block is free or the ring's; after the recovery too,
+/// but for the blocks the ring released before the cut, which a reboot
+/// forgets (ROADMAP item 11). The recovered ring is contiguous ticks
+/// that end at the last durable frame — or at the frame after it, when
+/// the cut left the page it tore whole — and records on from there.
+#[test]
+fn recorder_ring_sweep() {
+    // 256-byte pages hold 8 frames, a block of 4 pages 32.
+    let geo = FlashGeometry::new(256, 4, 64);
+    let frame = |k: u64| EventFrame::new(Severity::Info, subsystem::CORE, 1, [k, 0]);
+    for case in 0..crash_seed_count() {
+        let seed = 0xC4A5_B100 + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // `true` flushes, `false` records a frame.
+        let script: Vec<bool> = (0..160).map(|_| rng.gen_range(0u32..5) == 0).collect();
+        let total = {
+            let flash = Flash::new(geo);
+            let mut bb = BlackBox::new(&flash);
+            for (k, &flush) in script.iter().enumerate() {
+                if flush {
+                    bb.flush().unwrap();
+                } else {
+                    bb.record(frame(k as u64)).unwrap();
+                }
+            }
+            let programs = flash.stats().page_programs;
+            assert!(programs > 4 * 4, "case {case}: {programs} pages");
+            programs
+        };
+        for cut in 0..total {
+            let ctx = format!("case {case} cut {cut}");
+            let flash = Flash::new(geo);
+            flash.inject_faults(FaultPlan::new(seed ^ cut).power_loss_after(cut));
+            let mut bb = BlackBox::new(&flash);
+            let (mut released, mut durable, mut recorded) = (Vec::new(), None, None);
+            let mut next = 0u64;
+            for (k, &flush) in script.iter().enumerate() {
+                let (held, programs) = (bb.blocks(), flash.stats().page_programs);
+                let r = if flush {
+                    bb.flush()
+                } else {
+                    bb.record(frame(k as u64))
+                };
+                released.extend(held.into_iter().filter(|b| !bb.blocks().contains(b)));
+                assert!(bb.blocks().len() <= RING_BLOCKS, "{ctx}");
+                match r {
+                    Ok(()) if flush => durable = recorded,
+                    Ok(()) => {
+                        // A program inside `record` put every frame
+                        // before this one on flash.
+                        if flash.stats().page_programs > programs {
+                            durable = recorded;
+                        }
+                        recorded = Some(next);
+                        next += 1;
+                    }
+                    Err(FlashError::PowerLoss) => break,
+                    Err(e) => panic!("{ctx}: {e}"),
+                }
+            }
+            assert!(!flash.is_powered(), "{ctx}: the cut lies inside the script");
+            assert_blocks_add_up_but(&flash, &bb.blocks(), &[], &format!("{ctx}: at the cut"));
+
+            let rebooted = flash.reboot();
+            let (mut rec, report) = BlackBox::recover(&rebooted, &bb.blocks()).unwrap();
+            assert_blocks_add_up_but(&rebooted, &rec.blocks(), &released, &ctx);
+            let ticks: Vec<u64> = rec.frames().unwrap().iter().map(|f| f.tick).collect();
+            assert_eq!(report.frames_recovered, ticks.len() as u64, "{ctx}");
+            assert!(
+                ticks.windows(2).all(|t| t[0] + 1 == t[1]),
+                "{ctx}: {ticks:?}"
+            );
+            let last = ticks.last().copied();
+            assert_eq!(last, report.last_frame.map(|f| f.tick), "{ctx}");
+            assert!(
+                last == durable || last == recorded,
+                "{ctx}: ends at {last:?}"
+            );
+            rec.record(frame(0)).unwrap();
+            rec.flush().unwrap();
+            let next = rec.frames().unwrap().last().map(|f| f.tick);
+            assert_eq!(next, Some(last.map_or(0, |t| t + 1)), "{ctx}");
+            assert_blocks_add_up_but(&rebooted, &rec.blocks(), &released, &ctx);
+        }
+    }
 }
 
 /// Records of any length against a `Vec<Vec<u8>>` oracle: the power is

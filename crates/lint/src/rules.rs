@@ -170,7 +170,6 @@ pub const CRATES: &[CrateConfig] = &[
         det_files: &[
             "flash/src/changelog.rs",
             "flash/src/blackbox.rs",
-            "flash/src/mirrored.rs",
             "flash/src/log.rs",
             "flash/src/nand.rs",
         ],

@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# The widened seeded sweeps, defined once: `scripts/ci.sh` and the CI
+# workflow both run this script.
+#
+# A fixed, larger seed set than the default 48 so every gate run
+# exercises the fault paths broadly — the record log's (single-page
+# records, and records of every length cut between their pages), the
+# flight recorder's ring through its block releases, the chip's
+# page-grain cell store against a full-block model across moved and
+# copied power cycles, and the search engine's checkpointed recovery
+# against a full re-index of the same chip, and its df counts against
+# the oracle after cuts inside drains that write the chain heads' df
+# tables. Then the format sweep under the same seed set: every wire and
+# flash format round-trips, refuses every strict prefix and every lying
+# count, and survives flips, splices and garbage without a panic — the
+# public formats (tests/wire_formats.rs) and the rows beside the private
+# decoders, all named `*_keep_the_decoder_contract`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# `sweep <cargo test args> -- <names>` runs them and fails unless at
+# least as many tests passed as names were given: a renamed or deleted
+# sweep would otherwise match nothing, run 0 tests and pass.
+sweep() {
+  local args=() names=0 log=target/ci/sweep.log
+  while [ "$1" != "--" ]; do args+=("$1"); shift; done
+  shift
+  names=$#
+  mkdir -p target/ci
+  PDS_CRASH_SEEDS=256 cargo test "${args[@]}" -q -- "$@" 2>&1 | tee "$log"
+  local passed
+  passed=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$log" |
+    awk '{ n += $1 } END { print n + 0 }')
+  if [ "$passed" -lt "$names" ]; then
+    echo "sweep: $passed tests passed for $names names: $*" >&2
+    return 1
+  fi
+}
+
+sweep -p pds-flash -- \
+  seeded_crash_recovery_sweep record_log_sweep recorder_ring_sweep cell_store_sweep
+sweep -p pds-search -- \
+  checkpointed_recovery_equals_full_rebuild_sweep \
+  a_cut_at_every_program_inside_a_drain_recovers_equal \
+  a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads \
+  a_cut_between_a_drain_and_the_next_checkpoint \
+  a_second_crash_while_the_tail_replay_drains
+sweep --workspace -- keep_the_decoder_contract
