@@ -30,7 +30,7 @@
 //! or partial checkpoint is simply not there, and its predecessor —
 //! still valid, for the reason above — is used instead.
 
-use pds_flash::{BlockId, Flash, FlashError, LogWriter};
+use pds_flash::{BlockId, Flash, LogWriter};
 use pds_mcu::RamBudget;
 use pds_obs::flight::{code, subsystem, Severity};
 use pds_obs::wire::Reader;
@@ -100,16 +100,6 @@ impl Checkpoint {
             heads.push(head);
         }
         Some(Checkpoint { at, heads })
-    }
-
-    /// The last checkpoint in `log`, if any.
-    fn last_in(log: &LogWriter, num_buckets: usize) -> Result<Option<Checkpoint>, FlashError> {
-        let mut last = None;
-        log.for_each_record(|_, rec| {
-            last = Checkpoint::decode(rec, num_buckets).or(last.take());
-            Ok(())
-        })?;
-        Ok(last)
     }
 }
 
@@ -245,19 +235,18 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// Choose the frontier recovery resumes from: the last checkpoint if
-    /// it is usable for this manifest and these documents, else the
-    /// reason it is not. Reads at most one page per bucket: each head,
-    /// whose triples and df table must be its bucket's.
+    /// Choose the frontier recovery resumes from: `last`, the last
+    /// checkpoint the log held, if it is usable for this manifest and
+    /// these documents, else the reason it is not. Reads at most one page
+    /// per bucket: each head, whose triples and df table must be its
+    /// bucket's. Its page buffer is the caller's to charge.
     fn usable_checkpoint(
         &self,
         m: &EngineManifest,
+        last: Option<Checkpoint>,
     ) -> Result<Result<Checkpoint, RebuildReason>, SearchError> {
         let geo = self.flash.geometry();
-        let _guard = self
-            .ram
-            .reserve(geo.page_size + BODY_HEADER + 4 * self.num_buckets)?;
-        let Some(ckpt) = Checkpoint::last_in(&self.checkpoints, self.num_buckets)? else {
+        let Some(ckpt) = last else {
             return Ok(Err(RebuildReason::NoCheckpoint));
         };
         let Frontier {
@@ -332,16 +321,25 @@ impl SearchEngine {
         m: &EngineManifest,
     ) -> Result<(SearchEngine, EngineRecovery), SearchError> {
         let (docs, docs_lost) = DocStore::recover(flash, &m.doc_blocks, m.docs)?;
-        let (tombstones, _) = LogWriter::recover(flash, &m.tombstone_blocks)?;
+        // The tombstones and the last checkpoint are taken from the
+        // recovery scans' own reads: neither log is read twice.
         let mut tombstoned: Vec<DocId> = Vec::new();
-        tombstones.for_each_record(|_, rec| {
+        let (tombstones, _) = LogWriter::recover_with(flash, &m.tombstone_blocks, |rec| {
             let mut r = Reader::new(rec);
             if let Some(doc) = r.u32().filter(|_| r.remaining() == 0) {
                 tombstoned.push(doc);
             }
-            Ok(())
+            true
         })?;
-        let (checkpoints, _) = LogWriter::recover(flash, &m.checkpoint_blocks)?;
+        // The checkpoint kept and a page buffer — the scan's, then the
+        // heads' check's — until the checkpoint is chosen.
+        let page_size = flash.geometry().page_size;
+        let checking = ram.reserve(page_size + BODY_HEADER + 4 * m.num_buckets)?;
+        let mut last = None;
+        let (checkpoints, _) = LogWriter::recover_with(flash, &m.checkpoint_blocks, |rec| {
+            last = Checkpoint::decode(rec, m.num_buckets).or(last.take());
+            true
+        })?;
         let mut engine = SearchEngine::new(
             flash,
             ram,
@@ -353,7 +351,7 @@ impl SearchEngine {
         engine.tombstones = tombstones;
         engine.checkpoints = checkpoints;
 
-        let (from, index_rebuild) = match engine.usable_checkpoint(m)? {
+        let (from, index_rebuild) = match engine.usable_checkpoint(m, last)? {
             Ok(ckpt) => {
                 engine.heads = ckpt.heads;
                 (ckpt.at, None)
@@ -362,6 +360,7 @@ impl SearchEngine {
             // old one left behind can never match it.
             Err(why) => (Frontier::origin(m.index_epoch.wrapping_add(1)), Some(why)),
         };
+        drop(checking);
         let (index, _) = LogWriter::recover_raw(flash, &m.index_blocks, from.pages)?;
         let index_blocks_dropped = m
             .index_blocks

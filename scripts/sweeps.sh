@@ -7,7 +7,8 @@
 # records, and records of every length cut between their pages), the
 # flight recorder's ring through its block releases, the chip's
 # page-grain cell store against a full-block model across moved and
-# copied power cycles, and the search engine's checkpointed recovery
+# copied power cycles, recovery under read disturb (no record lost, no
+# page relocated), and the search engine's checkpointed recovery
 # against a full re-index of the same chip, and its df counts against
 # the oracle after cuts inside drains that write the chain heads' df
 # tables. Then the format sweep under the same seed set: every wire and
@@ -38,7 +39,8 @@ sweep() {
 }
 
 sweep -p pds-flash -- \
-  seeded_crash_recovery_sweep record_log_sweep recorder_ring_sweep cell_store_sweep
+  seeded_crash_recovery_sweep record_log_sweep recorder_ring_sweep cell_store_sweep \
+  read_disturb_recovery_sweep
 sweep -p pds-search -- \
   checkpointed_recovery_equals_full_rebuild_sweep \
   a_cut_at_every_program_inside_a_drain_recovers_equal \
