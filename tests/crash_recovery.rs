@@ -15,7 +15,8 @@ use pds::db::{Hlc, Predicate, Row, Value, DOC_STORE};
 use pds::flash::FaultPlan;
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
 
-/// One wake's forensics, as [`every_wake_here_is_pinned`] digests it.
+/// One wake's forensics and recovery, as [`every_wake_here_is_pinned`]
+/// digests them.
 struct Wake {
     crash_tick: u64,
     /// Cause, crash tick and last frame, in bytes.
@@ -24,6 +25,9 @@ struct Wake {
     ring: Vec<u8>,
     /// The pre-crash timeline's ticks.
     ticks: Vec<u64>,
+    /// The wake's `ReopenReport` and its `changes_since(Hlc::ZERO)`
+    /// answer, in text.
+    reopen: String,
 }
 
 thread_local! {
@@ -43,11 +47,13 @@ fn noted(woken: (Pds, ReopenReport)) -> (Pds, ReopenReport) {
     for fr in &timeline {
         ring.extend_from_slice(&fr.encode());
     }
+    let changes = woken.0.changes_since(Hlc::ZERO);
     let wake = Wake {
         crash_tick: f.crash_tick(),
         verdict,
         ring,
         ticks: timeline.iter().map(|fr| fr.tick).collect(),
+        reopen: format!("{:?} {changes:?}\n", woken.1),
     };
     WAKES.with(|w| w.borrow_mut().push(wake));
     woken
@@ -965,8 +971,10 @@ fn every_wake_here_is_pinned() {
     }
     let wakes = WAKES.with(|w| w.take());
     let mut digest = pds::crypto::Sha256::new();
+    let mut reopens = pds::crypto::Sha256::new();
     let mut overflowed = Vec::new();
     for (k, w) in wakes.iter().enumerate() {
+        reopens.update(w.reopen.as_bytes());
         digest.update(&w.verdict);
         if w.crash_tick < OVERFLOW_TICK {
             digest.update(&w.ring);
@@ -987,5 +995,15 @@ fn every_wake_here_is_pinned() {
     assert_eq!(
         hex,
         "053365c843af71b8ac6000d0f6e5ecda286bc5cf71da27c97cdf9e6f1257b074"
+    );
+    // Every wake's report and change log, as the recovery left them.
+    let hex: String = reopens
+        .finalize()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(
+        hex,
+        "73acfcef4653764a8cdcde40ee070069900090ecfbca4a81a0c6b02c83f1d8df"
     );
 }
