@@ -12,7 +12,8 @@
 //! Alongside the marks, every commit appends one [`ChangeRec`] per new
 //! entity to a durable [`ChangeLog`] on flash, which serves
 //! `changes_since(hlc)` — the primitive continuous queries and
-//! delta-based Trusted-Cells sync are built on.
+//! delta-based Trusted-Cells sync are built on — from flash, with no copy
+//! of the records in RAM.
 //!
 //! Version GC is epoch-based: each commit advances the epoch, each
 //! snapshot pins the epoch it opened in, and [`MvccState::gc`] collapses
@@ -65,9 +66,9 @@ pub struct GcReport {
 pub struct MvccRecovery {
     /// Change records recovered from the durable log.
     pub changes_recovered: u64,
-    /// Phantom records dropped: their commit stamp survived the crash
-    /// but their data rows did not, so exposing them would make
-    /// `changes_since` name entities the store cannot serve.
+    /// Records cut from the first phantom on — a record whose commit
+    /// stamp survived the crash but whose data rows did not, which would
+    /// make `changes_since` name entities the store cannot serve.
     pub changes_dropped: u64,
     /// Durable-but-unstamped tail entities re-stamped by a fresh
     /// recovery commit (their change records died in controller RAM
@@ -220,10 +221,10 @@ impl MvccState {
     }
 
     /// Every change record stamped strictly after `since`, in stamp
-    /// order. Commits are returned whole: all records of a commit share
-    /// its stamp, and cursors only ever hold commit stamps.
-    pub fn changes_since(&self, since: Hlc) -> Vec<ChangeRec> {
-        self.changelog.changes_since(since.counter, since.node)
+    /// order, read from flash. Commits are returned whole: all records of
+    /// a commit share its stamp, and cursors only ever hold commit stamps.
+    pub fn changes_since(&self, since: Hlc) -> Result<Vec<ChangeRec>, DbError> {
+        Ok(self.changelog.changes_since(since.counter, since.node)?)
     }
 
     /// Durably flush buffered change records to flash. A commit is
@@ -259,7 +260,7 @@ impl MvccState {
                 marks.drain(..i - 1);
             }
         }
-        let compacted = self.changelog.compact(floor.counter, floor.node);
+        let compacted = self.changelog.compact(floor.counter, floor.node)?;
         self.floor = floor;
         pds_obs::counter!("mvcc.gc_runs").inc();
         pds_obs::counter!("mvcc.versions_collapsed").add(collapsed);
@@ -295,31 +296,27 @@ impl MvccState {
     /// Rebuild the version state after a power loss.
     ///
     /// `store_lens` gives the *recovered* durable length of every store
-    /// (`(store, kind, len)`). The pass:
+    /// (`(store, kind, len)`). One scan of the change log (CRC-checked,
+    /// torn tail truncated) hands over its records, and
     ///
-    /// 1. recovers the change log's durable prefix (CRC scan, torn tail
-    ///    truncated);
-    /// 2. drops *phantom* records — the first record naming an entity
-    ///    the recovered store no longer holds cuts the log there, so
-    ///    `changes_since` never returns a record newer than the store;
-    /// 3. rebuilds all post-floor marks by replaying the surviving
-    ///    records over the manifest's base marks;
-    /// 4. re-stamps any durable-but-unstamped store tail with a fresh
-    ///    recovery commit (rows flushed, change records still in RAM at
-    ///    the cut) — no durable entity ever escapes the change history.
+    /// 1. the first that names an entity the recovered store no longer
+    ///    holds (a *phantom*) cuts the log there, so `changes_since`
+    ///    never returns a record newer than the store;
+    /// 2. those before it are replayed over the manifest's base marks.
+    ///
+    /// Then a fresh recovery commit re-stamps any durable-but-unstamped
+    /// store tail (rows flushed, change records still in RAM at the cut)
+    /// — no durable entity ever escapes the change history. The epoch
+    /// resumes at the manifest's, or at the commits replayed if more.
     pub fn recover(
         flash: &Flash,
         m: &MvccManifest,
         store_lens: &[(u16, u8, u32)],
     ) -> Result<(Self, MvccRecovery), DbError> {
-        let (mut changelog, clrep) = ChangeLog::recover(flash, &m.blocks)?;
         let lens: BTreeMap<u16, u32> = store_lens
             .iter()
             .map(|&(store, _, len)| (store, len))
             .collect();
-        let dropped = changelog
-            .retain_prefix(|rec| lens.get(&rec.store).is_none_or(|&len| rec.entity < len))?;
-
         let mut marks: BTreeMap<u16, Vec<(Hlc, u32)>> = BTreeMap::new();
         for &(store, hlc, count) in &m.base {
             let capped = lens.get(&store).map_or(count, |&len| count.min(len));
@@ -327,7 +324,10 @@ impl MvccState {
         }
         let mut commits = 0u64;
         let mut last = m.floor;
-        for rec in changelog.records() {
+        let (changelog, rep) = ChangeLog::recover(flash, &m.blocks, |rec| {
+            if lens.get(&rec.store).is_some_and(|&len| rec.entity >= len) {
+                return false;
+            }
             let stamp = Hlc::new(rec.hlc, rec.node);
             if stamp > last {
                 commits += 1;
@@ -339,7 +339,9 @@ impl MvccState {
                 Some(mark) if mark.0 > stamp => {} // collapsed into the base
                 _ => entry.push((stamp, rec.entity + 1)),
             }
-        }
+            true
+        })?;
+        let dropped = rep.records_recovered - changelog.num_records();
 
         let mut clock = HlcClock::new(m.node);
         clock.advance_past(m.floor);
@@ -349,7 +351,7 @@ impl MvccState {
             clock,
             changelog,
             marks,
-            epoch: m.epoch + commits,
+            epoch: m.epoch.max(commits),
             pins: BTreeMap::new(),
             floor: m.floor,
         };
@@ -372,7 +374,7 @@ impl MvccState {
         }
 
         let report = MvccRecovery {
-            changes_recovered: clrep.records_recovered,
+            changes_recovered: rep.records_recovered,
             changes_dropped: dropped,
             entities_restamped: restamped,
         };
@@ -426,13 +428,13 @@ mod tests {
             .commit(&[(0, kind::ROW_INSERT, 3), (DOC_STORE, kind::DOC_APPEND, 2)])
             .unwrap()
             .unwrap();
-        assert_eq!(s.changes_since(Hlc::ZERO).len(), 5);
-        let after_c1 = s.changes_since(c1);
+        assert_eq!(s.changes_since(Hlc::ZERO).unwrap().len(), 5);
+        let after_c1 = s.changes_since(c1).unwrap();
         assert_eq!(after_c1.len(), 3);
         assert!(after_c1
             .iter()
             .all(|r| (r.hlc, r.node) == (c2.counter, c2.node)));
-        assert_eq!(s.changes_since(c2), vec![]);
+        assert_eq!(s.changes_since(c2).unwrap(), vec![]);
     }
 
     #[test]
@@ -453,13 +455,17 @@ mod tests {
         let cursor = Hlc::new(2, 7);
         let rep = s.gc(Some(cursor)).unwrap();
         assert_eq!(rep.floor, cursor);
-        assert_eq!(s.changes_since(cursor).len(), 10, "cursor still served");
+        assert_eq!(
+            s.changes_since(cursor).unwrap().len(),
+            10,
+            "cursor still served"
+        );
 
         // Nothing pinned: everything collapses to one live mark.
         let rep = s.gc(None).unwrap();
         assert_eq!(rep.versions_collapsed, 1);
         assert_eq!(s.latest(0), 30);
-        assert_eq!(s.changes_since(s.floor), vec![]);
+        assert_eq!(s.changes_since(s.floor).unwrap(), vec![]);
     }
 
     #[test]
@@ -495,7 +501,7 @@ mod tests {
         assert_eq!(r.latest(1), 3);
         assert_eq!(r.latest(2), 3);
         // changes_since never names an entity beyond the recovered store.
-        for rec in r.changes_since(Hlc::ZERO) {
+        for rec in r.changes_since(Hlc::ZERO).unwrap() {
             let len = lens.iter().find(|&&(st, _, _)| st == rec.store).unwrap().2;
             assert!(rec.entity < len, "phantom record {rec:?}");
         }
@@ -504,6 +510,7 @@ mod tests {
         assert!(c > m.floor);
         assert!(r
             .changes_since(Hlc::ZERO)
+            .unwrap()
             .iter()
             .all(|x| Hlc::new(x.hlc, x.node) <= c));
     }
@@ -534,5 +541,36 @@ mod tests {
             epoch: r.epoch(),
         };
         assert_eq!(r.visible_at(&snap_all, 0), 430);
+    }
+
+    #[test]
+    fn clean_power_cycles_leave_the_epoch_where_it_was() {
+        let (f, mut s) = state();
+        for len in [10, 20, 30] {
+            s.commit(&[(0, kind::ROW_INSERT, len)]).unwrap();
+        }
+        s.flush().unwrap();
+        assert_eq!(s.epoch(), 3);
+        let lens = [(0, kind::ROW_INSERT, 30u32)];
+        let mut f = f;
+        for cycle in 1..=2 {
+            let m = s.manifest();
+            f = f.reboot();
+            let (r, rep) = MvccState::recover(&f, &m, &lens).unwrap();
+            assert_eq!(rep.entities_restamped, 0, "cycle {cycle}");
+            assert_eq!(r.epoch(), 3, "cycle {cycle}: every commit counted once");
+            s = r;
+        }
+        // Commits the manifest has not seen are counted from the log.
+        let m = s.manifest();
+        s.commit(&[(0, kind::ROW_INSERT, 40)]).unwrap();
+        s.flush().unwrap();
+        let m = MvccManifest {
+            blocks: s.manifest().blocks,
+            ..m
+        };
+        let lens = [(0, kind::ROW_INSERT, 40u32)];
+        let (r, _) = MvccState::recover(&f.reboot(), &m, &lens).unwrap();
+        assert_eq!(r.epoch(), 4);
     }
 }

@@ -355,7 +355,7 @@ impl Database {
     /// order (table stores carry their catalog index, documents the
     /// reserved [`DOC_STORE`] id).
     pub fn changes_since(&self, since: Hlc) -> Result<Vec<ChangeRec>, DbError> {
-        Ok(self.mvcc_ref()?.changes_since(since))
+        self.mvcc_ref()?.changes_since(since)
     }
 
     /// Collapse version history nothing can address anymore: marks and

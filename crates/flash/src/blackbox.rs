@@ -14,9 +14,9 @@
 //! the recovered ring is always a causal prefix of the pre-crash
 //! timeline: [`BlackBox::recover`] cuts at the first frame that fails
 //! to decode or breaks tick monotonicity, and everything after the cut
-//! is discarded with it — on flash too: the survivors are copied into a
-//! fresh log, so what is recorded next is not cut off again at the next
-//! power cycle.
+//! is discarded with it — on flash too, by the cut every record log
+//! makes ([`LogWriter::recover_with`]), so what is recorded next is not
+//! cut off again at the next power cycle.
 //!
 //! The ring keeps no copy of its frames in RAM: the recovery scan keeps
 //! the counts and the newest frame, and [`BlackBox::frames`] reads the
@@ -34,13 +34,11 @@
 //! `blackbox.pages_flushed` (every page the recorder programs),
 //! `blackbox.frames_recovered`, `blackbox.torn_tails_truncated`.
 
-use std::ops::ControlFlow;
-
 use pds_obs::flight::EventFrame;
 
 use crate::error::{FlashError, Result};
 use crate::geometry::BlockId;
-use crate::log::{LogPos, LogWriter};
+use crate::log::LogWriter;
 use crate::Flash;
 
 /// Erase blocks the ring may span before its oldest one is released.
@@ -161,30 +159,22 @@ impl BlackBox {
     /// ends the scan): the recovered ring is the durable causal prefix
     /// of the pre-crash history (torn tail truncated, cut at the first
     /// frame that fails to decode or breaks strict tick monotonicity),
-    /// and torn bytes are never decoded into phantom events. A cut
-    /// copies the survivors into a fresh log before returning, a page
-    /// at a time: left in front of the append point, the bad frame
-    /// would cut off again, at the next power cycle, everything recorded
-    /// after this recovery.
+    /// and torn bytes are never decoded into phantom events.
     pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(BlackBox, BlackboxRecovery)> {
-        let (mut kept, mut last) = (0u32, None::<EventFrame>);
-        let (mut log, rep) = LogWriter::recover_with(flash, blocks, |bytes| {
+        let mut last = None::<EventFrame>;
+        let (log, rep) = LogWriter::recover_with(flash, blocks, |bytes| {
             // Ticks are a strict per-token sequence.
             let frame = EventFrame::decode(bytes).filter(|f| last.is_none_or(|l| f.tick > l.tick));
-            kept += u32::from(frame.is_some());
             last = frame.or(last);
             frame.is_some()
         })?;
-        let mut programmed = rep.pages_relocated;
-        if rep.refused {
-            log = keep_prefix(log, kept)?;
-            programmed += log.num_pages();
-        }
+        // A cut's copy is the log's every page.
+        let programmed = rep.pages_relocated + if rep.refused { log.num_pages() } else { 0 };
         if programmed > 0 {
             pds_obs::counter!("blackbox.pages_flushed").add(u64::from(programmed));
         }
         let report = BlackboxRecovery {
-            frames_recovered: u64::from(kept),
+            frames_recovered: log.num_records(),
             torn_pages_discarded: rep.torn_pages_discarded,
             malformed_dropped: u64::from(rep.refused),
             last_frame: last,
@@ -199,24 +189,6 @@ impl BlackBox {
         };
         Ok((ring, report))
     }
-}
-
-/// A fresh, flushed log holding the first `n` records of `log`, copied
-/// a page at a time; `log`'s blocks go back to the pool.
-fn keep_prefix(log: LogWriter, n: u32) -> Result<LogWriter> {
-    let mut fresh = log.flash().new_log();
-    log.scan(LogPos::START, &mut Vec::new(), |_, ordinal, rec| {
-        if ordinal >= n {
-            return Ok(ControlFlow::Break(()));
-        }
-        fresh.append(rec)?;
-        Ok(ControlFlow::Continue(()))
-    })?;
-    // The survivors are durable before the old blocks go back to the
-    // pool: a cut must never narrow the durable history.
-    fresh.flush()?;
-    log.discard();
-    Ok(fresh)
 }
 
 #[cfg(test)]
@@ -418,10 +390,10 @@ mod tests {
 
     /// Records recovered and whether the scan reported a cut, per log.
     fn recover_both(f: &Flash, changes: &[BlockId], frames: &[BlockId]) -> [(u64, bool); 2] {
-        let (c, cr) = ChangeLog::recover(f, changes).unwrap();
+        let (c, cr) = ChangeLog::recover(f, changes, |_| true).unwrap();
         let (b, br) = BlackBox::recover(f, frames).unwrap();
         [
-            (c.num_records(), cr.malformed_dropped == 1),
+            (c.num_records(), cr.refused),
             (b.frames().unwrap().len() as u64, br.malformed_dropped == 1),
         ]
     }
@@ -495,9 +467,9 @@ mod tests {
         frames.flush().unwrap();
         let f = f.reboot();
         let free = f.free_blocks();
-        let (mut changes, cr) = ChangeLog::recover(&f, changes.blocks()).unwrap();
+        let (mut changes, cr) = ChangeLog::recover(&f, changes.blocks(), |_| true).unwrap();
         let (mut frames, br) = BlackBox::recover(&f, frames.blocks()).unwrap();
-        assert_eq!((changes.num_records(), cr.malformed_dropped), (4, 1));
+        assert_eq!((changes.num_records(), cr.refused), (4, true));
         assert_eq!(
             (frames.frames().unwrap().len(), br.malformed_dropped),
             (4, 1)

@@ -16,22 +16,24 @@
 //! lives in `pds-db`, which this crate sits *below* in the layering
 //! matrix. Records are appended in strictly increasing stamp order
 //! (enforced — [`FlashError::OutOfOrderChange`]), so `changes_since` is
-//! a binary search over the RAM mirror, and the durable prefix after a
-//! power loss is always a causal prefix of history.
+//! a page-grain binary search of the log on flash, which keeps no copy
+//! of its records in RAM, and the durable prefix after a power loss is
+//! always a causal prefix of history.
 //!
-//! Recovery is one pass: the mirror is rebuilt from the records the
-//! page scan hands over as it goes (a log of `k` pages is read `k + 1`
-//! times — its pages and the erased page that ends the scan), and flash
-//! and mirror leave it equal: a record that cuts the mirror is rewritten
-//! away before anything is appended behind it. GC reclaims at block
-//! grain, as the tutorial's logs do: whole head blocks go back to the
-//! pool, and nothing is rewritten.
+//! Recovery is one pass (a log of `k` pages is read `k + 1` times — its
+//! pages and the erased page that ends the scan) that hands each record
+//! to the layer above as it goes; the first record refused cuts the log
+//! there, on flash too ([`LogWriter::recover_with`]). GC reclaims at
+//! block grain, as the tutorial's logs do: whole head blocks go back to
+//! the pool, and nothing is rewritten.
+
+use std::ops::ControlFlow;
 
 use pds_obs::wire::Reader;
 
 use crate::error::{FlashError, Result};
 use crate::geometry::BlockId;
-use crate::log::LogWriter;
+use crate::log::{LogPos, LogWriter, RecoveryReport};
 use crate::Flash;
 
 /// One committed change: "entity `entity` of store `store` changed at
@@ -88,29 +90,15 @@ impl ChangeRec {
 
 /// Log order: all records of one commit share its stamp, and later
 /// commits stamp strictly higher.
-fn follows(rec: &ChangeRec, last: &ChangeRec) -> bool {
-    rec.stamp() >= last.stamp()
+fn follows(rec: &ChangeRec, last: (u64, u32)) -> bool {
+    rec.stamp() >= last
 }
 
-/// What a [`ChangeLog::recover`] scan found and did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChangeLogRecovery {
-    /// Records recovered into the rebuilt log.
-    pub records_recovered: u64,
-    /// Torn pages discarded at the truncation point.
-    pub torn_pages_discarded: u64,
-    /// Records dropped because they failed to decode or broke stamp
-    /// monotonicity (everything after the first such record is dropped
-    /// too — the log only ever exposes a causal prefix).
-    pub malformed_dropped: u64,
-}
-
-/// An appendable, durably recoverable log of [`ChangeRec`]s with a RAM
-/// mirror (19 B per record) serving `changes_since` without page I/O.
+/// An appendable, durably recoverable log of [`ChangeRec`]s: a record log
+/// and the stamp of its last record.
 pub struct ChangeLog {
     log: LogWriter,
-    /// Every exposed record (flushed + buffered), in stamp order.
-    records: Vec<ChangeRec>,
+    last: Option<(u64, u32)>,
 }
 
 impl ChangeLog {
@@ -118,24 +106,18 @@ impl ChangeLog {
     pub fn new(flash: &Flash) -> Self {
         ChangeLog {
             log: flash.new_log(),
-            records: Vec::new(),
+            last: None,
         }
     }
 
     /// Records currently exposed (flushed + buffered).
     pub fn num_records(&self) -> u64 {
-        self.records.len() as u64
+        self.log.num_records()
     }
 
-    /// Stamp of the newest record, if any.
+    /// Stamp of the newest record appended or recovered, if any.
     pub fn last_stamp(&self) -> Option<(u64, u32)> {
-        self.records.last().map(ChangeRec::stamp)
-    }
-
-    /// Every exposed record, in stamp order (the RAM mirror). Replay
-    /// input for layers rebuilding their version marks after recovery.
-    pub fn records(&self) -> &[ChangeRec] {
-        &self.records
+        self.last
     }
 
     /// The erase blocks the log occupies — its durable identity, to be
@@ -149,11 +131,11 @@ impl ChangeLog {
     /// higher. Appending below [`last_stamp`](Self::last_stamp) is
     /// refused with [`FlashError::OutOfOrderChange`].
     pub fn append(&mut self, rec: ChangeRec) -> Result<()> {
-        if self.records.last().is_some_and(|last| !follows(&rec, last)) {
+        if self.last.is_some_and(|last| !follows(&rec, last)) {
             return Err(FlashError::OutOfOrderChange);
         }
         self.log.append(&rec.encode())?;
-        self.records.push(rec);
+        self.last = Some(rec.stamp());
         pds_obs::counter!("mvcc.changes_logged").inc();
         Ok(())
     }
@@ -163,97 +145,84 @@ impl ChangeLog {
         self.log.flush()
     }
 
-    /// Index of the first record stamped strictly after `(hlc, node)`.
-    fn first_after(&self, hlc: u64, node: u32) -> usize {
-        self.records.partition_point(|r| r.stamp() <= (hlc, node))
+    /// Decode a record of log page `page`. The recovery scan decoded
+    /// every record on flash once, so a failure here is a corrupt page.
+    fn decode(&self, page: u32, bytes: &[u8]) -> Result<ChangeRec> {
+        ChangeRec::decode(bytes).ok_or_else(|| {
+            self.log
+                .page_addr(page)
+                .map_or_else(|e| e, FlashError::CorruptPage)
+        })
+    }
+
+    /// Where a scan for the records stamped strictly after `(hlc, node)`
+    /// starts: at most ⌈log₂ pages⌉ page reads, left in `scratch`.
+    fn first_after(&self, scratch: &mut Vec<u8>, hlc: u64, node: u32) -> Result<LogPos> {
+        self.log.partition_point(scratch, |page, bytes| {
+            Ok(self.decode(page, bytes)?.stamp() <= (hlc, node))
+        })
     }
 
     /// Every record with a stamp strictly greater than `(hlc, node)`, in
     /// stamp order. This is the read the whole subsystem serves:
     /// consumers keep a cursor stamp and receive each committed change
-    /// exactly once.
-    pub fn changes_since(&self, hlc: u64, node: u32) -> Vec<ChangeRec> {
-        self.records[self.first_after(hlc, node)..].to_vec()
-    }
-
-    /// Drop the suffix of records starting at the first one `keep`
-    /// rejects; returns how many were dropped. Used after recovery to
-    /// discard *phantom* records — records whose commit stamp survived
-    /// the crash but whose data rows did not — so `changes_since` never
-    /// names an entity newer than the recovered store. A cut rewrites
-    /// the survivors into a fresh log before returning, so flash equals
-    /// the mirror: left in front of the append point, the phantoms would
-    /// come back at the next power cycle, by then under ids the regrown
-    /// store has given to other entities.
-    pub fn retain_prefix(&mut self, keep: impl Fn(&ChangeRec) -> bool) -> Result<u64> {
-        let all = self.records.len();
-        let cut = self.records.iter().position(|r| !keep(r)).unwrap_or(all);
-        if cut < all {
-            self.records.truncate(cut);
-            self.rewrite()?;
-        }
-        Ok((all - cut) as u64)
-    }
-
-    /// Replace the log by a fresh one holding the mirror's records, and
-    /// return the old blocks to the pool — the cut of a recovery or a
-    /// [`retain_prefix`](Self::retain_prefix).
-    fn rewrite(&mut self) -> Result<()> {
-        let mut fresh = self.log.flash().new_log();
-        for rec in &self.records {
-            fresh.append(&rec.encode())?;
-        }
-        // Make the survivors durable before the old blocks go back to the
-        // pool — a cut must never narrow the durable history further.
-        fresh.flush()?;
-        std::mem::replace(&mut self.log, fresh).discard();
-        Ok(())
+    /// exactly once. Read from flash: a binary search for the cursor
+    /// (at most ⌈log₂ pages⌉ page reads) and one more read at most before
+    /// the pages the records are returned from.
+    pub fn changes_since(&self, hlc: u64, node: u32) -> Result<Vec<ChangeRec>> {
+        let mut scratch = Vec::new();
+        let from = self.first_after(&mut scratch, hlc, node)?;
+        let mut out = Vec::new();
+        self.log.scan(from, &mut scratch, |page, _, bytes| {
+            let rec = self.decode(page, bytes)?;
+            if rec.stamp() > (hlc, node) {
+                out.push(rec);
+            }
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(out)
     }
 
     /// Compact against a GC floor at block grain: the whole head blocks
     /// whose records are all stamped at or below `(hlc, node)` go back to
-    /// the pool, and nothing is programmed. Records at or below the floor
-    /// that share a block with a later one stay, and `changes_since` a
-    /// cursor at or above the floor never returns them. Returns the
-    /// number of records dropped.
-    pub fn compact(&mut self, hlc: u64, node: u32) -> u64 {
-        let floor = self.first_after(hlc, node) as u32;
+    /// the pool, found by the binary search `changes_since` makes (at
+    /// most ⌈log₂ pages⌉ page reads), and nothing is programmed or
+    /// erased. Records at or below the floor that share a block with a
+    /// later one stay, and `changes_since` a cursor at or above the floor
+    /// never returns them. Returns the number of records dropped.
+    pub fn compact(&mut self, hlc: u64, node: u32) -> Result<u64> {
+        let floor = self.first_after(&mut Vec::new(), hlc, node)?;
         let dropped = self.log.release_head(self.log.blocks_before(floor));
-        self.records.drain(..dropped as usize);
         pds_obs::counter!("mvcc.changes_compacted").add(u64::from(dropped));
-        u64::from(dropped)
+        Ok(u64::from(dropped))
     }
 
     /// Rebuild a change log after a power loss from its block list, in
     /// one pass: the page scan is [`LogWriter::recover_with`]
-    /// (CRC-checked, torn tail truncated) and the mirror is built from
-    /// the records it hands over. The recovered log is the durable causal
-    /// prefix of the pre-crash history: the first record that fails to
-    /// decode or breaks stamp monotonicity cuts it there, dropping
-    /// everything after it, and the survivors are rewritten into a fresh
-    /// log so flash equals the mirror. So `changes_since` can never
-    /// return a record the durable stores have no data for (phantoms
-    /// from *lost data rows* are the caller's cut, via
-    /// [`retain_prefix`](Self::retain_prefix)).
-    pub fn recover(flash: &Flash, blocks: &[BlockId]) -> Result<(ChangeLog, ChangeLogRecovery)> {
-        let mut records: Vec<ChangeRec> = Vec::new();
+    /// (CRC-checked, torn tail truncated), and each record it hands over
+    /// goes on to `keep` — the layer above's test, which rebuilds what it
+    /// derives from the log as records pass. The recovered log is the
+    /// durable causal prefix of the pre-crash history: the first record
+    /// that fails to decode, breaks stamp monotonicity or is refused by
+    /// `keep` cuts it there, dropping everything after it, on flash too.
+    /// So a layer whose durable stores lost the entities a record names
+    /// (a *phantom*: its commit stamp survived the crash, its data did
+    /// not) cuts the log at it, and `changes_since` never names an entity
+    /// newer than the recovered store.
+    pub fn recover(
+        flash: &Flash,
+        blocks: &[BlockId],
+        mut keep: impl FnMut(&ChangeRec) -> bool,
+    ) -> Result<(ChangeLog, RecoveryReport)> {
+        let mut last = None;
         let (log, rep) = LogWriter::recover_with(flash, blocks, |bytes| {
             let rec = ChangeRec::decode(bytes)
-                .filter(|rec| records.last().is_none_or(|last| follows(rec, last)));
-            records.extend(rec);
+                .filter(|rec| last.is_none_or(|last| follows(rec, last)) && keep(rec));
+            last = rec.map(|r| r.stamp()).or(last);
             rec.is_some()
         })?;
-        let mut changes = ChangeLog { log, records };
-        if rep.refused {
-            changes.rewrite()?;
-        }
-        let report = ChangeLogRecovery {
-            records_recovered: changes.num_records(),
-            torn_pages_discarded: rep.torn_pages_discarded,
-            malformed_dropped: u64::from(rep.refused),
-        };
-        pds_obs::counter!("recovery.changes_recovered").add(report.records_recovered);
-        Ok((changes, report))
+        pds_obs::counter!("recovery.changes_recovered").add(rep.records_recovered);
+        Ok((ChangeLog { log, last }, rep))
     }
 }
 
@@ -269,6 +238,15 @@ mod tests {
             store,
             entity,
         }
+    }
+
+    fn all(log: &ChangeLog) -> Vec<ChangeRec> {
+        log.changes_since(0, 0).unwrap()
+    }
+
+    /// ⌈log₂ n⌉: the page reads a binary search over `n` pages takes.
+    fn log2_ceil(n: u32) -> u64 {
+        u64::from(n.next_power_of_two().trailing_zeros())
     }
 
     #[test]
@@ -292,13 +270,13 @@ mod tests {
         for i in 1..=10u64 {
             log.append(rec(i, 0, i as u32)).unwrap();
         }
-        assert_eq!(log.changes_since(0, 0).len(), 10);
-        assert_eq!(log.changes_since(10, 7).len(), 0);
-        let tail = log.changes_since(7, 7);
+        assert_eq!(log.changes_since(0, 0).unwrap().len(), 10);
+        assert_eq!(log.changes_since(10, 7).unwrap().len(), 0);
+        let tail = log.changes_since(7, 7).unwrap();
         assert_eq!(tail.len(), 3);
         assert_eq!(tail[0].hlc, 8);
         // Node tie-break: cursor below the node sees the same-counter record.
-        assert_eq!(log.changes_since(7, 0).len(), 4);
+        assert_eq!(log.changes_since(7, 0).unwrap().len(), 4);
     }
 
     #[test]
@@ -315,8 +293,8 @@ mod tests {
         log.append(rec(6, 0, 2)).unwrap();
         assert_eq!(log.num_records(), 3);
         // A multi-record commit is returned whole or not at all.
-        assert_eq!(log.changes_since(4, u32::MAX).len(), 3);
-        assert_eq!(log.changes_since(5, 7).len(), 1);
+        assert_eq!(log.changes_since(4, u32::MAX).unwrap().len(), 3);
+        assert_eq!(log.changes_since(5, 7).unwrap().len(), 1);
     }
 
     #[test]
@@ -333,11 +311,11 @@ mod tests {
         let blocks = log.blocks();
 
         let f2 = f.reboot();
-        let (rec2, report) = ChangeLog::recover(&f2, &blocks).unwrap();
+        let (rec2, report) = ChangeLog::recover(&f2, &blocks, |_| true).unwrap();
         assert_eq!(rec2.num_records(), durable);
         assert_eq!(report.records_recovered, durable);
         assert_eq!(rec2.last_stamp(), Some((200, 7)));
-        assert_eq!(rec2.changes_since(150, 7).len(), 50);
+        assert_eq!(rec2.changes_since(150, 7).unwrap().len(), 50);
     }
 
     #[test]
@@ -351,9 +329,50 @@ mod tests {
         let pages = f.stats().page_programs;
         assert!(pages > 1 && !pages.is_multiple_of(16), "{pages} pages");
         let f2 = f.reboot();
-        let (rec2, _) = ChangeLog::recover(&f2, &log.blocks()).unwrap();
-        assert_eq!(rec2.records(), log.records());
+        let mut handed = Vec::new();
+        let (rec2, _) = ChangeLog::recover(&f2, &log.blocks(), |r| {
+            handed.push(*r);
+            true
+        })
+        .unwrap();
         assert_eq!(f2.stats().page_reads, pages + 1);
+        // Every record was handed over once, in order, and is read back.
+        assert_eq!(handed, all(&log));
+        assert_eq!(all(&rec2), handed);
+    }
+
+    /// The reads that replace a RAM copy: a binary search for the cursor
+    /// and at most one more read before the pages the records come from.
+    #[test]
+    fn changes_since_reads_a_binary_search_and_the_pages_it_returns() {
+        let f = Flash::small(16);
+        let mut log = ChangeLog::new(&f);
+        for i in 1..=300u64 {
+            log.append(rec(i, 0, i as u32)).unwrap();
+        }
+        let pages = log.log.num_pages();
+        assert!(
+            pages > 8 && log.log.buffered_records().len() > 1,
+            "{pages} pages"
+        );
+        // The page of every programmed record, as ordinals run.
+        let page_of: Vec<u32> = (0..pages)
+            .flat_map(|p| {
+                let n = log.log.read_page_records(p).unwrap().len();
+                std::iter::repeat_n(p, n)
+            })
+            .collect();
+        for cursor in 0..=300u64 {
+            let before = f.stats().page_reads;
+            let got = log.changes_since(cursor, 7).unwrap();
+            let reads = f.stats().page_reads - before;
+            let want: Vec<u64> = (cursor + 1..=300).collect();
+            assert_eq!(got.iter().map(|r| r.hlc).collect::<Vec<_>>(), want);
+            let mut from: Vec<u32> = page_of.iter().skip(cursor as usize).copied().collect();
+            from.dedup();
+            let bound = log2_ceil(pages) + 1 + from.len() as u64;
+            assert!(reads <= bound, "cursor {cursor}: {reads} reads > {bound}");
+        }
     }
 
     #[test]
@@ -365,47 +384,86 @@ mod tests {
             log.append(rec(i, 0, i as u32)).unwrap();
         }
         log.flush().unwrap();
-        let (blocks, free, io) = (log.blocks(), f.free_blocks(), f.stats());
+        let (blocks, free, pages) = (log.blocks(), f.free_blocks(), log.log.num_pages());
+        let gc = |log: &mut ChangeLog, floor: u64| {
+            let io = f.stats();
+            let dropped = log.compact(floor, u32::MAX).unwrap();
+            let after = f.stats();
+            assert!(
+                after.page_reads - io.page_reads <= log2_ceil(pages),
+                "GC reads"
+            );
+            assert_eq!(
+                (after.page_programs, after.block_erases),
+                (io.page_programs, io.block_erases),
+                "GC programs and erases nothing"
+            );
+            dropped
+        };
         // A floor inside the first block frees nothing.
-        assert_eq!(log.compact(300, u32::MAX), 0);
+        assert_eq!(gc(&mut log, 300), 0);
         assert_eq!(log.blocks(), blocks);
         // Records 1..=1152 fill the first three blocks; 1153..=1500 share
         // the fourth with records above the floor.
-        assert_eq!(log.compact(1500, u32::MAX), 1152);
+        assert_eq!(gc(&mut log, 1500), 1152);
         assert_eq!(log.blocks(), blocks[3..]);
         assert_eq!(f.free_blocks(), free + 3, "whole blocks, and only those");
-        assert_eq!(f.stats(), io, "GC reads, programs and erases nothing");
         assert_eq!(log.num_records(), 2000 - 1152);
-        assert_eq!(log.records()[0].hlc, 1153);
-        assert_eq!(log.changes_since(1500, u32::MAX).len(), 500);
+        assert_eq!(all(&log)[0].hlc, 1153);
+        assert_eq!(log.changes_since(1500, u32::MAX).unwrap().len(), 500);
         // Every record kept survives a power cycle, and the log grows on.
         let f2 = f.reboot();
-        let (mut rec2, report) = ChangeLog::recover(&f2, &log.blocks()).unwrap();
-        assert_eq!(rec2.records(), log.records());
-        assert_eq!(report.malformed_dropped, 0);
+        let (mut rec2, report) = ChangeLog::recover(&f2, &log.blocks(), |_| true).unwrap();
+        assert_eq!(all(&rec2), all(&log));
+        assert!(!report.refused);
         rec2.append(rec(2001, 0, 2001)).unwrap();
-        assert_eq!(rec2.changes_since(1500, u32::MAX).len(), 501);
+        assert_eq!(rec2.changes_since(1500, u32::MAX).unwrap().len(), 501);
     }
 
     #[test]
-    fn retain_prefix_cuts_at_first_rejected_record() {
+    fn compact_releases_every_whole_block_at_or_below_the_floor() {
+        // 384 records to a block; 2 000 fill five blocks and part of a
+        // sixth. Floors on each side of every block boundary.
+        let floors = (1..=6u64).flat_map(|k| (0..5).map(move |d| (384 * k + d).saturating_sub(2)));
+        for floor in floors {
+            let f = Flash::small(64);
+            let mut log = ChangeLog::new(&f);
+            for i in 1..=2000u64 {
+                log.append(rec(i, 0, i as u32)).unwrap();
+            }
+            log.flush().unwrap();
+            let whole = (floor.min(2000) / 384).min(5) * 384;
+            assert_eq!(
+                log.compact(floor, u32::MAX).unwrap(),
+                whole,
+                "floor {floor}"
+            );
+            assert_eq!(all(&log)[0].hlc, whole + 1, "floor {floor}");
+        }
+    }
+
+    #[test]
+    fn recover_cuts_at_the_first_refused_record() {
         let f = Flash::small(16);
         let mut log = ChangeLog::new(&f);
         for i in 1..=10u64 {
             log.append(rec(i, 0, i as u32)).unwrap();
         }
+        log.flush().unwrap();
         // Entities 1..=6 survived the crash; 7 and everything after is cut.
-        let dropped = log.retain_prefix(|r| r.entity <= 6).unwrap();
-        assert_eq!(dropped, 4);
+        let (log, report) =
+            ChangeLog::recover(&f.reboot(), &log.blocks(), |r| r.entity <= 6).unwrap();
+        assert!(report.refused);
+        assert_eq!((report.records_recovered, log.num_records()), (10, 6));
         assert_eq!(log.last_stamp(), Some((6, 7)));
     }
 
-    /// `retain_prefix` must cut flash as well as the mirror: left on
-    /// flash in front of the append point, the phantoms' bytes would be
-    /// recovered at the next power cycle, under ids the regrown store
-    /// has since given to other rows.
+    /// A cut at recovery must cut flash as well: left on flash in front
+    /// of the append point, the phantoms' bytes would be recovered at the
+    /// next power cycle, under ids the regrown store has since given to
+    /// other rows.
     #[test]
-    fn phantoms_cut_by_retain_prefix_stay_cut_after_the_store_regrows() {
+    fn phantoms_cut_at_recovery_stay_cut_after_the_store_regrows() {
         let f = Flash::small(16);
         let mut log = ChangeLog::new(&f);
         for e in 0..10u32 {
@@ -414,18 +472,19 @@ mod tests {
         log.flush().unwrap();
         // Power cycle 1: rows 6.. never reached flash; their records go.
         let f = f.reboot();
-        let (mut log, _) = ChangeLog::recover(&f, &log.blocks()).unwrap();
-        assert_eq!(log.retain_prefix(|r| r.entity < 6).unwrap(), 4);
+        let (mut log, report) = ChangeLog::recover(&f, &log.blocks(), |r| r.entity < 6).unwrap();
+        assert_eq!(report.records_recovered - log.num_records(), 4);
         // The store grows past the phantoms' ids under later stamps.
         for e in 6..12u32 {
             log.append(rec(20 + u64::from(e), 0, e)).unwrap();
         }
         log.flush().unwrap();
-        // Power cycle 2: every row is there, so the caller's cut keeps
+        // Power cycle 2: every row is there, so the caller's test keeps
         // everything — and each entity must be named once.
-        let (mut log, _) = ChangeLog::recover(&f.reboot(), &log.blocks()).unwrap();
-        assert_eq!(log.retain_prefix(|r| r.entity < 12).unwrap(), 0);
-        let entities: Vec<u32> = log.records().iter().map(|r| r.entity).collect();
+        let (log, report) =
+            ChangeLog::recover(&f.reboot(), &log.blocks(), |r| r.entity < 12).unwrap();
+        assert!(!report.refused);
+        let entities: Vec<u32> = all(&log).iter().map(|r| r.entity).collect();
         assert_eq!(entities, (0..12).collect::<Vec<_>>());
     }
 }

@@ -44,7 +44,7 @@ pub mod stats;
 
 pub use alloc::BlockAllocator;
 pub use blackbox::{BlackBox, BlackboxRecovery, RING_BLOCKS};
-pub use changelog::{ChangeLog, ChangeLogRecovery, ChangeRec};
+pub use changelog::{ChangeLog, ChangeRec};
 pub use cost::CostModel;
 pub use error::{FlashError, Result};
 pub use fault::{FaultPlan, ProgramFault};

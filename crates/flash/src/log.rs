@@ -861,14 +861,15 @@ impl LogWriter {
         released
     }
 
-    /// How many whole head blocks hold only records before `ordinal` —
-    /// as many as [`release_head`](Self::release_head) may drop without
-    /// releasing a record from `ordinal` on. A record that spans pages
+    /// How many whole head blocks hold only records before `pos` (a
+    /// [`partition_point`](Self::partition_point)'s answer) — as many as
+    /// [`release_head`](Self::release_head) may drop without releasing a
+    /// record a scan from `pos` would visit. A record that spans pages
     /// counts where its last chunk lies.
-    pub(crate) fn blocks_before(&self, ordinal: u32) -> usize {
+    pub(crate) fn blocks_before(&self, pos: LogPos) -> usize {
         let per = self.flash.geometry().pages_per_block as u32;
         (1..=self.pages / per)
-            .take_while(|&n| self.first_ordinal(n * per) <= ordinal)
+            .take_while(|&n| self.first_ordinal(n * per) <= pos.ordinal)
             .count()
     }
 
@@ -903,12 +904,16 @@ impl LogWriter {
     /// ordinal order, to `accept` as the scan passes them — so a layer
     /// over the log rebuilds what it keeps of it from the one read each
     /// page gets anyway (pages + the terminator; no second pass). The
-    /// first record `accept` refuses ends the hand-over, and
-    /// [`RecoveryReport::refused`] says so: the log itself is recovered
-    /// whole, and cutting it there is the caller's. A record is handed
-    /// over only from a page whose CRC *and* whole framing verified; one
-    /// whose start went with a released head keeps its ordinal but is
-    /// not handed over, as in [`for_each_record`](Self::for_each_record).
+    /// first record `accept` refuses ends the hand-over and cuts the log
+    /// there ([`RecoveryReport::refused`]): the records before it are
+    /// copied into a fresh log a page at a time (each surviving page read
+    /// once more), flushed, and only then do the old blocks go back to
+    /// the pool — left in front of the append point, the refused
+    /// record would cut off again, at the next power cycle, everything
+    /// appended after this recovery. A record is handed over only from a
+    /// page whose CRC *and* whole framing verified; one whose start went
+    /// with a released head keeps its ordinal but is not handed over, as
+    /// in [`for_each_record`](Self::for_each_record).
     pub fn recover_with(
         flash: &Flash,
         blocks: &[BlockId],
@@ -919,7 +924,9 @@ impl LogWriter {
         let mut report = RecoveryReport::default();
         let mut starts = Vec::new();
         let mut records = 0u32;
-        let (mut torn, mut refused) = (false, false);
+        let mut torn = false;
+        // The ordinal of the first record `accept` refused.
+        let mut cut = None;
         let mut buf = Vec::new();
         let mut assembler = Assembler::default();
         'scan: for bid in blocks {
@@ -939,7 +946,9 @@ impl LogWriter {
                     for chunk in Chunks::new(&buf, count, addr).flatten() {
                         ended += u32::from(!chunk.more);
                         if let Some(rec) = assembler.feed(chunk) {
-                            refused = refused || !accept(rec);
+                            if cut.is_none() && !accept(rec) {
+                                cut = Some(records + ended - 1);
+                            }
                         }
                     }
                     ended
@@ -960,7 +969,7 @@ impl LogWriter {
             }
         }
         report.records_recovered = u64::from(records);
-        report.refused = refused;
+        report.refused = cut.is_some();
         pds_obs::counter!("recovery.pages_scanned").add(report.pages_scanned);
         pds_obs::counter!("recovery.records_recovered").add(report.records_recovered);
         pds_obs::counter!("recovery.torn_pages_discarded").add(report.torn_pages_discarded);
@@ -971,11 +980,55 @@ impl LogWriter {
         let valid = starts.len() as u32;
         let (mut writer, relocated) = Self::resume_at(flash, blocks, valid, torn, copy)?;
         report.pages_relocated = relocated;
-        pds_obs::counter!("recovery.read_retries").add(report.read_retries);
         writer.starts = starts;
         writer.durable = records;
         writer.records = records;
+        if let Some(n) = cut {
+            writer = writer.keep_prefix(n, &mut report.read_retries)?;
+        }
+        pds_obs::counter!("recovery.read_retries").add(report.read_retries);
         Ok((writer, report))
+    }
+
+    /// A fresh, flushed log holding the first `n` records of this one,
+    /// copied a page at a time, each page read as the recovery scan reads
+    /// it (a read disturb is read again, not copied onward; the re-reads
+    /// count in `retries`). This log's blocks go back to the pool once
+    /// the copy is durable, the copy's when it fails.
+    fn keep_prefix(self, n: u32, retries: &mut u64) -> Result<LogWriter> {
+        let mut fresh = LogWriter::new(self.flash.clone());
+        let mut copy = || {
+            let (mut buf, mut records) = (vec![0u8; self.buf.len()], Assembler::default());
+            let mut ordinal = 0;
+            for page in 0..self.pages {
+                let addr = self.page_addr(page)?;
+                let count = reread(retries, || read_page(&self.flash, addr, &mut buf), corrupt)?;
+                for chunk in Chunks::new(&buf, count, addr) {
+                    let chunk = chunk?;
+                    let ends = !chunk.more;
+                    if let Some(rec) = records.feed(chunk) {
+                        if ordinal >= n {
+                            return Ok(());
+                        }
+                        fresh.append(rec)?;
+                    }
+                    ordinal += u32::from(ends);
+                }
+            }
+            Ok(())
+        };
+        // The survivors are durable before the old blocks go back to the
+        // pool: a cut must never narrow the durable history.
+        match copy().and_then(|()| fresh.flush()) {
+            Ok(()) => {
+                self.discard();
+                Ok(fresh)
+            }
+            Err(e) => {
+                fresh.discard();
+                Err(e)
+            }
+        }
     }
 
     /// Re-adopt a *raw* log — caller-laid-out pages from
@@ -1102,7 +1155,8 @@ pub struct RecoveryReport {
     pub pages_scanned: u64,
     /// Torn pages discarded at the truncation point.
     pub torn_pages_discarded: u64,
-    /// Records recovered into the rebuilt writer.
+    /// Records on the valid pages, a cut or not: after a cut the
+    /// rebuilt writer holds those before the refused one.
     pub records_recovered: u64,
     /// Valid pages copied out of a torn tail block.
     pub pages_relocated: u32,
@@ -1110,8 +1164,8 @@ pub struct RecoveryReport {
     /// reads before it is called torn or dirty): each a read disturb
     /// ridden out, or one of the reads a torn or dirty page fails alike.
     pub read_retries: u64,
-    /// The visitor of [`LogWriter::recover_with`] refused a record, and
-    /// none after it was handed over.
+    /// The visitor of [`LogWriter::recover_with`] refused a record: none
+    /// after it was handed over, and the log was cut there.
     pub refused: bool,
 }
 

@@ -12,8 +12,8 @@ use pds_obs::rng::{Rng, SeedableRng, StdRng};
 use pds_obs::flight::{subsystem, EventFrame, Severity};
 
 use crate::{
-    BlackBox, BlockId, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter, ProgramFault,
-    RING_BLOCKS,
+    BlackBox, BlockId, ChangeLog, ChangeRec, FaultPlan, Flash, FlashError, FlashGeometry,
+    LogWriter, ProgramFault, RING_BLOCKS,
 };
 
 /// Arbitrary interleavings of appends/flushes/new-logs never violate the
@@ -377,8 +377,10 @@ fn scanned(w: &LogWriter) -> Vec<Vec<u8>> {
 /// records (about 110 pages of `Flash::small`), flushed whole, is
 /// recovered on a chip that flips a bit in one read of a hundred: no
 /// record is lost, no page relocated, and every block is free or the
-/// log's. A log cut by a power loss recovers under the same disturb as
-/// it does without: the same records, the same pages relocated, and the
+/// log's. The same log cut at a record the recovery refuses keeps every
+/// record before it: the cut's copy reads its pages as the scan does. A
+/// log cut by a power loss recovers under the same disturb as it does
+/// without: the same records, the same pages relocated, and the
 /// relocated copies read back. A raw log re-adopted at its (erased)
 /// frontier under the same disturb, sixteen times a seed, is never
 /// found dirty.
@@ -411,6 +413,17 @@ fn read_disturb_recovery_sweep() {
         assert_eq!(rec.num_pages(), w.num_pages(), "{ctx}");
         assert_blocks_add_up(&rebooted, &rec, &ctx);
         assert_eq!(scanned(&rec), oracle, "{ctx}: scan");
+        retries += report.read_retries;
+
+        let rebooted = flash.reboot();
+        rebooted.inject_faults(FaultPlan::new(!seed).read_flips(0.01));
+        let cut = rng.gen_range(1usize..3000);
+        let refuse = |rec: &[u8]| rec != oracle[cut].as_slice();
+        let (rec, report) = LogWriter::recover_with(&rebooted, w.blocks(), refuse).unwrap();
+        rebooted.inject_faults(FaultPlan::new(seed));
+        assert!(report.refused, "{ctx}");
+        assert_eq!(scanned(&rec), oracle[..cut], "{ctx}: cut at {cut}");
+        assert_blocks_add_up(&rebooted, &rec, &ctx);
         retries += report.read_retries;
 
         let flash = Flash::small(16);
@@ -546,6 +559,218 @@ fn recorder_ring_sweep() {
             assert_eq!(next, Some(last.map_or(0, |t| t + 1)), "{ctx}");
             assert_blocks_add_up_but(&rebooted, &rec.blocks(), &released, &ctx);
         }
+    }
+}
+
+/// One step of a change-log script.
+#[derive(Debug, Clone)]
+enum ChangeOp {
+    /// One commit's records, all under its stamp.
+    Commit(Vec<ChangeRec>),
+    Flush,
+    /// GC against this floor stamp.
+    Compact(u64),
+}
+
+/// `n` steps: commits of one to eight records over one or two of three
+/// stores (entities dense per store, stamps strictly rising), a flush
+/// now and then, and GC at floors anywhere in the history so far.
+fn change_script(rng: &mut StdRng, n: usize) -> Vec<ChangeOp> {
+    let (mut hlc, mut next) = (0u64, [0u32; 3]);
+    (0..n)
+        .map(|_| match rng.gen_range(0u32..8) {
+            0 => ChangeOp::Flush,
+            1 => ChangeOp::Compact(rng.gen_range(0..=hlc)),
+            _ => {
+                hlc += 1;
+                let first = rng.gen_range(0u16..3);
+                let stores = [first, (first + 1) % 3];
+                let records = stores[..rng.gen_range(1usize..=2)]
+                    .iter()
+                    .flat_map(|&store| {
+                        let k = rng.gen_range(1u32..=4);
+                        let from = next[store as usize];
+                        next[store as usize] += k;
+                        (from..from + k).map(move |entity| ChangeRec {
+                            hlc,
+                            node: 7,
+                            kind: 1,
+                            store,
+                            entity,
+                        })
+                    });
+                ChangeOp::Commit(records.collect())
+            }
+        })
+        .collect()
+}
+
+/// Every block the chip's allocator holds free — at a cut, the blocks a
+/// reboot may forget (ROADMAP item 11): released unerased, they come
+/// back neither free nor held.
+fn free_list(flash: &Flash) -> Vec<BlockId> {
+    let blocks = flash.geometry().num_blocks() as u32;
+    (0..blocks)
+        .map(BlockId)
+        .filter(|&b| {
+            let free = flash.claim_block(b);
+            if free {
+                flash.free_block(b);
+            }
+            free
+        })
+        .collect()
+}
+
+/// The change log against a model, the power cut at every program a
+/// seeded script of commits, flushes and GC makes, and at every program
+/// of the recovery that follows, which cuts the log at its first phantom
+/// (a record naming an entity past the length a store is given back).
+/// The recovered log is the model's durable causal prefix: at least what
+/// a flush or a filled page made durable, at most what was appended,
+/// without the head GC released, up to the first phantom. `changes_since`
+/// answers the model at every stamp, before and after one more commit.
+/// Free + held blocks = chip total at the cut and after the recovery, but
+/// for the blocks free at a cut, which a reboot may forget.
+#[test]
+fn change_log_sweep() {
+    // 256-byte pages hold 11 records, a block of 4 pages 44.
+    let geo = FlashGeometry::new(256, 4, 64);
+    let mut copies = 0u64;
+    for case in 0..crash_seed_count() {
+        let seed = 0xC4A5_C100 + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let script = change_script(&mut rng, 70);
+        let recs: Vec<ChangeRec> = (script.iter())
+            .flat_map(|op| match op {
+                ChangeOp::Commit(recs) => recs.clone(),
+                _ => Vec::new(),
+            })
+            .collect();
+        // The recovery gives one store back a length some commit in the
+        // script's second half left it at; later records of it are
+        // phantoms.
+        let at = &recs[rng.gen_range(recs.len() / 2..recs.len())];
+        let phantom = |r: &ChangeRec| r.store == at.store && r.entity > at.entity;
+        let run = |flash: &Flash, log: &mut ChangeLog, model: &mut Model| {
+            for op in &script {
+                let done = match op {
+                    ChangeOp::Commit(recs) => recs.iter().try_for_each(|&r| {
+                        let programs = flash.stats().page_programs;
+                        log.append(r)?;
+                        if flash.stats().page_programs > programs {
+                            model.durable = model.appended.len();
+                        }
+                        model.appended.push(r);
+                        Ok(())
+                    }),
+                    ChangeOp::Flush => log.flush().map(|()| model.durable = model.appended.len()),
+                    ChangeOp::Compact(floor) => log.compact(*floor, 7).map(|dropped| {
+                        let gone = &model.appended[model.head..][..dropped as usize];
+                        assert!(gone.iter().all(|r| r.hlc <= *floor), "GC below {floor}");
+                        model.head += dropped as usize;
+                    }),
+                };
+                match done {
+                    Ok(()) => {}
+                    Err(FlashError::PowerLoss) => return false,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            true
+        };
+        let (script_programs, total) = {
+            let flash = Flash::new(geo);
+            let mut log = ChangeLog::new(&flash);
+            assert!(run(&flash, &mut log, &mut Model::default()));
+            let programs = flash.stats().page_programs;
+            let rebooted = flash.reboot();
+            ChangeLog::recover(&rebooted, &log.blocks(), |r| !phantom(r)).unwrap();
+            (programs, programs + rebooted.stats().page_programs)
+        };
+        copies += total - script_programs;
+        for cut in 0..total {
+            let ctx = format!("case {case} cut {cut}");
+            let flash = Flash::new(geo);
+            flash.inject_faults(FaultPlan::new(seed ^ cut).power_loss_after(cut));
+            let (mut log, mut model) = (ChangeLog::new(&flash), Model::default());
+            let finished = run(&flash, &mut log, &mut model);
+            assert_eq!(finished, cut >= script_programs, "{ctx}");
+            let mut forgotten = free_list(&flash);
+            let mut chip = flash.reboot();
+            if finished {
+                // The power goes at the end of the script instead, and is
+                // cut again inside the recovery's copy.
+                let left = cut - script_programs;
+                chip.inject_faults(FaultPlan::new(seed ^ cut).power_loss_after(left));
+                let got = ChangeLog::recover(&chip, &log.blocks(), |r| !phantom(r));
+                assert_eq!(got.err(), Some(FlashError::PowerLoss), "{ctx}");
+                forgotten.extend(free_list(&chip));
+                forgotten.sort_unstable_by_key(|b| b.0);
+                forgotten.dedup();
+                chip = chip.reboot();
+            } else {
+                assert_blocks_add_up_but(&flash, &log.blocks(), &[], &format!("{ctx}: at the cut"));
+            }
+            let (mut rec, report) =
+                ChangeLog::recover(&chip, &log.blocks(), |r| !phantom(r)).unwrap();
+            assert_blocks_add_up_but(&chip, &rec.blocks(), &forgotten, &ctx);
+            let found = model.head + report.records_recovered as usize;
+            assert!(
+                (model.durable..=model.appended.len()).contains(&found),
+                "{ctx}: {found} records found, {} durable",
+                model.durable
+            );
+            let mut want = model.appended[model.head..found].to_vec();
+            if let Some(cut_at) = want.iter().position(phantom) {
+                want.truncate(cut_at);
+            }
+            assert_eq!(report.refused, want.len() < found - model.head, "{ctx}");
+            assert_changes_are(&rec, &want, &ctx);
+            // The log records on past the cut, and its blocks add up.
+            let next = ChangeRec {
+                hlc: at.hlc.max(recs.last().map_or(0, |r| r.hlc)) + 1,
+                entity: 0,
+                ..*at
+            };
+            rec.append(next).unwrap();
+            rec.flush().unwrap();
+            want.push(next);
+            assert_changes_are(&rec, &want, &format!("{ctx}: recorded on"));
+            assert_blocks_add_up_but(&chip, &rec.blocks(), &forgotten, &ctx);
+        }
+    }
+    assert!(copies > 0, "no recovery cut a phantom");
+}
+
+/// What a change-log script made of the log, as [`change_log_sweep`]
+/// tracks it.
+#[derive(Default)]
+struct Model {
+    /// Every record appended, in order.
+    appended: Vec<ChangeRec>,
+    /// Records a flush or a filled page put on flash.
+    durable: usize,
+    /// Records GC released from the head.
+    head: usize,
+}
+
+/// `log` answers `changes_since` at every stamp of `want` (and below
+/// them all) with the records of `want` stamped after it.
+fn assert_changes_are(log: &ChangeLog, want: &[ChangeRec], ctx: &str) {
+    assert_eq!(log.num_records(), want.len() as u64, "{ctx}");
+    assert_eq!(log.last_stamp(), want.last().map(ChangeRec::stamp), "{ctx}");
+    let mut stamps: Vec<u64> = std::iter::once(0)
+        .chain(want.iter().map(|r| r.hlc))
+        .collect();
+    stamps.dedup();
+    for at in stamps {
+        let after: Vec<ChangeRec> = want.iter().filter(|r| r.hlc > at).copied().collect();
+        assert_eq!(
+            log.changes_since(at, 7).unwrap(),
+            after,
+            "{ctx}: since {at}"
+        );
     }
 }
 

@@ -5,7 +5,8 @@
 # A fixed, larger seed set than the default 48 so every gate run
 # exercises the fault paths broadly — the record log's (single-page
 # records, and records of every length cut between their pages), the
-# flight recorder's ring through its block releases, the chip's
+# flight recorder's ring through its block releases, the change log
+# through GC and a recovery that cuts its phantoms, the chip's
 # page-grain cell store against a full-block model across moved and
 # copied power cycles, recovery under read disturb (no record lost, no
 # page relocated), and the search engine's checkpointed recovery
@@ -39,8 +40,8 @@ sweep() {
 }
 
 sweep -p pds-flash -- \
-  seeded_crash_recovery_sweep record_log_sweep recorder_ring_sweep cell_store_sweep \
-  read_disturb_recovery_sweep
+  seeded_crash_recovery_sweep record_log_sweep recorder_ring_sweep change_log_sweep \
+  cell_store_sweep read_disturb_recovery_sweep
 sweep -p pds-search -- \
   checkpointed_recovery_equals_full_rebuild_sweep \
   a_cut_at_every_program_inside_a_drain_recovers_equal \
