@@ -487,4 +487,29 @@ mod tests {
         let entities: Vec<u32> = all(&log).iter().map(|r| r.entity).collect();
         assert_eq!(entities, (0..12).collect::<Vec<_>>());
     }
+
+    #[test]
+    fn changes_since_reads_are_pinned() {
+        // A flushed 200-record log on 9 pages.
+        let f = Flash::small(16);
+        let mut log = ChangeLog::new(&f);
+        for i in 1..=200u64 {
+            log.append(rec(i, 0, i as u32)).unwrap();
+        }
+        log.flush().unwrap();
+        assert_eq!(log.log.num_pages(), 9);
+        // The reads of `changes_since` at every stamp, folded in order.
+        let (mut total, mut fold) = (0, 0u64);
+        for cursor in 0..=200u64 {
+            let before = f.stats().page_reads;
+            assert_eq!(
+                log.changes_since(cursor, 7).unwrap().len() as u64,
+                200 - cursor
+            );
+            let reads = f.stats().page_reads - before;
+            total += reads;
+            fold = fold.wrapping_mul(31).wrapping_add(reads);
+        }
+        assert_eq!((total, fold), (1620, 179_791_479_016_109_828));
+    }
 }
