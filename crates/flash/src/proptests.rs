@@ -383,7 +383,8 @@ fn scanned(w: &LogWriter) -> Vec<Vec<u8>> {
 /// without: the same records, the same pages relocated, and the
 /// relocated copies read back. A raw log re-adopted at its (erased)
 /// frontier under the same disturb, sixteen times a seed, is never
-/// found dirty.
+/// found dirty. And the foreground readers under the same disturb
+/// answer what they answer without (`foreground_reads_under_disturb`).
 #[test]
 fn read_disturb_recovery_sweep() {
     let mut retries = 0;
@@ -468,9 +469,74 @@ fn read_disturb_recovery_sweep() {
             assert_blocks_add_up(&rebooted, &rec, &ctx);
             retries += report.read_retries;
         }
+        foreground_reads_under_disturb(seed, &oracle[..200], &ctx);
     }
     // The sweep meets disturbs at all.
     assert!(retries > 0);
+}
+
+/// Under a 1 % read-flip plan, each foreground reader answers what it
+/// answers with no flip: a flushed change log's `changes_since` at every
+/// stamp (three records a commit), and over a flushed log of `records`
+/// with a three-page record among them (every record opens with its
+/// ordinal) `get` of every ordinal, a scan from a `partition_point` and
+/// the sealed log's reader.
+fn foreground_reads_under_disturb(seed: u64, records: &[Vec<u8>], ctx: &str) {
+    let flash = Flash::small(16);
+    let disturb = || flash.inject_faults(FaultPlan::new(seed.rotate_left(17)).read_flips(0.01));
+    let mut changes = ChangeLog::new(&flash);
+    for i in 0..60u64 {
+        let rec = ChangeRec {
+            hlc: i / 3 + 1,
+            node: 7,
+            kind: 1,
+            store: 0,
+            entity: i as u32,
+        };
+        changes.append(rec).unwrap();
+    }
+    changes.flush().unwrap();
+    let stamps = 0..=21u64;
+    let answers: Vec<_> = stamps
+        .clone()
+        .map(|h| changes.changes_since(h, 7).unwrap())
+        .collect();
+    disturb();
+    for (h, want) in stamps.zip(&answers) {
+        let got = changes.changes_since(h, 7);
+        assert_eq!(got.as_ref(), Ok(want), "{ctx}: changes_since({h})");
+    }
+
+    let mut w = flash.new_log();
+    let mut want: Vec<Vec<u8>> = records.to_vec();
+    want.insert(100, vec![0x5A; 2 * w.max_record_len() + 7]);
+    for (i, rec) in want.iter_mut().enumerate() {
+        rec[..4].copy_from_slice(&(i as u32).to_le_bytes());
+        w.append(rec).unwrap();
+    }
+    w.flush().unwrap();
+    let mut scratch = Vec::new();
+    for (i, rec) in want.iter().enumerate() {
+        let got = w.get_with(i as u32, &mut scratch, |_, got| got == rec);
+        assert_eq!(got, Ok(true), "{ctx}: get({i})");
+    }
+    let key = |rec: &[u8]| u32::from_le_bytes(rec[..4].try_into().unwrap());
+    for k in [0, 57, 100, 101, 150, want.len() as u32] {
+        let pos = w.partition_point(&mut scratch, |_, rec| Ok(key(rec) < k));
+        let pos = pos.unwrap_or_else(|e| panic!("{ctx}: partition_point({k}): {e:?}"));
+        let mut seen = Vec::new();
+        let scan = w.scan(pos, &mut scratch, |_, ordinal, rec| {
+            if ordinal >= k {
+                seen.push(rec.to_vec());
+            }
+            Ok(std::ops::ControlFlow::Continue(()))
+        });
+        assert_eq!(scan, Ok(()), "{ctx}: scan from {k}");
+        assert_eq!(seen, want[k as usize..], "{ctx}: scan from {k}");
+    }
+    let log = w.seal().unwrap();
+    let read: Result<Vec<Vec<u8>>, FlashError> = log.reader().collect();
+    assert_eq!(read, Ok(want), "{ctx}: sealed reader");
 }
 
 /// The flight recorder's ring through several block releases, the power

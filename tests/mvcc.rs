@@ -408,3 +408,59 @@ fn every_change_log_answer_is_pinned() {
         "ee08d58778e14e211840dcbecce127f96aa34426ec3cb48a5bb49fc5d711f491"
     );
 }
+
+/// The gateway's change-log answers hold under read disturb: with the
+/// token's flash flipping a bit in one read of a hundred, successive
+/// polls of two subscriptions deliver every matching row exactly once,
+/// and the pre-crash timeline of a wake reads the recorder ring back
+/// whole.
+#[test]
+fn subscriptions_and_the_timeline_ride_out_read_disturb() {
+    for case in 0..4u64 {
+        let seed = 0xD157_E180 + case;
+        let mut pds = Pds::for_tests(60 + case, "ivy").unwrap();
+        let subs = [
+            pds.subscribe("BANK", Predicate::eq("category", Value::str("groceries")))
+                .unwrap(),
+            pds.subscribe("EMAIL", Predicate::eq("sender", Value::str("dr.martin")))
+                .unwrap(),
+        ];
+        let (mut day, mut delivered) = (0u64, [Vec::new(), Vec::new()]);
+        for round in 0..24u64 {
+            // Commits and syncs with no flip; the polls under the disturb.
+            pds.token().flash().inject_faults(FaultPlan::new(seed));
+            commit_days(&mut pds, &mut day, 1 + round % 4).unwrap();
+            pds.sync().unwrap();
+            let plan = FaultPlan::new((seed << 8) + round).read_flips(0.01);
+            pds.token().flash().inject_faults(plan);
+            for (sub, rows) in subs.into_iter().zip(&mut delivered) {
+                let delta = pds.poll_subscription(sub);
+                let delta = delta.unwrap_or_else(|e| panic!("case {case}, round {round}: {e:?}"));
+                rows.extend(delta.into_iter().map(|(rowid, _)| rowid));
+            }
+        }
+        // One bank row and one email a day, each of them a match.
+        for rows in &delivered {
+            let mut once = rows.clone();
+            once.sort_unstable();
+            once.dedup();
+            assert_eq!(once.len(), rows.len(), "case {case}: a row twice");
+            assert_eq!(rows.len() as u64, day, "case {case}: a row missed");
+        }
+
+        pds.token().flash().inject_faults(FaultPlan::new(seed));
+        let (woken, _) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+        let timeline = woken.pre_crash_timeline().unwrap();
+        assert!(!timeline.is_empty(), "case {case}");
+        for probe in 0..16u64 {
+            let plan = FaultPlan::new(seed ^ (probe << 32)).read_flips(0.01);
+            woken.token().flash().inject_faults(plan);
+            let got = woken.pre_crash_timeline();
+            assert_eq!(
+                got.as_ref().ok(),
+                Some(&timeline),
+                "case {case}, probe {probe}"
+            );
+        }
+    }
+}
