@@ -238,12 +238,21 @@ impl Pds {
     }
 
     /// Durably flush every buffered structure (documents, tombstones,
-    /// index pages, table rows) to flash — the PDS equivalent of `fsync`.
+    /// index pages, table rows, recorder frames) to flash — the PDS
+    /// equivalent of `fsync`.
     pub fn sync(&mut self) -> Result<(), PdsError> {
+        self.flush_data()?;
+        self.blackbox.flush()?;
+        Ok(())
+    }
+
+    /// The data half of [`Pds::sync`]: documents, tombstones, index
+    /// pages and table rows, then the `CORE_SYNC` note — all a clean
+    /// park must make durable of them.
+    fn flush_data(&mut self) -> Result<(), PdsError> {
         self.engine.flush()?;
         self.db.flush()?;
         self.note(Severity::Info, code::CORE_SYNC, [0, 0]);
-        self.blackbox.flush()?;
         Ok(())
     }
 
@@ -1238,18 +1247,56 @@ mod tests {
     }
 
     #[test]
-    fn hibernate_wake_round_trips_the_blackbox() {
+    fn a_clean_park_keeps_only_frames_above_info_and_sync_keeps_every_frame() {
+        use crate::forensics::CrashCause;
+        use pds_obs::flight::code;
+        let codes = |frames: &[EventFrame]| frames.iter().map(|fr| fr.code).collect::<Vec<_>>();
         let mut pds = populated_pds();
         pds.commit().unwrap();
-        let h = pds.hibernate().unwrap();
-        let (pds, _) = Pds::wake(h).unwrap();
-        let f = pds.forensics().unwrap();
-        assert_eq!(f.cause, crate::forensics::CrashCause::CleanShutdown);
-        assert!(pds
-            .pre_crash_timeline()
-            .unwrap()
-            .iter()
-            .any(|fr| fr.code == pds_obs::flight::code::CORE_HIBERNATE));
+        pds.sync().unwrap();
+        let synced = pds.blackbox().frames().unwrap();
+        assert_eq!(codes(&synced).last(), Some(&code::CORE_SYNC));
+
+        // A clean park with only Info frames buffered lets them go: the
+        // wake finds the ring as the sync left it, and loses no data.
+        pds.ingest_bank(14, "groceries", 3_000, "shop-2").unwrap();
+        let (pds, report) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+        assert_eq!(report.docs_lost, 0);
+        assert!(report.rows_lost.iter().all(|(_, n)| *n == 0));
+        assert_eq!(pds.forensics().unwrap().cause, CrashCause::CleanShutdown);
+        assert_eq!(pds.pre_crash_timeline().unwrap(), synced);
+
+        // A Warn frame buffered at a clean park is programmed, with the
+        // Info frames that share its page.
+        flight::record(
+            Severity::Warn,
+            subsystem::FLASH,
+            code::FLASH_BLOCK_RETIRED,
+            [7, 0],
+        );
+        let (mut pds, _) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+        assert_eq!(pds.forensics().unwrap().cause, CrashCause::CleanShutdown);
+        let timeline = pds.pre_crash_timeline().unwrap();
+        assert_eq!(&timeline[..synced.len()], &synced[..]);
+        assert_eq!(
+            codes(&timeline[synced.len()..]),
+            [
+                code::RECOVERY_REOPEN,
+                code::FLASH_BLOCK_RETIRED,
+                code::CORE_HIBERNATE,
+                code::CORE_SYNC
+            ]
+        );
+
+        // `sync` makes every frame durable, the wake's own included.
+        pds.sync().unwrap();
+        let synced = pds.blackbox().frames().unwrap();
+        let (pds, _) = Pds::wake(pds.hibernate().unwrap()).unwrap();
+        assert_eq!(pds.pre_crash_timeline().unwrap(), synced);
+        assert_eq!(
+            codes(&synced[timeline.len()..]),
+            [code::RECOVERY_REOPEN, code::CORE_SYNC]
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The one boot path of a [`Pds`]: `power_off → wake`.
 //!
 //! A clean [`Pds::hibernate`] and a power loss ([`Pds::reopen`]) differ
-//! only in whether [`Pds::sync`] ran before the power went; both leave a
+//! only in whether the data was flushed and the recorder ring parked
+//! ([`BlackBox::park`]) before the power went; both leave a
 //! [`PdsHibernation`] and both come back through [`Pds::wake`], the only
 //! code that recovers the stores, the recorder ring and the
 //! subscription cursors.
@@ -121,14 +122,17 @@ impl Pds {
         Ok((pds, report))
     }
 
-    /// Power this PDS down to its persistent state: flush every buffered
-    /// structure to flash, then capture the token's silicon plus the
-    /// recovery manifests and the RAM-carried metadata (policy, audit,
-    /// keys, clock). The returned [`PdsHibernation`] is a fraction of the
-    /// live footprint — no search engine, no table buffers, no flash
-    /// handle — which is what lets a fleet scheduler keep hundreds of
-    /// thousands of idle tokens parked. [`Pds::wake`] is the inverse;
-    /// because [`Pds::sync`] ran first, the wake is lossless.
+    /// Power this PDS down to its persistent state: flush the data
+    /// (documents, tombstones, index pages, table rows) to flash, park
+    /// the recorder ring ([`BlackBox::park`]: its buffered frames reach
+    /// flash only if one is above Info), then capture the token's
+    /// silicon plus the recovery manifests and the RAM-carried metadata
+    /// (policy, audit, keys, clock). The returned
+    /// [`PdsHibernation`] is a fraction of the live footprint — no search
+    /// engine, no table buffers, no flash handle — which is what lets a
+    /// fleet scheduler keep hundreds of thousands of idle tokens parked.
+    /// [`Pds::wake`] is the inverse; because the data was flushed first,
+    /// the wake loses no data. [`Pds::sync`] first to keep every frame.
     pub fn hibernate(self) -> Result<PdsHibernation, PdsError> {
         let (h, flushed) = self.power_down();
         flushed.map(|()| h)
@@ -141,7 +145,7 @@ impl Pds {
     /// reached flash, and [`Pds::wake`] reports what that cost.
     pub fn power_down(mut self) -> (PdsHibernation, Result<(), PdsError>) {
         self.note(Severity::Info, code::CORE_HIBERNATE, [0, 0]);
-        let flushed = self.sync();
+        let flushed = self.flush_data().and_then(|()| Ok(self.blackbox.park()?));
         (self.power_off(), flushed)
     }
 

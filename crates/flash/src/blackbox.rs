@@ -25,6 +25,13 @@
 //! blocks, its oldest block goes back to the pool
 //! ([`LogWriter::release_head`]) and nothing is rewritten.
 //!
+//! A clean park ([`BlackBox::park`]) programs the ring's partial page
+//! only when a buffered frame is above [`Severity::Info`]: a page
+//! program is the token's dearest operation, and the Info milestones a
+//! park would carry (contribution, hibernate, sync, the last wake) say
+//! nothing the data's own recovery does not. They die with RAM, as they
+//! would in a power cut right after the last flush.
+//!
 //! The recorder sits *outside* the MVCC/changelog machinery on purpose
 //! — its own log instance: it must stay appendable while those
 //! structures are mid-recovery, and its loss must never imply data loss
@@ -32,9 +39,10 @@
 //!
 //! Counters: `blackbox.frames_written`, `blackbox.frames_dropped`,
 //! `blackbox.pages_flushed` (every page the recorder programs),
+//! `blackbox.frames_unflushed` (buffered frames a park let go),
 //! `blackbox.frames_recovered`, `blackbox.torn_tails_truncated`.
 
-use pds_obs::flight::EventFrame;
+use pds_obs::flight::{EventFrame, Severity};
 
 use crate::error::{FlashError, Result};
 use crate::geometry::BlockId;
@@ -72,6 +80,8 @@ impl BlackboxRecovery {
 pub struct BlackBox {
     log: LogWriter,
     next_tick: u64,
+    /// A frame above [`Severity::Info`] is buffered: a park programs it.
+    urgent: bool,
 }
 
 impl BlackBox {
@@ -80,6 +90,7 @@ impl BlackBox {
         BlackBox {
             log: flash.new_log(),
             next_tick: 0,
+            urgent: false,
         }
     }
 
@@ -114,6 +125,9 @@ impl BlackBox {
     pub fn record(&mut self, mut frame: EventFrame) -> Result<()> {
         frame.tick = self.next_tick;
         self.programs(|log| log.append(&frame.encode()))?;
+        // A frame is never larger than a page: it rests in the buffer,
+        // alone if its append programmed the page before it.
+        self.urgent |= frame.severity > Severity::Info;
         self.next_tick += 1;
         pds_obs::counter!("blackbox.frames_written").inc();
         Ok(())
@@ -135,6 +149,18 @@ impl BlackBox {
         self.programs(LogWriter::flush)
     }
 
+    /// Make the ring ready for a clean power-off: program the buffered
+    /// frames if one of them is above [`Severity::Info`], else let them
+    /// go with RAM and count them (`blackbox.frames_unflushed`). The
+    /// ring is not written to again before the power goes.
+    pub fn park(&mut self) -> Result<()> {
+        if self.urgent {
+            return self.flush();
+        }
+        pds_obs::counter!("blackbox.frames_unflushed").add(self.log.num_buffered());
+        Ok(())
+    }
+
     /// Run `io` on the ring's log, count the pages it programmed, and
     /// release the oldest blocks once the ring spans more than
     /// [`RING_BLOCKS`] (a fresh block is taken only by a program, so
@@ -144,6 +170,8 @@ impl BlackBox {
         let out = io(&mut self.log);
         let pages = self.log.num_pages() - before;
         if pages > 0 {
+            // What was buffered is on flash now.
+            self.urgent = false;
             pds_obs::counter!("blackbox.pages_flushed").add(u64::from(pages));
         }
         let over = self.log.blocks().len().saturating_sub(RING_BLOCKS);
@@ -186,6 +214,7 @@ impl BlackBox {
         let ring = BlackBox {
             log,
             next_tick: last.map_or(0, |f| f.tick + 1),
+            urgent: false,
         };
         Ok((ring, report))
     }
@@ -285,6 +314,38 @@ mod tests {
         let f2 = f.reboot();
         let (rec, _) = BlackBox::recover(&f2, &bb.blocks()).unwrap();
         assert_eq!(rec.frames().unwrap(), frames);
+    }
+
+    #[test]
+    fn a_park_programs_only_a_buffered_frame_above_info() {
+        // 512-byte pages hold 16 frames.
+        let f = Flash::small(16);
+        let mut bb = BlackBox::new(&f);
+        let warn = EventFrame::new(
+            Severity::Warn,
+            subsystem::FLASH,
+            code::FLASH_BLOCK_RETIRED,
+            [3, 0],
+        );
+        bb.record(warn).unwrap();
+        // The Warn frame goes to flash with the page it fills...
+        for k in 1..20u64 {
+            bb.record(frame(code::CORE_INGEST, k)).unwrap();
+        }
+        assert_eq!(f.stats().page_programs, 1);
+        // ...so a park finds Info frames only and lets them go.
+        bb.park().unwrap();
+        assert_eq!(f.stats().page_programs, 1);
+        let (rec, _) = BlackBox::recover(&f.reboot(), &bb.blocks()).unwrap();
+        assert_eq!(rec.num_frames(), 16);
+
+        // A Warn frame in the buffer is programmed with its page.
+        bb.record(warn).unwrap();
+        bb.park().unwrap();
+        assert_eq!(f.stats().page_programs, 2);
+        let (rec, _) = BlackBox::recover(&f.reboot(), &bb.blocks()).unwrap();
+        assert_eq!(rec.num_frames(), 21);
+        assert_eq!(last_tick(&rec), Some(20));
     }
 
     #[test]

@@ -172,33 +172,41 @@ fn crc32_shift(k: usize, crc: u32) -> u32 {
     t[0][a as usize] ^ t[1][b as usize] ^ t[2][c as usize] ^ t[3][d as usize]
 }
 
+/// Fold `N` lanes of [`LANE`] bytes side by side — `N` independent
+/// chains of [`crc32_step`]s, the first from `crc` and the others from
+/// zero — and join them by shifting each lane's state past the lanes
+/// after it (the CRC is linear: the shares XOR).
+#[inline(always)]
+fn crc32_lanes<const N: usize>(crc: u32, block: &[u8]) -> u32 {
+    let block = &block[..N * LANE];
+    let mut states = [0u32; N];
+    states[0] = crc;
+    for i in (0..LANE).step_by(8) {
+        for (l, state) in states.iter_mut().enumerate() {
+            *state = crc32_step(*state, &block[l * LANE + i..l * LANE + i + 8]);
+        }
+    }
+    let last = states[N - 1];
+    (1..N).fold(last, |crc, l| crc ^ crc32_shift(N - l, states[l - 1]))
+}
+
 /// Fold `bytes` into a running (pre-inverted) CRC-32 state. Every page
 /// read and page program pays for a whole page of this, and one chain of
 /// [`crc32_step`]s is bound by the latency of each step's loads. So each
-/// 256-byte block is four 64-byte lanes folded side by side — four
-/// independent chains, the first from `crc` and the others from zero —
-/// and joined by shifting each lane's state past the lanes after it
-/// (the CRC is linear: the shares XOR). The rest of the input, under a
-/// block, goes through the same step, then a byte at a time.
+/// 256-byte block is four 64-byte lanes folded side by side
+/// ([`crc32_lanes`]); the rest under a block goes through two or three
+/// lanes when it holds that many, so at most 63 bytes are left to one
+/// chain of steps, then a byte at a time.
 fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(LANES * LANE);
-    let crc = blocks.by_ref().fold(crc, |crc, block| {
-        let (l0, rest) = block.split_at(LANE);
-        let (l1, rest) = rest.split_at(LANE);
-        let (l2, l3) = rest.split_at(LANE);
-        let steps = (l0.chunks_exact(8).zip(l1.chunks_exact(8)))
-            .zip(l2.chunks_exact(8).zip(l3.chunks_exact(8)));
-        let (a, b, c, d) = steps.fold((crc, 0, 0, 0), |(a, b, c, d), ((w0, w1), (w2, w3))| {
-            (
-                crc32_step(a, w0),
-                crc32_step(b, w1),
-                crc32_step(c, w2),
-                crc32_step(d, w3),
-            )
-        });
-        crc32_shift(3, a) ^ crc32_shift(2, b) ^ crc32_shift(1, c) ^ d
-    });
-    let mut words = blocks.remainder().chunks_exact(8);
+    let crc = blocks.by_ref().fold(crc, crc32_lanes::<LANES>);
+    let rest = blocks.remainder();
+    let (crc, rest) = match rest.len() / LANE {
+        3 => (crc32_lanes::<3>(crc, rest), &rest[3 * LANE..]),
+        2 => (crc32_lanes::<2>(crc, rest), &rest[2 * LANE..]),
+        _ => (crc, rest),
+    };
+    let mut words = rest.chunks_exact(8);
     let crc = words.by_ref().fold(crc, crc32_step);
     words.remainder().iter().fold(crc, |crc, &b| {
         (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
@@ -437,6 +445,12 @@ impl LogWriter {
     /// the next [`append`](Self::append) returns this ordinal.
     pub fn num_records(&self) -> u64 {
         u64::from(self.records)
+    }
+
+    /// Records whose last chunk is still buffered in RAM: what a power
+    /// cut now would lose.
+    pub(crate) fn num_buffered(&self) -> u64 {
+        u64::from(self.records - self.durable)
     }
 
     /// Payloads of the chunks currently buffered in RAM (not yet on
@@ -1540,6 +1554,19 @@ mod tests {
             assert_eq!(
                 page_crc(&vec![0xFF; page_size]),
                 page_crc_bitwise(&vec![0xFF; page_size])
+            );
+        }
+        // Every remainder under a block (0..=255 bytes: none, one, two or
+        // three lanes and up to 63 bytes of steps and single bytes)
+        // behind the seven whole blocks of a 2 KB page's payload.
+        let bytes: Vec<u8> = (0..7 * 256 + 255).map(|_| rng.gen()).collect();
+        for rest in 0..=255 {
+            let input = &bytes[..7 * 256 + rest];
+            let state = rng.gen();
+            assert_eq!(
+                crc32_update(state, input),
+                crc32_update_bitwise(state, input),
+                "7 blocks and {rest} bytes from {state:#010x}"
             );
         }
         // Every length up to a 512-byte page and past it, at every

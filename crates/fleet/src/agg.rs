@@ -214,10 +214,15 @@ impl TokenHost for PdsHost {
 
     fn wake(&self, i: usize, sleep: PdsHibernation) -> Pds {
         // A clean hibernation always wakes; a corrupt one degrades to a
-        // deterministic factory rebuild rather than sinking the run.
+        // deterministic factory rebuild rather than sinking the run. The
+        // scheduler counts that as a sleep wake, so it is counted here:
+        // a broken park must not hide behind the factory.
         match Pds::wake(sleep) {
             Ok((pds, _)) => pds,
-            Err(_) => self.create(i),
+            Err(_) => {
+                pds_obs::counter!("fleet.wake_fallbacks").inc();
+                self.create(i)
+            }
         }
     }
 }

@@ -267,13 +267,14 @@ impl SubNet {
         self.fold_collector()
     }
 
-    /// Power-cycle one token: hibernate (flushes everything,
-    /// subscription cursor included) and wake. The standing query
-    /// resumes from its durable cursor — no change is re-delivered, no
-    /// change is skipped. A flush that fails is a power loss: the token
-    /// still comes back, and the report names what the loss cost. If the
-    /// wake itself fails the token stays down and the error is returned;
-    /// either way every other token keeps its own index.
+    /// Power-cycle one token: hibernate (flushes the data, subscription
+    /// cursor included; a park keeps no Info recorder frame) and wake.
+    /// The standing query resumes from its durable cursor — no change is
+    /// re-delivered, no change is skipped. A flush that fails is a power
+    /// loss: the token still comes back, and the report names what the
+    /// loss cost. If the wake itself fails the token stays down and the
+    /// error is returned; either way every other token keeps its own
+    /// index.
     pub fn power_cycle(&mut self, token: usize) -> Result<ReopenReport, PdsError> {
         let slot = self.pds.get_mut(token).and_then(Option::take);
         let pds = slot.ok_or_else(token_down)?;

@@ -44,9 +44,10 @@ cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload token_query
 # The power cycle's end-to-end oracle: [TNP14] rounds on a hibernating
 # fleet — every token parked and revived between its turns — equal the
-# plaintext reference on two seeds, and the 18 exact counts (flash reads
-# and programs, bus, scheduler, recorder pages) repeat between blocks
-# and runs (about 5 s).
+# plaintext reference on two seeds, and the 16 exact counts (flash reads
+# and programs, bus, scheduler, crypto ops, phase ticks) repeat between
+# blocks and runs (about 5 s). A clean park programs no recorder page,
+# so no recorder count moves.
 cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- \
   selfcheck --workload fleet_agg
 # The message path's end-to-end oracle, the fifth and last workload:

@@ -1,7 +1,8 @@
 //! The flight recorder's page counter. The registry is process-global,
 //! so it is proven in a binary of its own: here, and only here,
 //! `blackbox.pages_flushed` moves by exactly the pages a chip that
-//! nothing else writes programs around each recorder call.
+//! nothing else writes programs around each recorder call, and
+//! `blackbox.frames_unflushed` by exactly the frames a park let go.
 
 use pds::flash::{BlackBox, FaultPlan, Flash};
 use pds::obs::counter;
@@ -85,4 +86,36 @@ fn the_recorder_counts_every_page_it_programs() {
     .unwrap();
     assert_eq!((report.frames_recovered, report.malformed_dropped), (40, 1));
     assert_eq!(rebooted.stats().page_programs, 3, "40 frames copied");
+
+    // A park programs the buffered frames only when one is above Info,
+    // and counts those it let go.
+    let flash = Flash::small(16);
+    let mut bb = BlackBox::new(&flash);
+    let unflushed = || counter("blackbox.frames_unflushed").get();
+    for k in 0..20 {
+        bb.record(frame(k)).unwrap();
+    }
+    let (before, programs) = (unflushed(), flash.stats().page_programs);
+    counts_its_programs(&flash, "info park", || bb.park().unwrap());
+    assert_eq!(flash.stats().page_programs, programs, "Info frames only");
+    assert_eq!(
+        unflushed() - before,
+        4,
+        "20 frames, 16 on the page programmed"
+    );
+    bb.record(EventFrame::new(Severity::Warn, subsystem::FLASH, 2, [9, 0]))
+        .unwrap();
+    bb.record(frame(21)).unwrap();
+    let before = unflushed();
+    counts_its_programs(&flash, "warn park", || bb.park().unwrap());
+    assert_eq!(
+        flash.stats().page_programs,
+        programs + 1,
+        "the Warn frame's page"
+    );
+    assert_eq!(unflushed(), before);
+    let rebooted = flash.reboot();
+    let (bb, report) = BlackBox::recover(&rebooted, &bb.blocks()).unwrap();
+    assert_eq!(report.frames_recovered, 22);
+    assert_eq!(bb.frames().unwrap()[20].severity, Severity::Warn);
 }
