@@ -456,4 +456,34 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn entries_in_log_order_and_answers_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(0x91D5_0002);
+        let key = |k: u32| format!("key-{k:0w$}", w = 1 + (k % 12) as usize).into_bytes();
+        let f = flash();
+        let mut kv = KvStore::new(&f);
+        let mut answers = Vec::new();
+        for _ in 0..1500 {
+            let k = key(rng.gen_range(0..100));
+            if rng.gen_range(0..4u32) == 0 {
+                kv.delete(&k).unwrap();
+            } else {
+                let value: Vec<u8> = (0..rng.gen_range(0..40usize)).map(|_| rng.gen()).collect();
+                kv.put(&k, &value).unwrap();
+            }
+            match rng.gen_range(0..60u32) {
+                0 => kv.flush().unwrap(),
+                1..=3 => answers.push(kv.get(&key(rng.gen_range(0..110))).unwrap()),
+                _ => {}
+            }
+        }
+        answers.extend((0..110).map(|k| kv.get(&key(k)).unwrap()));
+        let entries = kv.log.entries_in_log_order().unwrap();
+        assert_eq!(entries.len(), 1500);
+        assert_eq!(
+            crate::debug_digest(&(entries, answers)),
+            "480faa78dd39ccb0417b071d9de1fb895c910e06d3e03339e0cff51d62d909b9"
+        );
+    }
 }

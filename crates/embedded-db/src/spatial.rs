@@ -371,4 +371,41 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn entries_in_log_order_and_answers_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(0x91D5_0004);
+        let f = Flash::small(512);
+        let mut trace = SpatialTrace::new(&f);
+        let mut answers = Vec::new();
+        let (mut x, mut y, mut now) = (0i32, 0i32, 0u64);
+        for _ in 0..3000 {
+            x += rng.gen_range(-20i32..=20);
+            y += rng.gen_range(-20i32..=20);
+            now += rng.gen_range(0u64..3);
+            trace.record(x, y, now).unwrap();
+            match rng.gen_range(0..100u32) {
+                0 => trace.flush().unwrap(),
+                1..=5 => {
+                    let (cx, cy) = (
+                        x + rng.gen_range(-200i32..=200),
+                        y + rng.gen_range(-200i32..=200),
+                    );
+                    let w = Window {
+                        x: (cx - 80, cx + 80),
+                        y: (cy - 80, cy + 80),
+                        t: (rng.gen_range(0..=now), now + 1),
+                    };
+                    answers.push(trace.window_query(&w).unwrap());
+                }
+                _ => {}
+            }
+        }
+        let entries = trace.log.entries_in_log_order().unwrap();
+        assert_eq!(entries.len(), 3000);
+        assert_eq!(
+            crate::debug_digest(&(entries, answers)),
+            "861bd6955e26b2e58451ca8ead3b4167d909fe3cb9d1956a6f8f7de710a580e5"
+        );
+    }
 }

@@ -370,4 +370,34 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn entries_in_log_order_and_answers_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(0x91D5_0003);
+        let f = Flash::small(512);
+        let mut series = TimeSeries::new(&f);
+        let mut answers = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..3000 {
+            now += rng.gen_range(0u64..5);
+            series.append(now, rng.gen_range(-1000i64..1000)).unwrap();
+            match rng.gen_range(0..100u32) {
+                0 => series.flush().unwrap(),
+                1..=5 => {
+                    let (a, b) = (rng.gen_range(0..=now + 5), rng.gen_range(0..=now + 5));
+                    answers.push(series.range_aggregate(a.min(b), a.max(b)).unwrap());
+                }
+                _ => {}
+            }
+        }
+        for from in (0..now).step_by(97) {
+            answers.push(series.range_aggregate(from, from + 300).unwrap());
+        }
+        let entries = series.log.entries_in_log_order().unwrap();
+        assert_eq!(entries.len(), 3000);
+        assert_eq!(
+            crate::debug_digest(&(entries, answers)),
+            "825ec4b3a25ab8b864601109723fb862cbf79f70389481feb46805947c1cd428"
+        );
+    }
 }

@@ -132,6 +132,37 @@ fn tpcd_spj_fast_plan_beats_naive_by_an_order_of_magnitude() {
     );
 }
 
+#[test]
+fn climbing_ancestors_and_joins_are_pinned() {
+    let f = Flash::new(FlashGeometry::new(512, 16, 8192));
+    let ram = RamBudget::new(128 * 1024);
+    let mut rng = StdRng::seed_from_u64(0xC11B);
+    let data = TpcdData::generate(&f, &TpcdConfig::scale(2), &mut rng).unwrap();
+    let tree = data.schema_tree().unwrap();
+    let tables = data.tables();
+    let tjoin = TjoinIndex::build(&f, &tree, &tables).unwrap();
+    let ancestors: Vec<Vec<u32>> = (0..tjoin.num_entries())
+        .map(|r| tjoin.get(r).unwrap())
+        .collect();
+    let seg = TselectIndex::build(&f, &ram, &tree, &tables, "CUSTOMER", "mktsegment").unwrap();
+    let sup = TselectIndex::build(&f, &ram, &tree, &tables, "SUPPLIER", "name").unwrap();
+    let mut joins = Vec::new();
+    for segment in ["HOUSEHOLD", "AUTOMOBILE", "BUILDING", "NONE"] {
+        for supplier in ["SUPPLIER-0", "SUPPLIER-1", "SUPPLIER-3"] {
+            let preds = [(&seg, Value::str(segment)), (&sup, Value::str(supplier))];
+            joins.push(execute_spj(&tree, &tables, &tjoin, &preds).unwrap());
+        }
+    }
+    assert!(joins.iter().any(|j| !j.is_empty()));
+    let pinned = format!("{ancestors:?}{joins:?}");
+    let digest = pds::crypto::sha256(pinned.as_bytes());
+    let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        "3de3aa4f1589ede266209ed321e1a021b3ff92f7c8f635726c5ef64b36768931"
+    );
+}
+
 /// The embedded search engine equals the unconstrained oracle on
 /// arbitrary corpora and queries.
 #[test]
