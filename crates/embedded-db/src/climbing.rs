@@ -6,8 +6,9 @@
 //!
 //! * **Tjoin (generalized join index)** — "each rowid of the root table
 //!   contains the rowids of the tuples it refers to in the subtree".
-//!   Fixed-size entries, directly addressable: dereferencing a root tuple
-//!   to its full join context costs one page read.
+//!   One fixed-size record per root tuple, addressed by its ordinal:
+//!   dereferencing a root tuple to its full join context costs one
+//!   verified page read.
 //! * **Tselect** — a selection index on *any* table of the tree whose
 //!   entries are **sorted rowids of the root table**: "each key of the
 //!   index contains the rowids of the query root table referring to that
@@ -28,6 +29,7 @@ use pds_obs::wire::Reader;
 
 use crate::error::DbError;
 use crate::reorg::{sort_entries, tree_over};
+use crate::sort::seal_or_discard;
 use crate::table::{RowId, Table};
 use crate::tree::TreeIndex;
 use crate::value::{Row, Value};
@@ -154,13 +156,12 @@ impl SchemaTreeBuilder {
 }
 
 /// The generalized join index: root rowid → ancestor rowids, one page
-/// read per dereference (fixed-size, directly addressed entries).
+/// read per dereference. Root row `r`'s ancestor rowids are record `r`
+/// of a sealed record log, `u32` each.
 pub struct TjoinIndex {
     log: Log,
-    /// Ancestor table indexes, the layout of each entry.
+    /// Ancestor table indexes, the layout of each record.
     ancestors: Vec<usize>,
-    entries: u32,
-    per_page: usize,
 }
 
 impl TjoinIndex {
@@ -170,43 +171,25 @@ impl TjoinIndex {
         tree: &SchemaTree,
         tables: &[&Table],
     ) -> Result<TjoinIndex, DbError> {
-        let ancestors: Vec<usize> = tree.ancestors().to_vec();
-        let entry_size = ancestors.len().max(1) * 4;
-        let page_size = flash.geometry().page_size;
-        let per_page = (page_size - 2) / entry_size;
         let mut log = flash.new_log();
-        let n = tables[tree.root()].num_rows();
-        let mut page = vec![0xFFu8; page_size];
-        let mut in_page = 0usize;
-        for r in 0..n {
+        let written = (0..tables[tree.root()].num_rows()).try_for_each(|r| {
             let rowids = tree.resolve(tables, r)?;
-            let off = 2 + in_page * entry_size;
-            for (i, &rid) in rowids[1..].iter().enumerate() {
-                page[off + i * 4..off + i * 4 + 4].copy_from_slice(&rid.to_le_bytes());
-            }
-            in_page += 1;
-            if in_page == per_page {
-                page[0..2].copy_from_slice(&(in_page as u16).to_le_bytes());
-                log.append_raw_page(&page)?;
-                page.fill(0xFF);
-                in_page = 0;
-            }
-        }
-        if in_page > 0 {
-            page[0..2].copy_from_slice(&(in_page as u16).to_le_bytes());
-            log.append_raw_page(&page)?;
-        }
+            let rec: Vec<u8> = rowids[1..]
+                .iter()
+                .flat_map(|rid| rid.to_le_bytes())
+                .collect();
+            log.append(&rec)?;
+            Ok(())
+        });
         Ok(TjoinIndex {
-            log: log.seal()?,
-            ancestors,
-            entries: n,
-            per_page,
+            log: seal_or_discard(log, written)?,
+            ancestors: tree.ancestors().to_vec(),
         })
     }
 
     /// Number of root tuples indexed.
     pub fn num_entries(&self) -> u32 {
-        self.entries
+        self.log.num_records() as u32
     }
 
     /// Ancestor table layout of each entry.
@@ -214,21 +197,16 @@ impl TjoinIndex {
         &self.ancestors
     }
 
-    /// Ancestor rowids of root row `r` (one page read).
+    /// Ancestor rowids of root row `r` (one page read). A rowid past the
+    /// last root row is [`FlashError::BadRecordAddr`](pds_flash::FlashError),
+    /// as [`Table::get`] answers it.
     pub fn get(&self, r: RowId) -> Result<Vec<RowId>, DbError> {
-        if r >= self.entries {
-            return Err(DbError::Corrupt("tjoin rowid out of range"));
-        }
-        let page_idx = r as usize / self.per_page;
-        let slot = r as usize % self.per_page;
-        let page_size = self.log.flash().geometry().page_size;
-        let mut buf = vec![0u8; page_size];
-        self.log.read_raw_page(page_idx as u32, &mut buf)?;
-        let entry_size = self.ancestors.len().max(1) * 4;
-        let mut r = Reader::new(&buf);
-        r.bytes(2 + slot * entry_size)
-            .and_then(|_| (0..self.ancestors.len()).map(|_| r.u32()).collect())
-            .ok_or(DbError::Corrupt("tjoin entry past page end"))
+        let rowids = self.log.get_with(r, &mut Vec::new(), |_, rec| {
+            let mut rec = Reader::new(rec);
+            let rowids: Option<Vec<RowId>> = self.ancestors.iter().map(|_| rec.u32()).collect();
+            rec.finish().and(rowids)
+        })?;
+        rowids.ok_or(DbError::Corrupt("tjoin record"))
     }
 }
 
@@ -402,6 +380,7 @@ pub fn execute_spj_naive(
 mod tests {
     use super::*;
     use crate::value::{ColumnType, Schema};
+    use pds_flash::FlashError;
 
     /// Tiny 3-level schema: LINE → ORDER → CUSTOMER.
     fn setup() -> (Flash, RamBudget, Vec<Table>) {
@@ -478,7 +457,24 @@ mod tests {
         let anc = tjoin.get(10).unwrap();
         assert_eq!((f.stats() - before).page_reads, 1);
         assert_eq!(anc, vec![3, 3]);
-        assert!(tjoin.get(24).is_err());
+    }
+
+    #[test]
+    fn a_root_rowid_past_the_end_is_a_bad_address_as_in_the_table() {
+        let (f, _ram, tables) = setup();
+        let refs: Vec<&Table> = tables.iter().collect();
+        let tree = tree_of(&refs);
+        let tjoin = TjoinIndex::build(&f, &tree, &refs).unwrap();
+        let past = tjoin.num_entries();
+        let root = &refs[tree.root()];
+        assert_eq!(root.get(past).unwrap_err(), FlashError::BadRecordAddr);
+        for r in [past, past + 1, RowId::MAX] {
+            let err = tjoin.get(r).unwrap_err();
+            assert!(
+                matches!(err, DbError::Flash(FlashError::BadRecordAddr)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

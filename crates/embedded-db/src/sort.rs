@@ -274,7 +274,7 @@ mod tests {
             .map(|i| ((i * 7 % 997).to_be_bytes().to_vec(), i))
             .collect();
         let log = external_sort(&f, &ram, entries.into_iter(), 512, 3).unwrap();
-        let output_blocks = log.num_blocks();
+        let output_blocks = log.blocks().len();
         assert_eq!(
             f.free_blocks(),
             before - output_blocks,

@@ -13,17 +13,18 @@
 //! duplicate keys spill across leaves and are collected by a forward leaf
 //! walk (leaves are physically consecutive).
 //!
-//! ## Page layout (raw pages in one log)
+//! ## Pages are records
 //!
-//! ```text
-//! leaf:     [0u8][count u16] count × ([klen u16][key][rowid u32])
-//! internal: [1u8][count u16] count × ([klen u16][key][child_page u32])
-//! ```
-//!
-//! A page is read where it lies: `TreePage::parse` is the format's only
-//! parser (it checks the whole entry array against the bytes in hand),
-//! and the descent and the leaf walks compare keys as slices of the one
-//! page buffer a lookup holds.
+//! A tree page is one page-filling record of a record log — a kind byte
+//! (leaf or internal), `count u16`, then `count` entries of
+//! [`crate::sort`]'s `(key, pointer)` layout, a child's page index
+//! standing for the rowid in an internal page — so a page's ordinal is
+//! its page index, and every read of it goes through the record log's
+//! verified path (CRC, framing, re-read of a page that fails).
+//! `TreePage::parse` is the format's only parser and its second guard
+//! (it checks the whole entry array against the record), and the
+//! descent and the leaf walks compare keys as slices of the one page
+//! buffer a lookup holds.
 
 use pds_flash::{Flash, Log, LogWriter};
 use pds_mcu::{RamBudget, Reservation};
@@ -63,8 +64,8 @@ struct TreePage<'a> {
 }
 
 impl<'a> TreePage<'a> {
-    /// Parse a page image; `None` when the entry array runs past the
-    /// page end (corrupt header / truncated key).
+    /// Parse a page record; `None` when the entry array runs past its
+    /// end (corrupt header / truncated key).
     fn parse(page: &'a [u8]) -> Option<Self> {
         let mut r = Reader::new(page);
         let kind = r.u8()?;
@@ -96,11 +97,11 @@ struct LevelBuilder {
 }
 
 impl LevelBuilder {
-    fn new(flash: &Flash, kind: u8) -> Self {
+    fn new(tree: &LogWriter, kind: u8) -> Self {
         LevelBuilder {
-            packer: PagePacker::new(flash.geometry().page_size, &[kind]),
+            packer: PagePacker::new(tree.max_record_len(), &[kind]),
             first_key: None,
-            above: flash.new_log(),
+            above: tree.flash().new_log(),
         }
     }
 
@@ -117,8 +118,7 @@ impl LevelBuilder {
         let Some(first_key) = self.first_key.take() else {
             return Ok(()); // nothing packed since the last page
         };
-        let page = self.packer.with_image(|page| tree.append_raw_page(page))?;
-        self.packer.clear();
+        let page = self.packer.program(tree)?;
         self.above.append(&encode_entry(&first_key, page))?;
         Ok(())
     }
@@ -145,7 +145,7 @@ impl TreeIndex {
         let _pages = ram.reserve(3 * flash.geometry().page_size)?;
         let mut log = flash.new_log();
         let (root_page, num_leaves, height, num_entries) =
-            match Self::build_levels(flash, &mut log, entries) {
+            match Self::build_levels(&mut log, entries) {
                 Ok(shape) => shape,
                 Err(e) => {
                     log.discard();
@@ -164,14 +164,13 @@ impl TreeIndex {
     /// Append the leaves, then every level above them, to `tree`. No
     /// level log outlives the call, whatever it returns.
     fn build_levels(
-        flash: &Flash,
         tree: &mut LogWriter,
         mut entries: impl Iterator<Item = SortEntry>,
     ) -> Result<Shape, DbError> {
         // Level 0: leaves. The separators of the level above go to a
         // level log.
         let mut num_entries = 0u64;
-        let mut leaves = LevelBuilder::new(flash, LEAF);
+        let mut leaves = LevelBuilder::new(tree, LEAF);
         let pushed = entries.try_for_each(|(key, rowid)| {
             num_entries += 1;
             leaves.push(tree, key, rowid)
@@ -188,7 +187,7 @@ impl TreeIndex {
         let mut height = 1u32;
         while level.num_records() > 1 {
             height += 1;
-            let mut internals = LevelBuilder::new(flash, INTERNAL);
+            let mut internals = LevelBuilder::new(tree, INTERNAL);
             let pushed = level.reader().try_for_each(|rec| {
                 let (key, child) = decode_entry(&rec?).ok_or(DbError::Corrupt("level log"))?;
                 internals.push(tree, key, child)
@@ -231,58 +230,46 @@ impl TreeIndex {
     }
 
     /// Descend from the root to the leaf holding the first entry not
-    /// below `probe`: that leaf's page index, its image left in `buf` —
-    /// one page read per level. Levels are appended leaves first and root
-    /// last, so a child pointer that does not point *down* the log is
-    /// damage — which also bounds the descent on a page whose bits
-    /// flipped.
-    fn descend(&self, probe: &[u8], buf: &mut [u8]) -> Result<u32, DbError> {
-        let mut page = self.root_page;
-        loop {
-            self.log.read_raw_page(page, buf)?;
-            let node = TreePage::parse(buf).ok_or(CORRUPT)?;
-            if node.kind == LEAF {
-                return Ok(page);
-            }
-            // Toward the *first* occurrence of the probe: the rightmost
-            // child whose separator is strictly below it, the first child
-            // when none is. (With duplicated keys, several consecutive
-            // separators can equal the probe; the first occurrence lives
-            // in the child just before them.)
-            let mut child = None;
-            for (i, (key, ptr)) in node.entries().enumerate() {
-                if i == 0 || key < probe {
-                    child = Some(ptr);
-                }
-            }
-            page = match child {
-                Some(child) if child < page => child,
-                _ => return Err(CORRUPT),
-            };
-        }
-    }
-
-    /// Walk the leaves from the one the descent toward `probe` lands on,
-    /// handing `visit` each entry until it answers `false` or the last
-    /// leaf ends. The landing leaf is read exactly once: the descent
-    /// leaves its image in the walk's buffer.
+    /// below `probe` (one page read per level), then walk the leaves from
+    /// there (one read per leaf), handing `visit` each entry until it
+    /// answers `false` or the last leaf ends. Levels are appended leaves
+    /// first and root last: the leaves are the first `num_leaves` pages,
+    /// and a child pointer that does not point *down* the log is damage
+    /// — which also bounds the walk on a page that does not hold what it
+    /// should.
     fn walk_from(
         &self,
         probe: &[u8],
         mut visit: impl FnMut(SortEntryRef<'_>) -> bool,
     ) -> Result<(), DbError> {
-        let mut buf = vec![0u8; self.log.flash().geometry().page_size];
-        let mut leaf = self.descend(probe, &mut buf)?;
+        let mut scratch = Vec::new();
+        let mut page = self.root_page;
         loop {
-            let page = TreePage::parse(&buf).ok_or(CORRUPT)?;
-            if !page.entries().all(&mut visit) {
-                return Ok(());
+            let next = self.log.get_with(page, &mut scratch, |_, rec| {
+                let node = TreePage::parse(rec)
+                    .filter(|node| (node.kind == LEAF) == (page < self.num_leaves))
+                    .ok_or(CORRUPT)?;
+                if node.kind == LEAF {
+                    let more = node.entries().all(&mut visit);
+                    return Ok(Some(page + 1).filter(|&next| more && next < self.num_leaves));
+                }
+                // Toward the *first* occurrence of the probe: the rightmost
+                // child whose separator is strictly below it, the first child
+                // when none is. (With duplicated keys, several consecutive
+                // separators can equal the probe; the first occurrence lives
+                // in the child just before them.)
+                let mut child = None;
+                for (i, (key, ptr)) in node.entries().enumerate() {
+                    if i == 0 || key < probe {
+                        child = Some(ptr);
+                    }
+                }
+                child.filter(|&child| child < page).map(Some).ok_or(CORRUPT)
+            })??;
+            match next {
+                Some(next) => page = next,
+                None => return Ok(()),
             }
-            leaf += 1;
-            if leaf >= self.num_leaves {
-                return Ok(());
-            }
-            self.log.read_raw_page(leaf, &mut buf)?;
         }
     }
 
@@ -330,7 +317,7 @@ impl TreeIndex {
             _ram: ram.reserve(page_size)?,
             tree: self,
             next_leaf: 0,
-            page: vec![0u8; page_size],
+            page: Vec::new(),
             current: Vec::new().into_iter(),
         })
     }
@@ -361,12 +348,13 @@ pub(crate) struct TreeEntries<'a> {
 impl TreeEntries<'_> {
     /// Read leaf `leaf` and own its entries.
     fn load(&mut self, leaf: u32) -> Result<Vec<SortEntry>, DbError> {
-        self.tree.log.read_raw_page(leaf, &mut self.page)?;
-        let page = TreePage::parse(&self.page).ok_or(CORRUPT)?;
-        Ok(page
-            .entries()
-            .map(|(k, rowid)| (k.to_vec(), rowid))
-            .collect())
+        self.tree.log.get_with(leaf, &mut self.page, |_, rec| {
+            let page = TreePage::parse(rec).ok_or(CORRUPT)?;
+            Ok(page
+                .entries()
+                .map(|(k, rowid)| (k.to_vec(), rowid))
+                .collect())
+        })?
     }
 }
 
@@ -397,6 +385,7 @@ impl Iterator for TreeEntries<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pds_flash::FlashError;
 
     fn flash() -> Flash {
         Flash::small(512)
@@ -421,17 +410,16 @@ mod tests {
     }
 
     /// `descend` + `lookup` as they stood before pages were walked in
-    /// place, kept verbatim over the owned decoder.
+    /// place, kept verbatim over the owned decoder but for the page read,
+    /// now a record fetch.
     fn reference_lookup(tree: &TreeIndex, key: &[u8]) -> Result<Vec<RowId>, DbError> {
-        fn descend(
-            tree: &TreeIndex,
-            probe: &[u8],
-            buf: &mut [u8],
-        ) -> Result<(u32, Vec<SortEntry>), DbError> {
+        fn descend(tree: &TreeIndex, probe: &[u8]) -> Result<(u32, Vec<SortEntry>), DbError> {
             let mut page = tree.root_page;
             loop {
-                tree.log.read_raw_page(page, buf)?;
-                let (kind, entries) = decode_entries(buf).ok_or(DbError::Corrupt("tree page"))?;
+                let buf = tree
+                    .log
+                    .get_with(page, &mut Vec::new(), |_, rec| rec.to_vec())?;
+                let (kind, entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
                 if kind == LEAF {
                     return Ok((page, entries));
                 }
@@ -448,8 +436,7 @@ mod tests {
         if tree.num_leaves == 0 {
             return Ok(Vec::new());
         }
-        let mut buf = vec![0u8; tree.log.flash().geometry().page_size];
-        let (mut leaf, mut leaf_entries) = descend(tree, key, &mut buf)?;
+        let (mut leaf, mut leaf_entries) = descend(tree, key)?;
         let mut hits = Vec::new();
         loop {
             let mut passed_key = false;
@@ -467,7 +454,9 @@ mod tests {
             if passed_key || leaf >= tree.num_leaves {
                 break;
             }
-            tree.log.read_raw_page(leaf, &mut buf)?;
+            let buf = tree
+                .log
+                .get_with(leaf, &mut Vec::new(), |_, rec| rec.to_vec())?;
             (_, leaf_entries) = decode_entries(&buf).ok_or(DbError::Corrupt("tree page"))?;
         }
         Ok(hits)
@@ -525,7 +514,7 @@ mod tests {
                 for (key, ptr) in entries {
                     assert_eq!(packer.push(|out| write_entry(out, key, *ptr)), Ok(true));
                 }
-                packer.with_image(<[u8]>::to_vec)
+                packer.image().to_vec()
             },
             |page| {
                 let got = TreePage::parse(page).map(|view| {
@@ -674,6 +663,32 @@ mod tests {
         let reads = f.stats().page_reads;
         // height-1 internals + ~201/keys_per_leaf leaves + 1 overshoot.
         assert!(reads < 15, "range scan cost {reads}");
+    }
+
+    #[test]
+    fn the_largest_entry_a_page_takes_is_one_page_and_one_byte_more_is_refused() {
+        // A 512-byte page holds a 504-byte record; 3 bytes of kind and
+        // count leave 501 for an entry of 2 klen + key + 4 rowid.
+        let f = flash();
+        let key = |len: usize| vec![7u8; len];
+        let tree = TreeIndex::build(&f, &ram(), [(key(495), 9)].into_iter()).unwrap();
+        // One record, one page: nothing split across two.
+        assert_eq!((tree.num_pages(), tree.log.num_records()), (1, 1));
+        assert_eq!(tree.lookup_cost(&key(495)).unwrap(), 1);
+        assert_eq!(tree.lookup(&key(495)).unwrap(), vec![9]);
+        let free = f.free_blocks();
+        let err = TreeIndex::build(&f, &ram(), [(key(496), 1)].into_iter()).err();
+        assert!(
+            matches!(
+                err,
+                Some(DbError::Flash(FlashError::RecordTooLarge {
+                    len: 502,
+                    max: 501
+                }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(f.free_blocks(), free, "a refused build leaves no block");
     }
 
     #[test]

@@ -536,6 +536,9 @@ impl LogWriter {
 
     /// Program a raw, caller-laid-out page and return its page index.
     /// Flushes any partial record page first so ordering is preserved.
+    /// A raw page has no CRC, so its decoder is its only guard: its one
+    /// caller crate is pds-search, whose queries read ≈ 150 bucket pages
+    /// each (ROADMAP item 20). Elsewhere a page is one page-filling record.
     pub fn append_raw_page(&mut self, page: &[u8]) -> Result<u32> {
         self.flush()?;
         let geo = self.flash.geometry();
@@ -603,7 +606,7 @@ impl LogWriter {
         let count = match scratch.get(..2) {
             Some(&[lo, hi]) if held => u16::from_le_bytes([lo, hi]),
             _ => {
-                scratch.resize(self.buf.len(), 0);
+                scratch.resize(self.flash.geometry().page_size, 0);
                 read_page(&self.flash, addr, scratch, &self.retries)?
             }
         };
@@ -818,12 +821,8 @@ impl LogWriter {
     /// Seal the log: flush the tail and freeze it into an immutable [`Log`].
     pub fn seal(mut self) -> Result<Log> {
         self.flush()?;
-        Ok(Log {
-            flash: self.flash.clone(),
-            blocks: std::mem::take(&mut self.blocks),
-            pages: self.pages,
-            records: self.num_records(),
-        })
+        self.buf = Vec::new();
+        Ok(Log { w: self })
     }
 
     /// Abandon the log, returning every block to the pool.
@@ -1153,20 +1152,18 @@ pub struct RecoveryReport {
     pub refused: bool,
 }
 
-/// An immutable, sealed log.
+/// An immutable, sealed log: a flushed [`LogWriter`] that gave its RAM
+/// page buffer back, since nothing is appended to it.
 pub struct Log {
-    flash: Flash,
-    blocks: Vec<BlockId>,
-    pages: u32,
-    records: u64,
+    w: LogWriter,
 }
 
 impl std::fmt::Debug for Log {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Log")
-            .field("pages", &self.pages)
-            .field("records", &self.records)
-            .field("blocks", &self.blocks.len())
+            .field("pages", &self.w.pages)
+            .field("records", &self.w.records)
+            .field("blocks", &self.w.blocks.len())
             .finish()
     }
 }
@@ -1174,42 +1171,39 @@ impl std::fmt::Debug for Log {
 impl Log {
     /// Number of pages in the log.
     pub fn num_pages(&self) -> u32 {
-        self.pages
+        self.w.pages
     }
 
     /// Number of records in the log.
     pub fn num_records(&self) -> u64 {
-        self.records
-    }
-
-    /// Number of erase blocks the log occupies.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.w.num_records()
     }
 
     /// The erase blocks the log occupies, in log order (the durable
     /// identity — see [`LogWriter::blocks`]).
     pub fn blocks(&self) -> &[BlockId] {
-        &self.blocks
+        &self.w.blocks
     }
 
     /// The flash device this log lives on.
     pub fn flash(&self) -> &Flash {
-        &self.flash
+        &self.w.flash
     }
 
     /// Physical address of the `i`-th page.
     pub fn page_addr(&self, i: u32) -> Result<PageAddr> {
-        let geo = self.flash.geometry();
-        geo.log_page(&self.blocks, i)
-            .filter(|_| i < self.pages)
-            .ok_or(FlashError::BadRecordAddr)
+        self.w.page_addr(i)
     }
 
-    /// Read the raw bytes of page `i` (one page I/O).
-    pub fn read_raw_page(&self, i: u32, buf: &mut [u8]) -> Result<()> {
-        let addr = self.page_addr(i)?;
-        self.flash.read_page(addr, buf)
+    /// Fetch one record by ordinal, verified, and hand it to `f` where it
+    /// lies — [`LogWriter::get_with`].
+    pub fn get_with<T>(
+        &self,
+        ordinal: u32,
+        scratch: &mut Vec<u8>,
+        f: impl FnOnce(u32, &[u8]) -> T,
+    ) -> Result<T> {
+        self.w.get_with(ordinal, scratch, f)
     }
 
     /// Sequential reader over the whole log with a single-page RAM window.
@@ -1217,7 +1211,7 @@ impl Log {
         LogReader {
             log: self,
             next_page: 0,
-            buf: vec![0u8; self.flash.geometry().page_size],
+            buf: vec![0u8; self.flash().geometry().page_size],
             records: Assembler::default(),
             current: Vec::new(),
             current_idx: 0,
@@ -1226,9 +1220,7 @@ impl Log {
 
     /// Reclaim the log: every block returns to the pool at once.
     pub fn reclaim(self) {
-        for b in &self.blocks {
-            self.flash.free_block(*b);
-        }
+        self.w.discard();
     }
 }
 
@@ -1249,7 +1241,7 @@ impl LogReader<'_> {
     /// on it into `current`.
     fn advance(&mut self) -> Result<()> {
         let addr = self.log.page_addr(self.next_page)?;
-        let count = read_page(&self.log.flash, addr, &mut self.buf, &Cell::default())?;
+        let count = read_page(self.log.flash(), addr, &mut self.buf, &Cell::default())?;
         let mut ended = Vec::new();
         for chunk in Chunks::new(&self.buf, count) {
             if let Some(rec) = self.records.feed(chunk) {
@@ -1503,10 +1495,7 @@ mod tests {
         // Ordinals count records, whatever else shares the log.
         assert_eq!(w.get(0).unwrap(), b"rec0");
         assert_eq!(w.get(1).unwrap(), b"rec1");
-        let log = w.seal().unwrap();
-        let mut buf = vec![0u8; f.geometry().page_size];
-        log.read_raw_page(raw_idx, &mut buf).unwrap();
-        assert_eq!(buf, page);
+        assert_eq!(raw_page(&w, raw_idx), page);
     }
 
     /// The bit-at-a-time CRC the table replaced, kept as the reference.
@@ -1805,7 +1794,7 @@ mod tests {
         let f = flash();
         let log = f.new_log().seal().unwrap();
         assert_eq!(log.num_pages(), 0);
-        assert_eq!(log.num_blocks(), 0);
+        assert_eq!(log.blocks().len(), 0);
         assert_eq!(log.reader().count(), 0);
     }
 
