@@ -1,6 +1,7 @@
 //! E15 — fleet-trace critical path vs connectivity.
 //!
-//! The stitched causal trace (`pds-fleet`'s `FleetTraceBuilder`) makes
+//! The stitched causal trace (`pds-fleet`'s `FleetTraceBuilder`, asked
+//! for by running the round inside a `pds_obs::trace::trace` scope) makes
 //! the \[TNP14\] round's *causal* cost measurable: per phase, the
 //! straggler hop whose delivery landed last, in bus ticks. E15 sweeps
 //! connectivity and watches the critical path stretch — weakly-connected
@@ -13,6 +14,7 @@
 use pds_fleet::{build_fleet, fleet_secure_aggregation, FleetConfig, OnTamper};
 use pds_global::ssi::SsiThreat;
 use pds_global::GroupByQuery;
+use pds_obs::FleetTrace;
 
 use crate::table::Table;
 
@@ -35,23 +37,25 @@ pub struct E15Point {
     pub exact: bool,
 }
 
-/// Run one traced aggregation and reduce its stitched trace.
+/// Run one aggregation inside a trace scope and reduce the trace it
+/// stitched there.
 pub fn measure(connectivity: f64) -> E15Point {
     let mut cfg = FleetConfig::new(64, 4, 0xE15);
     cfg.partition_size = 16;
-    cfg.trace = true;
     cfg.bus.connectivity = connectivity;
     let query = GroupByQuery::bank_by_category();
     let mut fleet = build_fleet(&cfg, &query).expect("fleet build");
-    let rep = fleet_secure_aggregation(
-        &cfg,
-        &query,
-        &mut fleet,
-        SsiThreat::HonestButCurious,
-        OnTamper::Abort,
-    )
-    .expect("fleet aggregation");
-    let trace = rep.trace.expect("trace requested");
+    let (rep, scope) = pds_obs::trace::trace("e15", || {
+        fleet_secure_aggregation(
+            &cfg,
+            &query,
+            &mut fleet,
+            SsiThreat::HonestButCurious,
+            OnTamper::Abort,
+        )
+    });
+    let rep = rep.expect("fleet aggregation");
+    let trace = FleetTrace::new(scope.find("fleet.agg").expect("stitched").clone());
     let cp = trace.critical_path();
     E15Point {
         connectivity,

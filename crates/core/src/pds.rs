@@ -497,7 +497,8 @@ impl Pds {
         })
     }
 
-    /// Policy-gated full-text search.
+    /// Policy-gated full-text search. In a caller's `pds_obs::trace::trace`
+    /// scope its span tree lands there: a [`pds_obs::QueryTrace`].
     pub fn search(
         &mut self,
         ctx: &AccessContext,
@@ -507,19 +508,6 @@ impl Pds {
         self.search_in(ctx, None, keywords, n)
     }
 
-    /// [`search`](Self::search) plus the full [`pds_obs::QueryTrace`] of
-    /// the request — the "explain" view the experiments check against the
-    /// paper's I/O and RAM budgets.
-    pub fn search_traced(
-        &mut self,
-        ctx: &AccessContext,
-        keywords: &[&str],
-        n: usize,
-    ) -> (Result<Vec<SearchHit>, PdsError>, pds_obs::QueryTrace) {
-        let (res, span) = pds_obs::trace::trace("pds.traced", || self.search(ctx, keywords, n));
-        (res, pds_obs::QueryTrace::new(span))
-    }
-
     /// Policy-gated document fetch.
     pub fn get_document(&mut self, ctx: &AccessContext, docid: u32) -> Result<Vec<u8>, PdsError> {
         self.get_document_in(ctx, None, docid)
@@ -527,7 +515,10 @@ impl Pds {
 
     /// Policy-gated relational selection. Retention is enforced per row:
     /// rows older than the requester's grant are silently filtered — the
-    /// requester cannot even learn they exist.
+    /// requester cannot even learn they exist. In a caller's
+    /// `pds_obs::trace::trace` scope its span tree lands there: the
+    /// [`pds_obs::QueryTrace`] "explain" view the experiments check
+    /// against the paper's I/O and RAM budgets.
     pub fn select(
         &mut self,
         ctx: &AccessContext,
@@ -550,17 +541,6 @@ impl Pds {
             pds.gate(ctx, "create_index", table, |meta| ctx.subject == meta.owner)?;
             Ok(pds.db.create_index(table, column)?)
         })
-    }
-
-    /// [`select`](Self::select) plus the request's [`pds_obs::QueryTrace`].
-    pub fn select_traced(
-        &mut self,
-        ctx: &AccessContext,
-        table: &str,
-        pred: &Predicate,
-    ) -> (Result<Vec<Row>, PdsError>, pds_obs::QueryTrace) {
-        let (res, span) = pds_obs::trace::trace("pds.traced", || self.select(ctx, table, pred));
-        (res, pds_obs::QueryTrace::new(span))
     }
 
     /// Policy-gated local aggregation: `SUM(column)` over rows matching

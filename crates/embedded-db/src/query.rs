@@ -1227,6 +1227,41 @@ mod tests {
     }
 
     #[test]
+    fn an_index_no_tree_can_hold_leaves_the_column_as_it_was() {
+        // 300-byte values: a leaf takes one entry and an internal page
+        // one separator, so the tree's levels never shrink.
+        let f = Flash::small(512);
+        let mut db = Database::new(&f, &RamBudget::new(64 * 1024));
+        let schema = Schema::new(&[("s", ColumnType::Str)]);
+        db.create_table("T", schema).unwrap();
+        db.create_index("T", "s").unwrap();
+        for i in 0..40 {
+            db.insert("T", vec![Value::Str(format!("{i:0300}"))])
+                .unwrap();
+        }
+        let pred = Predicate::eq("s", Value::Str(format!("{:0300}", 17)));
+        let state = |db: &Database| {
+            let rows = db.select("T", &pred).unwrap();
+            (db.explain("T", &pred).unwrap(), rows, f.free_blocks())
+        };
+        let before = state(&db);
+        assert_eq!(before.0, QueryPlan::SummaryScan);
+        assert_eq!(before.1.len(), 1);
+        let err = db.create_index("T", "s").err();
+        assert!(
+            matches!(
+                err,
+                Some(DbError::Flash(pds_flash::FlashError::RecordTooLarge {
+                    len: 306,
+                    max: 250
+                }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(state(&db), before);
+    }
+
+    #[test]
     fn index_maintained_on_insert() {
         let mut db = db_with_customers(10);
         db.create_index("CUSTOMER", "city").unwrap();

@@ -16,7 +16,7 @@
 //! the returned tree, so an interruption at any point simply discards
 //! partial logs and leaves the system as it was — the interruptibility
 //! the tutorial requires. [`Reorganization`] exposes the phase boundary so
-//! tests (and the E2 bench) can interrupt between them.
+//! a test can interrupt between them; E2 runs the whole of [`reorganize`].
 //!
 //! A column index of [`Database`](crate::Database) is a tree generation
 //! plus the PBFilter *delta* its later inserts go to. The next

@@ -106,6 +106,11 @@ impl PagePacker {
         self.count_at + COUNT_LEN
     }
 
+    /// Bytes an empty page has for entries.
+    pub fn room(&self) -> usize {
+        self.capacity - self.header()
+    }
+
     /// Would an entry of `len` bytes still fit?
     pub fn fits(&self, len: usize) -> bool {
         self.image.len() + len <= self.capacity
@@ -121,7 +126,7 @@ impl PagePacker {
         let len = self.image.len() - start;
         if self.image.len() > self.capacity {
             self.image.truncate(start);
-            let max = self.capacity - self.header();
+            let max = self.room();
             return if len > max {
                 Err(FlashError::RecordTooLarge { len, max })
             } else {

@@ -26,7 +26,7 @@
 //! descent and the leaf walks compare keys as slices of the one page
 //! buffer a lookup holds.
 
-use pds_flash::{Flash, Log, LogWriter};
+use pds_flash::{Flash, FlashError, Log, LogWriter};
 use pds_mcu::{RamBudget, Reservation};
 use pds_obs::wire::Reader;
 
@@ -187,14 +187,27 @@ impl TreeIndex {
         let mut height = 1u32;
         while level.num_records() > 1 {
             height += 1;
+            let below = level.num_records();
+            let mut widest = 0;
             let mut internals = LevelBuilder::new(tree, INTERNAL);
             let pushed = level.reader().try_for_each(|rec| {
-                let (key, child) = decode_entry(&rec?).ok_or(DbError::Corrupt("level log"))?;
+                let rec = rec?;
+                widest = widest.max(rec.len());
+                let (key, child) = decode_entry(&rec).ok_or(DbError::Corrupt("level log"))?;
                 internals.push(tree, key, child)
             });
             let closed = pushed.and_then(|()| internals.close_page(tree));
+            let room = internals.packer.room();
             level.reclaim();
             level = seal_or_discard(internals.above, closed)?;
+            // A level whose pages each took one separator is no smaller
+            // than the one below, nor would any level above it be: its
+            // widest separator is more than half a page.
+            if level.num_records() >= below {
+                level.reclaim();
+                let max = room / 2;
+                return Err(FlashError::RecordTooLarge { len: widest, max }.into());
+            }
         }
         // The single record of the last level points at the root page.
         let root_page = match level.reader().next() {
@@ -385,7 +398,6 @@ impl Iterator for TreeEntries<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_flash::FlashError;
 
     fn flash() -> Flash {
         Flash::small(512)
@@ -689,6 +701,37 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(f.free_blocks(), free, "a refused build leaves no block");
+    }
+
+    #[test]
+    fn a_level_of_one_separator_a_page_is_refused_before_the_next() {
+        // 495-byte keys: one entry fills a 512-byte leaf and one
+        // separator an internal page, so no level above the leaves is
+        // ever smaller than the one below it.
+        let f = flash();
+        let entries = (0..40u32).map(|i| {
+            let mut key = vec![7u8; 495];
+            key[491..].copy_from_slice(&i.to_be_bytes());
+            (key, i)
+        });
+        let free = f.free_blocks();
+        f.reset_stats();
+        let err = TreeIndex::build(&f, &ram(), entries).err();
+        assert!(
+            matches!(
+                err,
+                Some(DbError::Flash(FlashError::RecordTooLarge {
+                    len: 501,
+                    max: 250
+                }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(f.free_blocks(), free, "a refused build leaves no block");
+        // The 40 leaves and the 40 pages of the level above, each page's
+        // separator on a level log: nothing past the first level.
+        let programs = f.stats().page_programs;
+        assert!(programs <= 2 * (40 + 40), "{programs} page programs");
     }
 
     #[test]

@@ -67,7 +67,7 @@ use pds_global::ssi::{Leakage, Ssi, SsiThreat};
 use pds_global::{GlobalError, GroupByQuery, ProtocolStats};
 use pds_obs::rng::{SeedableRng, StdRng};
 use pds_obs::wire::{put_prefixed32, Reader};
-use pds_obs::{FleetTrace, MetricsDelta};
+use pds_obs::MetricsDelta;
 
 use crate::bus::{mix, Addr, BusConfig, BusMsg, BusStats, MailboxBus};
 use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost, Visit};
@@ -136,9 +136,6 @@ pub struct FleetConfig {
     /// What eviction does to a token's state (ignored while the fleet
     /// fits under the cap).
     pub evict: EvictPolicy,
-    /// Stitch a causal [`FleetTrace`] of the run (per-token spans, per
-    /// message hop histories, critical path in bus ticks).
-    pub trace: bool,
     /// Run the in-band telemetry plane: every token mails its metric
     /// deltas over this same bus to the collector role, which folds
     /// them into tick-indexed rollups and a [`FleetHealth`] verdict
@@ -160,7 +157,6 @@ impl FleetConfig {
             link_latency_us: 0,
             resident_cap: None,
             evict: EvictPolicy::Hibernate,
-            trace: false,
             telemetry: None,
             bus: BusConfig {
                 seed,
@@ -271,8 +267,6 @@ pub struct FleetAggReport {
     pub leakage: Leakage,
     /// Tokens that received the final result in the distribution phase.
     pub result_coverage: usize,
-    /// The stitched causal trace of the run ([`FleetConfig::trace`]).
-    pub trace: Option<FleetTrace>,
     /// What the in-band telemetry plane observed
     /// ([`FleetConfig::telemetry`]).
     pub telemetry: Option<TelemetrySummary>,
@@ -473,7 +467,8 @@ impl Serving {
 
 /// Run the \[TNP14\] secure aggregation protocol over an already-built
 /// fleet. The scheduler must have been built by [`build_fleet`] with
-/// the same `cfg` and `query`.
+/// the same `cfg` and `query`. Run inside a `pds_obs::trace::trace`
+/// scope, it records its stitched `fleet.agg` trace there.
 pub fn fleet_secure_aggregation(
     cfg: &FleetConfig,
     query: &GroupByQuery,
@@ -490,7 +485,7 @@ pub fn fleet_secure_aggregation(
     let mut stats = ProtocolStats::default();
     let sched0 = fleet.stats();
     let mut phase_ticks: Vec<(String, u64)> = Vec::new();
-    let mut ftb = FleetTraceBuilder::new("fleet.agg", cfg.seed, cfg.trace);
+    let mut ftb = FleetTraceBuilder::new("fleet.agg", cfg.seed);
     // No worker-count attribute: the stitched trace must be
     // bit-identical no matter how the fleet was sharded.
     ftb.set("tokens", cfg.tokens);
@@ -731,6 +726,7 @@ pub fn fleet_secure_aggregation(
         },
     )?;
     ftb.end_phase(&mut bus, fleet.take_spans());
+    ftb.finish();
     phase_ticks.push(("distribute".to_string(), bus.now() - tick0));
     pds_obs::histogram("fleet.phase.distribute_us").observe(phase0.elapsed().as_micros() as u64);
 
@@ -794,7 +790,6 @@ pub fn fleet_secure_aggregation(
         phase_ticks,
         leakage: ssi.leakage(),
         result_coverage,
-        trace: cfg.trace.then(|| ftb.finish()),
         telemetry,
         elapsed,
     })
@@ -860,11 +855,10 @@ mod tests {
 
     #[test]
     fn traced_run_stitches_phases_and_keeps_the_result() {
-        let (mut cfg, q) = small_cfg(3);
-        cfg.trace = true;
-        let rep = run(&cfg, &q);
+        let (cfg, q) = small_cfg(3);
+        let (rep, scope) = pds_obs::trace::trace("caller", || run(&cfg, &q));
         assert_eq!(rep.result, rep.expected);
-        let t = rep.trace.expect("trace requested");
+        let t = pds_obs::FleetTrace::new(scope.find("fleet.agg").expect("stitched").clone());
         let phases = t.phases();
         assert!(phases.len() >= 3, "collect + reduce rounds + distribute");
         assert_eq!(phases[0].name, "phase.collect");
@@ -878,6 +872,14 @@ mod tests {
                 .len(),
             24
         );
+    }
+
+    #[test]
+    fn a_round_outside_any_scope_leaves_no_tree_in_the_scheduler() {
+        let (cfg, q) = small_cfg(3);
+        let mut fleet = build_fleet(&cfg, &q).unwrap();
+        run_on(&cfg, &q, &mut fleet);
+        assert!(fleet.take_spans().is_empty());
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pds_core::{CloudStore, PdsError};
-use pds_obs::FleetTrace;
 use pds_sync::{serve_cloud, CellMsg, CellSyncReport, TrustedCell};
 
 use crate::agg::derived_rng;
@@ -155,23 +154,16 @@ impl CellNet {
     }
 
     /// One synchronization round: request → serve → reconcile, all
-    /// token↔cloud traffic on the bus.
+    /// token↔cloud traffic on the bus. Run inside a
+    /// `pds_obs::trace::trace` scope, it records there a stitched
+    /// `fleet.sync` trace: per-cell `token.N` spans in the
+    /// request/reconcile phases and the full hop history of every message
+    /// the round moved.
     pub fn sync_round(&mut self) -> Result<CellSyncReport, PdsError> {
-        Ok(self.sync_round_inner(false)?.0)
-    }
-
-    /// [`CellNet::sync_round`] with a stitched causal [`FleetTrace`]:
-    /// per-cell `token.N` spans in the request/reconcile phases and the
-    /// full hop history of every message the round moved.
-    pub fn sync_round_traced(&mut self) -> Result<(CellSyncReport, FleetTrace), PdsError> {
-        self.sync_round_inner(true)
-    }
-
-    fn sync_round_inner(&mut self, traced: bool) -> Result<(CellSyncReport, FleetTrace), PdsError> {
         let round = self.round;
         self.round += 1;
         let mut delta = CellSyncReport::default();
-        let mut ftb = FleetTraceBuilder::new("fleet.sync", self.cfg.seed, traced);
+        let mut ftb = FleetTraceBuilder::new("fleet.sync", self.cfg.seed);
         ftb.set("cells", self.cfg.cells);
         ftb.set("round", u64::from(round));
         ftb.set("seed", self.cfg.seed);
@@ -248,7 +240,8 @@ impl CellNet {
         pds_obs::counter("fleet.cells.pushed").add(u64::from(delta.pushed));
         pds_obs::counter("fleet.cells.pulled").add(u64::from(delta.pulled));
         pds_obs::counter("fleet.cells.unchanged").add(u64::from(delta.unchanged));
-        Ok((delta, ftb.finish()))
+        ftb.finish();
+        Ok(delta)
     }
 
     /// Run up to `rounds` sync rounds, stopping early once a round moved
@@ -340,7 +333,9 @@ mod tests {
     fn traced_round_shows_request_serve_reconcile() {
         let mut n = net(4, 2, 9);
         n.write(1, "notes", b"hello");
-        let (_, t) = n.sync_round_traced().unwrap();
+        let (rep, scope) = pds_obs::trace::trace("caller", || n.sync_round());
+        rep.unwrap();
+        let t = pds_obs::FleetTrace::new(scope.find("fleet.sync").expect("stitched").clone());
         let names: Vec<&str> = t.phases().iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["phase.request", "phase.serve", "phase.reconcile"]);
         assert!(t.total_ticks() > 0);
@@ -349,6 +344,14 @@ mod tests {
             .phases()
             .iter()
             .any(|p| p.children.iter().any(|c| c.name.starts_with("hop."))));
+    }
+
+    #[test]
+    fn a_round_outside_any_scope_records_no_hop() {
+        let mut n = net(4, 2, 9);
+        n.write(1, "notes", b"hello");
+        n.sync_round().unwrap();
+        assert!(n.bus.take_hops().is_empty());
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   batches and wakes only the tokens that have mail or a phase
 //!   obligation, evicting least-recently-woken state to flash
 //!   snapshots so resident RAM stays bounded at 100k+ tokens. It is the
-//!   only token-hosting runtime: [`TokenPool`] is the scheduler with a
-//!   cap that covers the fleet (phase barriers over an always-resident
-//!   fleet), hosting the Trusted-Cells sync network. Under it sits a
+//!   only runtime that hosts tokens on worker threads: [`TokenPool`] is
+//!   the scheduler with a cap that covers the fleet (phase barriers over
+//!   an always-resident fleet), hosting the Trusted-Cells sync network;
+//!   [`SubNet`] keeps its few PDSs on the driver thread. Under it sits a
 //!   private shard-thread substrate (`shards.rs`): spawn, job channel,
 //!   the trace scope around a token's turn, join on drop.
 //! * [`agg`] / [`cellnet`] — \[TNP14\] secure aggregation and the
@@ -48,14 +49,16 @@
 //!   bounded memory, and feed a declarative health engine whose
 //!   [`FleetHealth`] verdict is bit-identical
 //!   at any worker count.
-//! * [`trace`] — the **fleet-trace stitcher**: with `FleetConfig::trace`
-//!   on, each token's turn runs in a `pds_obs::trace::trace` scope on
-//!   its worker, the tree comes back beside the turn's result, and the
-//!   driver stitches the trees and every bus message's hop history into
-//!   one causal [`FleetTrace`](pds_obs::FleetTrace) per round —
-//!   per-phase straggler hops (the critical path, in bus ticks) and
-//!   per-token flash/RAM attribution, bit-for-bit identical at any
-//!   worker count. Untraced, a token's spans are inert guards.
+//! * [`trace`] — the **fleet-trace stitcher**: run a driver inside a
+//!   `pds_obs::trace::trace` scope and each token's turn runs in a scope
+//!   of its own on its worker, the tree comes back beside the turn's
+//!   result, and the driver stitches the trees and every bus message's
+//!   hop history into one causal [`FleetTrace`](pds_obs::FleetTrace)
+//!   per round, recorded into the caller's scope — per-phase straggler
+//!   hops (the critical path, in bus ticks) and per-token flash/RAM
+//!   attribution, bit-for-bit identical at any worker count. With no
+//!   scope open nothing is stitched and a token's spans are inert
+//!   guards.
 //!
 //! The determinism contract threaded through all of it: every random
 //! decision is a derived hash stream — per-token data and encryption

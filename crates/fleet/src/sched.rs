@@ -512,7 +512,6 @@ impl<H: TokenHost> FleetScheduler<H> {
                 .or_default()
                 .push((i, mail));
         }
-        let traced = ctx.is_some();
         let (out_tx, out_rx) = channel::<(Vec<Turn<R>>, Vec<(usize, Revival)>)>();
         let mut expect = 0usize;
         for (shard_idx, batch) in per_shard {
@@ -530,7 +529,7 @@ impl<H: TokenHost> FleetScheduler<H> {
                         slot,
                         revival: None,
                     };
-                    turns.push(token_turn(traced, i, || f(i, &mut visit, mail)));
+                    turns.push(token_turn(ctx, i, || f(i, &mut visit, mail)));
                     if let Some(how) = visit.revival {
                         revived.push((i, how));
                     }

@@ -10,7 +10,7 @@
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
-use pds_obs::{AttrValue, FinishedSpan};
+use pds_obs::{AttrValue, FinishedSpan, TraceContext};
 
 use crate::sched::FleetError;
 
@@ -81,12 +81,12 @@ impl<S> Drop for ShardThreads<S> {
 pub(crate) type Turn<R> = (usize, R, Option<FinishedSpan>);
 
 /// Run token (or cell) `i`'s turn of a phase. When the phase is traced
-/// the turn runs inside a `token.i` scope, so every instrumented layer
-/// `f` calls into (flash IO counters, RAM high-water) records beneath
-/// it, and the tree comes back beside the result for the shard to return
-/// on its result channel. Untraced, this is exactly `f()`.
-pub(crate) fn token_turn<R>(traced: bool, i: usize, f: impl FnOnce() -> R) -> Turn<R> {
-    if !traced {
+/// (`ctx` is `Some`) the turn runs inside a `token.i` scope, so every
+/// instrumented layer `f` calls into (flash IO counters, RAM high-water)
+/// records beneath it, and the tree comes back beside the result for the
+/// shard to return on its result channel. Untraced, this is `f()`.
+pub(crate) fn token_turn<R>(ctx: Option<TraceContext>, i: usize, f: impl FnOnce() -> R) -> Turn<R> {
+    if ctx.is_none() {
         return (i, f(), None);
     }
     let (out, mut tree) = pds_obs::trace::trace(&format!("token.{i}"), f);

@@ -26,7 +26,6 @@ use pds_core::data::BANK_TABLE;
 use pds_core::{Pds, PdsError, Predicate, ReopenReport, Row, Value};
 use pds_obs::rng::RngCore;
 use pds_obs::wire::Reader;
-use pds_obs::FleetTrace;
 
 use pds_crypto::{Ciphertext, SymmetricKey};
 
@@ -166,26 +165,16 @@ impl SubNet {
         self.pds[i].as_mut().ok_or_else(token_down)
     }
 
-    /// One round: write → poll → deliver.
+    /// One round: write → poll → deliver. Run inside a
+    /// `pds_obs::trace::trace` scope, it records there a stitched
+    /// `fleet.subs` trace of the three phases and the hop history of
+    /// every delta the round moved — no `token.N` trees: the tokens live
+    /// on the driver's thread.
     pub fn round(&mut self) -> Result<SubRoundReport, PdsError> {
-        Ok(self.round_inner(false)?.0)
-    }
-
-    /// [`SubNet::round`] with a stitched causal [`FleetTrace`]: the
-    /// write, poll and deliver phases plus the hop history of every
-    /// delta the round moved.
-    pub fn round_traced(&mut self) -> Result<(SubRoundReport, FleetTrace), PdsError> {
-        self.round_inner(true)
-    }
-
-    /// The tokens live on the driver's thread and take their turns
-    /// outside any trace scope: a traced round shows phases and hops, no
-    /// `token.N` trees.
-    fn round_inner(&mut self, traced: bool) -> Result<(SubRoundReport, FleetTrace), PdsError> {
         let round = self.round;
         self.round += 1;
         let mut rep = SubRoundReport::default();
-        let mut ftb = FleetTraceBuilder::new("fleet.subs", self.cfg.seed, traced);
+        let mut ftb = FleetTraceBuilder::new("fleet.subs", self.cfg.seed);
         ftb.set("tokens", self.cfg.tokens);
         ftb.set("round", u64::from(round));
         ftb.set("seed", self.cfg.seed);
@@ -234,7 +223,8 @@ impl SubNet {
         ftb.begin_phase("phase.deliver", &self.bus);
         rep.rows_delivered = self.fold_collector();
         ftb.end_phase(&mut self.bus, Vec::new());
-        Ok((rep, ftb.finish()))
+        ftb.finish();
+        Ok(rep)
     }
 
     /// Drain the collector mailbox into the ledger; returns first
@@ -415,9 +405,18 @@ mod tests {
     #[test]
     fn traced_round_shows_write_poll_deliver() {
         let mut n = SubNet::build(SubNetConfig::new(3, 9)).unwrap();
-        let (_, t) = n.round_traced().unwrap();
+        let (rep, scope) = pds_obs::trace::trace("caller", || n.round());
+        rep.unwrap();
+        let t = pds_obs::FleetTrace::new(scope.find("fleet.subs").expect("stitched").clone());
         let names: Vec<&str> = t.phases().iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["phase.write", "phase.poll", "phase.deliver"]);
+    }
+
+    #[test]
+    fn a_round_outside_any_scope_records_no_hop() {
+        let mut n = SubNet::build(SubNetConfig::new(3, 9)).unwrap();
+        n.round().unwrap();
+        assert!(n.bus.take_hops().is_empty());
     }
 
     #[test]

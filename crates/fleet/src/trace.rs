@@ -4,9 +4,9 @@
 //! worker runs its tokens' turns inside `token.N` trace scopes and
 //! returns the trees beside the results ([`FleetScheduler::take_spans`]),
 //! the bus records per-message [`HopRecord`]s, and at the phase barrier
-//! the driver hands both to [`FleetTraceBuilder::end_phase`]. The builder turns them into the
-//! [`FleetTrace`] conventions (`phase.*` → `token.N` + `hop.N`
-//! children):
+//! the driver hands both to [`FleetTraceBuilder::end_phase`]. The
+//! builder turns them into the [`FleetTrace`](pds_obs::FleetTrace)
+//! conventions (`phase.*` → `token.N` + `hop.N` children):
 //!
 //! * per-token trees are ordered by their `token` attribute (a token's
 //!   own turns stay in the order it took them) and timing-stripped —
@@ -20,13 +20,15 @@
 //!
 //! Every input reaches the builder by being handed to it, on the
 //! driver's thread, so the stitched tree is a pure function of the seed
-//! and two traced runs in one process share nothing. A builder is made
-//! on or off: off, every call is a no-op, so drivers call it
-//! unconditionally.
+//! and two traced runs in one process share nothing. A driver traces
+//! exactly when its caller has a `pds_obs::trace::trace` scope open on
+//! the driver's thread, and [`FleetTraceBuilder::finish`] records the
+//! stitched root there; with none open every call is a no-op, so
+//! drivers call it unconditionally.
 //!
 //! [`FleetScheduler::take_spans`]: crate::FleetScheduler::take_spans
 
-use pds_obs::{AttrValue, FinishedSpan, FleetTrace, TraceContext};
+use pds_obs::{AttrValue, FinishedSpan, TraceContext};
 
 use crate::bus::{HopRecord, MailboxBus};
 
@@ -35,30 +37,28 @@ struct OpenPhase {
     tick_start: u64,
 }
 
-/// Builds one [`FleetTrace`] phase by phase, driven by the (single
-/// threaded) fleet driver between barriers.
+/// Builds one [`FleetTrace`](pds_obs::FleetTrace) phase by phase,
+/// driven by the (single threaded) fleet driver between barriers.
 pub struct FleetTraceBuilder {
     on: bool,
     /// The trace's identity on bus envelopes: the run seed.
     trace_id: u64,
     root: FinishedSpan,
-    next_phase: u64,
     open: Option<OpenPhase>,
 }
 
 impl FleetTraceBuilder {
     /// Start the trace of the run seeded `seed`, rooted at a span named
-    /// `name` (e.g. `fleet.agg`) — or, with `on: false`, a builder that
-    /// records nothing.
-    pub fn new(name: &str, seed: u64, on: bool) -> Self {
+    /// `name` (e.g. `fleet.agg`) — or, with no trace scope open on this
+    /// thread, a builder that records nothing.
+    pub fn new(name: &str, seed: u64) -> Self {
         FleetTraceBuilder {
-            on,
+            on: pds_obs::trace::scope_open(),
             trace_id: seed,
             root: FinishedSpan {
                 name: name.to_string(),
                 ..FinishedSpan::default()
             },
-            next_phase: 0,
             open: None,
         }
     }
@@ -71,21 +71,20 @@ impl FleetTraceBuilder {
     }
 
     /// Open the next phase and return the context its workers and bus
-    /// sends must carry (`None` when the builder is off: the phase is
-    /// not traced). Exactly one phase can be open at a time.
+    /// sends must carry (`None` when nobody asked for the trace: the
+    /// phase is not traced). Exactly one phase can be open at a time.
     pub fn begin_phase(&mut self, name: &str, bus: &MailboxBus) -> Option<TraceContext> {
         if !self.on {
             return None;
         }
         assert!(self.open.is_none(), "previous phase still open");
-        self.next_phase += 1;
         self.open = Some(OpenPhase {
             name: name.to_string(),
             tick_start: bus.now(),
         });
         Some(TraceContext {
             trace_id: self.trace_id,
-            parent_span: self.next_phase,
+            parent_span: self.root.children.len() as u64 + 1,
         })
     }
 
@@ -123,10 +122,13 @@ impl FleetTraceBuilder {
         self.root.children.push(phase);
     }
 
-    /// Finish the trace. Panics if a phase is still open.
-    pub fn finish(self) -> FleetTrace {
+    /// Finish the trace: record the stitched root into the caller's
+    /// scope. Panics if a phase is still open.
+    pub fn finish(self) {
         assert!(self.open.is_none(), "phase still open");
-        FleetTrace::new(self.root)
+        if self.on {
+            pds_obs::trace::record(self.root);
+        }
     }
 }
 
@@ -155,31 +157,41 @@ mod tests {
     use super::*;
     use crate::bus::{Addr, BusConfig};
     use crate::sched::TokenPool;
+    use pds_obs::FleetTrace;
+
+    /// Run `f` inside a caller's scope; the one stitched root it
+    /// recorded there.
+    fn traced(f: impl FnOnce()) -> FleetTrace {
+        let ((), mut scope) = pds_obs::trace::trace("caller", f);
+        assert_eq!(scope.children.len(), 1, "one stitched root");
+        FleetTrace::new(scope.children.remove(0))
+    }
 
     #[test]
     fn builder_stitches_tokens_and_hops_per_phase() {
         let pool = TokenPool::build(4, 2, |i| i).unwrap();
         let mut bus = MailboxBus::new(BusConfig::reliable(11));
-        let mut b = FleetTraceBuilder::new("fleet.test", 11, true);
-        b.set("tokens", 4u64);
+        let t = traced(|| {
+            let mut b = FleetTraceBuilder::new("fleet.test", 11);
+            b.set("tokens", 4u64);
 
-        let ctx = b.begin_phase("phase.collect", &bus);
-        let (_, trees) = pool.map_traced(ctx, |i, _| {
-            let g = pds_obs::trace::span("token.work");
-            g.set("flash.page_reads", (i as u64) + 1);
+            let ctx = b.begin_phase("phase.collect", &bus);
+            let (_, trees) = pool.map_traced(ctx, |i, _| {
+                let g = pds_obs::trace::span("token.work");
+                g.set("flash.page_reads", (i as u64) + 1);
+            });
+            for i in 0..4usize {
+                bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
+            }
+            bus.run_until_quiet(1_000);
+            b.end_phase(&mut bus, trees);
+
+            let ctx = b.begin_phase("phase.reduce.0", &bus);
+            bus.send_in(Addr::Ssi, Addr::Token(0), vec![9], ctx);
+            bus.run_until_quiet(1_000);
+            b.end_phase(&mut bus, Vec::new());
+            b.finish();
         });
-        for i in 0..4usize {
-            bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
-        }
-        bus.run_until_quiet(1_000);
-        b.end_phase(&mut bus, trees);
-
-        let ctx = b.begin_phase("phase.reduce.0", &bus);
-        bus.send_in(Addr::Ssi, Addr::Token(0), vec![9], ctx);
-        bus.run_until_quiet(1_000);
-        b.end_phase(&mut bus, Vec::new());
-
-        let t = b.finish();
         let phases = t.phases();
         assert_eq!(phases.len(), 2);
         assert_eq!(
@@ -222,18 +234,21 @@ mod tests {
                 dup_rate: 0.1,
                 ..Default::default()
             });
-            let mut b = FleetTraceBuilder::new("fleet.test", 21, true);
-            let ctx = b.begin_phase("phase.collect", &bus);
-            let (_, trees) = pool.map_traced(ctx, |i, _| {
-                let g = pds_obs::trace::span("token.work");
-                g.set("token.index", i);
-            });
-            for i in 0..9usize {
-                bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
-            }
-            bus.run_until_quiet(100_000);
-            b.end_phase(&mut bus, trees);
-            b.finish().render()
+            traced(|| {
+                let mut b = FleetTraceBuilder::new("fleet.test", 21);
+                let ctx = b.begin_phase("phase.collect", &bus);
+                let (_, trees) = pool.map_traced(ctx, |i, _| {
+                    let g = pds_obs::trace::span("token.work");
+                    g.set("token.index", i);
+                });
+                for i in 0..9usize {
+                    bus.send_in(Addr::Token(i), Addr::Ssi, vec![i as u8], ctx);
+                }
+                bus.run_until_quiet(100_000);
+                b.end_phase(&mut bus, trees);
+                b.finish();
+            })
+            .render()
         };
         let one = run(1);
         assert!(one.contains("token.8 token=8\n      token.work token.index=8\n"));
@@ -256,12 +271,14 @@ mod tests {
     #[test]
     fn a_phase_of_several_dispatches_is_regrouped_token_by_token() {
         let mut bus = MailboxBus::new(BusConfig::reliable(3));
-        let mut b = FleetTraceBuilder::new("fleet.test", 3, true);
-        b.begin_phase("phase.reduce.0", &bus);
-        // Two dispatches: tokens 5 and 7, then 2 and 5 again.
-        let trees = vec![turn(5, 0), turn(7, 1), turn(2, 2), turn(5, 3)];
-        b.end_phase(&mut bus, trees);
-        let t = b.finish();
+        let t = traced(|| {
+            let mut b = FleetTraceBuilder::new("fleet.test", 3);
+            b.begin_phase("phase.reduce.0", &bus);
+            // Two dispatches: tokens 5 and 7, then 2 and 5 again.
+            let trees = vec![turn(5, 0), turn(7, 1), turn(2, 2), turn(5, 3)];
+            b.end_phase(&mut bus, trees);
+            b.finish();
+        });
         let order: Vec<(u64, u64)> = t.phases()[0]
             .children
             .iter()
@@ -273,15 +290,18 @@ mod tests {
 
     #[test]
     fn an_off_builder_traces_nothing() {
+        // Off: made with no trace scope open on the thread.
         let mut bus = MailboxBus::new(BusConfig::reliable(3));
-        let mut b = FleetTraceBuilder::new("fleet.test", 3, false);
+        let mut b = FleetTraceBuilder::new("fleet.test", 3);
         b.set("tokens", 4u64);
         let ctx = b.begin_phase("phase.collect", &bus);
         assert_eq!(ctx, None, "the phase's workers and sends go untraced");
         bus.send_in(Addr::Token(0), Addr::Ssi, vec![1], ctx);
         bus.run_until_quiet(1_000);
         b.end_phase(&mut bus, Vec::new());
-        let t = b.finish();
-        assert!(t.root.attrs.is_empty() && t.root.children.is_empty());
+        assert!(bus.take_hops().is_empty());
+        // Nobody asked when the run began: a scope opened since gets nothing.
+        let ((), scope) = pds_obs::trace::trace("late", || b.finish());
+        assert!(scope.children.is_empty());
     }
 }

@@ -15,7 +15,8 @@
 //!   [`span!`]) that instrumented layers annotate with I/O deltas, RAM
 //!   peaks and policy decisions; [`trace::trace`], the scope that
 //!   records them for a caller who asked and hands the tree back (with
-//!   none open a guard is inert); and [`trace::QueryTrace`], the
+//!   none open a guard is inert, and a fleet driver stitches nothing);
+//!   and [`trace::QueryTrace`], the
 //!   per-query "explain" report checked against the paper's claimed
 //!   budgets.
 //! * [`delta`] — mergeable metric snapshots ([`delta::MetricsDelta`])

@@ -13,9 +13,10 @@
 //!
 //! A scope lives and dies on one thread, which is exact for the
 //! embedded stack (one secure MCU, one thread) and all a fleet needs
-//! too: a fleet worker opens one scope per token turn and returns the
-//! tree beside the turn's result, and the fleet driver stitches those
-//! trees, in token order, into one [`FleetTrace`] per protocol round.
+//! too: a fleet driver run inside a scope has each worker open one
+//! scope per token turn and return the tree beside the turn's result,
+//! stitches those trees, in token order, into one [`FleetTrace`] root
+//! per protocol round and [`record`]s it into the caller's scope.
 //! Nothing is shared between threads and no id names a trace, so two
 //! traced runs in one process cannot meet. Stitched trees are
 //! timing-stripped ([`FinishedSpan::strip_timing`]) so the assembled
@@ -354,17 +355,27 @@ impl Drop for SpanGuard {
         if self.at.is_none() {
             return;
         }
-        SPANS.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(tree) = s.close(self) {
-                // No parent: a scope's root closed by an unwinding
-                // `trace()` — nobody is left to hand the tree to.
-                if let Some(parent) = s.open.last_mut() {
-                    parent.children.push(tree);
-                }
-            }
-        });
+        // An unwound scope's root has no parent left: `record` drops it.
+        if let Some(tree) = SPANS.with(|s| s.borrow_mut().close(self)) {
+            record(tree);
+        }
     }
+}
+
+/// Whether a [`trace`] scope is open on this thread: whether anything
+/// recorded here reaches a caller.
+pub fn scope_open() -> bool {
+    SPANS.with(|s| !s.borrow().open.is_empty())
+}
+
+/// Record a finished tree as a child of the innermost open span of this
+/// thread; with no scope open it goes nowhere.
+pub fn record(tree: FinishedSpan) {
+    SPANS.with(|s| {
+        if let Some(parent) = s.borrow_mut().open.last_mut() {
+            parent.children.push(tree);
+        }
+    });
 }
 
 /// Run `f` inside a collection scope rooted at a span named `name` and
@@ -375,16 +386,14 @@ pub fn trace<T>(name: &str, f: impl FnOnce() -> T) -> (T, FinishedSpan) {
     // Held across `f` so that an unwind closes the scope too.
     let root = SPANS.with(|s| s.borrow_mut().push(name));
     let out = f();
-    let tree = SPANS.with(|s| {
-        let mut s = s.borrow_mut();
-        // The root is gone only if `f` dropped the guard of a span
-        // enclosing this scope, closing the scope from outside.
-        let tree = s.close(&root).unwrap_or_default();
-        if let Some(parent) = s.open.last_mut() {
-            parent.children.push(tree.clone());
-        }
-        tree
-    });
+    // The root is gone only if `f` dropped the guard of a span enclosing
+    // this scope, closing the scope from outside.
+    let tree = SPANS
+        .with(|s| s.borrow_mut().close(&root))
+        .unwrap_or_default();
+    if scope_open() {
+        record(tree.clone());
+    }
     (out, tree)
 }
 
@@ -781,6 +790,26 @@ mod tests {
         assert_eq!(open_spans(), 0);
         let (_, t) = trace("t", || ());
         assert!(t.children.is_empty() && t.attrs.is_empty());
+        assert_eq!(open_spans(), 0);
+    }
+
+    #[test]
+    fn a_recorded_tree_lands_in_the_innermost_open_span_or_nowhere() {
+        let tree = |name: &str| FinishedSpan {
+            name: name.into(),
+            ..FinishedSpan::default()
+        };
+        assert!(!scope_open());
+        record(tree("nobody.asked"));
+        let (_, root) = trace("caller", || {
+            assert!(scope_open());
+            let _inner = span("inner");
+            record(tree("fleet.agg"));
+        });
+        assert!(!scope_open());
+        assert_eq!(root.children.len(), 1);
+        assert_eq!(root.children[0].name, "inner");
+        assert_eq!(root.children[0].children[0].name, "fleet.agg");
         assert_eq!(open_spans(), 0);
     }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full offline CI gate: format, lint, build, test.
+# The full offline CI gate: format, lint, build, test. Defined once:
+# the CI workflow runs this script as it stands.
 # No network access required — the workspace has zero external deps.
 set -euo pipefail
 cd "$(dirname "$0")/.."

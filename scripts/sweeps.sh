@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The widened seeded sweeps, defined once: `scripts/ci.sh` and the CI
-# workflow both run this script.
+# The widened seeded sweeps, defined once: `scripts/ci.sh` (and so the
+# CI workflow) runs this script.
 #
 # A fixed, larger seed set than the default 48 so every gate run
 # exercises the fault paths broadly — the record log's (single-page

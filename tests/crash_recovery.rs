@@ -14,6 +14,7 @@ use pds::db::mvcc::kind;
 use pds::db::{Hlc, Predicate, Row, Value, DOC_STORE};
 use pds::flash::FaultPlan;
 use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::trace::trace;
 
 /// One wake's forensics and recovery, as [`every_wake_here_is_pinned`]
 /// digests them.
@@ -132,8 +133,9 @@ fn power_loss_mid_ingest_is_survivable() {
             "case {case}: lost durable documents ({report:?})"
         );
         for (table, _) in &report.rows_lost {
-            let (rows, trace) = rec.select_traced(&me, table, &Predicate::eq("day", Value::U64(5)));
-            let plan = trace.root.find("db.select").and_then(|s| s.attr("db.plan"));
+            let day5 = Predicate::eq("day", Value::U64(5));
+            let (rows, root) = trace("pds.traced", || rec.select(&me, table, &day5));
+            let plan = root.find("db.select").and_then(|s| s.attr("db.plan"));
             assert_eq!(
                 plan.and_then(|a| a.as_str()),
                 Some("ordered_scan"),
@@ -256,8 +258,8 @@ fn power_loss_over_the_change_log_keeps_the_causal_prefix() {
         // 3. No phantom: `changes_since` never names an entity the
         //    recovered stores cannot serve.
         for (store, table) in TABLES.iter().enumerate() {
-            let (rows, trace) = rec.select_traced(&me, table, &all_days);
-            let plan = trace.root.find("db.select").and_then(|s| s.attr("db.plan"));
+            let (rows, root) = trace("pds.traced", || rec.select(&me, table, &all_days));
+            let plan = root.find("db.select").and_then(|s| s.attr("db.plan"));
             assert_eq!(
                 plan.and_then(|a| a.as_str()),
                 Some("ordered_scan"),
@@ -584,9 +586,8 @@ fn a_crash_digest_is_folded_exactly_once_across_a_power_cycle_mid_mail() {
 /// The plan the gateway's `db.select` span reports for `pred` on BANK,
 /// and the rows it returned.
 fn traced_bank(pds: &mut Pds, me: &AccessContext, pred: &Predicate) -> (String, Vec<Row>) {
-    let (rows, trace) = pds.select_traced(me, "BANK", pred);
-    let plan = trace
-        .root
+    let (rows, root) = trace("pds.traced", || pds.select(me, "BANK", pred));
+    let plan = root
         .find("db.select")
         .and_then(|s| s.attr("db.plan"))
         .and_then(|a| a.as_str())

@@ -18,6 +18,7 @@ use pds::global::secure_agg::secure_aggregation;
 use pds::global::ssi::{Ssi, SsiThreat};
 use pds::global::{plaintext_groupby, GlobalError, GroupByQuery, Population};
 use pds::obs::rng::{Rng, SeedableRng, StdRng};
+use pds::obs::FleetTrace;
 use pds::sync::TrustedCell;
 
 fn run_fleet(workers: usize, threat: SsiThreat, on_tamper: OnTamper) -> FleetAggReport {
@@ -54,18 +55,19 @@ fn stitched_trace_is_bit_identical_at_1_2_and_8_workers() {
     let run = |workers: usize| {
         let mut cfg = FleetConfig::new(32, workers, 0x7ACE);
         cfg.partition_size = 8;
-        cfg.trace = true;
         let query = GroupByQuery::bank_by_category();
         let mut fleet = build_fleet(&cfg, &query).unwrap();
-        let rep = fleet_secure_aggregation(
-            &cfg,
-            &query,
-            &mut fleet,
-            SsiThreat::HonestButCurious,
-            OnTamper::Abort,
-        )
-        .unwrap();
-        rep.trace.expect("trace requested")
+        let (rep, scope) = pds::obs::trace::trace("caller", || {
+            fleet_secure_aggregation(
+                &cfg,
+                &query,
+                &mut fleet,
+                SsiThreat::HonestButCurious,
+                OnTamper::Abort,
+            )
+        });
+        rep.unwrap();
+        FleetTrace::new(scope.find("fleet.agg").expect("stitched").clone())
     };
     let one = run(1);
     // The rendered report and the JSON line are both byte-exact — the

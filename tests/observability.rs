@@ -7,7 +7,14 @@
 
 use pds::core::{AccessContext, Pds, Purpose};
 use pds::db::{Predicate, Value};
-use pds_obs::budgets;
+use pds_obs::{budgets, trace, QueryTrace};
+
+/// A gateway request inside the scope its caller opens for the explain
+/// report.
+fn explain<T>(request: impl FnOnce() -> T) -> (T, QueryTrace) {
+    let (out, root) = trace::trace("pds.traced", request);
+    (out, QueryTrace::new(root))
+}
 
 fn populated(id: u64, rows: u64) -> Pds {
     let mut pds = Pds::for_tests(id, "alice").unwrap();
@@ -29,7 +36,7 @@ fn traced_select_reports_io_ram_and_policy() {
     let mut pds = populated(1, 400);
     let me = AccessContext::new("alice", Purpose::PersonalUse);
     let pred = Predicate::eq("category", Value::str("salary"));
-    let (res, trace) = pds.select_traced(&me, "BANK", &pred);
+    let (res, trace) = explain(|| pds.select(&me, "BANK", &pred));
     let rows = res.unwrap();
     assert!(!rows.is_empty());
 
@@ -79,7 +86,8 @@ fn summary_scan_reads_fewer_pages_than_full_scan() {
     };
     let pred = Predicate::eq("category", Value::str("salary"));
 
-    let (res, full) = token(false).select_traced(&me, "BANK", &pred);
+    let mut unindexed = token(false);
+    let (res, full) = explain(|| unindexed.select(&me, "BANK", &pred));
     let rows_full = res.unwrap();
     assert_eq!(
         full.root
@@ -89,7 +97,8 @@ fn summary_scan_reads_fewer_pages_than_full_scan() {
         Some("full_scan")
     );
 
-    let (res, summary) = token(true).select_traced(&me, "BANK", &pred);
+    let mut indexed = token(true);
+    let (res, summary) = explain(|| indexed.select(&me, "BANK", &pred));
     let rows_summary = res.unwrap();
     assert_eq!(
         summary
@@ -114,7 +123,7 @@ fn denied_request_is_traced_without_touching_data() {
     let mut pds = populated(3, 50);
     let stranger = AccessContext::new("mallory", Purpose::PersonalUse);
     let pred = Predicate::eq("category", Value::str("salary"));
-    let (res, trace) = pds.select_traced(&stranger, "BANK", &pred);
+    let (res, trace) = explain(|| pds.select(&stranger, "BANK", &pred));
     assert!(res.is_err());
     assert_eq!(trace.policy_decision(), Some("denied"));
     assert_eq!(trace.page_reads(), 0, "denial happens before any flash IO");
@@ -199,7 +208,7 @@ fn a_full_flight_stage_counts_drops_instead_of_silently_truncating() {
 fn query_trace_serializes_as_json() {
     let mut pds = populated(6, 50);
     let me = AccessContext::new("alice", Purpose::PersonalUse);
-    let (res, trace) = pds.search_traced(&me, &["salary"], 5);
+    let (res, trace) = explain(|| pds.search(&me, &["salary"], 5));
     res.unwrap();
     let doc = pds_obs::json::parse(&trace.to_json()).expect("trace JSON parses");
     assert_eq!(doc.get("span").and_then(|v| v.as_str()), Some("pds.traced"));

@@ -2,16 +2,18 @@
 //! `FleetTrace` of the three fleet drivers (aggregation, cell sync,
 //! subscriptions) and the gateway's `QueryTrace`s.
 //!
-//! A trace is a report a caller asked for, so its bytes are a contract:
-//! the SHA-256 of `render()` and of `to_json()` is pinned per scenario,
-//! at 1, 2 and 8 workers where the scenario has workers. The constants
-//! were generated at commit e0d9b5b (PR 21), before the collection path
-//! under them was replaced; a change to how spans are collected must
-//! leave every one of them where it is. The aggregation and gateway pins
-//! were regenerated once since, when the search engine's resident RAM
-//! grew by its tail-span table (156 B on 512-byte pages): every render
-//! is the same but for `mcu.ram.peak_bytes` / `peak_ram_bytes`, each up
-//! by exactly that. The full-mode cell-sync pin was regenerated once,
+//! A trace is a report a caller asked for, by running the round or the
+//! request inside a `pds_obs::trace::trace` scope, so its bytes are a
+//! contract: the SHA-256 of `render()` and of `to_json()` is pinned per
+//! scenario, at 1, 2 and 8 workers where the scenario has workers. The
+//! constants were generated at commit e0d9b5b, before the collection
+//! path under them was replaced; a change to how spans are collected, or
+//! to how a caller asks for them, must leave every one of them where it
+//! is. The aggregation and gateway pins were regenerated once since,
+//! when the search engine's resident RAM grew by its tail-span table
+//! (156 B on 512-byte pages): every render is the same but for
+//! `mcu.ram.peak_bytes` / `peak_ram_bytes`, each up by exactly that.
+//! The full-mode cell-sync pin was regenerated once,
 //! when full mode became the generation digest asked since 0 (its round
 //! sends pushes and one digest pull per cell); the delta-mode pin,
 //! generated before that change, did not move. The search pin was
@@ -34,6 +36,7 @@ use pds::fleet::{
 use pds::global::ssi::SsiThreat;
 use pds::global::GroupByQuery;
 use pds::obs::rng::{Rng, SeedableRng, StdRng};
+use pds::obs::trace::trace;
 use pds::obs::{FinishedSpan, FleetTrace, QueryTrace};
 use pds::sync::TrustedCell;
 
@@ -51,6 +54,26 @@ fn digests(render: &str, json: &str) -> (String, String) {
 
 fn fleet_digests(t: &FleetTrace) -> (String, String) {
     digests(&t.render(), &t.to_json())
+}
+
+/// The stitched roots named `root` that fleet rounds run inside the
+/// caller's scope recorded there, one a round.
+fn stitched(scope: &FinishedSpan, root: &str) -> Vec<FleetTrace> {
+    scope
+        .children
+        .iter()
+        .filter(|c| c.name == root)
+        .map(|c| FleetTrace::new(c.clone()))
+        .collect()
+}
+
+/// Run one fleet round inside a trace scope: its result and the one
+/// stitched root named `root` it recorded there.
+fn traced_round<T>(root: &str, round: impl FnOnce() -> T) -> (T, FleetTrace) {
+    let (out, scope) = trace("caller", round);
+    let mut roots = stitched(&scope, root);
+    assert_eq!(roots.len(), 1, "one {root} root a round");
+    (out, roots.remove(0))
 }
 
 fn assert_golden(what: &str, got: (String, String), golden: (&str, &str)) {
@@ -78,17 +101,17 @@ const AGG_OTHER: (&str, &str) = (
 );
 
 /// `rounds` traced aggregations on one fleet, optionally under a
-/// resident cap of a quarter of the fleet; the last round's report.
+/// resident cap of a quarter of the fleet; the last round's report and
+/// trace.
 fn traced_rounds_of(
     tokens: usize,
     seed: u64,
     workers: usize,
     capped: Option<EvictPolicy>,
     rounds: usize,
-) -> FleetAggReport {
+) -> (FleetAggReport, FleetTrace) {
     let mut cfg = FleetConfig::new(tokens, workers, seed);
     cfg.partition_size = 8;
-    cfg.trace = true;
     if let Some(evict) = capped {
         cfg.resident_cap = Some(tokens / 4);
         cfg.evict = evict;
@@ -96,14 +119,16 @@ fn traced_rounds_of(
     let query = GroupByQuery::bank_by_category();
     let mut fleet = build_fleet(&cfg, &query).unwrap();
     let mut round = || {
-        fleet_secure_aggregation(
-            &cfg,
-            &query,
-            &mut fleet,
-            SsiThreat::HonestButCurious,
-            OnTamper::Abort,
-        )
-        .unwrap()
+        let (rep, trace) = traced_round("fleet.agg", || {
+            fleet_secure_aggregation(
+                &cfg,
+                &query,
+                &mut fleet,
+                SsiThreat::HonestButCurious,
+                OnTamper::Abort,
+            )
+        });
+        (rep.unwrap(), trace)
     };
     let mut rep = round();
     for _ in 1..rounds {
@@ -119,18 +144,14 @@ fn traced_agg_of(
     seed: u64,
     workers: usize,
     capped: Option<EvictPolicy>,
-) -> FleetAggReport {
-    traced_rounds_of(tokens, seed, workers, capped, 1)
+) -> FleetTrace {
+    traced_rounds_of(tokens, seed, workers, capped, 1).1
 }
 
 /// The `stitched_trace_is_bit_identical_at_1_2_and_8_workers` config of
 /// `tests/fleet.rs`, optionally capped at 8 of its 32 tokens.
-fn traced_agg(workers: usize, capped: Option<EvictPolicy>) -> FleetAggReport {
-    traced_agg_of(32, 0x7ACE, workers, capped)
-}
-
 fn agg_trace(workers: usize, capped: Option<EvictPolicy>) -> FleetTrace {
-    traced_agg(workers, capped).trace.expect("trace requested")
+    traced_agg_of(32, 0x7ACE, workers, capped)
 }
 
 #[test]
@@ -183,12 +204,11 @@ fn residency_fix_up_never_shows_in_a_token_subtree() {
     // is the one whose collection revives (or rebuilds) what the first
     // round parked.
     for evict in [EvictPolicy::Hibernate, EvictPolicy::Rebuild] {
-        let rep = traced_rounds_of(32, 0x7ACE, 2, Some(evict), 2);
+        let (rep, trace) = traced_rounds_of(32, 0x7ACE, 2, Some(evict), 2);
         match evict {
             EvictPolicy::Hibernate => assert!(rep.sched.sleep_wakes > 0, "tokens were woken"),
             EvictPolicy::Rebuild => assert!(rep.sched.rebuilds > 0, "tokens were rebuilt"),
         }
-        let trace = rep.trace.expect("trace requested");
         let mut turns = 0;
         for phase in trace.phases() {
             for t in phase
@@ -224,11 +244,7 @@ fn two_traced_runs_at_once_read_as_each_run_alone() {
     // Two drivers on two threads, released together, each over its own
     // fleet: neither run's token spans may end up in the other's tree.
     let other = traced_agg_of(24, 0xB0B, 2, Some(EvictPolicy::Hibernate));
-    assert_golden(
-        "the second fleet, alone",
-        fleet_digests(&other.trace.expect("trace requested")),
-        AGG_OTHER,
-    );
+    assert_golden("the second fleet, alone", fleet_digests(&other), AGG_OTHER);
     let start = Arc::new(Barrier::new(2));
     let runs = [
         (32, 0x7ACE, None, AGG),
@@ -241,10 +257,10 @@ fn two_traced_runs_at_once_read_as_each_run_alone() {
             std::thread::spawn(move || {
                 start.wait();
                 for _ in 0..3 {
-                    let rep = traced_agg_of(tokens, seed, 2, capped);
+                    let trace = traced_agg_of(tokens, seed, 2, capped);
                     assert_golden(
                         &format!("concurrent, seed {seed:#x}"),
-                        fleet_digests(&rep.trace.expect("trace requested")),
+                        fleet_digests(&trace),
                         golden,
                     );
                 }
@@ -286,7 +302,8 @@ fn cell_sync_round_trace_is_pinned_at_1_2_and_8_workers() {
         // One plain round first, so the traced one has responses to
         // reconcile as well as requests to send.
         net.sync_round().unwrap();
-        let (_, trace) = net.sync_round_traced().unwrap();
+        let (rep, trace) = traced_round("fleet.sync", || net.sync_round());
+        rep.unwrap();
         assert!(trace
             .phases()
             .iter()
@@ -313,7 +330,8 @@ fn cell_sync_delta_round_trace_is_pinned_at_1_2_and_8_workers() {
         // A write after the first round, so the traced one carries a
         // push and a digest reply that lists it as well as empty ones.
         net.write(5, "medical", b"diagnosis, revised");
-        let (_, trace) = net.sync_round_traced().unwrap();
+        let (rep, trace) = traced_round("fleet.sync", || net.sync_round());
+        rep.unwrap();
         assert!(trace
             .phases()
             .iter()
@@ -327,13 +345,36 @@ fn cell_sync_delta_round_trace_is_pinned_at_1_2_and_8_workers() {
 }
 
 #[test]
+fn one_scope_around_two_rounds_holds_one_stitched_root_a_round() {
+    let cfg = CellNetConfig::new(6, 2, 0xCE11);
+    let mut net = CellNet::build(cfg, |i| {
+        TrustedCell::new(&format!("cell-{i}"), b"owner-alice")
+    })
+    .unwrap();
+    net.write(0, "energy-profile", b"heating v1");
+    net.write(3, "medical", b"diagnosis");
+    let ((first, second), scope) = trace("caller", || (net.sync_round(), net.sync_round()));
+    first.unwrap();
+    second.unwrap();
+    let roots = stitched(&scope, "fleet.sync");
+    assert_eq!(roots.len(), 2, "one root a round");
+    assert_eq!(scope.children.len(), 2, "and nothing else");
+    assert_golden(
+        "the second of two rounds in one scope",
+        fleet_digests(&roots[1]),
+        CELL_SYNC_ROUND,
+    );
+}
+
+#[test]
 fn subscription_round_trace_is_pinned() {
     // The subscription fleet's tokens live on the driver thread: there
     // is no worker count to vary, so the same round is run twice.
     for _ in 0..2 {
         let mut net = SubNet::build(SubNetConfig::new(4, 0x5AB5)).unwrap();
         net.round().unwrap();
-        let (_, trace) = net.round_traced().unwrap();
+        let (rep, trace) = traced_round("fleet.subs", || net.round());
+        rep.unwrap();
         assert_eq!(trace.phases().len(), 3);
         assert_golden("subscription round", fleet_digests(&trace), SUBS_ROUND);
     }
@@ -387,6 +428,13 @@ fn seeded_pds() -> Pds {
     pds
 }
 
+/// A gateway request inside the scope its caller opens for the explain
+/// report, rooted at `pds.traced` as when the pins were generated.
+fn explain<T>(request: impl FnOnce() -> T) -> (T, QueryTrace) {
+    let (out, root) = trace("pds.traced", request);
+    (out, QueryTrace::new(root))
+}
+
 fn query_digests(mut trace: QueryTrace) -> (String, String) {
     trace.root.strip_timing();
     digests(&trace.render(), &trace.to_json())
@@ -407,23 +455,23 @@ fn gateway_explain_reports_are_pinned() {
     let stranger = AccessContext::new("mallory", Purpose::PersonalUse);
     let pred = Predicate::eq("category", Value::str("salary"));
 
-    let (res, full) = pds.select_traced(&me, "BANK", &pred);
+    let (res, full) = explain(|| pds.select(&me, "BANK", &pred));
     assert!(!res.unwrap().is_empty());
     assert_eq!(plan_of(&full), Some("full_scan"));
     assert_golden("full scan", query_digests(full), SELECT_FULL_SCAN);
 
     pds.create_index(&me, "BANK", "category").unwrap();
-    let (res, tree) = pds.select_traced(&me, "BANK", &pred);
+    let (res, tree) = explain(|| pds.select(&me, "BANK", &pred));
     assert!(!res.unwrap().is_empty());
     assert_eq!(plan_of(&tree), Some("tree_lookup"));
     assert_golden("tree lookup", query_digests(tree), SELECT_TREE_LOOKUP);
 
-    let (res, denied) = pds.select_traced(&stranger, "BANK", &pred);
+    let (res, denied) = explain(|| pds.select(&stranger, "BANK", &pred));
     assert!(res.is_err());
     assert_eq!(denied.policy_decision(), Some("denied"));
     assert_golden("denied stranger", query_digests(denied), SELECT_DENIED);
 
-    let (res, search) = pds.search_traced(&me, &["salary", "doctor"], 5);
+    let (res, search) = explain(|| pds.search(&me, &["salary", "doctor"], 5));
     assert!(!res.unwrap().is_empty());
     assert_golden("search", query_digests(search), SEARCH);
 }
