@@ -109,7 +109,9 @@ pub fn run() -> Table {
     t.note("paper shape: query RAM stays 1 page/keyword + 1 regardless of corpus size,");
     t.note("while the classical algorithm allocates one accumulator per retrieved docid;");
     t.note("one walk per keyword counts df from its tail pages and its chain head's df table");
-    t.note("and keeps its tail postings in its cursor page, which then reads only the chain;");
+    t.note("and keeps its postings there in its cursor page, which then reads only the chain");
+    t.note("below the head; a bucket page names each term once, so a chain page holds ~1.8x");
+    t.note("the postings of one that repeated the term hash in every triple;");
     t.note("the extra page is the one the walks read into, held until the last cursor is");
     t.note("built; a term -> df dictionary (~16 B/term = 48 KB at vocab 3000) does not fit");
     t.note("the 64 KB token this table runs on");
@@ -133,6 +135,10 @@ mod tests {
     /// tail postings for its cursor, so no tail page is read twice: the
     /// reads were 25/44/80/23/41/72 and the RAM `k` pages and the heap
     /// (2 208/4 256/8 352 B) when the scoring pass read the tail again.
+    /// A bucket page names each term once, and the walk keeps the head's
+    /// postings too, so the cursor does not read the head again: the
+    /// reads were 14/25/45/17/31/53 with 14-byte triples and the head
+    /// read twice. The RAM did not move.
     #[test]
     fn two_pass_rows_are_pinned() {
         let t = run();
@@ -155,12 +161,12 @@ mod tests {
         assert_eq!(
             rows,
             [
-                ["1000", "1", "14", "4096", "193", "yes"],
-                ["1000", "2", "25", "6144", "241", "yes"],
-                ["1000", "4", "45", "10240", "278", "yes"],
-                ["5000", "1", "17", "4096", "950", "yes"],
-                ["5000", "2", "31", "6144", "1147", "yes"],
-                ["5000", "4", "53", "10240", "1331", "yes"],
+                ["1000", "1", "7", "4096", "193", "yes"],
+                ["1000", "2", "15", "6144", "241", "yes"],
+                ["1000", "4", "29", "10240", "278", "yes"],
+                ["5000", "1", "14", "4096", "950", "yes"],
+                ["5000", "2", "28", "6144", "1147", "yes"],
+                ["5000", "4", "50", "10240", "1331", "yes"],
             ]
         );
     }

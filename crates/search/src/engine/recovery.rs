@@ -369,6 +369,8 @@ impl SearchEngine {
             .count();
         engine.index = index;
         engine.tail_start = from.tail;
+        // A kept tail was not read: a drain counts it before it gathers.
+        engine.tally_known = engine.num_tail_pages() == 0;
         engine.epoch = from.epoch;
         engine.durable = from;
 

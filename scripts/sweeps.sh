@@ -12,7 +12,9 @@
 # page relocated), and the search engine's checkpointed recovery
 # against a full re-index of the same chip, and its df counts against
 # the oracle after cuts inside drains that write the chain heads' df
-# tables, and pds-db's reads under read disturb: indexed selects, the
+# tables, and its bucket pages' codec from one term a page to a new term
+# every posting, at three page sizes, topped up in place, and pds-db's
+# reads under read disturb: indexed selects, the
 # summarised fronts and climbing-index joins answer what they answer
 # flip-free. Then the format sweep under the same seed set: every wire and
 # flash format round-trips, refuses every strict prefix and every lying
@@ -49,6 +51,7 @@ sweep -p pds-search -- \
   a_cut_at_every_program_inside_a_drain_recovers_equal \
   a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads \
   a_cut_between_a_drain_and_the_next_checkpoint \
-  a_second_crash_while_the_tail_replay_drains
+  a_second_crash_while_the_tail_replay_drains \
+  bucket_pages_round_trip_sweep
 sweep -p pds-db -- embedded_reads_under_disturb
 sweep --workspace -- keep_the_decoder_contract

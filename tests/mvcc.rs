@@ -403,9 +403,13 @@ fn every_change_log_answer_is_pinned() {
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect();
+    // Re-pinned when a search bucket page began naming each term once:
+    // the index programs fewer pages, so a cut at a seeded program lands
+    // at another point of the script, and each `ReopenReport` keeps fewer
+    // index pages.
     assert_eq!(
         hex,
-        "ee08d58778e14e211840dcbecce127f96aa34426ec3cb48a5bb49fc5d711f491"
+        "10e0261ea8739b8af30c7462ee8119a77759fafd1e3d2db58987c0aef95e47fe"
     );
 }
 

@@ -89,15 +89,15 @@ fn assert_golden(what: &str, got: (String, String), golden: (&str, &str)) {
 /// One pin for all three residency regimes: parking and reviving tokens
 /// between their turns is unobservable in the stitched trace.
 const AGG: (&str, &str) = (
-    "23794523d65bc10cf237fd5c403eb49c590f99e0a93504ff7f82e262a21031f1",
-    "0d1662ebaca56440428864591f64c246a2fdad7d233ca4f9abb6952373c40004",
+    "4c5d903b12fdd4f0187ff2eff94eadada7ea9578130338cecf18ccb1c8f87186",
+    "cb508f44ad8993a90a0474de0d6ad4089f979508bb4f297dbaca2dfebe1cc036",
 );
 
 /// A second, smaller fleet on another seed, so that two runs driven at
 /// once have different trees to keep apart.
 const AGG_OTHER: (&str, &str) = (
-    "9b649e88ade994929d0cbbc9087940527fcd60633585c37584cf7023b351dc3b",
-    "d6f3d818f969de295220d8e580a8a4de3e6d52ae9c5bf119064a08b0c91c7d42",
+    "5e11192af10518348ae8f94977a412d9bbafb324adf9b7ebcaa01da70158b060",
+    "0da2b68ee162e6a21b51f9e2f0fed65ceecb349bceadfad2fd6a19bc54f926ca",
 );
 
 /// `rounds` traced aggregations on one fleet, optionally under a
@@ -383,20 +383,20 @@ fn subscription_round_trace_is_pinned() {
 // ---- (c) the gateway's explain reports ----------------------------------
 
 const SELECT_FULL_SCAN: (&str, &str) = (
-    "91038a8341977202b43ce5b1f6eac5b344a835a5bb63f5d2739595e3f1a79794",
-    "ebd9ca05a3d7b5cc4607e72d58f797475604e54e4329dd2493e326a8e32cfa11",
+    "6a4f9f84131c41d3ffa6a8a31001774fe3b9d76bf04dcb3d151946a1fa7ab027",
+    "3b29760bda9b46c462fbd1b3ccd62c163b931d8128115a927eabd1f5847d3f83",
 );
 const SELECT_TREE_LOOKUP: (&str, &str) = (
-    "be45fe6ff5cf80e0fb3037a4df7b269e103a20501e9bbce2dcca5f8e5b5cf248",
-    "f349549a8be91fdf74598a91b365f7f2e4f2e275b14ec2c09d175143ff535686",
+    "ac11b13640d44d5b219b65553c8675bbfdd580ecbee5e230cf20a77ac559d5c9",
+    "c950f2b56d97d3f78d3ba5e8d9eedd8d6d76f3c29acdb9712af19f1ce52a33b4",
 );
 const SELECT_DENIED: (&str, &str) = (
-    "7eac26b21541834e95f8598b5b05e576dc17f2f67a48799d48e095fdcb6391ff",
-    "89fb45d27063fa8c2d49cdebbbaaf70ab2930807541ea839ca82b9d1ecc9b2fe",
+    "3c4cad64c46cda2e57d65c4b7f715b6a08ef4aa6092119c20ba1288e12d03088",
+    "cbd652fe2191a87e603083a6fb42ebdea66c9734486114d0331535f64b801104",
 );
 const SEARCH: (&str, &str) = (
-    "687afb22f860c3c9356f4e0441eb4bc8734384b48769c615ef72b8b8554e0886",
-    "8c554dba0c713d034c2c232bf438cd030440b2c17e3cbd1eb08570248bc5a05c",
+    "92c5dcf8ccbeae9dc19e0f09b46cd2d039fefda566b49a48d4273e30f3d76c33",
+    "3abbc649bdd1718b444cfe28e4983f1b767a72bf381271a13074d6b692cd72fe",
 );
 
 /// A token with seeded bank rows and emails.

@@ -17,7 +17,7 @@ use pds::obs::flight::FRAME_BYTES;
 use pds::obs::rng::{Rng, RngCore, StdRng};
 use pds::obs::wire::{sweep, Tail};
 use pds::obs::{EventFrame, GaugePolicy, MetricsDelta, Severity};
-use pds::search::triple::{decode_page, fill_page, triples_per_page, Triple};
+use pds::search::triple::{decode_page, triples_per_page, PageFill, Triple};
 use pds::sync::CellMsg;
 
 /// A short name or text: ASCII with the odd multi-byte character, so
@@ -175,8 +175,11 @@ fn rows_keep_the_decoder_contract() {
 fn index_bucket_pages_keep_the_decoder_contract() {
     const PAGE: usize = 512;
     let encode_page = |prev: u32, triples: &[Triple]| {
-        let mut page = vec![0xFF; PAGE];
-        fill_page(&mut page, prev, 0, triples.iter().copied());
+        let mut page = vec![0; PAGE];
+        let mut fill = PageFill::start(&mut page, prev);
+        for &t in triples {
+            assert!(fill.push(&mut page, t));
+        }
         page
     };
     let mut lying = encode_page(7, &[]);
@@ -186,9 +189,13 @@ fn index_bucket_pages_keep_the_decoder_contract() {
         Tail::Padded,
         &[&lying, &lying[..6]],
         |rng| {
+            // From one term a page to a new term every posting.
+            let words: Vec<u64> = (0..rng.gen_range(1..=triples_per_page(PAGE)))
+                .map(|_| rng.gen())
+                .collect();
             let triples = (0..rng.gen_range(0..=triples_per_page(PAGE)))
                 .map(|_| Triple {
-                    term: rng.gen(),
+                    term: words[rng.gen_range(0..words.len())],
                     doc: rng.gen(),
                     tf: rng.gen(),
                 })
