@@ -537,6 +537,44 @@ impl Pair {
     }
 }
 
+impl Pair {
+    /// Hash what each term's query walk yields into `hash`: every term of
+    /// the corpus, ascending, an absent one included, with its df and the
+    /// pages its walk loads that hold postings of it — each page's place
+    /// in the index log and its postings of the term; then every query's
+    /// ranked hits, scores as bits. A change to which pages a walk passes
+    /// over may only drop pages without the term.
+    fn yields(&self, hash: &mut Sha256) {
+        let terms: BTreeSet<u64> = (self.texts.iter())
+            .flat_map(|text| tokenize(text))
+            .chain(["absent".to_string()])
+            .map(|word| term_hash(&word))
+            .collect();
+        hash.update(&(terms.len() as u32).to_le_bytes());
+        for term in terms {
+            hash.update(&term.to_le_bytes());
+            hash.update(&self.engine.count_df(term).unwrap().to_le_bytes());
+            let pages = self.engine.pages_yielding(term).unwrap();
+            hash.update(&(pages.len() as u32).to_le_bytes());
+            for (page, postings) in pages {
+                hash.update(&page.to_le_bytes());
+                hash.update(&(postings as u32).to_le_bytes());
+            }
+        }
+        let mut answer = |hits: Vec<SearchHit>| {
+            hash.update(&(hits.len() as u32).to_le_bytes());
+            for h in hits {
+                hash.update(&h.doc.to_le_bytes());
+                hash.update(&h.score.to_bits().to_le_bytes());
+            }
+        };
+        for q in QUERIES {
+            answer(self.engine.search(q, TOP).unwrap());
+            answer(self.engine.search_mode(q, TOP, SearchMode::All).unwrap());
+        }
+    }
+}
+
 fn hex(hash: Sha256) -> String {
     hash.finalize().iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -549,6 +587,11 @@ fn hex(hash: Sha256) -> String {
 /// many documents its syncs take depends on how many pages the log
 /// holds, which is what a change of page layout moves.
 fn held(case: Case) -> [String; 2] {
+    held_by(case, Pair::holds)
+}
+
+/// [`held`]'s script, hashed by `hash_of` after each event.
+fn held_by(case: Case, hash_of: fn(&Pair, &mut Sha256)) -> [String; 2] {
     let mut pair = Pair::new(&case);
     let mut rng = StdRng::seed_from_u64(case.seed);
     let mut hash = Sha256::new();
@@ -561,35 +604,35 @@ fn held(case: Case) -> [String; 2] {
             for doc in case.tombstoned_run.clone() {
                 pair.delete(doc);
             }
-            pair.holds(&mut hash);
+            hash_of(&pair, &mut hash);
             pair.engine.flush().unwrap();
-            pair.holds(&mut hash);
+            hash_of(&pair, &mut hash);
         } else if n.is_multiple_of(97) {
             pair.delete(rng.gen_range(0..n) as DocId);
         }
         if n == case.power_cycle_at {
             pair.power_cycle("recovered mid-ingest");
-            pair.holds(&mut hash);
+            hash_of(&pair, &mut hash);
         }
     }
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     let before = hex(std::mem::replace(&mut hash, Sha256::new()));
     pair.engine.reorganize().unwrap();
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     let docs = pair.texts.len() as DocId;
     for doc in [1, docs / 2, docs - 1] {
         pair.delete(doc);
     }
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     pair.index(text(&mut rng, docs as usize));
     pair.power_cycle("recovered after the deletions");
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     pair.engine.reorganize().unwrap();
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     for i in 0..40 {
         pair.index(text(&mut rng, docs as usize + 1 + i));
     }
-    pair.holds(&mut hash);
+    hash_of(&pair, &mut hash);
     [before, hex(hash)]
 }
 
@@ -618,6 +661,39 @@ fn what_the_index_holds_and_answers_is_pinned() {
             [
                 "d900516c804e3f6607f2461c1cc62f98336b0c73a912ab5878ea02e719d3d465",
                 "c533f6a2aad21a79f101d699eb0a40862c59ea45147da2969270c4e6c3fed2ff",
+            ],
+        ]
+    );
+}
+
+/// What each term's query walk yields — its df and the pages it loads
+/// that hold postings of it, by place and count — and every answer,
+/// pinned at the four sizings over [`held`]'s script: a change to which
+/// pages a walk reads may pass over pages without the term, never one
+/// with it.
+#[test]
+fn what_each_terms_walk_yields_is_pinned() {
+    let digests: Vec<[String; 2]> = (cases().into_iter())
+        .map(|case| held_by(case, Pair::yields))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            [
+                "e972d1a10ec8525eed82ce4a13d625389ab907b2c4ad385fc215f1d45f112b48",
+                "40efa889d0c98d65beeb3628eae2de55adb197cf240a9c803b445eec28d47e85",
+            ],
+            [
+                "1cc7818efd4129a4aaa021208c06d4e075dcdd872a06e7e8e616f01ddfd38fc9",
+                "7708bfb4bdd9d017fcd5c902f73a0e585961ea5a58c9c965fa7d0532014bc020",
+            ],
+            [
+                "a14b680d51f8ec73fa810a3118bb84ff2f6762ec002653a8ec23acfe266d1773",
+                "a3e89b455b09e13be99e85203aaa0ec8cb68f285c2ba40534cc20b1623d45d54",
+            ],
+            [
+                "7e9a08a1cf150b0fbc55792bc7fd255462a56527425ec374d49a44c3ee2e6387",
+                "1829acaf9277aea69befbc4b4c0c66b0b6b7c664a2f48ffd6263cb81eaacf4d4",
             ],
         ]
     );
