@@ -11,7 +11,8 @@
 //! - the **comment text** with everything else blanked, so waiver
 //!   comments (`// pds-lint: allow(rule) — reason`) can be parsed;
 //! - whether the line belongs to **test code** (`#[cfg(test)]` /
-//!   `#[test]` items, or a file opening with `#![cfg(test)]`), which the
+//!   `#[test]` items, or a file whose inner attributes — before its first
+//!   item, after its module doc — include `#![cfg(test)]`), which the
 //!   invariants deliberately exempt.
 //!
 //! Handled lexical forms: line comments, nested block comments, string
@@ -273,12 +274,7 @@ fn split_channels(source: &str) -> (String, String) {
 /// file that opens with `#![cfg(test)]`). Works on the blanked code
 /// channel, so brace counting is exact.
 fn mark_test_regions(code_lines: &[&str]) -> Vec<bool> {
-    // A `#![cfg(test)]` inner attribute marks the whole file as test.
-    if code_lines
-        .iter()
-        .take(20)
-        .any(|l| l.contains("#![cfg(test)]"))
-    {
+    if opens_with_cfg_test(code_lines) {
         return vec![true; code_lines.len()];
     }
     let mut flags = vec![false; code_lines.len()];
@@ -317,6 +313,38 @@ fn mark_test_regions(code_lines: &[&str]) -> Vec<bool> {
         }
     }
     flags
+}
+
+/// Whether the file's inner attributes — all that comes before its first
+/// item, inner doc comments aside (the code channel has them blanked) —
+/// include `#![cfg(test)]`, which makes the whole file test code however
+/// long its module doc runs.
+fn opens_with_cfg_test(code_lines: &[&str]) -> bool {
+    let code = code_lines.join("\n");
+    let mut rest = code.trim_start();
+    while let Some(attr) = rest.strip_prefix("#!") {
+        let Some(body) = attr.trim_start().strip_prefix('[') else {
+            return false;
+        };
+        let mut depth = 1;
+        let close = body.char_indices().find(|&(_, c)| {
+            depth += match c {
+                '[' => 1,
+                ']' => -1,
+                _ => 0,
+            };
+            depth == 0
+        });
+        let Some((end, _)) = close else {
+            return false;
+        };
+        let inner: String = body[..end].chars().filter(|c| !c.is_whitespace()).collect();
+        if inner == "cfg(test)" {
+            return true;
+        }
+        rest = body[end + 1..].trim_start();
+    }
+    false
 }
 
 #[cfg(test)]
@@ -389,5 +417,22 @@ let m = HashMap::new();"#;
         let src = "//! doc\n#![cfg(test)]\nfn helper() { x.unwrap(); }\n";
         let lines = scan(src);
         assert!(lines.iter().all(|l| l.is_test));
+    }
+
+    #[test]
+    fn inner_cfg_test_counts_wherever_the_module_doc_ends() {
+        // Thirty lines of doc, other inner attributes before it, one of
+        // them over two lines.
+        let doc = "//! a long module doc\n".repeat(30);
+        let src = format!(
+            "{doc}\n#![allow(\n    dead_code\n)]\n#![ cfg( test ) ]\nfn helper() {{ x.unwrap(); }}\n"
+        );
+        let lines = scan(&src);
+        assert!(lines.iter().all(|l| l.is_test));
+        // An inner attribute after the first item is not the file's.
+        let src = "fn real() { x.unwrap(); }\nmod m {\n    #![cfg(test)]\n}\n";
+        assert!(!scan(src)[0].is_test);
+        let src = "#![allow(dead_code)]\nfn real() { x.unwrap(); }\n";
+        assert!(!scan(src)[1].is_test);
     }
 }

@@ -90,6 +90,15 @@ fn stale_waiver_is_flagged() {
     assert!(f.message.contains("det.time"), "{}", f.message);
 }
 
+#[test]
+fn a_test_only_file_is_test_code_past_a_long_module_doc() {
+    // Its `#![cfg(test)]` at line 31, after the module doc; the helper's
+    // asserts and unwraps are test code, not the panic-free crate's.
+    let report = run("ws_test_only");
+    assert!(report.is_clean(), "{:?}", report.findings);
+    assert!(report.waived.is_empty(), "{:?}", report.waived);
+}
+
 // ---- the shipped binary -----------------------------------------------
 
 fn run_bin(args: &[&str]) -> std::process::Output {

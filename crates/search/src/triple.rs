@@ -493,6 +493,13 @@ impl<'a> BucketPage<'a> {
         posting(slot, self.dict)
     }
 
+    /// The terms of the page's dictionary, newest entry first: each term
+    /// with a posting on the page, once.
+    pub fn dictionary(&self) -> impl Iterator<Item = u64> + 'a {
+        (self.dict.chunks_exact(TERM_LEN))
+            .filter_map(|entry| Some(u64::from_le_bytes(entry.try_into().ok()?)))
+    }
+
     /// The dictionary index of `term` on the page, `None` when the page
     /// holds no posting of it: a look at the dictionary, no posting read.
     pub fn term_index(&self, term: u64) -> Option<u8> {

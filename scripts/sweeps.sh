@@ -13,7 +13,9 @@
 # against a full re-index of the same chip, and its df counts against
 # the oracle after cuts inside drains that write the chain heads' df
 # tables, and its bucket pages' codec from one term a page to a new term
-# every posting, at three page sizes, topped up in place, and pds-db's
+# every posting, at three page sizes, topped up in place, and its tail's
+# term filters against an engine that forgot them (the same answers, no
+# more reads), and pds-db's
 # reads under read disturb: indexed selects, the
 # summarised fronts and climbing-index joins answer what they answer
 # flip-free. Then the format sweep under the same seed set: every wire and
@@ -52,6 +54,7 @@ sweep -p pds-search -- \
   a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads \
   a_cut_between_a_drain_and_the_next_checkpoint \
   a_second_crash_while_the_tail_replay_drains \
-  bucket_pages_round_trip_sweep
+  bucket_pages_round_trip_sweep \
+  tail_filters_never_hide_a_posting_sweep
 sweep -p pds-db -- embedded_reads_under_disturb
 sweep --workspace -- keep_the_decoder_contract
