@@ -23,8 +23,9 @@
 //!
 //! Exact TF-IDF needs each keyword's document frequency before the first
 //! score. The engine counts it first, with no RAM per term, in one walk
-//! per keyword: its pending triples, the unmerged tail pages that can
-//! hold its bucket and the df table its chain's head carries, one page
+//! per keyword: its pending triples, the unmerged tail pages that may
+//! hold it (by bucket span and by term filter, both resident) and the df
+//! table its chain's head carries, one page
 //! read of the chain — whose postings of it the walk keeps in the
 //! keyword's cursor page, so scoring reads none of those pages again. A
 //! bucket page names each of its terms once, in a dictionary of its own
