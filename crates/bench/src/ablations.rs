@@ -18,6 +18,7 @@ use pds_global::{GroupByQuery, Population, Ssi};
 use pds_mcu::codesign::calibrate_ladder;
 use pds_obs::rng::SeedableRng;
 use pds_obs::rng::StdRng;
+use pds_search::SearchEngine;
 
 use crate::table::Table;
 
@@ -105,7 +106,7 @@ pub fn a3_codesign() -> Table {
             "max sort fan-in",
         ],
     );
-    for c in calibrate_ladder() {
+    for c in calibrate_ladder(|page| SearchEngine::resident_bytes(64, 256, page)) {
         t.row(vec![
             c.device.to_string(),
             (c.ram / 1024).to_string(),
