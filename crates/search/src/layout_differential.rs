@@ -341,8 +341,8 @@ fn run(case: Case) {
     pair.check("recovered, one more");
 }
 
-/// The four sizings, each with its script.
-fn cases() -> [Case; 4] {
+/// The five sizings, each with its script.
+fn cases() -> [Case; 5] {
     [
         // 33 triples a staged page at worst: ≈ 450 documents' ≈ 4 000
         // triples fill the 64-triple buffer ≈ 60 times, two staged pages
@@ -407,6 +407,22 @@ fn cases() -> [Case; 4] {
             power_cycle_at: 1500,
             failed_drain_at: 700,
         },
+        // The secure gateway's sizing (`Pds::new`): a 768-triple buffer
+        // is six staged pages, drained at 64 of them like E3's — the
+        // ≈ 25 000 triples of 2 400 documents cross that more than twice,
+        // and the failed drain and the power cycle each land between two.
+        Case {
+            seed: 0x2F_0005,
+            geometry: FlashGeometry::new(2048, 64, 512),
+            num_buckets: 128,
+            buffer_triples: 768,
+            docs: 2400,
+            stride: 89,
+            dense: [1000..1040, 2000..2030],
+            tombstoned_run: 300..500,
+            power_cycle_at: 1300,
+            failed_drain_at: 600,
+        },
     ]
 }
 
@@ -432,6 +448,11 @@ fn small_pages_24_buckets_64_triples() {
 #[test]
 fn token_pages_128_buckets_1024_triples() {
     run(case(3));
+}
+
+#[test]
+fn token_pages_128_buckets_768_triples() {
+    run(case(4));
 }
 
 /// The script of a case cut down to its events — the tombstoned run,
@@ -486,7 +507,7 @@ fn run_exact(case: Case) {
 }
 
 /// Every corpus term's df and every ranked answer, scores bit for bit,
-/// against [`NaiveSearch`] at the four sizings: the exactness a change to
+/// against [`NaiveSearch`] at the five sizings: the exactness a change to
 /// how df is found must keep.
 #[test]
 fn every_terms_df_and_every_ranked_hit_match_the_oracle_bit_for_bit() {
@@ -637,7 +658,7 @@ fn held_by(case: Case, hash_of: fn(&Pair, &mut Sha256)) -> [String; 2] {
 }
 
 /// What the index holds — every term's postings in walk order and its
-/// df — and every answer, pinned at the four sizings, before and after
+/// df — and every answer, pinned at the five sizings, before and after
 /// `reorganize()`: a change to how pages are laid out must leave all of
 /// it as it is.
 #[test]
@@ -662,13 +683,17 @@ fn what_the_index_holds_and_answers_is_pinned() {
                 "d900516c804e3f6607f2461c1cc62f98336b0c73a912ab5878ea02e719d3d465",
                 "c533f6a2aad21a79f101d699eb0a40862c59ea45147da2969270c4e6c3fed2ff",
             ],
+            [
+                "0e38b44e63d133f67f9efb705f3dff89f5952eca1cc1aa89a4d8a4121f4dbfc8",
+                "446c35f0a9ffbfc64059c40e5b6e13080a3debeb8e90cdceb7ce9dadc291e2a1",
+            ],
         ]
     );
 }
 
 /// What each term's query walk yields — its df and the pages it loads
 /// that hold postings of it, by place and count — and every answer,
-/// pinned at the four sizings over [`held`]'s script: a change to which
+/// pinned at the five sizings over [`held`]'s script: a change to which
 /// pages a walk reads may pass over pages without the term, never one
 /// with it.
 #[test]
@@ -694,6 +719,10 @@ fn what_each_terms_walk_yields_is_pinned() {
             [
                 "7e9a08a1cf150b0fbc55792bc7fd255462a56527425ec374d49a44c3ee2e6387",
                 "1829acaf9277aea69befbc4b4c0c66b0b6b7c664a2f48ffd6263cb81eaacf4d4",
+            ],
+            [
+                "ff3473f0aa459907360388ce1107a5fbcca3f20da5849b03118aa62a44e41b3b",
+                "c6a354fee784ab2a76ddfa558dd015192adb98c78c92e429e7ccd4ace770c1aa",
             ],
         ]
     );
