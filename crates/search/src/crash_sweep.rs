@@ -14,7 +14,8 @@
 //! index page and the checkpoint, inside a drain or inside a
 //! reorganization is recognised as such and not merely survived. Scripts
 //! are long enough for the tail of the index log to be drained into the
-//! chains several times at the sweep's shape. Seeded by the in-tree RNG;
+//! chains several times at the sweep's small shape; one random case in
+//! eight runs at the secure gateway's instead. Seeded by the in-tree RNG;
 //! `PDS_CRASH_SEEDS` widens the random sweep like `pds-flash`'s.
 
 #![cfg(test)]
@@ -45,15 +46,15 @@ const QUERIES: &[&[&str]] = &[
     &["extra"],
 ];
 
-/// Small pages and blocks, so a short script crosses block boundaries in
-/// every log — the checkpoint log included.
-const PAGE_SIZE: usize = 512;
+/// Small blocks, so a short script crosses block boundaries in every
+/// log — the checkpoint log included.
 const PAGES_PER_BLOCK: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     num_buckets: usize,
     buffer_triples: usize,
+    page_size: usize,
     /// Whether the engine's budget is ballasted down to what a drain
     /// reserves before it gathers: each drain then gathers into the
     /// insertion buffer alone, where on the whole budget it gathers as
@@ -61,9 +62,11 @@ struct Shape {
     ballasted: bool,
 }
 
+/// Small pages as well, so that a short script drains several times.
 const SMALL: Shape = Shape {
     num_buckets: 16,
     buffer_triples: 32,
+    page_size: 512,
     ballasted: false,
 };
 
@@ -73,9 +76,19 @@ const BALLASTED: Shape = Shape {
     ..SMALL
 };
 
+/// The secure gateway's shape (`Pds::new`) on its 2 KB pages. A script
+/// of the sweep fills no 64-page tail at it, so its cuts land in
+/// stages, checkpoints and reorganisations, never in a drain.
+const GATEWAY: Shape = Shape {
+    num_buckets: 128,
+    buffer_triples: 768,
+    page_size: 2048,
+    ballasted: false,
+};
+
 impl Shape {
     fn flash(&self) -> Flash {
-        Flash::new(FlashGeometry::new(PAGE_SIZE, PAGES_PER_BLOCK, 2048))
+        Flash::new(FlashGeometry::new(self.page_size, PAGES_PER_BLOCK, 2048))
     }
 
     /// A fresh engine on `flash`, and the ballast to hold while it runs.
@@ -413,11 +426,13 @@ fn checkpointed_recovery_equals_full_rebuild_sweep() {
         let seed = 0x1DC_0000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let ops = random_script(&mut rng);
-        let dry = DryRun::of(&ops, SMALL);
+        // One case in eight runs at the secure gateway's shape.
+        let shape = if case % 8 == 3 { GATEWAY } else { SMALL };
+        let dry = DryRun::of(&ops, shape);
         let total = *dry.programs.last().unwrap();
         // One case in six pulls the plug after the script instead.
         let cut = (total > 0 && case % 6 != 5).then(|| rng.gen_range(0..total));
-        let report = crash_and_compare(&ops, SMALL, &dry, cut, seed);
+        let report = crash_and_compare(&ops, shape, &dry, cut, seed);
         kept_paths += u64::from(report.index_rebuild.is_none());
         cuts_in_a_drain += u64::from(cut.is_some_and(|n| dry.drains(dry.op_of(n))));
     }
@@ -655,7 +670,7 @@ fn a_checkpoint_spanning_two_records_is_all_or_nothing() {
     let wide = Shape {
         num_buckets: 128,
         buffer_triples: 256,
-        ballasted: false,
+        ..SMALL
     };
     let mut rng = StdRng::seed_from_u64(0xF3);
     let mut ops = index_ops(&mut rng, 30);
