@@ -40,15 +40,21 @@
 //! programs each page, 2 bytes a bucket reserved once; only after a
 //! recovery, which keeps a tail it does not read, does a drain count them
 //! first, in a pass over the whole tail. So a drain makes fewer than two
-//! gathering passes per gather-full of tail triples. At `(64, 256)` on
-//! 2 KB pages and a 64 KB token the gather is 3 659 triples against a
-//! tail of at most 16 flushes of 256: two gathering passes where the
-//! buffer alone makes about 18, and the worst ingest stall of a seeded
-//! 2 400-document corpus falls from 380 reads and 104 programs to 112 and
-//! 103. With no RAM free the gather is the buffer alone. A bucket's
-//! triples reach its chain in tail order either way, so its triples and
-//! df table do not depend on the RAM; only where its pages end may, when
-//! it took more than one pass.
+//! gathering passes per gather-full of tail triples. At `(64, 256)` — the
+//! test and population gateways' shape — on 2 KB pages and a 64 KB token
+//! the gather is 3 659 triples against a tail of at most 16 flushes of
+//! 256: two gathering passes where the buffer alone makes about 18, and
+//! the worst ingest stall of a seeded 2 400-document corpus falls from 380
+//! reads and 104 programs to 112 and 103. At the secure gateway's
+//! `(128, 768)` (`Pds::new`) the gather is 3 419 triples against a
+//! 64-page tail of about 9 700 on a corpus of 40-word e-mails: three
+//! gathering passes a drain, a drain about a third as often, and a worst
+//! stall over 3 000 of them of 228 reads and 199 programs, where
+//! `(64, 256)` stalls at 112 and 98: a drain at `(128, 768)` tops up
+//! twice the heads. With no RAM free the gather is the buffer alone. A
+//! bucket's triples reach its chain in tail order either way, so its
+//! triples and df table do not depend on the RAM; only where its pages
+//! end may, when it took more than one pass.
 //!
 //! With one level, a walk reads `N / (2 · cap)` pages whatever the bucket
 //! count (`N` triples indexed, `cap` the buffer: fewer buckets buy denser
@@ -76,20 +82,21 @@
 //! reserved once beside the heads and as long as the longest tail a drain
 //! meets (`num_buckets / 2 − 1` pages plus a buffer-full: 33 entries at
 //! `(64, 256)` on 2 KB pages, of 4 + 85 bytes, 2 937 bytes in all, where
-//! the spans alone took 132; [`SearchEngine::resident_bytes`] counts it
-//! with the rest). `stage()` notes the span and the filter of each page
-//! from the image it has just laid out — no read. A walk for a term reads
-//! only the tail pages whose span meets its bucket and whose filter may
-//! hold the term; each gathering pass of a drain, which asks for a window
-//! of buckets and not a term, reads those whose span meets its window. An
-//! entry that is not known — a tail page past the table, or any page of
-//! the tail a recovery kept, which it does not read — is the whole span
-//! and a filter of all ones: "read the page"; the counting pass a drain
-//! makes after a recovery notes what it finds, spans and filters both, so
-//! what it leaves of the tail is skipped too. What a failed drain
-//! programmed inside the tail is noted as holding nothing, the empty span
-//! and a filter of all zeros. Reading a page is never wrong: the `STAGED`
-//! mark is still checked on every page read.
+//! the spans alone took 132; 69 entries, 6 141 bytes, at `(128, 768)`;
+//! [`SearchEngine::resident_bytes`] counts it with the rest: 7 417 and
+//! 19 197 bytes in all). `stage()` notes the span and the filter of each
+//! page from the image it has just laid out — no read. A walk for a term
+//! reads only the tail pages whose span meets its bucket and whose filter
+//! may hold the term; each gathering pass of a drain, which asks for a
+//! window of buckets and not a term, reads those whose span meets its
+//! window. An entry that is not known — a tail page past the table, or
+//! any page of the tail a recovery kept, which it does not read — is the
+//! whole span and a filter of all ones: "read the page"; the counting
+//! pass a drain makes after a recovery notes what it finds, spans and
+//! filters both, so what it leaves of the tail is skipped too. What a
+//! failed drain programmed inside the tail is noted as holding nothing,
+//! the empty span and a filter of all zeros. Reading a page is never
+//! wrong: the `STAGED` mark is still checked on every page read.
 //!
 //! ## One walk per query keyword: df from the chain heads
 //!
