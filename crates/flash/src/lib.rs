@@ -49,7 +49,7 @@ pub use cost::CostModel;
 pub use error::{FlashError, Result};
 pub use fault::{FaultPlan, ProgramFault};
 pub use geometry::{BlockId, FlashGeometry, PageAddr};
-pub use log::{Log, LogPos, LogReader, LogWriter, RecoveryReport};
+pub use log::{Log, LogPos, LogReader, LogWriter, RecoveryReport, PAGE_RECORD};
 pub use nand::{ChipSnapshot, NandFlash};
 pub use stats::IoStats;
 

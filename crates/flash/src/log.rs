@@ -5,8 +5,8 @@
 //! (and never updated nor moved), random writes are avoided by
 //! construction; allocation & de-allocation are made on large grains."
 //!
-//! A [`LogWriter`] appends records (or raw pages) strictly sequentially,
-//! allocating whole blocks as it grows. Already-programmed pages of an open
+//! A [`LogWriter`] appends records strictly sequentially, allocating
+//! whole blocks as it grows. Already-programmed pages of an open
 //! log can be read at any time; sealing yields an immutable [`Log`].
 //! Reclaiming a log returns all of its blocks at once — no partial GC.
 //!
@@ -38,6 +38,15 @@
 //! nowhere else, behind `get`, `for_each_record` and [`LogReader`]; any
 //! one chunk still decodes from a single one-page RAM buffer — the
 //! property every pipeline operator of Part II relies on.
+//!
+//! A layer that lays out whole pages of its own — the search engine's
+//! bucket pages — appends each as one record that fills its page
+//! ([`LogWriter::append_page`]): its payload is the page's last
+//! [`max_record_len`](LogWriter::max_record_len) bytes, `page_size − 8`,
+//! at [`PAGE_RECORD`] in the page image, and its ordinal is its page
+//! index. [`LogWriter::read_filled_page`] reads it back by that index,
+//! and [`LogWriter::recover_at`] re-adopts such a log at a page frontier
+//! kept elsewhere, with no scan. There is one page format on flash.
 //!
 //! A record takes its ordinal — exists — when its **last** chunk is on
 //! flash. A run of chunks cut short between its pages, by a power loss or
@@ -73,6 +82,9 @@ use crate::Flash;
 const PAGE_HEADER: usize = 6;
 /// Header bytes per chunk (flags + length prefix).
 const REC_HEADER: usize = 2;
+/// Where a record that fills its page lies in the page image: past the
+/// page header and its length prefix, to the page's end.
+pub const PAGE_RECORD: std::ops::RangeFrom<usize> = PAGE_HEADER + REC_HEADER..;
 /// Prefix flag: this chunk continues the record of the chunk before it.
 const CONTINUES: u16 = 0x8000;
 /// Prefix flag: the record goes on in the next chunk.
@@ -300,7 +312,7 @@ impl Assembler {
 }
 
 /// Reads a page gets before it is called corrupt (torn, to a recovery;
-/// a raw log's frontier, dirty): a read disturb flips bits in one read
+/// a frontier, dirty): a read disturb flips bits in one read
 /// and not in the next, where a tear fails every read alike — so a page
 /// is corrupt only when this many reads in a row fail.
 const RECOVERY_READS: u32 = 3;
@@ -380,8 +392,9 @@ pub struct LogWriter {
     pages: u32,
     /// `starts[p]`: records completed before programmed page `p` — with
     /// the page's own framing, all it takes to find a record by ordinal.
-    /// Four bytes per page is the log's only per-page RAM; raw pages
-    /// after the last record page have no entry.
+    /// Four bytes per page is the log's only per-page RAM, and none while
+    /// `starts[p]` is `p` on every page ([`push_start`]): a log of
+    /// page-filling records keeps no RAM per page.
     starts: Vec<u32>,
     /// Records whose last chunk is on a programmed page.
     durable: u32,
@@ -534,24 +547,55 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Program a raw, caller-laid-out page and return its page index.
-    /// Flushes any partial record page first so ordering is preserved.
-    /// A raw page has no CRC, so its decoder is its only guard: its one
-    /// caller crate is pds-search, whose queries read ≈ 150 bucket pages
-    /// each (ROADMAP item 20). Elsewhere a page is one page-filling record.
-    pub fn append_raw_page(&mut self, page: &[u8]) -> Result<u32> {
-        self.flush()?;
-        let geo = self.flash.geometry();
-        if page.len() != geo.page_size {
+    /// Program `rec`, a record that fills a page —
+    /// [`max_record_len`](Self::max_record_len) bytes, anything else is
+    /// [`FlashError::BadPageSize`] — as the log's next page, at once, any
+    /// partial page before it; returns its page index, which is its
+    /// ordinal in a log whose every record is appended so. A program that
+    /// fails leaves the log as it was: the record is not appended, and not
+    /// left in the buffer for a later page to program.
+    pub fn append_page(&mut self, rec: &[u8]) -> Result<u32> {
+        let expected = self.max_record_len();
+        if rec.len() != expected {
             return Err(FlashError::BadPageSize {
-                given: page.len(),
-                expected: geo.page_size,
+                given: rec.len(),
+                expected,
             });
         }
-        let addr = self.next_page_slot()?;
-        self.flash.program_page(addr, page)?;
-        self.pages += 1;
+        self.flush()?;
+        self.append(rec)?;
+        if let Err(e) = self.flush() {
+            self.records -= 1;
+            self.clear_buf();
+            return Err(e);
+        }
         Ok(self.pages - 1)
+    }
+
+    /// Read page `i` of the log on `blocks` into `buf`, a page, verified
+    /// as every page is read, and hand back the record that fills it
+    /// where it lies: `buf[PAGE_RECORD]`. For a log of
+    /// [`append_page`](Self::append_page)'s records, whose page `i` is
+    /// record `i`. A page that holds anything else is
+    /// [`FlashError::CorruptPage`], a page past what `blocks` hold
+    /// [`FlashError::BadRecordAddr`]. It asks no writer, so that a
+    /// recovery can check the pages a frontier names before it adopts
+    /// the log.
+    pub fn read_filled_page<'b>(
+        flash: &Flash,
+        blocks: &[BlockId],
+        i: u32,
+        buf: &'b mut [u8],
+    ) -> Result<&'b mut [u8]> {
+        let addr = flash.geometry().log_page(blocks, i);
+        let addr = addr.ok_or(FlashError::BadRecordAddr)?;
+        let count = read_page(flash, addr, buf, &Cell::default())?;
+        let len = buf.len() - PAGE_RECORD.start;
+        let only = Chunks::new(buf, count).next().filter(|_| count == 1);
+        if !only.is_some_and(|c| !c.continues && !c.more && c.bytes.len() == len) {
+            return Err(FlashError::CorruptPage(addr));
+        }
+        Ok(&mut buf[PAGE_RECORD])
     }
 
     fn next_page_slot(&mut self) -> Result<PageAddr> {
@@ -569,11 +613,9 @@ impl LogWriter {
         let crc = page_crc(&self.buf);
         self.buf[2..PAGE_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.flash.program_page(addr, &self.buf)?;
-        // Raw pages since the last record page get their entries now;
-        // every record appended so far has its last chunk on this page
-        // or an earlier one.
-        self.starts.resize(self.pages as usize, self.durable);
-        self.starts.push(self.durable);
+        // Every record appended so far has its last chunk on this page or
+        // an earlier one.
+        push_start(&mut self.starts, self.pages, self.durable);
         self.durable = self.records;
         self.pages += 1;
         self.clear_buf();
@@ -616,10 +658,10 @@ impl LogWriter {
     /// Records completed before log page `page` — the ordinal of the
     /// first record whose last chunk is on it.
     fn first_ordinal(&self, page: u32) -> u32 {
-        self.starts
-            .get(page as usize)
-            .copied()
-            .unwrap_or(self.durable)
+        match page < self.pages {
+            true => self.starts.get(page as usize).copied().unwrap_or(page),
+            false => self.durable,
+        }
     }
 
     /// Payloads of the chunks of programmed page `i` (one page I/O) — a
@@ -787,6 +829,10 @@ impl LogWriter {
         // record-ending chunk.
         let (holder, start) = if ordinal >= self.durable {
             (self.pages, self.durable)
+        } else if self.starts.is_empty() {
+            // `starts[p]` is `p`: every page but the last ends one record.
+            let p = ordinal.min(self.pages.saturating_sub(1));
+            (p, p)
         } else {
             let after = self.starts.partition_point(|&s| s <= ordinal);
             let p = after.checked_sub(1).ok_or(FlashError::BadRecordAddr)?;
@@ -848,8 +894,8 @@ impl LogWriter {
             self.flash.free_block(b);
         }
         let gone = n * per as usize;
+        let released = self.first_ordinal(gone as u32);
         self.pages -= gone as u32;
-        let released = self.starts.get(gone).copied().unwrap_or(self.durable);
         self.starts.drain(..gone.min(self.starts.len()));
         for start in &mut self.starts {
             *start -= released;
@@ -924,7 +970,7 @@ impl LogWriter {
         let mut report = RecoveryReport::default();
         let retries = Cell::new(0);
         let mut starts = Vec::new();
-        let mut records = 0u32;
+        let (mut pages, mut records) = (0, 0u32);
         let mut torn = false;
         // The ordinal of the first record `accept` refused.
         let mut cut = None;
@@ -937,7 +983,8 @@ impl LogWriter {
                 buf.resize(geo.page_size, 0); // sized on first use: most logs of a boot are empty
                 match read_page(flash, addr, &mut buf, &retries) {
                     Ok(count) => {
-                        starts.push(records);
+                        push_start(&mut starts, pages, records);
+                        pages += 1;
                         for chunk in Chunks::new(&buf, count) {
                             let ends = !chunk.more;
                             if let Some(rec) = assembler.feed(chunk) {
@@ -963,14 +1010,10 @@ impl LogWriter {
         pds_obs::counter!("recovery.pages_scanned").add(report.pages_scanned);
         pds_obs::counter!("recovery.records_recovered").add(report.records_recovered);
         pds_obs::counter!("recovery.torn_pages_discarded").add(report.torn_pages_discarded);
-        // The valid pages a relocation copies verified in the scan, so a
-        // copy is verified too: a read disturb is not programmed onward.
         // A cut copies the valid pages itself, the torn block's included,
         // so nothing is relocated before it.
-        let copy = |addr, buf: &mut [u8]| read_page(flash, addr, buf, &retries);
         let relocate = torn && cut.is_none();
-        let (mut writer, relocated) =
-            Self::resume_at(flash, blocks, starts.len() as u32, relocate, copy)?;
+        let (mut writer, relocated) = Self::resume_at(flash, blocks, pages, relocate, &retries)?;
         report.pages_relocated = relocated;
         writer.starts = starts;
         writer.durable = records;
@@ -1012,23 +1055,25 @@ impl LogWriter {
         }
     }
 
-    /// Re-adopt a *raw* log — caller-laid-out pages from
-    /// [`append_raw_page`](Self::append_raw_page), no record framing and
-    /// no CRC to scan by — up to a page frontier the caller made durable
-    /// elsewhere (the search engine's index checkpoint). The first
-    /// `pages` pages are kept as they are; whatever was programmed past
-    /// the frontier is unreachable garbage, treated exactly like
-    /// [`recover`](Self::recover)'s torn tail: the boundary block's
-    /// prefix is relocated so appending can resume, and blocks past the
-    /// frontier go back to the pool. One verified read of the frontier
-    /// page and, only after a cut, at most one block of relocation —
-    /// never a scan of the log. The frontier is dirty unless that read
-    /// finds it erased, so a read disturb on an erased page, read again
-    /// as any failing page is, is not taken for a cut.
+    /// Re-adopt a log of page-filling records
+    /// ([`append_page`](Self::append_page)) up to a page frontier the
+    /// caller made durable elsewhere (the search engine's index
+    /// checkpoint): its first `pages` pages, records `0..pages`, are kept
+    /// as they are; whatever was programmed past the frontier is
+    /// unreachable garbage, treated exactly like [`recover`](Self::recover)'s
+    /// torn tail: the boundary block's prefix is relocated so appending can
+    /// resume, each page copied through a verified read, so a read
+    /// disturb is read again, never programmed onward; and blocks past the
+    /// frontier go back to the pool. One read of the frontier page and,
+    /// only after a cut, at most one block of relocation — never a scan of
+    /// the log. The frontier is dirty unless that read finds it erased, so
+    /// a read disturb on an erased page, read again as any failing page
+    /// is, is not taken for a cut. A page below the frontier that fails
+    /// its copy fails the recovery.
     ///
     /// A frontier beyond what `blocks` can hold is
     /// [`FlashError::BadRecordAddr`] with no block touched.
-    pub fn recover_raw(
+    pub fn recover_at(
         flash: &Flash,
         blocks: &[BlockId],
         pages: u32,
@@ -1038,16 +1083,18 @@ impl LogWriter {
         if u64::from(pages) > blocks.len() as u64 * u64::from(per) {
             return Err(FlashError::BadRecordAddr);
         }
-        let mut report = RecoveryReport::default();
+        let mut report = RecoveryReport {
+            records_recovered: u64::from(pages),
+            ..RecoveryReport::default()
+        };
+        let retries = Cell::new(0);
         // In-order programming makes the programmed pages of a block a
         // prefix, so the frontier page alone tells whether anything
         // lies past it.
         let dirty = match geo.log_page(blocks, pages) {
             Some(frontier) => {
-                let retries = Cell::new(0);
                 let read = read_page(flash, frontier, &mut vec![0u8; geo.page_size], &retries);
                 report.pages_scanned = 1;
-                report.read_retries = retries.get();
                 pds_obs::counter!("recovery.pages_scanned").inc();
                 match read {
                     Err(FlashError::ErasedPage(_)) => false,
@@ -1057,27 +1104,29 @@ impl LogWriter {
             }
             None => false,
         };
-        // Raw pages carry no CRC to verify a copy by.
-        let copy = |addr, buf: &mut [u8]| flash.read_page(addr, buf);
-        let (writer, relocated) = Self::resume_at(flash, blocks, pages, dirty, copy)?;
+        let (mut writer, relocated) = Self::resume_at(flash, blocks, pages, dirty, &retries)?;
         report.pages_relocated = relocated;
+        report.read_retries = retries.get();
+        (writer.durable, writer.records) = (pages, pages);
+        writer.retries = retries;
         Ok((writer, report))
     }
 
     /// The ownership half of a recovery, shared by the record scan and
-    /// the raw frontier: a writer over the first `valid_pages` pages of
+    /// the frontier: a writer over the first `valid_pages` pages of
     /// `blocks`, ready to append. `dirty` says the page right after them
     /// is programmed (torn, or past a checkpointed frontier) — NAND
     /// cannot reprogram it, so the valid prefix of its block moves to a
-    /// fresh one, each page read by `copy`; returns the writer and the
-    /// pages relocated. Every block of `blocks` ends up owned by the
-    /// writer or back in the pool exactly once.
-    fn resume_at<T>(
+    /// fresh one, each page read verified, its re-reads counted in
+    /// `retries`; returns the writer and the pages relocated. Every block
+    /// of `blocks` ends up owned by the writer or back in the pool exactly
+    /// once.
+    fn resume_at(
         flash: &Flash,
         blocks: &[BlockId],
         valid_pages: u32,
         dirty: bool,
-        mut copy: impl FnMut(PageAddr, &mut [u8]) -> Result<T>,
+        retries: &Cell<u64>,
     ) -> Result<(LogWriter, u32)> {
         let geo = flash.geometry();
         let per = geo.pages_per_block as u32;
@@ -1113,7 +1162,7 @@ impl LogWriter {
                     let fresh = flash.alloc_block()?;
                     let mut buf = vec![0u8; geo.page_size];
                     for off in 0..prefix {
-                        copy(geo.page_in_block(old, off), &mut buf)?;
+                        read_page(flash, geo.page_in_block(old, off), &mut buf, retries)?;
                         flash.program_page(geo.page_in_block(fresh, off), &buf)?;
                         relocated += 1;
                     }
@@ -1127,6 +1176,21 @@ impl LogWriter {
         writer.pages = valid_pages;
         Ok((writer, relocated))
     }
+}
+
+/// Note in `starts` that programmed page `page` begins after `first`
+/// records. Nothing is kept while every page so far begins where its
+/// index says — each page but the last ended one record, as on a log of
+/// page-filling records; the first page that does not writes them all
+/// out, four bytes a page from then on.
+fn push_start(starts: &mut Vec<u32>, page: u32, first: u32) {
+    if starts.is_empty() && first == page {
+        return;
+    }
+    if starts.is_empty() {
+        starts.extend(0..page);
+    }
+    starts.push(first);
 }
 
 /// What a [`LogWriter::recover`] scan found and did.
@@ -1482,20 +1546,59 @@ mod tests {
     }
 
     #[test]
-    fn raw_pages_interleave_with_records() {
+    fn filled_pages_interleave_with_records() {
         let f = flash();
         let mut w = f.new_log();
         w.append(b"rec0").unwrap();
-        let page = vec![0x42; f.geometry().page_size];
-        let raw_idx = w.append_raw_page(&page).unwrap();
-        assert_eq!(raw_idx, 1, "partial record page flushed first");
-        assert_eq!(w.append(b"rec1").unwrap(), 1);
+        let page = pattern(w.max_record_len());
+        assert_eq!(
+            w.append_page(&page).unwrap(),
+            1,
+            "partial page flushed first"
+        );
+        assert_eq!(w.append(b"rec2").unwrap(), 2);
         w.flush().unwrap();
         assert_eq!(w.read_page_records(0).unwrap(), vec![b"rec0".to_vec()]);
-        // Ordinals count records, whatever else shares the log.
+        // A page-filling record is a record like any other.
         assert_eq!(w.get(0).unwrap(), b"rec0");
-        assert_eq!(w.get(1).unwrap(), b"rec1");
-        assert_eq!(raw_page(&w, raw_idx), page);
+        assert_eq!(w.get(1).unwrap(), page);
+        assert_eq!(w.get(2).unwrap(), b"rec2");
+        assert_eq!(filled_page(&w, 1), page);
+        // Read as a filled page, a page of small records is corrupt.
+        let mut buf = vec![0u8; 512];
+        let addr = w.page_addr(2).unwrap();
+        assert_eq!(
+            LogWriter::read_filled_page(&f, w.blocks(), 2, &mut buf),
+            Err(FlashError::CorruptPage(addr))
+        );
+        assert_eq!(
+            LogWriter::read_filled_page(&f, w.blocks(), 16, &mut buf),
+            Err(FlashError::BadRecordAddr)
+        );
+        // Only a record that fills a page is one.
+        assert_eq!(
+            w.append_page(b"short"),
+            Err(FlashError::BadPageSize {
+                given: 5,
+                expected: page.len()
+            })
+        );
+        // A program that fails leaves nothing behind for the next one.
+        let taken: Vec<BlockId> = std::iter::from_fn(|| f.alloc_block().ok()).collect();
+        for _ in 0..16 - 3 {
+            w.append_page(&page).unwrap();
+        }
+        assert_eq!(w.append_page(&page), Err(FlashError::OutOfBlocks));
+        assert_eq!((w.num_pages(), w.num_records()), (16, 16));
+        for b in taken {
+            f.free_block(b);
+        }
+        assert_eq!(
+            w.append_page(&pattern(page.len() - 1).repeat(2)[..page.len()])
+                .unwrap(),
+            16
+        );
+        assert_eq!((w.num_pages(), w.num_records()), (17, 17));
     }
 
     /// The bit-at-a-time CRC the table replaced, kept as the reference.
@@ -1702,72 +1805,75 @@ mod tests {
         assert_eq!(vals, (0..recovered).collect::<Vec<u64>>());
     }
 
-    /// A raw log of `n` pages, page `i` filled with byte `i`.
-    fn raw_log(f: &Flash, n: u32) -> LogWriter {
+    /// A log of `n` page-filling records, page `i` filled with byte `i`.
+    fn filled_log(f: &Flash, n: u32) -> LogWriter {
         let mut w = f.new_log();
         for i in 0..n {
-            w.append_raw_page(&vec![i as u8; f.geometry().page_size])
-                .unwrap();
+            w.append_page(&vec![i as u8; w.max_record_len()]).unwrap();
         }
         w
     }
 
-    fn raw_page(w: &LogWriter, i: u32) -> Vec<u8> {
+    fn filled_page(w: &LogWriter, i: u32) -> Vec<u8> {
         let mut buf = vec![0u8; w.flash().geometry().page_size];
-        w.flash()
-            .read_page(w.page_addr(i).unwrap(), &mut buf)
-            .unwrap();
-        buf
+        LogWriter::read_filled_page(w.flash(), w.blocks(), i, &mut buf)
+            .unwrap()
+            .to_vec()
     }
 
     #[test]
-    fn recover_raw_keeps_the_frontier_and_frees_what_lies_past_it() {
+    fn recover_at_keeps_the_frontier_and_frees_what_lies_past_it() {
         // 16 pages per block: 40 pages sit in three blocks.
         for (frontier, relocated) in [(40u32, 0u32), (37, 5), (32, 0), (20, 4), (0, 0)] {
             let f = flash();
-            let w = raw_log(&f, 40);
+            let w = filled_log(&f, 40);
             let blocks = w.blocks().to_vec();
             let f2 = f.reboot();
             let free_before = f2.free_blocks();
-            let (mut rec, report) = LogWriter::recover_raw(&f2, &blocks, frontier).unwrap();
-            assert_eq!(rec.num_pages(), frontier);
+            let (mut rec, report) = LogWriter::recover_at(&f2, &blocks, frontier).unwrap();
+            assert_eq!(
+                (rec.num_pages(), rec.num_records()),
+                (frontier, frontier.into())
+            );
+            assert_eq!(report.records_recovered, u64::from(frontier));
             assert_eq!(report.pages_relocated, relocated, "frontier {frontier}");
-            // One probe of the frontier page, never a scan — read three
-            // times when it is programmed, so that a read disturb on an
-            // erased page does not pass for a dirty one.
-            let retries = if frontier < 40 { 2 } else { 0 };
+            // One probe of the frontier page, never a scan: a whole page
+            // past it verifies at its first read, as an erased one does.
             assert_eq!(report.pages_scanned, 1);
-            assert_eq!(report.read_retries, retries);
-            assert_eq!(f2.stats().page_reads, 1 + retries + u64::from(relocated));
+            assert_eq!(report.read_retries, 0);
+            assert_eq!(f2.stats().page_reads, 1 + u64::from(relocated));
             assert_eq!(f2.stats().page_programs, u64::from(relocated));
             for i in 0..frontier {
-                assert_eq!(raw_page(&rec, i), vec![i as u8; 512], "page {i}");
+                assert_eq!(filled_page(&rec, i), vec![i as u8; 504], "page {i}");
+                assert_eq!(rec.get(i).unwrap(), vec![i as u8; 504], "record {i}");
             }
             // Blocks past the frontier went back exactly once (a double
             // insert trips the allocator's debug assertion).
             let held = rec.blocks().len();
             assert_eq!(held, (frontier as usize).div_ceil(16));
             assert_eq!(f2.free_blocks(), free_before + blocks.len() - held);
-            // And the writer appends where the frontier was.
-            assert_eq!(rec.append_raw_page(&[0xAB; 512]).unwrap(), frontier);
+            // And the writer appends where the frontier was, record and
+            // page alike.
+            assert_eq!(rec.append_page(&[0xAB; 504]).unwrap(), frontier);
+            assert_eq!(rec.get(frontier).unwrap(), [0xAB; 504]);
         }
     }
 
     #[test]
-    fn recover_raw_resumes_in_place_after_a_clean_stop() {
+    fn recover_at_resumes_in_place_after_a_clean_stop() {
         let f = flash();
-        let w = raw_log(&f, 21);
+        let w = filled_log(&f, 21);
         let blocks = w.blocks().to_vec();
         let f2 = f.reboot();
-        let (mut rec, report) = LogWriter::recover_raw(&f2, &blocks, 21).unwrap();
+        let (mut rec, report) = LogWriter::recover_at(&f2, &blocks, 21).unwrap();
         assert_eq!(report.pages_relocated, 0);
         assert_eq!(f2.stats().page_programs, 0);
         assert_eq!(rec.blocks(), &blocks[..]);
-        assert_eq!(rec.append_raw_page(&[7; 512]).unwrap(), 21);
+        assert_eq!(rec.append_page(&[7; 504]).unwrap(), 21);
         // A frontier the blocks cannot hold touches nothing.
         let free = f2.free_blocks();
         assert_eq!(
-            LogWriter::recover_raw(&f2, &blocks, 33).err(),
+            LogWriter::recover_at(&f2, &blocks, 33).err(),
             Some(FlashError::BadRecordAddr)
         );
         assert_eq!(f2.free_blocks(), free);
@@ -1777,15 +1883,16 @@ mod tests {
     fn release_head_reclaims_whole_blocks_and_shifts_pages() {
         let f = flash();
         let before = f.free_blocks();
-        let mut w = raw_log(&f, 40);
-        w.release_head(1);
+        let mut w = filled_log(&f, 40);
+        assert_eq!(w.release_head(1), 16);
         assert_eq!((w.num_pages(), w.blocks().len()), (24, 2));
-        assert_eq!(raw_page(&w, 0), vec![16u8; 512]);
+        assert_eq!(filled_page(&w, 0), vec![16u8; 504]);
         // Clamped: the block holding the append point stays.
-        w.release_head(5);
+        assert_eq!(w.release_head(5), 16);
         assert_eq!((w.num_pages(), w.blocks().len()), (8, 1));
-        assert_eq!(raw_page(&w, 7), vec![39u8; 512]);
-        assert_eq!(w.append_raw_page(&[1; 512]).unwrap(), 8);
+        assert_eq!(filled_page(&w, 7), vec![39u8; 504]);
+        assert_eq!(w.get(7).unwrap(), vec![39u8; 504]);
+        assert_eq!(w.append_page(&[1; 504]).unwrap(), 8);
         assert_eq!(f.free_blocks(), before - 1);
     }
 
@@ -1946,38 +2053,63 @@ mod tests {
         let torn = cut_log(&f, FaultPlan::new(0).power_loss_after(5));
         let got = cost_of(&f.reboot(), |f| LogWriter::recover(f, &torn));
         assert_eq!(got, (13, 5, report(6, 1, 250, 5, 2, false)), "torn");
-        // Raw frontiers: erased (one read), dirty (three reads, and the
-        // two pages before it in its block relocated), erased with a
-        // first read that flipped (two reads).
+        // Frontiers of a log of page-filling records: erased (one read),
+        // dirty (one read of the whole page past it, and the two pages
+        // before it in its block relocated), erased with a first read
+        // that flipped (two reads).
         let f = flash();
-        let raw = raw_log(&f, 20);
-        let got = cost_of(&f.reboot(), |f| LogWriter::recover_raw(f, raw.blocks(), 20));
-        assert_eq!(got, (1, 0, report(1, 0, 0, 0, 0, false)), "erased frontier");
-        let got = cost_of(&f.reboot(), |f| LogWriter::recover_raw(f, raw.blocks(), 18));
-        assert_eq!(got, (5, 2, report(1, 0, 0, 2, 2, false)), "dirty frontier");
-        // The first plan that flips the first read of the frontier page
-        // and not the second.
-        let plan = |seed| FaultPlan::new(seed).read_flips(0.5);
-        let frontier = f.geometry().log_page(raw.blocks(), 20).unwrap();
-        let first_read_flips = |seed| {
-            let probe = f.reboot();
-            probe.inject_faults(plan(seed));
-            let mut buf = vec![0; 512];
-            let mut erased = || {
-                probe.read_page(frontier, &mut buf).unwrap();
-                buf.iter().all(|&b| b == 0xFF)
-            };
-            !erased() && erased()
-        };
-        let seed = (0..).find(|&seed| first_read_flips(seed)).unwrap();
-        let flipped = f.reboot();
-        flipped.inject_faults(plan(seed));
-        let got = cost_of(&flipped, |f| LogWriter::recover_raw(f, raw.blocks(), 20));
+        let filled = filled_log(&f, 20);
+        let got = cost_of(&f.reboot(), |f| {
+            LogWriter::recover_at(f, filled.blocks(), 20)
+        });
         assert_eq!(
             got,
-            (2, 0, report(1, 0, 0, 0, 1, false)),
+            (1, 0, report(1, 0, 20, 0, 0, false)),
+            "erased frontier"
+        );
+        let got = cost_of(&f.reboot(), |f| {
+            LogWriter::recover_at(f, filled.blocks(), 18)
+        });
+        assert_eq!(got, (3, 2, report(1, 0, 18, 2, 0, false)), "dirty frontier");
+        // The first plan under which reads of `page` flip as `flips` says,
+        // read by read.
+        let plan = |seed| FaultPlan::new(seed).read_flips(0.5);
+        let seed_for = |page: u32, flips: &[bool]| {
+            let addr = f.geometry().log_page(filled.blocks(), page).unwrap();
+            let mut clean = vec![0; 512];
+            f.read_page(addr, &mut clean).unwrap();
+            let follows = |seed| {
+                let probe = f.reboot();
+                probe.inject_faults(plan(seed));
+                let mut buf = vec![0; 512];
+                flips.iter().all(|&flip| {
+                    probe.read_page(addr, &mut buf).unwrap();
+                    (buf != clean) == flip
+                })
+            };
+            (0..).find(|&seed| follows(seed)).unwrap()
+        };
+        let flipped = f.reboot();
+        flipped.inject_faults(plan(seed_for(20, &[true, false])));
+        let got = cost_of(&flipped, |f| LogWriter::recover_at(f, filled.blocks(), 20));
+        assert_eq!(
+            got,
+            (2, 0, report(1, 0, 20, 0, 1, false)),
             "flipped frontier"
         );
+        // Dirty, and the copy of the first page it relocates flips (after
+        // the frontier's read): the copy is read again, and the fresh
+        // block holds the page, not the flip.
+        let flipped = f.reboot();
+        flipped.inject_faults(plan(seed_for(18, &[false, true, false, false])));
+        let before = flipped.stats();
+        let (rec, report_got) = LogWriter::recover_at(&flipped, filled.blocks(), 18).unwrap();
+        let io = flipped.stats() - before;
+        let got = (io.page_reads, io.page_programs, report_got);
+        assert_eq!(got, (4, 2, report(1, 0, 18, 2, 1, false)), "flipped copy");
+        flipped.inject_faults(FaultPlan::new(0));
+        assert_eq!(filled_page(&rec, 16), vec![16u8; 504]);
+        assert_eq!(filled_page(&rec, 17), vec![17u8; 504]);
     }
 
     #[test]

@@ -381,9 +381,11 @@ fn scanned(w: &LogWriter) -> Vec<Vec<u8>> {
 /// record before it: the cut's copy reads its pages as the scan does. A
 /// log cut by a power loss recovers under the same disturb as it does
 /// without: the same records, the same pages relocated, and the
-/// relocated copies read back. A raw log re-adopted at its (erased)
-/// frontier under the same disturb, sixteen times a seed, is never
-/// found dirty. And the foreground readers under the same disturb
+/// relocated copies read back. A log of page-filling records re-adopted
+/// at a page frontier under the same disturb, sixteen times a seed, is
+/// never found dirty at its erased end, and relocates the whole prefix
+/// of a dirty frontier's block, each page as it was. And the foreground
+/// readers under the same disturb
 /// answer what they answer without (`foreground_reads_under_disturb`).
 #[test]
 fn read_disturb_recovery_sweep() {
@@ -454,20 +456,28 @@ fn read_disturb_recovery_sweep() {
         retries += report.read_retries;
 
         let flash = Flash::small(16);
-        let mut raw = flash.new_log();
+        let mut filled = flash.new_log();
         for i in 0..40u8 {
-            raw.append_raw_page(&[i; 512]).unwrap();
+            filled.append_page(&[i; 504]).unwrap();
         }
         for probe in 0..16 {
-            let ctx = format!("{ctx}, raw probe {probe}");
-            let rebooted = flash.reboot();
-            let plan = FaultPlan::new(seed ^ (probe << 32)).read_flips(0.01);
-            rebooted.inject_faults(plan);
-            let (rec, report) = LogWriter::recover_raw(&rebooted, raw.blocks(), 40).unwrap();
-            assert_eq!(report.pages_relocated, 0, "{ctx}: frontier called dirty");
-            assert_eq!(rec.blocks(), raw.blocks(), "{ctx}");
-            assert_blocks_add_up(&rebooted, &rec, &ctx);
-            retries += report.read_retries;
+            let ctx = format!("{ctx}, frontier probe {probe}");
+            // Erased, the frontier is never called dirty; dirty, its
+            // block's prefix is relocated whole, each copy verified.
+            for (frontier, relocated) in [(40, 0), (37, 5)] {
+                let rebooted = flash.reboot();
+                let plan = FaultPlan::new(seed ^ (probe << 32)).read_flips(0.01);
+                rebooted.inject_faults(plan);
+                let (rec, report) =
+                    LogWriter::recover_at(&rebooted, filled.blocks(), frontier).unwrap();
+                rebooted.inject_faults(FaultPlan::new(seed));
+                assert_eq!(report.pages_relocated, relocated, "{ctx}: at {frontier}");
+                assert_blocks_add_up(&rebooted, &rec, &ctx);
+                let pages: Vec<Vec<u8>> = (0..frontier).map(|i| rec.get(i).unwrap()).collect();
+                let want: Vec<Vec<u8>> = (0..frontier as u8).map(|i| vec![i; 504]).collect();
+                assert_eq!(pages, want, "{ctx}: at {frontier}");
+                retries += report.read_retries;
+            }
         }
         foreground_reads_under_disturb(seed, &oracle[..200], &ctx);
     }

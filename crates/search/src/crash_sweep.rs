@@ -507,10 +507,15 @@ fn a_cut_at_every_program_inside_reorganize_recovers_equal() {
             assert_eq!((r.index_rebuild, r.docs_replayed), (None, 0), "cut {cut}");
         }
     }
+    // A cut on the checkpoint leaves the old one — the old log's — when
+    // it drops the page or tears it before its last written byte, and the
+    // new one when the tear comes after: eight more fault seeds there, so
+    // that which seeds the sweep's cut numbers give does not decide it.
+    let on_it = (0..8).map(|seed| crash_and_compare(&ops, SMALL, &dry, Some(on_checkpoint), seed));
     assert!(
-        reports
-            .iter()
-            .any(|(_, r)| r.index_rebuild == Some(RebuildReason::StaleEpoch)),
+        (reports.iter().map(|(_, r)| r.clone()))
+            .chain(on_it)
+            .any(|r| r.index_rebuild == Some(RebuildReason::StaleEpoch)),
         "no fault seed cut between the swap and its checkpoint"
     );
 }
@@ -564,6 +569,75 @@ fn a_cut_at_every_program_inside_a_drain_recovers_equal() {
                 "{shape:?} cut {cut}"
             );
         }
+    }
+}
+
+/// The page image at page `page` of the log on `blocks`, read raw.
+fn image(flash: &Flash, blocks: &[BlockId], page: u32) -> Vec<u8> {
+    let addr = flash.geometry().log_page(blocks, page).unwrap();
+    let mut buf = vec![0u8; flash.geometry().page_size];
+    flash.read_page(addr, &mut buf).unwrap();
+    buf
+}
+
+/// A cut inside a drain leaves the index log written past its
+/// checkpoint's frontier, so recovery relocates the pages of the
+/// frontier's block below it. Under a read-flip plan whose flip lands on
+/// the first page it copies, the copy is read again: the relocated pages
+/// read without flips are the originals, never a flip programmed for
+/// good.
+#[test]
+fn a_relocation_never_programs_a_read_flip() {
+    let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFA, SMALL);
+    let frontier = dry.index_pages[60];
+    let prefix = frontier % PAGES_PER_BLOCK as u32;
+    assert!(prefix > 0, "the frontier's block has pages to relocate");
+    let cut = dry.cuts_inside(drain).start + 2;
+    let (snap, m) = crash(&ops, SMALL, Some(cut), 0xFA);
+    let recover = |flash: &Flash| SearchEngine::recover(flash, &RamBudget::new(RAM), &m);
+    // The reads before the first copy's: those of a recovery whose first
+    // program — the first copy's — the power cuts.
+    let counted = Flash::reopen(snap.clone());
+    counted.inject_faults(FaultPlan::new(0).power_loss_after(0));
+    assert!(matches!(
+        recover(&counted).err(),
+        Some(SearchError::Flash(FlashError::PowerLoss))
+    ));
+    let before = counted.stats().page_reads - 1;
+    let clean = Flash::reopen(snap.clone());
+    let original = image(&clean, &m.index_blocks, frontier - prefix);
+    // The first plan whose first `before` reads do not flip, whose next
+    // does and whose one after that does not.
+    let plan = |seed| FaultPlan::new(seed).read_flips(1.0 / 64.0);
+    let addr = clean
+        .geometry()
+        .log_page(&m.index_blocks, frontier - prefix);
+    let seed = (0..)
+        .find(|&seed| {
+            clean.inject_faults(plan(seed));
+            let read = || {
+                let mut buf = vec![0u8; clean.geometry().page_size];
+                clean.read_page(addr.unwrap(), &mut buf).unwrap();
+                buf
+            };
+            (0..before).all(|_| read() == original) && read() != original && read() == original
+        })
+        .unwrap();
+    let disturbed = Flash::reopen(snap.clone());
+    disturbed.inject_faults(plan(seed));
+    let (engine, report) = recover(&disturbed).unwrap();
+    assert_eq!(
+        (report.index_rebuild, report.index_pages_kept),
+        (None, frontier)
+    );
+    disturbed.inject_faults(FaultPlan::new(seed));
+    clean.inject_faults(FaultPlan::new(seed));
+    let kept = engine.manifest().index_blocks;
+    for page in frontier - prefix..frontier {
+        assert!(
+            image(&disturbed, &kept, page) == image(&clean, &m.index_blocks, page),
+            "seed {seed}: relocated page {page} differs"
+        );
     }
 }
 

@@ -5,8 +5,9 @@
 //! is plugged into — so a reopen is an ordinary event and must cost what
 //! changed since the last sync, not what the token has accumulated over
 //! its life. The documents and tombstones are record logs and recover by
-//! their page CRCs. The inverted index is a log of *raw* bucket pages
-//! whose chain heads live in RAM; what lets recovery keep it is the
+//! their page CRCs. The inverted index is a log of bucket pages, each a
+//! record that fills its page, whose chain heads live in RAM; what lets
+//! recovery keep it is the
 //! **index checkpoint**: at the end of every [`SearchEngine::flush`] —
 //! when every pending triple, document chunk and tombstone is on flash —
 //! one record `(epoch, docid frontier D, index page frontier P, tail start
@@ -30,7 +31,7 @@
 //! or partial checkpoint is simply not there, and its predecessor —
 //! still valid, for the reason above — is used instead.
 
-use pds_flash::{BlockId, Flash, LogWriter};
+use pds_flash::{BlockId, Flash, FlashError, LogWriter};
 use pds_mcu::RamBudget;
 use pds_obs::flight::{code, subsystem, Severity};
 use pds_obs::wire::Reader;
@@ -151,8 +152,9 @@ pub struct EngineManifest {
     pub docs: u32,
     /// Blocks of the tombstone log.
     pub tombstone_blocks: Vec<BlockId>,
-    /// Blocks of the index log (raw bucket pages). Kept across the power
-    /// cycle up to the page frontier of the last checkpoint.
+    /// Blocks of the index log (bucket pages, a record filling each).
+    /// Kept across the power cycle up to the page frontier of the last
+    /// checkpoint.
     pub index_blocks: Vec<BlockId>,
     /// Identity of the index log `index_blocks` holds; a checkpoint
     /// written for another epoch describes a log that no longer exists.
@@ -275,22 +277,39 @@ impl SearchEngine {
                 continue;
             }
             // A chain lies wholly below the tail.
-            let Some(addr) = geo.log_page(&m.index_blocks, head).filter(|_| head < tail) else {
+            if head >= tail {
                 return Ok(Err(RebuildReason::ChainMismatch));
-            };
-            self.flash.read_page(addr, &mut buf)?;
-            let of_bucket = |term: u64| self.bucket_of(term) == bucket;
-            let sound = BucketPage::parse(&buf).is_some_and(|page| {
-                (page.prev == NO_PREV || page.prev < head)
-                    && page.triples().all(|t| t.doc < docs && of_bucket(t.term))
-                    && (page.table())
-                        .is_some_and(|table| table.entries().all(|(t, _)| of_bucket(t)))
-            });
-            if !sound {
+            }
+            // Read as every index page is: a read disturb is read again,
+            // not taken for a checkpoint that does not fit.
+            let page =
+                match LogWriter::read_filled_page(&self.flash, &m.index_blocks, head, &mut buf) {
+                    Ok(page) => BucketPage::parse(page),
+                    Err(
+                        FlashError::CorruptPage(_)
+                        | FlashError::ErasedPage(_)
+                        | FlashError::BadRecordAddr,
+                    ) => None,
+                    Err(e) => return Err(e.into()),
+                };
+            if !self.is_head(bucket, head, docs, page) {
                 return Ok(Err(RebuildReason::ChainMismatch));
             }
         }
         Ok(Ok(ckpt))
+    }
+
+    /// Whether `page`, index page `head`, may be the head of `bucket`'s
+    /// chain in a checkpoint of `docs` documents: it links back or ends
+    /// the chain, and its postings and df table are the bucket's, of
+    /// documents below `docs`.
+    fn is_head(&self, bucket: usize, head: u32, docs: DocId, page: Option<BucketPage<'_>>) -> bool {
+        let of_bucket = |term: u64| self.bucket_of(term) == bucket;
+        page.is_some_and(|page| {
+            (page.prev == NO_PREV || page.prev < head)
+                && page.triples().all(|t| t.doc < docs && of_bucket(t.term))
+                && (page.table()).is_some_and(|table| table.entries().all(|(t, _)| of_bucket(t)))
+        })
     }
 
     /// Bring an engine back after a power cycle.
@@ -301,7 +320,7 @@ impl SearchEngine {
     /// last complete index checkpoint (module docs) gives the docid
     /// frontier `D`, the page frontier `P`, the tail start and the chain
     /// heads; the index log is re-adopted up to `P`
-    /// ([`LogWriter::recover_raw`] — pages past `P` are garbage the cut
+    /// ([`LogWriter::recover_at`] — pages past `P` are garbage the cut
     /// left behind), and only documents `D..` go through the indexing
     /// path again, drains included. Work is proportional to
     /// what was ingested since the last sync, plus one page read per
@@ -361,7 +380,7 @@ impl SearchEngine {
             Err(why) => (Frontier::origin(m.index_epoch.wrapping_add(1)), Some(why)),
         };
         drop(checking);
-        let (index, _) = LogWriter::recover_raw(flash, &m.index_blocks, from.pages)?;
+        let (index, _) = LogWriter::recover_at(flash, &m.index_blocks, from.pages)?;
         let index_blocks_dropped = m
             .index_blocks
             .iter()
@@ -435,8 +454,87 @@ impl EngineRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_obs::rng::Rng;
+    use pds_flash::{FaultPlan, FlashGeometry, PAGE_RECORD};
+    use pds_obs::rng::{Rng, SeedableRng, StdRng};
     use pds_obs::wire::{sweep, Tail};
+
+    /// A head's first read at recovery flips a bit that makes the page
+    /// look like another bucket's or a later document's: the read is
+    /// verified and read again, and recovery keeps the checkpoint — where
+    /// a head read raw would have been taken for a checkpoint that does
+    /// not fit this log, and the whole index re-indexed.
+    #[test]
+    fn a_flip_in_a_heads_first_read_is_read_again_not_a_rebuild() {
+        let flash = Flash::new(FlashGeometry::new(512, 8, 512));
+        let ram = RamBudget::new(64 * 1024);
+        let mut e = SearchEngine::new(&flash, &ram, 16, 64, DfStrategy::TwoPass).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xF1_1F);
+        for i in 0..300 {
+            let words: Vec<String> = (0..6)
+                .map(|_| format!("w{}", rng.gen_range(0..40)))
+                .collect();
+            e.index_document(&format!("doc{i} {}", words.join(" ")))
+                .unwrap();
+        }
+        e.flush().unwrap();
+        let m = e.manifest();
+        let recover = |flash: &Flash| SearchEngine::recover(flash, &RamBudget::new(64 * 1024), &m);
+        // A clean recovery scans the three record logs, then reads each
+        // head, then the frontier if its block has one.
+        let clean = flash.reboot();
+        let (kept, report) = recover(&clean).unwrap();
+        assert_eq!((report.index_rebuild, report.docs_replayed), (None, 0));
+        let heads: Vec<(usize, u32)> = (kept.heads.iter().copied().enumerate())
+            .filter(|&(_, head)| head != NO_PREV)
+            .collect();
+        let scans = flash.reboot();
+        for blocks in [&m.doc_blocks, &m.tombstone_blocks, &m.checkpoint_blocks] {
+            LogWriter::recover(&scans, blocks).unwrap();
+        }
+        let before = scans.stats().page_reads;
+        let after = clean.stats().page_reads - before - 1;
+        let (bucket, head) = heads[0];
+        let addr = flash.geometry().log_page(&m.index_blocks, head).unwrap();
+        let mut image = vec![0u8; 512];
+        flash.read_page(addr, &mut image).unwrap();
+        // The first plan whose first `before` reads do not flip, whose
+        // next — the head's — flips it into a page that is no head of its
+        // bucket, and whose `after` reads after that do not flip.
+        let plan = |seed| FaultPlan::new(seed).read_flips(1.0 / 32.0);
+        let probe = flash.reboot();
+        let docs = kept.num_docs();
+        let seed = (0..)
+            .find(|&seed| {
+                probe.inject_faults(plan(seed));
+                let read = || {
+                    let mut buf = vec![0u8; 512];
+                    probe.read_page(addr, &mut buf).unwrap();
+                    buf
+                };
+                if !(0..before).all(|_| read() == image) {
+                    return false;
+                }
+                let flipped = read();
+                let page = BucketPage::parse(&flipped[PAGE_RECORD]);
+                !kept.is_head(bucket, head, docs, page) && (0..after).all(|_| read() == image)
+            })
+            .unwrap();
+        let disturbed = flash.reboot();
+        disturbed.inject_faults(plan(seed));
+        let (engine, got) = recover(&disturbed).unwrap();
+        // One read more than the clean recovery's: the head's, again.
+        let reads = disturbed.stats().page_reads;
+        assert_eq!(reads, clean.stats().page_reads + 1, "seed {seed}");
+        assert_eq!(got, report, "seed {seed}");
+        disturbed.inject_faults(FaultPlan::new(seed));
+        for q in [&["w1"][..], &["w2", "w3"], &["doc7", "w39"]] {
+            assert_eq!(
+                engine.search(q, 10).unwrap(),
+                kept.search(q, 10).unwrap(),
+                "{q:?}"
+            );
+        }
+    }
 
     /// The head count is the engine's sizing, so the format has no count
     /// field to lie with: what it must refuse is every other length.

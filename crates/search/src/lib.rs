@@ -38,6 +38,7 @@ pub mod engine;
 pub mod gen;
 mod layout_differential;
 pub mod oracle;
+mod read_disturb;
 mod shape_witness;
 pub mod tokenize;
 pub mod triple;

@@ -6,7 +6,14 @@
 //! frequency in the document (the `weight_{ti,doc}` factor of the
 //! tutorial's TF-IDF formula).
 //!
-//! ## Bucket page layout (raw log page)
+//! ## Bucket page layout (a record that fills its flash page)
+//!
+//! A bucket page is one record of the index log that fills its flash
+//! page ([`LogWriter::append_page`](pds_flash::LogWriter::append_page)):
+//! the log's page header and the record's length prefix take the page's
+//! first 8 bytes, with the CRC that every read verifies, and the bucket
+//! page is the `page_size − 8` bytes after them — 2 040 on a 2 KB page,
+//! 504 on 512 B. Every size below is of those bytes.
 //!
 //! ```text
 //! [prev_page: u32]  index of the previous page of this bucket chain

@@ -9,13 +9,15 @@
 # through GC and a recovery that cuts its phantoms, the chip's
 # page-grain cell store against a full-block model across moved and
 # copied power cycles, recovery under read disturb (no record lost, no
-# page relocated), and the search engine's checkpointed recovery
+# page relocated but a dirty frontier's, each copy as it was), and the
+# search engine's checkpointed recovery
 # against a full re-index of the same chip, and its df counts against
 # the oracle after cuts inside drains that write the chain heads' df
 # tables, and its bucket pages' codec from one term a page to a new term
 # every posting, at three page sizes, topped up in place, and its tail's
 # term filters against an engine that forgot them (the same answers, no
-# more reads), and pds-db's
+# more reads), and its searches and df counts under read disturb at the
+# secure gateway's shape and the test gateway's, and pds-db's
 # reads under read disturb: indexed selects, the
 # summarised fronts and climbing-index joins answer what they answer
 # flip-free. Then the format sweep under the same seed set: every wire and
@@ -55,6 +57,7 @@ sweep -p pds-search -- \
   a_cut_between_a_drain_and_the_next_checkpoint \
   a_second_crash_while_the_tail_replay_drains \
   bucket_pages_round_trip_sweep \
-  tail_filters_never_hide_a_posting_sweep
+  tail_filters_never_hide_a_posting_sweep \
+  search_reads_under_disturb
 sweep -p pds-db -- embedded_reads_under_disturb
 sweep --workspace -- keep_the_decoder_contract
