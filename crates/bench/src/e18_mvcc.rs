@@ -15,10 +15,13 @@
 //!   request and one empty reply.
 //! * **Part B — continuous queries** (`pds-fleet::subs`): every token
 //!   holds a standing predicate over its own PDS, polls it after each
-//!   commit round, and mails the result delta to the SSI collector.
-//!   The collector's `(token, rowid)` ledger must equal the ground
-//!   truth written — every committed matching row delivered exactly
-//!   once, zero duplicates — with tokens power-cycled mid-run.
+//!   commit round, and mails the sealed result delta to the SSI
+//!   collector. The tokens live on the fleet scheduler, so a power
+//!   cycle is its park (a flush and power-off) and the wake of the
+//!   token's next turn. The collector's `(token, round)` ledger must
+//!   equal the ground truth written — every committed matching row
+//!   delivered exactly once, zero duplicates — with tokens
+//!   power-cycled mid-run.
 //!
 //! Environment knobs: `PDS_E18_CELLS` (cap on the 64/256/512 sweep,
 //! default 512), `PDS_E18_MAX_THREADS` (default 4).
@@ -190,8 +193,8 @@ pub fn run() -> Table {
     );
     t.note(
         "subscriptions row: collector ledger vs ground truth after 4 commit \
-         rounds with a third of the tokens power-cycled between rounds — \
-         exactly-once or BROKEN",
+         rounds with a third of the tokens power-cycled (a scheduler park and \
+         wake) between rounds — exactly-once or BROKEN",
     );
     t
 }

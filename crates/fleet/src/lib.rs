@@ -22,12 +22,13 @@
 //!   batches and wakes only the tokens that have mail or a phase
 //!   obligation, evicting least-recently-woken state to flash
 //!   snapshots so resident RAM stays bounded at 100k+ tokens. It is the
-//!   only runtime that hosts tokens on worker threads: [`TokenPool`] is
-//!   the scheduler with a cap that covers the fleet (phase barriers over
-//!   an always-resident fleet), hosting the Trusted-Cells sync network;
-//!   [`SubNet`] keeps its few PDSs on the driver thread. Under it sits a
-//!   private shard-thread substrate (`shards.rs`): spawn, job channel,
-//!   the trace scope around a token's turn, join on drop.
+//!   only runtime that hosts tokens: [`TokenPool`] is the scheduler with
+//!   a cap that covers the fleet (phase barriers over an always-resident
+//!   fleet), hosting the Trusted-Cells sync network, and [`SubNet`]
+//!   hosts its subscription fleet on it directly, a power cycle being
+//!   the scheduler's park and wake. Under it sits a private shard-thread
+//!   substrate (`shards.rs`): spawn, job channel, the trace scope around
+//!   a token's turn, join on drop.
 //! * [`agg`] / [`cellnet`] — \[TNP14\] secure aggregation and the
 //!   Trusted-Cells sync pass re-hosted as **phased fleet jobs**
 //!   (collection → SSI shuffle/compute → result distribution) on top of
@@ -40,9 +41,9 @@
 //!   bus run is tested against.
 //! * [`subs`] — **continuous queries as a fleet workload**: every token
 //!   holds a standing predicate on its own PDS (MVCC change-log
-//!   cursors), polls it after each commit round and mails the result
-//!   delta to the SSI collector, whose `(token, rowid)` ledger measures
-//!   the exactly-once property instead of assuming it.
+//!   cursors), polls it after each commit round and mails the sealed
+//!   result delta to the SSI collector, whose `(token, round)` ledger
+//!   measures the exactly-once property instead of assuming it.
 //! * [`telemetry`] — the **in-band telemetry plane**: per-token metric
 //!   deltas ride the same bus as the protocols (envelopes to an
 //!   always-online collector role), fold into tick-indexed rollups with

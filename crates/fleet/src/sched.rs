@@ -31,9 +31,11 @@
 //!   not resident, since any of them may ask for its token.
 //!
 //! A cap that covers the fleet evicts nothing: every token stays live
-//! from its first use on. [`TokenPool`] is that case behind `&self`
-//! — the fleet built up front, phases as whole-fleet barriers — and
-//! hosts the Trusted-Cells network.
+//! from its first use on, unless the driver parks it
+//! ([`FleetScheduler::park`]) — which is how the subscription fleet
+//! (`subs`) power-cycles a token. [`TokenPool`] is that case behind
+//! `&self` — the fleet built up front, phases as whole-fleet barriers —
+//! and hosts the Trusted-Cells network.
 //!
 //! Determinism: the residency model — stamps, LRU order, eviction
 //! victims, wave boundaries — lives entirely on the single-threaded
@@ -403,6 +405,14 @@ impl<H: TokenHost> FleetScheduler<H> {
                 slot.asleep = host.hibernate(victim, *token).map(Box::new);
             }
         });
+    }
+
+    /// Park token `i` now, as the cap parks its least recently woken
+    /// resident: the host hibernates it on its shard, and the next turn
+    /// that asks for it wakes it. A token that is not resident is left
+    /// as it is.
+    pub fn park(&mut self, i: usize) {
+        self.evict(i);
     }
 
     /// Dispatch `f` over `items` — `(token, mail)` pairs ordered by

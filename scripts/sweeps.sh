@@ -28,23 +28,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# `sweep <cargo test args> -- <names>` runs them and fails unless at
-# least as many tests passed as names were given: a renamed or deleted
-# sweep would otherwise match nothing, run 0 tests and pass.
+# `sweep <cargo test args> -- <names>` runs each name on its own and
+# fails unless it passed at least one test: a renamed or deleted sweep
+# would otherwise match nothing, run 0 tests and pass, and a name that
+# matches many tests could hide one that matches none. Each name's wall
+# time is printed beside its count.
 sweep() {
-  local args=() names=0 log=target/ci/sweep.log
+  local args=() log=target/ci/sweep.log
   while [ "$1" != "--" ]; do args+=("$1"); shift; done
   shift
-  names=$#
   mkdir -p target/ci
-  PDS_CRASH_SEEDS=256 cargo test "${args[@]}" -q -- "$@" 2>&1 | tee "$log"
-  local passed
-  passed=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$log" |
-    awk '{ n += $1 } END { print n + 0 }')
-  if [ "$passed" -lt "$names" ]; then
-    echo "sweep: $passed tests passed for $names names: $*" >&2
-    return 1
-  fi
+  local name passed start
+  for name in "$@"; do
+    start=$SECONDS
+    PDS_CRASH_SEEDS=256 cargo test "${args[@]}" -q -- "$name" 2>&1 | tee "$log"
+    passed=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$log" |
+      awk '{ n += $1 } END { print n + 0 }')
+    echo "sweep: $name: $passed passed in $((SECONDS - start)) s"
+    if [ "$passed" -lt 1 ]; then
+      echo "sweep: no test passed for $name" >&2
+      return 1
+    fi
+  done
 }
 
 sweep -p pds-flash -- \

@@ -290,9 +290,13 @@ const CELL_SYNC_DELTA_ROUND: (&str, &str) = (
     "349a3a7474dfb54f821939da5266428756be34d367538d57ea34414c32523387",
     "842685138c00758791aa2dab290f503407ff865de6504bc91d895cb17e7bb083",
 );
+/// Re-pinned once, when the subscription fleet's tokens moved onto the
+/// scheduler: its write and poll phases gained a (spanless) `token.N`
+/// tree per token. With those trees taken out, the render and the JSON
+/// hash to the digests pinned before (`940de342…`, `e747658e…`).
 const SUBS_ROUND: (&str, &str) = (
-    "940de3421ea74c12904be66f80f86b4d3ec58b4dce9b0096b18a3d4c1b8f7af6",
-    "e747658e085f2f584b8d18a78384b440a49c62ea9af6a8f9e30b534c9d411034",
+    "a6bce7b69a20bed2a96e2b16f39d0af37ea4c4b20e942f6c9e84b281f89e6f94",
+    "8b9187bd275941759802910c8165ccf3029d8c304dc3dda6b66846011d320593",
 );
 
 #[test]
@@ -374,8 +378,8 @@ fn one_scope_around_two_rounds_holds_one_stitched_root_a_round() {
 
 #[test]
 fn subscription_round_trace_is_pinned() {
-    // The subscription fleet's tokens live on the driver thread: there
-    // is no worker count to vary, so the same round is run twice.
+    // The subscription fleet runs on a fixed number of shards: the same
+    // round is run twice.
     for _ in 0..2 {
         let mut net = SubNet::build(SubNetConfig::new(4, 0x5AB5)).unwrap();
         net.round().unwrap();
