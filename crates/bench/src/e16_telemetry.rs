@@ -19,7 +19,7 @@
 //! Environment knobs: `PDS_E16_TOKENS` (cap on the 64/256/512 sweep,
 //! default 512), `PDS_E16_MAX_THREADS` (default 4).
 
-use pds_fleet::{build_fleet, fleet_secure_aggregation, FleetConfig, OnTamper, TelemetryConfig};
+use pds_fleet::{build_fleet, fleet_secure_aggregation, FleetConfig, OnTamper};
 use pds_global::ssi::SsiThreat;
 use pds_global::GroupByQuery;
 
@@ -57,7 +57,7 @@ pub fn measure(tokens: usize, workers: usize, connectivity: f64) -> E16Point {
     let mut cfg = FleetConfig::new(tokens, workers, 0xE16);
     cfg.partition_size = 32;
     cfg.bus.connectivity = connectivity;
-    cfg.telemetry = Some(TelemetryConfig::default());
+    cfg.telemetry = true;
     let query = GroupByQuery::bank_by_category();
     let mut fleet = build_fleet(&cfg, &query).expect("fleet build");
     let rep = fleet_secure_aggregation(

@@ -32,8 +32,7 @@ use pds_core::Pds;
 use pds_flash::FaultPlan;
 use pds_fleet::{
     build_fleet, build_token, derived_rng, fleet_secure_aggregation, mail_forensics, BusConfig,
-    Collector, EvictPolicy, FleetConfig, HealthEngine, MailboxBus, OnTamper, TelemetryConfig,
-    TelemetryMsg,
+    Collector, EvictPolicy, FleetConfig, HealthEngine, MailboxBus, OnTamper, TelemetryMsg,
 };
 use pds_global::ssi::SsiThreat;
 use pds_global::GroupByQuery;
@@ -167,7 +166,7 @@ pub fn measure(tokens: usize, workers: usize, evict: EvictPolicy) -> E19Point {
     // pure function of the seed — worker count cannot perturb them.
     let victims: Vec<usize> = (0..tokens).step_by(3).collect();
     let mut bus = MailboxBus::new(BusConfig::reliable(cfg.seed ^ 0xF0));
-    let mut collector = Collector::new(TelemetryConfig::default());
+    let mut collector = Collector::new();
     let mut forensics: Vec<(u64, String)> = Vec::new();
     let mut frames_recovered = 0u64;
     for &i in &victims {

@@ -80,12 +80,7 @@ struct FlashInner {
 impl Flash {
     /// Create a chip with the given geometry and the default cost model.
     pub fn new(geo: FlashGeometry) -> Self {
-        Self::with_cost(geo, CostModel::default())
-    }
-
-    /// Create a chip with an explicit latency model.
-    pub fn with_cost(geo: FlashGeometry, cost: CostModel) -> Self {
-        let nand = NandFlash::new(geo, cost);
+        let nand = NandFlash::new(geo, CostModel::default());
         let alloc = BlockAllocator::new(geo.num_blocks());
         Flash {
             inner: Rc::new(RefCell::new(FlashInner { nand, alloc })),

@@ -71,9 +71,7 @@ use pds_obs::MetricsDelta;
 
 use crate::bus::{mix, Addr, BusConfig, BusMsg, BusStats, MailboxBus};
 use crate::sched::{pump, FleetError, FleetScheduler, SchedStats, TokenHost, Visit};
-use crate::telemetry::{
-    Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryConfig, TelemetryMsg,
-};
+use crate::telemetry::{Collector, CollectorStats, FleetHealth, HealthEngine, TelemetryMsg};
 use crate::trace::FleetTraceBuilder;
 pub use pds_global::secure_agg::OnTamper;
 
@@ -139,9 +137,9 @@ pub struct FleetConfig {
     /// Run the in-band telemetry plane: every token mails its metric
     /// deltas over this same bus to the collector role, which folds
     /// them into tick-indexed rollups and a [`FleetHealth`] verdict
-    /// (see [`crate::telemetry`]). `None` leaves the bus schedule
-    /// exactly as it would be without telemetry.
-    pub telemetry: Option<TelemetryConfig>,
+    /// (see [`crate::telemetry`]). Off, the bus schedule is exactly as
+    /// it would be without telemetry.
+    pub telemetry: bool,
     /// Fabric profile.
     pub bus: BusConfig,
 }
@@ -157,7 +155,7 @@ impl FleetConfig {
             link_latency_us: 0,
             resident_cap: None,
             evict: EvictPolicy::Hibernate,
-            telemetry: None,
+            telemetry: false,
             bus: BusConfig {
                 seed,
                 ..BusConfig::default()
@@ -309,9 +307,9 @@ struct TelemetryDriver {
 }
 
 impl TelemetryDriver {
-    fn new(cfg: TelemetryConfig) -> Self {
+    fn new() -> Self {
         TelemetryDriver {
-            collector: Collector::new(cfg),
+            collector: Collector::new(),
             msgs: 0,
             bytes: 0,
             last_bus: BusStats::default(),
@@ -481,7 +479,7 @@ pub fn fleet_secure_aggregation(
     let ssi = Ssi::new(threat, cfg.seed);
     let mut plan = Reduction::new(cfg.partition_size, cfg.tokens);
     let mut bus = MailboxBus::new(cfg.bus);
-    let mut tele = cfg.telemetry.map(TelemetryDriver::new);
+    let mut tele = cfg.telemetry.then(TelemetryDriver::new);
     let mut stats = ProtocolStats::default();
     let sched0 = fleet.stats();
     let mut phase_ticks: Vec<(String, u64)> = Vec::new();

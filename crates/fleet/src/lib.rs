@@ -90,6 +90,6 @@ pub use sched::{FleetError, FleetScheduler, SchedStats, TokenHost, TokenPool, Vi
 pub use subs::{SubNet, SubNetConfig, SubRoundReport};
 pub use telemetry::{
     mail_forensics, Collector, CollectorStats, FleetHealth, ForensicsDigest, HealthEngine,
-    HealthRule, TelemetryConfig, TelemetryMsg,
+    HealthRule, TelemetryMsg,
 };
 pub use trace::FleetTraceBuilder;

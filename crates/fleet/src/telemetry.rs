@@ -10,9 +10,9 @@
 //! [`TelemetryMsg`] envelope to the [`Addr::Collector`] role — an
 //! SSI-hosted inbox that is always online, like the store itself. The
 //! [`Collector`] folds every envelope into a **tick-indexed time
-//! series**: a bounded ring of per-bucket rollups (bucket = virtual bus
-//! tick / [`TelemetryConfig::granularity`]) whose oldest buckets fold
-//! into a cumulative total when the ring is full — bounded memory,
+//! series**: a bounded ring of [`RING_BUCKETS`] per-bucket rollups
+//! (bucket = virtual bus tick / [`BUCKET_TICKS`]) whose oldest buckets
+//! fold into a cumulative total when the ring is full — bounded memory,
 //! nothing lost. Because delta merge is associative and commutative,
 //! the rollups are bit-identical no matter how the bus reordered,
 //! duplicated, or delayed the envelopes, and no matter how many worker
@@ -49,24 +49,12 @@ use pds_obs::MetricsDelta;
 
 use crate::bus::{Addr, MailboxBus};
 
-/// Shape of the telemetry plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Virtual bus ticks per rollup bucket.
-    pub granularity: u64,
-    /// Live buckets kept in the ring; older buckets fold into the
-    /// cumulative total (bounded memory, nothing lost).
-    pub ring: usize,
-}
+/// Virtual bus ticks per rollup bucket.
+pub const BUCKET_TICKS: u64 = 64;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            granularity: 64,
-            ring: 16,
-        }
-    }
-}
+/// Live buckets kept in the ring; older buckets fold into the cumulative
+/// total (bounded memory, nothing lost).
+pub const RING_BUCKETS: usize = 16;
 
 /// One telemetry envelope: who observed what, as of which virtual tick.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,7 +229,6 @@ pub struct CollectorStats {
 /// fleet time series with bounded memory.
 #[derive(Debug, Default)]
 pub struct Collector {
-    cfg: TelemetryConfig,
     ring: BTreeMap<u64, MetricsDelta>,
     evicted: MetricsDelta,
     sources: BTreeSet<u64>,
@@ -252,20 +239,17 @@ pub struct Collector {
 
 impl Collector {
     /// An empty collector.
-    pub fn new(cfg: TelemetryConfig) -> Self {
-        Collector {
-            cfg,
-            ..Collector::default()
-        }
+    pub fn new() -> Self {
+        Collector::default()
     }
 
     /// Fold one envelope into its tick bucket.
     pub fn fold(&mut self, msg: &TelemetryMsg) {
         self.stats.deltas_folded += 1;
         self.sources.insert(msg.source);
-        let bucket = msg.tick / self.cfg.granularity.max(1);
+        let bucket = msg.tick / BUCKET_TICKS;
         self.ring.entry(bucket).or_default().merge(&msg.delta);
-        while self.ring.len() > self.cfg.ring.max(1) {
+        while self.ring.len() > RING_BUCKETS {
             if let Some((_, old)) = self.ring.pop_first() {
                 self.evicted.merge(&old);
                 self.stats.buckets_evicted += 1;
@@ -283,7 +267,7 @@ impl Collector {
             return;
         }
         self.stats.digests_folded += 1;
-        let bucket = digest.tick / self.cfg.granularity.max(1);
+        let bucket = digest.tick / BUCKET_TICKS;
         self.ring
             .entry(bucket)
             .or_default()
@@ -327,7 +311,7 @@ impl Collector {
     }
 
     /// The live time series: `bucket index → rollup` (bucket =
-    /// tick / granularity).
+    /// tick / [`BUCKET_TICKS`]).
     pub fn buckets(&self) -> &BTreeMap<u64, MetricsDelta> {
         &self.ring
     }
@@ -662,33 +646,37 @@ mod tests {
     }
 
     #[test]
-    fn single_bucket_ring_is_a_running_total() {
-        // ring = 1 is the degenerate boundary: every bucket change
-        // evicts the previous bucket, and the total must still see
+    fn a_full_ring_is_a_running_total() {
+        // Every tick for four buckets more than the ring holds: each
+        // new bucket evicts the oldest, and the total must still see
         // every fold exactly once.
-        let mut c = Collector::new(TelemetryConfig {
-            granularity: 10,
-            ring: 1,
-        });
-        for tick in 0..50 {
+        let mut c = Collector::new();
+        let buckets = RING_BUCKETS as u64 + 4;
+        for tick in 0..buckets * BUCKET_TICKS {
             c.fold(&msg(1, tick, 1));
         }
-        assert_eq!(c.buckets().len(), 1, "only the newest bucket lives");
+        assert_eq!(
+            c.buckets().len(),
+            RING_BUCKETS,
+            "only the newest buckets live"
+        );
         assert_eq!(c.stats().buckets_evicted, 4, "buckets 0..=3 folded out");
-        assert_eq!(c.total().counter("tok.contributions"), 50);
-        // The live bucket holds exactly the last granularity's worth.
-        let live = c.buckets().values().next().unwrap();
-        assert_eq!(live.counter("tok.contributions"), 10);
+        assert_eq!(
+            c.total().counter("tok.contributions"),
+            buckets * BUCKET_TICKS
+        );
+        // Each live bucket holds exactly one bucket's worth of ticks.
+        for live in c.buckets().values() {
+            assert_eq!(live.counter("tok.contributions"), BUCKET_TICKS);
+        }
     }
 
     #[test]
     fn bucket_boundaries_split_on_exact_granularity_multiples() {
-        // tick = k·granularity belongs to bucket k, not k-1 — the
-        // half-open [k·g, (k+1)·g) convention, checked at the edges.
-        let mut c = Collector::new(TelemetryConfig {
-            granularity: 64,
-            ring: 8,
-        });
+        // tick = k·64 belongs to bucket k, not k-1 — the half-open
+        // [k·64, (k+1)·64) convention, checked at the edges.
+        assert_eq!(BUCKET_TICKS, 64);
+        let mut c = Collector::new();
         c.fold(&msg(1, 0, 1)); // first tick of bucket 0
         c.fold(&msg(1, 63, 1)); // last tick of bucket 0
         c.fold(&msg(1, 64, 1)); // first tick of bucket 1
@@ -706,11 +694,12 @@ mod tests {
 
     #[test]
     fn tail_fold_eviction_equals_the_unbounded_reference() {
-        // The eviction invariant the plane rests on: a tightly-bounded
-        // ring and an effectively-unbounded one agree on the cumulative
-        // rollup (counters, gauges, histograms) for the same fold
-        // stream — eviction relocates history, it never rewrites it.
-        let stream: Vec<TelemetryMsg> = (0..200)
+        // The eviction invariant the plane rests on: the bounded ring
+        // and an unbounded reference — every delta merged into one —
+        // agree on the cumulative rollup (counters, gauges, histograms)
+        // for the same fold stream — eviction relocates history, it
+        // never rewrites it.
+        let stream: Vec<TelemetryMsg> = (0..2000)
             .map(|k| {
                 let mut delta = MetricsDelta::new();
                 delta.add("tok.contributions", k % 7);
@@ -727,26 +716,19 @@ mod tests {
                 }
             })
             .collect();
-        let run = |ring: usize| {
-            let mut c = Collector::new(TelemetryConfig {
-                granularity: 16,
-                ring,
-            });
-            for m in &stream {
-                c.fold(m);
-            }
-            c
-        };
-        let tight = run(2);
-        let unbounded = run(usize::MAX);
-        assert_eq!(unbounded.stats().buckets_evicted, 0);
-        assert!(tight.stats().buckets_evicted > 0);
-        assert_eq!(tight.buckets().len(), 2);
-        assert_eq!(tight.total(), unbounded.total(), "tail-fold is lossless");
-        assert_eq!(tight.sources(), unbounded.sources());
+        let mut c = Collector::new();
+        let mut unbounded = MetricsDelta::new();
+        for m in &stream {
+            c.fold(m);
+            unbounded.merge(&m.delta);
+        }
+        assert!(c.stats().buckets_evicted > 0);
+        assert_eq!(c.buckets().len(), RING_BUCKETS);
+        assert_eq!(c.total(), unbounded, "tail-fold is lossless");
+        assert_eq!(c.sources(), 5);
         // And the health verdict — a function of the total — agrees.
         let engine = HealthEngine::standard();
-        assert_eq!(tight.health(&engine), unbounded.health(&engine));
+        assert_eq!(c.health(&engine), engine.evaluate(&unbounded));
     }
 
     #[test]
@@ -760,18 +742,16 @@ mod tests {
 
     #[test]
     fn collector_buckets_by_tick_and_bounds_memory() {
-        let mut c = Collector::new(TelemetryConfig {
-            granularity: 10,
-            ring: 3,
-        });
-        for tick in [5, 15, 25, 35, 45] {
-            c.fold(&msg(1, tick, 1));
+        let mut c = Collector::new();
+        let buckets = RING_BUCKETS as u64 + 2;
+        for k in 0..buckets {
+            c.fold(&msg(1, k * BUCKET_TICKS + 5, 1));
         }
-        assert_eq!(c.buckets().len(), 3, "ring bounded");
+        assert_eq!(c.buckets().len(), RING_BUCKETS, "ring bounded");
         assert_eq!(c.stats().buckets_evicted, 2);
         assert_eq!(
             c.total().counter("tok.contributions"),
-            5,
+            buckets,
             "evicted buckets fold into the total — nothing lost"
         );
         assert_eq!(c.sources(), 1);
@@ -781,7 +761,7 @@ mod tests {
     fn fold_is_order_independent() {
         let msgs: Vec<TelemetryMsg> = (0..8).map(|i| msg(i, i * 7, i + 1)).collect();
         let fold = |order: &[usize]| {
-            let mut c = Collector::new(TelemetryConfig::default());
+            let mut c = Collector::new();
             for &i in order {
                 c.fold(&msgs[i]);
             }
@@ -794,7 +774,7 @@ mod tests {
 
     #[test]
     fn collector_counts_junk_instead_of_folding_it() {
-        let mut c = Collector::new(TelemetryConfig::default());
+        let mut c = Collector::new();
         assert!(!c.ingest(b"not telemetry"));
         assert!(c.ingest(&msg(1, 1, 1).encode()));
         assert_eq!(c.stats().decode_errors, 1);
@@ -807,7 +787,7 @@ mod tests {
         bus.send(Addr::Token(0), Addr::Collector, msg(1, 0, 2).encode());
         bus.send(Addr::Token(1), Addr::Collector, msg(2, 0, 3).encode());
         bus.run_until_quiet(1000);
-        let mut c = Collector::new(TelemetryConfig::default());
+        let mut c = Collector::new();
         c.drain_bus(&mut bus);
         assert_eq!(c.total().counter("tok.contributions"), 5);
         assert_eq!(c.sources(), 2);
@@ -919,7 +899,7 @@ mod tests {
 
     #[test]
     fn collector_folds_each_crash_exactly_once() {
-        let mut c = Collector::new(TelemetryConfig::default());
+        let mut c = Collector::new();
         let d = digest(3, 41, CrashCause::TornChangelogTail);
         // The bus may redeliver the same digest many times.
         assert!(c.ingest(&d.encode()));
@@ -937,7 +917,7 @@ mod tests {
 
     #[test]
     fn crash_digests_flip_the_standard_verdict_unhealthy() {
-        let mut c = Collector::new(TelemetryConfig::default());
+        let mut c = Collector::new();
         for t in 0..3 {
             c.fold_digest(&digest(t, 10 + t, CrashCause::TornChangelogTail));
         }
@@ -957,7 +937,7 @@ mod tests {
 
     #[test]
     fn unknown_cause_trips_the_cause_slo() {
-        let mut c = Collector::new(TelemetryConfig::default());
+        let mut c = Collector::new();
         c.fold_digest(&digest(5, 7, CrashCause::Unknown));
         let h = c.health(&HealthEngine::standard());
         assert!(h

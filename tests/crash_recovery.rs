@@ -505,9 +505,7 @@ fn power_loss_over_the_flight_recorder_keeps_the_durable_timeline() {
 
 #[test]
 fn a_crash_digest_is_folded_exactly_once_across_a_power_cycle_mid_mail() {
-    use pds::fleet::{
-        mail_forensics, BusConfig, Collector, HealthEngine, MailboxBus, TelemetryConfig,
-    };
+    use pds::fleet::{mail_forensics, BusConfig, Collector, HealthEngine, MailboxBus};
 
     for case in 0..4u64 {
         let seed = 0xD16_E57 + case;
@@ -543,7 +541,7 @@ fn a_crash_digest_is_folded_exactly_once_across_a_power_cycle_mid_mail() {
             dup_rate: 0.3,
             ..BusConfig::reliable(seed)
         });
-        let mut collector = Collector::new(TelemetryConfig::default());
+        let mut collector = Collector::new();
         assert!(mail_forensics(&rec, 0, &mut bus), "case {case}: first mail");
         let (rec2, _) = reopen(rec);
         assert!(mail_forensics(&rec2, 0, &mut bus), "case {case}: re-mail");

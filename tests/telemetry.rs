@@ -11,7 +11,6 @@
 
 use pds::fleet::{
     build_fleet, fleet_secure_aggregation, FleetAggReport, FleetConfig, HealthEngine, OnTamper,
-    TelemetryConfig,
 };
 use pds::global::ssi::SsiThreat;
 use pds::global::GroupByQuery;
@@ -21,7 +20,7 @@ fn run_fleet(workers: usize, connectivity: f64, telemetry: bool) -> FleetAggRepo
     let mut cfg = FleetConfig::new(40, workers, 0x7E1E);
     cfg.partition_size = 16;
     cfg.bus.connectivity = connectivity;
-    cfg.telemetry = telemetry.then(TelemetryConfig::default);
+    cfg.telemetry = telemetry;
     let query = GroupByQuery::bank_by_category();
     let mut fleet = build_fleet(&cfg, &query).unwrap();
     fleet_secure_aggregation(
