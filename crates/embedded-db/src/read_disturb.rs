@@ -15,14 +15,7 @@ use crate::value::{ColumnType, Schema};
 use crate::{Database, DbError, KvStore, Predicate, SpatialTrace, TimeSeries, Value};
 use pds_flash::{FaultPlan, Flash, FlashError};
 use pds_mcu::RamBudget;
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
-
-fn seed_count() -> u64 {
-    std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
+use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
 /// Every query of the sweep, each answer in its `Debug` form.
 type Answers = Vec<Result<String, DbError>>;
@@ -157,7 +150,7 @@ fn embedded_reads_under_disturb() {
     let world = build(&flash, &ram);
     let want: Vec<String> = ask(&world).into_iter().map(Result::unwrap).collect();
     let mut refused = 0;
-    for case in 0..seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xD157_DB00 + case;
         flash.inject_faults(FaultPlan::new(seed).read_flips(0.01));
         let got = ask(&world);
@@ -171,5 +164,5 @@ fn embedded_reads_under_disturb() {
         }
     }
     // Three failed reads in a row are about one in a million reads.
-    assert!(refused <= seed_count() / 16, "{refused} refused");
+    assert!(refused <= sweep_seeds(48) / 16, "{refused} refused");
 }

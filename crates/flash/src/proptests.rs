@@ -7,7 +7,7 @@
 
 #![cfg(test)]
 
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
 use pds_obs::flight::{subsystem, EventFrame, Severity};
 
@@ -95,22 +95,13 @@ fn interleaved_logs_never_break_chip_rules() {
     }
 }
 
-/// Number of seeds the crash sweep runs. CI pins a larger fixed set via
-/// `PDS_CRASH_SEEDS` so every push exercises the fault paths broadly.
-fn crash_seed_count() -> u64 {
-    std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 /// The crash-recovery contract, swept over seeds: append records, cut
 /// power at a seed-chosen program, reboot, recover — every record
 /// durably programmed before the cut is back, nothing fabricated, and
 /// what is recovered is an exact prefix of what was appended.
 #[test]
 fn seeded_crash_recovery_sweep() {
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xC4A5_0000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let flash = Flash::new(FlashGeometry::new(256, 8, 64));
@@ -390,7 +381,7 @@ fn scanned(w: &LogWriter) -> Vec<Vec<u8>> {
 #[test]
 fn read_disturb_recovery_sweep() {
     let mut retries = 0;
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xD157_0000 + case;
         let ctx = format!("case {case}");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -561,7 +552,7 @@ fn recorder_ring_sweep() {
     // 256-byte pages hold 8 frames, a block of 4 pages 32.
     let geo = FlashGeometry::new(256, 4, 64);
     let frame = |k: u64| EventFrame::new(Severity::Info, subsystem::CORE, 1, [k, 0]);
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xC4A5_B100 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         // `true` flushes, `false` records a frame.
@@ -713,7 +704,7 @@ fn change_log_sweep() {
     // 256-byte pages hold 11 records, a block of 4 pages 44.
     let geo = FlashGeometry::new(256, 4, 64);
     let mut copies = 0u64;
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xC4A5_C100 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let script = change_script(&mut rng, 70);
@@ -860,7 +851,7 @@ fn record_log_sweep_over_lengths_flushes_and_cuts() {
     let geo = FlashGeometry::new(256, 8, 64);
     let max = geo.page_size - 8;
     let mut runs_left_behind = 0;
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0xC4A5_7000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let steps = rng.gen_range(10usize..40);
@@ -1082,7 +1073,7 @@ fn cell_store_sweep_against_a_full_block_model() {
     // The medium's two ambiguities, which the sweep must have crossed.
     let (mut torn_before_a_mark, mut blank_last_page) = (0, 0);
     for (g, geo) in geos.into_iter().enumerate() {
-        for case in 0..crash_seed_count() {
+        for case in 0..sweep_seeds(48) {
             let seed = 0xCE11_0000 + ((g as u64) << 12) + case;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut flash = Flash::new(geo);

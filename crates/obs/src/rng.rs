@@ -286,6 +286,16 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
+/// How many seeds a seeded sweep runs: `PDS_CRASH_SEEDS` when it holds a
+/// number, else the sweep's own `default`. One variable widens every
+/// sweep of the workspace at once.
+pub fn sweep_seeds(default: u64) -> u64 {
+    std::env::var("PDS_CRASH_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// `rand`-compatible module layout so `use …::rngs::StdRng` keeps working.
 pub mod rngs {
     pub use super::{SplitMix64, StdRng};

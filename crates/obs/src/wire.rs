@@ -202,11 +202,7 @@ pub fn sweep<T: PartialEq + std::fmt::Debug>(
     encode: impl Fn(&T) -> Vec<u8>,
     decode: impl Fn(&[u8]) -> Option<T>,
 ) {
-    let seeds: u64 = std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-        .max(1);
+    let seeds = crate::rng::sweep_seeds(48).max(1);
     for bomb in bombs {
         assert_eq!(decode(bomb), None, "{format}: lying count {bomb:02x?}");
     }

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use pds_flash::{BlockId, ChipSnapshot, FaultPlan, Flash, FlashError, FlashGeometry, LogWriter};
 use pds_mcu::{RamBudget, Reservation};
 use pds_obs::flight;
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
 use crate::engine::{
     DfStrategy, EngineManifest, EngineRecovery, RebuildReason, SearchEngine, SearchError,
@@ -412,17 +412,10 @@ fn crash_and_compare(
     first
 }
 
-fn crash_seed_count() -> u64 {
-    std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
-
 #[test]
 fn checkpointed_recovery_equals_full_rebuild_sweep() {
     let (mut kept_paths, mut cuts_in_a_drain) = (0, 0);
-    for case in 0..crash_seed_count() {
+    for case in 0..sweep_seeds(48) {
         let seed = 0x1DC_0000 + case;
         let mut rng = StdRng::seed_from_u64(seed);
         let ops = random_script(&mut rng);
@@ -689,7 +682,7 @@ fn a_cut_at_every_program_of_a_drain_keeps_df_in_the_heads() {
     // fault seeds: the recovered engine counts on the checkpoint's heads
     // and on those its replay drains.
     let mut skipped = 0;
-    let scripts = 0..crash_seed_count().div_ceil(16);
+    let scripts = 0..sweep_seeds(48).div_ceil(16);
     // Each on the whole budget and on the ballasted one.
     for (script, shape) in scripts.flat_map(|s| [(s, SMALL), (s, BALLASTED)]) {
         let (ops, dry, drain) = script_with_a_drain_after_a_flush(0xFD00 + script, shape);
@@ -962,17 +955,28 @@ fn recovery_work_does_not_grow_with_the_corpus() {
         let io = side.flash.stats();
         assert_eq!(io.page_programs, 0, "{docs} docs: a clean reopen writes");
         assert_eq!(side.report.docs_replayed, 0);
+        // The tail the checkpoint kept, `P − T` of its frontier: nothing
+        // was replayed, so the index log ends at `P`.
+        assert_eq!(side.engine.num_index_pages(), side.report.index_pages_kept);
+        let tail = u64::from(side.engine.num_tail_pages());
         // The document log's scan does grow with the corpus — a lead for
         // a later change; what this pins is everything else.
-        io.page_reads
+        let reads = io.page_reads
             - record_log_reads(&snap, &m.doc_blocks, false)
             - record_log_reads(&snap, &m.tombstone_blocks, true)
-            - record_log_reads(&snap, &m.checkpoint_blocks, true)
+            - record_log_reads(&snap, &m.checkpoint_blocks, true);
+        (reads, tail)
     };
-    let bound = SMALL.num_buckets as u64 + 1;
-    let (small, large) = (index_side_reads(150), index_side_reads(600));
-    assert!(small <= bound, "N: {small} index-side page reads");
-    assert!(large <= bound, "4N: {large} index-side page reads");
+    // A head a bucket, the index log's frontier and each kept tail page
+    // once.
+    let bound = |tail: u64| SMALL.num_buckets as u64 + 1 + tail;
+    for (docs, ctx) in [(150, "N"), (600, "4N")] {
+        let (reads, tail) = index_side_reads(docs);
+        assert!(
+            reads <= bound(tail),
+            "{ctx}: {reads} index-side page reads, {tail} tail pages"
+        );
+    }
 }
 
 #[test]

@@ -10,16 +10,16 @@
 //! or query may read more pages. The script covers 512 B, 2 KB and 4 KB
 //! pages at 8–32 buckets and 32–128 buffered triples, and one seed in
 //! eight the secure gateway's `(128, 768)` on 2 KB pages; it looks
-//! between syncs and after them, after a failed drain, after a recovery,
-//! and after the drain a recovered engine makes first — whose counting
-//! pass relearns the filters of the tail it kept — failed and then let
-//! through. `PDS_CRASH_SEEDS` widens it as it does the crash sweeps.
+//! between syncs and after them, after a failed drain, after a recovery —
+//! whose wake noted the filters of the tail it kept — and after the drain
+//! a recovered engine makes first, failed and then let through.
+//! `PDS_CRASH_SEEDS` widens it as it does the crash sweeps.
 
 #![cfg(test)]
 
 use pds_flash::{BlockId, Flash, FlashGeometry};
 use pds_mcu::RamBudget;
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
 use super::{SearchEngine, SearchError, SearchHit, SearchMode, KEPT_LEN};
 use crate::tokenize::term_hash;
@@ -199,17 +199,10 @@ impl Twins {
     }
 }
 
-fn seeds() -> u64 {
-    std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24)
-}
-
 #[test]
 fn tail_filters_never_hide_a_posting_sweep() {
     let mut saved = 0;
-    for seed in 0..seeds() {
+    for seed in 0..sweep_seeds(24) {
         let mut rng = StdRng::seed_from_u64(0x4600 + seed);
         let page_size = [512, 2048, 4096][seed as usize % 3];
         let num_buckets = [8, 16, 24, 32][rng.gen_range(0..4usize)];
@@ -244,18 +237,16 @@ fn tail_filters_never_hide_a_posting_sweep() {
         twins.free(ballast);
         twins.index_until_drained(&mut rng);
         twins.check(&format!("{ctx}: drained over a failed drain"));
-        // Recovered: the kept tail unknown to both. The first drain counts
-        // it and relearns its filters; failed, it leaves them known.
+        // Recovered: the wake noted the kept tail's filters, and a failed
+        // drain after it leaves them as they were.
         twins.power_cycle();
-        twins.check(&format!("{ctx}: recovered"));
-        let ballast = twins.fail_a_drain(&mut rng);
         let e = &twins.engines[0];
         let known = (0..e.num_tail_pages() as usize)
             .any(|i| (e.tail.filter(i)).is_some_and(|f| f.iter().any(|&b| b != 0xFF)));
-        assert!(e.tally_known && known, "{ctx}");
-        twins.check(&format!(
-            "{ctx}: recovered, a failed drain counted the tail"
-        ));
+        assert!(known, "{ctx}");
+        twins.check(&format!("{ctx}: recovered"));
+        let ballast = twins.fail_a_drain(&mut rng);
+        twins.check(&format!("{ctx}: recovered, after a failed drain"));
         twins.free(ballast);
         twins.index_until_drained(&mut rng);
         twins.check(&format!("{ctx}: recovered, drained"));

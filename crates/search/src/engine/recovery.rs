@@ -312,6 +312,38 @@ impl SearchEngine {
         })
     }
 
+    /// Note each page of the tail a checkpoint kept, read once, as
+    /// [`program_staged`](SearchEngine::program_staged) noted it when it
+    /// programmed it: its span, its term filter and its triples in the
+    /// tally ([`note_tail_page`](SearchEngine::note_tail_page)). So a wake
+    /// leaves the engine knowing its tail as it did before the power
+    /// cycle, and a walk or a drain reads what it read then. A page that
+    /// fails every read stays unknown and adds nothing to the tally: the
+    /// wake goes on, and a walk or a drain's gather that meets the page
+    /// fails on it. One page of the budget for the pass.
+    fn note_kept_tail(&mut self) -> Result<(), SearchError> {
+        let page_size = self.flash.geometry().page_size;
+        let _page_guard = self.ram.reserve(page_size)?;
+        let mut buf = vec![0u8; page_size];
+        for page in self.tail_start..self.index.num_pages() {
+            let staged = match self.staged_page(page, &mut buf) {
+                Ok(staged) => staged,
+                Err(
+                    SearchError::Flash(
+                        FlashError::CorruptPage(_)
+                        | FlashError::ErasedPage(_)
+                        | FlashError::BadRecordAddr,
+                    )
+                    | SearchError::CorruptIndex(_),
+                ) => continue,
+                Err(e) => return Err(e),
+            };
+            self.note_tail_page(page, staged.as_ref());
+        }
+        pds_obs::counter!("recovery.tail_pages_read").add(u64::from(self.num_tail_pages()));
+        Ok(())
+    }
+
     /// Bring an engine back after a power cycle.
     ///
     /// The document store and the tombstone log are record logs and
@@ -321,10 +353,13 @@ impl SearchEngine {
     /// frontier `D`, the page frontier `P`, the tail start and the chain
     /// heads; the index log is re-adopted up to `P`
     /// ([`LogWriter::recover_at`] — pages past `P` are garbage the cut
-    /// left behind), and only documents `D..` go through the indexing
-    /// path again, drains included. Work is proportional to
-    /// what was ingested since the last sync, plus one page read per
-    /// bucket to check the heads against the pages they name.
+    /// left behind), each page of its tail is read once to note what it
+    /// holds, and only documents `D..` go through the indexing path
+    /// again, drains included. Work is proportional to what was ingested
+    /// since the last sync, plus one page read per bucket to check the
+    /// heads against the pages they name and one per kept tail page — a
+    /// drain's length and a buffer-full at most, unless a failed drain
+    /// left pages among the tail.
     ///
     /// When there is no usable checkpoint ([`RebuildReason`]) the same
     /// replay runs from the origin instead — document 0 on an empty log
@@ -388,10 +423,9 @@ impl SearchEngine {
             .count();
         engine.index = index;
         engine.tail_start = from.tail;
-        // A kept tail was not read: a drain counts it before it gathers.
-        engine.tally_known = engine.num_tail_pages() == 0;
         engine.epoch = from.epoch;
         engine.durable = from;
+        engine.note_kept_tail()?;
 
         let docs_recovered = engine.num_docs();
         for doc in from.docs..docs_recovered {

@@ -12,17 +12,10 @@
 
 use pds_flash::{FaultPlan, Flash, FlashError, FlashGeometry};
 use pds_mcu::RamBudget;
-use pds_obs::rng::{Rng, SeedableRng, StdRng};
+use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
 use crate::tokenize::term_hash;
 use crate::{DfStrategy, SearchEngine, SearchError, SearchMode};
-
-fn seed_count() -> u64 {
-    std::env::var("PDS_CRASH_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
-}
 
 const VOCAB: usize = 300;
 
@@ -101,7 +94,7 @@ fn search_reads_under_disturb() {
     let mut refused = 0;
     for (flash, e) in [engine(2048, 128, 768, 2400), engine(512, 64, 256, 920)] {
         let want: Vec<_> = ask(&e).into_iter().map(Result::unwrap).collect();
-        for case in 0..seed_count() {
+        for case in 0..sweep_seeds(48) {
             let seed = 0xD157_5EA0 + case;
             flash.inject_faults(FaultPlan::new(seed).read_flips(0.01));
             let got = ask(&e);
@@ -120,6 +113,6 @@ fn search_reads_under_disturb() {
         }
     }
     // Three failed reads in a row are about one in a million reads.
-    assert!(refused <= seed_count() / 16, "{refused} refused");
+    assert!(refused <= sweep_seeds(48) / 16, "{refused} refused");
     assert!(retries.get() > before, "no read was disturbed");
 }

@@ -627,7 +627,7 @@ pub(crate) fn reference_decode_page(buf: &[u8]) -> Option<(u32, Vec<Triple>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_obs::rng::{Rng, SeedableRng, StdRng};
+    use pds_obs::rng::{sweep_seeds, Rng, SeedableRng, StdRng};
 
     /// What a page decodes to: the chain link and the triples (which the
     /// reference must agree on), and the df table's entries and flag —
@@ -742,14 +742,6 @@ mod tests {
         );
     }
 
-    /// The seeds of a sweep: `PDS_CRASH_SEEDS`, 48 by default.
-    fn seeds() -> u64 {
-        std::env::var("PDS_CRASH_SEEDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(48)
-    }
-
     /// Fill a page from `triples` until one does not fit, in buckets of
     /// `bucket_of` told apart as they change, and check it: what it
     /// decodes to is what went in, it names each of its terms once, and
@@ -801,7 +793,7 @@ mod tests {
 
     #[test]
     fn bucket_pages_round_trip_sweep() {
-        for seed in 0..seeds() {
+        for seed in 0..sweep_seeds(48) {
             let mut rng = StdRng::seed_from_u64(0x44_0000 + seed);
             for page_size in [512, 2048, 4096] {
                 // From one term a page to every posting a new term.

@@ -17,7 +17,9 @@
 # every posting, at three page sizes, topped up in place, and its tail's
 # term filters against an engine that forgot them (the same answers, no
 # more reads), and its searches and df counts under read disturb at the
-# secure gateway's shape and the test gateway's, and pds-db's
+# secure gateway's shape and the test gateway's, and a woken engine's
+# walks, hits and next drain against the engine that kept running (the
+# same pages read, skipped and programmed), and pds-db's
 # reads under read disturb: indexed selects, the
 # summarised fronts and climbing-index joins answer what they answer
 # flip-free. Then the format sweep under the same seed set: every wire and
@@ -63,6 +65,7 @@ sweep -p pds-search -- \
   a_second_crash_while_the_tail_replay_drains \
   bucket_pages_round_trip_sweep \
   tail_filters_never_hide_a_posting_sweep \
-  search_reads_under_disturb
+  search_reads_under_disturb \
+  a_wake_walks_and_drains_as_the_engine_that_kept_running_sweep
 sweep -p pds-db -- embedded_reads_under_disturb
 sweep --workspace -- keep_the_decoder_contract
